@@ -24,7 +24,7 @@ from .sim import (ScenarioConfig, SensorDataset, generate_trajectory,
                   read_dataset, sample_sensors, simulate, write_dataset)
 from .state import NavState
 from .visual import (CameraModel, IntensityField, LandmarkObservation,
-                     PatchPattern, backproject, photometric_residual, project,
+                     PatchPattern, backproject, project,
                      reprojection_residual, stereo_depth)
 
 __version__ = "0.1.0"

@@ -111,18 +111,36 @@ class PhotometricData:
     pixel: np.ndarray
     depth: float
     pattern: PatchPattern
-    # host-side quantities are fixed per factor; cached at construction
+    # host-side quantities are fixed per factor; cached at construction,
+    # by ``batch`` (here a batch of one) unless it supplied them
     host_pix: np.ndarray = None
     host_vals: np.ndarray = None
     weights: np.ndarray = None
 
     def __post_init__(self):
-        pix = np.asarray(self.pixel, dtype=float) + self.pattern.offsets
-        object.__setattr__(self, "host_pix", pix)
-        object.__setattr__(self, "host_vals",
-                           np.atleast_1d(self.field_host.sample(pix)))
-        object.__setattr__(self, "weights",
-                           self.pattern.weights(self.field_host, pix))
+        if self.host_vals is not None:
+            return
+        (one,) = self.batch(self.field_host, self.field_obs, [self.pixel],
+                            [self.depth], self.pattern)
+        for name in ("host_pix", "host_vals", "weights"):
+            object.__setattr__(self, name, getattr(one, name))
+
+    @classmethod
+    def batch(cls, field_host: IntensityField, field_obs: IntensityField,
+              pixels, depths, pattern: PatchPattern) -> list[PhotometricData]:
+        """One payload per (pixel, depth), with the host-side caches of all
+        patches taken from one field sample and one gradient call."""
+        pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
+        if len(pixels) == 0:
+            return []
+        m = len(pattern.offsets)
+        pix = pixels[:, None, :] + pattern.offsets  # (n, m, 2)
+        flat = pix.reshape(-1, 2)
+        vals = field_host.sample(flat).reshape(-1, m)
+        weights = pattern.weights(field_host, flat).reshape(-1, m)
+        return [cls(field_host, field_obs, pixels[k].copy(), float(depth),
+                    pattern, pix[k], vals[k], weights[k])
+                for k, depth in enumerate(depths)]
 
 
 @dataclass(frozen=True)
@@ -289,58 +307,18 @@ class Factor:
         return res, {sid: js}, {self.landmark_id: j_lm}
 
     def _eval_photometric(self, states, with_jacobians=True):
-        host_id, obs_id = self.state_ids
-        d = self.payload
-        cam = self.rig.cam
-        si, sj = states[host_id], states[obs_id]
-        r_ic = self.rig.T_IC.R
-        p_ic = self.rig.T_IC.t
-        r_wci = si.R @ r_ic
-        r_wcj = sj.R @ r_ic
-
-        pix_i = d.host_pix
-        pts_ci = np.empty((len(pix_i), 3))
-        pts_ci[:, 0] = (pix_i[:, 0] - cam.cx) / cam.fx * d.depth
-        pts_ci[:, 1] = (pix_i[:, 1] - cam.cy) / cam.fy * d.depth
-        pts_ci[:, 2] = d.depth
-        # host-to-observer points with the translation difference taken
-        # first, so a common world shift cancels exactly
-        rel = (si.p - sj.p) + (si.R @ p_ic - sj.R @ p_ic)
-        pts_cj = (pts_ci @ r_wci.T + rel) @ r_wcj
-        z = pts_cj[:, 2]
-        if np.any(z <= 1e-6):
-            raise BehindCameraError("patch point behind the current camera")
-        warped = np.empty_like(pix_i)
-        warped[:, 0] = cam.fx * pts_cj[:, 0] / z + cam.cx
-        warped[:, 1] = cam.fy * pts_cj[:, 1] / z + cam.cy
-        if (np.any(warped[:, 0] < 0.0) or np.any(warped[:, 0] >= cam.width)
-                or np.any(warped[:, 1] < 0.0) or np.any(warped[:, 1] >= cam.height)):
-            raise OutOfDomainError("warped patch left the image domain")
-        w = d.weights
-        res = float(np.sum(w * (d.field_obs.sample(warped) - d.host_vals)))
+        # a batch of one: the photometric residual is written once, there
+        batch = _PhotometricBatch([self])
         if not with_jacobians:
-            return np.array([res]), {}, {}
-
-        grads = np.atleast_2d(d.field_obs.gradient(warped))
-        dpi = np.zeros((len(pix_i), 2, 3))
-        dpi[:, 0, 0] = cam.fx / z
-        dpi[:, 0, 2] = -cam.fx * pts_cj[:, 0] / (z * z)
-        dpi[:, 1, 1] = cam.fy / z
-        dpi[:, 1, 2] = -cam.fy * pts_cj[:, 1] / (z * z)
-        rows = np.einsum("m,mk,mkl->ml", w, grads, dpi)
-        rows_sum = rows.sum(axis=0)
-        # row @ hat(x) == cross(row, x), batched over the pattern
-        j_obs = np.zeros((1, STATE_DOF))
-        j_obs[0, PHI] = (np.cross(rows, pts_cj).sum(axis=0) @ r_ic.T
-                         + rows_sum @ (r_ic.T @ hat(p_ic)))
-        j_obs[0, POS] = -rows_sum @ r_wcj.T
-        srows = rows @ r_wcj.T
-        a = srows @ r_wci
-        j_host = np.zeros((1, STATE_DOF))
-        j_host[0, PHI] = (-np.cross(a, pts_ci).sum(axis=0) @ r_ic.T
-                          - srows.sum(axis=0) @ (si.R @ hat(p_ic)))
-        j_host[0, POS] = srows.sum(axis=0)
-        return np.array([res]), {host_id: j_host, obs_id: j_obs}, {}
+            res, _ = batch.residuals(states, strict=True)
+            return res, {}, {}
+        res, j_host, j_obs = batch.linearize(states)
+        host_id, obs_id = self.state_ids
+        jh = np.zeros((1, STATE_DOF))
+        jo = np.zeros((1, STATE_DOF))
+        jh[:, :6] = j_host
+        jo[:, :6] = j_obs
+        return res, {host_id: jh, obs_id: jo}, {}
 
     def _eval_prior(self, states, with_jacobians=True):
         (sid,) = self.state_ids
@@ -404,13 +382,26 @@ class SolverConfig:
     lambda_max: float = 1e10
 
 
+class Termination(Enum):
+    """Why a solve stopped."""
+
+    RELATIVE_COST = "relative_cost"    # cost drop below rel_cost_tol
+    STEP_SIZE = "step_size"            # step norm below step_tol
+    ITERATION_CAP = "iteration_cap"    # max_iterations steps taken
+    ZERO_GRADIENT = "zero_gradient"    # gradient vanished (or no free dims)
+    NO_DESCENT = "no_descent"          # no damping up to lambda_max lowers the cost
+
+
 @dataclass
 class SolveReport:
+    """``converged`` is true for every termination but the iteration cap."""
+
     iterations: int
     initial_cost: float
     final_cost: float
     converged: bool
     cost_trace: list[float]
+    termination: Termination
 
 
 def _factor_cost(factor: Factor, r: np.ndarray) -> float:
@@ -418,6 +409,18 @@ def _factor_cost(factor: Factor, r: np.ndarray) -> float:
     if factor.robust:
         return huber_cost(r2, factor.robust_delta)
     return r2
+
+
+def _robust_weights_cost(r2: np.ndarray, robust: np.ndarray,
+                         deltas: np.ndarray):
+    """Per-factor Huber weights and the summed robustified cost of the
+    squared Mahalanobis norms ``r2``; non-robust factors weigh 1."""
+    s = np.sqrt(r2)
+    outside = robust & (s > deltas)
+    w = np.ones(len(r2))
+    np.divide(deltas, s, out=w, where=outside)
+    cost = np.where(outside, 2.0 * deltas * s - deltas**2, r2)
+    return w, float(cost.sum())
 
 
 def _batched_hat(v: np.ndarray) -> np.ndarray:
@@ -435,7 +438,11 @@ class _ReprojectionBatch:
     """Vectorized evaluation of all reprojection factors hosted by one state.
 
     Exploits the fact that the rotation/translation perturbations occupy the
-    first six local dimensions of every state mask in use.
+    first six local dimensions of every state mask in use. Landmark blocks
+    are scattered into the normal equations through flat index arrays with
+    ``np.add.at``, so several observations of one landmark (a keyframe that
+    sees it twice) all add up; landmarks without columns (fixed ones) are
+    skipped.
     """
 
     def __init__(self, factors: list[Factor]):
@@ -458,12 +465,7 @@ class _ReprojectionBatch:
 
     def _weights_cost(self, res):
         r2 = np.einsum("ni,nij,nj->n", res, self.infos, res)
-        s = np.sqrt(r2)
-        w = np.ones(len(r2))
-        out = np.where(self.robust & (s > self.deltas),
-                       2.0 * self.deltas * s - self.deltas**2, r2)
-        np.divide(self.deltas, s, out=w, where=self.robust & (s > self.deltas))
-        return r2, w, float(out.sum())
+        return _robust_weights_cost(r2, self.robust, self.deltas)
 
     def cost(self, states, landmarks) -> float:
         _, x_c = self._project(states, landmarks)
@@ -473,7 +475,7 @@ class _ReprojectionBatch:
         cam = self.rig.cam
         pred = np.stack([cam.fx * x_c[:, 0] / z + cam.cx,
                          cam.fy * x_c[:, 1] / z + cam.cy], axis=1)
-        _, _, total = self._weights_cost(self.pixels - pred)
+        _, total = self._weights_cost(self.pixels - pred)
         return total
 
     def accumulate(self, h, g, states, landmarks, state_cols, lm_cols):
@@ -483,7 +485,7 @@ class _ReprojectionBatch:
         pred = np.stack([cam.fx * x_c[:, 0] / z + cam.cx,
                          cam.fy * x_c[:, 1] / z + cam.cy], axis=1)
         res = self.pixels - pred
-        _, w, _ = self._weights_cost(res)
+        w, _ = self._weights_cost(res)
         a_mats = w[:, None, None] * self.infos
 
         dpi = np.zeros((len(z), 2, 3))
@@ -501,21 +503,164 @@ class _ReprojectionBatch:
 
         sc = state_cols.get(self.sid)
         if sc is not None:
-            cols = sc[0]
-            s6 = slice(cols.start, cols.start + 6)
+            s0 = sc[0].start
+            s6 = slice(s0, s0 + 6)
             h[s6, s6] += np.einsum("nai,nab,nbj->ij", j_state, a_mats, j_state)
             g[s6] += np.einsum("nai,nab,nb->i", j_state, a_mats, res)
-        for k, lid in enumerate(self.lm_ids):
-            lc = lm_cols.get(lid)
-            if lc is None:
-                continue
-            al = a_mats[k] @ j_lm[k]
-            h[lc, lc] += j_lm[k].T @ al
-            g[lc] += al.T @ res[k]
-            if sc is not None:
-                cross = j_state[k].T @ al
-                h[s6, lc] += cross
-                h[lc, s6] += cross.T
+
+        starts = np.array([lm_cols[lid].start if lid in lm_cols else -1
+                           for lid in self.lm_ids])
+        keep = starts >= 0
+        if not keep.any():
+            return
+        cols = starts[keep, None] + np.arange(3)           # (k, 3)
+        jl = j_lm[keep]
+        al = a_mats[keep] @ jl                             # (k, 2, 3)
+        ndim = h.shape[1]
+        h_flat = h.reshape(-1)                             # a view of h
+        np.add.at(h_flat, cols[:, :, None] * ndim + cols[:, None, :],
+                  np.einsum("kai,kaj->kij", jl, al))
+        np.add.at(g, cols, np.einsum("kai,ka->ki", al, res[keep]))
+        if sc is not None:
+            cross = np.einsum("kai,kaj->kij", j_state[keep], al)  # (k, 6, 3)
+            rows6 = np.arange(s0, s0 + 6)
+            np.add.at(h_flat, rows6[None, :, None] * ndim + cols[:, None, :],
+                      cross)
+            np.add.at(h_flat, cols[:, :, None] * ndim + rows6[None, None, :],
+                      cross.transpose(0, 2, 1))
+
+
+class _PhotometricBatch:
+    """Vectorized evaluation of the photometric factors of one (host,
+    observer) state pair that share one observer field and one pattern.
+
+    All n x m patch points are warped at once, and the observer field is
+    sampled and differentiated in one call each. Reduced over the pattern,
+    this gives per-patch residuals, Huber weights and 1x6 Jacobian rows
+    (rotation, position) for the host and the observer; the warp touches no
+    other state dimension, so the rows occupy the first six local dims.
+    """
+
+    def __init__(self, factors: list[Factor]):
+        f0 = factors[0]
+        self.host_id, self.obs_id = f0.state_ids
+        self.rig = f0.rig
+        self.field_obs = f0.payload.field_obs
+        payloads = [f.payload for f in factors]
+        self.host_vals = np.stack([d.host_vals for d in payloads])  # (n, m)
+        self.weights = np.stack([d.weights for d in payloads])      # (n, m)
+        pix = np.stack([d.host_pix for d in payloads])              # (n, m, 2)
+        depth = np.array([d.depth for d in payloads])[:, None]
+        cam = self.rig.cam
+        self.pts_ci = np.stack(
+            [(pix[..., 0] - cam.cx) / cam.fx * depth,
+             (pix[..., 1] - cam.cy) / cam.fy * depth,
+             np.broadcast_to(depth, pix.shape[:2])], axis=-1)
+        self.infos = np.array([f.info[0, 0] for f in factors])
+        self.robust = np.array([f.robust for f in factors])
+        self.deltas = np.array([f.robust_delta for f in factors])
+
+    def _rotations(self, states):
+        r_ic = self.rig.T_IC.R
+        return states[self.host_id].R @ r_ic, states[self.obs_id].R @ r_ic
+
+    def _warp(self, states, strict: bool):
+        """Observer-frame points (n, m, 3), their pixels (n, m, 2) and the
+        mask of patches whose every point lies in front of the observer
+        camera and inside its image. With ``strict`` a patch outside the
+        mask raises instead (BehindCameraError before OutOfDomainError)."""
+        si, sj = states[self.host_id], states[self.obs_id]
+        p_ic = self.rig.T_IC.t
+        r_wci, r_wcj = self._rotations(states)
+        # host-to-observer points with the translation difference taken
+        # first, so a common world shift cancels exactly
+        rel = (si.p - sj.p) + (si.R @ p_ic - sj.R @ p_ic)
+        pts_cj = (self.pts_ci @ r_wci.T + rel) @ r_wcj
+        z = pts_cj[..., 2]
+        front = z > 1e-6
+        z = np.where(front, z, 1.0)  # finite pixels for rejected points
+        cam = self.rig.cam
+        u = cam.fx * pts_cj[..., 0] / z + cam.cx
+        v = cam.fy * pts_cj[..., 1] / z + cam.cy
+        inside = (u >= 0.0) & (u < cam.width) & (v >= 0.0) & (v < cam.height)
+        front = front.all(axis=1)
+        valid = front & inside.all(axis=1)
+        if strict and not valid.all():
+            if not front.all():
+                raise BehindCameraError("patch point behind the current camera")
+            raise OutOfDomainError("warped patch left the image domain")
+        return pts_cj, np.stack([u, v], axis=-1), valid
+
+    def residuals(self, states, strict: bool = False):
+        """Per-patch residuals (n,) and the validity mask of ``_warp``;
+        invalid patches read NaN and are not sampled."""
+        _, warped, valid = self._warp(states, strict)
+        res = np.full(len(valid), np.nan)
+        if valid.any():
+            vals = self.field_obs.sample(warped[valid].reshape(-1, 2))
+            res[valid] = np.sum(self.weights[valid] * (
+                vals.reshape(-1, warped.shape[1]) - self.host_vals[valid]),
+                axis=1)
+        return res, valid
+
+    def linearize(self, states):
+        """Per-patch residuals (n,) and 1x6 Jacobian rows (n, 6) w.r.t.
+        the host and the observer state; every patch must be valid."""
+        pts_cj, warped, _ = self._warp(states, strict=True)
+        n, m = warped.shape[:2]
+        flat = warped.reshape(-1, 2)
+        vals = self.field_obs.sample(flat).reshape(n, m)
+        grads = self.field_obs.gradient(flat).reshape(n, m, 2)
+        w = self.weights
+        res = np.sum(w * (vals - self.host_vals), axis=1)
+
+        # weighted image gradient times the projection derivative
+        cam = self.rig.cam
+        z = pts_cj[..., 2]
+        gu = w * grads[..., 0] * cam.fx / z
+        gv = w * grads[..., 1] * cam.fy / z
+        rows = np.stack([gu, gv, -(gu * pts_cj[..., 0] + gv * pts_cj[..., 1])
+                         / z], axis=-1)                            # (n, m, 3)
+        r_ic, p_ic = self.rig.T_IC.R, self.rig.T_IC.t
+        r_wci, r_wcj = self._rotations(states)
+        rows_sum = rows.sum(axis=1)
+        # row @ hat(x) == cross(row, x), batched over patches and pattern
+        j_obs = np.empty((n, 6))
+        j_obs[:, 0:3] = (np.cross(rows, pts_cj).sum(axis=1) @ r_ic.T
+                         + rows_sum @ (r_ic.T @ hat(p_ic)))
+        j_obs[:, 3:6] = -rows_sum @ r_wcj.T
+        srows = rows @ r_wcj.T
+        srows_sum = srows.sum(axis=1)
+        j_host = np.empty((n, 6))
+        j_host[:, 0:3] = (-np.cross(srows @ r_wci, self.pts_ci).sum(axis=1)
+                          @ r_ic.T
+                          - srows_sum @ (states[self.host_id].R @ hat(p_ic)))
+        j_host[:, 3:6] = srows_sum
+        return res, j_host, j_obs
+
+    def cost(self, states, landmarks=None) -> float:
+        res, valid = self.residuals(states)
+        if not valid.all():
+            return float("inf")
+        _, total = _robust_weights_cost(res * self.infos * res, self.robust,
+                                        self.deltas)
+        return total
+
+    def accumulate(self, h, g, states, landmarks, state_cols, lm_cols):
+        res, j_host, j_obs = self.linearize(states)
+        w, _ = _robust_weights_cost(res * self.infos * res, self.robust,
+                                    self.deltas)
+        a = w * self.infos
+        blocks = []
+        for sid, jac in ((self.host_id, j_host), (self.obs_id, j_obs)):
+            if sid in state_cols:
+                s0 = state_cols[sid][0].start
+                blocks.append((slice(s0, s0 + 6), jac))
+        for cols_a, jac_a in blocks:
+            aj = a[:, None] * jac_a
+            g[cols_a] += aj.T @ res
+            for cols_b, jac_b in blocks:
+                h[cols_a, cols_b] += aj.T @ jac_b
 
 
 def _total_cost(factors, states, landmarks) -> float:
@@ -569,26 +714,32 @@ def solve(window: LocalWindow, factors: list[Factor],
     states = window.states
     landmarks = window.landmarks
 
-    # group reprojection factors per host state for vectorized evaluation;
-    # valid whenever the pose occupies the first six active dims (all masks
-    # in use are prefixes of the full layout)
-    def _batchable(f: Factor) -> bool:
-        if f.kind != FactorKind.REPROJECTION or f.landmark_id not in landmarks:
-            return False
-        sid = f.state_ids[0]
+    # group visual factors for vectorized evaluation: reprojection per host
+    # state, photometric per (host, observer) pair, observer field and
+    # pattern; valid whenever the pose occupies the first six active dims
+    # (all masks in use are prefixes of the full layout)
+    def _pose_first(sid: int) -> bool:
         if sid in state_cols:
             local = state_cols[sid][1]
             return len(local) >= 6 and local[5] == 5
         return sid in window.fixed_states or sid not in window.states
 
-    by_state: dict[int, list[Factor]] = {}
+    reproj: dict[int, list[Factor]] = {}
+    photo: dict[tuple, list[Factor]] = {}
     scalar_factors = []
     for f in factors:
-        if _batchable(f):
-            by_state.setdefault(f.state_ids[0], []).append(f)
+        if (f.kind == FactorKind.REPROJECTION and f.landmark_id in landmarks
+                and _pose_first(f.state_ids[0])):
+            reproj.setdefault(f.state_ids[0], []).append(f)
+        elif (f.kind == FactorKind.PHOTOMETRIC
+              and all(_pose_first(sid) for sid in f.state_ids)):
+            key = (f.state_ids, id(f.payload.field_obs),
+                   id(f.payload.pattern), id(f.rig))
+            photo.setdefault(key, []).append(f)
         else:
             scalar_factors.append(f)
-    batches = [_ReprojectionBatch(fs) for fs in by_state.values()]
+    batches = ([_ReprojectionBatch(fs) for fs in reproj.values()]
+               + [_PhotometricBatch(fs) for fs in photo.values()])
 
     def total_cost(st, lm):
         total = 0.0
@@ -604,7 +755,8 @@ def solve(window: LocalWindow, factors: list[Factor],
     initial_cost = cost
     trace = [cost]
     if ndim == 0:
-        return window, SolveReport(0, initial_cost, cost, True, trace)
+        return window, SolveReport(0, initial_cost, cost, True, trace,
+                                   Termination.ZERO_GRADIENT)
 
     def assemble():
         h = np.zeros((ndim, ndim))
@@ -647,11 +799,11 @@ def solve(window: LocalWindow, factors: list[Factor],
 
     lam = cfg.lambda_init
     accepted = 0
-    converged = False
+    termination = Termination.ITERATION_CAP
     for _ in range(cfg.max_iterations):
         h, g = assemble()
         if np.linalg.norm(g) < 1e-15:
-            converged = True
+            termination = Termination.ZERO_GRADIENT
             break
         step = None
         new_cost = None
@@ -675,7 +827,7 @@ def solve(window: LocalWindow, factors: list[Factor],
             lam *= 10.0
         if step is None:
             # no descent direction at any damping: stationary for our purposes
-            converged = True
+            termination = Termination.NO_DESCENT
             break
         if not new_cost < cost:
             raise AssertionError("accepted step failed to decrease the cost")
@@ -683,13 +835,18 @@ def solve(window: LocalWindow, factors: list[Factor],
         rel_drop = (cost - new_cost) / max(cost, 1e-300)
         cost = new_cost
         trace.append(cost)
-        if rel_drop < cfg.rel_cost_tol or np.linalg.norm(step) < cfg.step_tol:
-            converged = True
+        if rel_drop < cfg.rel_cost_tol:
+            termination = Termination.RELATIVE_COST
+            break
+        if np.linalg.norm(step) < cfg.step_tol:
+            termination = Termination.STEP_SIZE
             break
 
     window.states = states
     window.landmarks = landmarks
-    return window, SolveReport(accepted, initial_cost, cost, converged, trace)
+    converged = termination is not Termination.ITERATION_CAP
+    return window, SolveReport(accepted, initial_cost, cost, converged, trace,
+                               termination)
 
 
 # --------------------------- window construction --------------------------- #
@@ -869,24 +1026,41 @@ def assemble_window(keyframes: list[KeyframeNode],
                      if o.disparity is not None and o.disparity > 0
                      and o.landmark_id in ids_b),
                     key=lambda o: o.landmark_id)
-                for obs in hosts[:cfg.photometric_max_points]:
-                    depth = rig.cam.fx * rig.cam.baseline / obs.disparity
-                    f = Factor(
-                        FactorKind.PHOTOMETRIC, (a.kf_id, b.kf_id),
-                        PhotometricData(a.field, b.field, obs.pixel.copy(),
-                                        depth, cfg.pattern),
-                        photo_info, robust=True, robust_delta=cfg.huber_delta,
-                        rig=rig)
-                    try:
-                        r, _, _ = f.evaluate(window.states, window.landmarks,
-                                             with_jacobians=False)
-                    except (OutOfDomainError, BehindCameraError):
-                        continue  # point warps outside the image at the guess
-                    if math.sqrt(float(r @ photo_info @ r)) > cfg.photometric_gate:
-                        continue
-                    factors.append(f)
+                points = [(obs.pixel,
+                           rig.cam.fx * rig.cam.baseline / obs.disparity)
+                          for obs in hosts[:cfg.photometric_max_points]]
+                factors += make_photometric_factors(
+                    (a.kf_id, b.kf_id), a.field, b.field, points, cfg.pattern,
+                    photo_info, rig, window.states, cfg.photometric_gate,
+                    cfg.huber_delta)
 
     return window, factors
+
+
+def make_photometric_factors(ids: tuple[int, int], field_host: IntensityField,
+                             field_obs: IntensityField, points,
+                             pattern: PatchPattern, info: np.ndarray,
+                             rig: SensorRig, states: dict[int, NavState],
+                             gate: float = float("inf"),
+                             robust_delta: float = 1.345) -> list[Factor]:
+    """Robust photometric factors, one per (pixel, depth) host point of the
+    state pair ``ids``, gated at ``states``. A patch is kept when every
+    point warps in front of and inside the observer image and its
+    Mahalanobis residual is at most ``gate``; patches that fail violate
+    luminance constancy (clutter, parallax) or leave the image at the guess.
+    The host side takes one field sample and one gradient call, the gate one
+    batch evaluation."""
+    payloads = PhotometricData.batch(field_host, field_obs,
+                                     [p for p, _ in points],
+                                     [d for _, d in points], pattern)
+    if not payloads:
+        return []
+    factors = [Factor(FactorKind.PHOTOMETRIC, ids, d, info, robust=True,
+                      robust_delta=robust_delta, rig=rig) for d in payloads]
+    batch = _PhotometricBatch(factors)
+    res, valid = batch.residuals(states)
+    keep = valid & ~(np.sqrt(res * batch.infos * res) > gate)
+    return [f for f, k in zip(factors, keep) if k]
 
 
 def dump_factor_graph(window: LocalWindow, factors: list[Factor], stream):

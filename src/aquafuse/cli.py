@@ -1,9 +1,12 @@
 """Batch orchestration: simulate scenarios, run estimator configurations,
 evaluate trajectories and emit comparison tables.
 
-Exit codes: 0 success, 2 input error, 3 refusal (existing output without
---force), 4 numerical divergence. The worker pool for sweeps is capped by
-the AQUAFUSE_THREADS environment variable.
+Exit codes: 0 success, 2 input error (unreadable or malformed files and
+configs, bad arguments), 3 refusal (existing output without --force), 4
+numerical divergence, 5 estimator failure (the estimator itself gave up: no
+gauge anchor, a keyframe pair without preintegration coverage, too few
+observations, or degenerate geometry). The worker pool for sweeps is capped
+by the AQUAFUSE_THREADS environment variable.
 """
 
 from __future__ import annotations
@@ -19,15 +22,27 @@ import sys
 import numpy as np
 
 from . import sim
-from .backend import BackendConfig, DivergedError, SolverConfig
+from .backend import (BackendConfig, DivergedError, GaugeError,
+                      PreintCoverageError, SolverConfig)
 from .evaluation import (ErrorReport, Trajectory, align_to_truth,
                          error_metrics, preprocess)
-from .frontend import (EstimatorMode, NoiseFloors, RunConfig, TrackerConfig,
-                       run_estimator)
+from .frontend import (EstimatorMode, InsufficientObservationsError,
+                       NoiseFloors, RunConfig, TrackerConfig, run_estimator)
+from .manifold import BranchAmbiguityError
+from .visual import (BehindCameraError, DegenerateTriangulationError,
+                     OutOfDomainError)
 
 
 class RefusalError(RuntimeError):
     """Output already exists and --force was not given."""
+
+
+# failures raised inside the estimator rather than by reading its inputs;
+# all are ValueErrors, so they are told apart before the input errors
+ESTIMATOR_FAILURES = (GaugeError, PreintCoverageError,
+                      InsufficientObservationsError, BehindCameraError,
+                      OutOfDomainError, DegenerateTriangulationError,
+                      BranchAmbiguityError)
 
 
 # ------------------------------ config loading ----------------------------- #
@@ -309,6 +324,10 @@ def main(argv=None) -> int:
     except DivergedError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return 4
+    except ESTIMATOR_FAILURES as exc:
+        print(f"estimator failed ({type(exc).__name__}): {exc}",
+              file=sys.stderr)
+        return 5
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,9 +7,10 @@ degraded branch: gyro-driven rotation plus DVL translation prediction,
 refined by acoustic-inertial-depth optimization. Keyframes trigger local
 window bundle adjustment in the backend.
 
-The pipeline is strictly sequential per dataset and fully deterministic:
-the same dataset and configuration reproduce the same frame states bit for
-bit.
+The pipeline is strictly sequential per dataset and deterministic: the
+same dataset and configuration reproduce the same frame states bit for bit
+at a fixed BLAS thread count. Linear algebra summed over a different number
+of BLAS threads can change the last bits of the trajectory.
 """
 
 from __future__ import annotations
@@ -167,20 +168,8 @@ def refine_photometric(coarse: Pose, ref_pose: Pose,
     cur_state = NavState(coarse.R, coarse.t, np.zeros(3))
     states = {0: ref_state, 1: cur_state}
     info = np.array([[1.0 / (len(pattern.offsets) * sigma_intensity**2)]])
-    factors = []
-    for pixel, depth in points:
-        f = bk.Factor(bk.FactorKind.PHOTOMETRIC, (0, 1),
-                      bk.PhotometricData(ref_field, cur_field,
-                                         np.asarray(pixel, dtype=float),
-                                         float(depth), pattern),
-                      info, robust=True, rig=rig)
-        try:
-            r, _, _ = f.evaluate(states, {}, with_jacobians=False)
-        except (bk.OutOfDomainError, bk.BehindCameraError):
-            continue
-        if np.sqrt(float(r @ info @ r)) > gate:
-            continue
-        factors.append(f)
+    factors = bk.make_photometric_factors((0, 1), ref_field, cur_field, points,
+                                          pattern, info, rig, states, gate)
     if not factors:
         return RefineResult(coarse, False, 0.0, 0.0)
     window = bk.LocalWindow(kf_ids=[0, 1], states=states,

@@ -1,5 +1,6 @@
-"""Pinhole camera model, stereo depth, reprojection residual and the patch
-photometric residual over an analytic intensity field.
+"""Pinhole camera model, stereo depth, reprojection residual, the analytic
+intensity field and the photometric patch pattern. The photometric residual
+itself is evaluated by the solver (``backend._PhotometricBatch``).
 
 Intensity fields are smooth sums of Gaussian bumps (plus a constant offset),
 so photometric values and gradients have closed forms and can be checked
@@ -230,49 +231,3 @@ class PatchPattern:
         c2 = self.weight_scale**2
         return c2 / (c2 + g2)
 
-
-def _warp_patch(field_j: IntensityField, cam: CameraModel, T_CjCi: Pose,
-                p, depth_p: float, pattern: PatchPattern):
-    """Warp the patch around p from frame i into frame j at a shared depth.
-
-    Returns (reference pixels, warped pixels, warped camera-frame points).
-    """
-    pix_i = np.asarray(p, dtype=float) + pattern.offsets
-    pts_i = np.stack([backproject(cam, q, depth_p) for q in pix_i])
-    pts_j = T_CjCi.transform(pts_i)
-    warped = []
-    for x in pts_j:
-        q = project(cam, x)
-        if not field_j.contains(q):
-            raise OutOfDomainError(f"warped point {q} left the image domain")
-        warped.append(q)
-    return pix_i, np.stack(warped), pts_j
-
-
-def photometric_residual(field_i: IntensityField, field_j: IntensityField,
-                         cam: CameraModel, T_CjCi: Pose, p, depth_p: float,
-                         pattern: PatchPattern) -> float:
-    """Weighted patch intensity difference under the constant-depth warp."""
-    pix_i, pix_j, _ = _warp_patch(field_j, cam, T_CjCi, p, depth_p, pattern)
-    w = pattern.weights(field_i, pix_i)
-    return float(np.sum(w * (field_j.sample(pix_j) - field_i.sample(pix_i))))
-
-
-def photometric_residual_jacobian_rel(field_i: IntensityField,
-                                      field_j: IntensityField,
-                                      cam: CameraModel, T_CjCi: Pose, p,
-                                      depth_p: float, pattern: PatchPattern):
-    """Residual and its 1x6 Jacobian w.r.t. the relative pose perturbation
-    (R <- R exp(phi), t additive)."""
-    pix_i, pix_j, pts_j = _warp_patch(field_j, cam, T_CjCi, p, depth_p, pattern)
-    w = pattern.weights(field_i, pix_i)
-    res = float(np.sum(w * (field_j.sample(pix_j) - field_i.sample(pix_i))))
-    pts_i = np.stack([backproject(cam, q, depth_p) for q in pix_i])
-    j_phi = np.zeros(3)
-    j_t = np.zeros(3)
-    grads = np.atleast_2d(field_j.gradient(pix_j))
-    for k in range(len(pix_i)):
-        row = w[k] * grads[k] @ projection_jacobian(cam, pts_j[k])
-        j_phi += row @ (-T_CjCi.R @ hat(pts_i[k]))
-        j_t += row
-    return res, j_phi.reshape(1, 3), j_t.reshape(1, 3)

@@ -10,9 +10,11 @@ from aquafuse.imu import ImuBias, ImuNoiseSpec, integrate_imu
 from aquafuse.manifold import exp_so3, log_so3
 from aquafuse.sim import ScenarioConfig, sensor_rig_from_config
 from aquafuse.state import STATE_DOF, NavState
-from aquafuse.visual import LandmarkObservation, project
+from aquafuse.visual import (IntensityField, LandmarkObservation, PatchPattern,
+                             project)
 
-from helpers import discrete_imu_world, dvl_samples_from_world
+from helpers import (discrete_imu_world, dvl_samples_from_world,
+                     fd_jacobian, jac_close)
 
 NOISY = ImuNoiseSpec(sigma_g=2e-4, sigma_a=2e-3,
                      sigma_bg_walk=1e-5, sigma_ba_walk=1e-4)
@@ -255,6 +257,39 @@ class TestSolve:
             trace = report.cost_trace
             assert all(b < a for a, b in zip(trace, trace[1:]))
 
+    def test_termination_reasons(self):
+        def run(perturb, **solver):
+            local = np.random.default_rng(3)
+            nodes, landmarks, intervals, rig, _ = make_scene(local, n_kf=3)
+            for node in nodes[1:]:
+                node.state.p = node.state.p + perturb * local.normal(size=3)
+            window, factors = bk.assemble_window(
+                nodes, landmarks, intervals, rig, bk.BackendConfig(),
+                fixed_ids={0})
+            return bk.solve(window, factors, bk.SolverConfig(**solver))[1]
+
+        T = bk.Termination
+        report = run(0.05, max_iterations=1)
+        assert (report.termination, report.converged) == (T.ITERATION_CAP,
+                                                           False)
+        # any accepted step drops the cost by less than all of it
+        report = run(0.05, rel_cost_tol=1.0, step_tol=0.0)
+        assert report.termination is T.RELATIVE_COST
+        assert report.iterations == 1 and report.converged
+        report = run(0.05, rel_cost_tol=0.0, step_tol=1e-3)
+        assert report.termination is T.STEP_SIZE and report.converged
+        # at the truth the cost reaches its rounding floor; no damping
+        # lowers it further, which still counts as converged
+        report = run(0.0, rel_cost_tol=0.0, step_tol=0.0, max_iterations=100)
+        assert report.termination is T.NO_DESCENT and report.converged
+        assert report.iterations < 100
+
+        state = NavState(np.eye(3), np.ones(3), np.zeros(3))
+        window = bk.LocalWindow(kf_ids=[0], states={0: state})
+        _, report = bk.solve(window, [bk.make_prior_factor(0, state)])
+        assert report.termination is T.ZERO_GRADIENT
+        assert (report.iterations, report.converged) == (0, True)
+
     def test_empty_factor_list_rejected(self, rng):
         window = bk.LocalWindow(kf_ids=[0], states={0: NavState(
             np.eye(3), np.zeros(3), np.zeros(3))}, fixed_states={0})
@@ -294,7 +329,50 @@ class TestTranslationGauge:
                 assert (res == base[k]).all(), f.kind
 
 
+def per_factor_normal_equations(factors, states, landmarks, state_cols,
+                                lm_cols, ndim):
+    """Reference assembly, one factor at a time, of the robustly weighted
+    normal equations; variables without columns are skipped."""
+    h = np.zeros((ndim, ndim))
+    g = np.zeros(ndim)
+    for f in factors:
+        r, js, jl = f.evaluate(states, landmarks)
+        w = bk.robust_weight(float(r @ f.info @ r), f.robust_delta)
+        blocks = [(state_cols[sid][0], jac) for sid, jac in js.items()
+                  if sid in state_cols]
+        blocks += [(lm_cols[lid], jac) for lid, jac in jl.items()
+                   if lid in lm_cols]
+        for ca, ja in blocks:
+            jt = w * ja.T @ f.info
+            g[ca] += jt @ r
+            for cb, jb in blocks:
+                h[ca, cb] += jt @ jb
+    return h, g
+
+
+def full_state_cols(sids):
+    return {sid: (slice(k * STATE_DOF, (k + 1) * STATE_DOF),
+                  np.arange(STATE_DOF)) for k, sid in enumerate(sids)}
+
+
 class TestBatchedReprojection:
+    def _compare(self, reproj, window, state_cols, lm_cols, ndim):
+        batch = bk._ReprojectionBatch(reproj)
+        cost_batch = batch.cost(window.states, window.landmarks)
+        cost_single = sum(
+            bk._factor_cost(f, f.evaluate(window.states, window.landmarks,
+                                          with_jacobians=False)[0])
+            for f in reproj)
+        assert cost_batch == pytest.approx(cost_single, rel=1e-12)
+        h_b = np.zeros((ndim, ndim))
+        g_b = np.zeros(ndim)
+        batch.accumulate(h_b, g_b, window.states, window.landmarks,
+                         state_cols, lm_cols)
+        h_s, g_s = per_factor_normal_equations(
+            reproj, window.states, window.landmarks, state_cols, lm_cols, ndim)
+        assert_allclose(h_b, h_s, atol=1e-9)
+        assert_allclose(g_b, g_s, atol=1e-10)
+
     def test_matches_per_factor_path(self, rng):
         nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=2, n_lm=6,
                                                          pixel_noise=1.0)
@@ -304,38 +382,158 @@ class TestBatchedReprojection:
         reproj = [f for f in factors
                   if f.kind is bk.FactorKind.REPROJECTION
                   and f.state_ids[0] == 1]
-        batch = bk._ReprojectionBatch(reproj)
-        cost_batch = batch.cost(window.states, window.landmarks)
-        cost_single = sum(
-            bk._factor_cost(f, f.evaluate(window.states, window.landmarks,
-                                          with_jacobians=False)[0])
-            for f in reproj)
-        assert cost_batch == pytest.approx(cost_single, rel=1e-12)
-
-        dof = STATE_DOF
         lm_ids = sorted({f.landmark_id for f in reproj})
-        state_cols = {1: (slice(0, dof), np.arange(dof))}
+        dof = STATE_DOF
         lm_cols = {lid: slice(dof + 3 * i, dof + 3 * i + 3)
                    for i, lid in enumerate(lm_ids)}
-        ndim = dof + 3 * len(lm_ids)
+        self._compare(reproj, window, full_state_cols([1]), lm_cols,
+                      dof + 3 * len(lm_ids))
+
+    def test_fixed_and_repeated_landmarks(self, rng):
+        # a keyframe that observes one landmark twice must add both
+        # contributions; fixed landmarks have no columns and are skipped
+        nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=2, n_lm=8,
+                                                         pixel_noise=1.0)
+        node = nodes[1]
+        first = node.observations[0]
+        node.observations.append(LandmarkObservation(
+            first.frame_id, first.landmark_id, first.pixel + [0.7, -0.4],
+            first.disparity))
+        fixed = {node.observations[1].landmark_id,
+                 node.observations[2].landmark_id}
+        cfg = bk.BackendConfig(photometric_enabled=False)
+        window, factors = bk.assemble_window(nodes, landmarks, intervals, rig,
+                                             cfg, fixed_ids={0},
+                                             fixed_landmarks=fixed)
+        reproj = [f for f in factors
+                  if f.kind is bk.FactorKind.REPROJECTION
+                  and f.state_ids[0] == 1]
+        ids = [f.landmark_id for f in reproj]
+        assert ids.count(first.landmark_id) == 2
+        assert fixed <= set(ids)
+        free = sorted(set(ids) - window.fixed_landmarks)
+        assert window.fixed_landmarks == fixed
+        dof = STATE_DOF
+        lm_cols = {lid: slice(dof + 3 * i, dof + 3 * i + 3)
+                   for i, lid in enumerate(free)}
+        self._compare(reproj, window, full_state_cols([1]), lm_cols,
+                      dof + 3 * len(free))
+
+
+def photometric_pair(rng, n_patches=6, info_scale=1.0):
+    """Two keyframes of ``make_scene`` with unrelated bumpy fields and one
+    photometric factor per stereo observation of the first keyframe."""
+    nodes, _, _, rig, truth = make_scene(rng, n_kf=2, n_lm=n_patches,
+                                         kf_steps=8)
+    fields = [IntensityField(rng.uniform(80, 200, 40),
+                                rng.uniform([0, 0], [640, 360], (40, 2)),
+                                rng.uniform(8, 14, 40), 640, 360)
+              for _ in range(2)]
+    points = [(o.pixel, rig.cam.fx * rig.cam.baseline / o.disparity)
+              for o in nodes[0].observations]
+    states = {0: truth[0].copy(), 1: truth[1].copy()}
+    factors = bk.make_photometric_factors(
+        (0, 1), fields[0], fields[1], points, PatchPattern(),
+        np.array([[info_scale]]), rig, states)
+    assert len(factors) >= 3
+    return factors, states
+
+
+class TestBatchedPhotometric:
+    def test_matches_per_factor_path(self, rng):
+        factors, states = photometric_pair(rng, info_scale=1e-3)
+        batch = bk._PhotometricBatch(factors)
+        cost_batch = batch.cost(states)
+        cost_single = sum(
+            bk._factor_cost(f, f.evaluate(states, {}, with_jacobians=False)[0])
+            for f in factors)
+        assert cost_batch == pytest.approx(cost_single, rel=1e-12)
+
+        state_cols = full_state_cols([0, 1])
+        ndim = 2 * STATE_DOF
         h_b = np.zeros((ndim, ndim))
         g_b = np.zeros(ndim)
-        batch.accumulate(h_b, g_b, window.states, window.landmarks,
-                         state_cols, lm_cols)
-        h_s = np.zeros((ndim, ndim))
-        g_s = np.zeros(ndim)
-        for f in reproj:
-            r, js, jl = f.evaluate(window.states, window.landmarks)
-            w = bk.robust_weight(float(r @ f.info @ r), f.robust_delta)
-            blocks = [(state_cols[1][0], js[1])]
-            blocks += [(lm_cols[lid], jac) for lid, jac in jl.items()]
-            for ca, ja in blocks:
-                jt = w * ja.T @ f.info
-                g_s[ca] += jt @ r
-                for cb, jb in blocks:
-                    h_s[ca, cb] += jt @ jb
+        batch.accumulate(h_b, g_b, states, {}, state_cols, {})
+        h_s, g_s = per_factor_normal_equations(factors, states, {},
+                                               state_cols, {}, ndim)
         assert_allclose(h_b, h_s, atol=1e-9)
         assert_allclose(g_b, g_s, atol=1e-10)
+
+    def test_fixed_host_has_no_columns(self, rng):
+        factors, states = photometric_pair(rng, info_scale=1e-3)
+        state_cols = {1: (slice(0, STATE_DOF), np.arange(STATE_DOF))}
+        h_b = np.zeros((STATE_DOF, STATE_DOF))
+        g_b = np.zeros(STATE_DOF)
+        bk._PhotometricBatch(factors).accumulate(h_b, g_b, states, {},
+                                                 state_cols, {})
+        h_s, g_s = per_factor_normal_equations(factors, states, {},
+                                               state_cols, {}, STATE_DOF)
+        assert_allclose(h_b, h_s, atol=1e-9)
+        assert_allclose(g_b, g_s, atol=1e-10)
+
+    def test_invalid_patch_makes_cost_infinite(self, rng):
+        factors, states = photometric_pair(rng)
+        moved = dict(states)
+        moved[1] = states[1].retract(np.r_[0, 0, 0, 40.0, 0, 0, np.zeros(12)])
+        res, valid = bk._PhotometricBatch(factors).residuals(moved)
+        assert not valid.all() and np.isnan(res[~valid]).all()
+        assert bk._PhotometricBatch(factors).cost(moved) == float("inf")
+
+
+class TestPhotometricJacobians:
+    """The solver's photometric residual in its 18-dof layout against
+    central differences along each state's retraction."""
+
+    def test_rows_match_finite_differences(self, rng):
+        factors, states = photometric_pair(rng)
+        batch = bk._PhotometricBatch(factors)
+        _, j_host, j_obs = batch.linearize(states)
+        for sid, rows in ((0, j_host), (1, j_obs)):
+            def res_at(delta, sid=sid):
+                moved = dict(states)
+                moved[sid] = states[sid].retract(delta)
+                res, valid = batch.residuals(moved)
+                assert valid.all()
+                return res
+
+            fd = fd_jacobian(res_at, STATE_DOF, None)
+            # the warp sees rotation and position only
+            assert np.all(fd[:, 6:] == 0.0)
+            assert jac_close(rows, fd[:, :6], rtol=1e-4)
+            for k, f in enumerate(factors):
+                _, js, _ = f.evaluate(states, {})
+                assert js[sid].shape == (1, STATE_DOF)
+                assert jac_close(js[sid], fd[k:k + 1], rtol=1e-4)
+
+    def test_gradient_matches_robust_cost(self, rng):
+        # g = J^T W r is half the gradient of the Huber cost, with patches on
+        # both sides of the knee
+        factors, states = photometric_pair(rng)
+        batch = bk._PhotometricBatch(factors)
+        res, _ = batch.residuals(states)
+        delta = factors[0].robust_delta
+        for k, f in enumerate(factors):
+            scale = 0.5 if k % 2 == 0 else 3.0  # |r| at scale * delta
+            f.info = np.array([[(scale * delta / res[k]) ** 2]])
+        batch = bk._PhotometricBatch(factors)
+        w, _ = bk._robust_weights_cost(res * batch.infos * res, batch.robust,
+                                       batch.deltas)
+        assert np.any(w == 1.0) and np.any(w < 1.0)
+
+        sids = [0, 1]
+        state_cols = full_state_cols(sids)
+        ndim = 2 * STATE_DOF
+        h = np.zeros((ndim, ndim))
+        g = np.zeros(ndim)
+        batch.accumulate(h, g, states, {}, state_cols, {})
+
+        def cost_at(delta):
+            moved = {sid: states[sid].retract(delta[state_cols[sid][0]])
+                     for sid in sids}
+            return batch.cost(moved)
+
+        fd = fd_jacobian(cost_at, ndim, None)[0]
+        assert jac_close(g, 0.5 * fd, rtol=1e-5)
 
 
 def test_dump_factor_graph(rng):

@@ -1,0 +1,106 @@
+import json
+import os
+
+import pytest
+
+from aquafuse import cli
+from aquafuse.backend import DivergedError, GaugeError, PreintCoverageError
+from aquafuse.frontend import InsufficientObservationsError
+from aquafuse.manifold import BranchAmbiguityError
+from aquafuse.visual import (BehindCameraError, DegenerateTriangulationError,
+                             OutOfDomainError)
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    config = root / "scenario.json"
+    config.write_text(json.dumps({"duration_s": 2.0, "kind": "circle"}))
+    out = root / "dataset"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out),
+                     "--seed", "1"]) == 0
+    return out
+
+
+def _estimate(dataset, out, *extra):
+    return cli.main(["estimate", str(dataset), "--out", str(out), *extra])
+
+
+class TestSuccess:
+    def test_simulate_estimate_evaluate(self, dataset, tmp_path):
+        run = tmp_path / "run"
+        assert _estimate(dataset, run, "--mode", "full") == 0
+        for name in ("trajectory.jsonl", "status.csv", "bias.csv"):
+            assert (run / name).is_file()
+        report = tmp_path / "report"
+        assert cli.main(["evaluate", "--truth", str(dataset), str(run),
+                         "--out", str(report), "--no-header-timestamp"]) == 0
+        rows = json.loads((report / "report.json").read_text())["reports"]
+        assert len(rows) == 1
+
+    def test_sweep(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("AQUAFUSE_THREADS", "1")
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({
+            "scenarios": [{"name": "short", "config": {"duration_s": 2.0}}],
+            "modes": ["dvl-deadreckon-only"]}))
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(spec),
+                         "--out", str(out)]) == 0
+        assert (out / "sweep_report.csv").is_file()
+
+
+class TestInputErrors:
+    def test_parse_error_names_file_and_line(self, dataset, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert _estimate(dataset, run, "--mode", "dvl-deadreckon-only") == 0
+        traj = run / "trajectory.jsonl"
+        lines = traj.read_text().splitlines()
+        lines[1] = "{not json"
+        traj.write_text("\n".join(lines) + "\n")
+        code = cli.main(["evaluate", "--truth", str(dataset), str(traj),
+                         "--out", str(tmp_path / "report")])
+        assert code == 2
+        assert f"{traj}:2" in capsys.readouterr().err
+
+    def test_missing_dataset(self, tmp_path):
+        assert _estimate(tmp_path / "absent", tmp_path / "run") == 2
+
+    def test_unknown_config_key(self, dataset, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"no_such_key": 1}))
+        assert _estimate(dataset, tmp_path / "run", "--config",
+                         str(config)) == 2
+
+    def test_bad_arguments(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["estimate"])
+        assert exc.value.code == 2
+
+
+def test_refusal_without_force(dataset, tmp_path):
+    out = tmp_path / "taken"
+    os.makedirs(out)
+    assert cli.main(["simulate", "--out", str(out)]) == 3
+    assert _estimate(dataset, out) == 3
+
+
+def test_divergence(dataset, tmp_path, monkeypatch):
+    def diverge(ds, cfg):
+        raise DivergedError("initial cost is not finite (nan)")
+
+    monkeypatch.setattr(cli, "run_estimator", diverge)
+    assert _estimate(dataset, tmp_path / "run") == 4
+
+
+@pytest.mark.parametrize("error", [
+    GaugeError, PreintCoverageError, InsufficientObservationsError,
+    BehindCameraError, OutOfDomainError, DegenerateTriangulationError,
+    BranchAmbiguityError])
+def test_estimator_failure(dataset, tmp_path, monkeypatch, capsys, error):
+    def fail(ds, cfg):
+        raise error("inside the estimator")
+
+    monkeypatch.setattr(cli, "run_estimator", fail)
+    assert _estimate(dataset, tmp_path / "run") == 5
+    assert error.__name__ in capsys.readouterr().err

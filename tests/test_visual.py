@@ -2,17 +2,23 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import aquafuse.backend as bk
+from aquafuse.depth import DepthExtrinsics
+from aquafuse.dvl import DvlExtrinsics
 from aquafuse.manifold import Pose, exp_so3
+from aquafuse.state import PHI, POS, STATE_DOF, NavState
 from aquafuse.visual import (BehindCameraError, CameraModel,
                              DegenerateTriangulationError, IntensityField,
                              LandmarkObservation, OutOfDomainError,
-                             PatchPattern, backproject, photometric_residual,
-                             photometric_residual_jacobian_rel, project,
+                             PatchPattern, backproject, project,
                              projection_jacobian, reprojection_residual,
                              reprojection_residual_jacobians, stereo_depth)
 
 CAM = CameraModel(fx=100.0, fy=100.0, cx=320.0, cy=180.0,
                   width=640, height=360, baseline=0.1)
+# camera at the body origin, so the states below are the camera poses
+RIG = bk.SensorRig(CAM, Pose.identity(), DvlExtrinsics(np.eye(3), np.zeros(3)),
+                   DepthExtrinsics(np.zeros(3)), np.array([0.0, 0.0, 9.81]))
 
 
 class TestPinhole:
@@ -165,11 +171,28 @@ class TestPatchPattern:
         assert np.all(w <= 1.0)
 
 
+def _photometric(field_i, field_j, T_CjCi, p, depth_p, pattern,
+                 d_obs=np.zeros(STATE_DOF), with_jacobians=False):
+    """The solver's photometric factor (a batch of one) for the patch around
+    ``p`` of camera i seen from camera j at relative pose ``T_CjCi``; the
+    observer state is retracted by ``d_obs``. Returns the residual, plus the
+    18-dof observer Jacobian with ``with_jacobians``."""
+    host = NavState(np.eye(3), np.zeros(3), np.zeros(3))
+    t_wcj = T_CjCi.inverse()
+    obs = NavState(t_wcj.R, t_wcj.t, np.zeros(3)).retract(d_obs)
+    factor = bk.Factor(bk.FactorKind.PHOTOMETRIC, (0, 1),
+                       bk.PhotometricData(field_i, field_j, p, depth_p,
+                                          pattern),
+                       np.eye(1), robust=True, rig=RIG)
+    res, js, _ = factor.evaluate({0: host, 1: obs}, {}, with_jacobians)
+    return (res[0], js[1]) if with_jacobians else res[0]
+
+
 class TestPhotometric:
     def test_identity_warp_same_field_is_zero(self, rng):
         field = _bumpy_field(rng)
-        res = photometric_residual(field, field, CAM, Pose.identity(),
-                                   [320.0, 180.0], 2.0, PatchPattern())
+        res = _photometric(field, field, Pose.identity(), [320.0, 180.0], 2.0,
+                           PatchPattern())
         assert res == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_offset_fields(self):
@@ -179,18 +202,20 @@ class TestPhotometric:
                              offset=10.0)
         f_j = IntensityField(np.zeros(0), np.zeros((0, 2)), 5.0, 640, 360,
                              offset=13.0)
-        res = photometric_residual(f_i, f_j, CAM, Pose.identity(),
-                                   [320.0, 180.0], 2.0, pattern)
+        res = _photometric(f_i, f_j, Pose.identity(), [320.0, 180.0], 2.0,
+                           pattern)
         assert res == pytest.approx(len(pattern.offsets) * 3.0)
 
     def test_out_of_domain_raises(self, rng):
         field = _bumpy_field(rng)
         warp = Pose(np.eye(3), np.array([50.0, 0.0, 0.0]))
         with pytest.raises(OutOfDomainError):
-            photometric_residual(field, field, CAM, warp, [320.0, 180.0],
-                                 2.0, PatchPattern())
+            _photometric(field, field, warp, [320.0, 180.0], 2.0,
+                         PatchPattern())
 
     def test_gradient_matches_finite_differences(self, rng):
+        # observer-state Jacobian (R <- R exp(phi), p additive) of the
+        # solver's residual against central differences along the retraction
         pattern = PatchPattern()
         for _ in range(15):
             f_i = _bumpy_field(rng)
@@ -200,29 +225,24 @@ class TestPhotometric:
             pix = rng.uniform([200, 120], [440, 240])
             depth = rng.uniform(1.5, 4.0)
             try:
-                _, j_phi, j_t = photometric_residual_jacobian_rel(
-                    f_i, f_j, CAM, rel, pix, depth, pattern)
+                _, j_obs = _photometric(f_i, f_j, rel, pix, depth, pattern,
+                                        with_jacobians=True)
             except OutOfDomainError:
                 continue
+            j_phi, j_t = j_obs[:, PHI], j_obs[:, POS]
             h = 1e-6
             for d in range(3):
-                dv = np.zeros(3)
-                dv[d] = h
-                rp = photometric_residual(f_i, f_j, CAM,
-                                          Pose(rel.R @ exp_so3(dv), rel.t),
-                                          pix, depth, pattern)
-                rm = photometric_residual(f_i, f_j, CAM,
-                                          Pose(rel.R @ exp_so3(-dv), rel.t),
-                                          pix, depth, pattern)
+                dv = np.zeros(STATE_DOF)
+                dv[PHI.start + d] = h
+                rp = _photometric(f_i, f_j, rel, pix, depth, pattern, dv)
+                rm = _photometric(f_i, f_j, rel, pix, depth, pattern, -dv)
                 fd = (rp - rm) / (2 * h)
                 scale = max(abs(fd), 1.0)
                 assert abs(j_phi[0, d] - fd) < 1e-4 * scale
-                rp = photometric_residual(f_i, f_j, CAM,
-                                          Pose(rel.R, rel.t + dv), pix,
-                                          depth, pattern)
-                rm = photometric_residual(f_i, f_j, CAM,
-                                          Pose(rel.R, rel.t - dv), pix,
-                                          depth, pattern)
+                dv = np.zeros(STATE_DOF)
+                dv[POS.start + d] = h
+                rp = _photometric(f_i, f_j, rel, pix, depth, pattern, dv)
+                rm = _photometric(f_i, f_j, rel, pix, depth, pattern, -dv)
                 fd = (rp - rm) / (2 * h)
                 scale = max(abs(fd), 1.0)
                 assert abs(j_t[0, d] - fd) < 1e-4 * scale
