@@ -932,6 +932,11 @@ def assemble_window(keyframes: list[KeyframeNode],
     (keyframe, landmark) observation, and photometric factors between
     consecutive textured keyframes for up to ``photometric_max_points``
     host points with known stereo depth.
+
+    The window holds only what can move the solution: a consecutive pair of
+    fixed keyframes gets none of these pair factors (their cost is constant
+    and they add nothing to the normal equations), and a landmark enters
+    the window only when a factor built here observes it.
     """
     fixed_ids = set(fixed_ids or set())
     fixed_landmarks = set(fixed_landmarks or set())
@@ -956,9 +961,14 @@ def assemble_window(keyframes: list[KeyframeNode],
     if not fixed_ids and not window.fixed_landmarks and keyframes:
         factors.append(make_prior_factor(keyframes[0].kf_id, keyframes[0].state))
 
+    def live_pair(a: KeyframeNode, b: KeyframeNode) -> bool:
+        # a gap means a co-visible prior: visual factors only
+        return b.kf_id == a.kf_id + 1 and not (a.kf_id in fixed_ids
+                                               and b.kf_id in fixed_ids)
+
     for a, b in zip(keyframes[:-1], keyframes[1:]):
-        if b.kf_id != a.kf_id + 1:
-            continue  # co-visible prior with a gap: visual factors only
+        if not live_pair(a, b):
+            continue
         key = (a.kf_id, b.kf_id)
         if key not in intervals or intervals[key].imu_preint is None:
             raise PreintCoverageError(
@@ -1013,7 +1023,7 @@ def assemble_window(keyframes: list[KeyframeNode],
             n_pat = len(cfg.pattern.offsets)
             photo_info = np.array([[1.0 / (n_pat * cfg.sigma_intensity**2)]])
             for a, b in zip(keyframes[:-1], keyframes[1:]):
-                if b.kf_id != a.kf_id + 1:
+                if not live_pair(a, b):
                     continue
                 if a.field is None or b.field is None:
                     continue
@@ -1034,6 +1044,10 @@ def assemble_window(keyframes: list[KeyframeNode],
                     photo_info, rig, window.states, cfg.photometric_gate,
                     cfg.huber_delta)
 
+    observed = {f.landmark_id for f in factors if f.landmark_id is not None}
+    window.landmarks = {lid: pos for lid, pos in window_lms.items()
+                        if lid in observed}
+    window.fixed_landmarks &= observed
     return window, factors
 
 

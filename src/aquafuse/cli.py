@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import datetime
+import enum
 import json
 import math
 import os
@@ -22,12 +24,11 @@ import sys
 import numpy as np
 
 from . import sim
-from .backend import (BackendConfig, DivergedError, GaugeError,
-                      PreintCoverageError, SolverConfig)
+from .backend import DivergedError, GaugeError, PreintCoverageError
 from .evaluation import (ErrorReport, Trajectory, align_to_truth,
                          error_metrics, preprocess)
 from .frontend import (EstimatorMode, InsufficientObservationsError,
-                       NoiseFloors, RunConfig, TrackerConfig, run_estimator)
+                       RunConfig, run_estimator)
 from .manifold import BranchAmbiguityError
 from .visual import (BehindCameraError, DegenerateTriangulationError,
                      OutOfDomainError)
@@ -48,16 +49,65 @@ ESTIMATOR_FAILURES = (GaugeError, PreintCoverageError,
 # ------------------------------ config loading ----------------------------- #
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    data = dict(data)
-    mode = EstimatorMode(data.pop("mode", "full"))
-    tracker = TrackerConfig(**data.pop("tracker", {}))
-    floors = NoiseFloors(**data.pop("floors", {}))
-    backend_data = dict(data.pop("backend", {}))
-    solver = SolverConfig(**backend_data.pop("solver", {}))
-    backend = BackendConfig(solver=solver, **backend_data)
-    if data:
-        raise ValueError(f"unknown run config keys: {sorted(data)}")
-    return RunConfig(mode=mode, tracker=tracker, backend=backend, floors=floors)
+    return _config_from_dict(RunConfig, data, "")
+
+
+def _config_from_dict(cls, data, where: str):
+    """``cls`` from the JSON object ``data`` at the dotted key ``where``
+    ("" for the root). Every
+    key must name a field of ``cls`` and every value must have the type of
+    that field's default: a number for a float, a JSON object for a nested
+    config, a list of number rows for an array, a name for an enum. A
+    malformed entry raises ValueError naming its key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"run config {where or 'root'}: expected an object, "
+                         f"got {type(data).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    prefix = where + "." if where else ""
+    unknown = [prefix + name for name in sorted(set(data) - set(fields))]
+    if unknown:
+        raise ValueError(f"unknown run config keys: {unknown}")
+    kwargs = {}
+    for name, value in data.items():
+        f = fields[name]
+        default = f.default if f.default is not dataclasses.MISSING \
+            else f.default_factory()
+        kwargs[name] = _config_value(value, default, prefix + name)
+    return cls(**kwargs)
+
+
+def _config_value(value, default, key: str):
+    if dataclasses.is_dataclass(default):
+        return _config_from_dict(type(default), value, key)
+    if isinstance(default, enum.Enum):
+        try:
+            return type(default)(value)
+        except ValueError:
+            raise ValueError(f"run config {key}: {value!r} is not one of "
+                             f"{[m.value for m in type(default)]}") from None
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, bool):
+        ok, expected = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, expected = number and isinstance(value, int), "an integer"
+    elif isinstance(default, float):
+        ok, expected = number, "a number"
+        value = float(value) if ok else value
+    elif isinstance(default, np.ndarray):
+        expected = f"rows of {default.shape[1]} numbers"
+        try:
+            arr = np.asarray(value)
+        except ValueError:
+            arr = np.asarray(None)
+        ok = (arr.dtype.kind in "iuf" and arr.ndim == default.ndim
+              and arr.shape[1:] == default.shape[1:])
+        value = arr.astype(float) if ok else value
+    else:
+        raise ValueError(f"run config {key} cannot be set from a file")
+    if not ok:
+        raise ValueError(f"run config {key}: expected {expected}, "
+                         f"got {value!r}")
+    return value
 
 
 def _load_json(path: str) -> dict:

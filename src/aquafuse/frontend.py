@@ -241,7 +241,15 @@ def _nearest_index(times: np.ndarray, t: float) -> int | None:
 
 
 class Tracker:
-    """Sequential frame-by-frame estimator over one dataset."""
+    """Sequential frame-by-frame estimator over one dataset.
+
+    Each frame extends the running IMU preintegration of the current
+    keyframe (restarted when the keyframe or its bias linearization
+    changes), so every sample is integrated once per keyframe interval;
+    only the visual branch also integrates from the previous frame, for the
+    coarse tracker's prediction. Modes without vision build no landmark map,
+    so their windows hold keyframe states alone.
+    """
 
     def __init__(self, dataset, cfg: RunConfig):
         from .sim import sensor_rig_from_config  # local import to avoid a cycle
@@ -285,6 +293,7 @@ class Tracker:
         self.kf_frame_ids: list[int] = []
         self.intervals: dict[tuple[int, int], bk.IntervalData] = {}
         self.reports: list[bk.SolveReport] = []
+        self.kf_preint: ImuPreintegrated | None = None  # of the last keyframe
         self.status = TrackingStatus.VISUAL_OK
         self.reentry_count = 0
 
@@ -297,6 +306,23 @@ class Tracker:
     def _integrate(self, t0: float, t1: float, bias: ImuBias) -> ImuPreintegrated:
         return integrate_imu(self._imu_slice(t0, t1), bias, self.imu_noise,
                              t_start=t0, t_end=t1)
+
+    def _keyframe_preint(self, kf: bk.KeyframeNode, t: float) -> ImuPreintegrated:
+        """IMU preintegration from ``kf`` to ``t``: the running one extended
+        when it starts at ``kf`` about its current biases, else a new one."""
+        bias = ImuBias(kf.state.bg, kf.state.ba)
+        run = self.kf_preint
+        if (run is not None and run.t_start == kf.t
+                and np.array_equal(run.lin_bias.bg, bias.bg)
+                and np.array_equal(run.lin_bias.ba, bias.ba)):
+            # from the sample of the last hold step, which is integrated again
+            pre = integrate_imu(self._imu_slice(run.step_t[-1], t),
+                                run.lin_bias, self.imu_noise, t_end=t,
+                                resume=run)
+        else:
+            pre = self._integrate(kf.t, t, bias)
+        self.kf_preint = pre
+        return pre
 
     def _dvl_slice(self, t0: float, t1: float) -> list[DvlSample]:
         """DVL samples covering [t0, t1); the sample holding at t0 is clamped
@@ -389,7 +415,8 @@ class Tracker:
         if self.keyframes:
             prev = self.keyframes[-1]
             self.intervals[(prev.kf_id, kf_id)] = bk.IntervalData(imu_pre, dvl_pre)
-        self._init_landmarks(frame, nav.pose())
+        if self.cfg.mode.uses_vision:
+            self._init_landmarks(frame, nav.pose())
         node = bk.KeyframeNode(
             kf_id=kf_id, t=frame.t, state=nav.copy(),
             observations=list(frame.observations),
@@ -460,18 +487,17 @@ class Tracker:
                 self._make_keyframe(frame, nav, None, None)
             else:
                 kf = self.keyframes[-1]
-                imu_pre = self._integrate(kf.t, t,
-                                          ImuBias(kf.state.bg, kf.state.ba))
+                imu_pre = self._keyframe_preint(kf, t)
                 dvl_pre = None
                 if mode.uses_dvl:
                     dvl_pre = self._dvl_preintegrate(
                         kf.t, t, imu_pre, kf.state.bg, kf.state.bv)
-                frame_pre = self._integrate(prev_t, t,
-                                            ImuBias(prev_nav.bg, prev_nav.ba))
 
                 visual_ok = (mode.uses_vision
                              and n_tracked >= tracker_cfg.min_tracked_features)
                 if visual_ok:
+                    frame_pre = self._integrate(
+                        prev_t, t, ImuBias(prev_nav.bg, prev_nav.ba))
                     pose = track_coarse(prev_nav, tracked_obs, self.map,
                                         self.cam, self.rig, frame_pre,
                                         tracker_cfg)

@@ -69,6 +69,29 @@ class RotationCheckpoints:
     phi_covs: np.ndarray         # (n, 3, 3)
 
 
+@dataclass(frozen=True)
+class ImuStepState:
+    """The running sums of a preintegration at the start of one step, and
+    the time of the sample that step holds."""
+
+    sample_t: float
+    dR: np.ndarray
+    dv: np.ndarray
+    dp: np.ndarray
+    J_dR_dbg: np.ndarray
+    J_dv_dbg: np.ndarray
+    J_dv_dba: np.ndarray
+    J_dp_dbg: np.ndarray
+    J_dp_dba: np.ndarray
+    cov: np.ndarray
+
+    @staticmethod
+    def initial() -> "ImuStepState":
+        zero = np.zeros((3, 3))
+        return ImuStepState(float("nan"), np.eye(3), np.zeros(3), np.zeros(3),
+                            zero, zero, zero, zero, zero, np.zeros((9, 9)))
+
+
 @dataclass
 class ImuPreintegrated:
     dR: np.ndarray
@@ -91,6 +114,8 @@ class ImuPreintegrated:
     step_dR: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 3)))
     step_J: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 3)))
     step_phi_cov: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 3)))
+    # the sums before the last step, from which ``integrate_imu`` resumes
+    last_step: ImuStepState | None = None
 
     def checkpoint_at(self, s: float):
         """Rotation checkpoint (dR, J_dR_dbg, cov_phi) at time ``s``.
@@ -163,12 +188,20 @@ def _infer_t_end(times: np.ndarray) -> float:
 
 def integrate_imu(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
                   t_start: float | None = None,
-                  t_end: float | None = None) -> ImuPreintegrated:
+                  t_end: float | None = None,
+                  resume: ImuPreintegrated | None = None) -> ImuPreintegrated:
     """Preintegrate a buffer of IMU samples about a fixed bias linearization.
 
     Produces the relative rotation/velocity/translation sums, the bias
     Jacobians for first-order bias updates, and the (phi, v, p) covariance
     propagated with per-step noise sigma^2 / dt.
+
+    ``resume`` extends an earlier preintegration about the same bias and
+    noise to ``t_end``. Its last hold step may have ended between two
+    samples, so that step is integrated again from the sums recorded before
+    it: ``samples`` must start at the sample that step holds, and
+    ``t_start`` stays the earlier one's. The result, checkpoints included,
+    equals one call over the whole span bit for bit.
     """
     samples = list(samples)
     if not samples:
@@ -176,36 +209,51 @@ def integrate_imu(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
     times = np.array([s.t for s in samples], dtype=float)
     if np.any(np.diff(times) <= 0):
         raise ValueError("IMU timestamps must be strictly increasing")
-    if t_start is None:
-        t_start = float(times[0])
     if t_end is None:
         t_end = _infer_t_end(times)
+    if resume is None:
+        if t_start is None:
+            t_start = float(times[0])
+        first = ImuStepState.initial()
+        first_t = t_start
+        kept = 0
+    else:
+        _check_resume(resume, times[0], lin_bias, noise, t_start)
+        t_start = resume.t_start
+        first = resume.last_step
+        first_t = float(resume.step_t[-1])
+        kept = len(resume.step_t) - 1
 
-    idx, starts, dts = hold_intervals(times, t_start, t_end)
+    idx, starts, dts = hold_intervals(times, first_t, t_end)
     if len(idx) == 0:
         raise ValueError("no IMU samples overlap the requested interval")
 
-    d_r = np.eye(3)
-    dv = np.zeros(3)
-    dp = np.zeros(3)
-    j_r_bg = np.zeros((3, 3))
-    j_v_bg = np.zeros((3, 3))
-    j_v_ba = np.zeros((3, 3))
-    j_p_bg = np.zeros((3, 3))
-    j_p_ba = np.zeros((3, 3))
-    cov = np.zeros((9, 9))
+    d_r, dv, dp, cov, j_r_bg = (first.dR, first.dv, first.dp, first.cov,
+                                first.J_dR_dbg)
+    # these four are updated in place below
+    j_v_bg = first.J_dv_dbg.copy()
+    j_v_ba = first.J_dv_dba.copy()
+    j_p_bg = first.J_dp_dbg.copy()
+    j_p_ba = first.J_dp_dba.copy()
 
-    n_steps = len(idx)
+    n_steps = kept + len(idx)
     step_t = np.empty(n_steps)
     step_omega = np.empty((n_steps, 3))
     step_dR = np.empty((n_steps, 3, 3))
     step_J = np.empty((n_steps, 3, 3))
     step_phi_cov = np.empty((n_steps, 3, 3))
+    if kept:
+        step_t[:kept] = resume.step_t[:kept]
+        step_omega[:kept] = resume.step_omega[:kept]
+        step_dR[:kept] = resume.step_dR[:kept]
+        step_J[:kept] = resume.step_J[:kept]
+        step_phi_cov[:kept] = resume.step_phi_cov[:kept]
 
     sg2 = noise.sigma_g**2
     sa2 = noise.sigma_a**2
 
-    for i, (k, ts, dt) in enumerate(zip(idx, starts, dts)):
+    last = None
+    for i, (k, ts, dt) in enumerate(zip(idx, starts, dts), start=kept):
         omega = samples[k].gyro - lin_bias.bg
         acc = samples[k].accel - lin_bias.ba
 
@@ -214,6 +262,10 @@ def integrate_imu(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
         step_dR[i] = d_r
         step_J[i] = j_r_bg
         step_phi_cov[i] = cov[0:3, 0:3]
+        if i == n_steps - 1:
+            last = ImuStepState(samples[k].t, d_r, dv, dp, j_r_bg,
+                                j_v_bg.copy(), j_v_ba.copy(), j_p_bg.copy(),
+                                j_p_ba.copy(), cov)
 
         e = exp_so3(omega * dt)
         jr = right_jacobian_so3(omega * dt)
@@ -251,8 +303,24 @@ def integrate_imu(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
         J_dp_dbg=j_p_bg, J_dp_dba=j_p_ba,
         noise=noise, t_start=float(t_start), t_end=float(t_end),
         step_t=step_t, step_omega=step_omega, step_dR=step_dR,
-        step_J=step_J, step_phi_cov=step_phi_cov,
+        step_J=step_J, step_phi_cov=step_phi_cov, last_step=last,
     )
+
+
+def _check_resume(resume: ImuPreintegrated, first_sample_t: float,
+                  lin_bias: ImuBias, noise: ImuNoiseSpec,
+                  t_start: float | None) -> None:
+    if t_start is not None:
+        raise ValueError("a resumed preintegration keeps its own start time")
+    if not (np.array_equal(lin_bias.bg, resume.lin_bias.bg)
+            and np.array_equal(lin_bias.ba, resume.lin_bias.ba)
+            and noise == resume.noise):
+        raise ValueError("a preintegration resumes only about its own bias "
+                         "linearization and noise")
+    if first_sample_t != resume.last_step.sample_t:
+        raise ValueError(
+            f"a resumed buffer must start at the sample of the last hold "
+            f"step (t={resume.last_step.sample_t}), not at t={first_sample_t}")
 
 
 def correct_imu_bias(preint: ImuPreintegrated, new_bias: ImuBias):

@@ -168,6 +168,79 @@ class TestAssembleWindow:
         assert bk.FactorKind.PRESSURE not in kinds
 
 
+    def test_no_factor_between_fixed_keyframes(self, rng):
+        nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=4,
+                                                         kf_steps=8)
+        for node in nodes:
+            node.field = IntensityField(rng.uniform(80, 200, 40),
+                                        rng.uniform([0, 0], [640, 360], (40, 2)),
+                                        rng.uniform(8, 14, 40), 640, 360)
+        cfg = bk.BackendConfig(photometric_gate=float("inf"))
+        _, factors = bk.assemble_window(nodes, landmarks, intervals, rig, cfg,
+                                        fixed_ids={0, 1})
+        K = bk.FactorKind
+        pairs = {}
+        for f in factors:
+            if len(f.state_ids) == 2:
+                pairs.setdefault(f.kind, set()).add(f.state_ids)
+        for kind in (K.IMU, K.DVL_POSITION, K.DVL_VELOCITY, K.PRESSURE,
+                     K.PHOTOMETRIC):
+            assert pairs[kind] == {(1, 2), (2, 3)}, kind
+        # a fixed keyframe still observes free landmarks
+        assert any(f.kind is K.REPROJECTION and f.state_ids == (0,)
+                   for f in factors)
+
+    @staticmethod
+    def _observe_behind(nodes, landmarks, rig, lid=99):
+        """A landmark 2 m behind keyframe 1's camera, observed by it: no
+        reprojection factor is built for it."""
+        t_wc = rig.camera_pose(nodes[1].state)
+        landmarks[lid] = t_wc.transform(np.array([0.0, 0.0, -2.0]))
+        nodes[1].observations.append(LandmarkObservation(
+            1, lid, np.array([320.0, 180.0]), 9.0))
+
+    def test_landmark_without_factor_gets_no_columns(self, rng):
+        nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=2, n_lm=5)
+        self._observe_behind(nodes, landmarks, rig)
+        cfg = bk.BackendConfig(photometric_enabled=False)
+        window, factors = bk.assemble_window(nodes, landmarks, intervals, rig,
+                                             cfg, fixed_ids={0},
+                                             fixed_landmarks={99})
+        observed = {f.landmark_id for f in factors
+                    if f.landmark_id is not None}
+        assert 99 not in observed
+        assert set(window.landmarks) == observed
+        assert window.fixed_landmarks == set()
+        # without vision no factor observes a landmark
+        window, _ = bk.assemble_window(nodes, landmarks, intervals, rig,
+                                       bk.BackendConfig(use_vision=False),
+                                       fixed_ids={0})
+        assert window.landmarks == {}
+
+    def test_dead_landmark_leaves_the_solve_unchanged(self):
+        def solve(dead):
+            local = np.random.default_rng(11)
+            nodes, landmarks, intervals, rig, _ = make_scene(local, n_kf=3)
+            for node in nodes[1:]:
+                node.state.p = node.state.p + local.normal(size=3) * 0.05
+            if dead:
+                self._observe_behind(nodes, landmarks, rig)
+            window, factors = bk.assemble_window(
+                nodes, landmarks, intervals, rig, bk.BackendConfig(),
+                fixed_ids={0})
+            return bk.solve(window, factors)
+
+        (w_ref, r_ref), (w_dead, r_dead) = solve(False), solve(True)
+        assert r_dead.iterations == r_ref.iterations
+        assert r_dead.final_cost == r_ref.final_cost
+        for sid, ref in w_ref.states.items():
+            got = w_dead.states[sid]
+            for name in ("R", "p", "v", "bg", "ba", "bv"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name))
+        for lid, pos in w_ref.landmarks.items():
+            assert np.array_equal(w_dead.landmarks[lid], pos)
+
+
 class TestSolve:
     def test_noiseless_window_at_truth(self, rng):
         nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=3)

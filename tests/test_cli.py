@@ -49,6 +49,33 @@ class TestSuccess:
                          "--out", str(out)]) == 0
         assert (out / "sweep_report.csv").is_file()
 
+    def test_sweep_rows_do_not_depend_on_the_worker_count(self, tmp_path,
+                                                           monkeypatch):
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({
+            "scenarios": [
+                {"name": "circle", "config": {"duration_s": 2.0, "seed": 1}},
+                {"name": "mower", "config": {"duration_s": 2.0, "seed": 2,
+                                             "kind": "lawnmower"}}],
+            "modes": ["dvl-deadreckon-only", "acoustic-inertial-depth-only"]}))
+        reports = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("AQUAFUSE_THREADS", workers)
+            out = tmp_path / f"sweep{workers}"
+            assert cli.main(["sweep", "--config", str(spec),
+                             "--out", str(out)]) == 0
+            reports.append(((out / "sweep_report.json").read_text(),
+                            (out / "sweep_report.csv").read_text()))
+        assert len(json.loads(reports[0][0])["rows"]) == 4
+        assert reports[0] == reports[1]
+
+    def test_nested_config_sets_the_patch_pattern(self, dataset, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(
+            {"backend": {"pattern": {"weight_scale": 10.0}}}))
+        assert _estimate(dataset, tmp_path / "run", "--mode", "full",
+                         "--config", str(config)) == 0
+
 
 class TestInputErrors:
     def test_parse_error_names_file_and_line(self, dataset, tmp_path, capsys):
@@ -71,6 +98,27 @@ class TestInputErrors:
         config.write_text(json.dumps({"no_such_key": 1}))
         assert _estimate(dataset, tmp_path / "run", "--config",
                          str(config)) == 2
+
+    @pytest.mark.parametrize("config, key", [
+        ({"tracker": {"tau_p": "x"}}, "tracker.tau_p"),
+        ({"backend": {"pattern": {"size": 3}}}, "backend.pattern.size"),
+        ({"backend": {"pattern": {"weight_scale": "big"}}},
+         "backend.pattern.weight_scale"),
+        ({"backend": {"pattern": {"offsets": [[0, 0], [1]]}}},
+         "backend.pattern.offsets"),
+        ({"backend": {"solver": {"max_iterations": 2.5}}},
+         "backend.solver.max_iterations"),
+        ({"backend": {"use_dvl": "yes"}}, "backend.use_dvl"),
+        ({"floors": [0.1]}, "floors"),
+        ({"mode": "sonar"}, "mode"),
+    ])
+    def test_malformed_nested_config(self, dataset, tmp_path, capsys,
+                                     config, key):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        assert _estimate(dataset, tmp_path / "run", "--config",
+                         str(path)) == 2
+        assert key in capsys.readouterr().err
 
     def test_bad_arguments(self):
         with pytest.raises(SystemExit) as exc:

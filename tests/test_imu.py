@@ -73,6 +73,84 @@ class TestIntegrateImu:
         assert np.linalg.eigvalsh(pre.cov).min() >= -1e-18
 
 
+def _hold_slice(samples, t0, t1):
+    """The samples a zero-order hold over [t0, t1] reads: from the one
+    holding at t0 (or the first) up to the last one before t1."""
+    times = np.array([s.t for s in samples])
+    i0 = max(int(np.searchsorted(times, t0, side="right")) - 1, 0)
+    i1 = int(np.searchsorted(times, t1, side="left"))
+    return samples[i0:max(i1, i0 + 1)]
+
+
+def _assert_same_bits(a, b, probe_times):
+    for name in ("dR", "dv", "dp", "cov", "J_dR_dbg", "J_dv_dbg", "J_dv_dba",
+                 "J_dp_dbg", "J_dp_dba", "step_t", "step_omega", "step_dR",
+                 "step_J", "step_phi_cov"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.t_start, a.t_end, a.dt_total) == (b.t_start, b.t_end, b.dt_total)
+    ca, cb = a.checkpoints_at(probe_times), b.checkpoints_at(probe_times)
+    for name in ("rotations", "bias_jacobians", "phi_covs"):
+        assert np.array_equal(getattr(ca, name), getattr(cb, name)), name
+
+
+class TestResumeImu:
+    """Extending a preintegration equals integrating the whole span at once,
+    bit for bit."""
+
+    BIAS = ImuBias(np.array([0.003, -0.002, 0.001]),
+                   np.array([0.02, 0.01, -0.03]))
+
+    def _check(self, rng, t_start, ends):
+        samples, _, _ = discrete_imu_world(rng, n=150)
+        pre = integrate_imu(_hold_slice(samples, t_start, ends[0]), self.BIAS,
+                            NOISY, t_start=t_start, t_end=ends[0])
+        for t_end in ends[1:]:
+            pre = integrate_imu(_hold_slice(samples, pre.step_t[-1], t_end),
+                                self.BIAS, NOISY, t_end=t_end, resume=pre)
+            batch = integrate_imu(_hold_slice(samples, t_start, t_end),
+                                  self.BIAS, NOISY, t_start=t_start,
+                                  t_end=t_end)
+            probes = np.linspace(t_start, t_end, 23)
+            _assert_same_bits(pre, batch, probes)
+
+    def test_split_at_a_sample_time(self, rng):
+        # 0.2 is the timestamp of sample 20: the step before it is complete
+        self._check(rng, 0.0, [0.2, 0.6])
+
+    def test_split_between_samples(self, rng):
+        self._check(rng, 0.0123, [0.2345, 0.81])
+
+    def test_many_resumes_in_a_row(self, rng):
+        # camera-rate ends, some on sample times and some between them
+        self._check(rng, 0.1, [0.1 + k / 15.0 for k in range(1, 18)]
+                    + [1.3, 1.31, 1.4])
+
+    def test_first_step_extended_back(self, rng):
+        # the buffer starts at 0: the first hold reaches back to -0.005,
+        # and the first resume integrates that step again
+        self._check(rng, -0.005, [0.004, 0.008, 0.0123, 0.5])
+
+    def test_rejects_a_buffer_from_the_wrong_sample(self, rng):
+        samples, _, _ = discrete_imu_world(rng, n=50)
+        pre = integrate_imu(samples[:21], self.BIAS, NOISY, t_start=0.0,
+                            t_end=0.2)
+        # the last step holds sample 19: a buffer from sample 20 is too late
+        with pytest.raises(ValueError):
+            integrate_imu(samples[20:40], self.BIAS, NOISY, t_end=0.4,
+                          resume=pre)
+
+    def test_rejects_another_bias_or_start(self, rng):
+        samples, _, _ = discrete_imu_world(rng, n=50)
+        pre = integrate_imu(samples[:21], self.BIAS, NOISY, t_start=0.0,
+                            t_end=0.2)
+        with pytest.raises(ValueError):
+            integrate_imu(samples[19:40], ImuBias.zero(), NOISY, t_end=0.4,
+                          resume=pre)
+        with pytest.raises(ValueError):
+            integrate_imu(samples[19:40], self.BIAS, NOISY, t_start=0.0,
+                          t_end=0.4, resume=pre)
+
+
 class TestCorrectBias:
     def test_zero_delta_is_identity(self, rng):
         samples, _, _ = discrete_imu_world(rng, n=50)
