@@ -9,6 +9,12 @@ are additive. Robust (Huber) reweighting applies to visual factors only.
 Per-keyframe biases are coupled by random-walk terms folded into the inertial
 factor (gyro/accel biases) and the DVL translation factor (velocity bias), so
 the factor kinds stay exactly the six sensor kinds plus the fixed prior.
+
+The solver evaluates factors in batches, each residual written once:
+reprojections per host state, photometric patches per state pair, and each
+pair kind (IMU, DVL velocity, DVL position, pressure) over all its pairs in
+one call of its stacked residual function, on the window's states stacked
+once per linearization point. ``Factor.evaluate`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -20,14 +26,14 @@ from typing import Any
 
 import numpy as np
 
-from .depth import (DepthExtrinsics, PressureSample, pressure_residual,
-                    pressure_residual_jacobians)
+from .depth import DepthExtrinsics, PressureSample, pressure_pair_residuals
 from .dvl import (DvlExtrinsics, DvlPreintegrated, DvlSample,
-                  dvl_position_residual, dvl_position_residual_jacobians,
-                  dvl_velocity_residual, dvl_velocity_residual_jacobians)
-from .imu import ImuPreintegrated, imu_residual, imu_residual_jacobians
-from .manifold import Pose, hat, log_so3, right_jacobian_inv_so3
-from .state import BA, BG, BV, PHI, POS, STATE_DOF, VEL, NavState
+                  dvl_position_pair_residuals, dvl_velocity_pair_residuals,
+                  stack_dvl_position_pairs, stack_dvl_velocity_pairs)
+from .imu import ImuPreintegrated, imu_pair_residuals, stack_imu_pairs
+from .manifold import (Pose, hat, hat_batch, log_so3,
+                       right_jacobian_inv_so3_batch)
+from .state import STATE_DOF, NavState, StateStack, matvec, stack_states
 from .visual import (BehindCameraError, CameraModel, IntensityField,
                      LandmarkObservation, OutOfDomainError, PatchPattern)
 
@@ -54,6 +60,8 @@ class FactorKind(Enum):
     FIXED_PRIOR = "fixed_prior"
 
 VISUAL_KINDS = (FactorKind.REPROJECTION, FactorKind.PHOTOMETRIC)
+PAIR_KINDS = (FactorKind.IMU, FactorKind.DVL_VELOCITY, FactorKind.DVL_POSITION,
+              FactorKind.PRESSURE)
 
 
 @dataclass(frozen=True)
@@ -76,21 +84,11 @@ class SensorRig:
 # ----------------------------- factor payloads ----------------------------- #
 
 @dataclass(frozen=True)
-class ImuFactorData:
-    preint: ImuPreintegrated
-
-
-@dataclass(frozen=True)
 class DvlVelocityData:
     meas_i: DvlSample
     meas_m: DvlSample
     gyro_i: np.ndarray
     gyro_m: np.ndarray
-
-
-@dataclass(frozen=True)
-class DvlPositionData:
-    preint: DvlPreintegrated
 
 
 @dataclass(frozen=True)
@@ -177,14 +175,13 @@ class Factor:
         With ``with_jacobians=False`` the Jacobian dicts are empty; used for
         cost-only evaluations of candidate steps.
         """
-        if self.kind == FactorKind.IMU:
-            return self._eval_imu(states, with_jacobians)
-        if self.kind == FactorKind.DVL_VELOCITY:
-            return self._eval_dvl_velocity(states, with_jacobians)
-        if self.kind == FactorKind.DVL_POSITION:
-            return self._eval_dvl_position(states, with_jacobians)
-        if self.kind == FactorKind.PRESSURE:
-            return self._eval_pressure(states, with_jacobians)
+        if self.kind in PAIR_KINDS:
+            # a batch of one: each pair residual is written once, there
+            i, j = self.state_ids
+            res, jac = _PairBatch([self], [0], [1]).evaluate(
+                stack_states((states[i], states[j])), with_jacobians)
+            jacs = {i: jac[0, :, 0], j: jac[0, :, 1]} if with_jacobians else {}
+            return res[0], jacs, {}
         if self.kind == FactorKind.REPROJECTION:
             return self._eval_reprojection(states, landmarks, with_jacobians)
         if self.kind == FactorKind.PHOTOMETRIC:
@@ -193,118 +190,15 @@ class Factor:
             return self._eval_prior(states, with_jacobians)
         raise ValueError(f"unknown factor kind {self.kind}")
 
-    def _eval_imu(self, states, with_jacobians=True):
-        i, j = self.state_ids
-        si, sj = states[i], states[j]
-        if not with_jacobians:
-            r9 = imu_residual(si, sj, self.payload.preint, self.rig.gravity)
-            return (np.concatenate([r9, sj.bg - si.bg, sj.ba - si.ba]), {}, {})
-        r9, jac = imu_residual_jacobians(si, sj, self.payload.preint,
-                                         self.rig.gravity)
-        res = np.zeros(15)
-        res[0:9] = r9
-        res[9:12] = sj.bg - si.bg
-        res[12:15] = sj.ba - si.ba
-        ji = np.zeros((15, STATE_DOF))
-        jj = np.zeros((15, STATE_DOF))
-        ji[0:9, PHI] = jac["phi_i"]
-        ji[0:9, POS] = jac["p_i"]
-        ji[0:9, VEL] = jac["v_i"]
-        ji[0:9, BG] = jac["bg_i"]
-        ji[0:9, BA] = jac["ba_i"]
-        jj[0:9, PHI] = jac["phi_j"]
-        jj[0:9, POS] = jac["p_j"]
-        jj[0:9, VEL] = jac["v_j"]
-        ji[9:12, BG] = -np.eye(3)
-        jj[9:12, BG] = np.eye(3)
-        ji[12:15, BA] = -np.eye(3)
-        jj[12:15, BA] = np.eye(3)
-        return res, {i: ji, j: jj}, {}
-
-    def _eval_dvl_velocity(self, states, with_jacobians=True):
-        i, m = self.state_ids
-        d = self.payload
-        if not with_jacobians:
-            return (dvl_velocity_residual(states[i], states[m], d.gyro_i,
-                                          d.gyro_m, d.meas_i, d.meas_m,
-                                          self.rig.dvl), {}, {})
-        res, jac = dvl_velocity_residual_jacobians(
-            states[i], states[m], d.gyro_i, d.gyro_m, d.meas_i, d.meas_m,
-            self.rig.dvl)
-        ji = np.zeros((3, STATE_DOF))
-        jm = np.zeros((3, STATE_DOF))
-        ji[:, PHI] = jac["phi_i"]
-        ji[:, VEL] = jac["v_i"]
-        jm[:, PHI] = jac["phi_m"]
-        jm[:, VEL] = jac["v_m"]
-        return res, {i: ji, m: jm}, {}
-
-    def _eval_dvl_position(self, states, with_jacobians=True):
-        i, m = self.state_ids
-        si, sm = states[i], states[m]
-        if not with_jacobians:
-            r3 = dvl_position_residual(si, sm, self.payload.preint, self.rig.dvl)
-            return np.concatenate([r3, sm.bv - si.bv]), {}, {}
-        r3, jac = dvl_position_residual_jacobians(si, sm, self.payload.preint,
-                                                  self.rig.dvl)
-        res = np.zeros(6)
-        res[0:3] = r3
-        res[3:6] = sm.bv - si.bv
-        ji = np.zeros((6, STATE_DOF))
-        jm = np.zeros((6, STATE_DOF))
-        ji[0:3, PHI] = jac["phi_i"]
-        ji[0:3, POS] = jac["p_i"]
-        ji[0:3, BG] = jac["bg_i"]
-        ji[0:3, BV] = jac["bv_i"]
-        jm[0:3, PHI] = jac["phi_m"]
-        jm[0:3, POS] = jac["p_m"]
-        ji[3:6, BV] = -np.eye(3)
-        jm[3:6, BV] = np.eye(3)
-        return res, {i: ji, m: jm}, {}
-
-    def _eval_pressure(self, states, with_jacobians=True):
-        i, n = self.state_ids
-        if not with_jacobians:
-            r = pressure_residual(states[i], states[n], self.payload.meas_i,
-                                  self.payload.meas_n, self.rig.depth)
-            return np.array([r]), {}, {}
-        res, jac = pressure_residual_jacobians(
-            states[i], states[n], self.payload.meas_i, self.payload.meas_n,
-            self.rig.depth)
-        ji = np.zeros((1, STATE_DOF))
-        jn = np.zeros((1, STATE_DOF))
-        ji[:, PHI] = jac["phi_i"]
-        ji[:, POS] = jac["p_i"]
-        jn[:, PHI] = jac["phi_n"]
-        jn[:, POS] = jac["p_n"]
-        return res, {i: ji, n: jn}, {}
-
     def _eval_reprojection(self, states, landmarks, with_jacobians=True):
-        (sid,) = self.state_ids
-        state = states[sid]
-        lm = landmarks[self.landmark_id]
-        cam = self.rig.cam
-        r_ic = self.rig.T_IC.R
-        p_ic = self.rig.T_IC.t
-        r_wc = state.R @ r_ic
-        # difference before the lever arm keeps a common world translation
-        # of state and landmark exactly cancelled
-        x_c = r_wc.T @ ((lm - state.p) - state.R @ p_ic)
-        z = x_c[2]
-        if z <= 1e-6:
-            raise BehindCameraError(f"landmark depth {z} is not positive")
-        pred = np.array([cam.fx * x_c[0] / z + cam.cx,
-                         cam.fy * x_c[1] / z + cam.cy])
-        res = self.payload.obs.pixel - pred
+        # a batch of one: the reprojection residual is written once, there
+        res, j_state, j_lm = _ReprojectionBatch([self]).linearize(
+            states, landmarks, with_jacobians, strict=True)
         if not with_jacobians:
-            return res, {}, {}
-        dpi = np.array([[cam.fx / z, 0.0, -cam.fx * x_c[0] / (z * z)],
-                        [0.0, cam.fy / z, -cam.fy * x_c[1] / (z * z)]])
+            return res[0], {}, {}
         js = np.zeros((2, STATE_DOF))
-        js[:, PHI] = -dpi @ (hat(x_c) @ r_ic.T + r_ic.T @ hat(p_ic))
-        js[:, POS] = dpi @ r_wc.T
-        j_lm = -dpi @ r_wc.T
-        return res, {sid: js}, {self.landmark_id: j_lm}
+        js[:, :6] = j_state[0]
+        return res[0], {self.state_ids[0]: js}, {self.landmark_id: j_lm[0]}
 
     def _eval_photometric(self, states, with_jacobians=True):
         # a batch of one: the photometric residual is written once, there
@@ -330,7 +224,7 @@ class Factor:
         if not with_jacobians:
             return res, {}, {}
         js = np.eye(STATE_DOF)
-        js[0:3, 0:3] = right_jacobian_inv_so3(e_phi)
+        js[0:3, 0:3] = right_jacobian_inv_so3_batch(e_phi[None])[0]
         return res, {sid: js}, {}
 
 
@@ -423,17 +317,6 @@ def _robust_weights_cost(r2: np.ndarray, robust: np.ndarray,
     return w, float(cost.sum())
 
 
-def _batched_hat(v: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(v), 3, 3))
-    out[:, 0, 1] = -v[:, 2]
-    out[:, 0, 2] = v[:, 1]
-    out[:, 1, 0] = v[:, 2]
-    out[:, 1, 2] = -v[:, 0]
-    out[:, 2, 0] = -v[:, 1]
-    out[:, 2, 1] = v[:, 0]
-    return out
-
-
 class _ReprojectionBatch:
     """Vectorized evaluation of all reprojection factors hosted by one state.
 
@@ -454,52 +337,49 @@ class _ReprojectionBatch:
         self.robust = np.array([f.robust for f in factors])
         self.deltas = np.array([f.robust_delta for f in factors])
 
-    def _project(self, states, landmarks):
-        state = states[self.sid]
-        rig = self.rig
-        r_wc = state.R @ rig.T_IC.R
-        arm = state.R @ rig.T_IC.t
-        lms = np.stack([landmarks[lid] for lid in self.lm_ids])
-        x_c = ((lms - state.p) - arm) @ r_wc
-        return r_wc, x_c
-
     def _weights_cost(self, res):
         r2 = np.einsum("ni,nij,nj->n", res, self.infos, res)
         return _robust_weights_cost(r2, self.robust, self.deltas)
 
     def cost(self, states, landmarks) -> float:
-        _, x_c = self._project(states, landmarks)
+        res, _, _ = self.linearize(states, landmarks, with_jacobians=False)
+        return float("inf") if res is None else self._weights_cost(res)[1]
+
+    def linearize(self, states, landmarks, with_jacobians=True, strict=False):
+        """Residuals (n, 2) and, with Jacobians, their rows w.r.t. the host
+        state's first six local dims (n, 2, 6) and w.r.t. the landmarks
+        (n, 2, 3). The residuals are None when a point is not in front of
+        the camera; with ``strict`` that raises BehindCameraError."""
+        state, rig = states[self.sid], self.rig
+        r_wc = state.R @ rig.T_IC.R
+        lms = np.stack([landmarks[lid] for lid in self.lm_ids])
+        x_c = ((lms - state.p) - state.R @ rig.T_IC.t) @ r_wc
         z = x_c[:, 2]
         if np.any(z <= 1e-6):
-            return float("inf")
-        cam = self.rig.cam
-        pred = np.stack([cam.fx * x_c[:, 0] / z + cam.cx,
-                         cam.fy * x_c[:, 1] / z + cam.cy], axis=1)
-        _, total = self._weights_cost(self.pixels - pred)
-        return total
-
-    def accumulate(self, h, g, states, landmarks, state_cols, lm_cols):
-        r_wc, x_c = self._project(states, landmarks)
-        z = x_c[:, 2]
-        cam = self.rig.cam
-        pred = np.stack([cam.fx * x_c[:, 0] / z + cam.cx,
-                         cam.fy * x_c[:, 1] / z + cam.cy], axis=1)
-        res = self.pixels - pred
-        w, _ = self._weights_cost(res)
-        a_mats = w[:, None, None] * self.infos
-
+            if strict:
+                raise BehindCameraError(f"landmark depth {z.min()} is not positive")
+            return None, None, None
+        cam = rig.cam
+        res = self.pixels - np.stack([cam.fx * x_c[:, 0] / z + cam.cx,
+                                      cam.fy * x_c[:, 1] / z + cam.cy], axis=1)
+        if not with_jacobians:
+            return res, None, None
         dpi = np.zeros((len(z), 2, 3))
         dpi[:, 0, 0] = cam.fx / z
         dpi[:, 0, 2] = -cam.fx * x_c[:, 0] / (z * z)
         dpi[:, 1, 1] = cam.fy / z
         dpi[:, 1, 2] = -cam.fy * x_c[:, 1] / (z * z)
-        r_ic = self.rig.T_IC.R
-        c_p = r_ic.T @ hat(self.rig.T_IC.t)
-        j_phi = -(np.einsum("nij,njk->nik", dpi, _batched_hat(x_c)) @ r_ic.T
+        r_ic = rig.T_IC.R
+        c_p = r_ic.T @ hat(rig.T_IC.t)
+        j_phi = -(np.einsum("nij,njk->nik", dpi, hat_batch(x_c)) @ r_ic.T
                   + dpi @ c_p)
         j_pos = dpi @ r_wc.T
-        j_state = np.concatenate([j_phi, j_pos], axis=2)  # (n, 2, 6)
-        j_lm = -j_pos
+        return res, np.concatenate([j_phi, j_pos], axis=2), -j_pos
+
+    def accumulate(self, h, g, states, landmarks, state_cols, lm_cols):
+        res, j_state, j_lm = self.linearize(states, landmarks)
+        w, _ = self._weights_cost(res)
+        a_mats = w[:, None, None] * self.infos
 
         sc = state_cols.get(self.sid)
         if sc is not None:
@@ -663,6 +543,98 @@ class _PhotometricBatch:
                 h[cols_a, cols_b] += aj.T @ jac_b
 
 
+class _PairBatch:
+    """The factors of one pair kind on one rig, payloads and information
+    stacked once; the kind's residual function evaluates all their pairs in
+    one call, at rows ``i`` and ``j`` of a :class:`StateStack`."""
+
+    def __init__(self, factors: list[Factor], i, j, live=None):
+        f0, ds = factors[0], [f.payload for f in factors]
+        self.kind, self.rig, self.i, self.j, self.live = f0.kind, f0.rig, i, j, live
+        self.infos = np.array([f.info for f in factors])
+        if self.kind is FactorKind.IMU:
+            self.data = stack_imu_pairs(ds)
+        elif self.kind is FactorKind.DVL_POSITION:
+            self.data = stack_dvl_position_pairs(ds)
+        elif self.kind is FactorKind.DVL_VELOCITY:
+            self.data = stack_dvl_velocity_pairs(ds, f0.rig.dvl)
+        else:
+            self.data = np.array([[d.meas_n.depth - d.meas_i.depth] for d in ds])
+
+    def evaluate(self, stack: StateStack, with_jacobians: bool = True):
+        args = (stack, self.i, self.j, self.data)
+        if self.kind is FactorKind.IMU:
+            return imu_pair_residuals(*args, self.rig.gravity, with_jacobians)
+        if self.kind is FactorKind.DVL_VELOCITY:
+            return dvl_velocity_pair_residuals(*args, self.rig.dvl, with_jacobians)
+        if self.kind is FactorKind.DVL_POSITION:
+            return dvl_position_pair_residuals(*args, self.rig.dvl, with_jacobians)
+        return pressure_pair_residuals(*args, self.rig.depth, with_jacobians)
+
+    def cost(self, stack: StateStack) -> float:
+        res, _ = self.evaluate(stack, with_jacobians=False)
+        return float(np.vdot(res, self.infos @ res[:, :, None]))
+
+    def normal_equations(self, stack: StateStack):
+        """Per pair J^T W J (n, c, c) and J^T W r (n, c) over the ``live``
+        columns of the pair's 36 local dims (state i's, then j's)."""
+        res, jac = self.evaluate(stack)
+        n, r = res.shape
+        jac = jac.reshape(n, r, 2 * STATE_DOF).take(self.live, 2)
+        jt_info = jac.transpose(0, 2, 1) @ self.infos
+        return jt_info @ jac, matvec(jt_info, res)
+
+
+class _PairGroup:
+    """The pair batches (one per kind and rig) over one ordered list of
+    state-id pairs. A pair's 36 local dims take their columns from
+    ``colmap`` (18 per state id, ``dummy`` where a dim has none), and only
+    dims with a column in some pair are kept (``live``). The batches'
+    normal-equation blocks add up per pair and one ``np.add.at`` scatters
+    them into h and g, which carry a trailing dummy row and column."""
+
+    def __init__(self, pairs, kinds, rows: dict[int, int],
+                 colmap: dict[int, list[int]], dummy: int):
+        cols = np.array([colmap[a] + colmap[b] for a, b in pairs])
+        live = np.flatnonzero(cols.min(axis=0) < dummy)
+        self.cols = cols.take(live, 1)
+        self.h_index = self.cols[:, :, None] * (dummy + 1) + self.cols[:, None, :]
+        # contiguous rows (consecutive keyframes) are read as views
+        i, j = ([rows[pair[side]] for pair in pairs] for side in (0, 1))
+        i, j = (slice(r[0], r[-1] + 1) if r == list(range(r[0], r[-1] + 1))
+                else np.array(r) for r in (i, j))
+        self.batches = [_PairBatch(fs, i, j, live) for fs in kinds]
+
+    def cost(self, stack: StateStack) -> float:
+        return sum(b.cost(stack) for b in self.batches)
+
+    def accumulate(self, h, g, stack: StateStack):
+        blocks = [b.normal_equations(stack) for b in self.batches]
+        np.add.at(h.reshape(-1), self.h_index, sum(hb for hb, _ in blocks))
+        np.add.at(g, self.cols, sum(gb for _, gb in blocks))
+
+
+def _pair_groups(factors: list[Factor], state_cols: dict, ndim: int):
+    """The ids of the states that the pair ``factors`` touch, in stack
+    order, and the factors as :class:`_PairGroup` s; dims without a column
+    in ``state_cols`` go to a dummy row and column ``ndim``."""
+    kinds: dict[tuple, list[Factor]] = {}
+    for f in factors:
+        kinds.setdefault((f.kind, id(f.rig)), []).append(f)
+    by_pairs: dict[tuple, list[list[Factor]]] = {}
+    for fs in kinds.values():
+        by_pairs.setdefault(tuple(f.state_ids for f in fs), []).append(fs)
+    order = list(dict.fromkeys(sid for f in factors for sid in f.state_ids))
+    colmap = {sid: [ndim] * STATE_DOF for sid in order}
+    for sid in colmap.keys() & state_cols.keys():
+        cols, local = state_cols[sid]
+        for col, dim in zip(range(cols.start, cols.stop), local):
+            colmap[sid][dim] = col
+    rows = {sid: k for k, sid in enumerate(order)}
+    return order, [_PairGroup(key, fss, rows, colmap, ndim)
+                   for key, fss in by_pairs.items()]
+
+
 def _total_cost(factors, states, landmarks) -> float:
     total = 0.0
     for f in factors:
@@ -726,9 +698,11 @@ def solve(window: LocalWindow, factors: list[Factor],
 
     reproj: dict[int, list[Factor]] = {}
     photo: dict[tuple, list[Factor]] = {}
-    scalar_factors = []
+    pairs, scalar_factors = [], []
     for f in factors:
-        if (f.kind == FactorKind.REPROJECTION and f.landmark_id in landmarks
+        if f.kind in PAIR_KINDS:
+            pairs.append(f)
+        elif (f.kind == FactorKind.REPROJECTION and f.landmark_id in landmarks
                 and _pose_first(f.state_ids[0])):
             reproj.setdefault(f.state_ids[0], []).append(f)
         elif (f.kind == FactorKind.PHOTOMETRIC
@@ -741,15 +715,23 @@ def solve(window: LocalWindow, factors: list[Factor],
     batches = ([_ReprojectionBatch(fs) for fs in reproj.values()]
                + [_PhotometricBatch(fs) for fs in photo.values()])
 
-    def total_cost(st, lm):
+    order, groups = _pair_groups(pairs, state_cols, ndim)
+
+    def stacked(st):
+        return stack_states(st[sid] for sid in order) if order else None
+
+    def total_cost(st, lm, stack):
         total = 0.0
         for b in batches:
             total += b.cost(st, lm)
             if not np.isfinite(total):
                 return float("inf")
+        for group in groups:
+            total += group.cost(stack)
         return total + _total_cost(scalar_factors, st, lm)
 
-    cost = total_cost(states, landmarks)
+    stack = stacked(states)
+    cost = total_cost(states, landmarks, stack)
     if not np.isfinite(cost):
         raise DivergedError(f"initial cost is not finite ({cost})")
     initial_cost = cost
@@ -759,32 +741,29 @@ def solve(window: LocalWindow, factors: list[Factor],
                                    Termination.ZERO_GRADIENT)
 
     def assemble():
-        h = np.zeros((ndim, ndim))
-        g = np.zeros(ndim)
+        h = np.zeros((ndim + 1, ndim + 1))
+        g = np.zeros(ndim + 1)
         for b in batches:
             b.accumulate(h, g, states, landmarks, state_cols, lm_cols)
+        for group in groups:
+            group.accumulate(h, g, stack)
+        # the fixed prior and visual factors on states whose pose is not
+        # in the first six active dims
         for f in scalar_factors:
             r, js, jl = f.evaluate(states, landmarks)
-            info = f.info
             w = 1.0
             if f.robust:
-                w = robust_weight(float(r @ info @ r), f.robust_delta)
-            blocks = []
-            for sid, jac in js.items():
-                if sid in state_cols:
-                    cols, local = state_cols[sid]
-                    n = len(local)
-                    sub = jac[:, :n] if local[-1] == n - 1 else jac[:, local]
-                    blocks.append((cols, sub))
-            for lid, jac in jl.items():
-                if lid in lm_cols:
-                    blocks.append((lm_cols[lid], jac))
+                w = robust_weight(float(r @ f.info @ r), f.robust_delta)
+            blocks = [(state_cols[sid][0], jac[:, state_cols[sid][1]])
+                      for sid, jac in js.items() if sid in state_cols]
+            blocks += [(lm_cols[lid], jac) for lid, jac in jl.items()
+                       if lid in lm_cols]
             for cols_a, jac_a in blocks:
-                jt_info = w * jac_a.T @ info
+                jt_info = w * jac_a.T @ f.info
                 g[cols_a] += jt_info @ r
                 for cols_b, jac_b in blocks:
                     h[cols_a, cols_b] += jt_info @ jac_b
-        return h, g
+        return h[:ndim, :ndim], g[:ndim]
 
     def retract(delta):
         new_states = dict(states)
@@ -815,13 +794,15 @@ def solve(window: LocalWindow, factors: list[Factor],
                 lam *= 10.0
                 continue
             cand_states, cand_landmarks = retract(candidate)
-            cand_cost = total_cost(cand_states, cand_landmarks)
+            cand_stack = stacked(cand_states)
+            cand_cost = total_cost(cand_states, cand_landmarks, cand_stack)
             if math.isnan(cand_cost):
                 raise DivergedError("candidate cost is NaN")
             if cand_cost < cost:
                 step = candidate
                 new_cost = cand_cost
                 states, landmarks = cand_states, cand_landmarks
+                stack = cand_stack
                 lam = max(lam / 3.0, 1e-12)
                 break
             lam *= 10.0
@@ -982,15 +963,14 @@ def assemble_window(keyframes: list[KeyframeNode],
         info = np.zeros((15, 15))
         info[0:9, 0:9] = _safe_inverse(data.imu_preint.cov)
         info[9:15, 9:15] = np.diag(walk)
-        factors.append(Factor(FactorKind.IMU, key, ImuFactorData(data.imu_preint),
-                              info, rig=rig))
+        factors.append(Factor(FactorKind.IMU, key, data.imu_preint, info, rig=rig))
 
         if cfg.use_dvl and data.dvl_preint is not None:
             info = np.zeros((6, 6))
             info[0:3, 0:3] = _safe_inverse(data.dvl_preint.cov)
             info[3:6, 3:6] = np.eye(3) / (cfg.sigma_bv_walk**2 * dt)
-            factors.append(Factor(FactorKind.DVL_POSITION, key,
-                                  DvlPositionData(data.dvl_preint), info, rig=rig))
+            factors.append(Factor(FactorKind.DVL_POSITION, key, data.dvl_preint,
+                                  info, rig=rig))
         if cfg.use_dvl and a.dvl_meas is not None and b.dvl_meas is not None \
                 and a.gyro is not None and b.gyro is not None:
             info = np.eye(3) / (2.0 * cfg.sigma_dvl**2)
@@ -1075,14 +1055,3 @@ def make_photometric_factors(ids: tuple[int, int], field_host: IntensityField,
     res, valid = batch.residuals(states)
     keep = valid & ~(np.sqrt(res * batch.infos * res) > gate)
     return [f for f, k in zip(factors, keep) if k]
-
-
-def dump_factor_graph(window: LocalWindow, factors: list[Factor], stream):
-    """Write one line per factor: kind, variable ids, residual norm."""
-    for f in factors:
-        r, _, _ = f.evaluate(window.states, window.landmarks,
-                             with_jacobians=False)
-        ids = ",".join(str(s) for s in f.state_ids)
-        if f.landmark_id is not None:
-            ids += f";l{f.landmark_id}"
-        stream.write(f"{f.kind.value} {ids} {np.linalg.norm(r):.9e}\n")

@@ -1,4 +1,5 @@
-"""Pressure-sensor depth model and the relative-depth residual.
+"""Pressure-sensor depth model and the relative-depth residual, stacked
+over keyframe pairs.
 
 World convention: the z axis points down along gravity, so depth is the +z
 component of the pressure sensor's world position. Only depth differences
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifold import hat
-from .state import NavState
+from .state import PHI, POS, STATE_DOF, NavState, StateStack
 
 S3 = np.array([0.0, 0.0, 1.0])
 
@@ -38,22 +39,20 @@ def pressure_position_estimate(state: NavState, ext: DepthExtrinsics) -> np.ndar
     return state.R @ ext.p_IP + state.p
 
 
-def pressure_residual(state_i: NavState, state_n: NavState,
-                      meas_i: PressureSample, meas_n: PressureSample,
-                      ext: DepthExtrinsics) -> float:
-    lever = state_n.R @ ext.p_IP - state_i.R @ ext.p_IP
-    dz = S3 @ (lever + (state_n.p - state_i.p))
-    return float(dz - (meas_n.depth - meas_i.depth))
-
-
-def pressure_residual_jacobians(state_i: NavState, state_n: NavState,
-                                meas_i: PressureSample, meas_n: PressureSample,
-                                ext: DepthExtrinsics):
-    res = pressure_residual(state_i, state_n, meas_i, meas_n, ext)
-    j = {
-        "phi_i": (S3 @ state_i.R @ hat(ext.p_IP)).reshape(1, 3),
-        "p_i": -S3.reshape(1, 3),
-        "phi_n": (-S3 @ state_n.R @ hat(ext.p_IP)).reshape(1, 3),
-        "p_n": S3.reshape(1, 3),
-    }
-    return np.array([res]), j
+def pressure_pair_residuals(st: StateStack, i, j, d_depth: np.ndarray,
+                            ext: DepthExtrinsics, with_jacobians: bool = True):
+    """Relative-depth residuals (n, 1) of n state pairs against the changes
+    ``d_depth`` (n, 1) of the depth reading from state i to state j. With
+    Jacobians also their (n, 1, 2, 18) blocks w.r.t. states i and j; else
+    None."""
+    r_i, r_j = st.R[i], st.R[j]
+    # translation difference on its own first, so a common shift cancels
+    dz = ((r_j @ ext.p_IP - r_i @ ext.p_IP) + (st.x[j, POS] - st.x[i, POS]))[:, 2:]
+    res = dz - d_depth
+    if not with_jacobians:
+        return res, None
+    jac = np.zeros((len(res), 1, 2, STATE_DOF))
+    jac[:, 0, :, POS] = -S3, S3
+    jac[:, 0, 0, PHI] = (r_i @ hat(ext.p_IP))[:, 2]
+    jac[:, 0, 1, PHI] = -(r_j @ hat(ext.p_IP))[:, 2]
+    return res, jac

@@ -29,7 +29,8 @@ from .imu import (ImuBias, ImuNoiseSpec, ImuPreintegrated, ImuSample,
                   predict_state_imu)
 from .manifold import Pose, hat, rotation_angle
 from .state import NavState
-from .visual import CameraModel, IntensityField, PatchPattern, stereo_depth
+from .visual import (CameraModel, IntensityField, PatchPattern, backproject,
+                     stereo_depth)
 
 
 class InsufficientObservationsError(ValueError):
@@ -243,12 +244,13 @@ def _nearest_index(times: np.ndarray, t: float) -> int | None:
 class Tracker:
     """Sequential frame-by-frame estimator over one dataset.
 
-    Each frame extends the running IMU preintegration of the current
-    keyframe (restarted when the keyframe or its bias linearization
-    changes), so every sample is integrated once per keyframe interval;
-    only the visual branch also integrates from the previous frame, for the
-    coarse tracker's prediction. Modes without vision build no landmark map,
-    so their windows hold keyframe states alone.
+    Each frame extends the running IMU and DVL preintegrations of the
+    current keyframe (each restarted when the keyframe or its (bg, ba),
+    resp. (bg, bv), linearization changes), so every sample is integrated
+    once per keyframe interval; only the visual branch also integrates the
+    IMU from the previous frame, for the coarse tracker's prediction.
+    Modes without vision build no landmark map, so their windows hold
+    keyframe states alone.
     """
 
     def __init__(self, dataset, cfg: RunConfig):
@@ -294,6 +296,7 @@ class Tracker:
         self.intervals: dict[tuple[int, int], bk.IntervalData] = {}
         self.reports: list[bk.SolveReport] = []
         self.kf_preint: ImuPreintegrated | None = None  # of the last keyframe
+        self.kf_dvl: DvlPreintegrated | None = None  # likewise
         self.status = TrackingStatus.VISUAL_OK
         self.reentry_count = 0
 
@@ -338,16 +341,23 @@ class Tracker:
             first = DvlSample(t0, first.vel)
         return [first] + list(self.ds.dvl[i0 + 1:i1])
 
-    def _dvl_preintegrate(self, t0: float, t1: float,
-                          imu_pre: ImuPreintegrated,
-                          lin_bg, lin_bv) -> DvlPreintegrated | None:
-        samples = self._dvl_slice(t0, t1)
+    def _dvl_preintegrate(self, kf: bk.KeyframeNode, t: float,
+                          imu_pre: ImuPreintegrated) -> DvlPreintegrated | None:
+        """DVL preintegration from ``kf`` to ``t``, extending the running one
+        while it is about the keyframe's (bg, bv); None while no DVL sample
+        falls in the span."""
+        bg, bv, run = kf.state.bg, kf.state.bv, self.kf_dvl
+        if run and not (np.array_equal(run.lin_bg, bg)
+                        and np.array_equal(run.lin_bv, bv)):
+            run = None
+        # from the sample of the last hold step, which is integrated again
+        samples = self._dvl_slice(kf.t if run is None else run.last_step[0], t)
         if not samples:
             return None
-        checkpoints = imu_pre.checkpoints_at([s.t for s in samples])
-        return preintegrate_dvl(samples, checkpoints, self.rig.dvl,
-                                lin_bg, lin_bv, t_end=t1,
-                                sigma_v=self.sigma_dvl)
+        self.kf_dvl = preintegrate_dvl(
+            samples, imu_pre.checkpoints_at([s.t for s in samples]), self.rig.dvl,
+            bg, bv, t_end=t, sigma_v=self.sigma_dvl, resume=run)
+        return self.kf_dvl
 
     def _nearest_dvl(self, t: float) -> DvlSample | None:
         k = _nearest_index(self.dvl_times, t)
@@ -403,15 +413,14 @@ class Tracker:
                 continue
             if obs.disparity is None or obs.disparity <= 0.05:
                 continue
-            depth = stereo_depth(self.cam, obs.disparity)
-            x_c = np.array([(obs.pixel[0] - self.cam.cx) / self.cam.fx * depth,
-                            (obs.pixel[1] - self.cam.cy) / self.cam.fy * depth,
-                            depth])
+            x_c = backproject(self.cam, obs.pixel,
+                              stereo_depth(self.cam, obs.disparity))
             self.map[obs.landmark_id] = t_wc.transform(x_c)
 
     def _make_keyframe(self, frame, nav: NavState,
                        imu_pre, dvl_pre) -> bk.KeyframeNode:
         kf_id = len(self.keyframes)
+        self.kf_dvl = None
         if self.keyframes:
             prev = self.keyframes[-1]
             self.intervals[(prev.kf_id, kf_id)] = bk.IntervalData(imu_pre, dvl_pre)
@@ -490,8 +499,7 @@ class Tracker:
                 imu_pre = self._keyframe_preint(kf, t)
                 dvl_pre = None
                 if mode.uses_dvl:
-                    dvl_pre = self._dvl_preintegrate(
-                        kf.t, t, imu_pre, kf.state.bg, kf.state.bv)
+                    dvl_pre = self._dvl_preintegrate(kf, t, imu_pre)
 
                 visual_ok = (mode.uses_vision
                              and n_tracked >= tracker_cfg.min_tracked_features)

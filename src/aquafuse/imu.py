@@ -1,5 +1,5 @@
 """IMU sample buffering, preintegration, bias correction and the inertial
-residual.
+residual, stacked over keyframe pairs.
 
 Integration uses a zero-order hold: sample k is applied over the interval
 between its timestamp and the next (or the requested end time), so the
@@ -10,12 +10,15 @@ are recorded so the DVL preintegration can reuse them.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifold import exp_so3, hat, log_so3, right_jacobian_inv_so3, right_jacobian_so3
-from .state import NavState
+from .manifold import (exp_so3, exp_so3_batch, hat, hat_batch,
+                       log_so3_batch, right_jacobian_inv_so3_batch,
+                       right_jacobian_so3, right_jacobian_so3_batch)
+from .state import BG, PHI, POS, STATE_DOF, VEL, NavState, StateStack, matvec
 
 
 @dataclass(frozen=True)
@@ -348,58 +351,66 @@ def predict_state_imu(state_i: NavState, preint: ImuPreintegrated,
                     state_i.bv.copy())
 
 
-def imu_residual(state_i: NavState, state_j: NavState,
-                 preint: ImuPreintegrated, gravity) -> np.ndarray:
-    """9-vector (rotation, velocity, translation) inertial residual between
-    two states, with the preintegration corrected to state_i's biases."""
-    g = np.asarray(gravity, dtype=float)
-    dt = preint.dt_total
-    d_r, dv, dp = correct_imu_bias(preint, ImuBias(state_i.bg, state_i.ba))
-    e_r = log_so3(d_r.T @ state_i.R.T @ state_j.R)
-    e_v = state_i.R.T @ ((state_j.v - state_i.v) - g * dt) - dv
-    e_p = state_i.R.T @ ((state_j.p - state_i.p) - state_i.v * dt
-                         - 0.5 * g * dt * dt) - dp
-    return np.concatenate([e_r, e_v, e_p])
+# n preintegrations stacked: dvp is (dv, dp), J_vp their Jacobian w.r.t.
+# (bg, ba), lin_b the (bg, ba) linearization, dt an (n, 1) column and jac0
+# the Jacobian blocks that these fix alone
+ImuPairData = namedtuple("ImuPairData", "dR J_dR_dbg dvp J_vp lin_b dt jac0")
+_WALK_BLOCKS = np.stack([-np.eye(6), np.eye(6)], axis=1)  # (bg, ba) walk, i and j
 
 
-def imu_residual_jacobians(state_i: NavState, state_j: NavState,
-                           preint: ImuPreintegrated, gravity):
-    """Residual and its Jacobians w.r.t. the local perturbations of both
-    states (rotation right-multiplied, everything else additive)."""
-    g = np.asarray(gravity, dtype=float)
-    dt = preint.dt_total
-    dbg = state_i.bg - preint.lin_bias.bg
-    d_r, dv, dp = correct_imu_bias(preint, ImuBias(state_i.bg, state_i.ba))
+def stack_imu_pairs(preints) -> ImuPairData:
+    pre = list(preints)
+    n = len(pre)
+    rot = np.array([(p.dR, p.J_dR_dbg) for p in pre])
+    j_vp = np.array([(p.J_dv_dbg, p.J_dv_dba, p.J_dp_dbg, p.J_dp_dba) for p in pre])
+    j_vp = j_vp.reshape(n, 2, 2, 3, 3).transpose(0, 1, 3, 2, 4).reshape(n, 6, 6)
+    vecs = np.array([(p.dv, p.dp, p.lin_bias.bg, p.lin_bias.ba) for p in pre])
+    jac0 = np.zeros((n, 15, 2, STATE_DOF))
+    jac0[:, 3:9, 0, 9:15] = -j_vp
+    jac0[:, 9:15, :, 9:15] = _WALK_BLOCKS
+    return ImuPairData(rot[:, 0], rot[:, 1], vecs[:, :2].reshape(n, 6), j_vp,
+                       vecs[:, 2:].reshape(n, 6), np.array([[p.dt_total] for p in pre]),
+                       jac0)
 
-    e_r = log_so3(d_r.T @ state_i.R.T @ state_j.R)
-    u_v = (state_j.v - state_i.v) - g * dt
-    u_p = (state_j.p - state_i.p) - state_i.v * dt - 0.5 * g * dt * dt
-    e_v = state_i.R.T @ u_v - dv
-    e_p = state_i.R.T @ u_p - dp
-    res = np.concatenate([e_r, e_v, e_p])
 
-    jr_inv = right_jacobian_inv_so3(e_r)
-    j = {
-        "phi_i": np.zeros((9, 3)), "p_i": np.zeros((9, 3)), "v_i": np.zeros((9, 3)),
-        "bg_i": np.zeros((9, 3)), "ba_i": np.zeros((9, 3)),
-        "phi_j": np.zeros((9, 3)), "p_j": np.zeros((9, 3)), "v_j": np.zeros((9, 3)),
-    }
-    j["phi_i"][0:3] = -jr_inv @ state_j.R.T @ state_i.R
-    j["phi_j"][0:3] = jr_inv
-    j["bg_i"][0:3] = (-jr_inv @ exp_so3(-e_r)
-                      @ right_jacobian_so3(preint.J_dR_dbg @ dbg)
-                      @ preint.J_dR_dbg)
-
-    j["phi_i"][3:6] = hat(state_i.R.T @ u_v)
-    j["v_i"][3:6] = -state_i.R.T
-    j["v_j"][3:6] = state_i.R.T
-    j["bg_i"][3:6] = -preint.J_dv_dbg
-    j["ba_i"][3:6] = -preint.J_dv_dba
-
-    j["phi_i"][6:9] = hat(state_i.R.T @ u_p)
-    j["p_i"][6:9] = -state_i.R.T
-    j["p_j"][6:9] = state_i.R.T
-    j["v_i"][6:9] = -state_i.R.T * dt
-    j["bg_i"][6:9] = -preint.J_dp_dbg
-    j["ba_i"][6:9] = -preint.J_dp_dba
-    return res, j
+def imu_pair_residuals(st: StateStack, i, j, d: ImuPairData, gravity,
+                       with_jacobians: bool = True):
+    """Inertial residuals of n state pairs (rows ``i`` and ``j`` of ``st``),
+    each preintegration corrected to state i's biases: (n, 15) rows of
+    rotation, velocity and translation error, then the gyro and accel bias
+    random walks. With Jacobians also their (n, 15, 2, 18) blocks w.r.t.
+    the local perturbations of states i and j (rotation right-multiplied,
+    everything else additive); else None."""
+    r_i, r_j, x_i, x_j = st.R[i], st.R[j], st.x[i], st.x[j]
+    dx, dt, r_it = x_j - x_i, d.dt, r_i.transpose(0, 2, 1)
+    db, d_r, dvp = x_i[:, 9:15] - d.lin_b, d.dR, d.dvp
+    # first-order bias correction, skipped where it is an exact no-op
+    biased = np.count_nonzero(db) > 0
+    if biased:
+        phi_b = matvec(d.J_dR_dbg, db[:, :3])
+        d_r = d_r @ exp_so3_batch(phi_b)
+        dvp = dvp + matvec(d.J_vp, db)
+    m = d_r.transpose(0, 2, 1) @ r_it @ r_j
+    e_r = log_so3_batch(m)
+    g_dt = np.asarray(gravity, dtype=float) * dt
+    # velocity and translation change in state i's frame, as columns
+    a_vp = r_it @ np.stack([dx[:, VEL] - g_dt,
+                            dx[:, POS] - x_i[:, VEL] * dt - 0.5 * g_dt * dt], axis=2)
+    a_vp = a_vp.transpose(0, 2, 1).reshape(-1, 6)
+    res = np.concatenate([e_r, a_vp - dvp, dx[:, 9:15]], axis=1)
+    if not with_jacobians:
+        return res, None
+    jac = d.jac0.copy()
+    ji, jj = jac[:, :, 0], jac[:, :, 1]
+    jr_inv = right_jacobian_inv_so3_batch(e_r)
+    ji[:, 0:3, PHI] = -jr_inv @ r_j.transpose(0, 2, 1) @ r_i
+    jj[:, 0:3, PHI] = jr_inv
+    j_bg = -jr_inv @ m.transpose(0, 2, 1)  # exp(-e_r) is m^T
+    if biased:
+        j_bg = j_bg @ right_jacobian_so3_batch(phi_b)
+    ji[:, 0:3, BG] = j_bg @ d.J_dR_dbg
+    ji[:, 3:9, PHI] = hat_batch(a_vp.reshape(-1, 3)).reshape(-1, 6, 3)
+    ji[:, 3:6, VEL] = ji[:, 6:9, POS] = -r_it
+    jj[:, 3:6, VEL] = jj[:, 6:9, POS] = r_it
+    ji[:, 6:9, VEL] = -r_it * dt[:, :, None]
+    return res, jac

@@ -7,12 +7,12 @@ Rodrigues coefficients.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 SMALL_ANGLE = 1e-8
+I3 = np.eye(3)
 
 
 class BranchAmbiguityError(ValueError):
@@ -44,28 +44,9 @@ def exp_so3(phi) -> np.ndarray:
     return np.eye(3) + a * k + b * (k @ k)
 
 
-def _angle(r: np.ndarray, w: np.ndarray) -> float:
-    """Rotation angle from sin(theta) = |w| and cos(theta) = (tr r - 1) / 2,
-    where w = vee(r - r^T) / 2. Unlike arccos of the cosine alone, atan2
-    keeps full relative precision at small angles (Sola et al. 2018, "A
-    micro Lie theory")."""
-    return math.atan2(math.sqrt(float(w @ w)), (float(np.trace(r)) - 1.0) / 2.0)
-
-
 def log_so3(r) -> np.ndarray:
-    """Principal rotation vector of a rotation matrix.
-
-    Only the principal branch is supported; angles within 1e-6 of pi raise
-    :class:`BranchAmbiguityError`.
-    """
-    r = np.asarray(r, dtype=float)
-    w = vee(r - r.T) / 2.0  # equals sin(theta) * axis
-    theta = _angle(r, w)
-    if theta >= np.pi - 1e-6:
-        raise BranchAmbiguityError(f"rotation angle {theta:.9f} too close to pi")
-    if theta < SMALL_ANGLE:
-        return w * (1.0 + theta * theta / 6.0)
-    return w * (theta / np.sin(theta))
+    """Principal rotation vector of a rotation matrix; a batch of one."""
+    return log_so3_batch(np.asarray(r, dtype=float)[None])[0]
 
 
 def right_jacobian_so3(phi) -> np.ndarray:
@@ -80,38 +61,78 @@ def right_jacobian_so3(phi) -> np.ndarray:
     return np.eye(3) - a * k + b * (k @ k)
 
 
-def right_jacobian_inv_so3(phi) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    theta = float(np.linalg.norm(phi))
-    k = hat(phi)
-    if theta < SMALL_ANGLE:
-        return np.eye(3) + 0.5 * k + (k @ k) / 12.0
-    c = 1.0 / (theta * theta) - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
-    return np.eye(3) + 0.5 * k + c * (k @ k)
+# ---------------------- stacked (n, 3) / (n, 3, 3) forms --------------------- #
+
+_HAT = np.zeros((3, 9))  # hat(v).ravel() == v @ _HAT
+_HAT[2, 1] = _HAT[0, 5] = _HAT[1, 6] = -1.0
+_HAT[1, 2] = _HAT[2, 3] = _HAT[0, 7] = 1.0
 
 
-def check_rotation(r, tol: float = 1e-9) -> np.ndarray:
-    """Validate orthonormality and unit determinant; returns the array."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3) or not np.all(np.isfinite(r)):
-        raise ValueError("rotation must be a finite 3x3 matrix")
-    if np.max(np.abs(r.T @ r - np.eye(3))) > tol:
-        raise ValueError("matrix is not orthonormal")
-    if abs(np.linalg.det(r) - 1.0) > tol:
-        raise ValueError("matrix determinant is not +1")
-    return r
+def hat_batch(v: np.ndarray) -> np.ndarray:
+    """:func:`hat` of each row of an (n, 3) array: (n, 3, 3)."""
+    return (v @ _HAT).reshape(-1, 3, 3)
+
+
+def _series(phi: np.ndarray, small_coeffs, coeffs):
+    """hat(phi), its square and two (n, 1, 1) coefficients: the closed
+    forms ``coeffs(theta)`` above SMALL_ANGLE, the series values below."""
+    theta = np.sqrt((phi * phi).sum(1)).reshape(-1, 1, 1)
+    k, small = hat_batch(phi), theta < SMALL_ANGLE
+    if not np.count_nonzero(small):
+        return (k, k @ k) + tuple(coeffs(theta))
+    ab = coeffs(np.where(small, 1.0, theta))
+    return (k, k @ k) + tuple(np.where(small, s, c) for s, c in zip(small_coeffs, ab))
+
+
+def exp_so3_batch(phi: np.ndarray) -> np.ndarray:
+    """:func:`exp_so3` of each row of an (n, 3) array."""
+    k, kk, a, b = _series(phi, (1.0, 0.5), lambda t: (
+        np.sin(t) / t, (1.0 - np.cos(t)) / (t * t)))
+    return I3 + a * k + b * kk
+
+
+def right_jacobian_so3_batch(phi: np.ndarray) -> np.ndarray:
+    """:func:`right_jacobian_so3` of each row of an (n, 3) array."""
+    k, kk, a, b = _series(phi, (0.5, 1.0 / 6.0), lambda t: (
+        (1.0 - np.cos(t)) / (t * t), (t - np.sin(t)) / t**3))
+    return I3 - a * k + b * kk
+
+
+def right_jacobian_inv_so3_batch(phi: np.ndarray) -> np.ndarray:
+    """Inverse right Jacobian of each row of an (n, 3) array."""
+    k, kk, _, c = _series(phi, (0.5, 1.0 / 12.0), lambda t: (
+        0.5, 1.0 / (t * t) - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t))))
+    return I3 + 0.5 * k + c * kk
+
+
+def _vee_angle(r: np.ndarray):
+    """vee(r - r^T), which is 2 sin(theta) axis, and the angle theta of
+    each rotation of an (n, 3, 3) stack. Unlike arccos of the trace alone,
+    atan2 of 2 sin and 2 cos keeps full relative precision at small angles
+    (Sola et al. 2018, "A micro Lie theory")."""
+    flat = r.reshape(-1, 9)
+    m = flat.take([7, 2, 3], 1) - flat.take([5, 6, 1], 1)
+    return m, np.arctan2(np.sqrt((m * m).sum(1)), flat.take([0, 4, 8], 1).sum(1) - 1.0)
+
+
+def log_so3_batch(r: np.ndarray) -> np.ndarray:
+    """Principal rotation vectors of an (n, 3, 3) stack of rotations; an
+    angle within 1e-6 of pi raises :class:`BranchAmbiguityError`."""
+    m, theta = _vee_angle(r)
+    if np.count_nonzero(theta >= np.pi - 1e-6):
+        raise BranchAmbiguityError(f"rotation angle {theta.max():.9f} too close to pi")
+    small = theta < SMALL_ANGLE
+    if np.count_nonzero(small):
+        scale = np.where(small, 1.0 + theta * theta / 6.0,
+                         theta / np.sin(np.where(small, 1.0, theta)))
+    else:
+        scale = theta / np.sin(theta)
+    return m * (scale / 2.0)[:, None]
 
 
 def rotation_angle(r) -> float:
     """Geodesic angle of a rotation matrix in radians (0..pi, branch safe)."""
-    r = np.asarray(r, dtype=float)
-    return _angle(r, vee(r - r.T) / 2.0)
-
-
-def random_rotation(rng: np.random.Generator, max_angle: float = np.pi - 0.1) -> np.ndarray:
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    return exp_so3(axis * rng.uniform(0.0, max_angle))
+    return float(_vee_angle(np.asarray(r, dtype=float))[1][0])
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from .depth import DepthExtrinsics, PressureSample, S3
 from .dvl import DvlExtrinsics, DvlSample
 from .imu import ImuSample
 from .manifold import Pose, hat
-from .state import NavState
 from .visual import CameraModel, IntensityField, LandmarkObservation
 
 
@@ -263,10 +262,6 @@ class TrajectoryTruth:
     def specific_force(self, t: float) -> np.ndarray:
         p, v, a = self._pva(t)
         return self.rotation(t).T @ (a - self.gravity)
-
-    def nav_state(self, t: float) -> NavState:
-        p, v, _ = self._pva(t)
-        return NavState(self.rotation(t), p, v)
 
 
 def generate_trajectory(cfg: ScenarioConfig) -> TrajectoryTruth:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,3 +61,21 @@ BG = slice(9, 12)
 BA = slice(12, 15)
 BV = slice(15, 18)
 STATE_DOF = 18
+
+
+# states stacked one row per state: rotations R (K, 3, 3) and the vector
+# parts x (K, 18) in their local-dof columns (POS, VEL, BG, BA, BV; the PHI
+# columns are zero); the stacked pair residuals read rows i and j of both
+StateStack = namedtuple("StateStack", "R x")
+_ZERO3 = np.zeros(3)
+
+
+def stack_states(states) -> StateStack:
+    states = list(states)
+    x = np.array([(_ZERO3, s.p, s.v, s.bg, s.ba, s.bv) for s in states])
+    return StateStack(np.array([s.R for s in states]), x.reshape(-1, STATE_DOF))
+
+
+def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row-wise a[k] @ x[k] of an (n, r, c) and an (n, c) stack."""
+    return (a @ x[..., None])[..., 0]

@@ -1,6 +1,7 @@
-"""Pinhole camera model, stereo depth, reprojection residual, the analytic
-intensity field and the photometric patch pattern. The photometric residual
-itself is evaluated by the solver (``backend._PhotometricBatch``).
+"""Pinhole camera model, stereo depth, the analytic intensity field and the
+photometric patch pattern. The reprojection and photometric residuals are
+evaluated by the solver (``backend._ReprojectionBatch`` and
+``backend._PhotometricBatch``).
 
 Intensity fields are smooth sums of Gaussian bumps (plus a constant offset),
 so photometric values and gradients have closed forms and can be checked
@@ -14,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .manifold import Pose, hat
 
 MIN_DEPTH = 1e-6
 
@@ -47,10 +46,6 @@ class CameraModel:
             raise ValueError("focal lengths must be positive")
         if self.baseline <= 0:
             raise ValueError("stereo baseline must be positive")
-
-    def contains(self, uv) -> bool:
-        u, v = float(uv[0]), float(uv[1])
-        return 0.0 <= u < self.width and 0.0 <= v < self.height
 
 
 @dataclass(frozen=True)
@@ -85,36 +80,6 @@ def stereo_depth(cam: CameraModel, disparity: float) -> float:
         raise DegenerateTriangulationError(
             f"disparity must be positive, got {disparity}")
     return cam.fx * cam.baseline / disparity
-
-
-def projection_jacobian(cam: CameraModel, point_c) -> np.ndarray:
-    """2x3 derivative of the pinhole projection w.r.t. the camera-frame point."""
-    x, y, z = np.asarray(point_c, dtype=float)
-    if z <= MIN_DEPTH:
-        raise BehindCameraError(f"point depth {z} is not positive")
-    return np.array([[cam.fx / z, 0.0, -cam.fx * x / (z * z)],
-                     [0.0, cam.fy / z, -cam.fy * y / (z * z)]])
-
-
-def reprojection_residual(cam: CameraModel, T_WC: Pose, landmark_w,
-                          obs: LandmarkObservation) -> np.ndarray:
-    """Observed pixel minus the predicted projection of the world landmark."""
-    x_c = T_WC.inverse().transform(np.asarray(landmark_w, dtype=float))
-    return obs.pixel - project(cam, x_c)
-
-
-def reprojection_residual_jacobians(cam: CameraModel, T_WC: Pose, landmark_w,
-                                    obs: LandmarkObservation):
-    """Residual plus Jacobians w.r.t. the camera pose perturbation
-    (R <- R exp(phi), t <- t + dt in the world frame) and the landmark."""
-    landmark_w = np.asarray(landmark_w, dtype=float)
-    x_c = T_WC.inverse().transform(landmark_w)
-    res = obs.pixel - project(cam, x_c)
-    dpi = projection_jacobian(cam, x_c)
-    j_phi = -dpi @ hat(x_c)
-    j_t = dpi @ T_WC.R.T
-    j_lm = -dpi @ T_WC.R.T
-    return res, j_phi, j_t, j_lm
 
 
 @dataclass(frozen=True)
@@ -155,10 +120,6 @@ class IntensityField:
 
     def _sigma2(self):
         return np.asarray(self.sigma_px, dtype=float) ** 2
-
-    def contains(self, uv) -> bool:
-        u, v = float(uv[0]), float(uv[1])
-        return 0.0 <= u < self.width and 0.0 <= v < self.height
 
     def _near(self, pts: np.ndarray):
         """Bumps within reach of the query cluster. Beyond 9 sigma a bump's

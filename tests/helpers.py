@@ -7,7 +7,7 @@ import numpy as np
 
 from aquafuse.dvl import DvlExtrinsics, DvlSample
 from aquafuse.imu import ImuBias, ImuSample
-from aquafuse.manifold import exp_so3, random_rotation
+from aquafuse.manifold import exp_so3
 from aquafuse.state import NavState
 
 
@@ -25,9 +25,28 @@ def fd_jacobian(fn, dim, retract, h=1e-6):
     return jac
 
 
+def check_rotation(r, tol: float = 1e-9) -> np.ndarray:
+    """Validate orthonormality and unit determinant; returns the array."""
+    r = np.asarray(r, dtype=float)
+    if r.shape != (3, 3) or not np.all(np.isfinite(r)):
+        raise ValueError("rotation must be a finite 3x3 matrix")
+    if np.max(np.abs(r.T @ r - np.eye(3))) > tol:
+        raise ValueError("matrix is not orthonormal")
+    if abs(np.linalg.det(r) - 1.0) > tol:
+        raise ValueError("matrix determinant is not +1")
+    return r
+
+
 def jac_close(analytic, numeric, rtol=1e-5):
     scale = max(float(np.abs(numeric).max()), 1.0)
     return float(np.abs(np.asarray(analytic) - numeric).max()) <= rtol * scale
+
+
+def random_rotation(rng: np.random.Generator,
+                    max_angle: float = np.pi - 0.1) -> np.ndarray:
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    return exp_so3(axis * rng.uniform(0.0, max_angle))
 
 
 def random_nav_state(rng: np.random.Generator) -> NavState:

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,9 +5,9 @@ from numpy.testing import assert_allclose
 import aquafuse.backend as bk
 from aquafuse.depth import PressureSample, S3
 from aquafuse.imu import ImuBias, ImuNoiseSpec, integrate_imu
-from aquafuse.manifold import exp_so3, log_so3
+from aquafuse.manifold import BranchAmbiguityError, exp_so3, log_so3
 from aquafuse.sim import ScenarioConfig, sensor_rig_from_config
-from aquafuse.state import STATE_DOF, NavState
+from aquafuse.state import STATE_DOF, NavState, stack_states
 from aquafuse.visual import (IntensityField, LandmarkObservation, PatchPattern,
                              project)
 
@@ -405,14 +403,17 @@ class TestTranslationGauge:
 def per_factor_normal_equations(factors, states, landmarks, state_cols,
                                 lm_cols, ndim):
     """Reference assembly, one factor at a time, of the robustly weighted
-    normal equations; variables without columns are skipped."""
+    normal equations; variables without columns are skipped, and a state's
+    Jacobian keeps the columns of its active dims."""
     h = np.zeros((ndim, ndim))
     g = np.zeros(ndim)
     for f in factors:
         r, js, jl = f.evaluate(states, landmarks)
-        w = bk.robust_weight(float(r @ f.info @ r), f.robust_delta)
-        blocks = [(state_cols[sid][0], jac) for sid, jac in js.items()
-                  if sid in state_cols]
+        w = 1.0
+        if f.robust:
+            w = bk.robust_weight(float(r @ f.info @ r), f.robust_delta)
+        blocks = [(state_cols[sid][0], jac[:, state_cols[sid][1]])
+                  for sid, jac in js.items() if sid in state_cols]
         blocks += [(lm_cols[lid], jac) for lid, jac in jl.items()
                    if lid in lm_cols]
         for ca, ja in blocks:
@@ -491,6 +492,145 @@ class TestBatchedReprojection:
                    for i, lid in enumerate(free)}
         self._compare(reproj, window, full_state_cols([1]), lm_cols,
                       dof + 3 * len(free))
+
+
+def pair_window(rng, n_kf=12, biased=True):
+    """A window of keyframes 0, 2, 3, ..., n_kf - 1: 0 is a fixed co-visible
+    keyframe behind a gap (no pair factors across it), 2 the fixed boundary,
+    5 and 8 are solved for pose and velocity and for pose only. States from
+    3 on are perturbed, with their biases off the linearization when
+    ``biased``. Returns the window, all factors, the pair factors (their
+    information scaled to a largest entry of 1) and the solver's columns."""
+    nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=n_kf, n_lm=6,
+                                                     kf_steps=10)
+    nodes = [nodes[0]] + nodes[2:]
+    for node in nodes[2:]:
+        st = node.state
+        st.R = st.R @ exp_so3(rng.normal(size=3) * 0.02)
+        st.p, st.v = st.p + rng.normal(size=3) * 0.05, st.v + rng.normal(size=3) * 0.05
+        if biased:
+            st.bg, st.ba, st.bv = (rng.normal(size=3) * s for s in (1e-3, 1e-2, 1e-2))
+    cfg = bk.BackendConfig(photometric_enabled=False)
+    window, factors = bk.assemble_window(nodes, landmarks, intervals, rig, cfg,
+                                         fixed_ids={0, 2})
+    window.state_masks[5] = bk.POSE_VEL_MASK
+    window.state_masks[8] = bk.POSE_MASK
+    pairs = [f for f in factors if f.kind in bk.PAIR_KINDS]
+    for f in pairs:
+        f.info = f.info / np.abs(f.info).max()
+    state_cols, offset = {}, 0
+    for sid in window.kf_ids:
+        if sid not in window.fixed_states:
+            local = np.flatnonzero(window.mask_of(sid))
+            state_cols[sid] = (slice(offset, offset + len(local)), local)
+            offset += len(local)
+    return window, factors, pairs, state_cols, offset
+
+
+class TestStackedPairKinds:
+    """The IMU, DVL-velocity, DVL-position and pressure kinds, each
+    evaluated over all its pairs at once, against their batches of one."""
+
+    @pytest.mark.parametrize("biased", [False, True])
+    def test_matches_per_factor_path(self, rng, biased):
+        window, _, pairs, state_cols, ndim = pair_window(rng, biased=biased)
+        assert {f.state_ids for f in pairs} == {(k, k + 1) for k in range(2, 11)}
+        assert {f.kind for f in pairs} == set(bk.PAIR_KINDS)
+        order, groups = bk._pair_groups(pairs, state_cols, ndim)
+        stack = stack_states(window.states[sid] for sid in order)
+        cost_single = sum(
+            bk._factor_cost(f, f.evaluate(window.states, {}, with_jacobians=False)[0])
+            for f in pairs)
+        assert sum(g.cost(stack) for g in groups) == pytest.approx(cost_single,
+                                                                   rel=1e-12)
+        h_b, g_b = np.zeros((ndim + 1, ndim + 1)), np.zeros(ndim + 1)
+        for group in groups:
+            group.accumulate(h_b, g_b, stack)
+        h_s, g_s = per_factor_normal_equations(pairs, window.states, {},
+                                               state_cols, {}, ndim)
+        assert_allclose(h_b[:ndim, :ndim], h_s, atol=1e-9)
+        assert_allclose(g_b[:ndim], g_s, atol=1e-10)
+
+    @pytest.mark.parametrize("biased", [False, True])
+    def test_blocks_match_finite_differences(self, rng, biased):
+        window, _, pairs, state_cols, ndim = pair_window(rng, biased=biased)
+        order, groups = bk._pair_groups(pairs, state_cols, ndim)
+        states = window.states
+        for batch in (b for g in groups for b in g.batches):
+            _, jac = batch.evaluate(stack_states(states[sid] for sid in order))
+            rows = np.arange(len(order))
+            rows_i, rows_j = rows[batch.i], rows[batch.j]
+            for k, sid in enumerate(order):
+                def res_at(delta, sid=sid):
+                    moved = dict(states)
+                    moved[sid] = states[sid].retract(delta)
+                    st = stack_states(moved[s] for s in order)
+                    return batch.evaluate(st, with_jacobians=False)[0].ravel()
+
+                fd = fd_jacobian(res_at, STATE_DOF, None).reshape(
+                    jac.shape[0], jac.shape[1], STATE_DOF)
+                for side, on in ((0, rows_i == k), (1, rows_j == k)):
+                    if on.any():
+                        assert jac_close(jac[on, :, side], fd[on], rtol=1e-5), \
+                            (batch.kind, sid, side)
+                assert np.all(fd[~((rows_i == k) | (rows_j == k))] == 0.0)
+
+    def test_near_pi_relative_rotation_raises(self, rng):
+        window, _, pairs, state_cols, ndim = pair_window(rng, biased=False)
+        imu = next(f for f in pairs if f.state_ids == (6, 7))
+        s6, s7 = window.states[6], window.states[7]
+        s7.R = s6.R @ imu.payload.dR @ exp_so3([np.pi - 1e-7, 0.0, 0.0])
+        order, groups = bk._pair_groups(pairs, state_cols, ndim)
+        stack = stack_states(window.states[sid] for sid in order)
+        batch = next(b for g in groups for b in g.batches
+                     if b.kind is bk.FactorKind.IMU)
+        with pytest.raises(BranchAmbiguityError):
+            batch.evaluate(stack, with_jacobians=False)
+        with pytest.raises(BranchAmbiguityError):
+            bk.solve(window, pairs)
+
+
+class TestPairKindWorkCount:
+    """Each pair kind's residual function runs once per normal-equation
+    assembly and once per cost evaluation, whatever the number of pairs."""
+
+    KINDS = ("imu_pair_residuals", "dvl_velocity_pair_residuals",
+             "dvl_position_pair_residuals", "pressure_pair_residuals")
+
+    @pytest.mark.parametrize("n_kf", [4, 12])
+    def test_one_call_per_kind_per_evaluation(self, rng, monkeypatch, n_kf):
+        window, factors, _, _, _ = pair_window(rng, n_kf=n_kf)
+        calls = {(name, jac): 0 for name in self.KINDS for jac in (False, True)}
+        for name in self.KINDS:
+            def counted(*args, _fn=getattr(bk, name), _name=name):
+                calls[_name, args[-1]] += 1
+                return _fn(*args)
+            monkeypatch.setattr(bk, name, counted)
+        candidates = {"n": 0}
+        linear_solve = np.linalg.solve
+
+        def counted_solve(*args):
+            candidates["n"] += 1
+            return linear_solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        evaluate = bk.Factor.evaluate
+        single = []
+
+        def counted_evaluate(self, *args, **kwargs):
+            if self.kind in bk.PAIR_KINDS:
+                single.append(self.kind)
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(bk.Factor, "evaluate", counted_evaluate)
+        _, report = bk.solve(window, factors, bk.SolverConfig(max_iterations=6))
+        assert report.iterations >= 2 and single == []
+        stopped = report.termination in (bk.Termination.ZERO_GRADIENT,
+                                         bk.Termination.NO_DESCENT)
+        for name in self.KINDS:
+            # the initial cost and one per candidate step
+            assert calls[name, False] == 1 + candidates["n"], name
+            assert calls[name, True] == report.iterations + stopped, name
 
 
 def photometric_pair(rng, n_patches=6, info_scale=1.0):
@@ -609,23 +749,9 @@ class TestPhotometricJacobians:
         assert jac_close(g, 0.5 * fd, rtol=1e-5)
 
 
-def test_dump_factor_graph(rng):
-    nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=2, n_lm=3)
-    window, factors = bk.assemble_window(nodes, landmarks, intervals, rig,
-                                         bk.BackendConfig(), fixed_ids={0})
-    out = io.StringIO()
-    bk.dump_factor_graph(window, factors, out)
-    lines = out.getvalue().strip().splitlines()
-    assert len(lines) == len(factors)
-    for line in lines:
-        kind, ids, norm = line.split()
-        assert kind in {k.value for k in bk.FactorKind}
-        float(norm)
-
-
 def test_robust_flag_restricted_to_visual(rng):
     nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=2)
     pre = intervals[(0, 1)].imu_preint
     with pytest.raises(ValueError):
-        bk.Factor(bk.FactorKind.IMU, (0, 1), bk.ImuFactorData(pre),
+        bk.Factor(bk.FactorKind.IMU, (0, 1), pre,
                   np.eye(15), robust=True, rig=rig)

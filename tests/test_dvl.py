@@ -1,20 +1,53 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from aquafuse.dvl import (DvlBias, DvlExtrinsics, DvlSample, correct_dvl_bias,
-                          dead_reckon_dvl, dvl_position_residual,
-                          dvl_position_residual_jacobians,
-                          dvl_velocity_estimate, dvl_velocity_residual,
-                          dvl_velocity_residual_jacobians, preintegrate_dvl)
+                          dead_reckon_dvl, dvl_position_pair_residuals,
+                          dvl_velocity_estimate, dvl_velocity_pair_residuals,
+                          preintegrate_dvl, stack_dvl_position_pairs,
+                          stack_dvl_velocity_pairs)
 from aquafuse.imu import ImuBias, ImuNoiseSpec, integrate_imu
-from aquafuse.manifold import exp_so3, random_rotation
-from aquafuse.state import NavState
+from aquafuse.manifold import exp_so3
+from aquafuse.state import BG, BV, PHI, POS, VEL, NavState, stack_states
 
-from helpers import discrete_imu_world, dvl_samples_from_world, random_nav_state
+from helpers import (discrete_imu_world, dvl_samples_from_world, random_nav_state,
+                     random_rotation)
 
 IDENTITY_EXT = DvlExtrinsics(np.eye(3), np.zeros(3))
 QUIET = ImuNoiseSpec()
+
+
+def velocity_residual(state_i, state_m, gyro_i, gyro_m, meas_i, meas_m, ext,
+                      with_jacobians=False):
+    """The stacked relative-velocity residual of one pair; with Jacobians
+    also its 3x3 blocks by name."""
+    readings = SimpleNamespace(meas_i=meas_i, meas_m=meas_m, gyro_i=gyro_i,
+                               gyro_m=gyro_m)
+    res, jac = dvl_velocity_pair_residuals(
+        stack_states([state_i, state_m]), [0], [1],
+        stack_dvl_velocity_pairs([readings], ext), ext, with_jacobians)
+    if not with_jacobians:
+        return res[0]
+    ji, jm = jac[0, :, 0], jac[0, :, 1]
+    return res[0], {"phi_i": ji[:, PHI], "v_i": ji[:, VEL],
+                    "phi_m": jm[:, PHI], "v_m": jm[:, VEL]}
+
+
+def position_residual(state_i, state_m, pre, ext, with_jacobians=False):
+    """Rows 0:3 (relative translation) of the stacked DVL position residual
+    of one pair; with Jacobians also its 3x3 blocks by name."""
+    res, jac = dvl_position_pair_residuals(
+        stack_states([state_i, state_m]), [0], [1],
+        stack_dvl_position_pairs([pre]), ext, with_jacobians)
+    if not with_jacobians:
+        return res[0, :3]
+    ji, jm = jac[0, :3, 0], jac[0, :3, 1]
+    return res[0, :3], {"phi_i": ji[:, PHI], "p_i": ji[:, POS],
+                        "bg_i": ji[:, BG], "bv_i": ji[:, BV],
+                        "phi_m": jm[:, PHI], "p_m": jm[:, POS]}
 
 
 def _uniform_dvl(n, dt, vel):
@@ -177,6 +210,61 @@ class TestCorrectBias:
         assert_allclose(pre.J_dp_dbv, closed, atol=1e-15)
 
 
+class TestResumeDvl:
+    """A preintegration extended sample by sample equals one batch call."""
+
+    FIELDS = ("dp", "J_dp_dbv", "J_dp_dbg", "cov", "t_start", "t_end",
+              "dt_total", "lin_bg", "lin_bv")
+
+    @staticmethod
+    def _setup(rng):
+        ext = DvlExtrinsics(random_rotation(rng), rng.normal(size=3) * 0.2)
+        _, _, pre, dvl, _, t_end = _world_with_dvl(rng, n_imu=100, dvl_every=7,
+                                                   ext=ext)
+        bg, bv = rng.normal(size=3) * 0.01, rng.normal(size=3) * 0.02
+        return ext, pre, dvl, t_end, bg, bv
+
+    @staticmethod
+    def _part(dvl, pre, ext, bg, bv, t0, t1, resume=None):
+        """Samples holding in [t0, t1), like the tracker's buffer."""
+        samples = [s for k, s in enumerate(dvl)
+                   if s.t < t1 and (k + 1 == len(dvl) or dvl[k + 1].t > t0)]
+        return preintegrate_dvl(samples, pre.checkpoints_at([s.t for s in samples]),
+                                ext, bg, bv, t_end=t1, sigma_v=0.01, resume=resume)
+
+    def _assert_bitwise(self, got, want):
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("split", [0.35, 0.37, 0.0701])
+    def test_one_resume(self, rng, split):
+        # on a sample time (0.35), between samples and just after one
+        ext, pre, dvl, t_end, bg, bv = self._setup(rng)
+        batch = self._part(dvl, pre, ext, bg, bv, 0.0, t_end)
+        first = self._part(dvl, pre, ext, bg, bv, 0.0, split)
+        resumed = self._part(dvl, pre, ext, bg, bv, first.last_step[0], t_end,
+                             resume=first)
+        self._assert_bitwise(resumed, batch)
+
+    def test_resume_every_few_steps(self, rng):
+        ext, pre, dvl, t_end, bg, bv = self._setup(rng)
+        ends = np.arange(0.013, t_end, 0.023).tolist() + [t_end]
+        run = self._part(dvl, pre, ext, bg, bv, 0.0, ends[0])
+        for t1 in ends[1:]:
+            run = self._part(dvl, pre, ext, bg, bv, run.last_step[0], t1,
+                             resume=run)
+            self._assert_bitwise(run, self._part(dvl, pre, ext, bg, bv, 0.0, t1))
+
+    def test_rejects_other_biases_or_start(self, rng):
+        ext, pre, dvl, t_end, bg, bv = self._setup(rng)
+        first = self._part(dvl, pre, ext, bg, bv, 0.0, 0.5)
+        with pytest.raises(ValueError):
+            self._part(dvl, pre, ext, bg, bv + 1e-3, first.last_step[0], t_end,
+                       resume=first)
+        with pytest.raises(ValueError):
+            self._part(dvl, pre, ext, bg, bv, 0.0, t_end, resume=first)
+
+
 class TestVelocityEstimate:
     def test_pure_translation(self):
         state = NavState(np.eye(3), np.zeros(3), np.array([1.0, 0, 0]))
@@ -201,8 +289,8 @@ class TestVelocityResidual:
         state = random_nav_state(rng)
         gyro = rng.normal(size=3)
         meas = DvlSample(0.0, rng.normal(size=3))
-        res = dvl_velocity_residual(state, state, gyro, gyro, meas, meas,
-                                    IDENTITY_EXT)
+        res = velocity_residual(state, state, gyro, gyro, meas, meas,
+                                IDENTITY_EXT)
         assert_allclose(res, np.zeros(3))
 
     def test_common_offset_invariance_exact(self, rng):
@@ -212,12 +300,12 @@ class TestVelocityResidual:
         vi = np.array([0.5, -0.25, 0.125])
         vm = np.array([1.5, 0.75, -0.5])
         offset = np.array([2.0, -4.0, 8.0])
-        base = dvl_velocity_residual(si, sm, gi, gm, DvlSample(0, vi),
-                                     DvlSample(1, vm), IDENTITY_EXT)
-        shifted = dvl_velocity_residual(si, sm, gi, gm,
-                                        DvlSample(0, vi + offset),
-                                        DvlSample(1, vm + offset),
-                                        IDENTITY_EXT)
+        base = velocity_residual(si, sm, gi, gm, DvlSample(0, vi),
+                                 DvlSample(1, vm), IDENTITY_EXT)
+        shifted = velocity_residual(si, sm, gi, gm,
+                                    DvlSample(0, vi + offset),
+                                    DvlSample(1, vm + offset),
+                                    IDENTITY_EXT)
         assert (base == shifted).all()
 
     def test_simulated_consistency(self, rng):
@@ -227,7 +315,7 @@ class TestVelocityResidual:
         gi, gm = rng.normal(size=3), rng.normal(size=3)
         meas_i = DvlSample(0.0, dvl_velocity_estimate(si, gi, ext))
         meas_m = DvlSample(1.0, dvl_velocity_estimate(sm, gm, ext))
-        res = dvl_velocity_residual(si, sm, gi, gm, meas_i, meas_m, ext)
+        res = velocity_residual(si, sm, gi, gm, meas_i, meas_m, ext)
         assert np.abs(res).max() < 1e-10
 
     def test_jacobians_match_finite_differences(self, rng):
@@ -237,8 +325,8 @@ class TestVelocityResidual:
             gi, gm = rng.normal(size=3), rng.normal(size=3)
             meas_i = DvlSample(0.0, rng.normal(size=3))
             meas_m = DvlSample(1.0, rng.normal(size=3))
-            _, jac = dvl_velocity_residual_jacobians(si, sm, gi, gm, meas_i,
-                                                     meas_m, ext)
+            _, jac = velocity_residual(si, sm, gi, gm, meas_i, meas_m, ext,
+                                       with_jacobians=True)
             h = 1e-6
             for key, state, which, slot in (("phi_i", si, "i", 0),
                                             ("v_i", si, "i", 6),
@@ -250,15 +338,15 @@ class TestVelocityResidual:
                     dv[slot + d] = h
                     sp, smn = state.retract(dv), state.retract(-dv)
                     if which == "i":
-                        rp = dvl_velocity_residual(sp, sm, gi, gm, meas_i,
-                                                   meas_m, ext)
-                        rm = dvl_velocity_residual(smn, sm, gi, gm, meas_i,
-                                                   meas_m, ext)
+                        rp = velocity_residual(sp, sm, gi, gm, meas_i,
+                                               meas_m, ext)
+                        rm = velocity_residual(smn, sm, gi, gm, meas_i,
+                                               meas_m, ext)
                     else:
-                        rp = dvl_velocity_residual(si, sp, gi, gm, meas_i,
-                                                   meas_m, ext)
-                        rm = dvl_velocity_residual(si, smn, gi, gm, meas_i,
-                                                   meas_m, ext)
+                        rp = velocity_residual(si, sp, gi, gm, meas_i,
+                                               meas_m, ext)
+                        rm = velocity_residual(si, smn, gi, gm, meas_i,
+                                               meas_m, ext)
                     fd[:, d] = (rp - rm) / (2 * h)
                 scale = max(np.abs(fd).max(), 1.0)
                 assert np.abs(jac[key] - fd).max() < 1e-5 * scale, key
@@ -274,17 +362,17 @@ class TestPositionResidual:
     def test_noiseless_consistency(self, rng):
         ext = DvlExtrinsics(random_rotation(rng), rng.normal(size=3) * 0.3)
         si, sm, pre = self._consistent_pair(rng, ext)
-        res = dvl_position_residual(si, sm, pre, ext)
+        res = position_residual(si, sm, pre, ext)
         assert np.abs(res).max() < 1e-9
 
     def test_translation_perturbation(self, rng):
         ext = DvlExtrinsics(np.eye(3), np.zeros(3))
         si, sm, pre = self._consistent_pair(rng, ext)
         si.R = np.eye(3)
-        base = dvl_position_residual(si, sm, pre, ext)
+        base = position_residual(si, sm, pre, ext)
         sm2 = sm.copy()
         sm2.p = sm.p + np.array([0.1, 0, 0])
-        shifted = dvl_position_residual(si, sm2, pre, ext)
+        shifted = position_residual(si, sm2, pre, ext)
         assert_allclose(shifted - base, [0.1, 0, 0], atol=1e-12)
 
     def test_pure_rotation_isolates_lever_arm(self, rng):
@@ -299,7 +387,7 @@ class TestPositionResidual:
             [DvlSample(0.0, np.zeros(3))],
             _identity_checkpoints([0.0]), ext, np.zeros(3), np.zeros(3),
             t_end=1.0)
-        res = dvl_position_residual(si, sm, zero_pre, ext)
+        res = position_residual(si, sm, zero_pre, ext)
         expected = si.R.T @ (sm.R @ ext.p_ID - si.R @ ext.p_ID)
         assert_allclose(res, expected, atol=1e-14)
 
@@ -308,8 +396,8 @@ class TestPositionResidual:
         si, sm, pre = self._consistent_pair(rng, ext)
         si2 = si.copy()
         si2.bv = si.bv + np.array([0.01, 0, 0])
-        base = dvl_position_residual(si, sm, pre, ext)
-        shifted = dvl_position_residual(si2, sm, pre, ext)
+        base = position_residual(si, sm, pre, ext)
+        shifted = position_residual(si2, sm, pre, ext)
         assert_allclose(shifted - base, -pre.J_dp_dbv @ [0.01, 0, 0],
                         atol=1e-14)
 
@@ -318,7 +406,7 @@ class TestPositionResidual:
         for _ in range(15):
             si, sm, pre = self._consistent_pair(rng, ext)
             sm.p += rng.normal(size=3) * 0.05
-            _, jac = dvl_position_residual_jacobians(si, sm, pre, ext)
+            _, jac = position_residual(si, sm, pre, ext, with_jacobians=True)
             h = 1e-6
             for key, state, which, slot in (("phi_i", si, "i", 0),
                                             ("p_i", si, "i", 3),
@@ -332,11 +420,11 @@ class TestPositionResidual:
                     dv[slot + d] = h
                     sp, smn = state.retract(dv), state.retract(-dv)
                     if which == "i":
-                        rp = dvl_position_residual(sp, sm, pre, ext)
-                        rm = dvl_position_residual(smn, sm, pre, ext)
+                        rp = position_residual(sp, sm, pre, ext)
+                        rm = position_residual(smn, sm, pre, ext)
                     else:
-                        rp = dvl_position_residual(si, sp, pre, ext)
-                        rm = dvl_position_residual(si, smn, pre, ext)
+                        rp = position_residual(si, sp, pre, ext)
+                        rm = position_residual(si, smn, pre, ext)
                     fd[:, d] = (rp - rm) / (2 * h)
                 scale = max(np.abs(fd).max(), 1.0)
                 assert np.abs(jac[key] - fd).max() < 1e-5 * scale, key

@@ -3,7 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from aquafuse.evaluation import Trajectory, align_to_truth, error_metrics
-from aquafuse.manifold import exp_so3, random_rotation
+from aquafuse.manifold import exp_so3
+
+from helpers import random_rotation
 
 
 def random_trajectory(rng, n=40):

@@ -374,3 +374,47 @@ class TestKeyframePreintegration:
         # the sample of the keyframe preintegration's last, partial step
         assert seen["calls"] == len(ds.frames) - 1
         assert seen["samples"] <= len(ds.imu) + len(ds.frames)
+
+    def test_dvl_matches_preintegrating_from_the_keyframe(self):
+        class Recording(Tracker):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.seen = []
+
+            def _dvl_preintegrate(self, kf, t, imu_pre):
+                pre = super()._dvl_preintegrate(kf, t, imu_pre)
+                self.seen.append(pre)
+                return pre
+
+        class Rebuilding(Recording):
+            def _dvl_preintegrate(self, kf, t, imu_pre):
+                self.kf_dvl = None
+                return super()._dvl_preintegrate(kf, t, imu_pre)
+
+        ds = self._dataset(5.0)
+        trackers = [cls(ds, self.ACOUSTIC) for cls in (Recording, Rebuilding)]
+        results = [tr.run() for tr in trackers]
+        resumed, rebuilt = (tr.seen for tr in trackers)
+        assert len(resumed) == len(rebuilt) == len(ds.frames) - 1
+        for a, b in zip(resumed, rebuilt):
+            for name in ("dp", "J_dp_dbv", "J_dp_dbg", "cov", "t_start",
+                         "t_end", "lin_bg", "lin_bv"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        for a, b in zip(results[0].navs, results[1].navs):
+            assert np.array_equal(a.p, b.p) and np.array_equal(a.R, b.R)
+
+    def test_each_dvl_sample_is_preintegrated_once_per_keyframe(self, monkeypatch):
+        # counts what the benchmark's tracer counts at this entry point
+        seen = {"samples": 0}
+        preintegrate = frontend.preintegrate_dvl
+
+        def counted(*args, **kwargs):
+            seen["samples"] += len(args[0])
+            return preintegrate(*args, **kwargs)
+
+        monkeypatch.setattr(frontend, "preintegrate_dvl", counted)
+        ds = self._dataset(6.0)
+        run_estimator(ds, self.ACOUSTIC)
+        # a frame preintegrates again only the sample of the last hold step
+        assert seen["samples"] <= len(ds.dvl) + len(ds.frames)
+

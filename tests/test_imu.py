@@ -3,16 +3,29 @@ import pytest
 from numpy.testing import assert_allclose
 
 from aquafuse.imu import (ImuBias, ImuNoiseSpec, ImuSample, correct_imu_bias,
-                          imu_residual, imu_residual_jacobians, integrate_imu,
-                          predict_state_imu)
+                          imu_pair_residuals, integrate_imu, predict_state_imu,
+                          stack_imu_pairs)
 from aquafuse.manifold import exp_so3, log_so3
-from aquafuse.state import STATE_DOF, NavState
+from aquafuse.state import BA, BG, PHI, POS, STATE_DOF, VEL, NavState, stack_states
 
 from helpers import discrete_imu_world, random_nav_state
 
 QUIET = ImuNoiseSpec()
 NOISY = ImuNoiseSpec(sigma_g=2e-4, sigma_a=2e-3,
                      sigma_bg_walk=1e-5, sigma_ba_walk=1e-4)
+
+
+def residual(state_i, state_j, pre, gravity, with_jacobians=False):
+    """Rows 0:9 (rotation, velocity, translation) of the stacked inertial
+    residual of one pair; with Jacobians also its 9x3 blocks by name."""
+    res, jac = imu_pair_residuals(stack_states([state_i, state_j]), [0], [1],
+                                  stack_imu_pairs([pre]), gravity, with_jacobians)
+    if not with_jacobians:
+        return res[0, :9]
+    ji, jj = jac[0, :9, 0], jac[0, :9, 1]
+    return res[0, :9], {"phi_i": ji[:, PHI], "p_i": ji[:, POS], "v_i": ji[:, VEL],
+                        "bg_i": ji[:, BG], "ba_i": ji[:, BA], "phi_j": jj[:, PHI],
+                        "p_j": jj[:, POS], "v_j": jj[:, VEL]}
 
 
 def _uniform_samples(n, dt, gyro, accel):
@@ -214,7 +227,7 @@ class TestPredict:
         pre = integrate_imu(samples, ImuBias.zero(), QUIET, t_end=0.7)
         state_i = random_nav_state(rng)
         state_j = predict_state_imu(state_i, pre, g)
-        res = imu_residual(state_i, state_j, pre, g)
+        res = residual(state_i, state_j, pre, g)
         assert np.abs(res).max() < 1e-12
 
     def test_reproduces_discrete_world(self, rng):
@@ -238,7 +251,7 @@ class TestResidual:
         pre = integrate_imu(samples, ImuBias.zero(), QUIET, t_end=0.4)
         si = random_nav_state(rng)
         sj = predict_state_imu(si, pre, g)
-        assert np.abs(imu_residual(si, sj, pre, g)).max() < 1e-10
+        assert np.abs(residual(si, sj, pre, g)).max() < 1e-10
 
     def test_position_perturbation_direct(self, rng):
         samples, _, g = discrete_imu_world(rng, n=40)
@@ -246,10 +259,10 @@ class TestResidual:
         si = random_nav_state(rng)
         si.R = np.eye(3)
         sj = predict_state_imu(si, pre, g)
-        base = imu_residual(si, sj, pre, g)
+        base = residual(si, sj, pre, g)
         sj_shift = sj.copy()
         sj_shift.p = sj.p + np.array([0.1, 0, 0])
-        shifted = imu_residual(si, sj_shift, pre, g)
+        shifted = residual(si, sj_shift, pre, g)
         assert_allclose(shifted[6:9] - base[6:9], [0.1, 0, 0], atol=1e-12)
 
     def test_rotation_perturbation_small_angle(self, rng):
@@ -258,7 +271,7 @@ class TestResidual:
         si = random_nav_state(rng)
         sj = predict_state_imu(si, pre, g)
         sj.R = sj.R @ exp_so3([0, 0, 1e-4])
-        res = imu_residual(si, sj, pre, g)
+        res = residual(si, sj, pre, g)
         assert_allclose(res[0:3], [0, 0, 1e-4], atol=1e-8)
 
     def test_jacobians_match_finite_differences(self, rng):
@@ -270,7 +283,7 @@ class TestResidual:
             sj = predict_state_imu(si, pre, g)
             sj.p += rng.normal(size=3) * 0.05
             sj.R = sj.R @ exp_so3(rng.normal(size=3) * 0.02)
-            _, jac = imu_residual_jacobians(si, sj, pre, g)
+            _, jac = residual(si, sj, pre, g, with_jacobians=True)
             h = 1e-6
             for key, state, slot in (("phi_i", si, 0), ("p_i", si, 3),
                                      ("v_i", si, 6), ("bg_i", si, 9),
@@ -283,11 +296,11 @@ class TestResidual:
                     sp = state.retract(dv)
                     sm = state.retract(-dv)
                     if state is si:
-                        rp = imu_residual(sp, sj, pre, g)
-                        rm = imu_residual(sm, sj, pre, g)
+                        rp = residual(sp, sj, pre, g)
+                        rm = residual(sm, sj, pre, g)
                     else:
-                        rp = imu_residual(si, sp, pre, g)
-                        rm = imu_residual(si, sm, pre, g)
+                        rp = residual(si, sp, pre, g)
+                        rm = residual(si, sm, pre, g)
                     fd[:, d] = (rp - rm) / (2 * h)
                 scale = max(np.abs(fd).max(), 1.0)
                 assert np.abs(jac[key] - fd).max() < 1e-5 * scale, key

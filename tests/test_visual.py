@@ -11,14 +11,28 @@ from aquafuse.visual import (BehindCameraError, CameraModel,
                              DegenerateTriangulationError, IntensityField,
                              LandmarkObservation, OutOfDomainError,
                              PatchPattern, backproject, project,
-                             projection_jacobian, reprojection_residual,
-                             reprojection_residual_jacobians, stereo_depth)
+                             stereo_depth)
 
 CAM = CameraModel(fx=100.0, fy=100.0, cx=320.0, cy=180.0,
                   width=640, height=360, baseline=0.1)
 # camera at the body origin, so the states below are the camera poses
 RIG = bk.SensorRig(CAM, Pose.identity(), DvlExtrinsics(np.eye(3), np.zeros(3)),
                    DepthExtrinsics(np.zeros(3)), np.array([0.0, 0.0, 9.81]))
+
+
+def reprojection(pose, landmark_w, obs, with_jacobians=True):
+    """The solver's reprojection factor (a batch of one) with the camera at
+    ``pose``: residual and Jacobians w.r.t. the camera rotation (R <- R
+    exp(phi)), its position and the landmark."""
+    factor = bk.Factor(bk.FactorKind.REPROJECTION, (0,),
+                       bk.ReprojectionData(obs), np.eye(2), landmark_id=0,
+                       rig=RIG)
+    res, js, jl = factor.evaluate(
+        {0: NavState(pose.R, pose.t, np.zeros(3))},
+        {0: np.asarray(landmark_w, dtype=float)}, with_jacobians)
+    if not with_jacobians:
+        return res
+    return res, js[0][:, PHI], js[0][:, POS], jl[0]
 
 
 class TestPinhole:
@@ -45,7 +59,9 @@ class TestPinhole:
 
     def test_projection_jacobian_fd(self, rng):
         x = np.array([0.4, -0.2, 2.0])
-        jac = projection_jacobian(CAM, x)
+        # at the identity pose the landmark Jacobian is minus the projection's
+        obs = LandmarkObservation(0, 0, project(CAM, x))
+        jac = -reprojection(Pose.identity(), x, obs)[3]
         h = 1e-7
         for d in range(3):
             dv = np.zeros(3)
@@ -79,7 +95,7 @@ class TestReprojection:
         pose = Pose(exp_so3(rng.normal(size=3) * 0.3), rng.normal(size=3))
         lm = pose.transform([0.2, -0.1, 3.0])
         obs = LandmarkObservation(0, 0, project(CAM, [0.2, -0.1, 3.0]))
-        assert_allclose(reprojection_residual(CAM, pose, lm, obs),
+        assert_allclose(reprojection(pose, lm, obs, with_jacobians=False),
                         np.zeros(2), atol=1e-12)
 
     def test_linear_in_observation(self, rng):
@@ -87,7 +103,7 @@ class TestReprojection:
         lm = np.array([0.0, 0.0, 2.0])
         base_pix = project(CAM, lm)
         obs = LandmarkObservation(0, 0, base_pix + [2.0, -1.0])
-        assert_allclose(reprojection_residual(CAM, pose, lm, obs),
+        assert_allclose(reprojection(pose, lm, obs, with_jacobians=False),
                         [2.0, -1.0], atol=1e-12)
 
     def test_jacobians_match_finite_differences(self, rng):
@@ -97,13 +113,12 @@ class TestReprojection:
                             rng.uniform(1.0, 6.0)])
             lm = pose.transform(x_c)
             obs = LandmarkObservation(0, 0, project(CAM, x_c) + rng.normal(size=2))
-            _, j_phi, j_t, j_lm = reprojection_residual_jacobians(
-                CAM, pose, lm, obs)
+            _, j_phi, j_t, j_lm = reprojection(pose, lm, obs)
             h = 1e-6
 
             def res_at(dphi=np.zeros(3), dt=np.zeros(3), dlm=np.zeros(3)):
                 p2 = Pose(pose.R @ exp_so3(dphi), pose.t + dt)
-                return reprojection_residual(CAM, p2, lm + dlm, obs)
+                return reprojection(p2, lm + dlm, obs, with_jacobians=False)
 
             for d in range(3):
                 dv = np.zeros(3)
