@@ -10,11 +10,13 @@ Per-keyframe biases are coupled by random-walk terms folded into the inertial
 factor (gyro/accel biases) and the DVL translation factor (velocity bias), so
 the factor kinds stay exactly the six sensor kinds plus the fixed prior.
 
-The solver evaluates factors in batches, each residual written once:
-reprojections per host state, photometric patches per state pair, and each
-pair kind (IMU, DVL velocity, DVL position, pressure) over all its pairs in
-one call of its stacked residual function, on the window's states stacked
-once per linearization point. ``Factor.evaluate`` is a batch of one.
+Each factor kind is one batch per solve, its residual written once: all
+reprojections, all photometric patches, all fixed priors, and the pair kinds
+(IMU, DVL velocity, DVL position, pressure) over all their pairs. Every
+batch reads the window's states stacked once per linearization point and
+returns per-row residuals and Jacobian rows over the columns it declares;
+one routine forms the weighted normal equations of all batches and adds
+them into h and g with one scatter. ``Factor.evaluate`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .dvl import (DvlExtrinsics, DvlPreintegrated, DvlSample,
                   dvl_position_pair_residuals, dvl_velocity_pair_residuals,
                   stack_dvl_position_pairs, stack_dvl_velocity_pairs)
 from .imu import ImuPreintegrated, imu_pair_residuals, stack_imu_pairs
-from .manifold import (Pose, hat, hat_batch, log_so3,
+from .manifold import (Pose, hat, hat_batch, log_so3_batch,
                        right_jacobian_inv_so3_batch)
 from .state import STATE_DOF, NavState, StateStack, matvec, stack_states
 from .visual import (BehindCameraError, CameraModel, IntensityField,
@@ -98,11 +100,6 @@ class PressureData:
 
 
 @dataclass(frozen=True)
-class ReprojectionData:
-    obs: LandmarkObservation
-
-
-@dataclass(frozen=True)
 class PhotometricData:
     field_host: IntensityField
     field_obs: IntensityField
@@ -141,11 +138,6 @@ class PhotometricData:
                 for k, depth in enumerate(depths)]
 
 
-@dataclass(frozen=True)
-class PriorData:
-    ref: NavState
-
-
 @dataclass
 class Factor:
     """One residual block: kind, connected variables, measurement payload,
@@ -170,62 +162,29 @@ class Factor:
     # ------------------------------------------------------------------ #
     def evaluate(self, states: dict[int, NavState],
                  landmarks: dict[int, np.ndarray], with_jacobians: bool = True):
-        """Residual plus Jacobian blocks keyed by state id / landmark id.
+        """Residual plus Jacobian blocks keyed by state id / landmark id,
+        evaluated as a batch of one: each residual is written once, in its
+        kind's batch.
 
         With ``with_jacobians=False`` the Jacobian dicts are empty; used for
         cost-only evaluations of candidate steps.
         """
-        if self.kind in PAIR_KINDS:
-            # a batch of one: each pair residual is written once, there
-            i, j = self.state_ids
-            res, jac = _PairBatch([self], [0], [1]).evaluate(
-                stack_states((states[i], states[j])), with_jacobians)
-            jacs = {i: jac[0, :, 0], j: jac[0, :, 1]} if with_jacobians else {}
-            return res[0], jacs, {}
-        if self.kind == FactorKind.REPROJECTION:
-            return self._eval_reprojection(states, landmarks, with_jacobians)
-        if self.kind == FactorKind.PHOTOMETRIC:
-            return self._eval_photometric(states, with_jacobians)
-        if self.kind == FactorKind.FIXED_PRIOR:
-            return self._eval_prior(states, with_jacobians)
-        raise ValueError(f"unknown factor kind {self.kind}")
-
-    def _eval_reprojection(self, states, landmarks, with_jacobians=True):
-        # a batch of one: the reprojection residual is written once, there
-        res, j_state, j_lm = _ReprojectionBatch([self]).linearize(
-            states, landmarks, with_jacobians, strict=True)
+        lids = () if self.landmark_id is None else (self.landmark_id,)
+        window = LocalWindow(list(self.state_ids), states,
+                             {lid: landmarks[lid] for lid in lids})
+        layout = _window_layout(window, [self])
+        (batch,) = _batches([self], layout)
+        stack, lms = layout.stack(states), layout.landmark_array(landmarks)
         if not with_jacobians:
-            return res[0], {}, {}
-        js = np.zeros((2, STATE_DOF))
-        js[:, :6] = j_state[0]
-        return res[0], {self.state_ids[0]: js}, {self.landmark_id: j_lm[0]}
-
-    def _eval_photometric(self, states, with_jacobians=True):
-        # a batch of one: the photometric residual is written once, there
-        batch = _PhotometricBatch([self])
-        if not with_jacobians:
-            res, _ = batch.residuals(states, strict=True)
-            return res, {}, {}
-        res, j_host, j_obs = batch.linearize(states)
-        host_id, obs_id = self.state_ids
-        jh = np.zeros((1, STATE_DOF))
-        jo = np.zeros((1, STATE_DOF))
-        jh[:, :6] = j_host
-        jo[:, :6] = j_obs
-        return res, {host_id: jh, obs_id: jo}, {}
-
-    def _eval_prior(self, states, with_jacobians=True):
-        (sid,) = self.state_ids
-        s = states[sid]
-        ref = self.payload.ref
-        e_phi = log_so3(ref.R.T @ s.R)
-        res = np.concatenate([e_phi, s.p - ref.p, s.v - ref.v,
-                              s.bg - ref.bg, s.ba - ref.ba, s.bv - ref.bv])
-        if not with_jacobians:
-            return res, {}, {}
-        js = np.eye(STATE_DOF)
-        js[0:3, 0:3] = right_jacobian_inv_so3_batch(e_phi[None])[0]
-        return res, {sid: js}, {}
+            return batch.residuals(stack, lms)[0], {}, {}
+        res, jac = batch.linearize(stack, lms)
+        dense = np.zeros((res.shape[1], layout.ndim + 1))
+        dense[:, batch.cols[0]] = jac[0]
+        return (res[0],
+                {sid: dense[:, c[0]:c[0] + STATE_DOF]
+                 for sid, c in layout.cols.items()},
+                {lid: dense[:, c[0]:c[0] + 3]
+                 for lid, c in layout.lm_cols.items()})
 
 
 # ------------------------------ robust kernel ------------------------------ #
@@ -254,7 +213,9 @@ POSE_VEL_MASK = np.array([True] * 9 + [False] * 9)
 @dataclass
 class LocalWindow:
     """Ordered keyframe states plus landmarks; fixed entries are never
-    touched by the solver."""
+    touched by the solver. A free state's mask must be a contiguous prefix
+    of its local dims that holds at least the pose (POSE_MASK,
+    POSE_VEL_MASK or FULL_MASK)."""
 
     kf_ids: list[int]
     states: dict[int, NavState]
@@ -262,9 +223,6 @@ class LocalWindow:
     fixed_states: set[int] = dc_field(default_factory=set)
     fixed_landmarks: set[int] = dc_field(default_factory=set)
     state_masks: dict[int, np.ndarray] = dc_field(default_factory=dict)
-
-    def mask_of(self, sid: int) -> np.ndarray:
-        return self.state_masks.get(sid, FULL_MASK)
 
 
 @dataclass
@@ -298,134 +256,165 @@ class SolveReport:
     termination: Termination
 
 
-def _factor_cost(factor: Factor, r: np.ndarray) -> float:
-    r2 = float(r @ factor.info @ r)
-    if factor.robust:
-        return huber_cost(r2, factor.robust_delta)
-    return r2
+@dataclass
+class _Layout:
+    """Where the variables of a solve sit: each state's row in the state
+    stack and each landmark's in the landmark array, and the normal-equation
+    columns of each state's 18 local dims and each landmark's 3. A dim
+    without a column (fixed or masked) takes the dummy column ``ndim``."""
+
+    rows: dict[int, int]
+    cols: dict[int, list[int]]
+    lm_rows: dict[int, int]
+    lm_cols: dict[int, list[int]]
+    ndim: int
+
+    def stack(self, states: dict[int, NavState]) -> StateStack:
+        return stack_states(states[sid] for sid in self.rows)
+
+    def landmark_array(self, landmarks: dict[int, np.ndarray]) -> np.ndarray:
+        return np.array([landmarks[lid] for lid in self.lm_rows],
+                        dtype=float).reshape(-1, 3)
 
 
-def _robust_weights_cost(r2: np.ndarray, robust: np.ndarray,
-                         deltas: np.ndarray):
-    """Per-factor Huber weights and the summed robustified cost of the
-    squared Mahalanobis norms ``r2``; non-robust factors weigh 1."""
-    s = np.sqrt(r2)
-    outside = robust & (s > deltas)
-    w = np.ones(len(r2))
-    np.divide(deltas, s, out=w, where=outside)
-    cost = np.where(outside, 2.0 * deltas * s - deltas**2, r2)
-    return w, float(cost.sum())
+def _window_layout(window: LocalWindow, factors: list[Factor]) -> _Layout:
+    """The solve's layout: columns for the active dims of each free state,
+    then for each free landmark; the states in the order the factors first
+    touch them, so consecutive keyframe pairs read contiguous stack rows."""
+    spans, lm_spans, offset = {}, {}, 0
+    for sid in window.kf_ids:
+        if sid in window.fixed_states:
+            continue
+        mask = np.asarray(window.state_masks.get(sid, FULL_MASK), dtype=bool)
+        n = int(mask.sum())
+        if mask.shape != (STATE_DOF,) or n < 6 or not mask[:n].all():
+            raise ValueError(f"the mask of state {sid} is not a contiguous "
+                             f"prefix of at least 6 of its {STATE_DOF} dims")
+        spans[sid] = range(offset, offset + n)
+        offset += n
+    lm_ids = sorted(window.landmarks)
+    for lid in lm_ids:
+        if lid not in window.fixed_landmarks:
+            lm_spans[lid] = range(offset, offset + 3)
+            offset += 3
+
+    def padded(span, size):
+        return list(span) + [offset] * (size - len(span))
+
+    order = dict.fromkeys(sid for f in factors for sid in f.state_ids)
+    return _Layout({sid: k for k, sid in enumerate(order)},
+                   {sid: padded(spans.get(sid, ()), STATE_DOF)
+                    for sid in order | spans},
+                   {lid: k for k, lid in enumerate(lm_ids)},
+                   {lid: padded(lm_spans.get(lid, ()), 3) for lid in lm_ids},
+                   offset)
 
 
-class _ReprojectionBatch:
-    """Vectorized evaluation of all reprojection factors hosted by one state.
+class _Batch:
+    """The factors of one kind, evaluated at once over a :class:`StateStack`
+    and the landmark array. A row is one factor (one state pair for the pair
+    kinds). Per row a batch holds ``cols`` (n, c), the normal-equation
+    columns of the dims its residual depends on, ``infos`` (n, r, r) and the
+    Huber flags ``robust`` and ``deltas``. ``residuals(stack, lms)`` returns
+    (n, r); ``linearize(stack, lms)`` also returns the Jacobian rows
+    (n, r, c) over ``cols``. A point that leaves a camera raises
+    BehindCameraError or OutOfDomainError."""
 
-    Exploits the fact that the rotation/translation perturbations occupy the
-    first six local dimensions of every state mask in use. Landmark blocks
-    are scattered into the normal equations through flat index arrays with
-    ``np.add.at``, so several observations of one landmark (a keyframe that
-    sees it twice) all add up; landmarks without columns (fixed ones) are
-    skipped.
-    """
+    def _set_rows(self, cols, infos, robust, deltas, dummy: int):
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.infos, self.deltas = infos, deltas
+        self.robust = robust if robust is not None and robust.any() else None
+        # rows whose every column is the dummy add nothing to h and g
+        live = np.flatnonzero((self.cols < dummy).any(axis=1))
+        self.live = slice(None) if len(live) == len(self.cols) else live
+        cols = self.cols[self.live]
+        self.h_index = cols[:, :, None] * (dummy + 1) + cols[:, None, :]
 
-    def __init__(self, factors: list[Factor]):
-        self.sid = factors[0].state_ids[0]
-        self.rig = factors[0].rig
-        self.lm_ids = [f.landmark_id for f in factors]
-        self.pixels = np.stack([f.payload.obs.pixel for f in factors])
-        self.infos = np.stack([f.info for f in factors])
-        self.robust = np.array([f.robust for f in factors])
-        self.deltas = np.array([f.robust_delta for f in factors])
+    def _set_factor_rows(self, factors: list[Factor], cols, dummy: int):
+        self._set_rows(cols, np.array([f.info for f in factors]),
+                       np.array([f.robust for f in factors]),
+                       np.array([f.robust_delta for f in factors]), dummy)
 
-    def _weights_cost(self, res):
+    def weights_cost(self, res: np.ndarray):
+        """Per-row Huber weights on the Mahalanobis norm (None when no row
+        is robust) and the summed robustified cost of the residuals."""
         r2 = np.einsum("ni,nij,nj->n", res, self.infos, res)
-        return _robust_weights_cost(r2, self.robust, self.deltas)
+        if self.robust is None:
+            return None, float(r2.sum())
+        s, deltas = np.sqrt(r2), self.deltas
+        outside = self.robust & (s > deltas)
+        w = np.ones(len(r2))
+        np.divide(deltas, s, out=w, where=outside)
+        return w, float(np.where(outside, 2.0 * deltas * s - deltas**2,
+                                 r2).sum())
 
-    def cost(self, states, landmarks) -> float:
-        res, _, _ = self.linearize(states, landmarks, with_jacobians=False)
-        return float("inf") if res is None else self._weights_cost(res)[1]
 
-    def linearize(self, states, landmarks, with_jacobians=True, strict=False):
-        """Residuals (n, 2) and, with Jacobians, their rows w.r.t. the host
-        state's first six local dims (n, 2, 6) and w.r.t. the landmarks
-        (n, 2, 3). The residuals are None when a point is not in front of
-        the camera; with ``strict`` that raises BehindCameraError."""
-        state, rig = states[self.sid], self.rig
-        r_wc = state.R @ rig.T_IC.R
-        lms = np.stack([landmarks[lid] for lid in self.lm_ids])
-        x_c = ((lms - state.p) - state.R @ rig.T_IC.t) @ r_wc
+class _ReprojectionBatch(_Batch):
+    """All reprojection factors, one row per observation, over the host
+    pose's 6 dims and the landmark's 3."""
+
+    def __init__(self, factors: list[Factor], layout: _Layout):
+        self.rig = factors[0].rig
+        self.host = np.array([layout.rows[f.state_ids[0]] for f in factors])
+        self.lm = np.array([layout.lm_rows[f.landmark_id] for f in factors])
+        self.pixels = np.array([f.payload.pixel for f in factors])
+        self._set_factor_rows(
+            factors, [layout.cols[f.state_ids[0]][:6]
+                      + layout.lm_cols[f.landmark_id] for f in factors],
+            layout.ndim)
+
+    def _project(self, stack: StateStack, lms: np.ndarray):
+        """Camera rotations (n, 3, 3), camera-frame points (n, 3) and the
+        residuals (n, 2)."""
+        r_wb = stack.R[self.host]
+        r_wc = r_wb @ self.rig.T_IC.R
+        d = (lms[self.lm] - stack.x[self.host, 3:6]) - r_wb @ self.rig.T_IC.t
+        x_c = matvec(r_wc.transpose(0, 2, 1), d)  # d @ r_wc per row
         z = x_c[:, 2]
         if np.any(z <= 1e-6):
-            if strict:
-                raise BehindCameraError(f"landmark depth {z.min()} is not positive")
-            return None, None, None
-        cam = rig.cam
+            raise BehindCameraError(f"landmark depth {z.min()} is not positive")
+        cam = self.rig.cam
         res = self.pixels - np.stack([cam.fx * x_c[:, 0] / z + cam.cx,
                                       cam.fy * x_c[:, 1] / z + cam.cy], axis=1)
-        if not with_jacobians:
-            return res, None, None
+        return r_wc, x_c, res
+
+    def residuals(self, stack: StateStack, lms: np.ndarray) -> np.ndarray:
+        return self._project(stack, lms)[2]
+
+    def linearize(self, stack: StateStack, lms: np.ndarray):
+        r_wc, x_c, res = self._project(stack, lms)
+        cam, z = self.rig.cam, x_c[:, 2]
         dpi = np.zeros((len(z), 2, 3))
         dpi[:, 0, 0] = cam.fx / z
         dpi[:, 0, 2] = -cam.fx * x_c[:, 0] / (z * z)
         dpi[:, 1, 1] = cam.fy / z
         dpi[:, 1, 2] = -cam.fy * x_c[:, 1] / (z * z)
-        r_ic = rig.T_IC.R
-        c_p = r_ic.T @ hat(rig.T_IC.t)
-        j_phi = -(np.einsum("nij,njk->nik", dpi, hat_batch(x_c)) @ r_ic.T
-                  + dpi @ c_p)
-        j_pos = dpi @ r_wc.T
-        return res, np.concatenate([j_phi, j_pos], axis=2), -j_pos
-
-    def accumulate(self, h, g, states, landmarks, state_cols, lm_cols):
-        res, j_state, j_lm = self.linearize(states, landmarks)
-        w, _ = self._weights_cost(res)
-        a_mats = w[:, None, None] * self.infos
-
-        sc = state_cols.get(self.sid)
-        if sc is not None:
-            s0 = sc[0].start
-            s6 = slice(s0, s0 + 6)
-            h[s6, s6] += np.einsum("nai,nab,nbj->ij", j_state, a_mats, j_state)
-            g[s6] += np.einsum("nai,nab,nb->i", j_state, a_mats, res)
-
-        starts = np.array([lm_cols[lid].start if lid in lm_cols else -1
-                           for lid in self.lm_ids])
-        keep = starts >= 0
-        if not keep.any():
-            return
-        cols = starts[keep, None] + np.arange(3)           # (k, 3)
-        jl = j_lm[keep]
-        al = a_mats[keep] @ jl                             # (k, 2, 3)
-        ndim = h.shape[1]
-        h_flat = h.reshape(-1)                             # a view of h
-        np.add.at(h_flat, cols[:, :, None] * ndim + cols[:, None, :],
-                  np.einsum("kai,kaj->kij", jl, al))
-        np.add.at(g, cols, np.einsum("kai,ka->ki", al, res[keep]))
-        if sc is not None:
-            cross = np.einsum("kai,kaj->kij", j_state[keep], al)  # (k, 6, 3)
-            rows6 = np.arange(s0, s0 + 6)
-            np.add.at(h_flat, rows6[None, :, None] * ndim + cols[:, None, :],
-                      cross)
-            np.add.at(h_flat, cols[:, :, None] * ndim + rows6[None, None, :],
-                      cross.transpose(0, 2, 1))
+        r_ic = self.rig.T_IC.R
+        c_p = r_ic.T @ hat(self.rig.T_IC.t)
+        j_phi = -(dpi @ hat_batch(x_c) @ r_ic.T + dpi @ c_p)
+        j_pos = dpi @ r_wc.transpose(0, 2, 1)
+        return res, np.concatenate([j_phi, j_pos, -j_pos], axis=2)
 
 
-class _PhotometricBatch:
-    """Vectorized evaluation of the photometric factors of one (host,
-    observer) state pair that share one observer field and one pattern.
+def _check_patches(front: np.ndarray, valid: np.ndarray) -> None:
+    if not valid.all():
+        if not front.all():
+            raise BehindCameraError("patch point behind the current camera")
+        raise OutOfDomainError("warped patch left the image domain")
 
-    All n x m patch points are warped at once, and the observer field is
-    sampled and differentiated in one call each. Reduced over the pattern,
-    this gives per-patch residuals, Huber weights and 1x6 Jacobian rows
-    (rotation, position) for the host and the observer; the warp touches no
-    other state dimension, so the rows occupy the first six local dims.
-    """
 
-    def __init__(self, factors: list[Factor]):
-        f0 = factors[0]
-        self.host_id, self.obs_id = f0.state_ids
-        self.rig = f0.rig
-        self.field_obs = f0.payload.field_obs
+class _PhotometricBatch(_Batch):
+    """All photometric factors, one row per patch, over the host pose's 6
+    dims and the observer pose's 6 (the warp touches no other dim).
+
+    The n x m patch points are warped at once; each distinct observer field
+    is sampled, and differentiated when linearizing, once for all the
+    patches it observes."""
+
+    def __init__(self, factors: list[Factor], layout: _Layout):
+        self.rig = factors[0].rig
+        self.host = np.array([layout.rows[f.state_ids[0]] for f in factors])
+        self.obs = np.array([layout.rows[f.state_ids[1]] for f in factors])
         payloads = [f.payload for f in factors]
         self.host_vals = np.stack([d.host_vals for d in payloads])  # (n, m)
         self.weights = np.stack([d.weights for d in payloads])      # (n, m)
@@ -436,26 +425,29 @@ class _PhotometricBatch:
             [(pix[..., 0] - cam.cx) / cam.fx * depth,
              (pix[..., 1] - cam.cy) / cam.fy * depth,
              np.broadcast_to(depth, pix.shape[:2])], axis=-1)
-        self.infos = np.array([f.info[0, 0] for f in factors])
-        self.robust = np.array([f.robust for f in factors])
-        self.deltas = np.array([f.robust_delta for f in factors])
+        fields: dict[int, tuple] = {}
+        for k, d in enumerate(payloads):
+            fields.setdefault(id(d.field_obs), (d.field_obs, []))[1].append(k)
+        self.fields = [(fld, np.array(rows)) for fld, rows in fields.values()]
+        self._set_factor_rows(
+            factors, [layout.cols[f.state_ids[0]][:6]
+                      + layout.cols[f.state_ids[1]][:6] for f in factors],
+            layout.ndim)
 
-    def _rotations(self, states):
-        r_ic = self.rig.T_IC.R
-        return states[self.host_id].R @ r_ic, states[self.obs_id].R @ r_ic
-
-    def _warp(self, states, strict: bool):
-        """Observer-frame points (n, m, 3), their pixels (n, m, 2) and the
-        mask of patches whose every point lies in front of the observer
-        camera and inside its image. With ``strict`` a patch outside the
-        mask raises instead (BehindCameraError before OutOfDomainError)."""
-        si, sj = states[self.host_id], states[self.obs_id]
-        p_ic = self.rig.T_IC.t
-        r_wci, r_wcj = self._rotations(states)
+    def _warp(self, stack: StateStack):
+        """Host body rotations and host and observer camera rotations
+        (n, 3, 3), observer-frame points (n, m, 3), their pixels (n, m, 2),
+        and the masks (n,) of patches whose every point lies in front of the
+        observer camera, and also inside its image."""
+        r_ic, p_ic = self.rig.T_IC.R, self.rig.T_IC.t
+        r_h, r_o = stack.R[self.host], stack.R[self.obs]
+        r_wci, r_wcj = r_h @ r_ic, r_o @ r_ic
         # host-to-observer points with the translation difference taken
         # first, so a common world shift cancels exactly
-        rel = (si.p - sj.p) + (si.R @ p_ic - sj.R @ p_ic)
-        pts_cj = (self.pts_ci @ r_wci.T + rel) @ r_wcj
+        rel = ((stack.x[self.host, 3:6] - stack.x[self.obs, 3:6])
+               + (r_h @ p_ic - r_o @ p_ic))
+        pts_cj = (self.pts_ci @ r_wci.transpose(0, 2, 1)
+                  + rel[:, None, :]) @ r_wcj
         z = pts_cj[..., 2]
         front = z > 1e-6
         z = np.where(front, z, 1.0)  # finite pixels for rejected points
@@ -464,33 +456,42 @@ class _PhotometricBatch:
         v = cam.fy * pts_cj[..., 1] / z + cam.cy
         inside = (u >= 0.0) & (u < cam.width) & (v >= 0.0) & (v < cam.height)
         front = front.all(axis=1)
-        valid = front & inside.all(axis=1)
-        if strict and not valid.all():
-            if not front.all():
-                raise BehindCameraError("patch point behind the current camera")
-            raise OutOfDomainError("warped patch left the image domain")
-        return pts_cj, np.stack([u, v], axis=-1), valid
+        return (r_h, r_wci, r_wcj, pts_cj, np.stack([u, v], axis=-1), front,
+                front & inside.all(axis=1))
 
-    def residuals(self, states, strict: bool = False):
-        """Per-patch residuals (n,) and the validity mask of ``_warp``;
-        invalid patches read NaN and are not sampled."""
-        _, warped, valid = self._warp(states, strict)
-        res = np.full(len(valid), np.nan)
-        if valid.any():
-            vals = self.field_obs.sample(warped[valid].reshape(-1, 2))
-            res[valid] = np.sum(self.weights[valid] * (
-                vals.reshape(-1, warped.shape[1]) - self.host_vals[valid]),
-                axis=1)
-        return res, valid
+    def _sample(self, pix: np.ndarray, keep: np.ndarray, gradient: bool):
+        """Observer-field values (n, m) at the points ``pix`` of the patches
+        ``keep`` (NaN elsewhere) and, with ``gradient``, their gradients
+        (n, m, 2); one call per distinct observer field."""
+        n, m = pix.shape[:2]
+        vals = np.full((n, m), np.nan)
+        grads = np.zeros((n, m, 2)) if gradient else None
+        for fld, rows in self.fields:
+            rows = rows[keep[rows]]
+            if len(rows) == 0:
+                continue
+            flat = pix[rows].reshape(-1, 2)
+            vals[rows] = fld.sample(flat).reshape(-1, m)
+            if gradient:
+                grads[rows] = fld.gradient(flat).reshape(-1, m, 2)
+        return vals, grads
 
-    def linearize(self, states):
-        """Per-patch residuals (n,) and 1x6 Jacobian rows (n, 6) w.r.t.
-        the host and the observer state; every patch must be valid."""
-        pts_cj, warped, _ = self._warp(states, strict=True)
-        n, m = warped.shape[:2]
-        flat = warped.reshape(-1, 2)
-        vals = self.field_obs.sample(flat).reshape(n, m)
-        grads = self.field_obs.gradient(flat).reshape(n, m, 2)
+    def patch_residuals(self, stack: StateStack):
+        """Per-patch residuals (n,), NaN where the patch is not valid, and
+        the masks of ``_warp``; invalid patches are not sampled."""
+        *_, pix, front, valid = self._warp(stack)
+        vals, _ = self._sample(pix, valid, gradient=False)
+        return np.sum(self.weights * (vals - self.host_vals), axis=1), front, valid
+
+    def residuals(self, stack: StateStack, lms=None) -> np.ndarray:
+        res, front, valid = self.patch_residuals(stack)
+        _check_patches(front, valid)
+        return res[:, None]
+
+    def linearize(self, stack: StateStack, lms=None):
+        r_h, r_wci, r_wcj, pts_cj, pix, front, valid = self._warp(stack)
+        _check_patches(front, valid)
+        vals, grads = self._sample(pix, valid, gradient=True)
         w = self.weights
         res = np.sum(w * (vals - self.host_vals), axis=1)
 
@@ -502,148 +503,158 @@ class _PhotometricBatch:
         rows = np.stack([gu, gv, -(gu * pts_cj[..., 0] + gv * pts_cj[..., 1])
                          / z], axis=-1)                            # (n, m, 3)
         r_ic, p_ic = self.rig.T_IC.R, self.rig.T_IC.t
-        r_wci, r_wcj = self._rotations(states)
         rows_sum = rows.sum(axis=1)
-        # row @ hat(x) == cross(row, x), batched over patches and pattern
-        j_obs = np.empty((n, 6))
-        j_obs[:, 0:3] = (np.cross(rows, pts_cj).sum(axis=1) @ r_ic.T
-                         + rows_sum @ (r_ic.T @ hat(p_ic)))
-        j_obs[:, 3:6] = -rows_sum @ r_wcj.T
-        srows = rows @ r_wcj.T
+        srows = rows @ r_wcj.transpose(0, 2, 1)
         srows_sum = srows.sum(axis=1)
-        j_host = np.empty((n, 6))
-        j_host[:, 0:3] = (-np.cross(srows @ r_wci, self.pts_ci).sum(axis=1)
+        jac = np.empty((len(res), 1, 12))
+        # row @ hat(x) == cross(row, x), batched over patches and pattern
+        jac[:, 0, 0:3] = (-np.cross(srows @ r_wci, self.pts_ci).sum(axis=1)
                           @ r_ic.T
-                          - srows_sum @ (states[self.host_id].R @ hat(p_ic)))
-        j_host[:, 3:6] = srows_sum
-        return res, j_host, j_obs
+                          - np.einsum("ni,nij->nj", srows_sum, r_h @ hat(p_ic)))
+        jac[:, 0, 3:6] = srows_sum
+        jac[:, 0, 6:9] = (np.cross(rows, pts_cj).sum(axis=1) @ r_ic.T
+                          + rows_sum @ (r_ic.T @ hat(p_ic)))
+        jac[:, 0, 9:12] = -matvec(r_wcj, rows_sum)
+        return res[:, None], jac
 
-    def cost(self, states, landmarks=None) -> float:
-        res, valid = self.residuals(states)
-        if not valid.all():
-            return float("inf")
-        _, total = _robust_weights_cost(res * self.infos * res, self.robust,
-                                        self.deltas)
-        return total
 
-    def accumulate(self, h, g, states, landmarks, state_cols, lm_cols):
-        res, j_host, j_obs = self.linearize(states)
-        w, _ = _robust_weights_cost(res * self.infos * res, self.robust,
-                                    self.deltas)
-        a = w * self.infos
-        blocks = []
-        for sid, jac in ((self.host_id, j_host), (self.obs_id, j_obs)):
-            if sid in state_cols:
-                s0 = state_cols[sid][0].start
-                blocks.append((slice(s0, s0 + 6), jac))
-        for cols_a, jac_a in blocks:
-            aj = a[:, None] * jac_a
-            g[cols_a] += aj.T @ res
-            for cols_b, jac_b in blocks:
-                h[cols_a, cols_b] += aj.T @ jac_b
+class _PriorBatch(_Batch):
+    """All fixed priors, one row per prior, over its state's 18 dims."""
+
+    def __init__(self, factors: list[Factor], layout: _Layout):
+        self.rows = np.array([layout.rows[f.state_ids[0]] for f in factors])
+        self.ref = stack_states(f.payload for f in factors)
+        self._set_factor_rows(
+            factors, [layout.cols[f.state_ids[0]] for f in factors],
+            layout.ndim)
+
+    def residuals(self, stack: StateStack, lms=None) -> np.ndarray:
+        e_phi = log_so3_batch(self.ref.R.transpose(0, 2, 1) @ stack.R[self.rows])
+        return np.concatenate([e_phi, stack.x[self.rows, 3:]
+                               - self.ref.x[:, 3:]], axis=1)
+
+    def linearize(self, stack: StateStack, lms=None):
+        res = self.residuals(stack)
+        jac = np.tile(np.eye(STATE_DOF), (len(res), 1, 1))
+        jac[:, 0:3, 0:3] = right_jacobian_inv_so3_batch(res[:, 0:3])
+        return res, jac
 
 
 class _PairBatch:
-    """The factors of one pair kind on one rig, payloads and information
-    stacked once; the kind's residual function evaluates all their pairs in
-    one call, at rows ``i`` and ``j`` of a :class:`StateStack`."""
+    """The factors of one pair kind, payloads and information stacked once;
+    the kind's residual function evaluates all their pairs in one call, at
+    rows ``i`` and ``j`` of a :class:`StateStack`."""
 
-    def __init__(self, factors: list[Factor], i, j, live=None):
-        f0, ds = factors[0], [f.payload for f in factors]
-        self.kind, self.rig, self.i, self.j, self.live = f0.kind, f0.rig, i, j, live
+    def __init__(self, factors: list[Factor], i, j):
+        f0, ds, rig = factors[0], [f.payload for f in factors], factors[0].rig
+        self.kind, self.i, self.j = f0.kind, i, j
         self.infos = np.array([f.info for f in factors])
+        # the stacked payload, the residual function and its sensor constant
         if self.kind is FactorKind.IMU:
-            self.data = stack_imu_pairs(ds)
+            self.data, self.fn, self.const = (
+                stack_imu_pairs(ds), imu_pair_residuals, rig.gravity)
         elif self.kind is FactorKind.DVL_POSITION:
-            self.data = stack_dvl_position_pairs(ds)
+            self.data, self.fn, self.const = (
+                stack_dvl_position_pairs(ds), dvl_position_pair_residuals, rig.dvl)
         elif self.kind is FactorKind.DVL_VELOCITY:
-            self.data = stack_dvl_velocity_pairs(ds, f0.rig.dvl)
+            self.data, self.fn, self.const = (stack_dvl_velocity_pairs(
+                ds, rig.dvl), dvl_velocity_pair_residuals, rig.dvl)
         else:
             self.data = np.array([[d.meas_n.depth - d.meas_i.depth] for d in ds])
+            self.fn, self.const = pressure_pair_residuals, rig.depth
 
     def evaluate(self, stack: StateStack, with_jacobians: bool = True):
-        args = (stack, self.i, self.j, self.data)
-        if self.kind is FactorKind.IMU:
-            return imu_pair_residuals(*args, self.rig.gravity, with_jacobians)
-        if self.kind is FactorKind.DVL_VELOCITY:
-            return dvl_velocity_pair_residuals(*args, self.rig.dvl, with_jacobians)
-        if self.kind is FactorKind.DVL_POSITION:
-            return dvl_position_pair_residuals(*args, self.rig.dvl, with_jacobians)
-        return pressure_pair_residuals(*args, self.rig.depth, with_jacobians)
-
-    def cost(self, stack: StateStack) -> float:
-        res, _ = self.evaluate(stack, with_jacobians=False)
-        return float(np.vdot(res, self.infos @ res[:, :, None]))
-
-    def normal_equations(self, stack: StateStack):
-        """Per pair J^T W J (n, c, c) and J^T W r (n, c) over the ``live``
-        columns of the pair's 36 local dims (state i's, then j's)."""
-        res, jac = self.evaluate(stack)
-        n, r = res.shape
-        jac = jac.reshape(n, r, 2 * STATE_DOF).take(self.live, 2)
-        jt_info = jac.transpose(0, 2, 1) @ self.infos
-        return jt_info @ jac, matvec(jt_info, res)
+        return self.fn(stack, self.i, self.j, self.data, self.const,
+                       with_jacobians)
 
 
-class _PairGroup:
-    """The pair batches (one per kind and rig) over one ordered list of
-    state-id pairs. A pair's 36 local dims take their columns from
-    ``colmap`` (18 per state id, ``dummy`` where a dim has none), and only
-    dims with a column in some pair are kept (``live``). The batches'
-    normal-equation blocks add up per pair and one ``np.add.at`` scatters
-    them into h and g, which carry a trailing dummy row and column."""
+class _PairGroup(_Batch):
+    """The pair kinds that span one list of state pairs, one row per pair:
+    the kinds' residuals one after another, with a block-diagonal
+    information. A row's columns are the 36 local dims of its two states
+    (i's, then j's), kept where some pair has a column (``dims``)."""
 
-    def __init__(self, pairs, kinds, rows: dict[int, int],
-                 colmap: dict[int, list[int]], dummy: int):
-        cols = np.array([colmap[a] + colmap[b] for a, b in pairs])
-        live = np.flatnonzero(cols.min(axis=0) < dummy)
-        self.cols = cols.take(live, 1)
-        self.h_index = self.cols[:, :, None] * (dummy + 1) + self.cols[:, None, :]
+    def __init__(self, kinds: list[list[Factor]], layout: _Layout):
+        pairs = [f.state_ids for f in kinds[0]]
+        cols = np.array([layout.cols[a] + layout.cols[b] for a, b in pairs])
+        self.dims = np.flatnonzero(cols.min(axis=0) < layout.ndim)
         # contiguous rows (consecutive keyframes) are read as views
-        i, j = ([rows[pair[side]] for pair in pairs] for side in (0, 1))
+        i, j = ([layout.rows[pair[side]] for pair in pairs] for side in (0, 1))
         i, j = (slice(r[0], r[-1] + 1) if r == list(range(r[0], r[-1] + 1))
                 else np.array(r) for r in (i, j))
-        self.batches = [_PairBatch(fs, i, j, live) for fs in kinds]
+        self.batches = [_PairBatch(fs, i, j) for fs in kinds]
+        size = sum(b.infos.shape[1] for b in self.batches)
+        infos, lo = np.zeros((len(pairs), size, size)), 0
+        for b in self.batches:
+            hi = lo + b.infos.shape[1]
+            infos[:, lo:hi, lo:hi], lo = b.infos, hi
+        self._set_rows(cols.take(self.dims, 1), infos, None, None, layout.ndim)
 
-    def cost(self, stack: StateStack) -> float:
-        return sum(b.cost(stack) for b in self.batches)
+    def residuals(self, stack: StateStack, lms=None) -> np.ndarray:
+        return np.concatenate([b.evaluate(stack, with_jacobians=False)[0]
+                               for b in self.batches], axis=1)
 
-    def accumulate(self, h, g, stack: StateStack):
-        blocks = [b.normal_equations(stack) for b in self.batches]
-        np.add.at(h.reshape(-1), self.h_index, sum(hb for hb, _ in blocks))
-        np.add.at(g, self.cols, sum(gb for _, gb in blocks))
+    def linearize(self, stack: StateStack, lms=None):
+        out = [b.evaluate(stack) for b in self.batches]
+        jac = np.concatenate([j.reshape(j.shape[0], j.shape[1], 2 * STATE_DOF)
+                              for _, j in out], axis=1)
+        return (np.concatenate([r for r, _ in out], axis=1),
+                jac.take(self.dims, 2))
 
 
-def _pair_groups(factors: list[Factor], state_cols: dict, ndim: int):
-    """The ids of the states that the pair ``factors`` touch, in stack
-    order, and the factors as :class:`_PairGroup` s; dims without a column
-    in ``state_cols`` go to a dummy row and column ``ndim``."""
-    kinds: dict[tuple, list[Factor]] = {}
+def _batches(factors: list[Factor], layout: _Layout) -> list[_Batch]:
+    """One batch per factor kind; the pair kinds that span the same list of
+    state pairs share one :class:`_PairGroup`."""
+    kinds: dict[FactorKind, list[Factor]] = {}
     for f in factors:
-        kinds.setdefault((f.kind, id(f.rig)), []).append(f)
+        kinds.setdefault(f.kind, []).append(f)
+    make = {FactorKind.REPROJECTION: _ReprojectionBatch,
+            FactorKind.PHOTOMETRIC: _PhotometricBatch,
+            FactorKind.FIXED_PRIOR: _PriorBatch}
+    out = [make[kind](fs, layout) for kind, fs in kinds.items()
+           if kind not in PAIR_KINDS]
     by_pairs: dict[tuple, list[list[Factor]]] = {}
-    for fs in kinds.values():
-        by_pairs.setdefault(tuple(f.state_ids for f in fs), []).append(fs)
-    order = list(dict.fromkeys(sid for f in factors for sid in f.state_ids))
-    colmap = {sid: [ndim] * STATE_DOF for sid in order}
-    for sid in colmap.keys() & state_cols.keys():
-        cols, local = state_cols[sid]
-        for col, dim in zip(range(cols.start, cols.stop), local):
-            colmap[sid][dim] = col
-    rows = {sid: k for k, sid in enumerate(order)}
-    return order, [_PairGroup(key, fss, rows, colmap, ndim)
-                   for key, fss in by_pairs.items()]
+    for kind, fs in kinds.items():
+        if kind in PAIR_KINDS:
+            by_pairs.setdefault(tuple(f.state_ids for f in fs), []).append(fs)
+    return out + [_PairGroup(fss, layout) for fss in by_pairs.values()]
 
 
-def _total_cost(factors, states, landmarks) -> float:
-    total = 0.0
-    for f in factors:
-        try:
-            r, _, _ = f.evaluate(states, landmarks, with_jacobians=False)
-        except (BehindCameraError, OutOfDomainError):
-            return float("inf")
-        total += _factor_cost(f, r)
-    return total
+def _cost(batches: list[_Batch], stack: StateStack, lms: np.ndarray) -> float:
+    """The robustified cost of all batches; infinite when a point leaves a
+    camera."""
+    try:
+        return sum(b.weights_cost(b.residuals(stack, lms))[1] for b in batches)
+    except (BehindCameraError, OutOfDomainError):
+        return float("inf")
+
+
+def _normal_equations(batches: list[_Batch], stack: StateStack,
+                      lms: np.ndarray, ndim: int):
+    """The robustly weighted normal equations J^T W J and J^T W r of all
+    batches. Each row's blocks over its columns are added into h and g by one
+    ``np.add.at`` each; h and g carry a trailing dummy row and column for
+    the dims without a column, which are dropped."""
+    h_at, h_add, g_at, g_add = [], [], [], []
+    for b in batches:
+        if len(b.h_index) == 0:
+            continue
+        res, jac = b.linearize(stack, lms)
+        live, a = b.live, b.infos[b.live]
+        if b.robust is not None:
+            a = b.weights_cost(res)[0][live, None, None] * a
+        jac, res = jac[live], res[live]
+        jt_a = jac.transpose(0, 2, 1) @ a
+        h_at.append(b.h_index.reshape(-1))
+        h_add.append((jt_a @ jac).reshape(-1))
+        g_at.append(b.cols[live].reshape(-1))
+        g_add.append(matvec(jt_a, res).reshape(-1))
+    h = np.zeros((ndim + 1) ** 2)
+    g = np.zeros(ndim + 1)
+    if h_at:
+        np.add.at(h, np.concatenate(h_at), np.concatenate(h_add))
+        np.add.at(g, np.concatenate(g_at), np.concatenate(g_add))
+    return h.reshape(ndim + 1, ndim + 1)[:ndim, :ndim], g[:ndim]
 
 
 def solve(window: LocalWindow, factors: list[Factor],
@@ -661,77 +672,14 @@ def solve(window: LocalWindow, factors: list[Factor],
         raise GaugeError("no fixed state, fixed landmark or prior factor; "
                          "add a gauge fix before solving")
 
-    # global column layout over active dims; all masks in use are contiguous
-    # prefixes, so Jacobian columns and hessian blocks index through slices
-    state_cols: dict[int, tuple[slice, np.ndarray]] = {}
-    lm_cols: dict[int, slice] = {}
-    offset = 0
-    for sid in window.kf_ids:
-        if sid in window.fixed_states:
-            continue
-        mask = window.mask_of(sid)
-        local = np.flatnonzero(mask)
-        n = len(local)
-        if n == 0:
-            continue
-        state_cols[sid] = (slice(offset, offset + n), local)
-        offset += n
-    for lid in sorted(window.landmarks):
-        if lid in window.fixed_landmarks:
-            continue
-        lm_cols[lid] = slice(offset, offset + 3)
-        offset += 3
-    ndim = offset
-
+    layout = _window_layout(window, factors)
+    ndim = layout.ndim
+    batches = _batches(factors, layout)
     states = window.states
-    landmarks = window.landmarks
+    lms = layout.landmark_array(window.landmarks)
+    stack = layout.stack(states)
 
-    # group visual factors for vectorized evaluation: reprojection per host
-    # state, photometric per (host, observer) pair, observer field and
-    # pattern; valid whenever the pose occupies the first six active dims
-    # (all masks in use are prefixes of the full layout)
-    def _pose_first(sid: int) -> bool:
-        if sid in state_cols:
-            local = state_cols[sid][1]
-            return len(local) >= 6 and local[5] == 5
-        return sid in window.fixed_states or sid not in window.states
-
-    reproj: dict[int, list[Factor]] = {}
-    photo: dict[tuple, list[Factor]] = {}
-    pairs, scalar_factors = [], []
-    for f in factors:
-        if f.kind in PAIR_KINDS:
-            pairs.append(f)
-        elif (f.kind == FactorKind.REPROJECTION and f.landmark_id in landmarks
-                and _pose_first(f.state_ids[0])):
-            reproj.setdefault(f.state_ids[0], []).append(f)
-        elif (f.kind == FactorKind.PHOTOMETRIC
-              and all(_pose_first(sid) for sid in f.state_ids)):
-            key = (f.state_ids, id(f.payload.field_obs),
-                   id(f.payload.pattern), id(f.rig))
-            photo.setdefault(key, []).append(f)
-        else:
-            scalar_factors.append(f)
-    batches = ([_ReprojectionBatch(fs) for fs in reproj.values()]
-               + [_PhotometricBatch(fs) for fs in photo.values()])
-
-    order, groups = _pair_groups(pairs, state_cols, ndim)
-
-    def stacked(st):
-        return stack_states(st[sid] for sid in order) if order else None
-
-    def total_cost(st, lm, stack):
-        total = 0.0
-        for b in batches:
-            total += b.cost(st, lm)
-            if not np.isfinite(total):
-                return float("inf")
-        for group in groups:
-            total += group.cost(stack)
-        return total + _total_cost(scalar_factors, st, lm)
-
-    stack = stacked(states)
-    cost = total_cost(states, landmarks, stack)
+    cost = _cost(batches, stack, lms)
     if not np.isfinite(cost):
         raise DivergedError(f"initial cost is not finite ({cost})")
     initial_cost = cost
@@ -740,47 +688,23 @@ def solve(window: LocalWindow, factors: list[Factor],
         return window, SolveReport(0, initial_cost, cost, True, trace,
                                    Termination.ZERO_GRADIENT)
 
-    def assemble():
-        h = np.zeros((ndim + 1, ndim + 1))
-        g = np.zeros(ndim + 1)
-        for b in batches:
-            b.accumulate(h, g, states, landmarks, state_cols, lm_cols)
-        for group in groups:
-            group.accumulate(h, g, stack)
-        # the fixed prior and visual factors on states whose pose is not
-        # in the first six active dims
-        for f in scalar_factors:
-            r, js, jl = f.evaluate(states, landmarks)
-            w = 1.0
-            if f.robust:
-                w = robust_weight(float(r @ f.info @ r), f.robust_delta)
-            blocks = [(state_cols[sid][0], jac[:, state_cols[sid][1]])
-                      for sid, jac in js.items() if sid in state_cols]
-            blocks += [(lm_cols[lid], jac) for lid, jac in jl.items()
-                       if lid in lm_cols]
-            for cols_a, jac_a in blocks:
-                jt_info = w * jac_a.T @ f.info
-                g[cols_a] += jt_info @ r
-                for cols_b, jac_b in blocks:
-                    h[cols_a, cols_b] += jt_info @ jac_b
-        return h[:ndim, :ndim], g[:ndim]
+    free = {sid: np.array(cols) for sid, cols in layout.cols.items()
+            if cols[0] < ndim}
+    lm_index = np.array(list(layout.lm_cols.values()),
+                        dtype=np.intp).reshape(-1, 3)
 
     def retract(delta):
+        delta = np.append(delta, 0.0)  # the dummy column moves nothing
         new_states = dict(states)
-        for sid, (cols, local) in state_cols.items():
-            full = np.zeros(STATE_DOF)
-            full[local] = delta[cols]
-            new_states[sid] = states[sid].retract(full)
-        new_landmarks = dict(landmarks)
-        for lid, cols in lm_cols.items():
-            new_landmarks[lid] = landmarks[lid] + delta[cols]
-        return new_states, new_landmarks
+        for sid, cols in free.items():
+            new_states[sid] = states[sid].retract(delta[cols])
+        return new_states, lms + delta[lm_index]
 
     lam = cfg.lambda_init
     accepted = 0
     termination = Termination.ITERATION_CAP
     for _ in range(cfg.max_iterations):
-        h, g = assemble()
+        h, g = _normal_equations(batches, stack, lms, ndim)
         if np.linalg.norm(g) < 1e-15:
             termination = Termination.ZERO_GRADIENT
             break
@@ -793,16 +717,15 @@ def solve(window: LocalWindow, factors: list[Factor],
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            cand_states, cand_landmarks = retract(candidate)
-            cand_stack = stacked(cand_states)
-            cand_cost = total_cost(cand_states, cand_landmarks, cand_stack)
+            cand_states, cand_lms = retract(candidate)
+            cand_stack = layout.stack(cand_states)
+            cand_cost = _cost(batches, cand_stack, cand_lms)
             if math.isnan(cand_cost):
                 raise DivergedError("candidate cost is NaN")
             if cand_cost < cost:
                 step = candidate
                 new_cost = cand_cost
-                states, landmarks = cand_states, cand_landmarks
-                stack = cand_stack
+                states, lms, stack = cand_states, cand_lms, cand_stack
                 lam = max(lam / 3.0, 1e-12)
                 break
             lam *= 10.0
@@ -824,7 +747,7 @@ def solve(window: LocalWindow, factors: list[Factor],
             break
 
     window.states = states
-    window.landmarks = landmarks
+    window.landmarks = dict(zip(layout.lm_rows, lms))
     converged = termination is not Termination.ITERATION_CAP
     return window, SolveReport(accepted, initial_cost, cost, converged, trace,
                                termination)
@@ -896,7 +819,7 @@ def _safe_inverse(cov: np.ndarray) -> np.ndarray:
 def make_prior_factor(sid: int, ref: NavState,
                       sigma: float = 1e-4) -> Factor:
     info = np.eye(STATE_DOF) / sigma**2
-    return Factor(FactorKind.FIXED_PRIOR, (sid,), PriorData(ref.copy()), info)
+    return Factor(FactorKind.FIXED_PRIOR, (sid,), ref.copy(), info)
 
 
 def assemble_window(keyframes: list[KeyframeNode],
@@ -995,7 +918,7 @@ def assemble_window(keyframes: list[KeyframeNode],
                 if t_cw.transform(window_lms[obs.landmark_id])[2] <= 1e-3:
                     continue  # behind or grazing the camera at the initial guess
                 factors.append(Factor(
-                    FactorKind.REPROJECTION, (kf.kf_id,), ReprojectionData(obs),
+                    FactorKind.REPROJECTION, (kf.kf_id,), obs,
                     pix_info, landmark_id=obs.landmark_id, robust=True,
                     robust_delta=cfg.huber_delta, rig=rig))
 
@@ -1051,7 +974,8 @@ def make_photometric_factors(ids: tuple[int, int], field_host: IntensityField,
         return []
     factors = [Factor(FactorKind.PHOTOMETRIC, ids, d, info, robust=True,
                       robust_delta=robust_delta, rig=rig) for d in payloads]
-    batch = _PhotometricBatch(factors)
-    res, valid = batch.residuals(states)
-    keep = valid & ~(np.sqrt(res * batch.infos * res) > gate)
+    layout = _window_layout(LocalWindow(list(ids), states), factors)
+    batch = _PhotometricBatch(factors, layout)
+    res, _, valid = batch.patch_residuals(layout.stack(states))
+    keep = valid & ~(np.sqrt(res * batch.infos[:, 0, 0] * res) > gate)
     return [f for f, k in zip(factors, keep) if k]

@@ -45,9 +45,6 @@ class Trajectory:
     def copy(self) -> "Trajectory":
         return Trajectory(self.t.copy(), self.R.copy(), self.p.copy())
 
-    def path_length(self) -> float:
-        return float(np.sum(np.linalg.norm(np.diff(self.p, axis=0), axis=1)))
-
 
 @dataclass
 class ErrorReport:

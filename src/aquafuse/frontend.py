@@ -29,8 +29,7 @@ from .imu import (ImuBias, ImuNoiseSpec, ImuPreintegrated, ImuSample,
                   predict_state_imu)
 from .manifold import Pose, hat, rotation_angle
 from .state import NavState
-from .visual import (CameraModel, IntensityField, PatchPattern, backproject,
-                     stereo_depth)
+from .visual import IntensityField, PatchPattern, backproject, stereo_depth
 
 
 class InsufficientObservationsError(ValueError):
@@ -118,8 +117,7 @@ class RunConfig:
 # ------------------------------- frame ops --------------------------------- #
 
 def track_coarse(prev_nav: NavState, observations, map_points: dict,
-                 cam: CameraModel, rig: bk.SensorRig,
-                 imu_preint: ImuPreintegrated | None,
+                 rig: bk.SensorRig, imu_preint: ImuPreintegrated | None,
                  cfg: TrackerConfig, dt: float = 0.0) -> Pose:
     """Pose minimizing the robustified reprojection cost over the associated
     observations, initialized from the inertial motion model (constant
@@ -155,8 +153,8 @@ class RefineResult:
 
 def refine_photometric(coarse: Pose, ref_pose: Pose,
                        ref_field: IntensityField, cur_field: IntensityField,
-                       points, cam: CameraModel, rig: bk.SensorRig,
-                       pattern: PatchPattern, cfg: TrackerConfig,
+                       points, rig: bk.SensorRig, pattern: PatchPattern,
+                       cfg: TrackerConfig,
                        sigma_intensity: float = 5.0,
                        gate: float = float("inf")) -> RefineResult:
     """Direct sparse refinement of a coarse pose against the reference
@@ -260,7 +258,6 @@ class Tracker:
         self.cfg = cfg
         scen = dataset.config
         self.rig = sensor_rig_from_config(scen)
-        self.cam = self.rig.cam
 
         floors = cfg.floors
         self.imu_noise = ImuNoiseSpec(
@@ -413,8 +410,8 @@ class Tracker:
                 continue
             if obs.disparity is None or obs.disparity <= 0.05:
                 continue
-            x_c = backproject(self.cam, obs.pixel,
-                              stereo_depth(self.cam, obs.disparity))
+            x_c = backproject(self.rig.cam, obs.pixel,
+                              stereo_depth(self.rig.cam, obs.disparity))
             self.map[obs.landmark_id] = t_wc.transform(x_c)
 
     def _make_keyframe(self, frame, nav: NavState,
@@ -480,8 +477,10 @@ class Tracker:
         prev_nav: NavState | None = None
         prev_frame = None
         prev_t = 0.0
+        last_kf_fs: FrameState | None = None
         for frame in self.ds.frames:
             t = frame.t
+            n_keyframes = len(self.keyframes)
             tracked_obs = [o for o in frame.observations
                            if o.landmark_id in self.map]
             n_tracked = len(tracked_obs)
@@ -507,8 +506,7 @@ class Tracker:
                     frame_pre = self._integrate(
                         prev_t, t, ImuBias(prev_nav.bg, prev_nav.ba))
                     pose = track_coarse(prev_nav, tracked_obs, self.map,
-                                        self.cam, self.rig, frame_pre,
-                                        tracker_cfg)
+                                        self.rig, frame_pre, tracker_cfg)
                     # direct refinement against the previous frame: the short
                     # baseline keeps the luminance-constancy assumption tight
                     if (self.backend_cfg.photometric_enabled
@@ -517,7 +515,7 @@ class Tracker:
                             and len(prev_frame.field.amplitudes) > 0
                             and len(frame.field.amplitudes) > 0):
                         cur_ids = {o.landmark_id for o in frame.observations}
-                        pts = [(o.pixel, stereo_depth(self.cam, o.disparity))
+                        pts = [(o.pixel, stereo_depth(self.rig.cam, o.disparity))
                                for o in prev_frame.observations
                                if o.disparity is not None and o.disparity > 0.05
                                and o.landmark_id in cur_ids]
@@ -525,7 +523,7 @@ class Tracker:
                         if pts:
                             res = refine_photometric(
                                 pose, prev_nav.pose(), prev_frame.field,
-                                frame.field, pts, self.cam, self.rig,
+                                frame.field, pts, self.rig,
                                 self.backend_cfg.pattern, tracker_cfg,
                                 self.backend_cfg.sigma_intensity_track,
                                 gate=self.backend_cfg.photometric_track_gate)
@@ -546,14 +544,12 @@ class Tracker:
                 else:
                     nav = predict_state_imu(kf.state, imu_pre, self.rig.gravity)
 
-                candidate_ok = (mode.uses_vision
-                                and n_tracked >= tracker_cfg.min_tracked_features)
-                if self.status == TrackingStatus.DEGRADED and candidate_ok:
+                if self.status == TrackingStatus.DEGRADED and visual_ok:
                     self.reentry_count += 1
                     if self.reentry_count >= tracker_cfg.reentry_frames:
                         self.status = TrackingStatus.VISUAL_OK
                         self.reentry_count = 0
-                elif candidate_ok:
+                elif visual_ok:
                     self.status = TrackingStatus.VISUAL_OK
                     self.reentry_count = 0
                 else:
@@ -562,16 +558,15 @@ class Tracker:
 
                 cur_fs = FrameState(frame.frame_id, t, nav.pose(),
                                     self.status, n_tracked)
-                last_kf_fs = frames_out[self.kf_frame_ids[-1]] \
-                    if self.kf_frame_ids else None
-                if last_kf_fs is not None and \
-                        keyframe_decision(cur_fs, last_kf_fs, tracker_cfg):
+                if keyframe_decision(cur_fs, last_kf_fs, tracker_cfg):
                     self._make_keyframe(frame, nav, imu_pre, dvl_pre)
                     self._window_ba()
                     nav = self.keyframes[-1].state.copy()
 
             frames_out.append(FrameState(frame.frame_id, t, nav.pose(),
                                          self.status, n_tracked))
+            if len(self.keyframes) > n_keyframes:
+                last_kf_fs = frames_out[-1]
             status_rows.append((frame.frame_id, t, self.status.value,
                                 n_tracked, cost))
             navs.append(nav)

@@ -1,7 +1,7 @@
 """Pinhole camera model, stereo depth, the analytic intensity field and the
 photometric patch pattern. The reprojection and photometric residuals are
-evaluated by the solver (``backend._ReprojectionBatch`` and
-``backend._PhotometricBatch``).
+evaluated by the solver, each kind as one batch over a whole window
+(``backend._ReprojectionBatch`` and ``backend._PhotometricBatch``).
 
 Intensity fields are smooth sums of Gaussian bumps (plus a constant offset),
 so photometric values and gradients have closed forms and can be checked

@@ -12,7 +12,7 @@ from aquafuse.visual import (IntensityField, LandmarkObservation, PatchPattern,
                              project)
 
 from helpers import (discrete_imu_world, dvl_samples_from_world,
-                     fd_jacobian, jac_close)
+                     fd_jacobian, jac_close, random_nav_state)
 
 NOISY = ImuNoiseSpec(sigma_g=2e-4, sigma_a=2e-3,
                      sigma_bg_walk=1e-5, sigma_ba_walk=1e-4)
@@ -20,6 +20,12 @@ NOISY = ImuNoiseSpec(sigma_g=2e-4, sigma_a=2e-3,
 
 def default_rig() -> bk.SensorRig:
     return sensor_rig_from_config(ScenarioConfig())
+
+
+def bumpy_field(rng) -> IntensityField:
+    return IntensityField(rng.uniform(80, 200, 40),
+                          rng.uniform([0, 0], [640, 360], (40, 2)),
+                          rng.uniform(8, 14, 40), 640, 360)
 
 
 def make_scene(rng, n_kf=3, n_lm=8, kf_steps=40, pixel_noise=0.0,
@@ -170,9 +176,7 @@ class TestAssembleWindow:
         nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=4,
                                                          kf_steps=8)
         for node in nodes:
-            node.field = IntensityField(rng.uniform(80, 200, 40),
-                                        rng.uniform([0, 0], [640, 360], (40, 2)),
-                                        rng.uniform(8, 14, 40), 640, 360)
+            node.field = bumpy_field(rng)
         cfg = bk.BackendConfig(photometric_gate=float("inf"))
         _, factors = bk.assemble_window(nodes, landmarks, intervals, rig, cfg,
                                         fixed_ids={0, 1})
@@ -361,6 +365,21 @@ class TestSolve:
         assert report.termination is T.ZERO_GRADIENT
         assert (report.iterations, report.converged) == (0, True)
 
+    @pytest.mark.parametrize("mask", [
+        np.array([True] * 3 + [False] * 15),            # rotation only
+        np.array([False] * 3 + [True] * 15),            # no rotation
+        np.array([True] * 6 + [False] * 3 + [True] * 9),  # a gap
+        np.array([False] * 18),
+        np.ones(9, dtype=bool),                         # wrong length
+    ])
+    def test_non_prefix_mask_rejected(self, rng, mask):
+        nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=2)
+        window, factors = bk.assemble_window(nodes, landmarks, intervals, rig,
+                                             bk.BackendConfig(), fixed_ids={0})
+        window.state_masks[1] = mask
+        with pytest.raises(ValueError, match="contiguous prefix"):
+            bk.solve(window, factors)
+
     def test_empty_factor_list_rejected(self, rng):
         window = bk.LocalWindow(kf_ids=[0], states={0: NavState(
             np.eye(3), np.zeros(3), np.zeros(3))}, fixed_states={0})
@@ -424,93 +443,108 @@ def per_factor_normal_equations(factors, states, landmarks, state_cols,
     return h, g
 
 
-def full_state_cols(sids):
-    return {sid: (slice(k * STATE_DOF, (k + 1) * STATE_DOF),
-                  np.arange(STATE_DOF)) for k, sid in enumerate(sids)}
+def factor_cost(f, states, landmarks):
+    """One factor's robustified cost, through its batch of one."""
+    r, _, _ = f.evaluate(states, landmarks, with_jacobians=False)
+    r2 = float(r @ f.info @ r)
+    return bk.huber_cost(r2, f.robust_delta) if f.robust else r2
+
+
+def assert_matches_per_factor_path(window, factors):
+    """The solver's cost and normal equations at the window's states equal
+    the sums over the factors' batches of one, on the solver's columns."""
+    layout = bk._window_layout(window, factors)
+    batches = bk._batches(factors, layout)
+    stack = layout.stack(window.states)
+    lms = layout.landmark_array(window.landmarks)
+    ndim = layout.ndim
+    cost_single = sum(factor_cost(f, window.states, window.landmarks)
+                      for f in factors)
+    assert bk._cost(batches, stack, lms) == pytest.approx(cost_single,
+                                                          rel=1e-12)
+    state_cols = {}
+    for sid, cols in layout.cols.items():
+        n = sum(c < ndim for c in cols)
+        if n:
+            state_cols[sid] = (slice(cols[0], cols[0] + n), np.arange(n))
+    lm_cols = {lid: slice(c[0], c[0] + 3) for lid, c in layout.lm_cols.items()
+               if c[0] < ndim}
+    h_b, g_b = bk._normal_equations(batches, stack, lms, ndim)
+    h_s, g_s = per_factor_normal_equations(
+        factors, window.states, window.landmarks, state_cols, lm_cols, ndim)
+    assert_allclose(h_b, h_s, atol=1e-9)
+    assert_allclose(g_b, g_s, atol=1e-10)
+    return layout, batches
 
 
 class TestBatchedReprojection:
-    def _compare(self, reproj, window, state_cols, lm_cols, ndim):
-        batch = bk._ReprojectionBatch(reproj)
-        cost_batch = batch.cost(window.states, window.landmarks)
-        cost_single = sum(
-            bk._factor_cost(f, f.evaluate(window.states, window.landmarks,
-                                          with_jacobians=False)[0])
-            for f in reproj)
-        assert cost_batch == pytest.approx(cost_single, rel=1e-12)
-        h_b = np.zeros((ndim, ndim))
-        g_b = np.zeros(ndim)
-        batch.accumulate(h_b, g_b, window.states, window.landmarks,
-                         state_cols, lm_cols)
-        h_s, g_s = per_factor_normal_equations(
-            reproj, window.states, window.landmarks, state_cols, lm_cols, ndim)
-        assert_allclose(h_b, h_s, atol=1e-9)
-        assert_allclose(g_b, g_s, atol=1e-10)
+    """One batch for the reprojections of every host of a window."""
 
-    def test_matches_per_factor_path(self, rng):
-        nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=2, n_lm=6,
+    @staticmethod
+    def _window(rng, fix_and_repeat=False):
+        """Keyframes 0 (fixed), 1 and 2 with their reprojections; with
+        ``fix_and_repeat`` two landmarks that keyframe 1 sees are fixed and
+        keyframe 1 observes a third one twice."""
+        nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=3, n_lm=8,
                                                          pixel_noise=1.0)
-        cfg = bk.BackendConfig(photometric_enabled=False)
-        window, factors = bk.assemble_window(nodes, landmarks, intervals, rig,
-                                             cfg, fixed_ids={0})
-        reproj = [f for f in factors
-                  if f.kind is bk.FactorKind.REPROJECTION
-                  and f.state_ids[0] == 1]
-        lm_ids = sorted({f.landmark_id for f in reproj})
-        dof = STATE_DOF
-        lm_cols = {lid: slice(dof + 3 * i, dof + 3 * i + 3)
-                   for i, lid in enumerate(lm_ids)}
-        self._compare(reproj, window, full_state_cols([1]), lm_cols,
-                      dof + 3 * len(lm_ids))
-
-    def test_fixed_and_repeated_landmarks(self, rng):
-        # a keyframe that observes one landmark twice must add both
-        # contributions; fixed landmarks have no columns and are skipped
-        nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=2, n_lm=8,
-                                                         pixel_noise=1.0)
-        node = nodes[1]
-        first = node.observations[0]
-        node.observations.append(LandmarkObservation(
-            first.frame_id, first.landmark_id, first.pixel + [0.7, -0.4],
-            first.disparity))
-        fixed = {node.observations[1].landmark_id,
-                 node.observations[2].landmark_id}
+        fixed = set()
+        if fix_and_repeat:
+            first = nodes[1].observations[0]
+            nodes[1].observations.append(LandmarkObservation(
+                first.frame_id, first.landmark_id, first.pixel + [0.7, -0.4],
+                first.disparity))
+            fixed = {o.landmark_id for o in nodes[1].observations[1:3]}
         cfg = bk.BackendConfig(photometric_enabled=False)
         window, factors = bk.assemble_window(nodes, landmarks, intervals, rig,
                                              cfg, fixed_ids={0},
                                              fixed_landmarks=fixed)
-        reproj = [f for f in factors
-                  if f.kind is bk.FactorKind.REPROJECTION
-                  and f.state_ids[0] == 1]
-        ids = [f.landmark_id for f in reproj]
-        assert ids.count(first.landmark_id) == 2
-        assert fixed <= set(ids)
-        free = sorted(set(ids) - window.fixed_landmarks)
+        reproj = [f for f in factors if f.kind is bk.FactorKind.REPROJECTION]
+        assert {f.state_ids[0] for f in reproj} == {0, 1, 2}
         assert window.fixed_landmarks == fixed
-        dof = STATE_DOF
-        lm_cols = {lid: slice(dof + 3 * i, dof + 3 * i + 3)
-                   for i, lid in enumerate(free)}
-        self._compare(reproj, window, full_state_cols([1]), lm_cols,
-                      dof + 3 * len(free))
+        return window, reproj, nodes[1].observations[0].landmark_id
+
+    def test_matches_per_factor_path(self, rng):
+        window, reproj, _ = self._window(rng)
+        assert_matches_per_factor_path(window, reproj)
+
+    def test_fixed_and_repeated_landmarks(self, rng):
+        # a keyframe that observes one landmark twice must add both
+        # contributions; fixed landmarks have no columns and are skipped,
+        # and so are the rows of the fixed host on them
+        window, reproj, twice = self._window(rng, fix_and_repeat=True)
+        ids = [f.landmark_id for f in reproj if f.state_ids == (1,)]
+        assert ids.count(twice) == 2
+        assert window.fixed_landmarks <= set(ids)
+        layout, (batch,) = assert_matches_per_factor_path(window, reproj)
+        dead = [f.state_ids == (0,) and f.landmark_id in window.fixed_landmarks
+                for f in reproj]
+        assert any(dead)
+        assert list(batch.live) == [k for k, d in enumerate(dead) if not d]
 
 
-def pair_window(rng, n_kf=12, biased=True):
+def pair_window(rng, n_kf=12, biased=True, photometric=False):
     """A window of keyframes 0, 2, 3, ..., n_kf - 1: 0 is a fixed co-visible
     keyframe behind a gap (no pair factors across it), 2 the fixed boundary,
     5 and 8 are solved for pose and velocity and for pose only. States from
     3 on are perturbed, with their biases off the linearization when
-    ``biased``. Returns the window, all factors, the pair factors (their
-    information scaled to a largest entry of 1) and the solver's columns."""
+    ``biased``; with ``photometric`` every keyframe has its own field and
+    each live pair its photometric factors. Returns the window, all factors
+    and the pair factors (their information scaled to a largest entry of
+    1)."""
     nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=n_kf, n_lm=6,
                                                      kf_steps=10)
     nodes = [nodes[0]] + nodes[2:]
+    if photometric:
+        for node in nodes:
+            node.field = bumpy_field(rng)
     for node in nodes[2:]:
         st = node.state
         st.R = st.R @ exp_so3(rng.normal(size=3) * 0.02)
         st.p, st.v = st.p + rng.normal(size=3) * 0.05, st.v + rng.normal(size=3) * 0.05
         if biased:
             st.bg, st.ba, st.bv = (rng.normal(size=3) * s for s in (1e-3, 1e-2, 1e-2))
-    cfg = bk.BackendConfig(photometric_enabled=False)
+    cfg = bk.BackendConfig(photometric_enabled=photometric,
+                           photometric_gate=float("inf"))
     window, factors = bk.assemble_window(nodes, landmarks, intervals, rig, cfg,
                                          fixed_ids={0, 2})
     window.state_masks[5] = bk.POSE_VEL_MASK
@@ -518,13 +552,7 @@ def pair_window(rng, n_kf=12, biased=True):
     pairs = [f for f in factors if f.kind in bk.PAIR_KINDS]
     for f in pairs:
         f.info = f.info / np.abs(f.info).max()
-    state_cols, offset = {}, 0
-    for sid in window.kf_ids:
-        if sid not in window.fixed_states:
-            local = np.flatnonzero(window.mask_of(sid))
-            state_cols[sid] = (slice(offset, offset + len(local)), local)
-            offset += len(local)
-    return window, factors, pairs, state_cols, offset
+    return window, factors, pairs
 
 
 class TestStackedPairKinds:
@@ -533,38 +561,25 @@ class TestStackedPairKinds:
 
     @pytest.mark.parametrize("biased", [False, True])
     def test_matches_per_factor_path(self, rng, biased):
-        window, _, pairs, state_cols, ndim = pair_window(rng, biased=biased)
+        window, _, pairs = pair_window(rng, biased=biased)
         assert {f.state_ids for f in pairs} == {(k, k + 1) for k in range(2, 11)}
         assert {f.kind for f in pairs} == set(bk.PAIR_KINDS)
-        order, groups = bk._pair_groups(pairs, state_cols, ndim)
-        stack = stack_states(window.states[sid] for sid in order)
-        cost_single = sum(
-            bk._factor_cost(f, f.evaluate(window.states, {}, with_jacobians=False)[0])
-            for f in pairs)
-        assert sum(g.cost(stack) for g in groups) == pytest.approx(cost_single,
-                                                                   rel=1e-12)
-        h_b, g_b = np.zeros((ndim + 1, ndim + 1)), np.zeros(ndim + 1)
-        for group in groups:
-            group.accumulate(h_b, g_b, stack)
-        h_s, g_s = per_factor_normal_equations(pairs, window.states, {},
-                                               state_cols, {}, ndim)
-        assert_allclose(h_b[:ndim, :ndim], h_s, atol=1e-9)
-        assert_allclose(g_b[:ndim], g_s, atol=1e-10)
+        assert_matches_per_factor_path(window, pairs)
 
     @pytest.mark.parametrize("biased", [False, True])
     def test_blocks_match_finite_differences(self, rng, biased):
-        window, _, pairs, state_cols, ndim = pair_window(rng, biased=biased)
-        order, groups = bk._pair_groups(pairs, state_cols, ndim)
-        states = window.states
-        for batch in (b for g in groups for b in g.batches):
-            _, jac = batch.evaluate(stack_states(states[sid] for sid in order))
+        window, _, pairs = pair_window(rng, biased=biased)
+        layout = bk._window_layout(window, pairs)
+        order, states = list(layout.rows), window.states
+        for batch in (b for g in bk._batches(pairs, layout) for b in g.batches):
+            _, jac = batch.evaluate(layout.stack(states))
             rows = np.arange(len(order))
             rows_i, rows_j = rows[batch.i], rows[batch.j]
             for k, sid in enumerate(order):
                 def res_at(delta, sid=sid):
                     moved = dict(states)
                     moved[sid] = states[sid].retract(delta)
-                    st = stack_states(moved[s] for s in order)
+                    st = layout.stack(moved)
                     return batch.evaluate(st, with_jacobians=False)[0].ravel()
 
                 fd = fd_jacobian(res_at, STATE_DOF, None).reshape(
@@ -576,36 +591,58 @@ class TestStackedPairKinds:
                 assert np.all(fd[~((rows_i == k) | (rows_j == k))] == 0.0)
 
     def test_near_pi_relative_rotation_raises(self, rng):
-        window, _, pairs, state_cols, ndim = pair_window(rng, biased=False)
+        window, _, pairs = pair_window(rng, biased=False)
         imu = next(f for f in pairs if f.state_ids == (6, 7))
         s6, s7 = window.states[6], window.states[7]
         s7.R = s6.R @ imu.payload.dR @ exp_so3([np.pi - 1e-7, 0.0, 0.0])
-        order, groups = bk._pair_groups(pairs, state_cols, ndim)
-        stack = stack_states(window.states[sid] for sid in order)
-        batch = next(b for g in groups for b in g.batches
+        layout = bk._window_layout(window, pairs)
+        batch = next(b for g in bk._batches(pairs, layout) for b in g.batches
                      if b.kind is bk.FactorKind.IMU)
         with pytest.raises(BranchAmbiguityError):
-            batch.evaluate(stack, with_jacobians=False)
+            batch.evaluate(layout.stack(window.states), with_jacobians=False)
         with pytest.raises(BranchAmbiguityError):
             bk.solve(window, pairs)
 
 
 class TestPairKindWorkCount:
-    """Each pair kind's residual function runs once per normal-equation
-    assembly and once per cost evaluation, whatever the number of pairs."""
+    """Each pair kind's residual function, and the reprojection and
+    photometric residual code, run once per normal-equation assembly and
+    once per cost evaluation, whatever the number of hosts or pairs; each
+    distinct observer field is sampled at most once per evaluation."""
 
     KINDS = ("imu_pair_residuals", "dvl_velocity_pair_residuals",
              "dvl_position_pair_residuals", "pressure_pair_residuals")
+    VISUAL = ((bk._ReprojectionBatch, "_project"),
+              (bk._PhotometricBatch, "_warp"))
 
     @pytest.mark.parametrize("n_kf", [4, 12])
     def test_one_call_per_kind_per_evaluation(self, rng, monkeypatch, n_kf):
-        window, factors, _, _, _ = pair_window(rng, n_kf=n_kf)
+        window, factors, _ = pair_window(rng, n_kf=n_kf, photometric=True)
+        kinds = [f.kind for f in factors]
+        assert kinds.count(bk.FactorKind.PHOTOMETRIC) > n_kf - 3
+        hosts = {f.state_ids for f in factors
+                 if f.kind is bk.FactorKind.REPROJECTION}
+        assert len(hosts) == n_kf - 1
+        fields = {id(f.payload.field_obs) for f in factors
+                  if f.kind is bk.FactorKind.PHOTOMETRIC}
+        assert len(fields) == n_kf - 3
         calls = {(name, jac): 0 for name in self.KINDS for jac in (False, True)}
         for name in self.KINDS:
             def counted(*args, _fn=getattr(bk, name), _name=name):
                 calls[_name, args[-1]] += 1
                 return _fn(*args)
             monkeypatch.setattr(bk, name, counted)
+        for cls, name in self.VISUAL:
+            def counted_method(self, *args, _fn=getattr(cls, name), _key=cls):
+                calls[_key] = calls.get(_key, 0) + 1
+                return _fn(self, *args)
+            monkeypatch.setattr(cls, name, counted_method)
+        for name in ("sample", "gradient"):
+            def counted_field(self, *args, _fn=getattr(IntensityField, name),
+                              _key=name):
+                calls[_key] = calls.get(_key, 0) + 1
+                return _fn(self, *args)
+            monkeypatch.setattr(IntensityField, name, counted_field)
         candidates = {"n": 0}
         linear_solve = np.linalg.solve
 
@@ -618,8 +655,7 @@ class TestPairKindWorkCount:
         single = []
 
         def counted_evaluate(self, *args, **kwargs):
-            if self.kind in bk.PAIR_KINDS:
-                single.append(self.kind)
+            single.append(self.kind)
             return evaluate(self, *args, **kwargs)
 
         monkeypatch.setattr(bk.Factor, "evaluate", counted_evaluate)
@@ -627,70 +663,59 @@ class TestPairKindWorkCount:
         assert report.iterations >= 2 and single == []
         stopped = report.termination in (bk.Termination.ZERO_GRADIENT,
                                          bk.Termination.NO_DESCENT)
+        # the initial cost and one per candidate step
+        costs, assemblies = 1 + candidates["n"], report.iterations + stopped
         for name in self.KINDS:
-            # the initial cost and one per candidate step
-            assert calls[name, False] == 1 + candidates["n"], name
-            assert calls[name, True] == report.iterations + stopped, name
+            assert calls[name, False] == costs, name
+            assert calls[name, True] == assemblies, name
+        for cls, _ in self.VISUAL:
+            assert calls[cls] == costs + assemblies, cls.__name__
+        assert calls["gradient"] == len(fields) * assemblies
+        assert calls["sample"] <= len(fields) * (costs + assemblies)
 
 
-def photometric_pair(rng, n_patches=6, info_scale=1.0):
-    """Two keyframes of ``make_scene`` with unrelated bumpy fields and one
-    photometric factor per stereo observation of the first keyframe."""
-    nodes, _, _, rig, truth = make_scene(rng, n_kf=2, n_lm=n_patches,
-                                         kf_steps=8)
-    fields = [IntensityField(rng.uniform(80, 200, 40),
-                                rng.uniform([0, 0], [640, 360], (40, 2)),
-                                rng.uniform(8, 14, 40), 640, 360)
-              for _ in range(2)]
-    points = [(o.pixel, rig.cam.fx * rig.cam.baseline / o.disparity)
-              for o in nodes[0].observations]
-    states = {0: truth[0].copy(), 1: truth[1].copy()}
-    factors = bk.make_photometric_factors(
-        (0, 1), fields[0], fields[1], points, PatchPattern(),
-        np.array([[info_scale]]), rig, states)
-    assert len(factors) >= 3
-    return factors, states
+def photometric_window(rng, fixed_ids=(), info_scale=None):
+    """Four keyframes of ``make_scene``, each with its own unrelated bumpy
+    field, and the photometric factors of its three consecutive pairs (with
+    information ``info_scale`` when given)."""
+    nodes, _, intervals, rig, _ = make_scene(rng, n_kf=4, n_lm=8, kf_steps=8)
+    for node in nodes:
+        node.field = bumpy_field(rng)
+    cfg = bk.BackendConfig(photometric_gate=float("inf"))
+    window, factors = bk.assemble_window(nodes, {}, intervals, rig, cfg,
+                                         fixed_ids=set(fixed_ids))
+    factors = [f for f in factors if f.kind is bk.FactorKind.PHOTOMETRIC]
+    if info_scale is not None:
+        for f in factors:
+            f.info = np.array([[info_scale]])
+    pairs = [f.state_ids for f in factors]
+    assert all(pairs.count(p) >= 3 for p in ((0, 1), (1, 2), (2, 3)))
+    return window, factors
 
 
 class TestBatchedPhotometric:
-    def test_matches_per_factor_path(self, rng):
-        factors, states = photometric_pair(rng, info_scale=1e-3)
-        batch = bk._PhotometricBatch(factors)
-        cost_batch = batch.cost(states)
-        cost_single = sum(
-            bk._factor_cost(f, f.evaluate(states, {}, with_jacobians=False)[0])
-            for f in factors)
-        assert cost_batch == pytest.approx(cost_single, rel=1e-12)
+    """One batch for the photometric patches of every pair of a window."""
 
-        state_cols = full_state_cols([0, 1])
-        ndim = 2 * STATE_DOF
-        h_b = np.zeros((ndim, ndim))
-        g_b = np.zeros(ndim)
-        batch.accumulate(h_b, g_b, states, {}, state_cols, {})
-        h_s, g_s = per_factor_normal_equations(factors, states, {},
-                                               state_cols, {}, ndim)
-        assert_allclose(h_b, h_s, atol=1e-9)
-        assert_allclose(g_b, g_s, atol=1e-10)
+    def test_matches_per_factor_path(self, rng):
+        window, factors = photometric_window(rng, info_scale=1e-3)
+        layout, (batch,) = assert_matches_per_factor_path(window, factors)
+        assert len(batch.fields) == 3
 
     def test_fixed_host_has_no_columns(self, rng):
-        factors, states = photometric_pair(rng, info_scale=1e-3)
-        state_cols = {1: (slice(0, STATE_DOF), np.arange(STATE_DOF))}
-        h_b = np.zeros((STATE_DOF, STATE_DOF))
-        g_b = np.zeros(STATE_DOF)
-        bk._PhotometricBatch(factors).accumulate(h_b, g_b, states, {},
-                                                 state_cols, {})
-        h_s, g_s = per_factor_normal_equations(factors, states, {},
-                                               state_cols, {}, STATE_DOF)
-        assert_allclose(h_b, h_s, atol=1e-9)
-        assert_allclose(g_b, g_s, atol=1e-10)
+        window, factors = photometric_window(rng, fixed_ids={0},
+                                             info_scale=1e-3)
+        layout, _ = assert_matches_per_factor_path(window, factors)
+        assert layout.cols[0] == [layout.ndim] * STATE_DOF
 
     def test_invalid_patch_makes_cost_infinite(self, rng):
-        factors, states = photometric_pair(rng)
-        moved = dict(states)
-        moved[1] = states[1].retract(np.r_[0, 0, 0, 40.0, 0, 0, np.zeros(12)])
-        res, valid = bk._PhotometricBatch(factors).residuals(moved)
+        window, factors = photometric_window(rng)
+        layout = bk._window_layout(window, factors)
+        batch = bk._PhotometricBatch(factors, layout)
+        moved = dict(window.states)
+        moved[1] = moved[1].retract(np.r_[0, 0, 0, 40.0, 0, 0, np.zeros(12)])
+        res, _, valid = batch.patch_residuals(layout.stack(moved))
         assert not valid.all() and np.isnan(res[~valid]).all()
-        assert bk._PhotometricBatch(factors).cost(moved) == float("inf")
+        assert bk._cost([batch], layout.stack(moved), None) == float("inf")
 
 
 class TestPhotometricJacobians:
@@ -698,55 +723,73 @@ class TestPhotometricJacobians:
     central differences along each state's retraction."""
 
     def test_rows_match_finite_differences(self, rng):
-        factors, states = photometric_pair(rng)
-        batch = bk._PhotometricBatch(factors)
-        _, j_host, j_obs = batch.linearize(states)
-        for sid, rows in ((0, j_host), (1, j_obs)):
+        window, factors = photometric_window(rng)
+        states = window.states
+        layout = bk._window_layout(window, factors)
+        batch = bk._PhotometricBatch(factors, layout)
+        _, jac = batch.linearize(layout.stack(states))
+        for sid in window.kf_ids:
             def res_at(delta, sid=sid):
                 moved = dict(states)
                 moved[sid] = states[sid].retract(delta)
-                res, valid = batch.residuals(moved)
-                assert valid.all()
-                return res
+                return batch.residuals(layout.stack(moved))[:, 0]
 
             fd = fd_jacobian(res_at, STATE_DOF, None)
             # the warp sees rotation and position only
             assert np.all(fd[:, 6:] == 0.0)
-            assert jac_close(rows, fd[:, :6], rtol=1e-4)
+            host = np.array([f.state_ids[0] == sid for f in factors])
+            obs = np.array([f.state_ids[1] == sid for f in factors])
+            assert np.all(fd[~(host | obs)] == 0.0)
+            for on, cols in ((host, slice(0, 6)), (obs, slice(6, 12))):
+                if on.any():
+                    assert jac_close(jac[on, 0, cols], fd[on, :6], rtol=1e-4)
             for k, f in enumerate(factors):
-                _, js, _ = f.evaluate(states, {})
-                assert js[sid].shape == (1, STATE_DOF)
-                assert jac_close(js[sid], fd[k:k + 1], rtol=1e-4)
+                if host[k] or obs[k]:
+                    _, js, _ = f.evaluate(states, {})
+                    assert js[sid].shape == (1, STATE_DOF)
+                    assert jac_close(js[sid], fd[k:k + 1], rtol=1e-4)
 
     def test_gradient_matches_robust_cost(self, rng):
         # g = J^T W r is half the gradient of the Huber cost, with patches on
         # both sides of the knee
-        factors, states = photometric_pair(rng)
-        batch = bk._PhotometricBatch(factors)
-        res, _ = batch.residuals(states)
+        window, factors = photometric_window(rng)
+        states = window.states
+        layout = bk._window_layout(window, factors)
+        stack = layout.stack(states)
+        res = bk._PhotometricBatch(factors, layout).residuals(stack)[:, 0]
         delta = factors[0].robust_delta
         for k, f in enumerate(factors):
             scale = 0.5 if k % 2 == 0 else 3.0  # |r| at scale * delta
             f.info = np.array([[(scale * delta / res[k]) ** 2]])
-        batch = bk._PhotometricBatch(factors)
-        w, _ = bk._robust_weights_cost(res * batch.infos * res, batch.robust,
-                                       batch.deltas)
+        batch = bk._PhotometricBatch(factors, layout)
+        w, _ = batch.weights_cost(res[:, None])
         assert np.any(w == 1.0) and np.any(w < 1.0)
 
-        sids = [0, 1]
-        state_cols = full_state_cols(sids)
-        ndim = 2 * STATE_DOF
-        h = np.zeros((ndim, ndim))
-        g = np.zeros(ndim)
-        batch.accumulate(h, g, states, {}, state_cols, {})
+        ndim = layout.ndim
+        _, g = bk._normal_equations([batch], stack, None, ndim)
 
         def cost_at(delta):
-            moved = {sid: states[sid].retract(delta[state_cols[sid][0]])
-                     for sid in sids}
-            return batch.cost(moved)
+            moved = {sid: states[sid].retract(delta[cols[0]:cols[-1] + 1])
+                     for sid, cols in layout.cols.items()}
+            return bk._cost([batch], layout.stack(moved), None)
 
         fd = fd_jacobian(cost_at, ndim, None)[0]
         assert jac_close(g, 0.5 * fd, rtol=1e-5)
+
+
+class TestPriorJacobian:
+    def test_rows_match_finite_differences(self, rng):
+        ref = random_nav_state(rng)
+        state = ref.retract(rng.normal(size=STATE_DOF) * 0.1)
+        factor = bk.make_prior_factor(3, ref)
+        _, js, _ = factor.evaluate({3: state}, {})
+
+        def res_at(delta):
+            return factor.evaluate({3: state.retract(delta)}, {},
+                                   with_jacobians=False)[0]
+
+        assert jac_close(js[3], fd_jacobian(res_at, STATE_DOF, None),
+                         rtol=1e-5)
 
 
 def test_robust_flag_restricted_to_visual(rng):

@@ -111,6 +111,16 @@ class TestInputErrors:
         ({"backend": {"use_dvl": "yes"}}, "backend.use_dvl"),
         ({"floors": [0.1]}, "floors"),
         ({"mode": "sonar"}, "mode"),
+        ({"backend": {"use_vision": False}}, "backend.use_vision (set by mode)"),
+        ({"backend": {"use_dvl": True}}, "backend.use_dvl (set by mode)"),
+        ({"backend": {"use_pressure": False}},
+         "backend.use_pressure (set by mode)"),
+        ({"backend": {"sigma_pixel": 1.0}}, "set by floors.sigma_pixel"),
+        ({"backend": {"sigma_dvl": 0.1}}, "set by floors.sigma_dvl"),
+        ({"backend": {"sigma_pressure": 0.1}}, "set by floors.sigma_pressure"),
+        ({"backend": {"sigma_bg_walk": 1e-4}}, "set by floors.sigma_bg_walk"),
+        ({"backend": {"sigma_ba_walk": 1e-3}}, "set by floors.sigma_ba_walk"),
+        ({"backend": {"sigma_bv_walk": 1e-2}}, "set by floors.sigma_bv_walk"),
     ])
     def test_malformed_nested_config(self, dataset, tmp_path, capsys,
                                      config, key):

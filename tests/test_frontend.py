@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -39,8 +41,8 @@ class TestTrackCoarse:
 
     def test_perfect_init_returns_truth(self, rng):
         node, landmarks, rig, truth = self._scene(rng)
-        pose = track_coarse(truth, node.observations, landmarks, rig.cam, rig,
-                            None, TrackerConfig())
+        pose = track_coarse(truth, node.observations, landmarks, rig, None,
+                            TrackerConfig())
         assert np.linalg.norm(pose.t - truth.p) < 1e-10
         assert rotation_angle(truth.R.T @ pose.R) < 1e-10
 
@@ -50,16 +52,16 @@ class TestTrackCoarse:
         init.p = truth.p + np.array([0.05, -0.03, 0.02])
         init.R = truth.R @ exp_so3([0.0, 0.02, -0.01])
         init.v = np.zeros(3)
-        pose = track_coarse(init, node.observations, landmarks, rig.cam, rig,
-                            None, TrackerConfig())
+        pose = track_coarse(init, node.observations, landmarks, rig, None,
+                            TrackerConfig())
         assert np.linalg.norm(pose.t - truth.p) < 1e-6
         assert rotation_angle(truth.R.T @ pose.R) < 1e-6
 
     def test_underdetermined_rejected(self, rng):
         node, landmarks, rig, truth = self._scene(rng)
         with pytest.raises(InsufficientObservationsError):
-            track_coarse(truth, node.observations[:3], landmarks, rig.cam,
-                         rig, None, TrackerConfig())
+            track_coarse(truth, node.observations[:3], landmarks, rig, None,
+                         TrackerConfig())
 
 
 class TestRefinePhotometric:
@@ -122,7 +124,7 @@ class TestRefinePhotometric:
         rig, truth, f0, f1, points = self._photometric_scene(rng)
         coarse = truth[1].pose()
         res = refine_photometric(coarse, truth[0].pose(), f0, f1, points,
-                                 rig.cam, rig, bk.PatchPattern(),
+                                 rig, bk.PatchPattern(),
                                  TrackerConfig())
         assert np.abs(res.pose.t - coarse.t).max() < 1e-6
 
@@ -131,7 +133,7 @@ class TestRefinePhotometric:
         offset = np.array([0.005, -0.004, 0.003])  # about half a pixel
         coarse = Pose(truth[1].R, truth[1].p + offset)
         res = refine_photometric(coarse, truth[0].pose(), f0, f1, points,
-                                 rig.cam, rig, bk.PatchPattern(),
+                                 rig, bk.PatchPattern(),
                                  TrackerConfig(refine_max_iterations=10))
         err_before = np.linalg.norm(coarse.t - truth[1].p)
         err_after = np.linalg.norm(res.pose.t - truth[1].p)
@@ -145,7 +147,7 @@ class TestRefinePhotometric:
                               rig.cam.width, rig.cam.height, offset=12.0)
         coarse = truth[1].pose()
         res = refine_photometric(coarse, truth[0].pose(), flat, flat, points,
-                                 rig.cam, rig, bk.PatchPattern(),
+                                 rig, bk.PatchPattern(),
                                  TrackerConfig())
         assert not res.refined
         assert (res.pose.t == coarse.t).all()
@@ -294,6 +296,22 @@ class TestPipeline:
             assert (a.p == b.p).all()
             assert (a.R == b.R).all()
         assert [f.status for f in r1.frames] == [f.status for f in r2.frames]
+
+    @pytest.mark.parametrize("renumber", [lambda k: k + 1000, lambda k: 2 * k],
+                             ids=["offset", "doubled"])
+    def test_frame_ids_need_not_be_positions(self, renumber):
+        ds = simulate(ScenarioConfig(duration_s=3.0, seed=4))
+        ref = run_estimator(ds, RunConfig())
+        ds.frames = [replace(f, frame_id=renumber(f.frame_id), observations=[
+            replace(o, frame_id=renumber(o.frame_id)) for o in f.observations])
+            for f in ds.frames]
+        got = run_estimator(ds, RunConfig())
+        assert len(ref.keyframes) > 1
+        assert [f.frame_id for f in got.frames] == \
+            [renumber(f.frame_id) for f in ref.frames]
+        assert [f.status for f in got.frames] == [f.status for f in ref.frames]
+        for a, b in zip(got.navs, ref.navs):
+            assert (a.p == b.p).all() and (a.R == b.R).all()
 
     def test_dead_reckoning_mode_runs(self):
         cfg = zero_noise_config(duration_s=6.0)

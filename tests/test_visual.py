@@ -24,9 +24,8 @@ def reprojection(pose, landmark_w, obs, with_jacobians=True):
     """The solver's reprojection factor (a batch of one) with the camera at
     ``pose``: residual and Jacobians w.r.t. the camera rotation (R <- R
     exp(phi)), its position and the landmark."""
-    factor = bk.Factor(bk.FactorKind.REPROJECTION, (0,),
-                       bk.ReprojectionData(obs), np.eye(2), landmark_id=0,
-                       rig=RIG)
+    factor = bk.Factor(bk.FactorKind.REPROJECTION, (0,), obs, np.eye(2),
+                       landmark_id=0, rig=RIG)
     res, js, jl = factor.evaluate(
         {0: NavState(pose.R, pose.t, np.zeros(3))},
         {0: np.asarray(landmark_w, dtype=float)}, with_jacobians)
