@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from enum import Enum
 from typing import Any
 
@@ -35,7 +36,8 @@ from .dvl import (DvlExtrinsics, DvlPreintegrated, DvlSample,
 from .imu import ImuPreintegrated, imu_pair_residuals, stack_imu_pairs
 from .manifold import (Pose, hat, hat_batch, log_so3_batch,
                        right_jacobian_inv_so3_batch)
-from .state import STATE_DOF, NavState, StateStack, matvec, stack_states
+from .state import (STATE_DOF, NavState, StateStack, matvec, retract_rows,
+                    stack_states, unstack_state)
 from .visual import (BehindCameraError, CameraModel, IntensityField,
                      LandmarkObservation, OutOfDomainError, PatchPattern)
 
@@ -675,9 +677,8 @@ def solve(window: LocalWindow, factors: list[Factor],
     layout = _window_layout(window, factors)
     ndim = layout.ndim
     batches = _batches(factors, layout)
-    states = window.states
     lms = layout.landmark_array(window.landmarks)
-    stack = layout.stack(states)
+    stack = layout.stack(window.states)
 
     cost = _cost(batches, stack, lms)
     if not np.isfinite(cost):
@@ -688,17 +689,19 @@ def solve(window: LocalWindow, factors: list[Factor],
         return window, SolveReport(0, initial_cost, cost, True, trace,
                                    Termination.ZERO_GRADIENT)
 
-    free = {sid: np.array(cols) for sid, cols in layout.cols.items()
-            if cols[0] < ndim}
+    # the stack rows of the free states that a factor touches (the others
+    # have no gradient and stay put) and their columns
+    free = [sid for sid in layout.rows if layout.cols[sid][0] < ndim]
+    free_rows = np.array([layout.rows[sid] for sid in free], dtype=np.intp)
+    free_cols = np.array([layout.cols[sid] for sid in free],
+                         dtype=np.intp).reshape(-1, STATE_DOF)
     lm_index = np.array(list(layout.lm_cols.values()),
                         dtype=np.intp).reshape(-1, 3)
 
-    def retract(delta):
+    def retract(stack, lms, delta):
         delta = np.append(delta, 0.0)  # the dummy column moves nothing
-        new_states = dict(states)
-        for sid, cols in free.items():
-            new_states[sid] = states[sid].retract(delta[cols])
-        return new_states, lms + delta[lm_index]
+        return (retract_rows(stack, free_rows, delta[free_cols]),
+                lms + delta[lm_index])
 
     lam = cfg.lambda_init
     accepted = 0
@@ -717,15 +720,14 @@ def solve(window: LocalWindow, factors: list[Factor],
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            cand_states, cand_lms = retract(candidate)
-            cand_stack = layout.stack(cand_states)
+            cand_stack, cand_lms = retract(stack, lms, candidate)
             cand_cost = _cost(batches, cand_stack, cand_lms)
             if math.isnan(cand_cost):
                 raise DivergedError("candidate cost is NaN")
             if cand_cost < cost:
                 step = candidate
                 new_cost = cand_cost
-                states, lms, stack = cand_states, cand_lms, cand_stack
+                stack, lms = cand_stack, cand_lms
                 lam = max(lam / 3.0, 1e-12)
                 break
             lam *= 10.0
@@ -746,7 +748,9 @@ def solve(window: LocalWindow, factors: list[Factor],
             termination = Termination.STEP_SIZE
             break
 
-    window.states = states
+    window.states = dict(window.states)
+    for sid in free:
+        window.states[sid] = unstack_state(stack, layout.rows[sid])
     window.landmarks = dict(zip(layout.lm_rows, lms))
     converged = termination is not Termination.ITERATION_CAP
     return window, SolveReport(accepted, initial_cost, cost, converged, trace,
@@ -771,10 +775,20 @@ class KeyframeNode:
 
 @dataclass
 class IntervalData:
-    """Preintegrated measurements covering one consecutive keyframe pair."""
+    """Preintegrated measurements covering one consecutive keyframe pair,
+    and their information matrices, inverted once and shared by every
+    window that spans the pair."""
 
     imu_preint: ImuPreintegrated
     dvl_preint: DvlPreintegrated | None = None
+
+    @cached_property
+    def imu_info(self) -> np.ndarray:
+        return _safe_inverse(self.imu_preint.cov)
+
+    @cached_property
+    def dvl_info(self) -> np.ndarray:
+        return _safe_inverse(self.dvl_preint.cov)
 
 
 @dataclass
@@ -884,13 +898,13 @@ def assemble_window(keyframes: list[KeyframeNode],
             np.full(3, 1.0 / (cfg.sigma_ba_walk**2 * dt)),
         ])
         info = np.zeros((15, 15))
-        info[0:9, 0:9] = _safe_inverse(data.imu_preint.cov)
+        info[0:9, 0:9] = data.imu_info
         info[9:15, 9:15] = np.diag(walk)
         factors.append(Factor(FactorKind.IMU, key, data.imu_preint, info, rig=rig))
 
         if cfg.use_dvl and data.dvl_preint is not None:
             info = np.zeros((6, 6))
-            info[0:3, 0:3] = _safe_inverse(data.dvl_preint.cov)
+            info[0:3, 0:3] = data.dvl_info
             info[3:6, 3:6] = np.eye(3) / (cfg.sigma_bv_walk**2 * dt)
             factors.append(Factor(FactorKind.DVL_POSITION, key, data.dvl_preint,
                                   info, rig=rig))

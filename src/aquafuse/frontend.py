@@ -28,7 +28,7 @@ from .imu import (ImuBias, ImuNoiseSpec, ImuPreintegrated, ImuSample,
                   correct_imu_bias, hold_intervals, integrate_imu,
                   predict_state_imu)
 from .manifold import Pose, hat, rotation_angle
-from .state import NavState
+from .state import NavState, matvec
 from .visual import IntensityField, PatchPattern, backproject, stereo_depth
 
 
@@ -611,30 +611,26 @@ def run_dead_reckoning(dataset, cfg: RunConfig) -> EstimationResult:
     pre = integrate_imu(dataset.imu, ImuBias(gt0.bg.copy(), gt0.ba.copy()),
                         ImuNoiseSpec(), t_start=t0, t_end=t_last)
 
-    bv0 = gt0.bv.copy()
+    # each DVL hold's world-frame velocity and the running sum of the
+    # displacements
     dvl_times = np.array([s.t for s in dataset.dvl])
     idx, starts, dts = hold_intervals(dvl_times, t0, t_last)
-    hold_pos = [gt0.p.copy()]
-    hold_rwd = []
-    for k, ts, dt in zip(idx, starts, dts):
-        d_r, _, _ = pre.checkpoint_at(ts)
-        r_wd = gt0.R @ d_r @ rig.dvl.R_ID
-        hold_rwd.append(r_wd)
-        hold_pos.append(hold_pos[-1] + r_wd @ (dataset.dvl[k].vel - bv0) * dt)
+    vel = np.array([dataset.dvl[k].vel for k in idx]).reshape(-1, 3) - gt0.bv
+    hold_vel = matvec(gt0.R @ pre.rotations_at(starts) @ rig.dvl.R_ID, vel)
+    hold_pos = np.cumsum(np.concatenate([gt0.p[None], hold_vel * dts[:, None]]),
+                         axis=0)
 
     def pos_at(t: float) -> np.ndarray:
         k = int(np.searchsorted(starts, t, side="right")) - 1
         if k < 0:
             return hold_pos[0].copy()
-        frac = min(t - starts[k], dts[k])
-        return hold_pos[k] + hold_rwd[k] @ (dataset.dvl[idx[k]].vel - bv0) * frac
+        return hold_pos[k] + hold_vel[k] * min(t - starts[k], dts[k])
 
     frames_out = []
     navs = []
     rows = []
     for frame in frames:
-        d_r, _, _ = pre.checkpoint_at(min(frame.t, pre.t_end))
-        r = gt0.R @ d_r
+        r = gt0.R @ pre.rotations_at([min(frame.t, pre.t_end)])[0]
         pos = pos_at(frame.t)
         frames_out.append(FrameState(frame.frame_id, frame.t, Pose(r, pos),
                                      TrackingStatus.DEGRADED, 0))

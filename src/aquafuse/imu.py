@@ -6,6 +6,13 @@ between its timestamp and the next (or the requested end time), so the
 preintegrated quantities are plain left-Riemann sums and products. Per-step
 rotation checkpoints (rotation, gyro-bias Jacobian, rotation-noise covariance)
 are recorded so the DVL preintegration can reuse them.
+
+The integrator is array code (Forster et al., "On-Manifold Preintegration",
+T-RO 2017, in discrete form): every term of a step that does not depend on
+the step before it is computed over all steps at once, the sums are running
+sums, and only the rotation product, the rotation's gyro-bias Jacobian and
+the covariance are sequential loops. Checkpoints at any set of times are one
+batched evaluation.
 """
 
 from __future__ import annotations
@@ -15,9 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifold import (exp_so3, exp_so3_batch, hat, hat_batch,
-                       log_so3_batch, right_jacobian_inv_so3_batch,
-                       right_jacobian_so3, right_jacobian_so3_batch)
+from .manifold import (I3, exp_so3, exp_so3_batch, hat_batch, log_so3_batch,
+                       right_jacobian_inv_so3_batch, right_jacobian_so3_batch)
 from .state import BG, PHI, POS, STATE_DOF, VEL, NavState, StateStack, matvec
 
 
@@ -121,38 +127,43 @@ class ImuPreintegrated:
     last_step: ImuStepState | None = None
 
     def checkpoint_at(self, s: float):
-        """Rotation checkpoint (dR, J_dR_dbg, cov_phi) at time ``s``.
+        """Rotation checkpoint (dR, J_dR_dbg, cov_phi) at time ``s``; a
+        batch of one of :meth:`checkpoints_at`."""
+        c = self.checkpoints_at([s])
+        return c.rotations[0], c.bias_jacobians[0], c.phi_covs[0]
 
-        Between recorded steps the most recent gyro reading is held constant.
-        """
+    def _held(self, times):
+        """For each of ``times``: the last step that starts at or before it,
+        the hold since that step's start (0 within 1e-9 s of it), the held
+        rotation vector and its exponential."""
         tol = 1e-9
-        if s < self.t_start - tol or s > self.t_end + tol:
-            raise ValueError(f"time {s} outside preintegration span "
-                             f"[{self.t_start}, {self.t_end}]")
-        k = int(np.searchsorted(self.step_t, s + tol) - 1)
-        k = max(k, 0)
-        delta = max(s - self.step_t[k], 0.0)
-        d_r = self.step_dR[k]
-        jac = self.step_J[k]
-        cov = self.step_phi_cov[k]
-        if delta <= tol:
-            return d_r.copy(), jac.copy(), cov.copy()
-        omega = self.step_omega[k]
-        e = exp_so3(omega * delta)
-        jr = right_jacobian_so3(omega * delta)
-        d_r = d_r @ e
-        jac = e.T @ jac - jr * delta
-        cov = e.T @ cov @ e + (self.noise.sigma_g**2) * delta * (jr @ jr.T)
-        return d_r, jac, cov
+        times = np.asarray(times, dtype=float)
+        if np.count_nonzero((times < self.t_start - tol) | (times > self.t_end + tol)):
+            raise ValueError(f"times {times.min()}..{times.max()} outside the "
+                             f"preintegration span [{self.t_start}, {self.t_end}]")
+        k = np.maximum(np.searchsorted(self.step_t, times + tol) - 1, 0)
+        delta = times - self.step_t[k]
+        # a zero hold is exact: its exponential and right Jacobian are I
+        delta = np.where(delta > tol, delta, 0.0)
+        phi = self.step_omega[k] * delta[:, None]
+        return k, delta[:, None, None], phi, exp_so3_batch(phi)
+
+    def rotations_at(self, times) -> np.ndarray:
+        """The rotations of :meth:`checkpoints_at` alone."""
+        k, _, _, e = self._held(times)
+        return self.step_dR[k] @ e
 
     def checkpoints_at(self, times) -> RotationCheckpoints:
-        times = np.asarray(times, dtype=float)
-        rots = np.empty((len(times), 3, 3))
-        jacs = np.empty((len(times), 3, 3))
-        covs = np.empty((len(times), 3, 3))
-        for i, s in enumerate(times):
-            rots[i], jacs[i], covs[i] = self.checkpoint_at(float(s))
-        return RotationCheckpoints(times, rots, jacs, covs)
+        """Rotation checkpoints at each of ``times``: the step state recorded
+        at or before each time, carried on to it with that step's gyro
+        reading held constant."""
+        k, dt, phi, e = self._held(times)
+        jr, et = right_jacobian_so3_batch(phi), e.transpose(0, 2, 1)
+        return RotationCheckpoints(
+            np.asarray(times, dtype=float), self.step_dR[k] @ e,
+            et @ self.step_J[k] - jr * dt,
+            et @ self.step_phi_cov[k] @ e
+            + (self.noise.sigma_g**2) * dt * (jr @ jr.transpose(0, 2, 1)))
 
 
 def hold_intervals(times: np.ndarray, t_start: float, t_end: float):
@@ -164,22 +175,12 @@ def hold_intervals(times: np.ndarray, t_start: float, t_end: float):
     """
     if t_end < t_start:
         raise ValueError("t_end precedes t_start")
-    idx = []
-    starts = []
-    dts = []
-    n = len(times)
-    for k in range(n):
-        hold_end = times[k + 1] if k + 1 < n else t_end
-        a = max(times[k], t_start)
-        if k == 0:
-            a = t_start
-        b = min(hold_end, t_end)
-        if b <= a:
-            continue
-        idx.append(k)
-        starts.append(a)
-        dts.append(b - a)
-    return np.array(idx, dtype=int), np.array(starts), np.array(dts)
+    times = np.asarray(times, dtype=float)
+    starts = np.maximum(times, t_start)
+    starts[:1] = t_start
+    ends = np.minimum(np.append(times[1:], t_end), t_end)
+    idx = np.flatnonzero(ends > starts)
+    return idx, starts[idx], (ends - starts)[idx]
 
 
 def _infer_t_end(times: np.ndarray) -> float:
@@ -187,6 +188,12 @@ def _infer_t_end(times: np.ndarray) -> float:
         raise ValueError("cannot infer the buffer end time from a single sample; "
                          "pass t_end explicitly")
     return float(times[-1] + np.median(np.diff(times)))
+
+
+def _running_sums(first: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """``first`` and its sums with each prefix of ``steps``, added left to
+    right as a loop would: n + 1 entries for n steps."""
+    return np.cumsum(np.concatenate([first[None], steps]), axis=0)
 
 
 def integrate_imu(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
@@ -198,6 +205,15 @@ def integrate_imu(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
     Produces the relative rotation/velocity/translation sums, the bias
     Jacobians for first-order bias updates, and the (phi, v, p) covariance
     propagated with per-step noise sigma^2 / dt.
+
+    Every per-step term is computed as arrays over all steps at once: the
+    bias-corrected rates and specific forces, the exponential and right
+    Jacobian of each step's rotation, the rotated force terms, and the
+    covariance's transition and noise blocks. The velocity and translation
+    sums and their bias Jacobians are running sums of per-step increments.
+    Only three chains stay sequential, each one loop over precomputed
+    arrays: the rotation product, the gyro-bias Jacobian of the rotation,
+    and the 9x9 covariance.
 
     ``resume`` extends an earlier preintegration about the same bias and
     noise to ``t_end``. Its last hold step may have ended between two
@@ -231,82 +247,79 @@ def integrate_imu(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
     if len(idx) == 0:
         raise ValueError("no IMU samples overlap the requested interval")
 
-    d_r, dv, dp, cov, j_r_bg = (first.dR, first.dv, first.dp, first.cov,
-                                first.J_dR_dbg)
-    # these four are updated in place below
-    j_v_bg = first.J_dv_dbg.copy()
-    j_v_ba = first.J_dv_dba.copy()
-    j_p_bg = first.J_dp_dbg.copy()
-    j_p_ba = first.J_dp_dba.copy()
+    # per-step terms that do not depend on the previous step
+    held = [samples[k] for k in idx]
+    omega = np.array([s.gyro for s in held]) - lin_bias.bg
+    acc = np.array([s.accel for s in held]) - lin_bias.ba
+    n, dt1, dt = len(idx), dts[:, None], dts[:, None, None]
+    phi = omega * dt1
+    e = exp_so3_batch(phi)
+    jr_dt = right_jacobian_so3_batch(phi) * dt
 
-    n_steps = kept + len(idx)
-    step_t = np.empty(n_steps)
-    step_omega = np.empty((n_steps, 3))
-    step_dR = np.empty((n_steps, 3, 3))
-    step_J = np.empty((n_steps, 3, 3))
-    step_phi_cov = np.empty((n_steps, 3, 3))
-    if kept:
-        step_t[:kept] = resume.step_t[:kept]
-        step_omega[:kept] = resume.step_omega[:kept]
-        step_dR[:kept] = resume.step_dR[:kept]
-        step_J[:kept] = resume.step_J[:kept]
-        step_phi_cov[:kept] = resume.step_phi_cov[:kept]
+    # sequential: the rotation and its gyro-bias Jacobian at each step start
+    d_r, j_r_bg = first.dR, first.J_dR_dbg
+    rots, jacs = [d_r], [j_r_bg]
+    for e_k, jr_k in zip(e, jr_dt):
+        j_r_bg = e_k.T @ j_r_bg - jr_k
+        d_r = d_r @ e_k
+        rots.append(d_r)
+        jacs.append(j_r_bg)
+    rots, jacs = np.array(rots), np.array(jacs)
+    d_r, j_r = rots[:-1], jacs[:-1]  # before each step
 
-    sg2 = noise.sigma_g**2
-    sa2 = noise.sigma_a**2
+    racc = matvec(d_r, acc)
+    ra_hat = d_r @ hat_batch(acc)
+    ra_hat_j = ra_hat @ j_r
+    dv = _running_sums(first.dv, racc * dt1)
+    dp = _running_sums(first.dp, dv[:-1] * dt1 + 0.5 * racc * dt1 * dt1)
+    # translation/velocity bias Jacobians use pre-step dR and J terms
+    j_v_bg = _running_sums(first.J_dv_dbg, -ra_hat_j * dt)
+    j_v_ba = _running_sums(first.J_dv_dba, -d_r * dt)
+    j_p_bg = _running_sums(first.J_dp_dbg,
+                           j_v_bg[:-1] * dt - 0.5 * ra_hat_j * dt * dt)
+    j_p_ba = _running_sums(first.J_dp_dba,
+                           j_v_ba[:-1] * dt - 0.5 * d_r * dt * dt)
 
-    last = None
-    for i, (k, ts, dt) in enumerate(zip(idx, starts, dts), start=kept):
-        omega = samples[k].gyro - lin_bias.bg
-        acc = samples[k].accel - lin_bias.ba
+    # covariance transition A and noise B Q B^T in (phi, v, p), with per-step
+    # noise sigma^2 / dt
+    a_mat = np.broadcast_to(np.eye(9), (n, 9, 9)).copy()
+    a_mat[:, 0:3, 0:3] = e.transpose(0, 2, 1)
+    a_mat[:, 3:6, 0:3] = -ra_hat * dt
+    a_mat[:, 6:9, 0:3] = -0.5 * ra_hat * dt * dt
+    a_mat[:, 6:9, 3:6] = I3 * dt
+    b_mat = np.zeros((n, 9, 6))
+    b_mat[:, 0:3, 0:3] = jr_dt
+    b_mat[:, 3:6, 3:6] = d_r * dt
+    b_mat[:, 6:9, 3:6] = 0.5 * d_r * dt * dt
+    q = np.repeat(np.array([noise.sigma_g**2, noise.sigma_a**2]), 3) / dt1
+    n_mat = (b_mat * q[:, None, :]) @ b_mat.transpose(0, 2, 1)
+    del b_mat
 
-        step_t[i] = ts
-        step_omega[i] = omega
-        step_dR[i] = d_r
-        step_J[i] = j_r_bg
-        step_phi_cov[i] = cov[0:3, 0:3]
-        if i == n_steps - 1:
-            last = ImuStepState(samples[k].t, d_r, dv, dp, j_r_bg,
-                                j_v_bg.copy(), j_v_ba.copy(), j_p_bg.copy(),
-                                j_p_ba.copy(), cov)
+    # sequential: the covariance, its rotation block at each step start
+    cov = first.cov
+    phi_covs = np.empty((n, 3, 3))
+    for k, (a_k, n_k) in enumerate(zip(a_mat, n_mat)):
+        phi_covs[k] = cov[0:3, 0:3]
+        last_cov = cov
+        cov = a_k @ cov @ a_k.T + n_k
 
-        e = exp_so3(omega * dt)
-        jr = right_jacobian_so3(omega * dt)
-        racc = d_r @ acc
-        acc_hat = hat(acc)
+    last = ImuStepState(samples[idx[-1]].t, rots[-2], dv[-2], dp[-2], jacs[-2],
+                        j_v_bg[-2], j_v_ba[-2], j_p_bg[-2], j_p_ba[-2], last_cov)
 
-        # translation/velocity bias Jacobians use pre-step dR and J terms
-        j_p_ba += j_v_ba * dt - 0.5 * d_r * dt * dt
-        j_p_bg += j_v_bg * dt - 0.5 * (d_r @ acc_hat @ j_r_bg) * dt * dt
-        j_v_ba += -d_r * dt
-        j_v_bg += -(d_r @ acc_hat @ j_r_bg) * dt
-
-        # covariance propagation in (phi, v, p) with per-step noise sigma^2/dt
-        a_mat = np.eye(9)
-        a_mat[0:3, 0:3] = e.T
-        a_mat[3:6, 0:3] = -(d_r @ acc_hat) * dt
-        a_mat[6:9, 0:3] = -0.5 * (d_r @ acc_hat) * dt * dt
-        a_mat[6:9, 3:6] = np.eye(3) * dt
-        b_mat = np.zeros((9, 6))
-        b_mat[0:3, 0:3] = jr * dt
-        b_mat[3:6, 3:6] = d_r * dt
-        b_mat[6:9, 3:6] = 0.5 * d_r * dt * dt
-        q = np.diag([sg2 / dt] * 3 + [sa2 / dt] * 3)
-        cov = a_mat @ cov @ a_mat.T + b_mat @ q @ b_mat.T
-
-        dp = dp + dv * dt + 0.5 * racc * dt * dt
-        dv = dv + racc * dt
-        j_r_bg = e.T @ j_r_bg - jr * dt
-        d_r = d_r @ e
+    def steps(name, new):
+        # the resumed preintegration's steps before its last, then the new
+        return np.concatenate([getattr(resume, name)[:kept], new]) if kept else new
 
     return ImuPreintegrated(
-        dR=d_r, dv=dv, dp=dp, dt_total=float(t_end - t_start),
+        dR=rots[-1], dv=dv[-1], dp=dp[-1], dt_total=float(t_end - t_start),
         lin_bias=lin_bias, cov=cov,
-        J_dR_dbg=j_r_bg, J_dv_dbg=j_v_bg, J_dv_dba=j_v_ba,
-        J_dp_dbg=j_p_bg, J_dp_dba=j_p_ba,
+        J_dR_dbg=jacs[-1], J_dv_dbg=j_v_bg[-1], J_dv_dba=j_v_ba[-1],
+        J_dp_dbg=j_p_bg[-1], J_dp_dba=j_p_ba[-1],
         noise=noise, t_start=float(t_start), t_end=float(t_end),
-        step_t=step_t, step_omega=step_omega, step_dR=step_dR,
-        step_J=step_J, step_phi_cov=step_phi_cov, last_step=last,
+        step_t=steps("step_t", starts), step_omega=steps("step_omega", omega),
+        step_dR=steps("step_dR", d_r), step_J=steps("step_J", j_r),
+        step_phi_cov=steps("step_phi_cov", phi_covs),
+        last_step=last,
     )
 
 

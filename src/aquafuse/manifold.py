@@ -50,15 +50,9 @@ def log_so3(r) -> np.ndarray:
 
 
 def right_jacobian_so3(phi) -> np.ndarray:
-    """Right Jacobian Jr with exp(phi + d) ~= exp(phi) @ exp(Jr(phi) @ d)."""
-    phi = np.asarray(phi, dtype=float)
-    theta = float(np.linalg.norm(phi))
-    k = hat(phi)
-    if theta < SMALL_ANGLE:
-        return np.eye(3) - 0.5 * k + (k @ k) / 6.0
-    a = (1.0 - np.cos(theta)) / (theta * theta)
-    b = (theta - np.sin(theta)) / (theta**3)
-    return np.eye(3) - a * k + b * (k @ k)
+    """Right Jacobian Jr with exp(phi + d) ~= exp(phi) @ exp(Jr(phi) @ d); a
+    batch of one of :func:`right_jacobian_so3_batch`."""
+    return right_jacobian_so3_batch(np.asarray(phi, dtype=float)[None])[0]
 
 
 # ---------------------- stacked (n, 3) / (n, 3, 3) forms --------------------- #

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifold import Pose, exp_so3
+from .manifold import Pose, exp_so3_batch
 
 
 @dataclass
@@ -38,19 +38,10 @@ class NavState:
         return Pose(self.R, self.p)
 
     def retract(self, delta: np.ndarray) -> "NavState":
-        """Apply an 18-dof local update [phi, dp, dv, dbg, dba, dbv].
-
-        The rotation update is applied on the right: R <- R @ exp(phi).
-        """
-        d = np.asarray(delta, dtype=float)
-        return NavState(
-            self.R @ exp_so3(d[0:3]),
-            self.p + d[3:6],
-            self.v + d[6:9],
-            self.bg + d[9:12],
-            self.ba + d[12:15],
-            self.bv + d[15:18],
-        )
+        """Apply an 18-dof local update [phi, dp, dv, dbg, dba, dbv]; a batch
+        of one of :func:`retract_rows`."""
+        d = np.asarray(delta, dtype=float)[None]
+        return unstack_state(retract_rows(stack_states([self]), [0], d), 0)
 
 
 # slice layout of the 18-dof local parametrization
@@ -74,6 +65,22 @@ def stack_states(states) -> StateStack:
     states = list(states)
     x = np.array([(_ZERO3, s.p, s.v, s.bg, s.ba, s.bv) for s in states])
     return StateStack(np.array([s.R for s in states]), x.reshape(-1, STATE_DOF))
+
+
+def unstack_state(st: StateStack, row: int) -> NavState:
+    """A copy of the state at ``row`` of ``st``."""
+    x = st.x[row].copy()
+    return NavState(st.R[row].copy(), x[POS], x[VEL], x[BG], x[BA], x[BV])
+
+
+def retract_rows(st: StateStack, rows, delta: np.ndarray) -> StateStack:
+    """``st`` with the states at ``rows`` moved by the (n, 18) local updates
+    ``delta`` = [phi, dp, dv, dbg, dba, dbv]: the rotation update applied on
+    the right, R <- R @ exp(phi), the rest added."""
+    r, x = st.R.copy(), st.x.copy()
+    r[rows] = st.R[rows] @ exp_so3_batch(delta[:, PHI])
+    x[rows, 3:] += delta[:, 3:]
+    return StateStack(r, x)
 
 
 def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:

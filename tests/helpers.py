@@ -1,13 +1,16 @@
 """Shared test utilities: finite-difference Jacobians, discrete-time world
-generators (oracles for the zero-order-hold integrators) and random states."""
+generators (oracles for the zero-order-hold integrators), per-step
+reference forms of the array-coded integrators, and random states."""
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
 from aquafuse.dvl import DvlExtrinsics, DvlSample
-from aquafuse.imu import ImuBias, ImuSample
-from aquafuse.manifold import exp_so3
+from aquafuse.imu import ImuBias, ImuNoiseSpec, ImuSample
+from aquafuse.manifold import SMALL_ANGLE, exp_so3, hat
 from aquafuse.state import NavState
 
 
@@ -105,3 +108,100 @@ def dvl_samples_from_world(states, times, dt, ext: DvlExtrinsics,
         v_d = r_wd.T @ (p1 - p0) / dt
         samples.append(DvlSample(float(times[k]), v_d + bias))
     return samples
+
+
+# ------------- per-step references for the array-coded integrators ------------- #
+
+def right_jacobian_reference(phi) -> np.ndarray:
+    """Scalar closed form of the SO(3) right Jacobian."""
+    phi = np.asarray(phi, dtype=float)
+    theta = float(np.linalg.norm(phi))
+    k = hat(phi)
+    if theta < SMALL_ANGLE:
+        return np.eye(3) - 0.5 * k + (k @ k) / 6.0
+    a = (1.0 - np.cos(theta)) / (theta * theta)
+    b = (theta - np.sin(theta)) / (theta**3)
+    return np.eye(3) - a * k + b * (k @ k)
+
+
+def hold_intervals_reference(times, t_start: float, t_end: float):
+    """Zero-order-hold coverage of [t_start, t_end], one sample at a time."""
+    idx, starts, dts = [], [], []
+    n = len(times)
+    for k in range(n):
+        hold_end = times[k + 1] if k + 1 < n else t_end
+        a = t_start if k == 0 else max(times[k], t_start)
+        b = min(hold_end, t_end)
+        if b > a:
+            idx.append(k)
+            starts.append(a)
+            dts.append(b - a)
+    return np.array(idx, dtype=int), np.array(starts), np.array(dts)
+
+
+def integrate_imu_reference(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
+                            t_start: float, t_end: float) -> SimpleNamespace:
+    """IMU preintegration one hold step at a time (Forster et al., T-RO 2017,
+    zero-order hold): the sums, the bias Jacobians, the (phi, v, p)
+    covariance and the per-step records, under the names of
+    ``ImuPreintegrated``."""
+    times = np.array([s.t for s in samples])
+    idx, starts, dts = hold_intervals_reference(times, t_start, t_end)
+    d_r, dv, dp, cov = np.eye(3), np.zeros(3), np.zeros(3), np.zeros((9, 9))
+    # updated in place below
+    j_r_bg, j_v_bg, j_v_ba, j_p_bg, j_p_ba = (np.zeros((3, 3)) for _ in range(5))
+    steps = {name: [] for name in ("step_t", "step_omega", "step_dR",
+                                   "step_J", "step_phi_cov")}
+    for k, ts, dt in zip(idx, starts, dts):
+        omega = samples[k].gyro - lin_bias.bg
+        acc = samples[k].accel - lin_bias.ba
+        for name, value in zip(steps, (ts, omega, d_r, j_r_bg, cov[0:3, 0:3])):
+            steps[name].append(np.copy(value))
+        e = exp_so3(omega * dt)
+        jr = right_jacobian_reference(omega * dt)
+        racc = d_r @ acc
+        acc_hat = hat(acc)
+
+        # translation/velocity bias Jacobians use pre-step dR and J terms
+        j_p_ba += j_v_ba * dt - 0.5 * d_r * dt * dt
+        j_p_bg += j_v_bg * dt - 0.5 * (d_r @ acc_hat @ j_r_bg) * dt * dt
+        j_v_ba += -d_r * dt
+        j_v_bg += -(d_r @ acc_hat @ j_r_bg) * dt
+
+        # covariance propagation in (phi, v, p) with per-step noise sigma^2/dt
+
+        a_mat = np.eye(9)
+        a_mat[0:3, 0:3] = e.T
+        a_mat[3:6, 0:3] = -(d_r @ acc_hat) * dt
+        a_mat[6:9, 0:3] = -0.5 * (d_r @ acc_hat) * dt * dt
+        a_mat[6:9, 3:6] = np.eye(3) * dt
+        b_mat = np.zeros((9, 6))
+        b_mat[0:3, 0:3] = jr * dt
+        b_mat[3:6, 3:6] = d_r * dt
+        b_mat[6:9, 3:6] = 0.5 * d_r * dt * dt
+        q = np.diag([noise.sigma_g**2 / dt] * 3 + [noise.sigma_a**2 / dt] * 3)
+        cov = a_mat @ cov @ a_mat.T + b_mat @ q @ b_mat.T
+
+        dp = dp + dv * dt + 0.5 * racc * dt * dt
+        dv = dv + racc * dt
+        j_r_bg = e.T @ j_r_bg - jr * dt
+        d_r = d_r @ e
+    return SimpleNamespace(
+        dR=d_r, dv=dv, dp=dp, cov=cov, J_dR_dbg=j_r_bg, J_dv_dbg=j_v_bg,
+        J_dv_dba=j_v_ba, J_dp_dbg=j_p_bg, J_dp_dba=j_p_ba,
+        **{name: np.array(values) for name, values in steps.items()})
+
+
+def checkpoint_reference(pre, s: float):
+    """Rotation checkpoint (dR, J_dR_dbg, cov_phi) of ``pre`` at time ``s``,
+    read from its per-step records one time at a time."""
+    tol = 1e-9
+    k = max(int(np.searchsorted(pre.step_t, s + tol)) - 1, 0)
+    delta = max(s - pre.step_t[k], 0.0)
+    d_r, jac, cov = pre.step_dR[k], pre.step_J[k], pre.step_phi_cov[k]
+    if delta <= tol:
+        return d_r, jac, cov
+    e = exp_so3(pre.step_omega[k] * delta)
+    jr = right_jacobian_reference(pre.step_omega[k] * delta)
+    return (d_r @ e, e.T @ jac - jr * delta,
+            e.T @ cov @ e + pre.noise.sigma_g**2 * delta * (jr @ jr.T))

@@ -7,7 +7,8 @@ from aquafuse.depth import PressureSample, S3
 from aquafuse.imu import ImuBias, ImuNoiseSpec, integrate_imu
 from aquafuse.manifold import BranchAmbiguityError, exp_so3, log_so3
 from aquafuse.sim import ScenarioConfig, sensor_rig_from_config
-from aquafuse.state import STATE_DOF, NavState, stack_states
+from aquafuse.state import (PHI, STATE_DOF, NavState, retract_rows,
+                            stack_states, unstack_state)
 from aquafuse.visual import (IntensityField, LandmarkObservation, PatchPattern,
                              project)
 
@@ -385,6 +386,29 @@ class TestSolve:
             np.eye(3), np.zeros(3), np.zeros(3))}, fixed_states={0})
         with pytest.raises(ValueError):
             bk.solve(window, [])
+
+
+class TestRetractRows:
+    """The solver retracts the state stack rather than each state."""
+
+    def test_moves_only_the_given_rows(self, rng):
+        states = [random_nav_state(rng) for _ in range(4)]
+        st = stack_states(states)
+        delta = rng.normal(size=(2, STATE_DOF)) * 0.1
+        out = retract_rows(st, [3, 1], delta)
+        for row, d in ((3, delta[0]), (1, delta[1])):
+            assert_allclose(out.R[row], states[row].R @ exp_so3(d[PHI]),
+                            rtol=0, atol=1e-15)
+            assert np.array_equal(out.x[row, 3:], st.x[row, 3:] + d[3:])
+            # the finite-difference checks move states by the same map
+            moved, want = states[row].retract(d), unstack_state(out, row)
+            for name in ("R", "p", "v", "bg", "ba", "bv"):
+                assert np.array_equal(getattr(moved, name), getattr(want, name))
+        for row in (0, 2):
+            assert np.array_equal(out.R[row], st.R[row])
+            assert np.array_equal(out.x[row], st.x[row])
+        assert not out.x[:, PHI].any()
+        assert np.array_equal(st.R, stack_states(states).R)  # input untouched
 
 
 class TestTranslationGauge:

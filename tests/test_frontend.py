@@ -393,6 +393,59 @@ class TestKeyframePreintegration:
         assert seen["calls"] == len(ds.frames) - 1
         assert seen["samples"] <= len(ds.imu) + len(ds.frames)
 
+    def test_dead_reckoning_integrates_the_buffer_in_one_call(self, monkeypatch):
+        # counts what the benchmark's tracer counts at this entry point, and
+        # the draws its frame list stamps
+        seen = []
+        integrate = frontend.integrate_imu
+
+        def counted(*args, **kwargs):
+            seen.append(len(args[0]))
+            return integrate(*args, **kwargs)
+
+        class DrawnFrames(list):
+            draws = 0
+
+            def __iter__(self):
+                DrawnFrames.draws += 1
+                return super().__iter__()
+
+        monkeypatch.setattr(frontend, "integrate_imu", counted)
+        ds = self._dataset(4.0)
+        ds = replace(ds, frames=DrawnFrames(ds.frames))
+        result = run_estimator(ds, RunConfig(mode=EstimatorMode.DVL_DEADRECKON))
+        assert seen == [len(ds.imu)]
+        assert DrawnFrames.draws == 1
+        assert len(result.frames) == len(ds.frames)
+
+    def test_each_interval_is_inverted_once(self, monkeypatch):
+        # window BA reads each interval's information from the interval,
+        # however many windows span it
+        inverted, in_window = [], []
+        inverse, window_ba = bk._safe_inverse, Tracker._window_ba
+
+        def counted(cov):
+            if in_window:
+                inverted.append(cov)
+            return inverse(cov)
+
+        def windowed(tracker):
+            in_window.append(True)
+            try:
+                window_ba(tracker)
+            finally:
+                in_window.pop()
+
+        monkeypatch.setattr(bk, "_safe_inverse", counted)
+        monkeypatch.setattr(Tracker, "_window_ba", windowed)
+        tracker = Tracker(self._dataset(6.0), self.ACOUSTIC)
+        tracker.run()
+        intervals = list(tracker.intervals.values())
+        assert len(tracker.reports) > 3
+        assert len(inverted) == sum(1 + (d.dvl_preint is not None)
+                                    for d in intervals)
+        assert len({id(cov) for cov in inverted}) == len(inverted)
+
     def test_dvl_matches_preintegrating_from_the_keyframe(self):
         class Recording(Tracker):
             def __init__(self, *args):

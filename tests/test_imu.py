@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import aquafuse.imu as imu
+import aquafuse.manifold as manifold
 from aquafuse.imu import (ImuBias, ImuNoiseSpec, ImuSample, correct_imu_bias,
-                          imu_pair_residuals, integrate_imu, predict_state_imu,
-                          stack_imu_pairs)
-from aquafuse.manifold import exp_so3, log_so3
+                          hold_intervals, imu_pair_residuals, integrate_imu,
+                          predict_state_imu, stack_imu_pairs)
+from aquafuse.manifold import SMALL_ANGLE, exp_so3, log_so3
 from aquafuse.state import BA, BG, PHI, POS, STATE_DOF, VEL, NavState, stack_states
 
-from helpers import discrete_imu_world, random_nav_state
+from helpers import (checkpoint_reference, discrete_imu_world,
+                     hold_intervals_reference, integrate_imu_reference,
+                     random_nav_state)
 
 QUIET = ImuNoiseSpec()
 NOISY = ImuNoiseSpec(sigma_g=2e-4, sigma_a=2e-3,
@@ -162,6 +166,140 @@ class TestResumeImu:
         with pytest.raises(ValueError):
             integrate_imu(samples[19:40], self.BIAS, NOISY, t_start=0.0,
                           t_end=0.4, resume=pre)
+
+
+def _assert_rel(got, want, name, rtol=1e-12):
+    """Agreement to ``rtol`` relative to the largest entry of ``want``."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, name
+    scale = max(float(np.abs(want).max(initial=0.0)), 1e-300)
+    assert float(np.abs(got - want).max(initial=0.0)) <= rtol * scale, name
+
+
+_PREINT_FIELDS = ("dR", "dv", "dp", "J_dR_dbg", "J_dv_dbg", "J_dv_dba",
+                  "J_dp_dbg", "J_dp_dba", "cov", "step_t", "step_omega",
+                  "step_dR", "step_J", "step_phi_cov")
+
+
+class TestAgainstPerStepReference:
+    """The array-coded integrator equals the per-step loop it replaced, to
+    1e-12 relative, on every output."""
+
+    BIAS = ImuBias(np.array([0.003, -0.002, 0.001]),
+                   np.array([0.02, 0.01, -0.03]))
+
+    @staticmethod
+    def _samples(rng, times, omega_scale=0.4):
+        return [ImuSample(t, rng.normal(size=3) * omega_scale,
+                          rng.normal(size=3) + [0.0, 0.0, -9.81]) for t in times]
+
+    def _check(self, samples, t_start, t_end):
+        got = integrate_imu(samples, self.BIAS, NOISY, t_start=t_start,
+                            t_end=t_end)
+        want = integrate_imu_reference(samples, self.BIAS, NOISY, t_start, t_end)
+        for name in _PREINT_FIELDS:
+            _assert_rel(getattr(got, name), getattr(want, name), name)
+        return got
+
+    def test_irregular_steps(self, rng):
+        times = np.cumsum(rng.uniform(0.002, 0.03, size=120))
+        self._check(self._samples(rng, times), float(times[0]),
+                    float(times[-1]) + 0.01)
+
+    def test_first_sample_precedes_the_start(self, rng):
+        times = np.arange(80) * 0.01
+        pre = self._check(self._samples(rng, times), 0.0137, 0.6543)
+        assert pre.step_t[0] == 0.0137
+
+    def test_small_angle_steps(self, rng):
+        # rates below SMALL_ANGLE / dt take the series branch, mixed with
+        # steps on the closed form
+        samples = self._samples(rng, np.arange(60) * 0.01)
+        for k in range(0, 60, 2):
+            samples[k] = ImuSample(samples[k].t, self.BIAS.bg
+                                   + rng.normal(size=3) * 1e-8, samples[k].accel)
+        pre = self._check(samples, 0.0, 0.6)
+        angles = np.linalg.norm(pre.step_omega, axis=1) * 0.01
+        assert np.count_nonzero(angles < SMALL_ANGLE) == 30
+
+    def test_steps_near_one_radian(self, rng):
+        times = np.arange(40) * 0.01
+        pre = self._check(self._samples(rng, times, omega_scale=60.0), 0.0, 0.4)
+        angles = np.linalg.norm(pre.step_omega, axis=1) * 0.01
+        assert angles.max() > 0.9
+
+    def test_checkpoints_on_between_and_just_after_steps(self, rng):
+        times = np.cumsum(rng.uniform(0.005, 0.02, size=50))
+        pre = integrate_imu(self._samples(rng, times), self.BIAS, NOISY,
+                            t_start=float(times[0]), t_end=float(times[-1]))
+        steps = pre.step_t
+        probes = np.concatenate([
+            steps,                                  # on a step
+            0.5 * (steps[:-1] + steps[1:]),         # between two steps
+            steps[:-1] + 5e-10,                     # within the 1e-9 s tolerance
+            steps[:-1] + 3e-9,                      # just past it
+            [pre.t_end]])
+        got = pre.checkpoints_at(probes)
+        assert np.array_equal(got.times, probes)
+        for i, s in enumerate(probes):
+            want = checkpoint_reference(pre, float(s))
+            for name, value in zip(("rotations", "bias_jacobians", "phi_covs"),
+                                   want):
+                _assert_rel(getattr(got, name)[i], value, name)
+            assert np.array_equal(pre.rotations_at([s])[0], got.rotations[i])
+        one = pre.checkpoint_at(float(probes[60]))
+        assert np.array_equal(one[0], got.rotations[60])
+
+    def test_checkpoints_outside_the_span_rejected(self, rng):
+        samples = self._samples(rng, np.arange(20) * 0.01)
+        pre = integrate_imu(samples, self.BIAS, NOISY, t_start=0.0, t_end=0.2)
+        for bad in (-0.01, 0.21):
+            with pytest.raises(ValueError):
+                pre.checkpoints_at([0.1, bad])
+
+    @pytest.mark.parametrize("t_start,t_end", [(0.0, 0.5), (0.013, 0.377),
+                                               (-0.02, 0.05), (0.3, 0.3),
+                                               (0.6, 0.9)])
+    def test_hold_intervals_match_the_per_sample_loop(self, t_start, t_end):
+        times = np.array([0.0, 0.01, 0.025, 0.03, 0.07, 0.2, 0.41])
+        got = hold_intervals(times, t_start, t_end)
+        want = hold_intervals_reference(times, t_start, t_end)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_hold_intervals_of_an_empty_buffer(self):
+        idx, starts, dts = hold_intervals(np.zeros(0), 0.0, 1.0)
+        assert len(idx) == len(starts) == len(dts) == 0
+
+
+class TestWorkCount:
+    """The step terms are array calls: no scalar SO(3) map runs per step or
+    per checkpoint, and the batched ones run a fixed number of times."""
+
+    def test_closed_forms_run_once_per_call_not_per_step(self, rng, monkeypatch):
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("exp_so3", "right_jacobian_so3", "exp_so3_batch",
+                     "right_jacobian_so3_batch"):
+            wrapped = counted(name, getattr(manifold, name))
+            monkeypatch.setattr(manifold, name, wrapped)
+            if hasattr(imu, name):
+                monkeypatch.setattr(imu, name, wrapped)
+        samples = [ImuSample(k * 0.01, rng.normal(size=3), rng.normal(size=3))
+                   for k in range(6000)]
+        pre = integrate_imu(samples, ImuBias.zero(), NOISY, t_end=60.0)
+        # on and between steps
+        pre.checkpoints_at(np.linspace(0.0, 59.9, 600) + 0.003 * (np.arange(600) % 2))
+        assert len(pre.step_t) == 6000
+        assert calls.get("exp_so3", 0) + calls.get("right_jacobian_so3", 0) == 0
+        assert calls["exp_so3_batch"] == 2
+        assert calls["right_jacobian_so3_batch"] == 2
 
 
 class TestCorrectBias:
