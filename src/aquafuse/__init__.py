@@ -2,15 +2,15 @@
 with a synthetic underwater scenario simulator and evaluation harness."""
 
 from .backend import (BackendConfig, Factor, FactorKind, LocalWindow,
-                      SensorRig, SolverConfig, assemble_window, robust_weight,
+                      SensorNoise, SensorRig, SolverConfig, assemble_window,
                       solve)
 from .depth import (DepthExtrinsics, PressureSample, pressure_pair_residuals,
                     pressure_position_estimate)
-from .dvl import (DvlBias, DvlExtrinsics, DvlPreintegrated, DvlSample,
-                  correct_dvl_bias, dead_reckon_dvl,
-                  dvl_position_pair_residuals, dvl_velocity_estimate,
-                  dvl_velocity_pair_residuals, preintegrate_dvl,
-                  stack_dvl_position_pairs, stack_dvl_velocity_pairs)
+from .dvl import (DvlExtrinsics, DvlPreintegrated, DvlSample,
+                  correct_dvl_bias, dvl_position_pair_residuals,
+                  dvl_velocity_estimate, dvl_velocity_pair_residuals,
+                  preintegrate_dvl, stack_dvl_position_pairs,
+                  stack_dvl_velocity_pairs)
 from .evaluation import (ErrorReport, Trajectory, align_to_truth,
                          error_metrics, preprocess)
 from .frontend import (EstimatorMode, FrameState, RunConfig, TrackerConfig,

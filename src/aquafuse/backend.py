@@ -8,7 +8,9 @@ are additive. Robust (Huber) reweighting applies to visual factors only.
 
 Per-keyframe biases are coupled by random-walk terms folded into the inertial
 factor (gyro/accel biases) and the DVL translation factor (velocity bias), so
-the factor kinds stay exactly the six sensor kinds plus the fixed prior.
+the factor kinds stay exactly the six sensor kinds plus the fixed prior. A
+window has a factor for every measurement its nodes and intervals carry, so
+the caller decides which sensors it fuses by the measurements it gives.
 
 Each factor kind is one batch per solve, its residual written once: all
 reprojections, all photometric patches, all fixed priors, and the pair kinds
@@ -187,22 +189,6 @@ class Factor:
                  for sid, c in layout.cols.items()},
                 {lid: dense[:, c[0]:c[0] + 3]
                  for lid, c in layout.lm_cols.items()})
-
-
-# ------------------------------ robust kernel ------------------------------ #
-
-def robust_weight(r2: float, delta: float) -> float:
-    """Huber reweighting on the Mahalanobis norm: 1 inside the knee,
-    delta/sqrt(r2) outside."""
-    if r2 < 0:
-        raise ValueError("squared residual must be nonnegative")
-    s = math.sqrt(r2)
-    return 1.0 if s <= delta else delta / s
-
-
-def huber_cost(r2: float, delta: float) -> float:
-    s = math.sqrt(r2)
-    return r2 if s <= delta else 2.0 * delta * s - delta * delta
 
 
 # ------------------------------ local window ------------------------------- #
@@ -795,19 +781,10 @@ class IntervalData:
 class BackendConfig:
     window_size: int = 10
     huber_delta: float = 1.345
-    sigma_pixel: float = 0.5
     # measured luminance-constancy violation of the synthetic fields grows
     # with baseline: a few units frame-to-frame, tens between keyframes
     sigma_intensity: float = 30.0
     sigma_intensity_track: float = 10.0
-    sigma_dvl: float = 0.01
-    sigma_pressure: float = 0.01
-    sigma_bg_walk: float = 1e-5
-    sigma_ba_walk: float = 1e-4
-    sigma_bv_walk: float = 5e-3
-    use_vision: bool = True
-    use_dvl: bool = True
-    use_pressure: bool = True
     photometric_enabled: bool = True
     photometric_max_points: int = 8
     # patches whose Mahalanobis residual exceeds these at the initial guess
@@ -821,6 +798,25 @@ class BackendConfig:
     solver: SolverConfig = dc_field(
         default_factory=lambda: SolverConfig(max_iterations=12,
                                              rel_cost_tol=1e-6))
+
+
+@dataclass
+class SensorNoise:
+    """Standard deviations of the sensor noise the factors assume, in the
+    scenario's units. As ``RunConfig.floors`` they are lower bounds on it:
+    they keep the information matrices finite on noiseless synthetic
+    datasets and absorb the zero-order-hold discretization error of the
+    preintegrated factors (first order in the sample period), which would
+    otherwise bias the solution away from the visual optimum."""
+
+    sigma_pixel: float = 0.2
+    sigma_dvl: float = 0.02
+    sigma_pressure: float = 0.02
+    sigma_g: float = 1e-3
+    sigma_a: float = 5e-3
+    sigma_bg_walk: float = 1e-6
+    sigma_ba_walk: float = 1e-5
+    sigma_bv_walk: float = 5e-3
 
 
 def _safe_inverse(cov: np.ndarray) -> np.ndarray:
@@ -839,17 +835,18 @@ def make_prior_factor(sid: int, ref: NavState,
 def assemble_window(keyframes: list[KeyframeNode],
                     landmarks: dict[int, np.ndarray],
                     intervals: dict[tuple[int, int], IntervalData],
-                    rig: SensorRig, cfg: BackendConfig,
+                    rig: SensorRig, cfg: BackendConfig, noise: SensorNoise,
                     fixed_ids: set[int] | None = None,
                     fixed_landmarks: set[int] | None = None):
-    """Build the local window and its factor list.
+    """Build the local window and its factor list, a factor for every
+    measurement given, weighted by ``noise``.
 
     One inertial factor per consecutive pair (coverage required), DVL
-    translation and relative-velocity factors plus a relative-depth factor
-    per pair when measurements are available, a reprojection factor per
-    (keyframe, landmark) observation, and photometric factors between
-    consecutive textured keyframes for up to ``photometric_max_points``
-    host points with known stereo depth.
+    translation, DVL relative-velocity and relative-depth factors per pair
+    whose interval and keyframes carry those measurements, a reprojection
+    factor per (keyframe, landmark) observation, and photometric factors
+    between consecutive textured keyframes for up to
+    ``photometric_max_points`` host points with known stereo depth.
 
     The window holds only what can move the solution: a consecutive pair of
     fixed keyframes gets none of these pair factors (their cost is constant
@@ -894,72 +891,72 @@ def assemble_window(keyframes: list[KeyframeNode],
         data = intervals[key]
         dt = max(b.t - a.t, 1e-9)
         walk = np.concatenate([
-            np.full(3, 1.0 / (cfg.sigma_bg_walk**2 * dt)),
-            np.full(3, 1.0 / (cfg.sigma_ba_walk**2 * dt)),
+            np.full(3, 1.0 / (noise.sigma_bg_walk**2 * dt)),
+            np.full(3, 1.0 / (noise.sigma_ba_walk**2 * dt)),
         ])
         info = np.zeros((15, 15))
         info[0:9, 0:9] = data.imu_info
         info[9:15, 9:15] = np.diag(walk)
         factors.append(Factor(FactorKind.IMU, key, data.imu_preint, info, rig=rig))
 
-        if cfg.use_dvl and data.dvl_preint is not None:
+        if data.dvl_preint is not None:
             info = np.zeros((6, 6))
             info[0:3, 0:3] = data.dvl_info
-            info[3:6, 3:6] = np.eye(3) / (cfg.sigma_bv_walk**2 * dt)
+            info[3:6, 3:6] = np.eye(3) / (noise.sigma_bv_walk**2 * dt)
             factors.append(Factor(FactorKind.DVL_POSITION, key, data.dvl_preint,
                                   info, rig=rig))
-        if cfg.use_dvl and a.dvl_meas is not None and b.dvl_meas is not None \
+        if a.dvl_meas is not None and b.dvl_meas is not None \
                 and a.gyro is not None and b.gyro is not None:
-            info = np.eye(3) / (2.0 * cfg.sigma_dvl**2)
+            info = np.eye(3) / (2.0 * noise.sigma_dvl**2)
             factors.append(Factor(
                 FactorKind.DVL_VELOCITY, key,
                 DvlVelocityData(a.dvl_meas, b.dvl_meas, a.gyro, b.gyro),
                 info, rig=rig))
-        if cfg.use_pressure and a.pressure_meas is not None \
-                and b.pressure_meas is not None:
-            info = np.array([[1.0 / (2.0 * cfg.sigma_pressure**2)]])
+        if a.pressure_meas is not None and b.pressure_meas is not None:
+            info = np.array([[1.0 / (2.0 * noise.sigma_pressure**2)]])
             factors.append(Factor(FactorKind.PRESSURE, key,
                                   PressureData(a.pressure_meas, b.pressure_meas),
                                   info, rig=rig))
 
-    if cfg.use_vision:
-        pix_info = np.eye(2) / cfg.sigma_pixel**2
-        for kf in keyframes:
-            t_cw = rig.camera_pose(kf.state).inverse()
-            for obs in kf.observations:
-                if obs.landmark_id not in window_lms:
-                    continue
-                if t_cw.transform(window_lms[obs.landmark_id])[2] <= 1e-3:
-                    continue  # behind or grazing the camera at the initial guess
-                factors.append(Factor(
-                    FactorKind.REPROJECTION, (kf.kf_id,), obs,
-                    pix_info, landmark_id=obs.landmark_id, robust=True,
-                    robust_delta=cfg.huber_delta, rig=rig))
+    pix_info = np.eye(2) / noise.sigma_pixel**2
+    for kf in keyframes:
+        if not kf.observations:
+            continue
+        t_cw = rig.camera_pose(kf.state).inverse()
+        for obs in kf.observations:
+            if obs.landmark_id not in window_lms:
+                continue
+            if t_cw.transform(window_lms[obs.landmark_id])[2] <= 1e-3:
+                continue  # behind or grazing the camera at the initial guess
+            factors.append(Factor(
+                FactorKind.REPROJECTION, (kf.kf_id,), obs,
+                pix_info, landmark_id=obs.landmark_id, robust=True,
+                robust_delta=cfg.huber_delta, rig=rig))
 
-        if cfg.photometric_enabled:
-            n_pat = len(cfg.pattern.offsets)
-            photo_info = np.array([[1.0 / (n_pat * cfg.sigma_intensity**2)]])
-            for a, b in zip(keyframes[:-1], keyframes[1:]):
-                if not live_pair(a, b):
-                    continue
-                if a.field is None or b.field is None:
-                    continue
-                if len(a.field.amplitudes) == 0 or len(b.field.amplitudes) == 0:
-                    continue
-                # luminance constancy needs the patch visible in both frames
-                ids_b = {o.landmark_id for o in b.observations}
-                hosts = sorted(
-                    (o for o in a.observations
-                     if o.disparity is not None and o.disparity > 0
-                     and o.landmark_id in ids_b),
-                    key=lambda o: o.landmark_id)
-                points = [(obs.pixel,
-                           rig.cam.fx * rig.cam.baseline / obs.disparity)
-                          for obs in hosts[:cfg.photometric_max_points]]
-                factors += make_photometric_factors(
-                    (a.kf_id, b.kf_id), a.field, b.field, points, cfg.pattern,
-                    photo_info, rig, window.states, cfg.photometric_gate,
-                    cfg.huber_delta)
+    if cfg.photometric_enabled:
+        n_pat = len(cfg.pattern.offsets)
+        photo_info = np.array([[1.0 / (n_pat * cfg.sigma_intensity**2)]])
+        for a, b in zip(keyframes[:-1], keyframes[1:]):
+            if not live_pair(a, b):
+                continue
+            if a.field is None or b.field is None:
+                continue
+            if len(a.field.amplitudes) == 0 or len(b.field.amplitudes) == 0:
+                continue
+            # luminance constancy needs the patch visible in both frames
+            ids_b = {o.landmark_id for o in b.observations}
+            hosts = sorted(
+                (o for o in a.observations
+                 if o.disparity is not None and o.disparity > 0
+                 and o.landmark_id in ids_b),
+                key=lambda o: o.landmark_id)
+            points = [(obs.pixel,
+                       rig.cam.fx * rig.cam.baseline / obs.disparity)
+                      for obs in hosts[:cfg.photometric_max_points]]
+            factors += make_photometric_factors(
+                (a.kf_id, b.kf_id), a.field, b.field, points, cfg.pattern,
+                photo_info, rig, window.states, cfg.photometric_gate,
+                cfg.huber_delta)
 
     observed = {f.landmark_id for f in factors if f.landmark_id is not None}
     window.landmarks = {lid: pos for lid, pos in window_lms.items()

@@ -7,6 +7,9 @@ numerical divergence, 5 estimator failure (the estimator itself gave up: no
 gauge anchor, a keyframe pair without preintegration coverage, too few
 observations, or degenerate geometry). The worker pool for sweeps is capped
 by the AQUAFUSE_THREADS environment variable.
+
+A run config sets ``RunConfig`` fields by dotted key; which sensors a run
+fuses, and their noise, follow from ``mode``, ``floors`` and the scenario.
 """
 
 from __future__ import annotations
@@ -48,24 +51,7 @@ ESTIMATOR_FAILURES = (GaugeError, PreintCoverageError,
 
 # ------------------------------ config loading ----------------------------- #
 
-# backend settings that the tracker derives from the estimator mode, or from
-# the noise floors and the scenario's noise; a value from a file would be
-# overwritten without notice
-_DERIVED_BACKEND_KEYS = (
-    {name: "mode" for name in ("use_vision", "use_dvl", "use_pressure")}
-    | {name: f"floors.{name} and the scenario's noise" for name in (
-        "sigma_pixel", "sigma_dvl", "sigma_pressure", "sigma_bg_walk",
-        "sigma_ba_walk", "sigma_bv_walk")})
-
-
 def run_config_from_dict(data: dict) -> RunConfig:
-    backend = data.get("backend") if isinstance(data, dict) else None
-    if isinstance(backend, dict):
-        derived = [f"backend.{k} (set by {_DERIVED_BACKEND_KEYS[k]})"
-                   for k in sorted(_DERIVED_BACKEND_KEYS.keys() & backend)]
-        if derived:
-            raise ValueError("run config keys the estimator sets itself: "
-                             + "; ".join(derived))
     return _config_from_dict(RunConfig, data, "")
 
 

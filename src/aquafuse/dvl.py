@@ -1,6 +1,6 @@
-"""DVL velocity model with a slowly varying bias: dead reckoning, decoupled
-(resumable) translation preintegration, first-order bias updates and the
-DVL residuals, stacked over keyframe pairs.
+"""DVL velocity model with a slowly varying bias: decoupled (resumable)
+translation preintegration, first-order bias updates and the DVL residuals,
+stacked over keyframe pairs.
 
 The preintegrated translation is the body-frame sum of rotated, bias-corrected
 velocity samples. Rotation checkpoints come from the IMU preintegration
@@ -32,18 +32,6 @@ class DvlSample:
 
 
 @dataclass(frozen=True)
-class DvlBias:
-    bv: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "bv", np.asarray(self.bv, dtype=float))
-
-    @staticmethod
-    def zero() -> "DvlBias":
-        return DvlBias(np.zeros(3))
-
-
-@dataclass(frozen=True)
 class DvlExtrinsics:
     """Fixed transform from the DVL frame to the body frame."""
 
@@ -69,28 +57,6 @@ class DvlPreintegrated:
     # (sample time, dp, J_dp_dbv, J_dp_dbg, cov) before the last hold step,
     # from which ``preintegrate_dvl`` resumes
     last_step: tuple | None = None
-
-
-def dead_reckon_dvl(p0, rotations_at_samples, samples, bias: DvlBias,
-                    t_end: float | None = None) -> np.ndarray:
-    """World-frame position reached by summing rotated, bias-corrected DVL
-    velocities over their zero-order-hold intervals."""
-    samples = list(samples)
-    rotations = list(rotations_at_samples)
-    if len(rotations) != len(samples):
-        raise ValueError(f"{len(rotations)} rotations for {len(samples)} samples")
-    if not samples:
-        raise ValueError("empty DVL sample buffer")
-    times = np.array([s.t for s in samples], dtype=float)
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("DVL timestamps must be strictly increasing")
-    if t_end is None:
-        t_end = _infer_t_end(times)
-    p = np.asarray(p0, dtype=float).copy()
-    idx, _, dts = hold_intervals(times, float(times[0]), t_end)
-    for k, dt in zip(idx, dts):
-        p = p + rotations[k] @ (samples[k].vel - bias.bv) * dt
-    return p
 
 
 def preintegrate_dvl(samples, imu_rot_checkpoints: RotationCheckpoints,

@@ -15,7 +15,7 @@ of BLAS threads can change the last bits of the trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -89,29 +89,16 @@ class TrackerConfig:
 
 
 @dataclass
-class NoiseFloors:
-    """Lower bounds on the noise the estimator assumes. They keep the
-    information matrices finite on noiseless synthetic datasets and absorb
-    the zero-order-hold discretization error of the preintegrated factors
-    (first order in the sample period), which would otherwise bias the
-    solution away from the visual optimum."""
-
-    sigma_pixel: float = 0.2
-    sigma_dvl: float = 0.02
-    sigma_pressure: float = 0.02
-    sigma_g: float = 1e-3
-    sigma_a: float = 5e-3
-    sigma_bg_walk: float = 1e-6
-    sigma_ba_walk: float = 1e-5
-    sigma_bv_walk: float = 5e-3
-
-
-@dataclass
 class RunConfig:
     mode: EstimatorMode = EstimatorMode.FULL
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     backend: bk.BackendConfig = field(default_factory=bk.BackendConfig)
-    floors: NoiseFloors = field(default_factory=NoiseFloors)
+    floors: bk.SensorNoise = field(default_factory=bk.SensorNoise)
+
+
+# pixel noise of the coarse tracker's reprojections, apart from the floored
+# scenario noise (0.4 px by default) because a change moves every trajectory
+COARSE_SIGMA_PIXEL = 0.5
 
 
 # ------------------------------- frame ops --------------------------------- #
@@ -132,10 +119,9 @@ def track_coarse(prev_nav: NavState, observations, map_points: dict,
         init = NavState(prev_nav.R.copy(), prev_nav.p + prev_nav.v * dt,
                         prev_nav.v.copy(), prev_nav.bg, prev_nav.ba, prev_nav.bv)
     node = bk.KeyframeNode(kf_id=0, t=0.0, state=init, observations=tracked)
-    cfg_b = bk.BackendConfig(use_dvl=False, use_pressure=False,
-                             photometric_enabled=False)
     window, factors = bk.assemble_window(
-        [node], map_points, {}, rig, cfg_b,
+        [node], map_points, {}, rig, bk.BackendConfig(),
+        bk.SensorNoise(sigma_pixel=COARSE_SIGMA_PIXEL),
         fixed_landmarks=set(map_points.keys()))
     window.state_masks[0] = bk.POSE_MASK
     window, _ = bk.solve(window, factors, _tracking_solver(cfg.coarse_max_iterations))
@@ -247,8 +233,10 @@ class Tracker:
     resp. (bg, bv), linearization changes), so every sample is integrated
     once per keyframe interval; only the visual branch also integrates the
     IMU from the previous frame, for the coarse tracker's prediction.
-    Modes without vision build no landmark map, so their windows hold
-    keyframe states alone.
+    Only the tracker reads which sensors a mode fuses: its window nodes
+    and intervals carry only their measurements, so modes without vision
+    build no landmark map and their windows hold keyframe states alone. All
+    factors assume one noise record, the scenario's floored by ``floors``.
     """
 
     def __init__(self, dataset, cfg: RunConfig):
@@ -260,26 +248,17 @@ class Tracker:
         self.rig = sensor_rig_from_config(scen)
 
         floors = cfg.floors
-        self.imu_noise = ImuNoiseSpec(
+        self.noise = noise = bk.SensorNoise(
+            sigma_pixel=max(scen.sigma_pixel_px, floors.sigma_pixel),
+            sigma_dvl=max(scen.sigma_dvl_m_s, floors.sigma_dvl),
+            sigma_pressure=max(scen.sigma_pressure_m, floors.sigma_pressure),
             sigma_g=max(scen.sigma_g_rad_s_sqrt_hz, floors.sigma_g),
             sigma_a=max(scen.sigma_a_m_s2_sqrt_hz, floors.sigma_a),
             sigma_bg_walk=max(scen.sigma_bg_walk_rad_s_sqrt_s, floors.sigma_bg_walk),
             sigma_ba_walk=max(scen.sigma_ba_walk_m_s2_sqrt_s, floors.sigma_ba_walk),
-        )
-        self.sigma_dvl = max(scen.sigma_dvl_m_s, floors.sigma_dvl)
-        mode = cfg.mode
-        self.backend_cfg = replace(
-            cfg.backend,
-            sigma_pixel=max(scen.sigma_pixel_px, floors.sigma_pixel),
-            sigma_dvl=self.sigma_dvl,
-            sigma_pressure=max(scen.sigma_pressure_m, floors.sigma_pressure),
-            sigma_bg_walk=self.imu_noise.sigma_bg_walk,
-            sigma_ba_walk=self.imu_noise.sigma_ba_walk,
-            sigma_bv_walk=max(scen.sigma_bv_walk_m_s_sqrt_s, floors.sigma_bv_walk),
-            use_vision=mode.uses_vision,
-            use_dvl=mode.uses_dvl,
-            use_pressure=mode.uses_pressure,
-        )
+            sigma_bv_walk=max(scen.sigma_bv_walk_m_s_sqrt_s, floors.sigma_bv_walk))
+        self.imu_noise = ImuNoiseSpec(noise.sigma_g, noise.sigma_a,
+                                      noise.sigma_bg_walk, noise.sigma_ba_walk)
 
         self.imu_times = np.array([s.t for s in dataset.imu])
         self.dvl_times = np.array([s.t for s in dataset.dvl])
@@ -353,7 +332,7 @@ class Tracker:
             return None
         self.kf_dvl = preintegrate_dvl(
             samples, imu_pre.checkpoints_at([s.t for s in samples]), self.rig.dvl,
-            bg, bv, t_end=t, sigma_v=self.sigma_dvl, resume=run)
+            bg, bv, t_end=t, sigma_v=self.noise.sigma_dvl, resume=run)
         return self.kf_dvl
 
     def _nearest_dvl(self, t: float) -> DvlSample | None:
@@ -379,23 +358,28 @@ class Tracker:
         return NavState(g.R.copy(), g.p.copy(), g.v.copy(),
                         g.bg.copy(), g.ba.copy(), g.bv.copy())
 
+    def _node(self, kf_id: int, t: float, state: NavState, observations,
+              intensity: IntensityField | None = None) -> bk.KeyframeNode:
+        """A window node at ``t`` with the measurements of the mode's
+        sensors, and the nearest gyro reading."""
+        mode, vision = self.cfg.mode, self.cfg.mode.uses_vision
+        return bk.KeyframeNode(
+            kf_id, t, state, list(observations) if vision else [],
+            intensity if vision else None, self._nearest_gyro(t),
+            self._nearest_dvl(t) if mode.uses_dvl else None,
+            self._nearest_pressure(t) if mode.uses_pressure else None)
+
     # ------------------------------------------------------------------ #
     def _mini_solve(self, kf: bk.KeyframeNode, t: float, init: NavState,
                     tracked_obs, imu_pre, dvl_pre) -> tuple[NavState, float]:
         """Joint per-frame optimization of the current state against the
         (fixed) reference keyframe."""
         temp_id = kf.kf_id + 1
-        node = bk.KeyframeNode(
-            kf_id=temp_id, t=t, state=init.copy(),
-            observations=list(tracked_obs),
-            gyro=self._nearest_gyro(t),
-            dvl_meas=self._nearest_dvl(t),
-            pressure_meas=self._nearest_pressure(t))
-        cfg = replace(self.backend_cfg, photometric_enabled=False)
+        node = self._node(temp_id, t, init.copy(), tracked_obs)
         window, factors = bk.assemble_window(
             [kf, node], self.map,
             {(kf.kf_id, temp_id): bk.IntervalData(imu_pre, dvl_pre)},
-            self.rig, cfg, fixed_ids={kf.kf_id},
+            self.rig, self.cfg.backend, self.noise, fixed_ids={kf.kf_id},
             fixed_landmarks=set(self.map.keys()))
         window.state_masks[temp_id] = bk.POSE_VEL_MASK
         window, report = bk.solve(
@@ -423,13 +407,8 @@ class Tracker:
             self.intervals[(prev.kf_id, kf_id)] = bk.IntervalData(imu_pre, dvl_pre)
         if self.cfg.mode.uses_vision:
             self._init_landmarks(frame, nav.pose())
-        node = bk.KeyframeNode(
-            kf_id=kf_id, t=frame.t, state=nav.copy(),
-            observations=list(frame.observations),
-            field=frame.field,
-            gyro=self._nearest_gyro(frame.t),
-            dvl_meas=self._nearest_dvl(frame.t),
-            pressure_meas=self._nearest_pressure(frame.t))
+        node = self._node(kf_id, frame.t, nav.copy(), frame.observations,
+                          frame.field)
         self.keyframes.append(node)
         self.kf_frame_ids.append(frame.frame_id)
         return node
@@ -437,7 +416,7 @@ class Tracker:
     def _window_ba(self):
         if len(self.keyframes) < 2:
             return
-        size = self.backend_cfg.window_size
+        size = self.cfg.backend.window_size
         window_nodes = self.keyframes[-size:]
         window_ids = {n.kf_id for n in window_nodes}
         window_lm_ids = set()
@@ -456,9 +435,9 @@ class Tracker:
         if not fixed_ids:
             fixed_ids = {nodes[0].kf_id}
         window, factors = bk.assemble_window(
-            nodes, self.map, self.intervals, self.rig, self.backend_cfg,
-            fixed_ids=fixed_ids)
-        window, report = bk.solve(window, factors, self.backend_cfg.solver)
+            nodes, self.map, self.intervals, self.rig, self.cfg.backend,
+            self.noise, fixed_ids=fixed_ids)
+        window, report = bk.solve(window, factors, self.cfg.backend.solver)
         self.reports.append(report)
         for node in nodes:
             if node.kf_id not in fixed_ids:
@@ -471,7 +450,7 @@ class Tracker:
         frames_out: list[FrameState] = []
         navs: list[NavState] = []
         status_rows: list[tuple] = []
-        tracker_cfg = self.cfg.tracker
+        tracker_cfg, backend_cfg = self.cfg.tracker, self.cfg.backend
         mode = self.cfg.mode
 
         prev_nav: NavState | None = None
@@ -509,7 +488,7 @@ class Tracker:
                                         self.rig, frame_pre, tracker_cfg)
                     # direct refinement against the previous frame: the short
                     # baseline keeps the luminance-constancy assumption tight
-                    if (self.backend_cfg.photometric_enabled
+                    if (backend_cfg.photometric_enabled
                             and prev_frame is not None
                             and frame.field is not None
                             and len(prev_frame.field.amplitudes) > 0
@@ -519,14 +498,14 @@ class Tracker:
                                for o in prev_frame.observations
                                if o.disparity is not None and o.disparity > 0.05
                                and o.landmark_id in cur_ids]
-                        pts = pts[:self.backend_cfg.photometric_max_points]
+                        pts = pts[:backend_cfg.photometric_max_points]
                         if pts:
                             res = refine_photometric(
                                 pose, prev_nav.pose(), prev_frame.field,
                                 frame.field, pts, self.rig,
-                                self.backend_cfg.pattern, tracker_cfg,
-                                self.backend_cfg.sigma_intensity_track,
-                                gate=self.backend_cfg.photometric_track_gate)
+                                backend_cfg.pattern, tracker_cfg,
+                                backend_cfg.sigma_intensity_track,
+                                gate=backend_cfg.photometric_track_gate)
                             pose = res.pose
                     pred = predict_state_imu(kf.state, imu_pre, self.rig.gravity)
                     init = NavState(pose.R, pose.t, pred.v,

@@ -126,12 +126,6 @@ class ImuPreintegrated:
     # the sums before the last step, from which ``integrate_imu`` resumes
     last_step: ImuStepState | None = None
 
-    def checkpoint_at(self, s: float):
-        """Rotation checkpoint (dR, J_dR_dbg, cov_phi) at time ``s``; a
-        batch of one of :meth:`checkpoints_at`."""
-        c = self.checkpoints_at([s])
-        return c.rotations[0], c.bias_jacobians[0], c.phi_covs[0]
-
     def _held(self, times):
         """For each of ``times``: the last step that starts at or before it,
         the hold since that step's start (0 within 1e-9 s of it), the held

@@ -26,10 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import SensorRig
-from .depth import DepthExtrinsics, PressureSample, S3
-from .dvl import DvlExtrinsics, DvlSample
+from .depth import (DepthExtrinsics, PressureSample, S3,
+                    pressure_position_estimate)
+from .dvl import DvlExtrinsics, DvlSample, dvl_velocity_estimate
 from .imu import ImuSample
-from .manifold import Pose, hat
+from .manifold import Pose
+from .state import NavState
 from .visual import CameraModel, IntensityField, LandmarkObservation
 
 
@@ -263,6 +265,11 @@ class TrajectoryTruth:
         p, v, a = self._pva(t)
         return self.rotation(t).T @ (a - self.gravity)
 
+    def state(self, t: float) -> NavState:
+        """Rotation, position and velocity at ``t``, with zero biases."""
+        p, v, _ = self._pva(t)
+        return NavState(self.rotation(t), p, v)
+
 
 def generate_trajectory(cfg: ScenarioConfig) -> TrajectoryTruth:
     return TrajectoryTruth(cfg)
@@ -374,10 +381,8 @@ def sample_sensors(truth: TrajectoryTruth, cfg: ScenarioConfig) -> SensorDataset
         + amp * np.sin(om_bv * dvl_times[:, None] + phase)
     dvl = []
     for k, t in enumerate(dvl_times):
-        r = truth.rotation(t)
-        w_body = truth.angular_velocity_body(t)
-        v_d = rig.dvl.R_ID.T @ (r.T @ truth.velocity(t)
-                                + hat(w_body) @ rig.dvl.p_ID)
+        v_d = dvl_velocity_estimate(truth.state(t),
+                                    truth.angular_velocity_body(t), rig.dvl)
         meas = v_d + bv[k] + cfg.sigma_dvl_m_s * rng.standard_normal(3)
         dvl.append(DvlSample(float(t), meas))
 
@@ -385,7 +390,7 @@ def sample_sensors(truth: TrajectoryTruth, cfg: ScenarioConfig) -> SensorDataset
     press_times = _sample_times(cfg.duration_s, cfg.rate_pressure_hz)
     pressure = []
     for t in press_times:
-        p_wp = truth.rotation(t) @ rig.depth.p_IP + truth.position(t)
+        p_wp = pressure_position_estimate(truth.state(t), rig.depth)
         d = float(S3 @ p_wp) + cfg.sigma_pressure_m * float(rng.standard_normal())
         pressure.append(PressureSample(float(t), d))
 

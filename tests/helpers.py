@@ -1,15 +1,19 @@
 """Shared test utilities: finite-difference Jacobians, discrete-time world
 generators (oracles for the zero-order-hold integrators), per-step
-reference forms of the array-coded integrators, and random states."""
+reference forms of the array-coded integrators, the scalar Huber kernel,
+DVL dead reckoning, and random states."""
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from aquafuse.dvl import DvlExtrinsics, DvlSample
-from aquafuse.imu import ImuBias, ImuNoiseSpec, ImuSample
+from aquafuse.imu import (ImuBias, ImuNoiseSpec, ImuSample, _infer_t_end,
+                          hold_intervals)
 from aquafuse.manifold import SMALL_ANGLE, exp_so3, hat
 from aquafuse.state import NavState
 
@@ -205,3 +209,53 @@ def checkpoint_reference(pre, s: float):
     jr = right_jacobian_reference(pre.step_omega[k] * delta)
     return (d_r @ e, e.T @ jac - jr * delta,
             e.T @ cov @ e + pre.noise.sigma_g**2 * delta * (jr @ jr.T))
+
+
+# ------------- scalar references for the solver and the DVL model ------------- #
+
+def robust_weight(r2: float, delta: float) -> float:
+    """Huber reweighting on the Mahalanobis norm: 1 inside the knee,
+    delta/sqrt(r2) outside."""
+    if r2 < 0:
+        raise ValueError("squared residual must be nonnegative")
+    s = math.sqrt(r2)
+    return 1.0 if s <= delta else delta / s
+
+
+def huber_cost(r2: float, delta: float) -> float:
+    s = math.sqrt(r2)
+    return r2 if s <= delta else 2.0 * delta * s - delta * delta
+
+
+@dataclass(frozen=True)
+class DvlBias:
+    bv: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "bv", np.asarray(self.bv, dtype=float))
+
+    @staticmethod
+    def zero() -> "DvlBias":
+        return DvlBias(np.zeros(3))
+
+
+def dead_reckon_dvl(p0, rotations_at_samples, samples, bias: DvlBias,
+                    t_end: float | None = None) -> np.ndarray:
+    """World-frame position reached by summing rotated, bias-corrected DVL
+    velocities over their zero-order-hold intervals."""
+    samples = list(samples)
+    rotations = list(rotations_at_samples)
+    if len(rotations) != len(samples):
+        raise ValueError(f"{len(rotations)} rotations for {len(samples)} samples")
+    if not samples:
+        raise ValueError("empty DVL sample buffer")
+    times = np.array([s.t for s in samples], dtype=float)
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("DVL timestamps must be strictly increasing")
+    if t_end is None:
+        t_end = _infer_t_end(times)
+    p = np.asarray(p0, dtype=float).copy()
+    idx, _, dts = hold_intervals(times, float(times[0]), t_end)
+    for k, dt in zip(idx, dts):
+        p = p + rotations[k] @ (samples[k].vel - bias.bv) * dt
+    return p

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,10 +15,15 @@ from aquafuse.visual import (IntensityField, LandmarkObservation, PatchPattern,
                              project)
 
 from helpers import (discrete_imu_world, dvl_samples_from_world,
-                     fd_jacobian, jac_close, random_nav_state)
+                     fd_jacobian, huber_cost, jac_close, random_nav_state,
+                     robust_weight)
 
 NOISY = ImuNoiseSpec(sigma_g=2e-4, sigma_a=2e-3,
                      sigma_bg_walk=1e-5, sigma_ba_walk=1e-4)
+# the sensor noise the window factors of these scenes assume
+NOISE = bk.SensorNoise(sigma_pixel=0.5, sigma_dvl=0.01, sigma_pressure=0.01,
+                       sigma_bg_walk=1e-5, sigma_ba_walk=1e-4,
+                       sigma_bv_walk=5e-3)
 
 
 def default_rig() -> bk.SensorRig:
@@ -99,24 +106,33 @@ def make_scene(rng, n_kf=3, n_lm=8, kf_steps=40, pixel_noise=0.0,
     return nodes, landmarks, intervals, rig, kf_states
 
 
+def without_dvl_and_pressure(nodes, intervals):
+    """Strip the DVL and pressure readings from ``nodes``, as the tracker
+    gives them in a mode without those sensors; returns ``intervals``
+    without their DVL preintegrations."""
+    for node in nodes:
+        node.dvl_meas = node.pressure_meas = None
+    return {key: bk.IntervalData(d.imu_preint) for key, d in intervals.items()}
+
+
 class TestRobustWeight:
     def test_zero_residual(self):
-        assert bk.robust_weight(0.0, 1.345) == 1.0
+        assert robust_weight(0.0, 1.345) == 1.0
 
     def test_continuity_at_knee(self):
-        assert bk.robust_weight(1.345**2, 1.345) == pytest.approx(1.0)
+        assert robust_weight(1.345**2, 1.345) == pytest.approx(1.0)
 
     def test_above_knee(self):
-        assert bk.robust_weight((2 * 1.345) ** 2, 1.345) == pytest.approx(0.5)
+        assert robust_weight((2 * 1.345) ** 2, 1.345) == pytest.approx(0.5)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            bk.robust_weight(-1.0, 1.0)
+            robust_weight(-1.0, 1.0)
 
     def test_huber_cost_continuity(self):
         d = 1.345
-        below = bk.huber_cost((d - 1e-9) ** 2, d)
-        above = bk.huber_cost((d + 1e-9) ** 2, d)
+        below = huber_cost((d - 1e-9) ** 2, d)
+        above = huber_cost((d + 1e-9) ** 2, d)
         assert abs(below - above) < 1e-6
 
 
@@ -125,7 +141,7 @@ class TestAssembleWindow:
         nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=2, n_lm=5)
         cfg = bk.BackendConfig(photometric_enabled=False)
         window, factors = bk.assemble_window(nodes, landmarks, intervals, rig,
-                                             cfg, fixed_ids={0})
+                                             cfg, NOISE, fixed_ids={0})
         kinds = [f.kind for f in factors]
         assert kinds.count(bk.FactorKind.IMU) == 1
         assert kinds.count(bk.FactorKind.DVL_POSITION) == 1
@@ -139,7 +155,7 @@ class TestAssembleWindow:
         for node in nodes:
             node.observations = []
         window, factors = bk.assemble_window(nodes, {}, intervals, rig,
-                                             bk.BackendConfig(),
+                                             bk.BackendConfig(), NOISE,
                                              fixed_ids={0})
         kinds = {f.kind for f in factors}
         assert bk.FactorKind.REPROJECTION not in kinds
@@ -150,7 +166,7 @@ class TestAssembleWindow:
     def test_single_keyframe_prior_only(self, rng):
         nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=2)
         window, factors = bk.assemble_window(nodes[:1], {}, {}, rig,
-                                             bk.BackendConfig())
+                                             bk.BackendConfig(), NOISE)
         assert [f.kind for f in factors] == [bk.FactorKind.FIXED_PRIOR]
 
     def test_missing_coverage_names_interval(self, rng):
@@ -158,15 +174,17 @@ class TestAssembleWindow:
         del intervals[(1, 2)]
         with pytest.raises(bk.PreintCoverageError) as err:
             bk.assemble_window(nodes, landmarks, intervals, rig,
-                               bk.BackendConfig(), fixed_ids={0})
+                               bk.BackendConfig(), NOISE, fixed_ids={0})
         assert str(nodes[1].t) in str(err.value)
 
     def test_mode_flags_gate_factors(self, rng):
+        # a mode gates a sensor by the measurements the tracker gives the
+        # window: none of the DVL or pressure, no factor of theirs
         nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=2)
-        cfg = bk.BackendConfig(use_dvl=False, use_pressure=False,
-                               photometric_enabled=False)
+        intervals = without_dvl_and_pressure(nodes, intervals)
+        cfg = bk.BackendConfig(photometric_enabled=False)
         _, factors = bk.assemble_window(nodes, landmarks, intervals, rig,
-                                        cfg, fixed_ids={0})
+                                        cfg, NOISE, fixed_ids={0})
         kinds = {f.kind for f in factors}
         assert bk.FactorKind.DVL_POSITION not in kinds
         assert bk.FactorKind.DVL_VELOCITY not in kinds
@@ -180,7 +198,7 @@ class TestAssembleWindow:
             node.field = bumpy_field(rng)
         cfg = bk.BackendConfig(photometric_gate=float("inf"))
         _, factors = bk.assemble_window(nodes, landmarks, intervals, rig, cfg,
-                                        fixed_ids={0, 1})
+                                        NOISE, fixed_ids={0, 1})
         K = bk.FactorKind
         pairs = {}
         for f in factors:
@@ -207,17 +225,17 @@ class TestAssembleWindow:
         self._observe_behind(nodes, landmarks, rig)
         cfg = bk.BackendConfig(photometric_enabled=False)
         window, factors = bk.assemble_window(nodes, landmarks, intervals, rig,
-                                             cfg, fixed_ids={0},
+                                             cfg, NOISE, fixed_ids={0},
                                              fixed_landmarks={99})
         observed = {f.landmark_id for f in factors
                     if f.landmark_id is not None}
         assert 99 not in observed
         assert set(window.landmarks) == observed
         assert window.fixed_landmarks == set()
-        # without vision no factor observes a landmark
-        window, _ = bk.assemble_window(nodes, landmarks, intervals, rig,
-                                       bk.BackendConfig(use_vision=False),
-                                       fixed_ids={0})
+        # without observations or fields no factor observes a landmark
+        blind = [replace(n, observations=[], field=None) for n in nodes]
+        window, _ = bk.assemble_window(blind, landmarks, intervals, rig,
+                                       bk.BackendConfig(), NOISE, fixed_ids={0})
         assert window.landmarks == {}
 
     def test_dead_landmark_leaves_the_solve_unchanged(self):
@@ -229,7 +247,7 @@ class TestAssembleWindow:
             if dead:
                 self._observe_behind(nodes, landmarks, rig)
             window, factors = bk.assemble_window(
-                nodes, landmarks, intervals, rig, bk.BackendConfig(),
+                nodes, landmarks, intervals, rig, bk.BackendConfig(), NOISE,
                 fixed_ids={0})
             return bk.solve(window, factors)
 
@@ -248,7 +266,8 @@ class TestSolve:
     def test_noiseless_window_at_truth(self, rng):
         nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=3)
         window, factors = bk.assemble_window(nodes, landmarks, intervals, rig,
-                                             bk.BackendConfig(), fixed_ids={0})
+                                             bk.BackendConfig(), NOISE,
+                                             fixed_ids={0})
         window, report = bk.solve(window, factors)
         assert report.iterations <= 2
         assert report.final_cost < 1e-16
@@ -260,7 +279,8 @@ class TestSolve:
             node.state.p = node.state.p + rng.normal(size=3) * 0.1
             node.state.R = node.state.R @ exp_so3(rng.normal(size=3) * 0.05)
         window, factors = bk.assemble_window(nodes, landmarks, intervals, rig,
-                                             bk.BackendConfig(), fixed_ids={0})
+                                             bk.BackendConfig(), NOISE,
+                                             fixed_ids={0})
         window, report = bk.solve(window, factors,
                                   bk.SolverConfig(max_iterations=50))
         for k, truth_state in enumerate(truth):
@@ -280,10 +300,10 @@ class TestSolve:
                     bad.frame_id, bad.landmark_id, bad.pixel + [50.0, 0.0],
                     bad.disparity)
             node.state.p = node.state.p + [0.02, -0.01, 0.015]
-            cfg = bk.BackendConfig(photometric_enabled=False, use_dvl=False,
-                                   use_pressure=False)
+            intervals = without_dvl_and_pressure(nodes, intervals)
+            cfg = bk.BackendConfig(photometric_enabled=False)
             window, factors = bk.assemble_window(
-                nodes, landmarks, intervals, rig, cfg, fixed_ids={0},
+                nodes, landmarks, intervals, rig, cfg, NOISE, fixed_ids={0},
                 fixed_landmarks=set(landmarks.keys()))
             for f in factors:
                 if f.kind is bk.FactorKind.REPROJECTION:
@@ -303,7 +323,8 @@ class TestSolve:
     def test_gauge_error_without_anchor(self, rng):
         nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=2)
         window, factors = bk.assemble_window(nodes, landmarks, intervals, rig,
-                                             bk.BackendConfig(), fixed_ids={0})
+                                             bk.BackendConfig(), NOISE,
+                                             fixed_ids={0})
         window.fixed_states = set()
         factors = [f for f in factors if f.kind != bk.FactorKind.FIXED_PRIOR]
         with pytest.raises(bk.GaugeError):
@@ -313,7 +334,8 @@ class TestSolve:
         nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=3)
         nodes[2].state.p = nodes[2].state.p + [0.05, 0, 0]
         window, factors = bk.assemble_window(nodes, landmarks, intervals, rig,
-                                             bk.BackendConfig(), fixed_ids={0})
+                                             bk.BackendConfig(), NOISE,
+                                             fixed_ids={0})
         before = (window.states[0].R.copy(), window.states[0].p.copy(),
                   window.states[0].v.copy())
         window, _ = bk.solve(window, factors)
@@ -327,7 +349,7 @@ class TestSolve:
             for node in nodes[1:]:
                 node.state.p = node.state.p + rng.normal(size=3) * 0.05
             window, factors = bk.assemble_window(
-                nodes, landmarks, intervals, rig, bk.BackendConfig(),
+                nodes, landmarks, intervals, rig, bk.BackendConfig(), NOISE,
                 fixed_ids={0})
             _, report = bk.solve(window, factors)
             trace = report.cost_trace
@@ -340,7 +362,7 @@ class TestSolve:
             for node in nodes[1:]:
                 node.state.p = node.state.p + perturb * local.normal(size=3)
             window, factors = bk.assemble_window(
-                nodes, landmarks, intervals, rig, bk.BackendConfig(),
+                nodes, landmarks, intervals, rig, bk.BackendConfig(), NOISE,
                 fixed_ids={0})
             return bk.solve(window, factors, bk.SolverConfig(**solver))[1]
 
@@ -376,7 +398,8 @@ class TestSolve:
     def test_non_prefix_mask_rejected(self, rng, mask):
         nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=2)
         window, factors = bk.assemble_window(nodes, landmarks, intervals, rig,
-                                             bk.BackendConfig(), fixed_ids={0})
+                                             bk.BackendConfig(), NOISE,
+                                             fixed_ids={0})
         window.state_masks[1] = mask
         with pytest.raises(ValueError, match="contiguous prefix"):
             bk.solve(window, factors)
@@ -415,7 +438,8 @@ class TestTranslationGauge:
     def test_relative_residuals_invariant_to_world_shift(self, rng):
         nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=2, n_lm=4)
         window, factors = bk.assemble_window(nodes, landmarks, intervals, rig,
-                                             bk.BackendConfig(), fixed_ids=set())
+                                             bk.BackendConfig(), NOISE,
+                                             fixed_ids=set())
         # quantized positions keep float addition of the shift exact
         quantum = 2.0**-20
         for st in window.states.values():
@@ -454,7 +478,7 @@ def per_factor_normal_equations(factors, states, landmarks, state_cols,
         r, js, jl = f.evaluate(states, landmarks)
         w = 1.0
         if f.robust:
-            w = bk.robust_weight(float(r @ f.info @ r), f.robust_delta)
+            w = robust_weight(float(r @ f.info @ r), f.robust_delta)
         blocks = [(state_cols[sid][0], jac[:, state_cols[sid][1]])
                   for sid, jac in js.items() if sid in state_cols]
         blocks += [(lm_cols[lid], jac) for lid, jac in jl.items()
@@ -471,7 +495,7 @@ def factor_cost(f, states, landmarks):
     """One factor's robustified cost, through its batch of one."""
     r, _, _ = f.evaluate(states, landmarks, with_jacobians=False)
     r2 = float(r @ f.info @ r)
-    return bk.huber_cost(r2, f.robust_delta) if f.robust else r2
+    return huber_cost(r2, f.robust_delta) if f.robust else r2
 
 
 def assert_matches_per_factor_path(window, factors):
@@ -520,7 +544,7 @@ class TestBatchedReprojection:
             fixed = {o.landmark_id for o in nodes[1].observations[1:3]}
         cfg = bk.BackendConfig(photometric_enabled=False)
         window, factors = bk.assemble_window(nodes, landmarks, intervals, rig,
-                                             cfg, fixed_ids={0},
+                                             cfg, NOISE, fixed_ids={0},
                                              fixed_landmarks=fixed)
         reproj = [f for f in factors if f.kind is bk.FactorKind.REPROJECTION]
         assert {f.state_ids[0] for f in reproj} == {0, 1, 2}
@@ -570,7 +594,7 @@ def pair_window(rng, n_kf=12, biased=True, photometric=False):
     cfg = bk.BackendConfig(photometric_enabled=photometric,
                            photometric_gate=float("inf"))
     window, factors = bk.assemble_window(nodes, landmarks, intervals, rig, cfg,
-                                         fixed_ids={0, 2})
+                                         NOISE, fixed_ids={0, 2})
     window.state_masks[5] = bk.POSE_VEL_MASK
     window.state_masks[8] = bk.POSE_MASK
     pairs = [f for f in factors if f.kind in bk.PAIR_KINDS]
@@ -706,7 +730,7 @@ def photometric_window(rng, fixed_ids=(), info_scale=None):
     for node in nodes:
         node.field = bumpy_field(rng)
     cfg = bk.BackendConfig(photometric_gate=float("inf"))
-    window, factors = bk.assemble_window(nodes, {}, intervals, rig, cfg,
+    window, factors = bk.assemble_window(nodes, {}, intervals, rig, cfg, NOISE,
                                          fixed_ids=set(fixed_ids))
     factors = [f for f in factors if f.kind is bk.FactorKind.PHOTOMETRIC]
     if info_scale is not None:

@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
-from aquafuse import cli
+from aquafuse import backend as bk, cli, sim
 from aquafuse.backend import DivergedError, GaugeError, PreintCoverageError
-from aquafuse.frontend import InsufficientObservationsError
+from aquafuse.frontend import InsufficientObservationsError, RunConfig, Tracker
 from aquafuse.manifold import BranchAmbiguityError
 from aquafuse.visual import (BehindCameraError, DegenerateTriangulationError,
                              OutOfDomainError)
@@ -77,6 +79,81 @@ class TestSuccess:
                          "--config", str(config)) == 0
 
 
+def _leaves(config, prefix=""):
+    """(dotted key, value) of every settable value of a config dataclass."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value
+
+
+def _changed(value):
+    """A valid setting of the type of ``value`` that differs from it."""
+    if isinstance(value, np.ndarray):
+        return value[::-1].tolist()  # the patch offsets, origin kept
+    return (not value) if isinstance(value, bool) else value + 1
+
+
+def _nested(flat: dict) -> dict:
+    out: dict = {}
+    for key, value in flat.items():
+        *path, name = key.split(".")
+        node = out
+        for part in path:
+            node = node.setdefault(part, {})
+        node[name] = value
+    return out
+
+
+def test_no_run_config_setting_is_overwritten(dataset, monkeypatch):
+    # the tracker decides the sensors of a mode and their noise from the
+    # mode, the floors and the scenario; every setting reaches it as given
+    ds = sim.read_dataset(str(dataset))
+    scen = ds.config
+    scenario_noise = {
+        "sigma_pixel": scen.sigma_pixel_px, "sigma_dvl": scen.sigma_dvl_m_s,
+        "sigma_pressure": scen.sigma_pressure_m,
+        "sigma_g": scen.sigma_g_rad_s_sqrt_hz,
+        "sigma_a": scen.sigma_a_m_s2_sqrt_hz,
+        "sigma_bg_walk": scen.sigma_bg_walk_rad_s_sqrt_s,
+        "sigma_ba_walk": scen.sigma_ba_walk_m_s2_sqrt_s,
+        "sigma_bv_walk": scen.sigma_bv_walk_m_s_sqrt_s}
+    given = {key: _changed(value) for key, value in _leaves(RunConfig())
+             if key.startswith(("tracker.", "backend."))}
+    # floors above the scenario's noise for half the sensors, below for
+    # the others
+    given.update({f"floors.{name}": value * (2.0 if k % 2 else 0.5)
+                  for k, (name, value) in enumerate(scenario_noise.items())})
+    cfg = cli.run_config_from_dict(_nested(given))
+    tracker = Tracker(ds, cfg)
+    got = dict(_leaves(tracker.cfg))
+    for key, value in given.items():
+        assert np.array_equal(got[key], value), key
+
+    noise = tracker.noise
+    for name, value in scenario_noise.items():
+        assert getattr(noise, name) == max(value, given[f"floors.{name}"])
+    assert dataclasses.astuple(tracker.imu_noise) == (
+        noise.sigma_g, noise.sigma_a, noise.sigma_bg_walk, noise.sigma_ba_walk)
+
+    # window and per-frame solves take the run's settings and that noise
+    seen = []
+    assemble = bk.assemble_window
+
+    def recorded(nodes, landmarks, intervals, rig, backend_cfg, noise, **kw):
+        if len(nodes) > 1:  # not the single-node coarse tracker
+            seen.append((backend_cfg, noise))
+        return assemble(nodes, landmarks, intervals, rig, backend_cfg, noise,
+                        **kw)
+
+    monkeypatch.setattr(bk, "assemble_window", recorded)
+    tracker.run()
+    assert seen
+    assert all(c is cfg.backend and n is tracker.noise for c, n in seen)
+
+
 class TestInputErrors:
     def test_parse_error_names_file_and_line(self, dataset, tmp_path, capsys):
         run = tmp_path / "run"
@@ -111,16 +188,18 @@ class TestInputErrors:
         ({"backend": {"use_dvl": "yes"}}, "backend.use_dvl"),
         ({"floors": [0.1]}, "floors"),
         ({"mode": "sonar"}, "mode"),
-        ({"backend": {"use_vision": False}}, "backend.use_vision (set by mode)"),
-        ({"backend": {"use_dvl": True}}, "backend.use_dvl (set by mode)"),
-        ({"backend": {"use_pressure": False}},
-         "backend.use_pressure (set by mode)"),
-        ({"backend": {"sigma_pixel": 1.0}}, "set by floors.sigma_pixel"),
-        ({"backend": {"sigma_dvl": 0.1}}, "set by floors.sigma_dvl"),
-        ({"backend": {"sigma_pressure": 0.1}}, "set by floors.sigma_pressure"),
-        ({"backend": {"sigma_bg_walk": 1e-4}}, "set by floors.sigma_bg_walk"),
-        ({"backend": {"sigma_ba_walk": 1e-3}}, "set by floors.sigma_ba_walk"),
-        ({"backend": {"sigma_bv_walk": 1e-2}}, "set by floors.sigma_bv_walk"),
+        # the sensors of a mode and their noise are no run config keys
+        ({"backend": {"use_vision": False}}, "backend.use_vision"),
+        ({"backend": {"use_dvl": True}}, "backend.use_dvl"),
+        ({"backend": {"use_pressure": False}}, "backend.use_pressure"),
+        ({"backend": {"sigma_pixel": 1.0}}, "backend.sigma_pixel"),
+        ({"backend": {"sigma_dvl": 0.1}}, "backend.sigma_dvl"),
+        ({"backend": {"sigma_pressure": 0.1}}, "backend.sigma_pressure"),
+        ({"backend": {"sigma_bg_walk": 1e-4}}, "backend.sigma_bg_walk"),
+        ({"backend": {"sigma_ba_walk": 1e-3}}, "backend.sigma_ba_walk"),
+        ({"backend": {"sigma_bv_walk": 1e-2}}, "backend.sigma_bv_walk"),
+        ({"backend": {"photometric_enabled": "yes"}},
+         "backend.photometric_enabled"),
     ])
     def test_malformed_nested_config(self, dataset, tmp_path, capsys,
                                      config, key):

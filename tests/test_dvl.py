@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from aquafuse.dvl import (DvlBias, DvlExtrinsics, DvlSample, correct_dvl_bias,
-                          dead_reckon_dvl, dvl_position_pair_residuals,
-                          dvl_velocity_estimate, dvl_velocity_pair_residuals,
-                          preintegrate_dvl, stack_dvl_position_pairs,
-                          stack_dvl_velocity_pairs)
+from aquafuse.dvl import (DvlExtrinsics, DvlSample, correct_dvl_bias,
+                          dvl_position_pair_residuals, dvl_velocity_estimate,
+                          dvl_velocity_pair_residuals, preintegrate_dvl,
+                          stack_dvl_position_pairs, stack_dvl_velocity_pairs)
 from aquafuse.imu import ImuBias, ImuNoiseSpec, integrate_imu
 from aquafuse.manifold import exp_so3
 from aquafuse.state import BG, BV, PHI, POS, VEL, NavState, stack_states
 
-from helpers import (discrete_imu_world, dvl_samples_from_world, random_nav_state,
-                     random_rotation)
+from helpers import (DvlBias, dead_reckon_dvl, discrete_imu_world,
+                     dvl_samples_from_world, random_nav_state, random_rotation)
 
 IDENTITY_EXT = DvlExtrinsics(np.eye(3), np.zeros(3))
 QUIET = ImuNoiseSpec()

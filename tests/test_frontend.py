@@ -335,6 +335,36 @@ class TestPipeline:
         assert max(errs) < 0.2
 
 
+@pytest.fixture(scope="module")
+def short_blackout_circle():
+    return simulate(ScenarioConfig(duration_s=6.0, seed=3,
+                                   degradation_windows_s=((2.5, 3.5),)))
+
+
+@pytest.mark.parametrize("mode, kinds", [
+    (EstimatorMode.FULL, {"reprojection", "photometric", "imu",
+                          "dvl_position", "dvl_velocity", "pressure"}),
+    (EstimatorMode.VISUAL_INERTIAL, {"reprojection", "photometric", "imu"}),
+    (EstimatorMode.ACOUSTIC_INERTIAL_DEPTH, {"imu", "dvl_position",
+                                             "dvl_velocity", "pressure"}),
+], ids=["full", "visual-inertial-only", "acoustic-inertial-depth-only"])
+def test_mode_decides_the_factor_kinds(short_blackout_circle, monkeypatch,
+                                       mode, kinds):
+    # counted where the benchmark's tracer counts them; the windows build a
+    # factor for every measurement the tracker gives them
+    seen = set()
+    assemble = bk.assemble_window
+
+    def counted(*args, **kwargs):
+        window, factors = assemble(*args, **kwargs)
+        seen.update(f.kind.value for f in factors)
+        return window, factors
+
+    monkeypatch.setattr(bk, "assemble_window", counted)
+    run_estimator(short_blackout_circle, RunConfig(mode=mode))
+    assert seen == kinds
+
+
 class TestKeyframePreintegration:
     """Each frame extends the running preintegration of its keyframe."""
 

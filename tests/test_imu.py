@@ -247,8 +247,8 @@ class TestAgainstPerStepReference:
                                    want):
                 _assert_rel(getattr(got, name)[i], value, name)
             assert np.array_equal(pre.rotations_at([s])[0], got.rotations[i])
-        one = pre.checkpoint_at(float(probes[60]))
-        assert np.array_equal(one[0], got.rotations[60])
+        one = pre.checkpoints_at([float(probes[60])])
+        assert np.array_equal(one.rotations[0], got.rotations[60])
 
     def test_checkpoints_outside_the_span_rejected(self, rng):
         samples = self._samples(rng, np.arange(20) * 0.01)
