@@ -41,7 +41,8 @@ from .manifold import (Pose, hat, hat_batch, log_so3_batch,
 from .state import (STATE_DOF, NavState, StateStack, matvec, retract_rows,
                     stack_states, unstack_state)
 from .visual import (BehindCameraError, CameraModel, IntensityField,
-                     LandmarkObservation, OutOfDomainError, PatchPattern)
+                     LandmarkObservation, OutOfDomainError, PatchPattern,
+                     stereo_depth)
 
 
 class GaugeError(ValueError):
@@ -950,8 +951,7 @@ def assemble_window(keyframes: list[KeyframeNode],
                  if o.disparity is not None and o.disparity > 0
                  and o.landmark_id in ids_b),
                 key=lambda o: o.landmark_id)
-            points = [(obs.pixel,
-                       rig.cam.fx * rig.cam.baseline / obs.disparity)
+            points = [(obs.pixel, stereo_depth(rig.cam, obs.disparity))
                       for obs in hosts[:cfg.photometric_max_points]]
             factors += make_photometric_factors(
                 (a.kf_id, b.kf_id), a.field, b.field, points, cfg.pattern,

@@ -10,6 +10,10 @@ by the AQUAFUSE_THREADS environment variable.
 
 A run config sets ``RunConfig`` fields by dotted key; which sensors a run
 fuses, and their noise, follow from ``mode``, ``floors`` and the scenario.
+
+``estimate`` writes the estimator's per-frame records (``FrameState``) as
+``trajectory.jsonl`` (poses), ``status.csv`` (statuses, tracked features and
+per-frame costs) and ``bias.csv`` (each keyframe's final biases).
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from . import sim
 from .backend import DivergedError, GaugeError, PreintCoverageError
 from .evaluation import (ErrorReport, Trajectory, align_to_truth,
                          error_metrics, preprocess)
-from .frontend import (EstimatorMode, InsufficientObservationsError,
-                       RunConfig, run_estimator)
+from .frontend import (EstimatorMode, FrameState,
+                       InsufficientObservationsError, RunConfig, run_estimator)
 from .manifold import BranchAmbiguityError
 from .visual import (BehindCameraError, DegenerateTriangulationError,
                      OutOfDomainError)
@@ -120,14 +124,14 @@ def _load_json(path: str) -> dict:
 
 # ------------------------------ trajectory io ------------------------------ #
 
-def write_trajectory(path: str, frames, navs) -> None:
+def write_trajectory(path: str, frames: list[FrameState]) -> None:
     with open(path, "w") as fh:
-        for fs, nav in zip(frames, navs):
+        for fs in frames:
             fh.write(json.dumps({
                 "frame_id": fs.frame_id,
                 "t": repr(float(fs.t)),
-                "R": nav.R.reshape(-1).tolist(),
-                "p": nav.p.tolist(),
+                "R": fs.nav.R.reshape(-1).tolist(),
+                "p": fs.nav.p.tolist(),
             }, separators=(",", ":")) + "\n")
 
 
@@ -153,8 +157,7 @@ def load_trajectory(path: str) -> Trajectory:
     return Trajectory(np.array(ts), np.stack(rs), np.stack(ps))
 
 
-def truth_trajectory(dataset_path: str) -> Trajectory:
-    ds = sim.read_dataset(dataset_path)
+def truth_trajectory(ds: sim.SensorDataset) -> Trajectory:
     ts = np.array([g.t for g in ds.groundtruth])
     rs = np.stack([g.R for g in ds.groundtruth])
     ps = np.stack([g.p for g in ds.groundtruth])
@@ -181,22 +184,26 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _estimate_to_dir(dataset_dir: str, out_dir: str, cfg: RunConfig) -> None:
-    ds = sim.read_dataset(dataset_dir)
-    result = run_estimator(ds, cfg)
+def _estimate_to_dir(ds: sim.SensorDataset, out_dir: str,
+                     cfg: RunConfig) -> list[FrameState]:
+    frames = run_estimator(ds, cfg).frames
     os.makedirs(out_dir, exist_ok=True)
-    write_trajectory(os.path.join(out_dir, "trajectory.jsonl"),
-                     result.frames, result.navs)
+    write_trajectory(os.path.join(out_dir, "trajectory.jsonl"), frames)
     with open(os.path.join(out_dir, "status.csv"), "w") as fh:
         fh.write("frame,t,status,features,cost\n")
-        for frame_id, t, status, feats, cost in result.status_rows:
-            cost_s = "nan" if math.isnan(cost) else f"{cost:.9e}"
-            fh.write(f"{frame_id},{t!r},{status},{feats},{cost_s}\n")
+        for fs in frames:
+            cost_s = "nan" if math.isnan(fs.cost) else f"{fs.cost:.9e}"
+            fh.write(f"{fs.frame_id},{fs.t!r},{fs.status.value},"
+                     f"{fs.tracked_features},{cost_s}\n")
     with open(os.path.join(out_dir, "bias.csv"), "w") as fh:
         fh.write("t,bvx,bvy,bvz,bgx,bgy,bgz,bax,bay,baz\n")
-        for kf in result.keyframes:
-            vals = np.concatenate([kf.state.bv, kf.state.bg, kf.state.ba])
-            fh.write(f"{kf.t!r}," + ",".join(f"{v:.9e}" for v in vals) + "\n")
+        for fs in frames:
+            kf = fs.keyframe
+            if kf is not None:
+                vals = np.concatenate([kf.bv, kf.bg, kf.ba])
+                fh.write(f"{fs.t!r}," + ",".join(f"{v:.9e}" for v in vals)
+                         + "\n")
+    return frames
 
 
 def cmd_estimate(args) -> int:
@@ -207,7 +214,7 @@ def cmd_estimate(args) -> int:
     if os.path.exists(args.out) and not args.force:
         raise RefusalError(f"output directory {args.out} exists "
                            "(use --force to overwrite)")
-    _estimate_to_dir(args.dataset, args.out, cfg)
+    _estimate_to_dir(sim.read_dataset(args.dataset), args.out, cfg)
     print(f"wrote {args.out} (mode={cfg.mode.value})")
     return 0
 
@@ -219,8 +226,8 @@ def _evaluate_pair(truth: Trajectory, est: Trajectory, name: str) -> ErrorReport
 
 
 def cmd_evaluate(args) -> int:
-    truth = truth_trajectory(args.truth) if os.path.isdir(args.truth) \
-        else load_trajectory(args.truth)
+    truth = truth_trajectory(sim.read_dataset(args.truth)) \
+        if os.path.isdir(args.truth) else load_trajectory(args.truth)
     names = args.names.split(",") if args.names else None
     if names and len(names) != len(args.estimates):
         raise ValueError("--names count must match the number of estimates")
@@ -274,10 +281,12 @@ def _sweep_cell(cell):
     dataset_dir, run_dir, run_cfg_data, mode, name = cell
     cfg = run_config_from_dict(run_cfg_data)
     cfg.mode = EstimatorMode(mode)
-    _estimate_to_dir(dataset_dir, run_dir, cfg)
-    truth = truth_trajectory(dataset_dir)
-    est = load_trajectory(os.path.join(run_dir, "trajectory.jsonl"))
-    report = _evaluate_pair(truth, est, f"{name}:{mode}")
+    ds = sim.read_dataset(dataset_dir)
+    frames = _estimate_to_dir(ds, run_dir, cfg)
+    # the poses of trajectory.jsonl, as JSON floats round-trip exactly
+    est = Trajectory([f.t for f in frames], [f.nav.R for f in frames],
+                     [f.nav.p for f in frames])
+    report = _evaluate_pair(truth_trajectory(ds), est, f"{name}:{mode}")
     row = report.to_dict()
     row["scenario"] = name
     row["mode"] = mode

@@ -7,6 +7,9 @@ degraded branch: gyro-driven rotation plus DVL translation prediction,
 refined by acoustic-inertial-depth optimization. Keyframes trigger local
 window bundle adjustment in the backend.
 
+Each frame yields one ``FrameState`` record, which names the branch that
+produced it; ``EstimationResult`` holds the records and the window BA reports.
+
 The pipeline is strictly sequential per dataset and deterministic: the
 same dataset and configuration reproduce the same frame states bit for bit
 at a fixed BLAS thread count. Linear algebra summed over a different number
@@ -45,6 +48,7 @@ def _tracking_solver(max_iterations: int) -> bk.SolverConfig:
 class TrackingStatus(Enum):
     VISUAL_OK = "VisualOk"
     DEGRADED = "Degraded"
+    DEAD_RECKON = "DeadReckon"
 
 
 class EstimatorMode(Enum):
@@ -67,13 +71,22 @@ class EstimatorMode(Enum):
         return self in (EstimatorMode.FULL, EstimatorMode.ACOUSTIC_INERTIAL_DEPTH)
 
 
-@dataclass(frozen=True)
+@dataclass
 class FrameState:
+    """A frame's state, tracking branch, tracked features and solve cost (NaN
+    if none ran); for a keyframe also its state after its last window BA."""
+
     frame_id: int
     t: float
-    T_WI: Pose
+    nav: NavState
     status: TrackingStatus
     tracked_features: int
+    cost: float = float("nan")
+    keyframe: NavState | None = None
+
+    @property
+    def T_WI(self) -> Pose:
+        return self.nav.pose()
 
 
 @dataclass
@@ -105,10 +118,10 @@ COARSE_SIGMA_PIXEL = 0.5
 
 def track_coarse(prev_nav: NavState, observations, map_points: dict,
                  rig: bk.SensorRig, imu_preint: ImuPreintegrated | None,
-                 cfg: TrackerConfig, dt: float = 0.0) -> Pose:
+                 cfg: TrackerConfig, backend_cfg: bk.BackendConfig) -> Pose:
     """Pose minimizing the robustified reprojection cost over the associated
-    observations, initialized from the inertial motion model (constant
-    velocity when no preintegration is supplied)."""
+    observations, initialized from the inertial motion model (the previous
+    state when no preintegration is supplied)."""
     tracked = [o for o in observations if o.landmark_id in map_points]
     if len(tracked) < cfg.min_coarse_observations:
         raise InsufficientObservationsError(
@@ -116,11 +129,10 @@ def track_coarse(prev_nav: NavState, observations, map_points: dict,
     if imu_preint is not None:
         init = predict_state_imu(prev_nav, imu_preint, rig.gravity)
     else:
-        init = NavState(prev_nav.R.copy(), prev_nav.p + prev_nav.v * dt,
-                        prev_nav.v.copy(), prev_nav.bg, prev_nav.ba, prev_nav.bv)
+        init = prev_nav.copy()
     node = bk.KeyframeNode(kf_id=0, t=0.0, state=init, observations=tracked)
     window, factors = bk.assemble_window(
-        [node], map_points, {}, rig, bk.BackendConfig(),
+        [node], map_points, {}, rig, backend_cfg,
         bk.SensorNoise(sigma_pixel=COARSE_SIGMA_PIXEL),
         fixed_landmarks=set(map_points.keys()))
     window.state_masks[0] = bk.POSE_MASK
@@ -187,9 +199,9 @@ def keyframe_decision(cur: FrameState, last_kf: FrameState,
         return False
     if cur.status != last_kf.status:
         return True
-    if np.linalg.norm(cur.T_WI.t - last_kf.T_WI.t) > cfg.tau_p:
+    if np.linalg.norm(cur.nav.p - last_kf.nav.p) > cfg.tau_p:
         return True
-    if rotation_angle(last_kf.T_WI.R.T @ cur.T_WI.R) > cfg.tau_r:
+    if rotation_angle(last_kf.nav.R.T @ cur.nav.R) > cfg.tau_r:
         return True
     return (cur.t - last_kf.t) > cfg.tau_t
 
@@ -197,20 +209,16 @@ def keyframe_decision(cur: FrameState, last_kf: FrameState,
 # ------------------------------ orchestration ------------------------------ #
 
 @dataclass
-class KeyframeEstimate:
-    kf_id: int
-    frame_id: int
-    t: float
-    state: NavState
-
-
-@dataclass
 class EstimationResult:
     frames: list[FrameState]
-    navs: list[NavState]
-    status_rows: list[tuple]
-    keyframes: list[KeyframeEstimate]
     solver_reports: list[bk.SolveReport]
+
+    @property
+    def status_rows(self) -> list[tuple]:
+        """(frame_id, t, status, features, cost) per frame, for the benchmark
+        harness, which stays fixed while the estimator changes."""
+        return [(f.frame_id, f.t, f.status.value, f.tracked_features, f.cost)
+                for f in self.frames]
 
 
 def _nearest_index(times: np.ndarray, t: float) -> int | None:
@@ -268,7 +276,6 @@ class Tracker:
 
         self.map: dict[int, np.ndarray] = {}
         self.keyframes: list[bk.KeyframeNode] = []
-        self.kf_frame_ids: list[int] = []
         self.intervals: dict[tuple[int, int], bk.IntervalData] = {}
         self.reports: list[bk.SolveReport] = []
         self.kf_preint: ImuPreintegrated | None = None  # of the last keyframe
@@ -398,8 +405,7 @@ class Tracker:
                               stereo_depth(self.rig.cam, obs.disparity))
             self.map[obs.landmark_id] = t_wc.transform(x_c)
 
-    def _make_keyframe(self, frame, nav: NavState,
-                       imu_pre, dvl_pre) -> bk.KeyframeNode:
+    def _make_keyframe(self, frame, nav: NavState, imu_pre, dvl_pre):
         kf_id = len(self.keyframes)
         self.kf_dvl = None
         if self.keyframes:
@@ -410,8 +416,6 @@ class Tracker:
         node = self._node(kf_id, frame.t, nav.copy(), frame.observations,
                           frame.field)
         self.keyframes.append(node)
-        self.kf_frame_ids.append(frame.frame_id)
-        return node
 
     def _window_ba(self):
         if len(self.keyframes) < 2:
@@ -448,18 +452,13 @@ class Tracker:
     # ------------------------------------------------------------------ #
     def run(self) -> EstimationResult:
         frames_out: list[FrameState] = []
-        navs: list[NavState] = []
-        status_rows: list[tuple] = []
+        kf_frames: list[FrameState] = []
         tracker_cfg, backend_cfg = self.cfg.tracker, self.cfg.backend
         mode = self.cfg.mode
 
-        prev_nav: NavState | None = None
         prev_frame = None
-        prev_t = 0.0
-        last_kf_fs: FrameState | None = None
         for frame in self.ds.frames:
             t = frame.t
-            n_keyframes = len(self.keyframes)
             tracked_obs = [o for o in frame.observations
                            if o.landmark_id in self.map]
             n_tracked = len(tracked_obs)
@@ -471,7 +470,6 @@ class Tracker:
                     len(frame.observations) >= tracker_cfg.min_tracked_features
                 self.status = (TrackingStatus.VISUAL_OK if rich
                                else TrackingStatus.DEGRADED)
-                self._make_keyframe(frame, nav, None, None)
             else:
                 kf = self.keyframes[-1]
                 imu_pre = self._keyframe_preint(kf, t)
@@ -482,10 +480,12 @@ class Tracker:
                 visual_ok = (mode.uses_vision
                              and n_tracked >= tracker_cfg.min_tracked_features)
                 if visual_ok:
+                    prev = frames_out[-1]
                     frame_pre = self._integrate(
-                        prev_t, t, ImuBias(prev_nav.bg, prev_nav.ba))
-                    pose = track_coarse(prev_nav, tracked_obs, self.map,
-                                        self.rig, frame_pre, tracker_cfg)
+                        prev.t, t, ImuBias(prev.nav.bg, prev.nav.ba))
+                    pose = track_coarse(prev.nav, tracked_obs, self.map,
+                                        self.rig, frame_pre, tracker_cfg,
+                                        backend_cfg)
                     # direct refinement against the previous frame: the short
                     # baseline keeps the luminance-constancy assumption tight
                     if (backend_cfg.photometric_enabled
@@ -500,13 +500,12 @@ class Tracker:
                                and o.landmark_id in cur_ids]
                         pts = pts[:backend_cfg.photometric_max_points]
                         if pts:
-                            res = refine_photometric(
-                                pose, prev_nav.pose(), prev_frame.field,
+                            pose = refine_photometric(
+                                pose, prev.T_WI, prev_frame.field,
                                 frame.field, pts, self.rig,
                                 backend_cfg.pattern, tracker_cfg,
                                 backend_cfg.sigma_intensity_track,
-                                gate=backend_cfg.photometric_track_gate)
-                            pose = res.pose
+                                gate=backend_cfg.photometric_track_gate).pose
                     pred = predict_state_imu(kf.state, imu_pre, self.rig.gravity)
                     init = NavState(pose.R, pose.t, pred.v,
                                     kf.state.bg, kf.state.ba, kf.state.bv)
@@ -523,40 +522,32 @@ class Tracker:
                 else:
                     nav = predict_state_imu(kf.state, imu_pre, self.rig.gravity)
 
-                if self.status == TrackingStatus.DEGRADED and visual_ok:
-                    self.reentry_count += 1
-                    if self.reentry_count >= tracker_cfg.reentry_frames:
-                        self.status = TrackingStatus.VISUAL_OK
-                        self.reentry_count = 0
-                elif visual_ok:
+                # back to VisualOk after reentry_frames visual frames in a row
+                self.reentry_count = self.reentry_count + 1 if visual_ok else 0
+                if not visual_ok:
+                    self.status = TrackingStatus.DEGRADED
+                elif (self.status == TrackingStatus.VISUAL_OK
+                      or self.reentry_count >= tracker_cfg.reentry_frames):
                     self.status = TrackingStatus.VISUAL_OK
                     self.reentry_count = 0
-                else:
-                    self.status = TrackingStatus.DEGRADED
-                    self.reentry_count = 0
 
-                cur_fs = FrameState(frame.frame_id, t, nav.pose(),
-                                    self.status, n_tracked)
-                if keyframe_decision(cur_fs, last_kf_fs, tracker_cfg):
-                    self._make_keyframe(frame, nav, imu_pre, dvl_pre)
-                    self._window_ba()
-                    nav = self.keyframes[-1].state.copy()
-
-            frames_out.append(FrameState(frame.frame_id, t, nav.pose(),
-                                         self.status, n_tracked))
-            if len(self.keyframes) > n_keyframes:
-                last_kf_fs = frames_out[-1]
-            status_rows.append((frame.frame_id, t, self.status.value,
-                                n_tracked, cost))
-            navs.append(nav)
-            prev_nav = nav
+            fs = FrameState(frame.frame_id, t, nav, self.status, n_tracked,
+                            cost)
+            if not kf_frames:
+                self._make_keyframe(frame, nav, None, None)
+                kf_frames.append(fs)
+            elif keyframe_decision(fs, kf_frames[-1], tracker_cfg):
+                self._make_keyframe(frame, nav, imu_pre, dvl_pre)
+                self._window_ba()
+                fs.nav = self.keyframes[-1].state.copy()
+                kf_frames.append(fs)
+            frames_out.append(fs)
             prev_frame = frame
-            prev_t = t
 
-        keyframes = [KeyframeEstimate(n.kf_id, fid, n.t, n.state)
-                     for n, fid in zip(self.keyframes, self.kf_frame_ids)]
-        return EstimationResult(frames_out, navs, status_rows, keyframes,
-                                self.reports)
+        # later windows move a keyframe after its frame's record was made
+        for fs, node in zip(kf_frames, self.keyframes):
+            fs.keyframe = node.state
+        return EstimationResult(frames_out, self.reports)
 
     def _degraded_velocity(self, pose: Pose, t: float,
                            ref: NavState) -> np.ndarray:
@@ -570,8 +561,8 @@ class Tracker:
 
 
 def run_estimator(dataset, cfg: RunConfig) -> EstimationResult:
-    """Run the configured estimator over a dataset and return per-frame
-    states, per-keyframe estimates and solver reports."""
+    """Run the configured estimator over a dataset and return one record
+    per frame and the window BA solve reports."""
     if cfg.mode == EstimatorMode.DVL_DEADRECKON:
         return run_dead_reckoning(dataset, cfg)
     return Tracker(dataset, cfg).run()
@@ -606,13 +597,9 @@ def run_dead_reckoning(dataset, cfg: RunConfig) -> EstimationResult:
         return hold_pos[k] + hold_vel[k] * min(t - starts[k], dts[k])
 
     frames_out = []
-    navs = []
-    rows = []
     for frame in frames:
         r = gt0.R @ pre.rotations_at([min(frame.t, pre.t_end)])[0]
-        pos = pos_at(frame.t)
-        frames_out.append(FrameState(frame.frame_id, frame.t, Pose(r, pos),
-                                     TrackingStatus.DEGRADED, 0))
-        navs.append(NavState(r, pos, np.zeros(3), gt0.bg, gt0.ba, gt0.bv))
-        rows.append((frame.frame_id, frame.t, "DeadReckon", 0, float("nan")))
-    return EstimationResult(frames_out, navs, rows, [], [])
+        nav = NavState(r, pos_at(frame.t), np.zeros(3), gt0.bg, gt0.ba, gt0.bv)
+        frames_out.append(FrameState(frame.frame_id, frame.t, nav,
+                                     TrackingStatus.DEAD_RECKON, 0))
+    return EstimationResult(frames_out, [])

@@ -274,28 +274,30 @@ def integrate_imu(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
     j_p_ba = _running_sums(first.J_dp_dba,
                            j_v_ba[:-1] * dt - 0.5 * d_r * dt * dt)
 
-    # covariance transition A and noise B Q B^T in (phi, v, p), with per-step
-    # noise sigma^2 / dt
-    a_mat = np.broadcast_to(np.eye(9), (n, 9, 9)).copy()
-    a_mat[:, 0:3, 0:3] = e.transpose(0, 2, 1)
-    a_mat[:, 3:6, 0:3] = -ra_hat * dt
-    a_mat[:, 6:9, 0:3] = -0.5 * ra_hat * dt * dt
-    a_mat[:, 6:9, 3:6] = I3 * dt
-    b_mat = np.zeros((n, 9, 6))
-    b_mat[:, 0:3, 0:3] = jr_dt
-    b_mat[:, 3:6, 3:6] = d_r * dt
-    b_mat[:, 6:9, 3:6] = 0.5 * d_r * dt * dt
-    q = np.repeat(np.array([noise.sigma_g**2, noise.sigma_a**2]), 3) / dt1
-    n_mat = (b_mat * q[:, None, :]) @ b_mat.transpose(0, 2, 1)
-    del b_mat
+    # with no noise entering and none carried in, the covariance stays zero
+    cov = last_cov = first.cov
+    phi_covs = np.zeros((n, 3, 3))
+    if noise.sigma_g or noise.sigma_a or cov.any():
+        # covariance transition A and noise B Q B^T in (phi, v, p), with
+        # per-step noise sigma^2 / dt
+        a_mat = np.broadcast_to(np.eye(9), (n, 9, 9)).copy()
+        a_mat[:, 0:3, 0:3] = e.transpose(0, 2, 1)
+        a_mat[:, 3:6, 0:3] = -ra_hat * dt
+        a_mat[:, 6:9, 0:3] = -0.5 * ra_hat * dt * dt
+        a_mat[:, 6:9, 3:6] = I3 * dt
+        b_mat = np.zeros((n, 9, 6))
+        b_mat[:, 0:3, 0:3] = jr_dt
+        b_mat[:, 3:6, 3:6] = d_r * dt
+        b_mat[:, 6:9, 3:6] = 0.5 * d_r * dt * dt
+        q = np.repeat(np.array([noise.sigma_g**2, noise.sigma_a**2]), 3) / dt1
+        n_mat = (b_mat * q[:, None, :]) @ b_mat.transpose(0, 2, 1)
+        del b_mat
 
-    # sequential: the covariance, its rotation block at each step start
-    cov = first.cov
-    phi_covs = np.empty((n, 3, 3))
-    for k, (a_k, n_k) in enumerate(zip(a_mat, n_mat)):
-        phi_covs[k] = cov[0:3, 0:3]
-        last_cov = cov
-        cov = a_k @ cov @ a_k.T + n_k
+        # sequential: the covariance, its rotation block at each step start
+        for k, (a_k, n_k) in enumerate(zip(a_mat, n_mat)):
+            phi_covs[k] = cov[0:3, 0:3]
+            last_cov = cov
+            cov = a_k @ cov @ a_k.T + n_k
 
     last = ImuStepState(samples[idx[-1]].t, rots[-2], dv[-2], dp[-2], jacs[-2],
                         j_v_bg[-2], j_v_ba[-2], j_p_bg[-2], j_p_ba[-2], last_cov)

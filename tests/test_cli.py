@@ -7,7 +7,8 @@ import pytest
 
 from aquafuse import backend as bk, cli, sim
 from aquafuse.backend import DivergedError, GaugeError, PreintCoverageError
-from aquafuse.frontend import InsufficientObservationsError, RunConfig, Tracker
+from aquafuse.frontend import (EstimatorMode, InsufficientObservationsError,
+                               RunConfig, Tracker, run_estimator)
 from aquafuse.manifold import BranchAmbiguityError
 from aquafuse.visual import (BehindCameraError, DegenerateTriangulationError,
                              OutOfDomainError)
@@ -39,6 +40,36 @@ class TestSuccess:
                          "--out", str(report), "--no-header-timestamp"]) == 0
         rows = json.loads((report / "report.json").read_text())["reports"]
         assert len(rows) == 1
+
+    @pytest.mark.parametrize("mode", ["full", "dvl-deadreckon-only"])
+    def test_estimate_files_hold_the_records(self, dataset, tmp_path, mode):
+        run = tmp_path / "run"
+        assert _estimate(dataset, run, "--mode", mode) == 0
+        frames = run_estimator(sim.read_dataset(str(dataset)),
+                               RunConfig(mode=EstimatorMode(mode))).frames
+
+        traj = cli.load_trajectory(str(run / "trajectory.jsonl"))
+        assert np.array_equal(traj.t, [f.t for f in frames])
+        assert np.array_equal(traj.R, [f.nav.R for f in frames])
+        assert np.array_equal(traj.p, [f.nav.p for f in frames])
+
+        rows = [line.split(",") for line in
+                (run / "status.csv").read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [f.frame_id for f in frames]
+        assert [r[2] for r in rows] == [f.status.value for f in frames]
+        if mode == "dvl-deadreckon-only":
+            assert {r[2] for r in rows} == {"DeadReckon"}
+
+        rows = [[float(v) for v in line.split(",")] for line in
+                (run / "bias.csv").read_text().splitlines()[1:]]
+        kf_frames = [f for f in frames if f.keyframe is not None]
+        assert len(rows) == len(kf_frames)
+        for row, f in zip(rows, kf_frames):
+            kf = f.keyframe
+            assert row[0] == f.t
+            np.testing.assert_allclose(
+                row[1:], np.concatenate([kf.bv, kf.bg, kf.ba]),
+                rtol=1e-8, atol=1e-15)
 
     def test_sweep(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AQUAFUSE_THREADS", "1")
@@ -143,15 +174,16 @@ def test_no_run_config_setting_is_overwritten(dataset, monkeypatch):
     assemble = bk.assemble_window
 
     def recorded(nodes, landmarks, intervals, rig, backend_cfg, noise, **kw):
-        if len(nodes) > 1:  # not the single-node coarse tracker
-            seen.append((backend_cfg, noise))
+        seen.append((len(nodes), backend_cfg, noise))
         return assemble(nodes, landmarks, intervals, rig, backend_cfg, noise,
                         **kw)
 
     monkeypatch.setattr(bk, "assemble_window", recorded)
     tracker.run()
-    assert seen
-    assert all(c is cfg.backend and n is tracker.noise for c, n in seen)
+    assert {k == 1 for k, _, _ in seen} == {True, False}
+    assert all(c is cfg.backend for _, c, _ in seen)
+    # the coarse tracker's single-node windows keep their own pixel noise
+    assert all(n is tracker.noise for k, _, n in seen if k > 1)
 
 
 class TestInputErrors:

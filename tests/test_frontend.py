@@ -42,7 +42,7 @@ class TestTrackCoarse:
     def test_perfect_init_returns_truth(self, rng):
         node, landmarks, rig, truth = self._scene(rng)
         pose = track_coarse(truth, node.observations, landmarks, rig, None,
-                            TrackerConfig())
+                            TrackerConfig(), bk.BackendConfig())
         assert np.linalg.norm(pose.t - truth.p) < 1e-10
         assert rotation_angle(truth.R.T @ pose.R) < 1e-10
 
@@ -53,7 +53,7 @@ class TestTrackCoarse:
         init.R = truth.R @ exp_so3([0.0, 0.02, -0.01])
         init.v = np.zeros(3)
         pose = track_coarse(init, node.observations, landmarks, rig, None,
-                            TrackerConfig())
+                            TrackerConfig(), bk.BackendConfig())
         assert np.linalg.norm(pose.t - truth.p) < 1e-6
         assert rotation_angle(truth.R.T @ pose.R) < 1e-6
 
@@ -61,7 +61,7 @@ class TestTrackCoarse:
         node, landmarks, rig, truth = self._scene(rng)
         with pytest.raises(InsufficientObservationsError):
             track_coarse(truth, node.observations[:3], landmarks, rig, None,
-                         TrackerConfig())
+                         TrackerConfig(), bk.BackendConfig())
 
 
 class TestRefinePhotometric:
@@ -202,7 +202,8 @@ class TestKeyframeDecision:
     CFG = TrackerConfig(tau_p=0.3, tau_r=0.2, tau_t=1.0)
 
     def _fs(self, frame_id, t, p, yaw=0.0, status=TrackingStatus.VISUAL_OK):
-        return FrameState(frame_id, t, Pose(exp_so3([0, 0, yaw]), np.array(p)),
+        return FrameState(frame_id, t,
+                          NavState(exp_so3([0, 0, yaw]), p, np.zeros(3)),
                           status, 20)
 
     def test_same_frame_is_not_keyframe(self):
@@ -236,8 +237,8 @@ class TestPipeline:
         result = run_estimator(ds, RunConfig())
         assert all(f.status is TrackingStatus.VISUAL_OK for f in result.frames)
         gt = {round(g.t, 6): g for g in ds.groundtruth}
-        errs = [np.linalg.norm(nav.p - gt[round(f.t, 6)].p)
-                for f, nav in zip(result.frames, result.navs)]
+        errs = [np.linalg.norm(f.nav.p - gt[round(f.t, 6)].p)
+                for f in result.frames]
         assert max(errs) < 5e-3
 
     def test_degradation_window_status(self):
@@ -261,8 +262,8 @@ class TestPipeline:
                                 degradation_windows_s=((4.0, 7.0),))
         result = run_estimator(simulate(cfg), RunConfig())
         jumps = []
-        for a, b in zip(result.navs[:-1], result.navs[1:]):
-            jumps.append(np.linalg.norm(b.p - a.p))
+        for a, b in zip(result.frames[:-1], result.frames[1:]):
+            jumps.append(np.linalg.norm(b.nav.p - a.nav.p))
         # motion is ~0.5 m/s at 15 Hz; a tracking glitch would spike this
         assert max(jumps) < 0.1
 
@@ -274,17 +275,17 @@ class TestPipeline:
         ds = simulate(cfg)
         result = run_estimator(ds, RunConfig())
         gt = {round(g.t, 6): g for g in ds.groundtruth}
-        for f, nav in zip(result.frames, result.navs):
-            assert np.linalg.norm(nav.p - gt[round(f.t, 6)].p) < 1e-5
+        for f in result.frames:
+            assert np.linalg.norm(f.nav.p - gt[round(f.t, 6)].p) < 1e-5
 
     def test_determinism_bitwise(self):
         cfg = zero_noise_config(duration_s=6.0)
         ds = simulate(cfg)
         r1 = run_estimator(ds, RunConfig())
         r2 = run_estimator(ds, RunConfig())
-        for a, b in zip(r1.navs, r2.navs):
-            assert (a.p == b.p).all()
-            assert (a.R == b.R).all()
+        for a, b in zip(r1.frames, r2.frames):
+            assert (a.nav.p == b.nav.p).all()
+            assert (a.nav.R == b.nav.R).all()
         assert [f.status for f in r1.frames] == [f.status for f in r2.frames]
 
     def test_determinism_bitwise_acoustic(self):
@@ -292,9 +293,9 @@ class TestPipeline:
         cfg = RunConfig(mode=EstimatorMode.ACOUSTIC_INERTIAL_DEPTH)
         r1 = run_estimator(ds, cfg)
         r2 = run_estimator(ds, cfg)
-        for a, b in zip(r1.navs, r2.navs):
-            assert (a.p == b.p).all()
-            assert (a.R == b.R).all()
+        for a, b in zip(r1.frames, r2.frames):
+            assert (a.nav.p == b.nav.p).all()
+            assert (a.nav.R == b.nav.R).all()
         assert [f.status for f in r1.frames] == [f.status for f in r2.frames]
 
     @pytest.mark.parametrize("renumber", [lambda k: k + 1000, lambda k: 2 * k],
@@ -306,20 +307,20 @@ class TestPipeline:
             replace(o, frame_id=renumber(o.frame_id)) for o in f.observations])
             for f in ds.frames]
         got = run_estimator(ds, RunConfig())
-        assert len(ref.keyframes) > 1
+        assert sum(f.keyframe is not None for f in ref.frames) > 1
         assert [f.frame_id for f in got.frames] == \
             [renumber(f.frame_id) for f in ref.frames]
         assert [f.status for f in got.frames] == [f.status for f in ref.frames]
-        for a, b in zip(got.navs, ref.navs):
-            assert (a.p == b.p).all() and (a.R == b.R).all()
+        for a, b in zip(got.frames, ref.frames):
+            assert (a.nav.p == b.nav.p).all() and (a.nav.R == b.nav.R).all()
 
     def test_dead_reckoning_mode_runs(self):
         cfg = zero_noise_config(duration_s=6.0)
         ds = simulate(cfg)
         result = run_estimator(ds, RunConfig(mode=EstimatorMode.DVL_DEADRECKON))
         gt = {round(g.t, 6): g for g in ds.groundtruth}
-        errs = [np.linalg.norm(nav.p - gt[round(f.t, 6)].p)
-                for f, nav in zip(result.frames, result.navs)]
+        errs = [np.linalg.norm(f.nav.p - gt[round(f.t, 6)].p)
+                for f in result.frames]
         # noiseless dead reckoning drifts only through the hold discretization
         assert max(errs) < 0.2
 
@@ -330,8 +331,8 @@ class TestPipeline:
             ds, RunConfig(mode=EstimatorMode.ACOUSTIC_INERTIAL_DEPTH))
         assert all(f.status is TrackingStatus.DEGRADED for f in result.frames)
         gt = {round(g.t, 6): g for g in ds.groundtruth}
-        errs = [np.linalg.norm(nav.p - gt[round(f.t, 6)].p)
-                for f, nav in zip(result.frames, result.navs)]
+        errs = [np.linalg.norm(f.nav.p - gt[round(f.t, 6)].p)
+                for f in result.frames]
         assert max(errs) < 0.2
 
 
@@ -365,6 +366,29 @@ def test_mode_decides_the_factor_kinds(short_blackout_circle, monkeypatch,
     assert seen == kinds
 
 
+@pytest.mark.parametrize("mode", list(EstimatorMode), ids=lambda m: m.value)
+def test_status_rows_are_read_from_the_records(short_blackout_circle, mode):
+    result = run_estimator(short_blackout_circle, RunConfig(mode=mode))
+    rows = result.status_rows
+    assert len(rows) == len(result.frames) == len(short_blackout_circle.frames)
+    for f, row in zip(result.frames, rows):
+        assert f.status.value == row[2]
+        assert row[:2] == (f.frame_id, f.t) and row[3] == f.tracked_features
+        assert row[4] is f.cost
+    if mode is EstimatorMode.DVL_DEADRECKON:
+        assert {f.status for f in result.frames} == {TrackingStatus.DEAD_RECKON}
+
+
+def test_keyframe_records_hold_the_final_keyframe_states(short_blackout_circle):
+    tracker = Tracker(short_blackout_circle, RunConfig())
+    result = tracker.run()
+    kf_frames = [f for f in result.frames if f.keyframe is not None]
+    assert kf_frames[0] is result.frames[0]
+    assert len(kf_frames) == len(tracker.keyframes) > 1
+    for f, node in zip(kf_frames, tracker.keyframes):
+        assert f.t == node.t and f.keyframe is node.state
+
+
 class TestKeyframePreintegration:
     """Each frame extends the running preintegration of its keyframe."""
 
@@ -393,8 +417,9 @@ class TestKeyframePreintegration:
         # NaN (no per-frame solve) compares equal here
         np.testing.assert_array_equal([row[4] for row in resumed.status_rows],
                                       [row[4] for row in batch.status_rows])
-        for a, b in zip(resumed.navs, batch.navs):
-            assert np.array_equal(a.p, b.p) and np.array_equal(a.R, b.R)
+        for a, b in zip(resumed.frames, batch.frames):
+            assert np.array_equal(a.nav.p, b.nav.p)
+            assert np.array_equal(a.nav.R, b.nav.R)
         assert [r.iterations for r in resumed.solver_reports] == \
             [r.iterations for r in batch.solver_reports]
 
@@ -501,8 +526,9 @@ class TestKeyframePreintegration:
             for name in ("dp", "J_dp_dbv", "J_dp_dbg", "cov", "t_start",
                          "t_end", "lin_bg", "lin_bv"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        for a, b in zip(results[0].navs, results[1].navs):
-            assert np.array_equal(a.p, b.p) and np.array_equal(a.R, b.R)
+        for a, b in zip(results[0].frames, results[1].frames):
+            assert np.array_equal(a.nav.p, b.nav.p)
+            assert np.array_equal(a.nav.R, b.nav.R)
 
     def test_each_dvl_sample_is_preintegrated_once_per_keyframe(self, monkeypatch):
         # counts what the benchmark's tracer counts at this entry point

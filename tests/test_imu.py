@@ -193,10 +193,10 @@ class TestAgainstPerStepReference:
         return [ImuSample(t, rng.normal(size=3) * omega_scale,
                           rng.normal(size=3) + [0.0, 0.0, -9.81]) for t in times]
 
-    def _check(self, samples, t_start, t_end):
-        got = integrate_imu(samples, self.BIAS, NOISY, t_start=t_start,
+    def _check(self, samples, t_start, t_end, noise=NOISY):
+        got = integrate_imu(samples, self.BIAS, noise, t_start=t_start,
                             t_end=t_end)
-        want = integrate_imu_reference(samples, self.BIAS, NOISY, t_start, t_end)
+        want = integrate_imu_reference(samples, self.BIAS, noise, t_start, t_end)
         for name in _PREINT_FIELDS:
             _assert_rel(getattr(got, name), getattr(want, name), name)
         return got
@@ -227,6 +227,21 @@ class TestAgainstPerStepReference:
         pre = self._check(self._samples(rng, times, omega_scale=60.0), 0.0, 0.4)
         angles = np.linalg.norm(pre.step_omega, axis=1) * 0.01
         assert angles.max() > 0.9
+
+    def test_zero_noise(self, rng):
+        # no covariance is propagated: it stays zero, and every other output
+        # is that of a noisy integration, bit for bit
+        times = np.cumsum(rng.uniform(0.002, 0.03, size=120))
+        samples = self._samples(rng, times)
+        span = (float(times[0]), float(times[-1]) + 0.01)
+        pre = self._check(samples, *span, noise=QUIET)
+        for cov in (pre.cov, pre.step_phi_cov, pre.last_step.cov):
+            assert not cov.any()
+        noisy = integrate_imu(samples, self.BIAS, NOISY, *span)
+        for name in _PREINT_FIELDS:
+            if "cov" not in name:
+                assert np.array_equal(getattr(pre, name),
+                                      getattr(noisy, name)), name
 
     def test_checkpoints_on_between_and_just_after_steps(self, rng):
         times = np.cumsum(rng.uniform(0.005, 0.02, size=50))
