@@ -21,10 +21,10 @@ from .imu import (ImuBias, ImuNoiseSpec, ImuPreintegrated, ImuSample,
                   correct_imu_bias, imu_pair_residuals, integrate_imu,
                   predict_state_imu, stack_imu_pairs)
 from .manifold import (Pose, exp_so3, hat, log_so3, right_jacobian_so3, vee)
-from .sim import (ScenarioConfig, SensorDataset, generate_trajectory,
-                  read_dataset, sample_sensors, simulate, write_dataset)
+from .sim import (ScenarioConfig, SensorDataset, read_dataset, simulate,
+                  trajectory_truth, write_dataset)
 from .state import NavState, StateStack, stack_states
 from .visual import (CameraModel, IntensityField, LandmarkObservation,
-                     PatchPattern, backproject, project, stereo_depth)
+                     PatchPattern, backproject, stereo_depth)
 
 __version__ = "0.1.0"

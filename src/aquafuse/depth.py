@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifold import hat
-from .state import PHI, POS, STATE_DOF, NavState, StateStack
+from .state import PHI, POS, STATE_DOF, StateStack, matvec
 
 S3 = np.array([0.0, 0.0, 1.0])
 
@@ -34,9 +34,11 @@ class DepthExtrinsics:
         object.__setattr__(self, "p_IP", np.asarray(self.p_IP, dtype=float))
 
 
-def pressure_position_estimate(state: NavState, ext: DepthExtrinsics) -> np.ndarray:
-    """World position of the pressure sensor for a given body state."""
-    return state.R @ ext.p_IP + state.p
+def pressure_position_estimate(r: np.ndarray, p: np.ndarray,
+                               ext: DepthExtrinsics) -> np.ndarray:
+    """World positions (n, 3) of the pressure sensor at n body rotations
+    ``r`` (n, 3, 3) and positions ``p`` (n, 3)."""
+    return matvec(r, ext.p_IP) + p
 
 
 def pressure_pair_residuals(st: StateStack, i, j, d_depth: np.ndarray,

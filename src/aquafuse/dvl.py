@@ -18,8 +18,7 @@ import numpy as np
 
 from .imu import RotationCheckpoints, hold_intervals, _infer_t_end
 from .manifold import hat, hat_batch
-from .state import BG, BV, PHI, POS, STATE_DOF, VEL, NavState, StateStack, \
-    matvec
+from .state import BG, BV, PHI, POS, STATE_DOF, VEL, StateStack, matvec
 
 
 @dataclass(frozen=True)
@@ -137,11 +136,13 @@ def correct_dvl_bias(preint: DvlPreintegrated, new_bg, new_bv) -> np.ndarray:
     return preint.dp + preint.J_dp_dbv @ dbv + preint.J_dp_dbg @ dbg
 
 
-def dvl_velocity_estimate(state: NavState, gyro, ext: DvlExtrinsics) -> np.ndarray:
-    """Velocity the DVL should measure given the state, the raw gyro reading
-    and the lever arm."""
-    gyro = np.asarray(gyro, dtype=float)
-    return ext.R_ID.T @ (state.R.T @ state.v + hat(gyro) @ ext.p_ID)
+def dvl_velocity_estimate(r: np.ndarray, v: np.ndarray, gyro: np.ndarray,
+                          ext: DvlExtrinsics) -> np.ndarray:
+    """Velocities (n, 3) the DVL should measure at n states with rotations
+    ``r`` (n, 3, 3), world velocities ``v`` (n, 3) and raw gyro readings
+    ``gyro`` (n, 3), given the lever arm."""
+    body = matvec(r.transpose(0, 2, 1), v) + matvec(hat_batch(gyro), ext.p_ID)
+    return matvec(ext.R_ID.T, body)
 
 
 # per pair of n, the change of the DVL reading between the keyframes and

@@ -106,19 +106,23 @@ def associate(est: Trajectory, truth: Trajectory,
     if max_dt is None:
         diffs = np.diff(est.t)
         max_dt = 0.5 * float(np.median(diffs)) if len(diffs) else 0.5
-    idx_truth = []
-    idx_est = []
-    for i, t in enumerate(est.t):
-        j = int(np.searchsorted(truth.t, t))
-        best = None
-        for k in (j - 1, j):
-            if 0 <= k < len(truth.t):
-                if best is None or abs(truth.t[k] - t) < abs(truth.t[best] - t):
-                    best = k
-        if best is not None and abs(truth.t[best] - t) <= max_dt:
-            idx_est.append(i)
-            idx_truth.append(best)
-    return np.array(idx_est, dtype=int), np.array(idx_truth, dtype=int)
+    return nearest_pairs(truth.t, est.t, max_dt)
+
+
+def nearest_pairs(times: np.ndarray, queries,
+                  max_gap: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
+    """For each of ``queries`` the nearest of the sorted ``times``, the
+    earlier one on a tie: the (query, time) index pairs at most ``max_gap``
+    apart."""
+    queries = np.asarray(queries, dtype=float)
+    if len(times) == 0:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    j = np.searchsorted(times, queries)
+    before, after = np.maximum(j - 1, 0), np.minimum(j, len(times) - 1)
+    best = np.where(np.abs(times[after] - queries)
+                    < np.abs(times[before] - queries), after, before)
+    keep = np.flatnonzero(np.abs(times[best] - queries) <= max_gap)
+    return keep, best[keep]
 
 
 def umeyama_rotation(source: np.ndarray, target: np.ndarray) -> np.ndarray:

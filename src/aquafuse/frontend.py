@@ -24,9 +24,9 @@ from enum import Enum
 import numpy as np
 
 from . import backend as bk
-from .depth import DepthExtrinsics, PressureSample
 from .dvl import (DvlExtrinsics, DvlPreintegrated, DvlSample,
                   correct_dvl_bias, preintegrate_dvl)
+from .evaluation import nearest_pairs
 from .imu import (ImuBias, ImuNoiseSpec, ImuPreintegrated, ImuSample,
                   correct_imu_bias, hold_intervals, integrate_imu,
                   predict_state_imu)
@@ -117,19 +117,15 @@ COARSE_SIGMA_PIXEL = 0.5
 # ------------------------------- frame ops --------------------------------- #
 
 def track_coarse(prev_nav: NavState, observations, map_points: dict,
-                 rig: bk.SensorRig, imu_preint: ImuPreintegrated | None,
+                 rig: bk.SensorRig, imu_preint: ImuPreintegrated,
                  cfg: TrackerConfig, backend_cfg: bk.BackendConfig) -> Pose:
     """Pose minimizing the robustified reprojection cost over the associated
-    observations, initialized from the inertial motion model (the previous
-    state when no preintegration is supplied)."""
+    observations, initialized from the inertial motion model."""
     tracked = [o for o in observations if o.landmark_id in map_points]
     if len(tracked) < cfg.min_coarse_observations:
         raise InsufficientObservationsError(
             f"{len(tracked)} observations (< {cfg.min_coarse_observations})")
-    if imu_preint is not None:
-        init = predict_state_imu(prev_nav, imu_preint, rig.gravity)
-    else:
-        init = prev_nav.copy()
+    init = predict_state_imu(prev_nav, imu_preint, rig.gravity)
     node = bk.KeyframeNode(kf_id=0, t=0.0, state=init, observations=tracked)
     window, factors = bk.assemble_window(
         [node], map_points, {}, rig, backend_cfg,
@@ -144,9 +140,6 @@ def track_coarse(prev_nav: NavState, observations, map_points: dict,
 @dataclass(frozen=True)
 class RefineResult:
     pose: Pose
-    refined: bool
-    initial_cost: float
-    final_cost: float
 
 
 def refine_photometric(coarse: Pose, ref_pose: Pose,
@@ -160,7 +153,7 @@ def refine_photometric(coarse: Pose, ref_pose: Pose,
     anchored in the reference frame. Never increases the photometric cost;
     points whose warp leaves the current image (or fails the Mahalanobis
     ``gate`` at the coarse pose) are dropped, and if none survive the coarse
-    pose is returned with the no-op flag."""
+    pose is returned."""
     ref_state = NavState(ref_pose.R, ref_pose.t, np.zeros(3))
     cur_state = NavState(coarse.R, coarse.t, np.zeros(3))
     states = {0: ref_state, 1: cur_state}
@@ -168,15 +161,14 @@ def refine_photometric(coarse: Pose, ref_pose: Pose,
     factors = bk.make_photometric_factors((0, 1), ref_field, cur_field, points,
                                           pattern, info, rig, states, gate)
     if not factors:
-        return RefineResult(coarse, False, 0.0, 0.0)
+        return RefineResult(coarse)
     window = bk.LocalWindow(kf_ids=[0, 1], states=states,
                             fixed_states={0},
                             state_masks={1: bk.POSE_MASK})
-    window, report = bk.solve(window, factors,
-                              _tracking_solver(cfg.refine_max_iterations))
+    window, _ = bk.solve(window, factors,
+                         _tracking_solver(cfg.refine_max_iterations))
     s = window.states[1]
-    return RefineResult(Pose(s.R, s.p), report.iterations > 0,
-                        report.initial_cost, report.final_cost)
+    return RefineResult(Pose(s.R, s.p))
 
 
 def predict_state_degraded(state_i: NavState, imu_preint: ImuPreintegrated,
@@ -221,16 +213,12 @@ class EstimationResult:
                 for f in self.frames]
 
 
-def _nearest_index(times: np.ndarray, t: float) -> int | None:
-    if len(times) == 0:
-        return None
-    i = int(np.searchsorted(times, t))
-    best = None
-    for k in (i - 1, i):
-        if 0 <= k < len(times):
-            if best is None or abs(times[k] - t) < abs(times[best] - t):
-                best = k
-    return best
+def _nearest_at(times: np.ndarray, samples, queries: list,
+                max_gap: float = np.inf) -> dict:
+    """By query, the sample nearest each of ``queries`` if at most
+    ``max_gap`` away."""
+    q, k = nearest_pairs(times, queries, max_gap)
+    return {queries[i]: samples[j] for i, j in zip(q.tolist(), k.tolist())}
 
 
 class Tracker:
@@ -270,9 +258,17 @@ class Tracker:
 
         self.imu_times = np.array([s.t for s in dataset.imu])
         self.dvl_times = np.array([s.t for s in dataset.dvl])
-        self.press_times = np.array([s.t for s in dataset.pressure])
-        self.dvl_period = 1.0 / scen.rate_dvl_hz
-        self.press_period = 1.0 / scen.rate_pressure_hz
+        # by frame time, the gyro reading nearest each frame and the DVL and
+        # pressure samples nearest it within one sample period; the frames
+        # are read by index here, so that the run iterates them once
+        frame_t = [dataset.frames[k].t for k in range(len(dataset.frames))]
+        self.gyro_at = _nearest_at(self.imu_times,
+                                   [s.gyro for s in dataset.imu], frame_t)
+        self.dvl_at = _nearest_at(self.dvl_times, dataset.dvl, frame_t,
+                                  1.0 / scen.rate_dvl_hz)
+        self.pressure_at = _nearest_at(
+            np.array([s.t for s in dataset.pressure]), dataset.pressure,
+            frame_t, 1.0 / scen.rate_pressure_hz)
 
         self.map: dict[int, np.ndarray] = {}
         self.keyframes: list[bk.KeyframeNode] = []
@@ -342,39 +338,23 @@ class Tracker:
             bg, bv, t_end=t, sigma_v=self.noise.sigma_dvl, resume=run)
         return self.kf_dvl
 
-    def _nearest_dvl(self, t: float) -> DvlSample | None:
-        k = _nearest_index(self.dvl_times, t)
-        if k is None or abs(self.dvl_times[k] - t) > self.dvl_period:
-            return None
-        return self.ds.dvl[k]
-
-    def _nearest_pressure(self, t: float) -> PressureSample | None:
-        k = _nearest_index(self.press_times, t)
-        if k is None or abs(self.press_times[k] - t) > self.press_period:
-            return None
-        return self.ds.pressure[k]
-
-    def _nearest_gyro(self, t: float) -> np.ndarray | None:
-        k = _nearest_index(self.imu_times, t)
-        return None if k is None else self.ds.imu[k].gyro
-
     def _initial_state(self, t: float) -> NavState:
-        gt_times = np.array([g.t for g in self.ds.groundtruth])
-        k = _nearest_index(gt_times, t)
-        g = self.ds.groundtruth[k]
+        gt = self.ds.groundtruth
+        _, k = nearest_pairs(np.array([g.t for g in gt]), [t])
+        g = gt[k[0]]
         return NavState(g.R.copy(), g.p.copy(), g.v.copy(),
                         g.bg.copy(), g.ba.copy(), g.bv.copy())
 
     def _node(self, kf_id: int, t: float, state: NavState, observations,
               intensity: IntensityField | None = None) -> bk.KeyframeNode:
-        """A window node at ``t`` with the measurements of the mode's
-        sensors, and the nearest gyro reading."""
+        """A window node at frame time ``t`` with the measurements of the
+        mode's sensors, and the nearest gyro reading."""
         mode, vision = self.cfg.mode, self.cfg.mode.uses_vision
         return bk.KeyframeNode(
             kf_id, t, state, list(observations) if vision else [],
-            intensity if vision else None, self._nearest_gyro(t),
-            self._nearest_dvl(t) if mode.uses_dvl else None,
-            self._nearest_pressure(t) if mode.uses_pressure else None)
+            intensity if vision else None, self.gyro_at.get(t),
+            self.dvl_at.get(t) if mode.uses_dvl else None,
+            self.pressure_at.get(t) if mode.uses_pressure else None)
 
     # ------------------------------------------------------------------ #
     def _mini_solve(self, kf: bk.KeyframeNode, t: float, init: NavState,
@@ -552,8 +532,8 @@ class Tracker:
     def _degraded_velocity(self, pose: Pose, t: float,
                            ref: NavState) -> np.ndarray:
         """Body velocity inferred from the nearest bias-corrected DVL sample."""
-        meas = self._nearest_dvl(t)
-        gyro = self._nearest_gyro(t)
+        meas = self.dvl_at.get(t)
+        gyro = self.gyro_at.get(t)
         if meas is None or gyro is None:
             return ref.v.copy()
         v_d = meas.vel - ref.bv
@@ -596,9 +576,11 @@ def run_dead_reckoning(dataset, cfg: RunConfig) -> EstimationResult:
             return hold_pos[0].copy()
         return hold_pos[k] + hold_vel[k] * min(t - starts[k], dts[k])
 
+    # the frame times by index: the frames are iterated once, below
+    times = np.array([frames[k].t for k in range(len(frames))])
+    rots = gt0.R @ pre.rotations_at(np.minimum(times, pre.t_end))
     frames_out = []
-    for frame in frames:
-        r = gt0.R @ pre.rotations_at([min(frame.t, pre.t_end)])[0]
+    for r, frame in zip(rots, frames):
         nav = NavState(r, pos_at(frame.t), np.zeros(3), gt0.bg, gt0.ba, gt0.bv)
         frames_out.append(FrameState(frame.frame_id, frame.t, nav,
                                      TrackingStatus.DEAD_RECKON, 0))

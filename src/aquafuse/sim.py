@@ -11,8 +11,25 @@ measures R^T (a - g); the inverse convention is used by the state prediction,
 which a round-trip test pins down.
 
 Determinism: a fixed (config, seed) pair yields a byte-identical dataset.
-Random draws happen in a fixed order (landmarks, IMU bias walks, IMU noise,
-DVL bias walk, DVL noise, pressure noise, per-frame pixel noise).
+The random numbers are drawn in blocks, in this order, each block in
+row-major order, which is the order of drawing its rows one at a time:
+
+1. landmarks, (landmark_count, 4) uniforms: per landmark its time on the
+   path, its forward and lateral offsets there and its seabed scatter;
+2. IMU bias walks, (n_imu - 1, 2, 3) standard normals: per step the gyro
+   bias step, then the accelerometer bias step;
+3. IMU noise, (n_imu, 2, 3): per sample the gyro, then the accelerometer
+   noise;
+4. DVL bias walk, (n_dvl - 1, 3);
+5. DVL noise, (n_dvl, 3);
+6. pressure noise, (n_pressure,);
+7. per frame outside the degradation windows, in frame order, (m, 3) for
+   its m nearest visible landmarks, nearest first: the pixel noise in u and
+   v, then the disparity noise. An observation whose noisy pixel leaves the
+   image is dropped after its draws.
+
+The path is evaluated as array code; its yaw keeps ``math.atan2`` (see
+``trajectory_truth``).
 """
 
 from __future__ import annotations
@@ -21,6 +38,7 @@ import dataclasses
 import json
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +49,7 @@ from .depth import (DepthExtrinsics, PressureSample, S3,
 from .dvl import DvlExtrinsics, DvlSample, dvl_velocity_estimate
 from .imu import ImuSample
 from .manifold import Pose
-from .state import NavState
+from .state import matvec
 from .visual import CameraModel, IntensityField, LandmarkObservation
 
 
@@ -177,102 +195,68 @@ def sensor_rig_from_config(cfg: ScenarioConfig) -> SensorRig:
 
 # ------------------------------- trajectories ------------------------------ #
 
-def _rz(psi: float) -> np.ndarray:
-    c, s = math.cos(psi), math.sin(psi)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+# the analytic ground truth at an array of times: yaw rotations R (n, 3, 3),
+# positions p, velocities v, accelerations a (n, 3) and yaw rates (n,)
+Truth = namedtuple("Truth", "R p v a yaw_rate")
 
 
-class TrajectoryTruth:
-    """Analytic ground truth: position/velocity/acceleration plus a yaw
+def trajectory_truth(cfg: ScenarioConfig, t) -> Truth:
+    """The path's closed forms at times ``t`` (C2 in position), with a yaw
     attitude that follows the planar velocity direction."""
-
-    def __init__(self, cfg: ScenarioConfig):
-        self.cfg = cfg
-        self.gravity = np.array(cfg.gravity_m_s2, dtype=float)
-        if cfg.kind not in ("line", "circle", "figure-eight", "lawnmower"):
-            raise ValueError(f"unknown trajectory kind '{cfg.kind}'")
-
-    def _pva(self, t: float):
-        cfg = self.cfg
-        if cfg.kind == "line":
-            d = np.array([math.cos(cfg.heading_rad), math.sin(cfg.heading_rad), 0.0])
-            p = np.array([0.0, 0.0, cfg.depth_m]) + cfg.speed_m_s * t * d
-            return p, cfg.speed_m_s * d, np.zeros(3)
-        if cfg.kind == "circle":
-            om = 2.0 * math.pi / cfg.period_s
-            r = cfg.radius_m
-            th = om * t
-            p = np.array([r * math.cos(th), r * math.sin(th), cfg.depth_m])
-            v = np.array([-r * om * math.sin(th), r * om * math.cos(th), 0.0])
-            a = np.array([-r * om * om * math.cos(th),
-                          -r * om * om * math.sin(th), 0.0])
-            if cfg.amp_z_m != 0.0:
-                oz = 2.0 * math.pi / cfg.depth_period_s
-                p[2] += cfg.amp_z_m * math.sin(oz * t)
-                v[2] = cfg.amp_z_m * oz * math.cos(oz * t)
-                a[2] = -cfg.amp_z_m * oz * oz * math.sin(oz * t)
-            return p, v, a
-        if cfg.kind == "figure-eight":
-            om = 2.0 * math.pi / cfg.period_s
-            ax, ay, az = cfg.amp_x_m, cfg.amp_y_m, cfg.amp_z_m
-            p = np.array([ax * math.sin(om * t), ay * math.sin(2 * om * t),
-                          cfg.depth_m + az * math.sin(om * t)])
-            v = np.array([ax * om * math.cos(om * t),
-                          2 * ay * om * math.cos(2 * om * t),
-                          az * om * math.cos(om * t)])
-            a = np.array([-ax * om * om * math.sin(om * t),
-                          -4 * ay * om * om * math.sin(2 * om * t),
-                          -az * om * om * math.sin(om * t)])
-            return p, v, a
-        # lawnmower: sinusoidal sweep across a steady advance
+    t = np.asarray(t, dtype=float)
+    zero = np.zeros_like(t)
+    yaw = None
+    if cfg.kind == "line":
+        d = np.array([math.cos(cfg.heading_rad), math.sin(cfg.heading_rad), 0.0])
+        p = np.array([0.0, 0.0, cfg.depth_m]) + (cfg.speed_m_s * t)[:, None] * d
+        v = np.tile(cfg.speed_m_s * d, (len(t), 1))
+        a = np.zeros_like(p)
+        yaw, yaw_rate = zero + cfg.heading_rad, zero
+    elif cfg.kind == "circle":
+        om = 2.0 * math.pi / cfg.period_s
+        r = cfg.radius_m
+        c, s = np.cos(om * t), np.sin(om * t)
+        p = np.stack([r * c, r * s, zero + cfg.depth_m], axis=1)
+        v = np.stack([-r * om * s, r * om * c, zero], axis=1)
+        a = np.stack([-r * om * om * c, -r * om * om * s, zero], axis=1)
+        if cfg.amp_z_m != 0.0:
+            oz = 2.0 * math.pi / cfg.depth_period_s
+            p[:, 2] += cfg.amp_z_m * np.sin(oz * t)
+            v[:, 2] = cfg.amp_z_m * oz * np.cos(oz * t)
+            a[:, 2] = -cfg.amp_z_m * oz * oz * np.sin(oz * t)
+        yaw, yaw_rate = om * t + math.pi / 2.0, zero + om
+    elif cfg.kind == "figure-eight":
+        om = 2.0 * math.pi / cfg.period_s
+        ax, ay, az = cfg.amp_x_m, cfg.amp_y_m, cfg.amp_z_m
+        s1, c1 = np.sin(om * t), np.cos(om * t)
+        s2, c2 = np.sin(2 * om * t), np.cos(2 * om * t)
+        p = np.stack([ax * s1, ay * s2, cfg.depth_m + az * s1], axis=1)
+        v = np.stack([ax * om * c1, 2 * ay * om * c2, az * om * c1], axis=1)
+        a = np.stack([-ax * om * om * s1, -4 * ay * om * om * s2,
+                      -az * om * om * s1], axis=1)
+    elif cfg.kind == "lawnmower":
+        # sinusoidal sweep across a steady advance
         ox = 2.0 * math.pi / cfg.sweep_period_s
-        p = np.array([cfg.sweep_amp_m * math.sin(ox * t), cfg.speed_m_s * t,
-                      cfg.depth_m])
-        v = np.array([cfg.sweep_amp_m * ox * math.cos(ox * t), cfg.speed_m_s, 0.0])
-        a = np.array([-cfg.sweep_amp_m * ox * ox * math.sin(ox * t), 0.0, 0.0])
-        return p, v, a
-
-    def _yaw(self, t: float):
-        cfg = self.cfg
-        if cfg.kind == "line":
-            return cfg.heading_rad, 0.0
-        if cfg.kind == "circle":
-            om = 2.0 * math.pi / cfg.period_s
-            return om * t + math.pi / 2.0, om
-        _, v, a = self._pva(t)
-        s2 = v[0] * v[0] + v[1] * v[1]
-        psi = math.atan2(v[1], v[0])
-        psi_dot = (v[0] * a[1] - v[1] * a[0]) / s2
-        return psi, psi_dot
-
-    # -------------------------------------------------------------- #
-    def position(self, t: float) -> np.ndarray:
-        return self._pva(t)[0]
-
-    def velocity(self, t: float) -> np.ndarray:
-        return self._pva(t)[1]
-
-    def acceleration(self, t: float) -> np.ndarray:
-        return self._pva(t)[2]
-
-    def rotation(self, t: float) -> np.ndarray:
-        return _rz(self._yaw(t)[0])
-
-    def angular_velocity_body(self, t: float) -> np.ndarray:
-        return np.array([0.0, 0.0, self._yaw(t)[1]])
-
-    def specific_force(self, t: float) -> np.ndarray:
-        p, v, a = self._pva(t)
-        return self.rotation(t).T @ (a - self.gravity)
-
-    def state(self, t: float) -> NavState:
-        """Rotation, position and velocity at ``t``, with zero biases."""
-        p, v, _ = self._pva(t)
-        return NavState(self.rotation(t), p, v)
-
-
-def generate_trajectory(cfg: ScenarioConfig) -> TrajectoryTruth:
-    return TrajectoryTruth(cfg)
+        amp = cfg.sweep_amp_m
+        p = np.stack([amp * np.sin(ox * t), cfg.speed_m_s * t,
+                      zero + cfg.depth_m], axis=1)
+        v = np.stack([amp * ox * np.cos(ox * t), zero + cfg.speed_m_s, zero],
+                     axis=1)
+        a = np.stack([-amp * ox * ox * np.sin(ox * t), zero, zero], axis=1)
+    else:
+        raise ValueError(f"unknown trajectory kind '{cfg.kind}'")
+    if yaw is None:
+        # math.atan2, not np.arctan2: the two differ in the last bit on some
+        # inputs, and the datasets are pinned to the former
+        yaw = np.array(list(map(math.atan2, v[:, 1].tolist(), v[:, 0].tolist())))
+        yaw_rate = (v[:, 0] * a[:, 1] - v[:, 1] * a[:, 0]) \
+            / (v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1])
+    c, s = np.cos(yaw), np.sin(yaw)
+    rot = np.zeros((len(t), 3, 3))
+    rot[:, 0, 0], rot[:, 0, 1] = c, -s
+    rot[:, 1, 0], rot[:, 1, 1] = s, c
+    rot[:, 2, 2] = 1.0
+    return Truth(rot, p, v, a, yaw_rate)
 
 
 # --------------------------------- dataset --------------------------------- #
@@ -308,166 +292,155 @@ class SensorDataset:
 
 def _sample_times(duration: float, rate: float) -> np.ndarray:
     n = int(math.floor(duration * rate + 1e-9)) + 1
-    return np.array([k / rate for k in range(n)])
-
-
-def _landmark_amplitude(cfg: ScenarioConfig, lm_id: int) -> float:
-    u = ((lm_id * 2654435761) % 4294967296) / 4294967296.0
-    return cfg.field_amp_min + u * (cfg.field_amp_max - cfg.field_amp_min)
-
-
-def _in_degradation(cfg: ScenarioConfig, t: float) -> bool:
-    return any(a <= t <= b for a, b in cfg.degradation_windows_s)
-
-
-def seabed_depth(cfg: ScenarioConfig, x: float, y: float) -> float:
-    """Smooth deterministic seabed profile (z positive down)."""
-    return cfg.seabed_depth_m + cfg.seabed_relief_m \
-        * math.sin(0.12 * x) * math.sin(0.1 * y + 1.0)
-
-
-def sample_sensors(truth: TrajectoryTruth, cfg: ScenarioConfig) -> SensorDataset:
-    rng = np.random.default_rng(cfg.seed)
-    rig = sensor_rig_from_config(cfg)
-    cam = rig.cam
-
-    # landmarks scattered on the seabed under the path footprint
-    landmarks = np.empty((cfg.landmark_count, 3))
-    for i in range(cfg.landmark_count):
-        ti = rng.uniform(0.0, cfg.duration_s)
-        offset = np.array([
-            rng.uniform(cfg.landmark_forward_min_m, cfg.landmark_forward_max_m),
-            rng.uniform(-cfg.landmark_lateral_m, cfg.landmark_lateral_m),
-            0.0,
-        ])
-        xy = truth.position(ti) + truth.rotation(ti) @ offset
-        z = seabed_depth(cfg, xy[0], xy[1]) \
-            + rng.uniform(-cfg.landmark_scatter_m, cfg.landmark_scatter_m)
-        landmarks[i] = np.array([xy[0], xy[1], z])
-
-    # IMU stream with random-walk biases
-    imu_times = _sample_times(cfg.duration_s, cfg.rate_imu_hz)
-    dt_imu = 1.0 / cfg.rate_imu_hz
-    n_imu = len(imu_times)
-    bg = np.empty((n_imu, 3))
-    ba = np.empty((n_imu, 3))
-    bg[0] = np.array(cfg.bg0_rad_s)
-    ba[0] = np.array(cfg.ba0_m_s2)
-    for k in range(1, n_imu):
-        bg[k] = bg[k - 1] + cfg.sigma_bg_walk_rad_s_sqrt_s * math.sqrt(dt_imu) \
-            * rng.standard_normal(3)
-        ba[k] = ba[k - 1] + cfg.sigma_ba_walk_m_s2_sqrt_s * math.sqrt(dt_imu) \
-            * rng.standard_normal(3)
-    sg = cfg.sigma_g_rad_s_sqrt_hz * math.sqrt(cfg.rate_imu_hz)
-    sa = cfg.sigma_a_m_s2_sqrt_hz * math.sqrt(cfg.rate_imu_hz)
-    imu = []
-    for k, t in enumerate(imu_times):
-        w = truth.angular_velocity_body(t) + bg[k] + sg * rng.standard_normal(3)
-        f = truth.specific_force(t) + ba[k] + sa * rng.standard_normal(3)
-        imu.append(ImuSample(float(t), w, f))
-
-    # DVL stream: injected bias profile (constant + sinusoid + random walk)
-    dvl_times = _sample_times(cfg.duration_s, cfg.rate_dvl_hz)
-    dt_dvl = 1.0 / cfg.rate_dvl_hz
-    n_dvl = len(dvl_times)
-    bv_walk = np.zeros((n_dvl, 3))
-    for k in range(1, n_dvl):
-        bv_walk[k] = bv_walk[k - 1] + cfg.sigma_bv_walk_m_s_sqrt_s \
-            * math.sqrt(dt_dvl) * rng.standard_normal(3)
-    amp = np.array(cfg.bv_sin_amp_m_s)
-    phase = np.array(cfg.bv_sin_phase_rad)
-    om_bv = 2.0 * math.pi / cfg.bv_sin_period_s
-    bv = np.array(cfg.bv_const_m_s) + bv_walk \
-        + amp * np.sin(om_bv * dvl_times[:, None] + phase)
-    dvl = []
-    for k, t in enumerate(dvl_times):
-        v_d = dvl_velocity_estimate(truth.state(t),
-                                    truth.angular_velocity_body(t), rig.dvl)
-        meas = v_d + bv[k] + cfg.sigma_dvl_m_s * rng.standard_normal(3)
-        dvl.append(DvlSample(float(t), meas))
-
-    # pressure stream
-    press_times = _sample_times(cfg.duration_s, cfg.rate_pressure_hz)
-    pressure = []
-    for t in press_times:
-        p_wp = pressure_position_estimate(truth.state(t), rig.depth)
-        d = float(S3 @ p_wp) + cfg.sigma_pressure_m * float(rng.standard_normal())
-        pressure.append(PressureSample(float(t), d))
-
-    # camera frames: observations of visible landmarks plus the analytic
-    # intensity field built from the same projections
-    frame_times = _sample_times(cfg.duration_s, cfg.rate_cam_hz)
-    frames = []
-    empty_field = IntensityField(np.zeros(0), np.zeros((0, 2)),
-                                 cfg.field_sigma_px, cfg.width_px, cfg.height_px)
-    for fid, t in enumerate(frame_times):
-        if _in_degradation(cfg, t):
-            frames.append(FrameData(fid, float(t), [], empty_field))
-            continue
-        t_wc = Pose(truth.rotation(t), truth.position(t)).compose(rig.T_IC)
-        t_cw = t_wc.inverse()
-        pts_c = t_cw.transform(landmarks)
-        # the field keeps every landmark near the view (border margin, wide
-        # depth band) so bumps enter and leave the image smoothly. Isolated
-        # sigma ~ 1/z bumps match the constant-depth patch warp exactly only
-        # under pure camera translation; under rotation no fronto-parallel
-        # warp maps an isotropic bump onto an isotropic bump, so patches
-        # match to first order, and the width clip below breaks the 1/z
-        # scaling outside its band. Observations are the capped nearest
-        # subset of the strictly visible landmarks
-        margin = 5.0 * cfg.field_sigma_px
-        visible = []
-        centers = []
-        amps = []
-        sigmas = []
-        for i in range(cfg.landmark_count):
-            z = pts_c[i, 2]
-            if not (0.5 * cfg.min_obs_depth_m <= z <= 1.5 * cfg.max_obs_depth_m):
-                continue
-            u = cam.fx * pts_c[i, 0] / z + cam.cx
-            v = cam.fy * pts_c[i, 1] / z + cam.cy
-            if -margin <= u < cam.width + margin \
-                    and -margin <= v < cam.height + margin:
-                centers.append((u, v))
-                amps.append(_landmark_amplitude(cfg, i))
-                # bump width tracks apparent size but stays compact so
-                # neighbors do not bleed into each other's patches
-                sig = cfg.field_sigma_px * cfg.field_ref_depth_m / z
-                sigmas.append(float(np.clip(sig, 0.5 * cfg.field_sigma_px,
-                                            1.5 * cfg.field_sigma_px)))
-            if cfg.min_obs_depth_m <= z <= cfg.max_obs_depth_m \
-                    and 0.0 <= u < cam.width and 0.0 <= v < cam.height:
-                visible.append((z, i, u, v))
-        visible.sort()
-        visible = visible[:cfg.max_obs_per_frame]
-        obs = []
-        for z, i, u, v in visible:
-            pix = np.array([u, v]) + cfg.sigma_pixel_px * rng.standard_normal(2)
-            disp = cam.fx * cam.baseline / z \
-                + cfg.sigma_disparity_px * float(rng.standard_normal())
-            if not (0.0 <= pix[0] < cam.width and 0.0 <= pix[1] < cam.height):
-                continue
-            obs.append(LandmarkObservation(fid, i, pix, max(disp, 0.06)))
-        fld = IntensityField(np.array(amps), np.array(centers).reshape(-1, 2),
-                             np.array(sigmas), cfg.width_px, cfg.height_px)
-        frames.append(FrameData(fid, float(t), obs, fld))
-
-    # ground truth at the union of all sensor timestamps
-    all_times = np.unique(np.concatenate([imu_times, dvl_times, press_times,
-                                          frame_times]))
-    records = []
-    for t in all_times:
-        ki = min(int(np.searchsorted(imu_times, t, side="right")) - 1, n_imu - 1)
-        kd = min(int(np.searchsorted(dvl_times, t, side="right")) - 1, n_dvl - 1)
-        records.append(GroundTruthRecord(
-            float(t), truth.rotation(t), truth.position(t), truth.velocity(t),
-            bg[max(ki, 0)].copy(), ba[max(ki, 0)].copy(), bv[max(kd, 0)].copy()))
-
-    return SensorDataset(cfg, imu, dvl, pressure, frames, records)
+    return np.arange(n) / rate
 
 
 def simulate(cfg: ScenarioConfig) -> SensorDataset:
-    return sample_sensors(generate_trajectory(cfg), cfg)
+    """The scenario's sensor streams, camera frames and ground truth."""
+    rng = np.random.default_rng(cfg.seed)
+    rig = sensor_rig_from_config(cfg)
+
+    # landmarks scattered on a smooth seabed (z positive down) under the path
+    # footprint: per landmark a time on the path, a forward and a lateral
+    # offset from the vehicle there, and a scatter about the seabed
+    draw = rng.uniform(
+        (0.0, cfg.landmark_forward_min_m, -cfg.landmark_lateral_m,
+         -cfg.landmark_scatter_m),
+        (cfg.duration_s, cfg.landmark_forward_max_m, cfg.landmark_lateral_m,
+         cfg.landmark_scatter_m), size=(cfg.landmark_count, 4))
+    at = trajectory_truth(cfg, draw[:, 0])
+    offset = np.stack([draw[:, 1], draw[:, 2], np.zeros(len(draw))], axis=1)
+    xy = at.p + matvec(at.R, offset)
+    seabed = cfg.seabed_depth_m + cfg.seabed_relief_m \
+        * np.sin(0.12 * xy[:, 0]) * np.sin(0.1 * xy[:, 1] + 1.0)
+    landmarks = np.stack([xy[:, 0], xy[:, 1], seabed + draw[:, 3]], axis=1)
+
+    # the ground truth at the union of all sensor timestamps; each stream
+    # reads its rows of it
+    imu_times = _sample_times(cfg.duration_s, cfg.rate_imu_hz)
+    dvl_times = _sample_times(cfg.duration_s, cfg.rate_dvl_hz)
+    press_times = _sample_times(cfg.duration_s, cfg.rate_pressure_hz)
+    frame_times = _sample_times(cfg.duration_s, cfg.rate_cam_hz)
+    all_times = np.unique(np.concatenate([imu_times, dvl_times, press_times,
+                                          frame_times]))
+    truth = trajectory_truth(cfg, all_times)
+
+    def truth_at(times):
+        """The truth at ``times`` and the body rates there."""
+        rows = Truth(*(x[np.searchsorted(all_times, times)] for x in truth))
+        omega = np.zeros((len(times), 3))
+        omega[:, 2] = rows.yaw_rate
+        return rows, omega
+
+    # IMU stream with random-walk biases (bg, ba)
+    tr, omega = truth_at(imu_times)
+    walk = math.sqrt(1.0 / cfg.rate_imu_hz) * np.array(
+        [[cfg.sigma_bg_walk_rad_s_sqrt_s], [cfg.sigma_ba_walk_m_s2_sqrt_s]]) \
+        * rng.standard_normal((len(imu_times) - 1, 2, 3))
+    bias = np.cumsum(np.concatenate([[[cfg.bg0_rad_s, cfg.ba0_m_s2]], walk]),
+                     axis=0)
+    ideal = np.stack([omega, matvec(tr.R.transpose(0, 2, 1),
+                                    tr.a - rig.gravity)], axis=1)
+    meas = ideal + bias + math.sqrt(cfg.rate_imu_hz) * np.array(
+        [[cfg.sigma_g_rad_s_sqrt_hz], [cfg.sigma_a_m_s2_sqrt_hz]]) \
+        * rng.standard_normal((len(imu_times), 2, 3))
+    imu = [ImuSample(t, w, f) for t, (w, f) in zip(imu_times.tolist(), meas)]
+
+    # DVL stream: injected bias profile (constant + sinusoid + random walk)
+    tr, omega = truth_at(dvl_times)
+    walk = (cfg.sigma_bv_walk_m_s_sqrt_s * math.sqrt(1.0 / cfg.rate_dvl_hz)) \
+        * rng.standard_normal((len(dvl_times) - 1, 3))
+    om_bv = 2.0 * math.pi / cfg.bv_sin_period_s
+    bv = np.array(cfg.bv_const_m_s) \
+        + np.cumsum(np.concatenate([np.zeros((1, 3)), walk]), axis=0) \
+        + np.array(cfg.bv_sin_amp_m_s) \
+        * np.sin(om_bv * dvl_times[:, None] + np.array(cfg.bv_sin_phase_rad))
+    vel = dvl_velocity_estimate(tr.R, tr.v, omega, rig.dvl) + bv \
+        + cfg.sigma_dvl_m_s * rng.standard_normal((len(dvl_times), 3))
+    dvl = [DvlSample(t, m) for t, m in zip(dvl_times.tolist(), vel)]
+
+    # pressure stream
+    tr, _ = truth_at(press_times)
+    depth = pressure_position_estimate(tr.R, tr.p, rig.depth) @ S3 \
+        + cfg.sigma_pressure_m * rng.standard_normal(len(press_times))
+    pressure = [PressureSample(t, d)
+                for t, d in zip(press_times.tolist(), depth.tolist())]
+
+    # camera frames
+    tr, _ = truth_at(frame_times)
+    amps = _landmark_amplitudes(cfg)
+    frames = []
+    for fid, t in enumerate(frame_times.tolist()):
+        if any(a <= t <= b for a, b in cfg.degradation_windows_s):
+            obs, fld = [], IntensityField(np.zeros(0), np.zeros((0, 2)),
+                                          cfg.field_sigma_px, cfg.width_px,
+                                          cfg.height_px)
+        else:
+            pose = Pose(tr.R[fid], tr.p[fid]).compose(rig.T_IC)
+            obs, fld = _view(cfg, rig.cam, rng, fid, amps,
+                             pose.inverse().transform(landmarks))
+        frames.append(FrameData(fid, t, obs, fld))
+
+    # ground truth records: the biases hold from their last sample
+    ki = np.clip(np.searchsorted(imu_times, all_times, side="right") - 1,
+                 0, len(imu_times) - 1)
+    kd = np.clip(np.searchsorted(dvl_times, all_times, side="right") - 1,
+                 0, len(dvl_times) - 1)
+    records = [GroundTruthRecord(*row) for row in zip(
+        all_times.tolist(), truth.R, truth.p, truth.v, bias[ki, 0], bias[ki, 1],
+        bv[kd])]
+    return SensorDataset(cfg, imu, dvl, pressure, frames, records)
+
+
+def _landmark_amplitudes(cfg: ScenarioConfig) -> np.ndarray:
+    """Bump amplitude of each landmark, a fixed hash of its id."""
+    u = (np.arange(cfg.landmark_count) * 2654435761 % 4294967296) / 4294967296.0
+    return cfg.field_amp_min + u * (cfg.field_amp_max - cfg.field_amp_min)
+
+
+def _view(cfg: ScenarioConfig, cam: CameraModel, rng, fid: int,
+          amps: np.ndarray, pts_c: np.ndarray):
+    """One frame's observations and intensity field of the landmarks at
+    camera-frame points ``pts_c``."""
+    # the field keeps every landmark near the view (border margin, wide
+    # depth band) so bumps enter and leave the image smoothly. Isolated
+    # sigma ~ 1/z bumps match the constant-depth patch warp exactly only
+    # under pure camera translation; under rotation no fronto-parallel
+    # warp maps an isotropic bump onto an isotropic bump, so patches
+    # match to first order, and the width clip below breaks the 1/z
+    # scaling outside its band. Observations are the capped nearest
+    # subset of the strictly visible landmarks
+    z = pts_c[:, 2]
+    ids = np.flatnonzero((0.5 * cfg.min_obs_depth_m <= z)
+                         & (z <= 1.5 * cfg.max_obs_depth_m))
+    z = z[ids]
+    u = cam.fx * pts_c[ids, 0] / z + cam.cx
+    v = cam.fy * pts_c[ids, 1] / z + cam.cy
+    margin = 5.0 * cfg.field_sigma_px
+    near = (-margin <= u) & (u < cam.width + margin) \
+        & (-margin <= v) & (v < cam.height + margin)
+    # bump width tracks apparent size but stays compact so neighbors do
+    # not bleed into each other's patches
+    sigmas = np.clip(cfg.field_sigma_px * cfg.field_ref_depth_m / z[near],
+                     0.5 * cfg.field_sigma_px, 1.5 * cfg.field_sigma_px)
+    fld = IntensityField(amps[ids[near]], np.stack([u[near], v[near]], axis=1),
+                         sigmas, cfg.width_px, cfg.height_px)
+
+    visible = np.flatnonzero((cfg.min_obs_depth_m <= z)
+                             & (z <= cfg.max_obs_depth_m) & (0.0 <= u)
+                             & (u < cam.width) & (0.0 <= v) & (v < cam.height))
+    # nearest first, ties by landmark id
+    visible = visible[np.argsort(z[visible], kind="stable")][:cfg.max_obs_per_frame]
+    noise = rng.standard_normal((len(visible), 3))
+    pix = np.stack([u[visible], v[visible]], axis=1) \
+        + cfg.sigma_pixel_px * noise[:, :2]
+    disp = cam.fx * cam.baseline / z[visible] \
+        + cfg.sigma_disparity_px * noise[:, 2]
+    inside = (0.0 <= pix[:, 0]) & (pix[:, 0] < cam.width) \
+        & (0.0 <= pix[:, 1]) & (pix[:, 1] < cam.height)
+    obs = [LandmarkObservation(fid, i, px, max(d, 0.06)) for i, px, d in zip(
+        ids[visible[inside]].tolist(), pix[inside], disp[inside].tolist())]
+    return obs, fld
 
 
 # ------------------------------ serialization ------------------------------ #
@@ -548,10 +521,33 @@ def _parse_t(rec: dict, path: str, lineno: int) -> float:
         raise ParseError(f"{path}:{lineno}: bad timestamp {raw!r}") from exc
 
 
-def _check_monotone(t: float, prev: float, path: str, lineno: int) -> float:
-    if t <= prev:
-        raise ParseError(f"{path}:{lineno}: out-of-order timestamp {t}")
-    return t
+def _stream(path: str, name: str):
+    """(time, record, (file, line number)) of each line of a stream, whose
+    times must increase."""
+    fp = os.path.join(path, name)
+    prev = -math.inf
+    for lineno, rec in _read_jsonl(fp):
+        t = _parse_t(rec, fp, lineno)
+        if t <= prev:
+            raise ParseError(f"{fp}:{lineno}: out-of-order timestamp {t}")
+        prev = t
+        yield t, rec, (fp, lineno)
+
+
+def _frame(cfg: ScenarioConfig, t: float, rec: dict, at) -> FrameData:
+    fid = int(_field_of(rec, "frame_id", *at))
+    obs = [LandmarkObservation(
+        fid, int(_field_of(o, "id", *at)), np.array(_field_of(o, "uv", *at)),
+        None if o.get("disparity") is None else float(o["disparity"]))
+        for o in _field_of(rec, "obs", *at)]
+    fld = _field_of(rec, "field", *at)
+    sig_raw = _field_of(fld, "sigma_px", *at)
+    sig = np.array(sig_raw, dtype=float) if isinstance(sig_raw, list) \
+        else float(sig_raw)
+    return FrameData(fid, t, obs, IntensityField(
+        np.array(_field_of(fld, "amps", *at), dtype=float),
+        np.array(_field_of(fld, "centers", *at), dtype=float).reshape(-1, 2),
+        sig, cfg.width_px, cfg.height_px, float(fld.get("offset", 0.0))))
 
 
 def read_dataset(path: str) -> SensorDataset:
@@ -565,69 +561,19 @@ def read_dataset(path: str) -> SensorDataset:
         raise ParseError(f"{meta_path}: invalid JSON ({exc})") from exc
     cfg = ScenarioConfig.from_dict(meta)
 
-    imu = []
-    prev = -math.inf
-    fp = os.path.join(path, "imu.jsonl")
-    for lineno, rec in _read_jsonl(fp):
-        t = _check_monotone(_parse_t(rec, fp, lineno), prev, fp, lineno)
-        prev = t
-        imu.append(ImuSample(t, np.array(_field_of(rec, "gyro", fp, lineno)),
-                             np.array(_field_of(rec, "accel", fp, lineno))))
-
-    dvl = []
-    prev = -math.inf
-    fp = os.path.join(path, "dvl.jsonl")
-    for lineno, rec in _read_jsonl(fp):
-        t = _check_monotone(_parse_t(rec, fp, lineno), prev, fp, lineno)
-        prev = t
-        dvl.append(DvlSample(t, np.array(_field_of(rec, "vel", fp, lineno))))
-
-    pressure = []
-    prev = -math.inf
-    fp = os.path.join(path, "pressure.jsonl")
-    for lineno, rec in _read_jsonl(fp):
-        t = _check_monotone(_parse_t(rec, fp, lineno), prev, fp, lineno)
-        prev = t
-        pressure.append(PressureSample(
-            t, float(_field_of(rec, "depth", fp, lineno))))
-
-    frames = []
-    prev = -math.inf
-    fp = os.path.join(path, "frames.jsonl")
-    for lineno, rec in _read_jsonl(fp):
-        t = _check_monotone(_parse_t(rec, fp, lineno), prev, fp, lineno)
-        prev = t
-        fid = int(_field_of(rec, "frame_id", fp, lineno))
-        obs = []
-        for o in _field_of(rec, "obs", fp, lineno):
-            obs.append(LandmarkObservation(
-                fid, int(_field_of(o, "id", fp, lineno)),
-                np.array(_field_of(o, "uv", fp, lineno)),
-                None if o.get("disparity") is None else float(o["disparity"])))
-        fld = _field_of(rec, "field", fp, lineno)
-        sig_raw = _field_of(fld, "sigma_px", fp, lineno)
-        sig = np.array(sig_raw, dtype=float) if isinstance(sig_raw, list) \
-            else float(sig_raw)
-        field_obj = IntensityField(
-            np.array(_field_of(fld, "amps", fp, lineno), dtype=float),
-            np.array(_field_of(fld, "centers", fp, lineno),
-                     dtype=float).reshape(-1, 2),
-            sig, cfg.width_px, cfg.height_px, float(fld.get("offset", 0.0)))
-        frames.append(FrameData(fid, t, obs, field_obj))
-
+    imu = [ImuSample(t, np.array(_field_of(rec, "gyro", *at)),
+                     np.array(_field_of(rec, "accel", *at)))
+           for t, rec, at in _stream(path, "imu.jsonl")]
+    dvl = [DvlSample(t, np.array(_field_of(rec, "vel", *at)))
+           for t, rec, at in _stream(path, "dvl.jsonl")]
+    pressure = [PressureSample(t, float(_field_of(rec, "depth", *at)))
+                for t, rec, at in _stream(path, "pressure.jsonl")]
+    frames = [_frame(cfg, t, rec, at)
+              for t, rec, at in _stream(path, "frames.jsonl")]
     groundtruth = []
-    prev = -math.inf
-    fp = os.path.join(path, "groundtruth.jsonl")
-    for lineno, rec in _read_jsonl(fp):
-        t = _check_monotone(_parse_t(rec, fp, lineno), prev, fp, lineno)
-        prev = t
-        groundtruth.append(GroundTruthRecord(
-            t,
-            np.array(_field_of(rec, "R", fp, lineno), dtype=float).reshape(3, 3),
-            np.array(_field_of(rec, "p", fp, lineno), dtype=float),
-            np.array(_field_of(rec, "v", fp, lineno), dtype=float),
-            np.array(_field_of(rec, "bg", fp, lineno), dtype=float),
-            np.array(_field_of(rec, "ba", fp, lineno), dtype=float),
-            np.array(_field_of(rec, "bv", fp, lineno), dtype=float)))
-
+    for t, rec, at in _stream(path, "groundtruth.jsonl"):
+        r, p, v, bg, ba, bv = (np.array(_field_of(rec, key, *at), dtype=float)
+                               for key in ("R", "p", "v", "bg", "ba", "bv"))
+        groundtruth.append(GroundTruthRecord(t, r.reshape(3, 3), p, v, bg, ba,
+                                             bv))
     return SensorDataset(cfg, imu, dvl, pressure, frames, groundtruth)

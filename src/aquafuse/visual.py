@@ -16,9 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-MIN_DEPTH = 1e-6
-
-
 class BehindCameraError(ValueError):
     """Point at non-positive depth cannot be projected."""
 
@@ -57,14 +54,6 @@ class LandmarkObservation:
 
     def __post_init__(self):
         object.__setattr__(self, "pixel", np.asarray(self.pixel, dtype=float))
-
-
-def project(cam: CameraModel, point_c) -> np.ndarray:
-    """Pinhole projection of a camera-frame point to pixel coordinates."""
-    x, y, z = np.asarray(point_c, dtype=float)
-    if z <= MIN_DEPTH:
-        raise BehindCameraError(f"point depth {z} is not positive")
-    return np.array([cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy])
 
 
 def backproject(cam: CameraModel, uv, depth: float) -> np.ndarray:
@@ -118,34 +107,35 @@ class IntensityField:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "centers", ctrs)
 
-    def _sigma2(self):
-        return np.asarray(self.sigma_px, dtype=float) ** 2
-
     def _near(self, pts: np.ndarray):
         """Bumps within reach of the query cluster. Beyond 9 sigma a bump's
         contribution is below double precision for values of order the
         amplitudes, so the cutoff does not perturb samples or gradients."""
-        if len(self.amplitudes) == 0:
-            return None
         cut = 9.0 * np.max(self.sigma_px)
         lo = pts.min(axis=0) - cut
         hi = pts.max(axis=0) + cut
         mask = np.all((self.centers >= lo) & (self.centers <= hi), axis=1)
         return mask if mask.sum() < len(mask) else None
 
+    def _bumps(self, pts: np.ndarray):
+        """The offsets (n, m, 2) of the query points from the m bumps within
+        reach, the bumps' Gaussians at them (n, m), and the bumps'
+        amplitudes and squared widths."""
+        mask = self._near(pts)
+        ctr = self.centers if mask is None else self.centers[mask]
+        amp = self.amplitudes if mask is None else self.amplitudes[mask]
+        s2 = np.asarray(self.sigma_px, dtype=float) ** 2
+        if mask is not None and np.ndim(s2) > 0:
+            s2 = s2[mask]
+        d = pts[:, None, :] - ctr[None, :, :]
+        return d, np.exp(-0.5 * np.sum(d * d, axis=2) / s2), amp, s2
+
     def sample(self, uv) -> float | np.ndarray:
         pts = np.atleast_2d(np.asarray(uv, dtype=float))
         if len(self.amplitudes) == 0:
             vals = np.full(len(pts), self.offset)
         else:
-            mask = self._near(pts)
-            ctr = self.centers if mask is None else self.centers[mask]
-            amp = self.amplitudes if mask is None else self.amplitudes[mask]
-            s2 = self._sigma2()
-            if mask is not None and np.ndim(s2) > 0:
-                s2 = s2[mask]
-            d = pts[:, None, :] - ctr[None, :, :]
-            e = np.exp(-0.5 * np.sum(d * d, axis=2) / s2)
+            _, e, amp, _ = self._bumps(pts)
             vals = self.offset + e @ amp
         return float(vals[0]) if np.asarray(uv).ndim == 1 else vals
 
@@ -155,14 +145,7 @@ class IntensityField:
         if len(self.amplitudes) == 0:
             g = np.zeros((len(pts), 2))
         else:
-            mask = self._near(pts)
-            ctr = self.centers if mask is None else self.centers[mask]
-            amp = self.amplitudes if mask is None else self.amplitudes[mask]
-            s2 = self._sigma2()
-            if mask is not None and np.ndim(s2) > 0:
-                s2 = s2[mask]
-            d = pts[:, None, :] - ctr[None, :, :]
-            e = np.exp(-0.5 * np.sum(d * d, axis=2) / s2)
+            d, e, amp, s2 = self._bumps(pts)
             w = e * amp[None, :] / s2
             g = -np.sum(w[:, :, None] * d, axis=1)
         return g[0] if np.asarray(uv).ndim == 1 else g

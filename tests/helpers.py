@@ -16,6 +16,15 @@ from aquafuse.imu import (ImuBias, ImuNoiseSpec, ImuSample, _infer_t_end,
                           hold_intervals)
 from aquafuse.manifold import SMALL_ANGLE, exp_so3, hat
 from aquafuse.state import NavState
+from aquafuse.visual import BehindCameraError
+
+
+def project(cam, point_c) -> np.ndarray:
+    """Pinhole projection of a camera-frame point to pixel coordinates."""
+    x, y, z = np.asarray(point_c, dtype=float)
+    if z <= 1e-6:
+        raise BehindCameraError(f"point depth {z} is not positive")
+    return np.array([cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy])
 
 
 def fd_jacobian(fn, dim, retract, h=1e-6):

@@ -11,12 +11,11 @@ from aquafuse.manifold import BranchAmbiguityError, exp_so3, log_so3
 from aquafuse.sim import ScenarioConfig, sensor_rig_from_config
 from aquafuse.state import (PHI, STATE_DOF, NavState, retract_rows,
                             stack_states, unstack_state)
-from aquafuse.visual import (IntensityField, LandmarkObservation, PatchPattern,
-                             project)
+from aquafuse.visual import IntensityField, LandmarkObservation
 
 from helpers import (discrete_imu_world, dvl_samples_from_world,
-                     fd_jacobian, huber_cost, jac_close, random_nav_state,
-                     robust_weight)
+                     fd_jacobian, huber_cost, jac_close, project,
+                     random_nav_state, robust_weight)
 
 NOISY = ImuNoiseSpec(sigma_g=2e-4, sigma_a=2e-3,
                      sigma_bg_walk=1e-5, sigma_ba_walk=1e-4)
@@ -101,8 +100,8 @@ def make_scene(rng, n_kf=3, n_lm=8, kf_steps=40, pixel_noise=0.0,
     # the keyframe instants
     from aquafuse.dvl import DvlSample, dvl_velocity_estimate
     for k, node in enumerate(nodes):
-        node.dvl_meas = DvlSample(
-            node.t, dvl_velocity_estimate(node.state, node.gyro, rig.dvl))
+        node.dvl_meas = DvlSample(node.t, dvl_velocity_estimate(
+            node.state.R[None], node.state.v[None], node.gyro[None], rig.dvl)[0])
     return nodes, landmarks, intervals, rig, kf_states
 
 

@@ -1,13 +1,18 @@
-"""The names the benchmark in ``perfbench/`` reaches into the program by: it
-wraps the entry points of ``perfbench/tracing.py`` and reports one factor
-count per ``backend.factors.*`` metric of ``BENCHMARK.json``. A rename in
-the program that breaks either fails here, not only in a traced run."""
+"""What the benchmark in ``perfbench/`` needs of the program: it wraps the
+entry points of ``perfbench/tracing.py``, reports one factor count per
+``backend.factors.*`` metric of ``BENCHMARK.json``, and clocks each frame as
+the estimator iterates the dataset's frames, once. A change in the program
+that breaks any of these fails here, not only in a benchmark run."""
 
 import importlib.util
 import json
 import pathlib
 
+import pytest
+
 from aquafuse.backend import FactorKind
+from aquafuse.frontend import EstimatorMode, RunConfig, run_estimator
+from aquafuse.sim import ScenarioConfig, simulate
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -34,3 +39,23 @@ def test_factor_count_metrics_name_factor_kinds():
              if m["name"].startswith(prefix)]
     assert kinds
     assert set(kinds) <= {k.value for k in FactorKind}
+
+
+class CountingList(list):
+    """A list that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("mode", list(EstimatorMode))
+def test_each_mode_iterates_the_frames_once(mode):
+    ds = simulate(ScenarioConfig(kind="circle", duration_s=1.5, seed=3,
+                                 degradation_windows_s=((0.5, 0.8),)))
+    ds.frames = CountingList(ds.frames)
+    result = run_estimator(ds, RunConfig(mode=mode))
+    assert len(result.frames) == len(ds.frames)
+    assert ds.frames.iterations == 1

@@ -24,22 +24,27 @@ def residual(state_i, state_n, meas_i, meas_n, ext, with_jacobians=False):
                     "phi_n": jn[:, PHI], "p_n": jn[:, POS]}
 
 
+def position(state, ext):
+    """``pressure_position_estimate`` at one state."""
+    return pressure_position_estimate(state.R[None], state.p[None], ext)[0]
+
+
 class TestPositionEstimate:
     def test_zero_lever_arm(self, rng):
         state = random_nav_state(rng)
-        assert_allclose(pressure_position_estimate(state, NO_LEVER), state.p)
+        assert_allclose(position(state, NO_LEVER), state.p)
 
     def test_pure_translation(self):
         state = NavState(np.eye(3), np.array([1.0, 1.0, 5.0]), np.zeros(3))
         ext = DepthExtrinsics([0, 0, 0.2])
-        assert_allclose(pressure_position_estimate(state, ext),
+        assert_allclose(position(state, ext),
                         [1.0, 1.0, 5.2])
 
     def test_rotated_lever_arm(self, rng):
         state = random_nav_state(rng)
         state.R = exp_so3([np.pi / 2, 0, 0])
         ext = DepthExtrinsics([0, 0.2, 0])
-        assert_allclose(pressure_position_estimate(state, ext),
+        assert_allclose(position(state, ext),
                         state.p + [0, 0, 0.2], atol=1e-15)
 
 

@@ -10,8 +10,9 @@ from aquafuse.state import PHI, POS, STATE_DOF, NavState
 from aquafuse.visual import (BehindCameraError, CameraModel,
                              DegenerateTriangulationError, IntensityField,
                              LandmarkObservation, OutOfDomainError,
-                             PatchPattern, backproject, project,
-                             stereo_depth)
+                             PatchPattern, backproject, stereo_depth)
+
+from helpers import project
 
 CAM = CameraModel(fx=100.0, fy=100.0, cx=320.0, cy=180.0,
                   width=640, height=360, baseline=0.1)
