@@ -111,19 +111,10 @@ class PhotometricData:
     pixel: np.ndarray
     depth: float
     pattern: PatchPattern
-    # host-side quantities are fixed per factor; cached at construction,
-    # by ``batch`` (here a batch of one) unless it supplied them
-    host_pix: np.ndarray = None
-    host_vals: np.ndarray = None
-    weights: np.ndarray = None
-
-    def __post_init__(self):
-        if self.host_vals is not None:
-            return
-        (one,) = self.batch(self.field_host, self.field_obs, [self.pixel],
-                            [self.depth], self.pattern)
-        for name in ("host_pix", "host_vals", "weights"):
-            object.__setattr__(self, name, getattr(one, name))
+    # host-side quantities are fixed per factor, cached by ``batch``
+    host_pix: np.ndarray
+    host_vals: np.ndarray
+    weights: np.ndarray
 
     @classmethod
     def batch(cls, field_host: IntensityField, field_obs: IntensityField,

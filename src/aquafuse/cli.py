@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import dataclasses
 import datetime
-import enum
 import json
 import math
 import os
@@ -32,6 +30,7 @@ import numpy as np
 
 from . import sim
 from .backend import DivergedError, GaugeError, PreintCoverageError
+from .config import config_from_dict
 from .evaluation import (ErrorReport, Trajectory, align_to_truth,
                          error_metrics, preprocess)
 from .frontend import (EstimatorMode, FrameState,
@@ -56,70 +55,20 @@ ESTIMATOR_FAILURES = (GaugeError, PreintCoverageError,
 # ------------------------------ config loading ----------------------------- #
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    return _config_from_dict(RunConfig, data, "")
+    return config_from_dict(RunConfig, data, "run config")
 
 
-def _config_from_dict(cls, data, where: str):
-    """``cls`` from the JSON object ``data`` at the dotted key ``where``
-    ("" for the root). Every
-    key must name a field of ``cls`` and every value must have the type of
-    that field's default: a number for a float, a JSON object for a nested
-    config, a list of number rows for an array, a name for an enum. A
-    malformed entry raises ValueError naming its key."""
-    if not isinstance(data, dict):
-        raise ValueError(f"run config {where or 'root'}: expected an object, "
-                         f"got {type(data).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    prefix = where + "." if where else ""
-    unknown = [prefix + name for name in sorted(set(data) - set(fields))]
-    if unknown:
-        raise ValueError(f"unknown run config keys: {unknown}")
-    kwargs = {}
-    for name, value in data.items():
-        f = fields[name]
-        default = f.default if f.default is not dataclasses.MISSING \
-            else f.default_factory()
-        kwargs[name] = _config_value(value, default, prefix + name)
-    return cls(**kwargs)
-
-
-def _config_value(value, default, key: str):
-    if dataclasses.is_dataclass(default):
-        return _config_from_dict(type(default), value, key)
-    if isinstance(default, enum.Enum):
-        try:
-            return type(default)(value)
-        except ValueError:
-            raise ValueError(f"run config {key}: {value!r} is not one of "
-                             f"{[m.value for m in type(default)]}") from None
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if isinstance(default, bool):
-        ok, expected = isinstance(value, bool), "true or false"
-    elif isinstance(default, int):
-        ok, expected = number and isinstance(value, int), "an integer"
-    elif isinstance(default, float):
-        ok, expected = number, "a number"
-        value = float(value) if ok else value
-    elif isinstance(default, np.ndarray):
-        expected = f"rows of {default.shape[1]} numbers"
-        try:
-            arr = np.asarray(value)
-        except ValueError:
-            arr = np.asarray(None)
-        ok = (arr.dtype.kind in "iuf" and arr.ndim == default.ndim
-              and arr.shape[1:] == default.shape[1:])
-        value = arr.astype(float) if ok else value
-    else:
-        raise ValueError(f"run config {key} cannot be set from a file")
-    if not ok:
-        raise ValueError(f"run config {key}: expected {expected}, "
-                         f"got {value!r}")
-    return value
-
-
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _load_config(path: str, from_dict):
+    """``from_dict`` of the JSON file at ``path``, naming it in errors."""
+    try:
+        return from_dict(_load_json(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # ------------------------------ trajectory io ------------------------------ #
@@ -167,8 +116,8 @@ def truth_trajectory(ds: sim.SensorDataset) -> Trajectory:
 # -------------------------------- subcommands ------------------------------ #
 
 def cmd_simulate(args) -> int:
-    cfg_data = _load_json(args.config) if args.config else {}
-    cfg = sim.ScenarioConfig.from_dict(cfg_data)
+    cfg = _load_config(args.config, sim.ScenarioConfig.from_dict) \
+        if args.config else sim.ScenarioConfig()
     if args.seed is not None:
         cfg.seed = args.seed
     if os.path.exists(args.out):
@@ -207,7 +156,7 @@ def _estimate_to_dir(ds: sim.SensorDataset, out_dir: str,
 
 
 def cmd_estimate(args) -> int:
-    cfg = run_config_from_dict(_load_json(args.config)) if args.config \
+    cfg = _load_config(args.config, run_config_from_dict) if args.config \
         else RunConfig()
     if args.mode is not None:
         cfg.mode = EstimatorMode(args.mode)
@@ -295,15 +244,19 @@ def _sweep_cell(cell):
 
 def cmd_sweep(args) -> int:
     spec = _load_json(args.config)
-    scenarios = spec.get("scenarios")
+    scenarios = spec.get("scenarios") if isinstance(spec, dict) else None
+    if not (isinstance(scenarios, list) and scenarios):
+        raise ValueError(f"{args.config}: expected an object with a nonempty "
+                         "'scenarios' list")
     modes = spec.get("modes", ["full"])
-    if not scenarios:
-        raise ValueError("sweep config needs a nonempty 'scenarios' list")
     run_cfg_data = spec.get("run_config", {})
     os.makedirs(args.out, exist_ok=True)
 
     cells = []
     for entry in scenarios:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
+            raise ValueError(f"{args.config}: scenario {entry!r} is not an "
+                             "object with a 'name' string")
         name = entry["name"]
         s_cfg = sim.ScenarioConfig.from_dict(entry.get("config", {}))
         dataset_dir = os.path.join(args.out, name, "dataset")

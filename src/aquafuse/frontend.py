@@ -116,16 +116,15 @@ COARSE_SIGMA_PIXEL = 0.5
 
 # ------------------------------- frame ops --------------------------------- #
 
-def track_coarse(prev_nav: NavState, observations, map_points: dict,
-                 rig: bk.SensorRig, imu_preint: ImuPreintegrated,
-                 cfg: TrackerConfig, backend_cfg: bk.BackendConfig) -> Pose:
+def track_coarse(init: NavState, observations, map_points: dict,
+                 rig: bk.SensorRig, cfg: TrackerConfig,
+                 backend_cfg: bk.BackendConfig) -> Pose:
     """Pose minimizing the robustified reprojection cost over the associated
-    observations, initialized from the inertial motion model."""
+    observations, from the pose of ``init``, an inertial prediction."""
     tracked = [o for o in observations if o.landmark_id in map_points]
     if len(tracked) < cfg.min_coarse_observations:
         raise InsufficientObservationsError(
             f"{len(tracked)} observations (< {cfg.min_coarse_observations})")
-    init = predict_state_imu(prev_nav, imu_preint, rig.gravity)
     node = bk.KeyframeNode(kf_id=0, t=0.0, state=init, observations=tracked)
     window, factors = bk.assemble_window(
         [node], map_points, {}, rig, backend_cfg,
@@ -213,6 +212,13 @@ class EstimationResult:
                 for f in self.frames]
 
 
+def _span(times: np.ndarray, t0: float, t1: float) -> tuple[int, int]:
+    """Index of the last time at or before t0 (-1 if none), the first at or
+    after t1."""
+    return (int(np.searchsorted(times, t0, side="right")) - 1,
+            int(np.searchsorted(times, t1, side="left")))
+
+
 def _nearest_at(times: np.ndarray, samples, queries: list,
                 max_gap: float = np.inf) -> dict:
     """By query, the sample nearest each of ``queries`` if at most
@@ -224,11 +230,11 @@ def _nearest_at(times: np.ndarray, samples, queries: list,
 class Tracker:
     """Sequential frame-by-frame estimator over one dataset.
 
-    Each frame extends the running IMU and DVL preintegrations of the
-    current keyframe (each restarted when the keyframe or its (bg, ba),
-    resp. (bg, bv), linearization changes), so every sample is integrated
-    once per keyframe interval; only the visual branch also integrates the
-    IMU from the previous frame, for the coarse tracker's prediction.
+    Each frame extends the running IMU and (in DVL modes) DVL
+    preintegrations from the current keyframe, one interval record, so each
+    sample is integrated once per keyframe interval; the coarse tracker
+    starts from its inertial prediction. A keyframe pair keeps the interval
+    its frame solved with, so its covariances are inverted once.
     Only the tracker reads which sensors a mode fuses: its window nodes
     and intervals carry only their measurements, so modes without vision
     build no landmark map and their windows hold keyframe states alone. All
@@ -274,69 +280,53 @@ class Tracker:
         self.keyframes: list[bk.KeyframeNode] = []
         self.intervals: dict[tuple[int, int], bk.IntervalData] = {}
         self.reports: list[bk.SolveReport] = []
-        self.kf_preint: ImuPreintegrated | None = None  # of the last keyframe
-        self.kf_dvl: DvlPreintegrated | None = None  # likewise
+        self.interval: bk.IntervalData | None = None  # the running one
+        self.interval_state: NavState | None = None
         self.status = TrackingStatus.VISUAL_OK
         self.reentry_count = 0
 
     # ------------------------------------------------------------------ #
     def _imu_slice(self, t0: float, t1: float) -> list[ImuSample]:
-        i0 = max(int(np.searchsorted(self.imu_times, t0, side="right")) - 1, 0)
-        i1 = int(np.searchsorted(self.imu_times, t1, side="left"))
+        i0, i1 = _span(self.imu_times, t0, t1)
+        i0 = max(i0, 0)
         return self.ds.imu[i0:max(i1, i0 + 1)]
-
-    def _integrate(self, t0: float, t1: float, bias: ImuBias) -> ImuPreintegrated:
-        return integrate_imu(self._imu_slice(t0, t1), bias, self.imu_noise,
-                             t_start=t0, t_end=t1)
-
-    def _keyframe_preint(self, kf: bk.KeyframeNode, t: float) -> ImuPreintegrated:
-        """IMU preintegration from ``kf`` to ``t``: the running one extended
-        when it starts at ``kf`` about its current biases, else a new one."""
-        bias = ImuBias(kf.state.bg, kf.state.ba)
-        run = self.kf_preint
-        if (run is not None and run.t_start == kf.t
-                and np.array_equal(run.lin_bias.bg, bias.bg)
-                and np.array_equal(run.lin_bias.ba, bias.ba)):
-            # from the sample of the last hold step, which is integrated again
-            pre = integrate_imu(self._imu_slice(run.step_t[-1], t),
-                                run.lin_bias, self.imu_noise, t_end=t,
-                                resume=run)
-        else:
-            pre = self._integrate(kf.t, t, bias)
-        self.kf_preint = pre
-        return pre
 
     def _dvl_slice(self, t0: float, t1: float) -> list[DvlSample]:
         """DVL samples covering [t0, t1); the sample holding at t0 is clamped
         to start the buffer exactly at t0."""
-        i0 = int(np.searchsorted(self.dvl_times, t0, side="right")) - 1
-        i1 = int(np.searchsorted(self.dvl_times, t1, side="left"))
-        if i1 <= max(i0, 0):
-            return []
-        if i0 < 0:
-            return list(self.ds.dvl[0:i1])
-        first = self.ds.dvl[i0]
-        if first.t < t0:
-            first = DvlSample(t0, first.vel)
-        return [first] + list(self.ds.dvl[i0 + 1:i1])
+        i0, i1 = _span(self.dvl_times, t0, t1)
+        samples = list(self.ds.dvl[max(i0, 0):i1])
+        if samples and samples[0].t < t0:
+            samples[0] = DvlSample(t0, samples[0].vel)
+        return samples
 
-    def _dvl_preintegrate(self, kf: bk.KeyframeNode, t: float,
-                          imu_pre: ImuPreintegrated) -> DvlPreintegrated | None:
-        """DVL preintegration from ``kf`` to ``t``, extending the running one
-        while it is about the keyframe's (bg, bv); None while no DVL sample
-        falls in the span."""
-        bg, bv, run = kf.state.bg, kf.state.bv, self.kf_dvl
-        if run and not (np.array_equal(run.lin_bg, bg)
-                        and np.array_equal(run.lin_bv, bv)):
-            run = None
-        # from the sample of the last hold step, which is integrated again
-        samples = self._dvl_slice(kf.t if run is None else run.last_step[0], t)
-        if not samples:
-            return None
-        self.kf_dvl = preintegrate_dvl(
-            samples, imu_pre.checkpoints_at([s.t for s in samples]), self.rig.dvl,
-            bg, bv, t_end=t, sigma_v=self.noise.sigma_dvl, resume=run)
-        return self.kf_dvl
+    def _extend_interval(self, kf: bk.KeyframeNode, t: float) -> bk.IntervalData:
+        """The running interval extended to ``t``, restarted from ``kf`` once
+        the keyframe's state is replaced (a new keyframe, or a window BA that
+        moved it). Its DVL part is None while no DVL sample precedes ``t``."""
+        s = kf.state
+        run = self.interval if self.interval_state is s else None
+        self.interval_state = s
+        # a resumed preintegration starts from the sample of its last hold
+        # step, which is integrated again
+        if run is None:
+            imu = integrate_imu(self._imu_slice(kf.t, t), ImuBias(s.bg, s.ba),
+                                self.imu_noise, t_start=kf.t, t_end=t)
+        else:
+            imu = integrate_imu(self._imu_slice(run.imu_preint.step_t[-1], t),
+                                run.imu_preint.lin_bias, self.imu_noise,
+                                t_end=t, resume=run.imu_preint)
+        dvl, dvl_run = None, None if run is None else run.dvl_preint
+        if self.cfg.mode.uses_dvl:
+            samples = self._dvl_slice(
+                kf.t if dvl_run is None else dvl_run.last_step[0], t)
+            if samples:
+                dvl = preintegrate_dvl(
+                    samples, imu.checkpoints_at([x.t for x in samples]),
+                    self.rig.dvl, s.bg, s.bv, t_end=t,
+                    sigma_v=self.noise.sigma_dvl, resume=dvl_run)
+        self.interval = bk.IntervalData(imu, dvl)
+        return self.interval
 
     def _initial_state(self, t: float) -> NavState:
         gt = self.ds.groundtruth
@@ -358,14 +348,14 @@ class Tracker:
 
     # ------------------------------------------------------------------ #
     def _mini_solve(self, kf: bk.KeyframeNode, t: float, init: NavState,
-                    tracked_obs, imu_pre, dvl_pre) -> tuple[NavState, float]:
+                    tracked_obs, interval) -> tuple[NavState, float]:
         """Joint per-frame optimization of the current state against the
         (fixed) reference keyframe."""
         temp_id = kf.kf_id + 1
         node = self._node(temp_id, t, init.copy(), tracked_obs)
         window, factors = bk.assemble_window(
             [kf, node], self.map,
-            {(kf.kf_id, temp_id): bk.IntervalData(imu_pre, dvl_pre)},
+            {(kf.kf_id, temp_id): interval},
             self.rig, self.cfg.backend, self.noise, fixed_ids={kf.kf_id},
             fixed_landmarks=set(self.map.keys()))
         window.state_masks[temp_id] = bk.POSE_VEL_MASK
@@ -385,12 +375,10 @@ class Tracker:
                               stereo_depth(self.rig.cam, obs.disparity))
             self.map[obs.landmark_id] = t_wc.transform(x_c)
 
-    def _make_keyframe(self, frame, nav: NavState, imu_pre, dvl_pre):
+    def _make_keyframe(self, frame, nav: NavState, interval):
         kf_id = len(self.keyframes)
-        self.kf_dvl = None
         if self.keyframes:
-            prev = self.keyframes[-1]
-            self.intervals[(prev.kf_id, kf_id)] = bk.IntervalData(imu_pre, dvl_pre)
+            self.intervals[(self.keyframes[-1].kf_id, kf_id)] = interval
         if self.cfg.mode.uses_vision:
             self._init_landmarks(frame, nav.pose())
         node = self._node(kf_id, frame.t, nav.copy(), frame.observations,
@@ -452,24 +440,18 @@ class Tracker:
                                else TrackingStatus.DEGRADED)
             else:
                 kf = self.keyframes[-1]
-                imu_pre = self._keyframe_preint(kf, t)
-                dvl_pre = None
-                if mode.uses_dvl:
-                    dvl_pre = self._dvl_preintegrate(kf, t, imu_pre)
+                interval = self._extend_interval(kf, t)
+                imu_pre, dvl_pre = interval.imu_preint, interval.dvl_preint
 
                 visual_ok = (mode.uses_vision
                              and n_tracked >= tracker_cfg.min_tracked_features)
                 if visual_ok:
-                    prev = frames_out[-1]
-                    frame_pre = self._integrate(
-                        prev.t, t, ImuBias(prev.nav.bg, prev.nav.ba))
-                    pose = track_coarse(prev.nav, tracked_obs, self.map,
-                                        self.rig, frame_pre, tracker_cfg,
-                                        backend_cfg)
+                    pred = predict_state_imu(kf.state, imu_pre, self.rig.gravity)
+                    pose = track_coarse(pred, tracked_obs, self.map, self.rig,
+                                        tracker_cfg, backend_cfg)
                     # direct refinement against the previous frame: the short
                     # baseline keeps the luminance-constancy assumption tight
                     if (backend_cfg.photometric_enabled
-                            and prev_frame is not None
                             and frame.field is not None
                             and len(prev_frame.field.amplitudes) > 0
                             and len(frame.field.amplitudes) > 0):
@@ -481,24 +463,22 @@ class Tracker:
                         pts = pts[:backend_cfg.photometric_max_points]
                         if pts:
                             pose = refine_photometric(
-                                pose, prev.T_WI, prev_frame.field,
+                                pose, frames_out[-1].T_WI, prev_frame.field,
                                 frame.field, pts, self.rig,
                                 backend_cfg.pattern, tracker_cfg,
                                 backend_cfg.sigma_intensity_track,
                                 gate=backend_cfg.photometric_track_gate).pose
-                    pred = predict_state_imu(kf.state, imu_pre, self.rig.gravity)
                     init = NavState(pose.R, pose.t, pred.v,
                                     kf.state.bg, kf.state.ba, kf.state.bv)
                     nav, cost = self._mini_solve(kf, t, init, tracked_obs,
-                                                 imu_pre, dvl_pre)
-                elif mode.uses_dvl and dvl_pre is not None:
+                                                 interval)
+                elif dvl_pre is not None:
                     pose = predict_state_degraded(kf.state, imu_pre, dvl_pre,
                                                   self.rig.dvl)
                     v = self._degraded_velocity(pose, t, kf.state)
                     init = NavState(pose.R, pose.t, v,
                                     kf.state.bg, kf.state.ba, kf.state.bv)
-                    nav, cost = self._mini_solve(kf, t, init, [],
-                                                 imu_pre, dvl_pre)
+                    nav, cost = self._mini_solve(kf, t, init, [], interval)
                 else:
                     nav = predict_state_imu(kf.state, imu_pre, self.rig.gravity)
 
@@ -514,10 +494,10 @@ class Tracker:
             fs = FrameState(frame.frame_id, t, nav, self.status, n_tracked,
                             cost)
             if not kf_frames:
-                self._make_keyframe(frame, nav, None, None)
+                self._make_keyframe(frame, nav, None)
                 kf_frames.append(fs)
             elif keyframe_decision(fs, kf_frames[-1], tracker_cfg):
-                self._make_keyframe(frame, nav, imu_pre, dvl_pre)
+                self._make_keyframe(frame, nav, interval)
                 self._window_ba()
                 fs.nav = self.keyframes[-1].state.copy()
                 kf_frames.append(fs)

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import SensorRig
+from .config import config_from_dict
 from .depth import (DepthExtrinsics, PressureSample, S3,
                     pressure_position_estimate)
 from .dvl import DvlExtrinsics, DvlSample, dvl_velocity_estimate
@@ -149,10 +150,10 @@ class ScenarioConfig:
                      "rate_pressure_hz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for a, b in self.degradation_windows_s:
-            if not (0.0 <= a < b <= self.duration_s):
-                raise ValueError(
-                    f"degradation window [{a}, {b}] outside [0, {self.duration_s}]")
+        for w in self.degradation_windows_s:
+            if np.shape(w) != (2,) or not 0.0 <= w[0] < w[1] <= self.duration_s:
+                raise ValueError(f"degradation_windows_s: {w!r} is no window "
+                                 f"[t_start, t_end] in [0, {self.duration_s}]")
 
     def to_dict(self) -> dict:
         out = {}
@@ -166,17 +167,7 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
-        names = {f.name for f in dataclasses.fields(ScenarioConfig)}
-        unknown = set(data) - names
-        if unknown:
-            raise ValueError(f"unknown scenario config keys: {sorted(unknown)}")
-        kwargs = {}
-        for key, value in data.items():
-            if isinstance(value, list):
-                value = tuple(tuple(v) if isinstance(v, list) else v
-                              for v in value)
-            kwargs[key] = value
-        return ScenarioConfig(**kwargs)
+        return config_from_dict(ScenarioConfig, data, "scenario config")
 
 
 def sensor_rig_from_config(cfg: ScenarioConfig) -> SensorRig:
@@ -559,7 +550,10 @@ def read_dataset(path: str) -> SensorDataset:
         raise ParseError(f"{meta_path}: missing")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{meta_path}: invalid JSON ({exc})") from exc
-    cfg = ScenarioConfig.from_dict(meta)
+    try:
+        cfg = ScenarioConfig.from_dict(meta)
+    except ValueError as exc:
+        raise ParseError(f"{meta_path}: {exc}") from exc
 
     imu = [ImuSample(t, np.array(_field_of(rec, "gyro", *at)),
                      np.array(_field_of(rec, "accel", *at)))

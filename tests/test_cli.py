@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -240,6 +241,56 @@ class TestInputErrors:
         assert _estimate(dataset, tmp_path / "run", "--config",
                          str(path)) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, key", [
+        ([], "root"),
+        ({"rate_cam_hz": "fast"}, "rate_cam_hz"),
+        ({"seed": 1.5}, "seed"),
+        ({"kind": 3}, "kind"),
+        ({"bg0_rad_s": [0.1, 0.2]}, "bg0_rad_s"),
+        ({"R_IC": [[1.0, 0.0, 0.0]] * 3}, "R_IC"),
+        ({"degradation_windows_s": [0.5]}, "degradation_windows_s"),
+        ({"degradation_windows_s": [[1.0, "x"]]}, "degradation_windows_s"),
+        ({"degradation_windows_s": 1.0}, "degradation_windows_s"),
+    ])
+    def test_malformed_scenario_config(self, tmp_path, capsys, config, key):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["simulate", "--config", str(path),
+                         "--out", str(tmp_path / "dataset")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and key in err
+
+    @pytest.mark.parametrize("meta, key", [
+        ([], "root"),
+        ({"degradation_windows_s": [0.5]}, "degradation_windows_s"),
+        ({"rate_cam_hz": "fast"}, "rate_cam_hz"),
+        ({"width_px": 640.0}, "width_px"),
+    ])
+    def test_malformed_meta_json(self, dataset, tmp_path, capsys, meta, key):
+        bad = tmp_path / "dataset"
+        shutil.copytree(dataset, bad)
+        if isinstance(meta, dict):
+            meta = {**json.loads((bad / "meta.json").read_text()), **meta}
+        (bad / "meta.json").write_text(json.dumps(meta))
+        assert _estimate(bad, tmp_path / "run") == 2
+        err = capsys.readouterr().err
+        assert str(bad / "meta.json") in err and key in err
+
+    @pytest.mark.parametrize("spec, named", [
+        ([1, 2], "sweep.json"),
+        ({"scenarios": "circle"}, "sweep.json"),
+        ({"scenarios": [1]}, "sweep.json"),
+        ({"scenarios": [{"config": {}}]}, "sweep.json"),
+        ({"scenarios": [{"name": "a", "config": {"rate_cam_hz": "fast"}}]},
+         "rate_cam_hz"),
+    ])
+    def test_malformed_sweep_spec(self, tmp_path, capsys, spec, named):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["sweep", "--config", str(path),
+                         "--out", str(tmp_path / "sweep")]) == 2
+        assert named in capsys.readouterr().err
 
     def test_bad_arguments(self):
         with pytest.raises(SystemExit) as exc:

@@ -20,6 +20,7 @@ from aquafuse.visual import IntensityField
 
 from helpers import discrete_imu_world, dvl_samples_from_world, project
 from test_backend import default_rig, make_scene
+from test_imu import _PREINT_FIELDS
 
 
 def zero_noise_config(**kw):
@@ -35,34 +36,33 @@ def zero_noise_config(**kw):
 
 class TestTrackCoarse:
     def _scene(self, rng, pixel_noise=0.0):
-        """Keyframe 1's observations, the landmarks, the rig, the states of
-        keyframes 0 and 1 and the IMU preintegration between them."""
-        nodes, landmarks, intervals, rig, truth = make_scene(
+        """Keyframe 1's observations, the landmarks, the rig and the state of
+        keyframe 1."""
+        nodes, landmarks, _, rig, truth = make_scene(
             rng, n_kf=2, n_lm=30, pixel_noise=pixel_noise)
-        return (nodes[1], landmarks, rig, truth[0], truth[1],
-                intervals[(0, 1)].imu_preint)
+        return nodes[1], landmarks, rig, truth[1]
 
     def test_perfect_init_returns_truth(self, rng):
-        node, landmarks, rig, prev, truth, pre = self._scene(rng)
-        pose = track_coarse(prev, node.observations, landmarks, rig, pre,
+        node, landmarks, rig, truth = self._scene(rng)
+        pose = track_coarse(truth, node.observations, landmarks, rig,
                             TrackerConfig(), bk.BackendConfig())
         assert np.linalg.norm(pose.t - truth.p) < 1e-10
         assert rotation_angle(truth.R.T @ pose.R) < 1e-10
 
     def test_recovers_from_perturbed_init(self, rng):
-        node, landmarks, rig, prev, truth, pre = self._scene(rng)
-        init = prev.copy()
-        init.p = prev.p + np.array([0.05, -0.03, 0.02])
-        init.R = prev.R @ exp_so3([0.0, 0.02, -0.01])
-        pose = track_coarse(init, node.observations, landmarks, rig, pre,
+        node, landmarks, rig, truth = self._scene(rng)
+        init = truth.copy()
+        init.p = truth.p + np.array([0.05, -0.03, 0.02])
+        init.R = truth.R @ exp_so3([0.0, 0.02, -0.01])
+        pose = track_coarse(init, node.observations, landmarks, rig,
                             TrackerConfig(), bk.BackendConfig())
         assert np.linalg.norm(pose.t - truth.p) < 1e-6
         assert rotation_angle(truth.R.T @ pose.R) < 1e-6
 
     def test_underdetermined_rejected(self, rng):
-        node, landmarks, rig, prev, _, pre = self._scene(rng)
+        node, landmarks, rig, truth = self._scene(rng)
         with pytest.raises(InsufficientObservationsError):
-            track_coarse(prev, node.observations[:3], landmarks, rig, pre,
+            track_coarse(truth, node.observations[:3], landmarks, rig,
                          TrackerConfig(), bk.BackendConfig())
 
 
@@ -115,8 +115,9 @@ class TestRefinePhotometric:
         states = {0: truth[0], 1: truth[1]}
         for pixel, depth in points:
             f = bk.Factor(bk.FactorKind.PHOTOMETRIC, (0, 1),
-                          bk.PhotometricData(fields[0], fields[1], pixel,
-                                             depth, bk.PatchPattern()),
+                          bk.PhotometricData.batch(fields[0], fields[1],
+                                                   [pixel], [depth],
+                                                   bk.PatchPattern())[0],
                           np.eye(1), robust=True, rig=rig)
             r, _, _ = f.evaluate(states, {}, with_jacobians=False)
             assert abs(r[0]) < 1e-9
@@ -388,8 +389,26 @@ def test_keyframe_records_hold_the_final_keyframe_states(short_blackout_circle):
         assert f.t == node.t and f.keyframe is node.state
 
 
+class Recording(Tracker):
+    """A tracker that keeps each frame's interval."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen = []
+
+    def _extend_interval(self, kf, t):
+        interval = super()._extend_interval(kf, t)
+        self.seen.append(interval)
+        return interval
+
+
+_IMU_FIELDS = _PREINT_FIELDS + ("dt_total", "t_start", "t_end")
+_DVL_FIELDS = ("dp", "dt_total", "lin_bg", "lin_bv", "J_dp_dbv", "J_dp_dbg",
+               "cov", "t_start", "t_end")
+
+
 class TestKeyframePreintegration:
-    """Each frame extends the running preintegration of its keyframe."""
+    """Each frame extends the running interval of its keyframe."""
 
     ACOUSTIC = RunConfig(mode=EstimatorMode.ACOUSTIC_INERTIAL_DEPTH)
 
@@ -401,27 +420,51 @@ class TestKeyframePreintegration:
 
     @pytest.mark.parametrize("mode", [EstimatorMode.ACOUSTIC_INERTIAL_DEPTH,
                                       EstimatorMode.FULL])
-    def test_matches_integrating_from_the_keyframe(self, mode):
-        class BatchTracker(Tracker):
-            def _keyframe_preint(self, kf, t):
-                return self._integrate(kf.t, t,
-                                       ImuBias(kf.state.bg, kf.state.ba))
+    def test_resuming_matches_rebuilding_every_frame(self, monkeypatch, mode):
+        class Rebuilding(Recording):
+            def _extend_interval(self, kf, t):
+                self.interval = None
+                return super()._extend_interval(kf, t)
 
+        resumes = []
+        integrate = frontend.integrate_imu
+
+        def counted(*args, **kwargs):
+            resumes[-1] += kwargs.get("resume") is not None
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(frontend, "integrate_imu", counted)
         ds = self._dataset(5.0)
-        cfg = RunConfig(mode=mode)
-        resumed = Tracker(ds, cfg).run()
-        batch = BatchTracker(ds, cfg).run()
+        trackers = [cls(ds, RunConfig(mode=mode))
+                    for cls in (Recording, Rebuilding)]
+        results = []
+        for tracker in trackers:
+            resumes.append(0)
+            results.append(tracker.run())
+        assert resumes[0] > 0 and resumes[1] == 0
+        resumed, rebuilt = (tr.seen for tr in trackers)
+        assert len(resumed) == len(rebuilt) == len(ds.frames) - 1
+        assert any(d.dvl_preint is not None for d in resumed)
+        for a, b in zip(resumed, rebuilt):
+            for name in _IMU_FIELDS:
+                assert np.array_equal(getattr(a.imu_preint, name),
+                                      getattr(b.imu_preint, name)), name
+            assert (a.dvl_preint is None) == (b.dvl_preint is None)
+            for name in _DVL_FIELDS if a.dvl_preint is not None else ():
+                assert np.array_equal(getattr(a.dvl_preint, name),
+                                      getattr(b.dvl_preint, name)), name
+
+        resumed, rebuilt = results
         assert [row[:4] for row in resumed.status_rows] == \
-            [row[:4] for row in batch.status_rows]
+            [row[:4] for row in rebuilt.status_rows]
         # NaN (no per-frame solve) compares equal here
         np.testing.assert_array_equal([row[4] for row in resumed.status_rows],
-                                      [row[4] for row in batch.status_rows])
-        for a, b in zip(resumed.frames, batch.frames):
+                                      [row[4] for row in rebuilt.status_rows])
+        for a, b in zip(resumed.frames, rebuilt.frames):
             assert np.array_equal(a.nav.p, b.nav.p)
             assert np.array_equal(a.nav.R, b.nav.R)
         assert [r.iterations for r in resumed.solver_reports] == \
-            [r.iterations for r in batch.solver_reports]
-
+            [r.iterations for r in rebuilt.solver_reports]
     def test_acoustic_mode_builds_no_map(self):
         ds = self._dataset(4.0)
         tracker = Tracker(ds, self.ACOUSTIC)
@@ -429,7 +472,11 @@ class TestKeyframePreintegration:
         assert tracker.map == {}
         assert [row[3] for row in result.status_rows] == [0] * len(ds.frames)
 
-    def test_each_sample_is_integrated_once_per_keyframe(self, monkeypatch):
+    @pytest.mark.parametrize("mode", [
+        EstimatorMode.FULL, EstimatorMode.VISUAL_INERTIAL,
+        EstimatorMode.ACOUSTIC_INERTIAL_DEPTH], ids=lambda m: m.value)
+    def test_each_sample_is_integrated_once_per_keyframe(self, monkeypatch,
+                                                         mode):
         # counts what the benchmark's tracer counts at this entry point
         seen = {"calls": 0, "samples": 0}
         integrate = frontend.integrate_imu
@@ -441,7 +488,10 @@ class TestKeyframePreintegration:
 
         monkeypatch.setattr(frontend, "integrate_imu", counted)
         ds = self._dataset(6.0)
-        run_estimator(ds, self.ACOUSTIC)
+        result = run_estimator(ds, RunConfig(mode=mode))
+        if mode.uses_vision:
+            assert {f.status for f in result.frames} == {
+                TrackingStatus.VISUAL_OK, TrackingStatus.DEGRADED}
         # one call per frame after the first; a frame integrates again only
         # the sample of the keyframe preintegration's last, partial step
         assert seen["calls"] == len(ds.frames) - 1
@@ -473,61 +523,26 @@ class TestKeyframePreintegration:
         assert len(result.frames) == len(ds.frames)
 
     def test_each_interval_is_inverted_once(self, monkeypatch):
-        # window BA reads each interval's information from the interval,
-        # however many windows span it
-        inverted, in_window = [], []
-        inverse, window_ba = bk._safe_inverse, Tracker._window_ba
+        # the per-frame solve and every window BA over a keyframe pair read
+        # the information of one interval object
+        inverted = []
+        inverse = bk._safe_inverse
 
         def counted(cov):
-            if in_window:
-                inverted.append(cov)
+            inverted.append(id(cov))
             return inverse(cov)
 
-        def windowed(tracker):
-            in_window.append(True)
-            try:
-                window_ba(tracker)
-            finally:
-                in_window.pop()
-
         monkeypatch.setattr(bk, "_safe_inverse", counted)
-        monkeypatch.setattr(Tracker, "_window_ba", windowed)
-        tracker = Tracker(self._dataset(6.0), self.ACOUSTIC)
+        tracker = Recording(self._dataset(6.0), self.ACOUSTIC)
         tracker.run()
-        intervals = list(tracker.intervals.values())
         assert len(tracker.reports) > 3
-        assert len(inverted) == sum(1 + (d.dvl_preint is not None)
-                                    for d in intervals)
-        assert len({id(cov) for cov in inverted}) == len(inverted)
-
-    def test_dvl_matches_preintegrating_from_the_keyframe(self):
-        class Recording(Tracker):
-            def __init__(self, *args):
-                super().__init__(*args)
-                self.seen = []
-
-            def _dvl_preintegrate(self, kf, t, imu_pre):
-                pre = super()._dvl_preintegrate(kf, t, imu_pre)
-                self.seen.append(pre)
-                return pre
-
-        class Rebuilding(Recording):
-            def _dvl_preintegrate(self, kf, t, imu_pre):
-                self.kf_dvl = None
-                return super()._dvl_preintegrate(kf, t, imu_pre)
-
-        ds = self._dataset(5.0)
-        trackers = [cls(ds, self.ACOUSTIC) for cls in (Recording, Rebuilding)]
-        results = [tr.run() for tr in trackers]
-        resumed, rebuilt = (tr.seen for tr in trackers)
-        assert len(resumed) == len(rebuilt) == len(ds.frames) - 1
-        for a, b in zip(resumed, rebuilt):
-            for name in ("dp", "J_dp_dbv", "J_dp_dbg", "cov", "t_start",
-                         "t_end", "lin_bg", "lin_bv"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        for a, b in zip(results[0].frames, results[1].frames):
-            assert np.array_equal(a.nav.p, b.nav.p)
-            assert np.array_equal(a.nav.R, b.nav.R)
+        assert {id(d) for d in tracker.intervals.values()} <= \
+            {id(d) for d in tracker.seen}
+        # every frame after the first runs a per-frame solve; the intervals
+        # are kept, so no two covariances share an id
+        assert sorted(inverted) == sorted(
+            id(pre.cov) for d in tracker.seen
+            for pre in (d.imu_preint, d.dvl_preint))
 
     def test_each_dvl_sample_is_preintegrated_once_per_keyframe(self, monkeypatch):
         # counts what the benchmark's tracer counts at this entry point

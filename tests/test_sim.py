@@ -43,6 +43,8 @@ def test_written_dataset_reads_back_equal(written):
     assert len(back.imu) > 0 and len(back.frames) > 0
     assert any(not f.observations for f in back.frames)  # the blackout
     assert_same(ds, back)
+    # the benchmark compares the configs' reprs after the read-back
+    assert repr(back.config) == repr(ds.config)
 
 
 def test_same_seed_gives_identical_files(written, tmp_path):
