@@ -418,9 +418,9 @@ class TestKeyframePreintegration:
                                        seed=2,
                                        degradation_windows_s=((2.0, 4.0),)))
 
-    @pytest.mark.parametrize("mode", [EstimatorMode.ACOUSTIC_INERTIAL_DEPTH,
-                                      EstimatorMode.FULL])
-    def test_resuming_matches_rebuilding_every_frame(self, monkeypatch, mode):
+    def _resume_and_rebuild(self, monkeypatch, mode):
+        """Runs the tracker as is and with its interval rebuilt each frame;
+        returns both trackers' intervals and both results."""
         class Rebuilding(Recording):
             def _extend_interval(self, kf, t):
                 self.interval = None
@@ -444,15 +444,16 @@ class TestKeyframePreintegration:
         assert resumes[0] > 0 and resumes[1] == 0
         resumed, rebuilt = (tr.seen for tr in trackers)
         assert len(resumed) == len(rebuilt) == len(ds.frames) - 1
-        assert any(d.dvl_preint is not None for d in resumed)
+        return resumed, rebuilt, results
+
+    @pytest.mark.parametrize("mode", [EstimatorMode.ACOUSTIC_INERTIAL_DEPTH,
+                                      EstimatorMode.FULL])
+    def test_matches_integrating_from_the_keyframe(self, monkeypatch, mode):
+        resumed, rebuilt, results = self._resume_and_rebuild(monkeypatch, mode)
         for a, b in zip(resumed, rebuilt):
             for name in _IMU_FIELDS:
                 assert np.array_equal(getattr(a.imu_preint, name),
                                       getattr(b.imu_preint, name)), name
-            assert (a.dvl_preint is None) == (b.dvl_preint is None)
-            for name in _DVL_FIELDS if a.dvl_preint is not None else ():
-                assert np.array_equal(getattr(a.dvl_preint, name),
-                                      getattr(b.dvl_preint, name)), name
 
         resumed, rebuilt = results
         assert [row[:4] for row in resumed.status_rows] == \
@@ -465,6 +466,17 @@ class TestKeyframePreintegration:
             assert np.array_equal(a.nav.R, b.nav.R)
         assert [r.iterations for r in resumed.solver_reports] == \
             [r.iterations for r in rebuilt.solver_reports]
+
+    def test_dvl_matches_preintegrating_from_the_keyframe(self, monkeypatch):
+        resumed, rebuilt, _ = self._resume_and_rebuild(
+            monkeypatch, EstimatorMode.ACOUSTIC_INERTIAL_DEPTH)
+        assert any(d.dvl_preint is not None for d in resumed)
+        for a, b in zip(resumed, rebuilt):
+            assert (a.dvl_preint is None) == (b.dvl_preint is None)
+            for name in _DVL_FIELDS if a.dvl_preint is not None else ():
+                assert np.array_equal(getattr(a.dvl_preint, name),
+                                      getattr(b.dvl_preint, name)), name
+
     def test_acoustic_mode_builds_no_map(self):
         ds = self._dataset(4.0)
         tracker = Tracker(ds, self.ACOUSTIC)
