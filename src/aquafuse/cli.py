@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import datetime
 import json
 import math
@@ -63,12 +64,17 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _named(where: str, from_dict, data):
+    """``from_dict(data)``, naming ``where`` the data came from in errors."""
+    try:
+        return from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def _load_config(path: str, from_dict):
     """``from_dict`` of the JSON file at ``path``, naming it in errors."""
-    try:
-        return from_dict(_load_json(path))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return _named(path, from_dict, _load_json(path))
 
 
 # ------------------------------ trajectory io ------------------------------ #
@@ -85,22 +91,14 @@ def write_trajectory(path: str, frames: list[FrameState]) -> None:
 
 
 def load_trajectory(path: str) -> Trajectory:
+    """The poses of a ``trajectory.jsonl``, read as the dataset streams
+    are: a malformed line is named by file and line number."""
     ts, rs, ps = [], [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise sim.ParseError(f"{path}:{lineno}: invalid JSON") from exc
-            for key in ("t", "R", "p"):
-                if key not in rec:
-                    raise sim.ParseError(f"{path}:{lineno}: missing field '{key}'")
-            ts.append(float(rec["t"]))
-            rs.append(np.array(rec["R"], dtype=float).reshape(3, 3))
-            ps.append(np.array(rec["p"], dtype=float))
+    for lineno, rec in sim._read_jsonl(path):
+        ts.append(sim._parse_t(rec, path, lineno))
+        rs.append(np.array(sim._field_of(rec, "R", path, lineno),
+                           dtype=float).reshape(3, 3))
+        ps.append(np.array(sim._field_of(rec, "p", path, lineno), dtype=float))
     if not ts:
         raise sim.ParseError(f"{path}: empty trajectory")
     return Trajectory(np.array(ts), np.stack(rs), np.stack(ps))
@@ -227,9 +225,8 @@ def _worker_count() -> int:
 
 
 def _sweep_cell(cell):
-    dataset_dir, run_dir, run_cfg_data, mode, name = cell
-    cfg = run_config_from_dict(run_cfg_data)
-    cfg.mode = EstimatorMode(mode)
+    dataset_dir, run_dir, run_cfg, mode, name = cell
+    cfg = dataclasses.replace(run_cfg, mode=EstimatorMode(mode))
     ds = sim.read_dataset(dataset_dir)
     frames = _estimate_to_dir(ds, run_dir, cfg)
     # the poses of trajectory.jsonl, as JSON floats round-trip exactly
@@ -248,23 +245,32 @@ def cmd_sweep(args) -> int:
     if not (isinstance(scenarios, list) and scenarios):
         raise ValueError(f"{args.config}: expected an object with a nonempty "
                          "'scenarios' list")
+    # the whole spec is read before any dataset is written
+    run_cfg = _named(args.config, run_config_from_dict,
+                     spec.get("run_config", {}))
     modes = spec.get("modes", ["full"])
-    run_cfg_data = spec.get("run_config", {})
-    os.makedirs(args.out, exist_ok=True)
-
-    cells = []
+    if not isinstance(modes, list):
+        raise ValueError(f"{args.config}: 'modes' is not a list")
+    for k, mode in enumerate(modes):
+        _named(f"{args.config}: modes[{k}]", EstimatorMode, mode)
+    scenario_cfgs = []
     for entry in scenarios:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
             raise ValueError(f"{args.config}: scenario {entry!r} is not an "
                              "object with a 'name' string")
-        name = entry["name"]
-        s_cfg = sim.ScenarioConfig.from_dict(entry.get("config", {}))
+        scenario_cfgs.append((entry["name"], _named(
+            f"{args.config}: scenario {entry['name']}",
+            sim.ScenarioConfig.from_dict, entry.get("config", {}))))
+    os.makedirs(args.out, exist_ok=True)
+
+    cells = []
+    for name, s_cfg in scenario_cfgs:
         dataset_dir = os.path.join(args.out, name, "dataset")
         if not os.path.exists(dataset_dir):
             sim.write_dataset(sim.simulate(s_cfg), dataset_dir)
         for mode in modes:
             run_dir = os.path.join(args.out, name, mode)
-            cells.append((dataset_dir, run_dir, run_cfg_data, mode, name))
+            cells.append((dataset_dir, run_dir, run_cfg, mode, name))
 
     workers = min(_worker_count(), len(cells))
     if workers > 1:

@@ -3,10 +3,11 @@ translation preintegration, first-order bias updates and the DVL residuals,
 stacked over keyframe pairs.
 
 The preintegrated translation is the body-frame sum of rotated, bias-corrected
-velocity samples. Rotation checkpoints come from the IMU preintegration
-(:class:`aquafuse.imu.RotationCheckpoints`), which also supplies the
-gyro-bias Jacobians and rotation-noise covariances needed for the incremental
-bias Jacobians and the measurement covariance.
+velocity samples under a zero-order hold, over the span of an IMU
+preintegration whose rotation checkpoints at the hold starts give each hold's
+rotation, gyro-bias Jacobian and rotation-noise covariance. As in the IMU
+integrator, every per-hold term is computed over all holds at once and the
+sums are running sums.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imu import RotationCheckpoints, hold_intervals, _infer_t_end
+from .imu import ImuPreintegrated, _running_sums, held_steps, hold_intervals
 from .manifold import hat, hat_batch
 from .state import BG, BV, PHI, POS, STATE_DOF, VEL, StateStack, matvec
 
@@ -42,10 +43,14 @@ class DvlExtrinsics:
         object.__setattr__(self, "p_ID", np.asarray(self.p_ID, dtype=float))
 
 
+# the running sums of a DVL preintegration at the start of one hold, and
+# the time of the sample that hold holds
+DvlStepState = namedtuple("DvlStepState", "sample_t dp J_dp_dbv J_dp_dbg cov")
+
+
 @dataclass
 class DvlPreintegrated:
     dp: np.ndarray
-    dt_total: float
     lin_bg: np.ndarray
     lin_bv: np.ndarray
     J_dp_dbv: np.ndarray
@@ -53,87 +58,108 @@ class DvlPreintegrated:
     cov: np.ndarray
     t_start: float
     t_end: float
-    # (sample time, dp, J_dp_dbv, J_dp_dbg, cov) before the last hold step,
-    # from which ``preintegrate_dvl`` resumes
-    last_step: tuple | None = None
+    # per hold: its start, the translation sum before it and the velocity
+    # it adds, rotated into the frame at the span's start
+    step_t: np.ndarray
+    step_dp: np.ndarray
+    step_vel: np.ndarray
+    # the sums before the last hold, from which ``preintegrate_dvl`` resumes
+    last_step: DvlStepState
+
+    def translations_at(self, times) -> np.ndarray:
+        """The translation sum (n, 3) at each of ``times``: the sum before
+        the hold that starts at or before it, carried on with that hold's
+        velocity, as :meth:`ImuPreintegrated.rotations_at` carries the
+        rotation."""
+        k, delta = held_steps(self, times)
+        return self.step_dp[k] + self.step_vel[k] * delta[:, None]
 
 
-def preintegrate_dvl(samples, imu_rot_checkpoints: RotationCheckpoints,
+def preintegrate_dvl(samples, imu_preint: ImuPreintegrated,
                      ext: DvlExtrinsics, lin_bg, lin_bv,
-                     t_end: float | None = None,
                      sigma_v: float = 0.0,
                      resume: DvlPreintegrated | None = None) -> DvlPreintegrated:
-    """Translation preintegration of a DVL buffer at fixed bias linearization.
+    """Translation preintegration of a DVL buffer at fixed bias linearization
+    over the span of ``imu_preint`` (about the gyro bias ``lin_bg``): the
+    holds are ``hold_intervals`` of the span, the first extended back to its
+    start, as in ``integrate_imu``. The covariance adds, hold by hold, the
+    rotation-noise term and the white velocity noise ``sigma_v`` (per-sample
+    standard deviation).
 
-    ``imu_rot_checkpoints`` must be aligned to the DVL sample times (one
-    entry per sample). The covariance accumulates the rotation-noise term
-    (through the checkpoint phi covariances) and the white velocity noise
-    ``sigma_v`` (per-sample standard deviation).
-
-    ``resume`` extends an earlier preintegration about the same biases to
-    ``t_end``, as ``integrate_imu`` does: its last hold step is integrated
-    again from the sums stored before it, so ``samples`` must start at the
-    sample that step holds. The result equals one call over the whole span
-    bit for bit.
+    ``resume`` extends an earlier preintegration about the same biases,
+    from the same start, to the end of ``imu_preint``. Its last hold is
+    integrated again from the sums recorded before it, so ``samples`` must
+    start at the sample that hold holds. The result equals one call over
+    the whole span bit for bit.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("empty DVL sample buffer")
     times = np.array([s.t for s in samples], dtype=float)
-    if len(imu_rot_checkpoints.times) != len(samples):
-        raise ValueError("rotation checkpoints misaligned with DVL samples: "
-                         f"{len(imu_rot_checkpoints.times)} for {len(samples)}")
-    if np.max(np.abs(np.asarray(imu_rot_checkpoints.times) - times)) > 1e-9:
-        raise ValueError("rotation checkpoint times do not match DVL sample times")
     if np.any(np.diff(times) <= 0):
         raise ValueError("DVL timestamps must be strictly increasing")
-    if t_end is None:
-        t_end = _infer_t_end(times)
-
-    lin_bg = np.asarray(lin_bg, dtype=float)
-    lin_bv = np.asarray(lin_bv, dtype=float)
-    t_start, dp = float(times[0]), np.zeros(3)
-    j_bv, j_bg, cov = np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3))
-    if resume is not None:
+    lin_bg, lin_bv = (np.asarray(b, dtype=float) for b in (lin_bg, lin_bv))
+    t_start, t_end = imu_preint.t_start, imu_preint.t_end
+    if resume is None:
+        zero = np.zeros((3, 3))
+        first = DvlStepState(float("nan"), np.zeros(3), zero, zero, zero)
+        first_t, kept = t_start, 0
+    else:
         if not (np.array_equal(lin_bg, resume.lin_bg)
                 and np.array_equal(lin_bv, resume.lin_bv)
-                and times[0] == resume.last_step[0]):
-            raise ValueError("a preintegration resumes only about its own biases, "
-                             f"from its last step's sample t={resume.last_step[0]}")
-        t_start = resume.t_start
-        dp, j_bv, j_bg, cov = (a.copy() for a in resume.last_step[1:])
-    sv2 = sigma_v**2
+                and t_start == resume.t_start
+                and times[0] == resume.last_step.sample_t):
+            raise ValueError(
+                "a preintegration resumes only about its own biases and start, "
+                f"from the sample of its last hold (t={resume.last_step.sample_t})")
+        first, first_t = resume.last_step, float(resume.step_t[-1])
+        kept = len(resume.step_t) - 1
 
-    idx, _, dts = hold_intervals(times, float(times[0]), float(t_end))
-    last = None
-    for step, (k, dt) in enumerate(zip(idx, dts)):
-        if step == len(idx) - 1:
-            last = (samples[k].t, dp, j_bv.copy(), j_bg.copy(), cov.copy())
-        d_r = imu_rot_checkpoints.rotations[k]
-        j_rot = imu_rot_checkpoints.bias_jacobians[k]
-        cov_phi = imu_rot_checkpoints.phi_covs[k]
-        w = ext.R_ID @ (samples[k].vel - lin_bv)
-        dp = dp + d_r @ w * dt
-        j_bv += -(d_r @ ext.R_ID) * dt
-        j_bg += -(d_r @ hat(w) @ j_rot) * dt
-        rw = d_r @ hat(w)
-        cov += (rw @ cov_phi @ rw.T) * dt * dt
-        cov += (d_r @ ext.R_ID) @ (sv2 * np.eye(3)) @ (d_r @ ext.R_ID).T * dt * dt
+    idx, starts, dts = hold_intervals(times, first_t, t_end)
+    cps = imu_preint.checkpoints_at(starts)
+    d_r, dt1, dt = cps.rotations, dts[:, None], dts[:, None, None]
+    # R_ID @ v row by row: a (n, 3) @ (3, 3) product sums in another order
+    w = matvec(np.broadcast_to(ext.R_ID, d_r.shape),
+               np.array([samples[k].vel for k in idx]) - lin_bv)
+    vel = matvec(d_r, w)
+    d_r_ext = d_r @ ext.R_ID
+    rw = d_r @ hat_batch(w)
+    dp = _running_sums(first.dp, vel * dt1)
+    j_bv = _running_sums(first.J_dp_dbv, -d_r_ext * dt)
+    j_bg = _running_sums(first.J_dp_dbg, -(rw @ cps.bias_jacobians) * dt)
+
+    # with no noise entering and none carried in, the covariance stays zero
+    cov = last_cov = first.cov
+    sv2 = sigma_v**2
+    if sv2 or cps.phi_covs.any() or cov.any():
+        # each hold adds the rotation-noise term, then the velocity noise
+        terms = np.stack([rw @ cps.phi_covs @ rw.transpose(0, 2, 1),
+                          (d_r_ext * sv2) @ d_r_ext.transpose(0, 2, 1)], axis=1)
+        covs = _running_sums(cov, (terms * dt[:, None] * dt[:, None])
+                             .reshape(-1, 3, 3))
+        cov, last_cov = covs[-1], covs[-3]
+
+    last = DvlStepState(samples[idx[-1]].t, dp[-2], j_bv[-2], j_bg[-2], last_cov)
+
+    def steps(name, new):
+        # the resumed preintegration's holds before its last, then the new
+        return np.concatenate([getattr(resume, name)[:kept], new]) if kept else new
 
     return DvlPreintegrated(
-        dp=dp, dt_total=float(t_end - t_start),
-        lin_bg=lin_bg.copy(), lin_bv=lin_bv.copy(),
-        J_dp_dbv=j_bv, J_dp_dbg=j_bg, cov=cov,
-        t_start=t_start, t_end=float(t_end), last_step=last,
+        dp=dp[-1], lin_bg=lin_bg.copy(), lin_bv=lin_bv.copy(),
+        J_dp_dbv=j_bv[-1], J_dp_dbg=j_bg[-1], cov=cov,
+        t_start=t_start, t_end=t_end,
+        step_t=steps("step_t", starts), step_dp=steps("step_dp", dp[:-1]),
+        step_vel=steps("step_vel", vel), last_step=last,
     )
 
 
 def correct_dvl_bias(preint: DvlPreintegrated, new_bg, new_bv) -> np.ndarray:
-    """First-order update of the preintegrated translation for new biases;
-    never re-integrates."""
-    dbg = np.asarray(new_bg, dtype=float) - preint.lin_bg
-    dbv = np.asarray(new_bv, dtype=float) - preint.lin_bv
-    return preint.dp + preint.J_dp_dbv @ dbv + preint.J_dp_dbg @ dbg
+    """First-order update of the preintegrated translation for new biases,
+    the pair residuals' correction of one preintegration."""
+    return correct_dvl_bias_batch(stack_dvl_position_pairs([preint]),
+                                  np.asarray(new_bg, dtype=float)[None],
+                                  np.asarray(new_bv, dtype=float)[None])[0]
 
 
 def dvl_velocity_estimate(r: np.ndarray, v: np.ndarray, gyro: np.ndarray,
@@ -198,6 +224,16 @@ def stack_dvl_position_pairs(preints) -> DvlPositionPairData:
                                vecs[:, 2], jac0)
 
 
+def correct_dvl_bias_batch(d: DvlPositionPairData, bg, bv) -> np.ndarray:
+    """The stacked preintegrated translations (n, 3) corrected to first
+    order to the biases ``bg`` and ``bv`` (n, 3), skipped where that is an
+    exact no-op."""
+    dp, dbv, dbg = d.dp, bv - d.lin_bv, bg - d.lin_bg
+    if np.count_nonzero(dbv) + np.count_nonzero(dbg):
+        dp = dp + matvec(d.J_dp_dbv, dbv) + matvec(d.J_dp_dbg, dbg)
+    return dp
+
+
 def dvl_position_pair_residuals(st: StateStack, i, j, d: DvlPositionPairData,
                                 ext: DvlExtrinsics, with_jacobians: bool = True):
     """Relative-translation residuals of n state pairs against the
@@ -209,10 +245,7 @@ def dvl_position_pair_residuals(st: StateStack, i, j, d: DvlPositionPairData,
     # the translation difference is taken on its own before the lever arm
     # is added, so a common world shift of both states cancels exactly
     rel = matvec(r_it, (r_j @ ext.p_ID - r_i @ ext.p_ID) + dx[:, POS])
-    # correct_dvl_bias of each pair, skipped where it is an exact no-op
-    dp, dbv, dbg = d.dp, x_i[:, BV] - d.lin_bv, x_i[:, BG] - d.lin_bg
-    if np.count_nonzero(dbv) + np.count_nonzero(dbg):
-        dp = dp + matvec(d.J_dp_dbv, dbv) + matvec(d.J_dp_dbg, dbg)
+    dp = correct_dvl_bias_batch(d, x_i[:, BG], x_i[:, BV])
     res = np.concatenate([rel - dp, dx[:, BV]], axis=1)
     if not with_jacobians:
         return res, None

@@ -9,7 +9,7 @@ and standard deviation of the per-timestamp translation (meters) and rotation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,16 +61,9 @@ class ErrorReport:
     series_rotation_deg: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "sequence": self.sequence,
-            "length_m": self.length_m,
-            "translation_rmse_m": self.translation_rmse_m,
-            "translation_std_m": self.translation_std_m,
-            "rotation_rmse_deg": self.rotation_rmse_deg,
-            "rotation_std_deg": self.rotation_std_deg,
-            "n_matched": self.n_matched,
-            "n_unmatched": self.n_unmatched,
-        }
+        """The summary fields, without the series."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if not f.name.startswith("series_")}
 
     def csv_row(self) -> str:
         return (f"{self.sequence},{self.length_m:.3f},"

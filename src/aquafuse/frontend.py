@@ -28,10 +28,9 @@ from .dvl import (DvlExtrinsics, DvlPreintegrated, DvlSample,
                   correct_dvl_bias, preintegrate_dvl)
 from .evaluation import nearest_pairs
 from .imu import (ImuBias, ImuNoiseSpec, ImuPreintegrated, ImuSample,
-                  correct_imu_bias, hold_intervals, integrate_imu,
-                  predict_state_imu)
+                  correct_imu_bias, integrate_imu, predict_state_imu)
 from .manifold import Pose, hat, rotation_angle
-from .state import NavState, matvec
+from .state import NavState
 from .visual import IntensityField, PatchPattern, backproject, stereo_depth
 
 
@@ -213,9 +212,9 @@ class EstimationResult:
 
 
 def _span(times: np.ndarray, t0: float, t1: float) -> tuple[int, int]:
-    """Index of the last time at or before t0 (-1 if none), the first at or
+    """Index of the last time at or before t0 (0 if none), the first at or
     after t1."""
-    return (int(np.searchsorted(times, t0, side="right")) - 1,
+    return (max(int(np.searchsorted(times, t0, side="right")) - 1, 0),
             int(np.searchsorted(times, t1, side="left")))
 
 
@@ -233,8 +232,10 @@ class Tracker:
     Each frame extends the running IMU and (in DVL modes) DVL
     preintegrations from the current keyframe, one interval record, so each
     sample is integrated once per keyframe interval; the coarse tracker
-    starts from its inertial prediction. A keyframe pair keeps the interval
-    its frame solved with, so its covariances are inverted once.
+    starts from its inertial prediction. The DVL preintegration spans the
+    IMU's, from the keyframe to the frame, and is handed the DVL samples
+    that hold in it. A keyframe pair keeps the interval its frame solved
+    with, so its covariances are inverted once.
     Only the tracker reads which sensors a mode fuses: its window nodes
     and intervals carry only their measurements, so modes without vision
     build no landmark map and their windows hold keyframe states alone. All
@@ -259,8 +260,7 @@ class Tracker:
             sigma_bg_walk=max(scen.sigma_bg_walk_rad_s_sqrt_s, floors.sigma_bg_walk),
             sigma_ba_walk=max(scen.sigma_ba_walk_m_s2_sqrt_s, floors.sigma_ba_walk),
             sigma_bv_walk=max(scen.sigma_bv_walk_m_s_sqrt_s, floors.sigma_bv_walk))
-        self.imu_noise = ImuNoiseSpec(noise.sigma_g, noise.sigma_a,
-                                      noise.sigma_bg_walk, noise.sigma_ba_walk)
+        self.imu_noise = ImuNoiseSpec(noise.sigma_g, noise.sigma_a)
 
         self.imu_times = np.array([s.t for s in dataset.imu])
         self.dvl_times = np.array([s.t for s in dataset.dvl])
@@ -288,17 +288,12 @@ class Tracker:
     # ------------------------------------------------------------------ #
     def _imu_slice(self, t0: float, t1: float) -> list[ImuSample]:
         i0, i1 = _span(self.imu_times, t0, t1)
-        i0 = max(i0, 0)
         return self.ds.imu[i0:max(i1, i0 + 1)]
 
     def _dvl_slice(self, t0: float, t1: float) -> list[DvlSample]:
-        """DVL samples covering [t0, t1); the sample holding at t0 is clamped
-        to start the buffer exactly at t0."""
+        """DVL samples holding in [t0, t1)."""
         i0, i1 = _span(self.dvl_times, t0, t1)
-        samples = list(self.ds.dvl[max(i0, 0):i1])
-        if samples and samples[0].t < t0:
-            samples[0] = DvlSample(t0, samples[0].vel)
-        return samples
+        return self.ds.dvl[i0:i1]
 
     def _extend_interval(self, kf: bk.KeyframeNode, t: float) -> bk.IntervalData:
         """The running interval extended to ``t``, restarted from ``kf`` once
@@ -319,12 +314,11 @@ class Tracker:
         dvl, dvl_run = None, None if run is None else run.dvl_preint
         if self.cfg.mode.uses_dvl:
             samples = self._dvl_slice(
-                kf.t if dvl_run is None else dvl_run.last_step[0], t)
+                kf.t if dvl_run is None else dvl_run.step_t[-1], t)
             if samples:
-                dvl = preintegrate_dvl(
-                    samples, imu.checkpoints_at([x.t for x in samples]),
-                    self.rig.dvl, s.bg, s.bv, t_end=t,
-                    sigma_v=self.noise.sigma_dvl, resume=dvl_run)
+                dvl = preintegrate_dvl(samples, imu, self.rig.dvl, s.bg, s.bv,
+                                       sigma_v=self.noise.sigma_dvl,
+                                       resume=dvl_run)
         self.interval = bk.IntervalData(imu, dvl)
         return self.interval
 
@@ -530,7 +524,8 @@ def run_estimator(dataset, cfg: RunConfig) -> EstimationResult:
 
 def run_dead_reckoning(dataset, cfg: RunConfig) -> EstimationResult:
     """Pure dead reckoning: gyro-chained attitude plus summed DVL velocities,
-    both at the initial bias estimates. No optimization."""
+    both at the initial bias estimates. No optimization. One IMU and one DVL
+    preintegration span the frames, read at each frame's time."""
     from .sim import sensor_rig_from_config
 
     rig = sensor_rig_from_config(dataset.config)
@@ -538,30 +533,17 @@ def run_dead_reckoning(dataset, cfg: RunConfig) -> EstimationResult:
     frames = dataset.frames
     t0 = frames[0].t
     t_last = max(frames[-1].t, t0 + 1e-9)
-    pre = integrate_imu(dataset.imu, ImuBias(gt0.bg.copy(), gt0.ba.copy()),
+    imu = integrate_imu(dataset.imu, ImuBias(gt0.bg.copy(), gt0.ba.copy()),
                         ImuNoiseSpec(), t_start=t0, t_end=t_last)
-
-    # each DVL hold's world-frame velocity and the running sum of the
-    # displacements
-    dvl_times = np.array([s.t for s in dataset.dvl])
-    idx, starts, dts = hold_intervals(dvl_times, t0, t_last)
-    vel = np.array([dataset.dvl[k].vel for k in idx]).reshape(-1, 3) - gt0.bv
-    hold_vel = matvec(gt0.R @ pre.rotations_at(starts) @ rig.dvl.R_ID, vel)
-    hold_pos = np.cumsum(np.concatenate([gt0.p[None], hold_vel * dts[:, None]]),
-                         axis=0)
-
-    def pos_at(t: float) -> np.ndarray:
-        k = int(np.searchsorted(starts, t, side="right")) - 1
-        if k < 0:
-            return hold_pos[0].copy()
-        return hold_pos[k] + hold_vel[k] * min(t - starts[k], dts[k])
+    dvl = preintegrate_dvl(dataset.dvl, imu, rig.dvl, gt0.bg, gt0.bv)
 
     # the frame times by index: the frames are iterated once, below
     times = np.array([frames[k].t for k in range(len(frames))])
-    rots = gt0.R @ pre.rotations_at(np.minimum(times, pre.t_end))
+    rots = gt0.R @ imu.rotations_at(times)
+    positions = gt0.p + dvl.translations_at(times) @ gt0.R.T
     frames_out = []
-    for r, frame in zip(rots, frames):
-        nav = NavState(r, pos_at(frame.t), np.zeros(3), gt0.bg, gt0.ba, gt0.bv)
+    for r, p, frame in zip(rots, positions, frames):
+        nav = NavState(r, p, np.zeros(3), gt0.bg, gt0.ba, gt0.bv)
         frames_out.append(FrameState(frame.frame_id, frame.t, nav,
                                      TrackingStatus.DEAD_RECKON, 0))
     return EstimationResult(frames_out, [])

@@ -54,51 +54,28 @@ class ImuBias:
 
 @dataclass(frozen=True)
 class ImuNoiseSpec:
-    """White-noise densities (per sqrt(Hz)) and bias random-walk densities."""
+    """White-noise densities (per sqrt(Hz)); the bias random walks enter the
+    window as factors of their own (``backend.SensorNoise``)."""
 
     sigma_g: float = 0.0
     sigma_a: float = 0.0
-    sigma_bg_walk: float = 0.0
-    sigma_ba_walk: float = 0.0
 
     def __post_init__(self):
-        if min(self.sigma_g, self.sigma_a, self.sigma_bg_walk, self.sigma_ba_walk) < 0:
+        if min(self.sigma_g, self.sigma_a) < 0:
             raise ValueError("noise densities must be nonnegative")
 
 
-@dataclass
-class RotationCheckpoints:
-    """Preintegrated-rotation state sampled at a set of times: the relative
-    rotation since the buffer start, its gyro-bias Jacobian and the covariance
-    of the rotation-vector noise."""
-
-    times: np.ndarray
-    rotations: np.ndarray        # (n, 3, 3)
-    bias_jacobians: np.ndarray   # (n, 3, 3)
-    phi_covs: np.ndarray         # (n, 3, 3)
+# preintegrated-rotation state at n times: the relative rotation since the
+# buffer start, its gyro-bias Jacobian and the covariance of the
+# rotation-vector noise, each (n, 3, 3)
+RotationCheckpoints = namedtuple("RotationCheckpoints",
+                                 "times rotations bias_jacobians phi_covs")
 
 
-@dataclass(frozen=True)
-class ImuStepState:
-    """The running sums of a preintegration at the start of one step, and
-    the time of the sample that step holds."""
-
-    sample_t: float
-    dR: np.ndarray
-    dv: np.ndarray
-    dp: np.ndarray
-    J_dR_dbg: np.ndarray
-    J_dv_dbg: np.ndarray
-    J_dv_dba: np.ndarray
-    J_dp_dbg: np.ndarray
-    J_dp_dba: np.ndarray
-    cov: np.ndarray
-
-    @staticmethod
-    def initial() -> "ImuStepState":
-        zero = np.zeros((3, 3))
-        return ImuStepState(float("nan"), np.eye(3), np.zeros(3), np.zeros(3),
-                            zero, zero, zero, zero, zero, np.zeros((9, 9)))
+# the running sums of a preintegration at the start of one step, and the
+# time of the sample that step holds
+ImuStepState = namedtuple("ImuStepState", "sample_t dR dv dp J_dR_dbg J_dv_dbg "
+                          "J_dv_dba J_dp_dbg J_dp_dba cov")
 
 
 @dataclass
@@ -127,18 +104,9 @@ class ImuPreintegrated:
     last_step: ImuStepState | None = None
 
     def _held(self, times):
-        """For each of ``times``: the last step that starts at or before it,
-        the hold since that step's start (0 within 1e-9 s of it), the held
-        rotation vector and its exponential."""
-        tol = 1e-9
-        times = np.asarray(times, dtype=float)
-        if np.count_nonzero((times < self.t_start - tol) | (times > self.t_end + tol)):
-            raise ValueError(f"times {times.min()}..{times.max()} outside the "
-                             f"preintegration span [{self.t_start}, {self.t_end}]")
-        k = np.maximum(np.searchsorted(self.step_t, times + tol) - 1, 0)
-        delta = times - self.step_t[k]
-        # a zero hold is exact: its exponential and right Jacobian are I
-        delta = np.where(delta > tol, delta, 0.0)
+        """``held_steps`` of ``times``, the held rotation vector and its
+        exponential."""
+        k, delta = held_steps(self, times)
         phi = self.step_omega[k] * delta[:, None]
         return k, delta[:, None, None], phi, exp_so3_batch(phi)
 
@@ -158,6 +126,21 @@ class ImuPreintegrated:
             et @ self.step_J[k] - jr * dt,
             et @ self.step_phi_cov[k] @ e
             + (self.noise.sigma_g**2) * dt * (jr @ jr.transpose(0, 2, 1)))
+
+
+def held_steps(pre, times) -> tuple[np.ndarray, np.ndarray]:
+    """For each of ``times`` within the span of the preintegration ``pre``:
+    the last step that starts at or before it (``pre.step_t``), and the
+    hold since that step's start, 0 within 1e-9 s of it."""
+    tol = 1e-9
+    times = np.asarray(times, dtype=float)
+    if np.count_nonzero((times < pre.t_start - tol) | (times > pre.t_end + tol)):
+        raise ValueError(f"times {times.min()}..{times.max()} outside the "
+                         f"preintegration span [{pre.t_start}, {pre.t_end}]")
+    k = np.maximum(np.searchsorted(pre.step_t, times + tol) - 1, 0)
+    delta = times - pre.step_t[k]
+    # a zero hold is exact: it adds nothing, and its exponential is I
+    return k, np.where(delta > tol, delta, 0.0)
 
 
 def hold_intervals(times: np.ndarray, t_start: float, t_end: float):
@@ -227,9 +210,10 @@ def integrate_imu(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
     if resume is None:
         if t_start is None:
             t_start = float(times[0])
-        first = ImuStepState.initial()
-        first_t = t_start
-        kept = 0
+        zero = np.zeros((3, 3))
+        first = ImuStepState(float("nan"), np.eye(3), np.zeros(3), np.zeros(3),
+                             zero, zero, zero, zero, zero, np.zeros((9, 9)))
+        first_t, kept = t_start, 0
     else:
         _check_resume(resume, times[0], lin_bias, noise, t_start)
         t_start = resume.t_start

@@ -1,7 +1,7 @@
 """Shared test utilities: finite-difference Jacobians, discrete-time world
 generators (oracles for the zero-order-hold integrators), per-step
-reference forms of the array-coded integrators, the scalar Huber kernel,
-DVL dead reckoning, and random states."""
+reference forms of the array-coded integrators and of dead reckoning, the
+scalar Huber kernel, DVL dead reckoning, and random states."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from aquafuse.dvl import DvlExtrinsics, DvlSample
 from aquafuse.imu import (ImuBias, ImuNoiseSpec, ImuSample, _infer_t_end,
                           hold_intervals)
 from aquafuse.manifold import SMALL_ANGLE, exp_so3, hat
-from aquafuse.state import NavState
+from aquafuse.state import NavState, matvec
 from aquafuse.visual import BehindCameraError
 
 
@@ -218,6 +218,57 @@ def checkpoint_reference(pre, s: float):
     jr = right_jacobian_reference(pre.step_omega[k] * delta)
     return (d_r @ e, e.T @ jac - jr * delta,
             e.T @ cov @ e + pre.noise.sigma_g**2 * delta * (jr @ jr.T))
+
+
+def preintegrate_dvl_reference(samples, checkpoints, ext: DvlExtrinsics,
+                               lin_bg, lin_bv, t_end: float,
+                               sigma_v: float = 0.0) -> SimpleNamespace:
+    """DVL translation preintegration one hold at a time, from rotation
+    checkpoints aligned to the sample times (one per sample), over
+    [first sample time, t_end]: the sums, the bias Jacobians and the
+    covariance, under the names of ``DvlPreintegrated``."""
+    samples = list(samples)
+    if len(checkpoints.times) != len(samples):
+        raise ValueError("rotation checkpoints misaligned with DVL samples")
+    times = np.array([s.t for s in samples], dtype=float)
+    lin_bv = np.asarray(lin_bv, dtype=float)
+    dp = np.zeros(3)
+    j_bv, j_bg, cov = np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3))
+    sv2 = sigma_v**2
+    idx, _, dts = hold_intervals_reference(times, float(times[0]), t_end)
+    for k, dt in zip(idx, dts):
+        d_r = checkpoints.rotations[k]
+        j_rot = checkpoints.bias_jacobians[k]
+        cov_phi = checkpoints.phi_covs[k]
+        w = ext.R_ID @ (samples[k].vel - lin_bv)
+        dp = dp + d_r @ w * dt
+        j_bv += -(d_r @ ext.R_ID) * dt
+        j_bg += -(d_r @ hat(w) @ j_rot) * dt
+        rw = d_r @ hat(w)
+        cov += (rw @ cov_phi @ rw.T) * dt * dt
+        cov += (d_r @ ext.R_ID) @ (sv2 * np.eye(3)) @ (d_r @ ext.R_ID).T * dt * dt
+    return SimpleNamespace(dp=dp, J_dp_dbv=j_bv, J_dp_dbg=j_bg, cov=cov,
+                           t_start=float(times[0]), t_end=float(t_end))
+
+
+def dead_reckoning_positions_reference(dvl, imu_preint, ext: DvlExtrinsics,
+                                       r0, p0, bv, times) -> np.ndarray:
+    """World positions (n, 3) at ``times`` from p0, summing each DVL hold
+    over the span of ``imu_preint`` as a world-frame displacement: the
+    hold's velocity rotated by r0 and the preintegrated rotation at the
+    hold's start."""
+    idx, starts, dts = hold_intervals(np.array([s.t for s in dvl]),
+                                      imu_preint.t_start, imu_preint.t_end)
+    vel = np.array([dvl[k].vel for k in idx]).reshape(-1, 3) - bv
+    hold_vel = matvec(r0 @ imu_preint.rotations_at(starts) @ ext.R_ID, vel)
+    hold_pos = np.cumsum(np.concatenate([p0[None], hold_vel * dts[:, None]]),
+                         axis=0)
+    out = []
+    for t in times:
+        k = int(np.searchsorted(starts, t, side="right")) - 1
+        out.append(hold_pos[0] if k < 0 else
+                   hold_pos[k] + hold_vel[k] * min(t - starts[k], dts[k]))
+    return np.array(out)
 
 
 # ------------- scalar references for the solver and the DVL model ------------- #

@@ -17,8 +17,7 @@ from helpers import (discrete_imu_world, dvl_samples_from_world,
                      fd_jacobian, huber_cost, jac_close, project,
                      random_nav_state, robust_weight)
 
-NOISY = ImuNoiseSpec(sigma_g=2e-4, sigma_a=2e-3,
-                     sigma_bg_walk=1e-5, sigma_ba_walk=1e-4)
+NOISY = ImuNoiseSpec(sigma_g=2e-4, sigma_a=2e-3)
 # the sensor noise the window factors of these scenes assume
 NOISE = bk.SensorNoise(sigma_pixel=0.5, sigma_dvl=0.01, sigma_pressure=0.01,
                        sigma_bg_walk=1e-5, sigma_ba_walk=1e-4,
@@ -92,9 +91,8 @@ def make_scene(rng, n_kf=3, n_lm=8, kf_steps=40, pixel_noise=0.0,
         dvl = dvl_samples_from_world(dvl_states, dvl_times, dvl_every * dt,
                                      rig.dvl)
         from aquafuse.dvl import preintegrate_dvl
-        cps = pre.checkpoints_at(dvl_times)
-        dvl_pre = preintegrate_dvl(dvl, cps, rig.dvl, np.zeros(3), np.zeros(3),
-                                   t_end=t1, sigma_v=0.01)
+        dvl_pre = preintegrate_dvl(dvl, pre, rig.dvl, np.zeros(3), np.zeros(3),
+                                   sigma_v=0.01)
         intervals[(k, k + 1)] = bk.IntervalData(pre, dvl_pre)
     # velocity-factor measurements: exactly what a noiseless DVL reads at
     # the keyframe instants

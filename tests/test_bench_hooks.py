@@ -1,8 +1,10 @@
 """What the benchmark in ``perfbench/`` needs of the program: it wraps the
-entry points of ``perfbench/tracing.py``, reports one factor count per
-``backend.factors.*`` metric of ``BENCHMARK.json``, and clocks each frame as
-the estimator iterates the dataset's frames, once. A change in the program
-that breaks any of these fails here, not only in a benchmark run."""
+entry points of ``perfbench/tracing.py``, counts the DVL samples of each
+preintegration as the length of its first argument, reports one factor
+count per ``backend.factors.*`` metric of ``BENCHMARK.json``, and clocks
+each frame as the estimator iterates the dataset's frames, once. A change
+in the program that breaks any of these fails here, not only in a
+benchmark run."""
 
 import importlib.util
 import json
@@ -10,6 +12,7 @@ import pathlib
 
 import pytest
 
+from aquafuse import frontend
 from aquafuse.backend import FactorKind
 from aquafuse.frontend import EstimatorMode, RunConfig, run_estimator
 from aquafuse.sim import ScenarioConfig, simulate
@@ -59,3 +62,29 @@ def test_each_mode_iterates_the_frames_once(mode):
     result = run_estimator(ds, RunConfig(mode=mode))
     assert len(result.frames) == len(ds.frames)
     assert ds.frames.iterations == 1
+
+
+@pytest.mark.parametrize("mode", [EstimatorMode.FULL,
+                                  EstimatorMode.ACOUSTIC_INERTIAL_DEPTH,
+                                  EstimatorMode.DVL_DEADRECKON])
+def test_dvl_preintegration_gets_the_samples_first(mode, monkeypatch):
+    # the tracer counts DVL samples as len(args[0]) of each call
+    ds = simulate(ScenarioConfig(kind="circle", duration_s=1.5, seed=3,
+                                 degradation_windows_s=((0.5, 0.8),)))
+    index = {id(s): k for k, s in enumerate(ds.dvl)}
+    calls = []
+    preintegrate = frontend.preintegrate_dvl
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return preintegrate(*args, **kwargs)
+
+    monkeypatch.setattr(frontend, "preintegrate_dvl", recorded)
+    run_estimator(ds, RunConfig(mode=mode))
+    assert calls
+    for args in calls:
+        assert isinstance(args[0], list) and args[0]
+        held = [index[id(s)] for s in args[0]]
+        assert held == list(range(held[0], held[0] + len(held)))
+    if mode is EstimatorMode.DVL_DEADRECKON:
+        assert [len(args[0]) for args in calls] == [len(ds.dvl)]

@@ -167,8 +167,8 @@ def test_no_run_config_setting_is_overwritten(dataset, monkeypatch):
     noise = tracker.noise
     for name, value in scenario_noise.items():
         assert getattr(noise, name) == max(value, given[f"floors.{name}"])
-    assert dataclasses.astuple(tracker.imu_noise) == (
-        noise.sigma_g, noise.sigma_a, noise.sigma_bg_walk, noise.sigma_ba_walk)
+    assert dataclasses.astuple(tracker.imu_noise) == (noise.sigma_g,
+                                                      noise.sigma_a)
 
     # window and per-frame solves take the run's settings and that noise
     seen = []
@@ -291,6 +291,37 @@ class TestInputErrors:
         assert cli.main(["sweep", "--config", str(path),
                          "--out", str(tmp_path / "sweep")]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, named", [
+        ({"modes": ["full", "sonar"]}, "modes[1]"),
+        ({"modes": "full"}, "modes"),
+        ({"run_config": {"tracker": {"tau_p": "x"}}}, "tracker.tau_p"),
+        ({"scenarios": [{"name": "a", "config": {"duration_s": 2.0}},
+                        {"name": "b", "config": {"seed": 1.5}}]}, "scenario b"),
+    ], ids=["unknown-mode", "modes-not-a-list", "run-config", "second-scenario"])
+    def test_sweep_spec_is_checked_before_any_dataset(self, tmp_path, capsys,
+                                                      change, named):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({
+            "scenarios": [{"name": "a", "config": {"duration_s": 2.0}}],
+            **change}))
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(path),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t", ["soon", None, [0.5]])
+    def test_malformed_trajectory_names_the_line(self, dataset, tmp_path,
+                                                 capsys, t):
+        good = {"t": "0.0", "R": np.eye(3).ravel().tolist(), "p": [0, 0, 0]}
+        path = tmp_path / "trajectory.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "t": t})
+                        + "\n")
+        assert cli.main(["evaluate", "--truth", str(dataset), str(path),
+                         "--out", str(tmp_path / "report")]) == 2
+        assert f"{path}:2: bad timestamp" in capsys.readouterr().err
 
     def test_bad_arguments(self):
         with pytest.raises(SystemExit) as exc:

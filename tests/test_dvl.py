@@ -8,15 +8,20 @@ from aquafuse.dvl import (DvlExtrinsics, DvlSample, correct_dvl_bias,
                           dvl_position_pair_residuals, dvl_velocity_estimate,
                           dvl_velocity_pair_residuals, preintegrate_dvl,
                           stack_dvl_position_pairs, stack_dvl_velocity_pairs)
-from aquafuse.imu import ImuBias, ImuNoiseSpec, integrate_imu
+from aquafuse.frontend import EstimatorMode, RunConfig, run_estimator
+from aquafuse.imu import ImuBias, ImuNoiseSpec, ImuSample, integrate_imu
 from aquafuse.manifold import exp_so3
+from aquafuse.sim import ScenarioConfig, sensor_rig_from_config, simulate
 from aquafuse.state import BG, BV, PHI, POS, VEL, NavState, stack_states
 
-from helpers import (DvlBias, dead_reckon_dvl, discrete_imu_world,
-                     dvl_samples_from_world, random_nav_state, random_rotation)
+from helpers import (DvlBias, dead_reckon_dvl,
+                     dead_reckoning_positions_reference, discrete_imu_world,
+                     dvl_samples_from_world, preintegrate_dvl_reference,
+                     random_nav_state, random_rotation)
 
 IDENTITY_EXT = DvlExtrinsics(np.eye(3), np.zeros(3))
 QUIET = ImuNoiseSpec()
+NOISY = ImuNoiseSpec(sigma_g=2e-4, sigma_a=2e-3)
 
 
 def velocity_residual(state_i, state_m, gyro_i, gyro_m, meas_i, meas_m, ext,
@@ -53,10 +58,18 @@ def _uniform_dvl(n, dt, vel):
     return [DvlSample(k * dt, vel) for k in range(n)]
 
 
+def _still_imu(t_end):
+    """An IMU preintegration over [0, t_end] of a body at rest: every
+    rotation checkpoint is exactly I."""
+    samples = [ImuSample(0.01 * k, np.zeros(3), np.zeros(3))
+               for k in range(int(round(t_end / 0.01)))]
+    return integrate_imu(samples, ImuBias.zero(), QUIET, t_end=t_end)
+
+
 def _world_with_dvl(rng, n_imu=100, dvl_every=10, ext=IDENTITY_EXT,
                     bv=np.zeros(3)):
-    """Discrete world, its IMU preintegration checkpoints at the DVL times
-    and DVL samples exactly consistent with the world displacements."""
+    """Discrete world, its IMU preintegration and DVL samples exactly
+    consistent with the world displacements."""
     samples, states, g = discrete_imu_world(rng, n=n_imu)
     t_end = n_imu * 0.01
     pre = integrate_imu(samples, ImuBias.zero(), QUIET, t_end=t_end)
@@ -65,8 +78,7 @@ def _world_with_dvl(rng, n_imu=100, dvl_every=10, ext=IDENTITY_EXT,
     dvl_states = [states[k] for k in dvl_idx] + [states[-1]]
     dvl = dvl_samples_from_world(dvl_states, dvl_times, dvl_every * 0.01,
                                  ext, bias=bv)
-    checkpoints = pre.checkpoints_at(dvl_times)
-    return samples, states, pre, dvl, checkpoints, t_end
+    return samples, states, pre, dvl, t_end
 
 
 class TestDeadReckon:
@@ -104,23 +116,18 @@ class TestDeadReckon:
 
 
 class TestPreintegrate:
-    def test_identity_checkpoints_straight_line(self, rng):
-        samples, _, pre, _, _, _ = _world_with_dvl(rng)
+    def test_identity_checkpoints_straight_line(self):
         dvl = _uniform_dvl(10, 0.1, np.array([1.0, 0, 0]))
-        cps = pre.checkpoints_at([s.t for s in dvl])
-        cps.rotations[:] = np.eye(3)
-        out = preintegrate_dvl(dvl, cps, IDENTITY_EXT, np.zeros(3), np.zeros(3),
-                               t_end=1.0)
+        out = preintegrate_dvl(dvl, _still_imu(1.0), IDENTITY_EXT, np.zeros(3),
+                               np.zeros(3))
         assert_allclose(out.dp, [1.0, 0, 0], atol=1e-14)
+        assert (out.t_start, out.t_end) == (0.0, 1.0)
 
-    def test_linearization_bias_cancels(self, rng):
-        samples, _, pre, _, _, _ = _world_with_dvl(rng)
+    def test_linearization_bias_cancels(self):
         vel = np.array([1.0, 0, 0])
         dvl = _uniform_dvl(10, 0.1, vel)
-        cps = pre.checkpoints_at([s.t for s in dvl])
-        cps.rotations[:] = np.eye(3)
-        out = preintegrate_dvl(dvl, cps, IDENTITY_EXT, np.zeros(3), vel,
-                               t_end=1.0)
+        out = preintegrate_dvl(dvl, _still_imu(1.0), IDENTITY_EXT, np.zeros(3),
+                               vel)
         assert_allclose(out.dp, np.zeros(3), atol=1e-15)
 
     def test_matches_dead_reckoning_oracle(self, rng):
@@ -128,70 +135,169 @@ class TestPreintegrate:
         # relative translation are the same sum expressed in frame i
         ext = DvlExtrinsics(random_rotation(rng), rng.normal(size=3) * 0.3)
         for _ in range(20):
-            samples, states, pre, dvl, cps, t_end = _world_with_dvl(
-                rng, ext=ext)
-            out = preintegrate_dvl(dvl, cps, ext, np.zeros(3), np.zeros(3),
-                                   t_end=t_end)
+            samples, states, pre, dvl, t_end = _world_with_dvl(rng, ext=ext)
+            out = preintegrate_dvl(dvl, pre, ext, np.zeros(3), np.zeros(3))
             r_wi = states[0].R
-            rotations = [r_wi @ cps.rotations[k] @ ext.R_ID
-                         for k in range(len(dvl))]
+            rotations = [r_wi @ r @ ext.R_ID
+                         for r in pre.rotations_at([s.t for s in dvl])]
             p0 = rng.normal(size=3)
             p_m = dead_reckon_dvl(p0, rotations, dvl, DvlBias.zero(),
                                   t_end=t_end)
             assert np.linalg.norm(out.dp - r_wi.T @ (p_m - p0)) < 1e-12
 
-    def test_misaligned_checkpoints_rejected(self, rng):
-        samples, _, pre, dvl, cps, t_end = _world_with_dvl(rng)
-        with pytest.raises(ValueError):
-            preintegrate_dvl(dvl[:-1], cps, IDENTITY_EXT, np.zeros(3),
-                             np.zeros(3), t_end=t_end)
-
     def test_empty_samples_rejected(self, rng):
-        samples, _, pre, dvl, cps, _ = _world_with_dvl(rng)
+        samples, _, pre, dvl, _ = _world_with_dvl(rng)
         with pytest.raises(ValueError):
-            preintegrate_dvl([], cps, IDENTITY_EXT, np.zeros(3), np.zeros(3))
+            preintegrate_dvl([], pre, IDENTITY_EXT, np.zeros(3), np.zeros(3))
+
+
+class TestAgainstReference:
+    """The array form against the per-hold loop of
+    ``helpers.preintegrate_dvl_reference``, whose checkpoints are taken at
+    the sample times with the first sample moved to the span's start."""
+
+    FIELDS = ("dp", "J_dp_dbv", "J_dp_dbg", "cov", "t_start", "t_end")
+
+    @staticmethod
+    def _compare(dvl, pre, ext, bg, bv, sigma_v):
+        got = preintegrate_dvl(dvl, pre, ext, bg, bv, sigma_v=sigma_v)
+        # the buffer of the loop: the samples holding in the span, the
+        # first moved to its start
+        held = [s for k, s in enumerate(dvl)
+                if s.t < pre.t_end and (k + 1 == len(dvl)
+                                        or dvl[k + 1].t > pre.t_start)]
+        held[0] = DvlSample(pre.t_start, held[0].vel)
+        want = preintegrate_dvl_reference(
+            held, pre.checkpoints_at([s.t for s in held]), ext, bg, bv,
+            pre.t_end, sigma_v)
+        for name in TestAgainstReference.FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.array_equal(a, b) or np.allclose(
+                a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max()), name
+        return got
+
+    @staticmethod
+    def _setup(rng, n_imu=120):
+        samples, _, _ = discrete_imu_world(rng, n=n_imu)
+        ext = DvlExtrinsics(random_rotation(rng), rng.normal(size=3) * 0.2)
+        bg, bv = rng.normal(size=3) * 0.01, rng.normal(size=3) * 0.02
+        return samples, ext, bg, bv
+
+    @pytest.mark.parametrize("sigma_v", [0.0, 0.02])
+    def test_irregular_sample_times(self, rng, sigma_v):
+        samples, ext, bg, bv = self._setup(rng)
+        pre = integrate_imu(samples, ImuBias(bg, np.zeros(3)), NOISY,
+                            t_end=1.2)
+        times = np.cumsum(rng.uniform(0.01, 0.2, size=12))
+        times = times[times < 1.2] - times[0]
+        dvl = [DvlSample(t, rng.normal(size=3)) for t in times]
+        self._compare(dvl, pre, ext, bg, bv, sigma_v)
+
+    def test_first_sample_before_the_span(self, rng):
+        samples, ext, bg, bv = self._setup(rng)
+        pre = integrate_imu(samples[23:], ImuBias(bg, np.zeros(3)), NOISY,
+                            t_start=0.234, t_end=0.91)
+        dvl = [DvlSample(0.1 * k, rng.normal(size=3)) for k in range(12)]
+        got = self._compare(dvl, pre, ext, bg, bv, 0.02)
+        assert got.step_t[0] == got.t_start == 0.234
+        assert got.last_step.sample_t == 0.9
+
+    def test_zero_length_last_hold(self, rng):
+        # a sample at the span's end holds for no time and adds nothing
+        samples, ext, bg, bv = self._setup(rng)
+        pre = integrate_imu(samples, ImuBias(bg, np.zeros(3)), NOISY,
+                            t_end=0.9)
+        dvl = [DvlSample(0.1 * k, rng.normal(size=3)) for k in range(10)]
+        got = self._compare(dvl, pre, ext, bg, bv, 0.02)
+        shorter = preintegrate_dvl(dvl[:-1], pre, ext, bg, bv, sigma_v=0.02)
+        assert len(got.step_t) == 9
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(shorter, name))
+
+    def test_zero_noise_leaves_the_covariance_zero(self, rng):
+        samples, ext, bg, bv = self._setup(rng)
+        pre = integrate_imu(samples, ImuBias(bg, np.zeros(3)), QUIET,
+                            t_end=1.2)
+        dvl = [DvlSample(0.1 * k, rng.normal(size=3)) for k in range(12)]
+        assert not self._compare(dvl, pre, ext, bg, bv, 0.0).cov.any()
+
+
+class TestTranslationsAt:
+    def test_hold_ends_are_the_sums(self, rng):
+        _, _, pre, dvl, t_end = _world_with_dvl(rng, dvl_every=7)
+        out = preintegrate_dvl(dvl, pre, IDENTITY_EXT, np.zeros(3),
+                               np.zeros(3))
+        assert np.array_equal(out.translations_at([0.0]), np.zeros((1, 3)))
+        assert_allclose(out.translations_at([t_end])[0], out.dp, atol=1e-15)
+        assert_allclose(out.translations_at(out.step_t), out.step_dp,
+                        atol=0.0)
+
+    def test_within_a_hold_the_velocity_is_held(self, rng):
+        _, _, pre, dvl, _ = _world_with_dvl(rng, dvl_every=10)
+        out = preintegrate_dvl(dvl, pre, IDENTITY_EXT, np.zeros(3),
+                               np.zeros(3))
+        mid = out.translations_at([0.34])[0]
+        assert_allclose(mid, out.step_dp[3] + 0.04 * out.step_vel[3],
+                        atol=1e-15)
+
+    def test_outside_the_span_rejected(self, rng):
+        _, _, pre, dvl, t_end = _world_with_dvl(rng)
+        out = preintegrate_dvl(dvl, pre, IDENTITY_EXT, np.zeros(3),
+                               np.zeros(3))
+        with pytest.raises(ValueError):
+            out.translations_at([t_end + 1e-6])
+
+    @pytest.mark.parametrize("seed", [4, 7])
+    def test_dead_reckoning_matches_the_world_frame_sum(self, seed):
+        # the dead-reckoned positions, from body-frame sums, against the
+        # world-frame running sum it replaced
+        ds = simulate(ScenarioConfig(kind="figure-eight", duration_s=8.0,
+                                     seed=seed, bv_const_m_s=(0.01, 0.0, 0.02)))
+        result = run_estimator(ds, RunConfig(mode=EstimatorMode.DVL_DEADRECKON))
+        gt0 = ds.groundtruth[0]
+        times = [f.t for f in ds.frames]
+        imu = integrate_imu(ds.imu, ImuBias(gt0.bg, gt0.ba), QUIET,
+                            t_start=times[0], t_end=times[-1])
+        want = dead_reckoning_positions_reference(
+            ds.dvl, imu, sensor_rig_from_config(ds.config).dvl, gt0.R, gt0.p,
+            gt0.bv, times)
+        got = np.array([f.nav.p for f in result.frames])
+        assert np.abs(got - want).max() < 1e-12
 
 
 class TestCorrectBias:
     def test_zero_delta_unchanged(self, rng):
-        _, _, _, dvl, cps, t_end = _world_with_dvl(rng)
-        out = preintegrate_dvl(dvl, cps, IDENTITY_EXT, np.zeros(3),
-                               np.zeros(3), t_end=t_end)
+        _, _, pre, dvl, _ = _world_with_dvl(rng)
+        out = preintegrate_dvl(dvl, pre, IDENTITY_EXT, np.zeros(3),
+                               np.zeros(3))
         assert_allclose(correct_dvl_bias(out, np.zeros(3), np.zeros(3)),
                         out.dp)
 
     def test_velocity_bias_exact_when_rotations_fixed(self):
         # straight line: identity checkpoints make the bv dependence linear
         dvl = _uniform_dvl(10, 0.1, np.array([0.4, 0.1, 0.0]))
-        from aquafuse.imu import RotationCheckpoints
-        n = len(dvl)
-        cps = RotationCheckpoints(np.array([s.t for s in dvl]),
-                                  np.stack([np.eye(3)] * n),
-                                  np.zeros((n, 3, 3)), np.zeros((n, 3, 3)))
-        pre = preintegrate_dvl(dvl, cps, IDENTITY_EXT, np.zeros(3),
-                               np.zeros(3), t_end=1.0)
+        still = _still_imu(1.0)
+        pre = preintegrate_dvl(dvl, still, IDENTITY_EXT, np.zeros(3),
+                               np.zeros(3))
         dbv = np.array([0.05, 0, 0])
         corrected = correct_dvl_bias(pre, np.zeros(3), dbv)
-        re_pre = preintegrate_dvl(dvl, cps, IDENTITY_EXT, np.zeros(3), dbv,
-                                  t_end=1.0)
+        re_pre = preintegrate_dvl(dvl, still, IDENTITY_EXT, np.zeros(3), dbv)
         assert_allclose(corrected, re_pre.dp, atol=1e-15)
         assert_allclose(corrected - pre.dp, [-0.05, 0, 0], atol=1e-15)
 
     def test_gyro_bias_quadratic_remainder(self, rng):
-        samples, _, _, dvl, _, t_end = _world_with_dvl(rng)
+        samples, _, _, dvl, t_end = _world_with_dvl(rng)
 
         def gap(dbg):
             pre_imu = integrate_imu(samples, ImuBias.zero(), QUIET,
                                     t_end=t_end)
-            cps = pre_imu.checkpoints_at([s.t for s in dvl])
-            pre = preintegrate_dvl(dvl, cps, IDENTITY_EXT, np.zeros(3),
-                                   np.zeros(3), t_end=t_end)
+            pre = preintegrate_dvl(dvl, pre_imu, IDENTITY_EXT, np.zeros(3),
+                                   np.zeros(3))
             first_order = correct_dvl_bias(pre, dbg, np.zeros(3))
             re_imu = integrate_imu(samples, ImuBias(dbg, np.zeros(3)), QUIET,
                                    t_end=t_end)
-            re_cps = re_imu.checkpoints_at([s.t for s in dvl])
-            re_pre = preintegrate_dvl(dvl, re_cps, IDENTITY_EXT, dbg,
-                                      np.zeros(3), t_end=t_end)
+            re_pre = preintegrate_dvl(dvl, re_imu, IDENTITY_EXT, dbg,
+                                      np.zeros(3))
             return np.linalg.norm(first_order - re_pre.dp)
 
         dbg = np.array([0.0, 0.0, 0.02])
@@ -200,36 +306,54 @@ class TestCorrectBias:
 
     def test_velocity_jacobian_closed_form(self, rng):
         ext = DvlExtrinsics(random_rotation(rng), rng.normal(size=3) * 0.2)
-        _, _, _, dvl, cps, t_end = _world_with_dvl(rng, ext=ext)
-        pre = preintegrate_dvl(dvl, cps, ext, np.zeros(3), np.zeros(3),
-                               t_end=t_end)
-        dts = np.diff([s.t for s in dvl] + [t_end])
-        closed = -sum(cps.rotations[k] @ ext.R_ID * dts[k]
-                      for k in range(len(dvl)))
+        _, _, imu, dvl, t_end = _world_with_dvl(rng, ext=ext)
+        pre = preintegrate_dvl(dvl, imu, ext, np.zeros(3), np.zeros(3))
+        times = [s.t for s in dvl]
+        dts = np.diff(times + [t_end])
+        closed = -sum(r @ ext.R_ID * dt
+                      for r, dt in zip(imu.rotations_at(times), dts))
         assert_allclose(pre.J_dp_dbv, closed, atol=1e-15)
+
+    def test_is_the_pair_residuals_correction(self, rng):
+        # a batch of one of the correction in dvl_position_pair_residuals,
+        # and the closed form bit for bit
+        ext = DvlExtrinsics(random_rotation(rng), rng.normal(size=3) * 0.2)
+        _, _, imu, dvl, _ = _world_with_dvl(rng, ext=ext)
+        pre = preintegrate_dvl(dvl, imu, ext, np.zeros(3), np.zeros(3))
+        bg, bv = rng.normal(size=3) * 0.01, rng.normal(size=3) * 0.02
+        got = correct_dvl_bias(pre, bg, bv)
+        assert np.array_equal(
+            got, pre.dp + pre.J_dp_dbv @ bv + pre.J_dp_dbg @ bg)
+        state = NavState(np.eye(3), np.zeros(3), np.zeros(3), bg,
+                         np.zeros(3), bv)
+        res = position_residual(state, state.copy(), pre, IDENTITY_EXT)
+        assert np.array_equal(res, -got)
 
 
 class TestResumeDvl:
-    """A preintegration extended sample by sample equals one batch call."""
+    """A preintegration extended frame by frame equals one batch call."""
 
     FIELDS = ("dp", "J_dp_dbv", "J_dp_dbg", "cov", "t_start", "t_end",
-              "dt_total", "lin_bg", "lin_bv")
+              "lin_bg", "lin_bv", "step_t", "step_dp", "step_vel")
 
     @staticmethod
     def _setup(rng):
         ext = DvlExtrinsics(random_rotation(rng), rng.normal(size=3) * 0.2)
-        _, _, pre, dvl, _, t_end = _world_with_dvl(rng, n_imu=100, dvl_every=7,
-                                                   ext=ext)
+        samples, _, _, dvl, t_end = _world_with_dvl(rng, n_imu=100,
+                                                    dvl_every=7, ext=ext)
         bg, bv = rng.normal(size=3) * 0.01, rng.normal(size=3) * 0.02
-        return ext, pre, dvl, t_end, bg, bv
+        return ext, samples, dvl, t_end, bg, bv
 
     @staticmethod
-    def _part(dvl, pre, ext, bg, bv, t0, t1, resume=None):
-        """Samples holding in [t0, t1), like the tracker's buffer."""
+    def _part(dvl, imu_samples, ext, bg, bv, t0, t1, resume=None):
+        """Samples holding in [t0, t1), like the tracker's buffer, over the
+        IMU preintegration of [0, t1]."""
         samples = [s for k, s in enumerate(dvl)
                    if s.t < t1 and (k + 1 == len(dvl) or dvl[k + 1].t > t0)]
-        return preintegrate_dvl(samples, pre.checkpoints_at([s.t for s in samples]),
-                                ext, bg, bv, t_end=t1, sigma_v=0.01, resume=resume)
+        imu = integrate_imu(imu_samples, ImuBias(bg, np.zeros(3)), NOISY,
+                            t_start=0.0, t_end=t1)
+        return preintegrate_dvl(samples, imu, ext, bg, bv, sigma_v=0.01,
+                                resume=resume)
 
     def _assert_bitwise(self, got, want):
         for name in self.FIELDS:
@@ -238,30 +362,30 @@ class TestResumeDvl:
     @pytest.mark.parametrize("split", [0.35, 0.37, 0.0701])
     def test_one_resume(self, rng, split):
         # on a sample time (0.35), between samples and just after one
-        ext, pre, dvl, t_end, bg, bv = self._setup(rng)
-        batch = self._part(dvl, pre, ext, bg, bv, 0.0, t_end)
-        first = self._part(dvl, pre, ext, bg, bv, 0.0, split)
-        resumed = self._part(dvl, pre, ext, bg, bv, first.last_step[0], t_end,
+        ext, imu, dvl, t_end, bg, bv = self._setup(rng)
+        batch = self._part(dvl, imu, ext, bg, bv, 0.0, t_end)
+        first = self._part(dvl, imu, ext, bg, bv, 0.0, split)
+        resumed = self._part(dvl, imu, ext, bg, bv, first.step_t[-1], t_end,
                              resume=first)
         self._assert_bitwise(resumed, batch)
 
     def test_resume_every_few_steps(self, rng):
-        ext, pre, dvl, t_end, bg, bv = self._setup(rng)
+        ext, imu, dvl, t_end, bg, bv = self._setup(rng)
         ends = np.arange(0.013, t_end, 0.023).tolist() + [t_end]
-        run = self._part(dvl, pre, ext, bg, bv, 0.0, ends[0])
+        run = self._part(dvl, imu, ext, bg, bv, 0.0, ends[0])
         for t1 in ends[1:]:
-            run = self._part(dvl, pre, ext, bg, bv, run.last_step[0], t1,
+            run = self._part(dvl, imu, ext, bg, bv, run.step_t[-1], t1,
                              resume=run)
-            self._assert_bitwise(run, self._part(dvl, pre, ext, bg, bv, 0.0, t1))
+            self._assert_bitwise(run, self._part(dvl, imu, ext, bg, bv, 0.0, t1))
 
     def test_rejects_other_biases_or_start(self, rng):
-        ext, pre, dvl, t_end, bg, bv = self._setup(rng)
-        first = self._part(dvl, pre, ext, bg, bv, 0.0, 0.5)
+        ext, imu, dvl, t_end, bg, bv = self._setup(rng)
+        first = self._part(dvl, imu, ext, bg, bv, 0.0, 0.5)
         with pytest.raises(ValueError):
-            self._part(dvl, pre, ext, bg, bv + 1e-3, first.last_step[0], t_end,
+            self._part(dvl, imu, ext, bg, bv + 1e-3, first.step_t[-1], t_end,
                        resume=first)
         with pytest.raises(ValueError):
-            self._part(dvl, pre, ext, bg, bv, 0.0, t_end, resume=first)
+            self._part(dvl, imu, ext, bg, bv, 0.0, t_end, resume=first)
 
 
 def estimate(state, gyro, ext):
@@ -358,9 +482,8 @@ class TestVelocityResidual:
 
 class TestPositionResidual:
     def _consistent_pair(self, rng, ext):
-        samples, states, pre, dvl, cps, t_end = _world_with_dvl(rng, ext=ext)
-        out = preintegrate_dvl(dvl, cps, ext, np.zeros(3), np.zeros(3),
-                               t_end=t_end)
+        samples, states, pre, dvl, t_end = _world_with_dvl(rng, ext=ext)
+        out = preintegrate_dvl(dvl, pre, ext, np.zeros(3), np.zeros(3))
         return states[0], states[-1], out
 
     def test_noiseless_consistency(self, rng):
@@ -387,10 +510,9 @@ class TestPositionResidual:
         si.bv = np.zeros(3)
         sm = si.copy()
         sm.R = si.R @ exp_so3([0.0, 0.0, 0.4])
-        zero_pre = preintegrate_dvl(
-            [DvlSample(0.0, np.zeros(3))],
-            _identity_checkpoints([0.0]), ext, np.zeros(3), np.zeros(3),
-            t_end=1.0)
+        zero_pre = preintegrate_dvl([DvlSample(0.0, np.zeros(3))],
+                                    _still_imu(1.0), ext, np.zeros(3),
+                                    np.zeros(3))
         res = position_residual(si, sm, zero_pre, ext)
         expected = si.R.T @ (sm.R @ ext.p_ID - si.R @ ext.p_ID)
         assert_allclose(res, expected, atol=1e-14)
@@ -433,10 +555,3 @@ class TestPositionResidual:
                 scale = max(np.abs(fd).max(), 1.0)
                 assert np.abs(jac[key] - fd).max() < 1e-5 * scale, key
 
-
-def _identity_checkpoints(times):
-    from aquafuse.imu import RotationCheckpoints
-    n = len(times)
-    return RotationCheckpoints(np.asarray(times, dtype=float),
-                               np.stack([np.eye(3)] * n),
-                               np.zeros((n, 3, 3)), np.zeros((n, 3, 3)))

@@ -163,9 +163,8 @@ class TestPredictDegraded:
         pre = integrate_imu(samples, ImuBias.zero(), ImuNoiseSpec(), t_end=0.1)
         dvl = dvl_samples_from_world([states[0]] * 3, [0.0, 0.05], 0.05,
                                      rig.dvl)
-        cps = pre.checkpoints_at([0.0, 0.05])
-        dvl_pre = preintegrate_dvl(dvl, cps, rig.dvl, np.zeros(3),
-                                   np.zeros(3), t_end=0.1)
+        dvl_pre = preintegrate_dvl(dvl, pre, rig.dvl, np.zeros(3),
+                                   np.zeros(3))
         pose = predict_state_degraded(state, pre, dvl_pre, rig.dvl)
         assert np.abs(pose.t - state.p).max() < 1e-9
 
@@ -177,8 +176,7 @@ class TestPredictDegraded:
         times = [k * 0.1 for k in range(10)]
         dvl_states = [states[k * 10] for k in range(10)] + [states[-1]]
         dvl = dvl_samples_from_world(dvl_states, times, 0.1, ext)
-        dvl_pre = preintegrate_dvl(dvl, pre.checkpoints_at(times), ext,
-                                   np.zeros(3), np.zeros(3), t_end=1.0)
+        dvl_pre = preintegrate_dvl(dvl, pre, ext, np.zeros(3), np.zeros(3))
         pose = predict_state_degraded(states[0], pre, dvl_pre, ext)
         expected = states[0].R @ dvl_pre.dp + states[0].p
         assert_allclose(pose.t, expected, atol=1e-14)
@@ -191,8 +189,8 @@ class TestPredictDegraded:
         times = [k * 0.1 for k in range(10)]
         dvl_states = [states[k * 10] for k in range(10)] + [states[-1]]
         dvl = dvl_samples_from_world(dvl_states, times, 0.1, rig.dvl)
-        dvl_pre = preintegrate_dvl(dvl, pre.checkpoints_at(times), rig.dvl,
-                                   np.zeros(3), np.zeros(3), t_end=1.0)
+        dvl_pre = preintegrate_dvl(dvl, pre, rig.dvl, np.zeros(3),
+                                   np.zeros(3))
         pose = predict_state_degraded(states[0], pre, dvl_pre, rig.dvl)
         assert np.linalg.norm(pose.t - states[-1].p) < 1e-6
         assert np.linalg.norm(log_so3(states[-1].R.T @ pose.R)) < 1e-8
@@ -403,8 +401,8 @@ class Recording(Tracker):
 
 
 _IMU_FIELDS = _PREINT_FIELDS + ("dt_total", "t_start", "t_end")
-_DVL_FIELDS = ("dp", "dt_total", "lin_bg", "lin_bv", "J_dp_dbv", "J_dp_dbg",
-               "cov", "t_start", "t_end")
+_DVL_FIELDS = ("dp", "lin_bg", "lin_bv", "J_dp_dbv", "J_dp_dbg", "cov",
+               "t_start", "t_end", "step_t", "step_dp", "step_vel")
 
 
 class TestKeyframePreintegration:

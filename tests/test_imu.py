@@ -15,8 +15,7 @@ from helpers import (checkpoint_reference, discrete_imu_world,
                      random_nav_state)
 
 QUIET = ImuNoiseSpec()
-NOISY = ImuNoiseSpec(sigma_g=2e-4, sigma_a=2e-3,
-                     sigma_bg_walk=1e-5, sigma_ba_walk=1e-4)
+NOISY = ImuNoiseSpec(sigma_g=2e-4, sigma_a=2e-3)
 
 
 def residual(state_i, state_j, pre, gravity, with_jacobians=False):
