@@ -25,6 +25,6 @@ from .sim import (ScenarioConfig, SensorDataset, read_dataset, simulate,
                   trajectory_truth, write_dataset)
 from .state import NavState, StateStack, stack_states
 from .visual import (CameraModel, IntensityField, LandmarkObservation,
-                     PatchPattern, backproject, stereo_depth)
+                     PatchPattern)
 
 __version__ = "0.1.0"

@@ -41,8 +41,7 @@ from .manifold import (Pose, hat, hat_batch, log_so3_batch,
 from .state import (STATE_DOF, NavState, StateStack, matvec, retract_rows,
                     stack_states, unstack_state)
 from .visual import (BehindCameraError, CameraModel, IntensityField,
-                     LandmarkObservation, OutOfDomainError, PatchPattern,
-                     stereo_depth)
+                     LandmarkObservation, OutOfDomainError, PatchPattern)
 
 
 class GaugeError(ValueError):
@@ -350,13 +349,9 @@ class _ReprojectionBatch(_Batch):
         r_wc = r_wb @ self.rig.T_IC.R
         d = (lms[self.lm] - stack.x[self.host, 3:6]) - r_wb @ self.rig.T_IC.t
         x_c = matvec(r_wc.transpose(0, 2, 1), d)  # d @ r_wc per row
-        z = x_c[:, 2]
-        if np.any(z <= 1e-6):
-            raise BehindCameraError(f"landmark depth {z.min()} is not positive")
-        cam = self.rig.cam
-        res = self.pixels - np.stack([cam.fx * x_c[:, 0] / z + cam.cx,
-                                      cam.fy * x_c[:, 1] / z + cam.cy], axis=1)
-        return r_wc, x_c, res
+        if np.any(x_c[:, 2] <= 1e-6):
+            raise BehindCameraError(f"landmark depth {x_c[:, 2].min()} is not positive")
+        return r_wc, x_c, self.pixels - self.rig.cam.project(x_c)
 
     def residuals(self, stack: StateStack, lms: np.ndarray) -> np.ndarray:
         return self._project(stack, lms)[2]
@@ -398,13 +393,8 @@ class _PhotometricBatch(_Batch):
         payloads = [f.payload for f in factors]
         self.host_vals = np.stack([d.host_vals for d in payloads])  # (n, m)
         self.weights = np.stack([d.weights for d in payloads])      # (n, m)
-        pix = np.stack([d.host_pix for d in payloads])              # (n, m, 2)
-        depth = np.array([d.depth for d in payloads])[:, None]
-        cam = self.rig.cam
-        self.pts_ci = np.stack(
-            [(pix[..., 0] - cam.cx) / cam.fx * depth,
-             (pix[..., 1] - cam.cy) / cam.fy * depth,
-             np.broadcast_to(depth, pix.shape[:2])], axis=-1)
+        self.pts_ci = self.rig.cam.backproject(                     # (n, m, 3)
+            np.stack([d.host_pix for d in payloads]), [[d.depth] for d in payloads])
         fields: dict[int, tuple] = {}
         for k, d in enumerate(payloads):
             fields.setdefault(id(d.field_obs), (d.field_obs, []))[1].append(k)
@@ -428,15 +418,12 @@ class _PhotometricBatch(_Batch):
                + (r_h @ p_ic - r_o @ p_ic))
         pts_cj = (self.pts_ci @ r_wci.transpose(0, 2, 1)
                   + rel[:, None, :]) @ r_wcj
-        z = pts_cj[..., 2]
-        front = z > 1e-6
-        z = np.where(front, z, 1.0)  # finite pixels for rejected points
-        cam = self.rig.cam
-        u = cam.fx * pts_cj[..., 0] / z + cam.cx
-        v = cam.fy * pts_cj[..., 1] / z + cam.cy
-        inside = (u >= 0.0) & (u < cam.width) & (v >= 0.0) & (v < cam.height)
+        front = pts_cj[..., 2] > 1e-6
+        # finite pixels for rejected points
+        pix = self.rig.cam.project(np.where(front[..., None], pts_cj, 1.0))
+        inside = self.rig.cam.in_image(pix)
         front = front.all(axis=1)
-        return (r_h, r_wci, r_wcj, pts_cj, np.stack([u, v], axis=-1), front,
+        return (r_h, r_wci, r_wcj, pts_cj, pix, front,
                 front & inside.all(axis=1))
 
     def _sample(self, pix: np.ndarray, keep: np.ndarray, gradient: bool):
@@ -912,18 +899,16 @@ def assemble_window(keyframes: list[KeyframeNode],
 
     pix_info = np.eye(2) / noise.sigma_pixel**2
     for kf in keyframes:
-        if not kf.observations:
+        seen = [o for o in kf.observations if o.landmark_id in window_lms]
+        if not seen:
             continue
         t_cw = rig.camera_pose(kf.state).inverse()
-        for obs in kf.observations:
-            if obs.landmark_id not in window_lms:
-                continue
-            if t_cw.transform(window_lms[obs.landmark_id])[2] <= 1e-3:
-                continue  # behind or grazing the camera at the initial guess
-            factors.append(Factor(
-                FactorKind.REPROJECTION, (kf.kf_id,), obs,
-                pix_info, landmark_id=obs.landmark_id, robust=True,
-                robust_delta=cfg.huber_delta, rig=rig))
+        z = t_cw.transform([window_lms[o.landmark_id] for o in seen])[:, 2]
+        # none behind or grazing the camera at the initial guess
+        factors += [Factor(FactorKind.REPROJECTION, (kf.kf_id,), obs, pix_info,
+                           landmark_id=obs.landmark_id, robust=True,
+                           robust_delta=cfg.huber_delta, rig=rig)
+                    for obs, behind in zip(seen, z <= 1e-3) if not behind]
 
     if cfg.photometric_enabled:
         n_pat = len(cfg.pattern.offsets)
@@ -941,9 +926,9 @@ def assemble_window(keyframes: list[KeyframeNode],
                 (o for o in a.observations
                  if o.disparity is not None and o.disparity > 0
                  and o.landmark_id in ids_b),
-                key=lambda o: o.landmark_id)
-            points = [(obs.pixel, stereo_depth(rig.cam, obs.disparity))
-                      for obs in hosts[:cfg.photometric_max_points]]
+                key=lambda o: o.landmark_id)[:cfg.photometric_max_points]
+            points = list(zip([o.pixel for o in hosts], rig.cam.stereo_depth(
+                [o.disparity for o in hosts])))
             factors += make_photometric_factors(
                 (a.kf_id, b.kf_id), a.field, b.field, points, cfg.pattern,
                 photo_info, rig, window.states, cfg.photometric_gate,

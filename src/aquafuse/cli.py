@@ -96,9 +96,8 @@ def load_trajectory(path: str) -> Trajectory:
     ts, rs, ps = [], [], []
     for lineno, rec in sim._read_jsonl(path):
         ts.append(sim._parse_t(rec, path, lineno))
-        rs.append(np.array(sim._field_of(rec, "R", path, lineno),
-                           dtype=float).reshape(3, 3))
-        ps.append(np.array(sim._field_of(rec, "p", path, lineno), dtype=float))
+        rs.append(sim._field_of(rec, "R", path, lineno, (3, 3)))
+        ps.append(sim._field_of(rec, "p", path, lineno, (3,)))
     if not ts:
         raise sim.ParseError(f"{path}: empty trajectory")
     return Trajectory(np.array(ts), np.stack(rs), np.stack(ps))

@@ -8,6 +8,11 @@ preintegration whose rotation checkpoints at the hold starts give each hold's
 rotation, gyro-bias Jacobian and rotation-noise covariance. As in the IMU
 integrator, every per-hold term is computed over all holds at once and the
 sums are running sums.
+
+Written once as array code: the bias correction in :func:`correct_dvl_bias_batch`
+(the position pairs; :func:`correct_dvl_bias` is a batch of one) and the lever
+arm ``hat(gyro) @ p_ID`` in :func:`lever_velocity` (the velocity estimate, the
+velocity pairs and the tracker's degraded branch).
 """
 
 from __future__ import annotations
@@ -158,8 +163,13 @@ def correct_dvl_bias(preint: DvlPreintegrated, new_bg, new_bv) -> np.ndarray:
     """First-order update of the preintegrated translation for new biases,
     the pair residuals' correction of one preintegration."""
     return correct_dvl_bias_batch(stack_dvl_position_pairs([preint]),
-                                  np.asarray(new_bg, dtype=float)[None],
-                                  np.asarray(new_bv, dtype=float)[None])[0]
+                                  *np.reshape([new_bg, new_bv], (2, 1, 3)))[0]
+
+
+def lever_velocity(gyro: np.ndarray, ext: DvlExtrinsics) -> np.ndarray:
+    """The velocities hat(gyro) @ p_ID (n, 3) that rotation at the raw gyro
+    readings ``gyro`` (n, 3) adds at the DVL, in the body frame."""
+    return hat_batch(gyro) @ ext.p_ID
 
 
 def dvl_velocity_estimate(r: np.ndarray, v: np.ndarray, gyro: np.ndarray,
@@ -167,12 +177,12 @@ def dvl_velocity_estimate(r: np.ndarray, v: np.ndarray, gyro: np.ndarray,
     """Velocities (n, 3) the DVL should measure at n states with rotations
     ``r`` (n, 3, 3), world velocities ``v`` (n, 3) and raw gyro readings
     ``gyro`` (n, 3), given the lever arm."""
-    body = matvec(r.transpose(0, 2, 1), v) + matvec(hat_batch(gyro), ext.p_ID)
+    body = matvec(r.transpose(0, 2, 1), v) + lever_velocity(gyro, ext)
     return matvec(ext.R_ID.T, body)
 
 
 # per pair of n, the change of the DVL reading between the keyframes and
-# of the lever-arm velocity hat(gyro) @ p_ID of the raw gyro readings there
+# of the lever-arm velocity of the raw gyro readings there
 DvlVelocityPairData = namedtuple("DvlVelocityPairData", "d_meas d_lever")
 
 
@@ -182,7 +192,7 @@ def stack_dvl_velocity_pairs(pairs, ext: DvlExtrinsics) -> DvlVelocityPairData:
     pairs = list(pairs)
     meas = np.array([(d.meas_i.vel, d.meas_m.vel) for d in pairs])
     gyro = np.array([(d.gyro_i, d.gyro_m) for d in pairs])
-    lever = (hat_batch(gyro.reshape(-1, 3)) @ ext.p_ID).reshape(-1, 2, 3)
+    lever = lever_velocity(gyro.reshape(-1, 3), ext).reshape(-1, 2, 3)
     return DvlVelocityPairData(meas[:, 1] - meas[:, 0], lever[:, 1] - lever[:, 0])
 
 
@@ -206,10 +216,9 @@ def dvl_velocity_pair_residuals(st: StateStack, i, j, d: DvlVelocityPairData,
     return res, jac
 
 
-# n DVL translation preintegrations stacked, and jac0, the Jacobian blocks
-# that they fix alone
+# n DVL translation preintegrations stacked
 DvlPositionPairData = namedtuple("DvlPositionPairData",
-                                 "dp J_dp_dbg J_dp_dbv lin_bg lin_bv jac0")
+                                 "dp J_dp_dbg J_dp_dbv lin_bg lin_bv")
 _WALK_BLOCKS = np.stack([-np.eye(3), np.eye(3)], axis=1)  # bv walk, i and j
 
 
@@ -217,11 +226,8 @@ def stack_dvl_position_pairs(preints) -> DvlPositionPairData:
     pre = list(preints)
     mats = np.array([(p.J_dp_dbg, p.J_dp_dbv) for p in pre])
     vecs = np.array([(p.dp, p.lin_bg, p.lin_bv) for p in pre])
-    jac0 = np.zeros((len(pre), 6, 2, STATE_DOF))
-    jac0[:, 0:3, 0, BG], jac0[:, 0:3, 0, BV] = -mats[:, 0], -mats[:, 1]
-    jac0[:, 3:6, :, BV] = _WALK_BLOCKS
     return DvlPositionPairData(vecs[:, 0], mats[:, 0], mats[:, 1], vecs[:, 1],
-                               vecs[:, 2], jac0)
+                               vecs[:, 2])
 
 
 def correct_dvl_bias_batch(d: DvlPositionPairData, bg, bv) -> np.ndarray:
@@ -249,7 +255,9 @@ def dvl_position_pair_residuals(st: StateStack, i, j, d: DvlPositionPairData,
     res = np.concatenate([rel - dp, dx[:, BV]], axis=1)
     if not with_jacobians:
         return res, None
-    jac, hat_lever = d.jac0.copy(), hat(ext.p_ID)
+    jac, hat_lever = np.zeros((len(res), 6, 2, STATE_DOF)), hat(ext.p_ID)
+    jac[:, 0:3, 0, BG], jac[:, 0:3, 0, BV] = -d.J_dp_dbg, -d.J_dp_dbv
+    jac[:, 3:6, :, BV] = _WALK_BLOCKS
     jac[:, 0:3, 0, PHI] = hat_batch(rel) + hat_lever
     jac[:, 0:3, 0, POS] = -r_it
     jac[:, 0:3, 1, PHI] = -r_it @ r_j @ hat_lever

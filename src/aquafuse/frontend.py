@@ -25,13 +25,13 @@ import numpy as np
 
 from . import backend as bk
 from .dvl import (DvlExtrinsics, DvlPreintegrated, DvlSample,
-                  correct_dvl_bias, preintegrate_dvl)
+                  correct_dvl_bias, lever_velocity, preintegrate_dvl)
 from .evaluation import nearest_pairs
 from .imu import (ImuBias, ImuNoiseSpec, ImuPreintegrated, ImuSample,
                   correct_imu_bias, integrate_imu, predict_state_imu)
-from .manifold import Pose, hat, rotation_angle
+from .manifold import Pose, rotation_angle
 from .state import NavState
-from .visual import IntensityField, PatchPattern, backproject, stereo_depth
+from .visual import IntensityField, PatchPattern
 
 
 class InsufficientObservationsError(ValueError):
@@ -359,15 +359,16 @@ class Tracker:
         return window.states[temp_id], report.final_cost
 
     def _init_landmarks(self, frame, pose: Pose):
-        t_wc = pose.compose(self.rig.T_IC)
-        for obs in frame.observations:
-            if obs.landmark_id in self.map:
-                continue
-            if obs.disparity is None or obs.disparity <= 0.05:
-                continue
-            x_c = backproject(self.rig.cam, obs.pixel,
-                              stereo_depth(self.rig.cam, obs.disparity))
-            self.map[obs.landmark_id] = t_wc.transform(x_c)
+        """Map each landmark the frame observes first, at its stereo depth."""
+        new = {}
+        for o in frame.observations:
+            if o.landmark_id not in self.map and (o.disparity or 0.0) > 0.05:
+                new.setdefault(o.landmark_id, o)
+        if new:
+            cam, obs = self.rig.cam, new.values()
+            x_c = cam.backproject([o.pixel for o in obs],
+                                  cam.stereo_depth([o.disparity for o in obs]))
+            self.map.update(zip(new, pose.compose(self.rig.T_IC).transform(x_c)))
 
     def _make_keyframe(self, frame, nav: NavState, interval):
         kf_id = len(self.keyframes)
@@ -450,11 +451,12 @@ class Tracker:
                             and len(prev_frame.field.amplitudes) > 0
                             and len(frame.field.amplitudes) > 0):
                         cur_ids = {o.landmark_id for o in frame.observations}
-                        pts = [(o.pixel, stereo_depth(self.rig.cam, o.disparity))
-                               for o in prev_frame.observations
-                               if o.disparity is not None and o.disparity > 0.05
-                               and o.landmark_id in cur_ids]
-                        pts = pts[:backend_cfg.photometric_max_points]
+                        hosts = [o for o in prev_frame.observations
+                                 if o.disparity is not None and o.disparity > 0.05
+                                 and o.landmark_id in cur_ids]
+                        hosts = hosts[:backend_cfg.photometric_max_points]
+                        depths = self.rig.cam.stereo_depth([o.disparity for o in hosts])
+                        pts = list(zip([o.pixel for o in hosts], depths))
                         if pts:
                             pose = refine_photometric(
                                 pose, frames_out[-1].T_WI, prev_frame.field,
@@ -510,8 +512,8 @@ class Tracker:
         gyro = self.gyro_at.get(t)
         if meas is None or gyro is None:
             return ref.v.copy()
-        v_d = meas.vel - ref.bv
-        return pose.R @ (self.rig.dvl.R_ID @ v_d - hat(gyro) @ self.rig.dvl.p_ID)
+        lever = lever_velocity(gyro[None], self.rig.dvl)[0]
+        return pose.R @ (self.rig.dvl.R_ID @ (meas.vel - ref.bv) - lever)
 
 
 def run_estimator(dataset, cfg: RunConfig) -> EstimationResult:

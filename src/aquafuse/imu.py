@@ -13,6 +13,10 @@ the step before it is computed over all steps at once, the sums are running
 sums, and only the rotation product, the rotation's gyro-bias Jacobian and
 the covariance are sequential loops. Checkpoints at any set of times are one
 batched evaluation.
+
+The first-order bias correction is written once, :func:`correct_imu_bias_batch`:
+the pair residuals apply it, and the state predictions read it through
+:func:`correct_imu_bias`, a batch of one.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifold import (I3, exp_so3, exp_so3_batch, hat_batch, log_so3_batch,
+from .manifold import (I3, exp_so3_batch, hat_batch, log_so3_batch,
                        right_jacobian_inv_so3_batch, right_jacobian_so3_batch)
 from .state import BG, PHI, POS, STATE_DOF, VEL, NavState, StateStack, matvec
 
@@ -160,13 +164,6 @@ def hold_intervals(times: np.ndarray, t_start: float, t_end: float):
     return idx, starts[idx], (ends - starts)[idx]
 
 
-def _infer_t_end(times: np.ndarray) -> float:
-    if len(times) < 2:
-        raise ValueError("cannot infer the buffer end time from a single sample; "
-                         "pass t_end explicitly")
-    return float(times[-1] + np.median(np.diff(times)))
-
-
 def _running_sums(first: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """``first`` and its sums with each prefix of ``steps``, added left to
     right as a loop would: n + 1 entries for n steps."""
@@ -174,10 +171,10 @@ def _running_sums(first: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 
 def integrate_imu(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
-                  t_start: float | None = None,
-                  t_end: float | None = None,
+                  t_start: float | None = None, *, t_end: float,
                   resume: ImuPreintegrated | None = None) -> ImuPreintegrated:
-    """Preintegrate a buffer of IMU samples about a fixed bias linearization.
+    """Preintegrate a buffer of IMU samples about a fixed bias linearization
+    from ``t_start`` (the first sample's time if None) to ``t_end``.
 
     Produces the relative rotation/velocity/translation sums, the bias
     Jacobians for first-order bias updates, and the (phi, v, p) covariance
@@ -205,8 +202,6 @@ def integrate_imu(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
     times = np.array([s.t for s in samples], dtype=float)
     if np.any(np.diff(times) <= 0):
         raise ValueError("IMU timestamps must be strictly increasing")
-    if t_end is None:
-        t_end = _infer_t_end(times)
     if resume is None:
         if t_start is None:
             t_start = float(times[0])
@@ -321,14 +316,11 @@ def _check_resume(resume: ImuPreintegrated, first_sample_t: float,
 
 def correct_imu_bias(preint: ImuPreintegrated, new_bias: ImuBias):
     """First-order update of (dR, dv, dp) for a bias change, without
-    re-integration. Intended for small changes (|delta| < 0.1 per component).
+    re-integration; intended for small changes (|delta| < 0.1 per component).
     """
-    dbg = new_bias.bg - preint.lin_bias.bg
-    dba = new_bias.ba - preint.lin_bias.ba
-    d_r = preint.dR @ exp_so3(preint.J_dR_dbg @ dbg)
-    dv = preint.dv + preint.J_dv_dbg @ dbg + preint.J_dv_dba @ dba
-    dp = preint.dp + preint.J_dp_dbg @ dbg + preint.J_dp_dba @ dba
-    return d_r, dv, dp
+    b = np.concatenate([new_bias.bg, new_bias.ba])[None]
+    d_r, dvp, _ = correct_imu_bias_batch(stack_imu_pairs([preint]), b)
+    return d_r[0], dvp[0, :3], dvp[0, 3:]
 
 
 def predict_state_imu(state_i: NavState, preint: ImuPreintegrated,
@@ -345,9 +337,8 @@ def predict_state_imu(state_i: NavState, preint: ImuPreintegrated,
 
 
 # n preintegrations stacked: dvp is (dv, dp), J_vp their Jacobian w.r.t.
-# (bg, ba), lin_b the (bg, ba) linearization, dt an (n, 1) column and jac0
-# the Jacobian blocks that these fix alone
-ImuPairData = namedtuple("ImuPairData", "dR J_dR_dbg dvp J_vp lin_b dt jac0")
+# (bg, ba), lin_b the (bg, ba) linearization and dt an (n, 1) column
+ImuPairData = namedtuple("ImuPairData", "dR J_dR_dbg dvp J_vp lin_b dt")
 _WALK_BLOCKS = np.stack([-np.eye(6), np.eye(6)], axis=1)  # (bg, ba) walk, i and j
 
 
@@ -358,12 +349,19 @@ def stack_imu_pairs(preints) -> ImuPairData:
     j_vp = np.array([(p.J_dv_dbg, p.J_dv_dba, p.J_dp_dbg, p.J_dp_dba) for p in pre])
     j_vp = j_vp.reshape(n, 2, 2, 3, 3).transpose(0, 1, 3, 2, 4).reshape(n, 6, 6)
     vecs = np.array([(p.dv, p.dp, p.lin_bias.bg, p.lin_bias.ba) for p in pre])
-    jac0 = np.zeros((n, 15, 2, STATE_DOF))
-    jac0[:, 3:9, 0, 9:15] = -j_vp
-    jac0[:, 9:15, :, 9:15] = _WALK_BLOCKS
     return ImuPairData(rot[:, 0], rot[:, 1], vecs[:, :2].reshape(n, 6), j_vp,
-                       vecs[:, 2:].reshape(n, 6), np.array([[p.dt_total] for p in pre]),
-                       jac0)
+                       vecs[:, 2:].reshape(n, 6), np.array([[p.dt_total] for p in pre]))
+
+
+def correct_imu_bias_batch(d: ImuPairData, b: np.ndarray):
+    """The stacked dR (n, 3, 3) and (dv, dp) (n, 6) corrected to first order
+    to the biases (bg, ba) ``b`` (n, 6), and the rotation vectors of the
+    corrections (n, 3); unchanged, and None, when no bias changed at all."""
+    db = b - d.lin_b
+    if not np.count_nonzero(db):
+        return d.dR, d.dvp, None
+    phi = matvec(d.J_dR_dbg, db[:, :3])
+    return d.dR @ exp_so3_batch(phi), d.dvp + matvec(d.J_vp, db), phi
 
 
 def imu_pair_residuals(st: StateStack, i, j, d: ImuPairData, gravity,
@@ -376,13 +374,7 @@ def imu_pair_residuals(st: StateStack, i, j, d: ImuPairData, gravity,
     everything else additive); else None."""
     r_i, r_j, x_i, x_j = st.R[i], st.R[j], st.x[i], st.x[j]
     dx, dt, r_it = x_j - x_i, d.dt, r_i.transpose(0, 2, 1)
-    db, d_r, dvp = x_i[:, 9:15] - d.lin_b, d.dR, d.dvp
-    # first-order bias correction, skipped where it is an exact no-op
-    biased = np.count_nonzero(db) > 0
-    if biased:
-        phi_b = matvec(d.J_dR_dbg, db[:, :3])
-        d_r = d_r @ exp_so3_batch(phi_b)
-        dvp = dvp + matvec(d.J_vp, db)
+    d_r, dvp, phi_b = correct_imu_bias_batch(d, x_i[:, 9:15])
     m = d_r.transpose(0, 2, 1) @ r_it @ r_j
     e_r = log_so3_batch(m)
     g_dt = np.asarray(gravity, dtype=float) * dt
@@ -393,13 +385,15 @@ def imu_pair_residuals(st: StateStack, i, j, d: ImuPairData, gravity,
     res = np.concatenate([e_r, a_vp - dvp, dx[:, 9:15]], axis=1)
     if not with_jacobians:
         return res, None
-    jac = d.jac0.copy()
+    jac = np.zeros((len(res), 15, 2, STATE_DOF))
+    jac[:, 3:9, 0, 9:15] = -d.J_vp
+    jac[:, 9:15, :, 9:15] = _WALK_BLOCKS
     ji, jj = jac[:, :, 0], jac[:, :, 1]
     jr_inv = right_jacobian_inv_so3_batch(e_r)
     ji[:, 0:3, PHI] = -jr_inv @ r_j.transpose(0, 2, 1) @ r_i
     jj[:, 0:3, PHI] = jr_inv
     j_bg = -jr_inv @ m.transpose(0, 2, 1)  # exp(-e_r) is m^T
-    if biased:
+    if phi_b is not None:
         j_bg = j_bg @ right_jacobian_so3_batch(phi_b)
     ji[:, 0:3, BG] = j_bg @ d.J_dR_dbg
     ji[:, 3:9, PHI] = hat_batch(a_vp.reshape(-1, 3)).reshape(-1, 6, 3)

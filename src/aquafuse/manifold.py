@@ -30,18 +30,12 @@ def vee(m) -> np.ndarray:
 
 
 def exp_so3(phi) -> np.ndarray:
-    """Rodrigues map from a rotation vector (radians) to a rotation matrix."""
+    """Rodrigues map from a finite rotation vector (radians) to a rotation
+    matrix; a batch of one of :func:`exp_so3_batch`."""
     phi = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(phi)):
         raise ValueError("rotation vector must be finite")
-    theta = float(np.linalg.norm(phi))
-    k = hat(phi)
-    if theta < SMALL_ANGLE:
-        # second-order series in the full (unnormalized) skew matrix
-        return np.eye(3) + k + 0.5 * (k @ k)
-    a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / (theta * theta)
-    return np.eye(3) + a * k + b * (k @ k)
+    return exp_so3_batch(phi[None])[0]
 
 
 def log_so3(r) -> np.ndarray:
@@ -79,7 +73,8 @@ def _series(phi: np.ndarray, small_coeffs, coeffs):
 
 
 def exp_so3_batch(phi: np.ndarray) -> np.ndarray:
-    """:func:`exp_so3` of each row of an (n, 3) array."""
+    """Rodrigues map of each row of an (n, 3) array of rotation vectors,
+    below SMALL_ANGLE its second-order series in the skew matrix."""
     k, kk, a, b = _series(phi, (1.0, 0.5), lambda t: (
         np.sin(t) / t, (1.0 - np.cos(t)) / (t * t)))
     return I3 + a * k + b * kk
@@ -152,8 +147,5 @@ class Pose:
         return Pose(rt, -rt @ self.t)
 
     def transform(self, points) -> np.ndarray:
-        """Apply to one point (3,) or a batch (n, 3)."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            return self.R @ pts + self.t
-        return pts @ self.R.T + self.t
+        """Apply to one point (3,) or each row of (n, 3), as R @ x + t."""
+        return (self.R @ np.asarray(points, dtype=float)[..., None])[..., 0] + self.t

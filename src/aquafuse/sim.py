@@ -367,9 +367,10 @@ def simulate(cfg: ScenarioConfig) -> SensorDataset:
                                           cfg.field_sigma_px, cfg.width_px,
                                           cfg.height_px)
         else:
-            pose = Pose(tr.R[fid], tr.p[fid]).compose(rig.T_IC)
+            # a stacked product, which sums unlike Pose.transform's R @ x
+            t_cw = Pose(tr.R[fid], tr.p[fid]).compose(rig.T_IC).inverse()
             obs, fld = _view(cfg, rig.cam, rng, fid, amps,
-                             pose.inverse().transform(landmarks))
+                             landmarks @ t_cw.R.T + t_cw.t)
         frames.append(FrameData(fid, t, obs, fld))
 
     # ground truth records: the biases hold from their last sample
@@ -405,30 +406,24 @@ def _view(cfg: ScenarioConfig, cam: CameraModel, rng, fid: int,
     ids = np.flatnonzero((0.5 * cfg.min_obs_depth_m <= z)
                          & (z <= 1.5 * cfg.max_obs_depth_m))
     z = z[ids]
-    u = cam.fx * pts_c[ids, 0] / z + cam.cx
-    v = cam.fy * pts_c[ids, 1] / z + cam.cy
-    margin = 5.0 * cfg.field_sigma_px
-    near = (-margin <= u) & (u < cam.width + margin) \
-        & (-margin <= v) & (v < cam.height + margin)
+    uv = cam.project(pts_c[ids])
+    near = cam.in_image(uv, margin=5.0 * cfg.field_sigma_px)
     # bump width tracks apparent size but stays compact so neighbors do
     # not bleed into each other's patches
     sigmas = np.clip(cfg.field_sigma_px * cfg.field_ref_depth_m / z[near],
                      0.5 * cfg.field_sigma_px, 1.5 * cfg.field_sigma_px)
-    fld = IntensityField(amps[ids[near]], np.stack([u[near], v[near]], axis=1),
-                         sigmas, cfg.width_px, cfg.height_px)
+    fld = IntensityField(amps[ids[near]], uv[near], sigmas, cfg.width_px,
+                         cfg.height_px)
 
     visible = np.flatnonzero((cfg.min_obs_depth_m <= z)
-                             & (z <= cfg.max_obs_depth_m) & (0.0 <= u)
-                             & (u < cam.width) & (0.0 <= v) & (v < cam.height))
+                             & (z <= cfg.max_obs_depth_m) & cam.in_image(uv))
     # nearest first, ties by landmark id
     visible = visible[np.argsort(z[visible], kind="stable")][:cfg.max_obs_per_frame]
     noise = rng.standard_normal((len(visible), 3))
-    pix = np.stack([u[visible], v[visible]], axis=1) \
-        + cfg.sigma_pixel_px * noise[:, :2]
+    pix = uv[visible] + cfg.sigma_pixel_px * noise[:, :2]
     disp = cam.fx * cam.baseline / z[visible] \
         + cfg.sigma_disparity_px * noise[:, 2]
-    inside = (0.0 <= pix[:, 0]) & (pix[:, 0] < cam.width) \
-        & (0.0 <= pix[:, 1]) & (pix[:, 1] < cam.height)
+    inside = cam.in_image(pix)
     obs = [LandmarkObservation(fid, i, px, max(d, 0.06)) for i, px, d in zip(
         ids[visible[inside]].tolist(), pix[inside], disp[inside].tolist())]
     return obs, fld
@@ -498,10 +493,19 @@ def _read_jsonl(path: str):
                 raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
 
 
-def _field_of(rec: dict, key: str, path: str, lineno: int):
+def _field_of(rec: dict, key: str, path: str, lineno: int, shape=None):
+    """The value of ``key`` in a record; with a ``shape`` tuple, as such an array."""
     if key not in rec:
         raise ParseError(f"{path}:{lineno}: missing field '{key}'")
-    return rec[key]
+    if shape is None:
+        return rec[key]
+    try:
+        arr = np.array(rec[key], dtype=float)
+        # no view where the shape holds: each holds its base in memory
+        return arr if arr.shape == shape else arr.reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}:{lineno}: field '{key}' is not an array of "
+                         f"shape {shape} of numbers: {rec[key]!r}") from exc
 
 
 def _parse_t(rec: dict, path: str, lineno: int) -> float:
@@ -528,16 +532,15 @@ def _stream(path: str, name: str):
 def _frame(cfg: ScenarioConfig, t: float, rec: dict, at) -> FrameData:
     fid = int(_field_of(rec, "frame_id", *at))
     obs = [LandmarkObservation(
-        fid, int(_field_of(o, "id", *at)), np.array(_field_of(o, "uv", *at)),
+        fid, int(_field_of(o, "id", *at)), _field_of(o, "uv", *at, (2,)),
         None if o.get("disparity") is None else float(o["disparity"]))
         for o in _field_of(rec, "obs", *at)]
     fld = _field_of(rec, "field", *at)
-    sig_raw = _field_of(fld, "sigma_px", *at)
-    sig = np.array(sig_raw, dtype=float) if isinstance(sig_raw, list) \
-        else float(sig_raw)
+    sig = _field_of(fld, "sigma_px", *at)
+    sig = np.array(sig, dtype=float) if isinstance(sig, list) else float(sig)
     return FrameData(fid, t, obs, IntensityField(
         np.array(_field_of(fld, "amps", *at), dtype=float),
-        np.array(_field_of(fld, "centers", *at), dtype=float).reshape(-1, 2),
+        _field_of(fld, "centers", *at, (-1, 2)),
         sig, cfg.width_px, cfg.height_px, float(fld.get("offset", 0.0))))
 
 
@@ -555,10 +558,10 @@ def read_dataset(path: str) -> SensorDataset:
     except ValueError as exc:
         raise ParseError(f"{meta_path}: {exc}") from exc
 
-    imu = [ImuSample(t, np.array(_field_of(rec, "gyro", *at)),
-                     np.array(_field_of(rec, "accel", *at)))
+    imu = [ImuSample(t, _field_of(rec, "gyro", *at, (3,)),
+                     _field_of(rec, "accel", *at, (3,)))
            for t, rec, at in _stream(path, "imu.jsonl")]
-    dvl = [DvlSample(t, np.array(_field_of(rec, "vel", *at)))
+    dvl = [DvlSample(t, _field_of(rec, "vel", *at, (3,)))
            for t, rec, at in _stream(path, "dvl.jsonl")]
     pressure = [PressureSample(t, float(_field_of(rec, "depth", *at)))
                 for t, rec, at in _stream(path, "pressure.jsonl")]
@@ -566,8 +569,7 @@ def read_dataset(path: str) -> SensorDataset:
               for t, rec, at in _stream(path, "frames.jsonl")]
     groundtruth = []
     for t, rec, at in _stream(path, "groundtruth.jsonl"):
-        r, p, v, bg, ba, bv = (np.array(_field_of(rec, key, *at), dtype=float)
-                               for key in ("R", "p", "v", "bg", "ba", "bv"))
-        groundtruth.append(GroundTruthRecord(t, r.reshape(3, 3), p, v, bg, ba,
-                                             bv))
+        groundtruth.append(GroundTruthRecord(t, *(
+            _field_of(rec, key, *at, (3, 3) if key == "R" else (3,))
+            for key in ("R", "p", "v", "bg", "ba", "bv"))))
     return SensorDataset(cfg, imu, dvl, pressure, frames, groundtruth)

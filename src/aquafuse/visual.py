@@ -3,6 +3,10 @@ photometric patch pattern. The reprojection and photometric residuals are
 evaluated by the solver, each kind as one batch over a whole window
 (``backend._ReprojectionBatch`` and ``backend._PhotometricBatch``).
 
+The camera owns the pinhole geometry, as array code over any leading shape.
+Its callers (``backend``'s batches and ``assemble_window``, ``sim._view``, the
+tracker's landmark map and refinement) each keep their own depth threshold.
+
 Intensity fields are smooth sums of Gaussian bumps (plus a constant offset),
 so photometric values and gradients have closed forms and can be checked
 against finite differences exactly where needed. Real images and descriptor
@@ -44,6 +48,34 @@ class CameraModel:
         if self.baseline <= 0:
             raise ValueError("stereo baseline must be positive")
 
+    def project(self, x_c) -> np.ndarray:
+        """Pixels (..., 2) of camera-frame points (..., 3) at positive depth."""
+        x, y, z = x_c[..., 0], x_c[..., 1], x_c[..., 2]
+        return np.stack([self.fx * x / z + self.cx, self.fy * y / z + self.cy], -1)
+
+    def backproject(self, uv, depth) -> np.ndarray:
+        """Camera-frame points (..., 3) at pixels (..., 2) and positive depths."""
+        if np.count_nonzero(np.asarray(depth) <= 0):
+            raise ValueError(f"depth must be positive, got {np.min(depth)}")
+        uv = np.asarray(uv, dtype=float)
+        x = (uv[..., 0] - self.cx) / self.fx * depth
+        return np.stack([x, (uv[..., 1] - self.cy) / self.fy * depth,
+                         np.broadcast_to(depth, x.shape)], -1)
+
+    def stereo_depth(self, disparity):
+        """Depths of disparities; a non-positive one raises."""
+        disparity = np.asarray(disparity, dtype=float)
+        if np.count_nonzero(disparity <= 0):
+            raise DegenerateTriangulationError(
+                f"disparity must be positive, got {disparity.min()}")
+        return self.fx * self.baseline / disparity
+
+    def in_image(self, uv, margin: float = 0.0) -> np.ndarray:
+        """Whether pixels (..., 2) lie in the image grown by ``margin``."""
+        u, v = uv[..., 0], uv[..., 1]
+        return ((-margin <= u) & (u < self.width + margin)
+                & (-margin <= v) & (v < self.height + margin))
+
 
 @dataclass(frozen=True)
 class LandmarkObservation:
@@ -54,21 +86,6 @@ class LandmarkObservation:
 
     def __post_init__(self):
         object.__setattr__(self, "pixel", np.asarray(self.pixel, dtype=float))
-
-
-def backproject(cam: CameraModel, uv, depth: float) -> np.ndarray:
-    if depth <= 0:
-        raise ValueError(f"depth must be positive, got {depth}")
-    u, v = np.asarray(uv, dtype=float)
-    return np.array([(u - cam.cx) / cam.fx * depth,
-                     (v - cam.cy) / cam.fy * depth, depth])
-
-
-def stereo_depth(cam: CameraModel, disparity: float) -> float:
-    if disparity <= 0:
-        raise DegenerateTriangulationError(
-            f"disparity must be positive, got {disparity}")
-    return cam.fx * cam.baseline / disparity
 
 
 @dataclass(frozen=True)

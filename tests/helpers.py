@@ -12,8 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from aquafuse.dvl import DvlExtrinsics, DvlSample
-from aquafuse.imu import (ImuBias, ImuNoiseSpec, ImuSample, _infer_t_end,
-                          hold_intervals)
+from aquafuse.imu import ImuBias, ImuNoiseSpec, ImuSample, hold_intervals
 from aquafuse.manifold import SMALL_ANGLE, exp_so3, hat
 from aquafuse.state import NavState, matvec
 from aquafuse.visual import BehindCameraError
@@ -25,6 +24,23 @@ def project(cam, point_c) -> np.ndarray:
     if z <= 1e-6:
         raise BehindCameraError(f"point depth {z} is not positive")
     return np.array([cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy])
+
+
+def init_landmarks_reference(landmarks: dict, rig, frame, pose) -> None:
+    """The tracker's landmark initialisation one observation at a time: each
+    landmark ``frame`` observes that ``landmarks`` lacks, with a disparity
+    above 0.05 px, back-projected at its stereo depth from the camera of
+    the body ``pose``."""
+    cam, t_wc = rig.cam, pose.compose(rig.T_IC)
+    for obs in frame.observations:
+        if obs.landmark_id in landmarks or obs.disparity is None \
+                or obs.disparity <= 0.05:
+            continue
+        depth = cam.fx * cam.baseline / obs.disparity
+        u, v = obs.pixel
+        x_c = np.array([(u - cam.cx) / cam.fx * depth,
+                        (v - cam.cy) / cam.fy * depth, depth])
+        landmarks[obs.landmark_id] = t_wc.transform(x_c)
 
 
 def fd_jacobian(fn, dim, retract, h=1e-6):
@@ -297,6 +313,14 @@ class DvlBias:
     @staticmethod
     def zero() -> "DvlBias":
         return DvlBias(np.zeros(3))
+
+
+def _infer_t_end(times: np.ndarray) -> float:
+    """One median sample period past the last of ``times``."""
+    if len(times) < 2:
+        raise ValueError("cannot infer the buffer end time from a single sample; "
+                         "pass t_end explicitly")
+    return float(times[-1] + np.median(np.diff(times)))
 
 
 def dead_reckon_dvl(p0, rotations_at_samples, samples, bias: DvlBias,

@@ -323,6 +323,31 @@ class TestInputErrors:
                          "--out", str(tmp_path / "report")]) == 2
         assert f"{path}:2: bad timestamp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("R", [1, 0, 0, 1]), ("R", "eye"), ("p", [0, 0]), ("p", None)])
+    def test_malformed_trajectory_vector_names_the_line(self, dataset, tmp_path,
+                                                        capsys, key, value):
+        good = {"t": "0.0", "R": np.eye(3).ravel().tolist(), "p": [0, 0, 0]}
+        path = tmp_path / "trajectory.jsonl"
+        path.write_text(json.dumps(good) + "\n"
+                        + json.dumps({**good, "t": "0.1", key: value}) + "\n")
+        assert cli.main(["evaluate", "--truth", str(dataset), str(path),
+                         "--out", str(tmp_path / "report")]) == 2
+        assert f"{path}:2: field '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stream, key, value", [
+        ("imu.jsonl", "gyro", [0.1, 0.2]), ("dvl.jsonl", "vel", [[0.1]])])
+    def test_malformed_dataset_vector_names_the_line(self, dataset, tmp_path,
+                                                     capsys, stream, key,
+                                                     value):
+        copy = tmp_path / "dataset"
+        shutil.copytree(dataset, copy)
+        lines = (copy / stream).read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), key: value})
+        (copy / stream).write_text("\n".join(lines) + "\n")
+        assert _estimate(copy, tmp_path / "run") == 2
+        assert f"{copy / stream}:3: field '{key}'" in capsys.readouterr().err
+
     def test_bad_arguments(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["estimate"])

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from aquafuse.sim import ScenarioConfig, simulate
 from aquafuse.state import NavState
 from aquafuse.visual import IntensityField
 
-from helpers import discrete_imu_world, dvl_samples_from_world, project
+from helpers import (discrete_imu_world, dvl_samples_from_world,
+                     init_landmarks_reference, project)
 from test_backend import default_rig, make_scene
 from test_imu import _PREINT_FIELDS
 
@@ -385,6 +387,29 @@ def test_keyframe_records_hold_the_final_keyframe_states(short_blackout_circle):
     assert len(kf_frames) == len(tracker.keyframes) > 1
     for f, node in zip(kf_frames, tracker.keyframes):
         assert f.t == node.t and f.keyframe is node.state
+
+
+def test_landmark_map_equals_the_per_observation_reference(
+        short_blackout_circle):
+    """Landmark initialisation over a frame's observations at once maps the
+    same landmarks to the same points, bit for bit, as one at a time."""
+    ds, rng = short_blackout_circle, np.random.default_rng(4)
+    tracker = Tracker(ds, RunConfig())
+    o = ds.frames[0].observations[0]
+    # no disparity, at and just above the threshold, and a repeated id
+    odd = SimpleNamespace(observations=[
+        replace(o, landmark_id=9001, disparity=None),
+        replace(o, landmark_id=9002, disparity=0.05),
+        replace(o, landmark_id=9003, disparity=0.0500001),
+        replace(o, landmark_id=9003, pixel=o.pixel + 7.0, disparity=3.0)])
+    ref = {}
+    for frame in [*ds.frames[::5], odd]:
+        pose = Pose(exp_so3(rng.normal(size=3) * 0.2), rng.normal(size=3))
+        tracker._init_landmarks(frame, pose)
+        init_landmarks_reference(ref, tracker.rig, frame, pose)
+        assert list(tracker.map) == list(ref)
+        assert all(np.array_equal(tracker.map[k], ref[k]) for k in ref)
+    assert 9003 in ref and not {9001, 9002} & set(ref)
 
 
 class Recording(Tracker):

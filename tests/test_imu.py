@@ -58,14 +58,14 @@ class TestIntegrateImu:
         assert_allclose(pre.dR, exp_so3([0, 0, np.pi / 2]), atol=1e-9)
 
     def test_empty_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            integrate_imu([], ImuBias.zero(), QUIET)
+        with pytest.raises(ValueError, match="empty IMU sample buffer"):
+            integrate_imu([], ImuBias.zero(), QUIET, t_end=1.0)
 
     def test_non_monotone_timestamps_rejected(self):
         samples = [ImuSample(0.0, np.zeros(3), np.zeros(3)),
                    ImuSample(0.0, np.zeros(3), np.zeros(3))]
-        with pytest.raises(ValueError):
-            integrate_imu(samples, ImuBias.zero(), QUIET)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            integrate_imu(samples, ImuBias.zero(), QUIET, t_end=1.0)
 
     def test_dt_total_matches_span(self, rng):
         samples, _, _ = discrete_imu_world(rng, n=37)
@@ -236,7 +236,8 @@ class TestAgainstPerStepReference:
         pre = self._check(samples, *span, noise=QUIET)
         for cov in (pre.cov, pre.step_phi_cov, pre.last_step.cov):
             assert not cov.any()
-        noisy = integrate_imu(samples, self.BIAS, NOISY, *span)
+        noisy = integrate_imu(samples, self.BIAS, NOISY, t_start=span[0],
+                              t_end=span[1])
         for name in _PREINT_FIELDS:
             if "cov" not in name:
                 assert np.array_equal(getattr(pre, name),
@@ -351,6 +352,34 @@ class TestCorrectBias:
         delta = np.array([0.015, -0.01, 0.02])
         ratio = gap(delta) / gap(delta / 2)
         assert 3.5 <= ratio <= 4.5
+
+    def test_equals_the_pair_residuals_correction(self, rng):
+        samples, _, _ = discrete_imu_world(rng, n=80)
+        lin = ImuBias(rng.normal(size=3) * 1e-3, rng.normal(size=3) * 1e-2)
+        pre = integrate_imu(samples, lin, NOISY, t_end=0.8)
+        bias = ImuBias(lin.bg + [0.004, -0.002, 0.003],
+                       lin.ba + [0.02, 0.01, -0.03])
+        d_r, dv, dp = correct_imu_bias(pre, bias)
+        # the first-order update, term by term
+        dbg, dba = bias.bg - lin.bg, bias.ba - lin.ba
+        assert_allclose(d_r, pre.dR @ exp_so3(pre.J_dR_dbg @ dbg), atol=1e-15)
+        assert_allclose(dv, pre.dv + pre.J_dv_dbg @ dbg + pre.J_dv_dba @ dba,
+                        atol=1e-15)
+        assert_allclose(dp, pre.dp + pre.J_dp_dbg @ dbg + pre.J_dp_dba @ dba,
+                        atol=1e-15)
+        # the state it predicts from an identity state at the new biases
+        # zeroes the pair residual, which corrects to the same biases
+        g = np.array([0.0, 0.0, 9.81])
+        s_i = NavState(np.eye(3), np.zeros(3), np.zeros(3), bias.bg, bias.ba)
+        s_j = NavState(d_r, 0.5 * g * pre.dt_total**2 + dp, g * pre.dt_total + dv,
+                       bias.bg, bias.ba)
+        assert_allclose(residual(s_i, s_j, pre, g), np.zeros(9), atol=1e-14)
+        # and a batch of one is that batch's row
+        two = stack_imu_pairs([pre, pre])
+        rows = imu.correct_imu_bias_batch(
+            two, np.tile(np.concatenate([bias.bg, bias.ba]), (2, 1)))
+        assert np.array_equal(rows[0][1], d_r)
+        assert np.array_equal(rows[1][1], np.concatenate([dv, dp]))
 
 
 class TestPredict:

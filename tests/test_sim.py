@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -63,16 +64,9 @@ def test_same_seed_gives_identical_files(written, tmp_path):
                            shallow=False)
 
 
-@pytest.mark.parametrize("stream, lineno, edit", [
-    ("imu.jsonl", 3, lambda line: "{not json"),
-    ("dvl.jsonl", 5, lambda line: line.replace('"vel"', '"velocity"')),
-    ("pressure.jsonl", 2, lambda line: line.replace('"t":"0.1"', '"t":"x"')),
-    ("frames.jsonl", 4, lambda line: line.replace('"t":"0.2"', '"t":"0.0"')),
-])
-def test_parse_error_names_file_and_line(written, tmp_path, stream, lineno,
-                                         edit):
-    _, path = written
-    broken = tmp_path / "broken"
+def _broken_copy(path, broken, stream, lineno, edit):
+    """A copy of the dataset at ``path`` with line ``lineno`` of ``stream``
+    replaced by ``edit`` of it."""
     os.makedirs(broken)
     for name in os.listdir(path):
         text = (path / name).read_text()
@@ -83,9 +77,54 @@ def test_parse_error_names_file_and_line(written, tmp_path, stream, lineno,
             lines[lineno - 1] = changed
             text = "\n".join(lines) + "\n"
         (broken / name).write_text(text)
+    return broken
+
+
+@pytest.mark.parametrize("stream, lineno, edit", [
+    ("imu.jsonl", 3, lambda line: "{not json"),
+    ("dvl.jsonl", 5, lambda line: line.replace('"vel"', '"velocity"')),
+    ("pressure.jsonl", 2, lambda line: line.replace('"t":"0.1"', '"t":"x"')),
+    ("frames.jsonl", 4, lambda line: line.replace('"t":"0.2"', '"t":"0.0"')),
+])
+def test_parse_error_names_file_and_line(written, tmp_path, stream, lineno,
+                                         edit):
+    _, path = written
+    broken = _broken_copy(path, tmp_path / "broken", stream, lineno, edit)
     with pytest.raises(sim.ParseError) as err:
         sim.read_dataset(str(broken))
     assert f"{broken / stream}:{lineno}:" in str(err.value)
+
+
+def _set(keys, value):
+    """An edit of a JSON line that sets the entry at the path ``keys``."""
+    def edit(line):
+        rec = json.loads(line)
+        inner = rec
+        for k in keys[:-1]:
+            inner = inner[k]
+        inner[keys[-1]] = value
+        return json.dumps(rec)
+    return edit
+
+
+@pytest.mark.parametrize("stream, lineno, keys, value", [
+    ("imu.jsonl", 3, ("gyro",), [0.1, 0.2]),
+    ("imu.jsonl", 4, ("accel",), [0.1, [0.2], 0.3]),
+    ("dvl.jsonl", 5, ("vel",), "fast"),
+    ("frames.jsonl", 2, ("obs", 0, "uv"), [1.0, 2.0, 3.0]),
+    ("frames.jsonl", 3, ("field", "centers"), [[1.0, 2.0], [3.0]]),
+    ("groundtruth.jsonl", 4, ("R",), [1, 0, 0, 1]),
+    ("groundtruth.jsonl", 6, ("bv",), None),
+], ids=["imu-gyro", "imu-accel", "dvl-vel", "obs-uv", "field-centers",
+        "truth-R", "truth-bv"])
+def test_malformed_vector_names_file_line_and_field(written, tmp_path, stream,
+                                                    lineno, keys, value):
+    _, path = written
+    broken = _broken_copy(path, tmp_path / "broken", stream, lineno,
+                          _set(keys, value))
+    with pytest.raises(sim.ParseError) as err:
+        sim.read_dataset(str(broken))
+    assert f"{broken / stream}:{lineno}: field '{keys[-1]}'" in str(err.value)
 
 
 # short datasets of each path kind, between them a blackout, a vertical
@@ -164,3 +203,59 @@ def test_truth_derivatives_match_finite_differences(kind):
     rz[:, 0, 0], rz[:, 0, 1], rz[:, 1, 0], rz[:, 1, 1] = c, -s, s, c
     rz[:, 2, 2] = 1.0
     np.testing.assert_allclose(now.R, rz, atol=1e-12)
+
+
+# a short circle with a blackout, an observation cap that binds and no
+# disparity noise, so each observation's disparity orders it by depth
+VIEW = dict(kind="circle", duration_s=3.0, seed=7, max_obs_per_frame=12,
+            sigma_disparity_px=0.0, degradation_windows_s=((1.0, 1.5),))
+
+
+@pytest.fixture(scope="module")
+def viewed():
+    cfg = sim.ScenarioConfig(**VIEW)
+    return cfg, sim.simulate(cfg)
+
+
+def _dark(cfg, frame) -> bool:
+    return any(a <= frame.t <= b for a, b in cfg.degradation_windows_s)
+
+
+def test_observations_lie_in_the_image(viewed):
+    cfg, ds = viewed
+    pix = np.array([o.pixel for f in ds.frames for o in f.observations])
+    assert len(pix) > 0
+    assert np.all((0.0 <= pix[:, 0]) & (pix[:, 0] < cfg.width_px)
+                  & (0.0 <= pix[:, 1]) & (pix[:, 1] < cfg.height_px))
+
+
+def test_observations_are_nearest_first_ties_by_id(viewed):
+    _, ds = viewed
+    for f in ds.frames:
+        # disparity fx * baseline / depth falls with depth
+        keys = [(-o.disparity, o.landmark_id) for o in f.observations]
+        assert keys == sorted(keys), f.frame_id
+
+
+def test_observation_cap_binds_and_holds(viewed):
+    cfg, ds = viewed
+    counts = [len(f.observations) for f in ds.frames]
+    assert max(counts) == cfg.max_obs_per_frame
+
+
+def test_disparities_are_clamped_at_006():
+    # disparity noise large enough to push some below the clamp
+    ds = sim.simulate(sim.ScenarioConfig(**{**VIEW, "sigma_disparity_px": 20.0}))
+    disp = [o.disparity for f in ds.frames for o in f.observations]
+    assert min(disp) == 0.06
+    assert all(d >= 0.06 for d in disp)
+
+
+def test_blackout_frames_are_empty(viewed):
+    cfg, ds = viewed
+    dark = [f for f in ds.frames if _dark(cfg, f)]
+    assert len(dark) > 0
+    assert all(f.observations for f in ds.frames if not _dark(cfg, f))
+    for f in dark:
+        assert f.observations == []
+        assert len(f.field.amplitudes) == 0 and f.field.centers.shape == (0, 2)

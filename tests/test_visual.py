@@ -10,7 +10,7 @@ from aquafuse.state import PHI, POS, STATE_DOF, NavState
 from aquafuse.visual import (BehindCameraError, CameraModel,
                              DegenerateTriangulationError, IntensityField,
                              LandmarkObservation, OutOfDomainError,
-                             PatchPattern, backproject, stereo_depth)
+                             PatchPattern)
 
 from helpers import project
 
@@ -47,7 +47,7 @@ class TestPinhole:
             x = np.array([rng.uniform(-1, 1), rng.uniform(-0.5, 0.5),
                           rng.uniform(0.5, 10)])
             uv = project(CAM, x)
-            assert_allclose(backproject(CAM, uv, x[2]), x, atol=1e-12)
+            assert_allclose(CAM.backproject(uv, x[2]), x, atol=1e-12)
 
     def test_behind_camera_rejected(self):
         with pytest.raises(BehindCameraError):
@@ -55,7 +55,7 @@ class TestPinhole:
 
     def test_backproject_bad_depth(self):
         with pytest.raises(ValueError):
-            backproject(CAM, [320, 180], 0.0)
+            CAM.backproject([320, 180], 0.0)
 
     def test_projection_jacobian_fd(self, rng):
         x = np.array([0.4, -0.2, 2.0])
@@ -72,11 +72,11 @@ class TestPinhole:
 
 class TestStereoDepth:
     def test_basic(self):
-        assert stereo_depth(CAM, 10.0) == pytest.approx(1.0)
+        assert CAM.stereo_depth(10.0) == pytest.approx(1.0)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateTriangulationError):
-            stereo_depth(CAM, 0.0)
+            CAM.stereo_depth(0.0)
 
     def test_two_camera_round_trip(self, rng):
         # disparity from explicit left/right projections recovers the depth
@@ -86,8 +86,59 @@ class TestStereoDepth:
             u_left = project(CAM, x)[0]
             u_right = project(CAM, x - np.array([CAM.baseline, 0, 0]))[0]
             disparity = u_left - u_right
-            assert stereo_depth(CAM, disparity) == pytest.approx(x[2],
+            assert CAM.stereo_depth(disparity) == pytest.approx(x[2],
                                                                  abs=1e-9)
+
+
+class TestCameraArrays:
+    """The camera's pinhole geometry over arrays; one item is a batch of one."""
+
+    def _points(self, rng, n):
+        return np.column_stack([rng.uniform(-2, 2, n), rng.uniform(-1, 1, n),
+                                rng.uniform(0.5, 10, n)])
+
+    def test_projection_equals_the_per_point_form(self, rng):
+        x = self._points(rng, 60)
+        uv = CAM.project(x)
+        assert uv.shape == (60, 2)
+        for k in range(60):
+            assert np.array_equal(uv[k], project(CAM, x[k]))
+        assert np.array_equal(CAM.project(x.reshape(6, 10, 3)),
+                              uv.reshape(6, 10, 2))
+        assert np.array_equal(CAM.project(x[7]), uv[7])
+
+    def test_backproject_round_trips(self, rng):
+        x = self._points(rng, 40)
+        back = CAM.backproject(CAM.project(x), x[:, 2])
+        assert_allclose(back, x, rtol=1e-12)
+        uv = rng.uniform([0, 0], [640, 360], size=(40, 2))
+        depth = rng.uniform(0.5, 10, 40)
+        pts = CAM.backproject(uv, depth)
+        assert np.array_equal(pts[:, 2], depth)
+        assert_allclose(CAM.project(pts), uv, rtol=1e-12)
+        assert np.array_equal(CAM.backproject(uv[3], depth[3]), pts[3])
+        # one depth per row of a (rows, m, 2) block of pixels
+        block = CAM.backproject(uv.reshape(8, 5, 2), depth[:8, None])
+        assert block.shape == (8, 5, 3)
+        assert np.array_equal(block[:, :, 2], np.repeat(depth[:8, None], 5, 1))
+
+    def test_backproject_rejects_one_bad_depth(self):
+        with pytest.raises(ValueError):
+            CAM.backproject([[320, 180], [300, 100]], [2.0, -1.0])
+
+    def test_stereo_depth_array(self):
+        assert_allclose(CAM.stereo_depth(np.array([10.0, 5.0, 2.0])),
+                        [1.0, 2.0, 5.0])
+        for bad in ([10.0, 0.0, 5.0], [10.0, -3.0]):
+            with pytest.raises(DegenerateTriangulationError):
+                CAM.stereo_depth(np.array(bad))
+
+    def test_in_image(self):
+        uv = np.array([[0.0, 0.0], [639.9, 359.9], [640.0, 10.0],
+                       [-0.1, 10.0], [10.0, 360.0]])
+        assert CAM.in_image(uv).tolist() == [True, True, False, False, False]
+        assert CAM.in_image(uv, margin=1.0).all()
+        assert not CAM.in_image(uv, margin=-1.0)[[0, 1]].any()
 
 
 class TestReprojection:
