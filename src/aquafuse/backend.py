@@ -4,17 +4,20 @@ Gauss-Newton (Levenberg-Marquardt) solver on the state manifold.
 Variables are keyframe states (18 local dof: rotation vector, position,
 velocity, gyro/accel/DVL biases) and landmark positions. Rotation updates are
 applied on the right (R <- R exp(phi)); translations, velocities and biases
-are additive. Robust (Huber) reweighting applies to visual factors only.
+are additive. A factor holds only its measurement: the sensor rig, the
+Huber knee of the visual kinds (the only robust ones) and the gauge belong
+to the window it is solved in, which its fixed states or fixed landmarks
+anchor.
 
 Per-keyframe biases are coupled by random-walk terms folded into the inertial
 factor (gyro/accel biases) and the DVL translation factor (velocity bias), so
-the factor kinds stay exactly the six sensor kinds plus the fixed prior. A
-window has a factor for every measurement its nodes and intervals carry, so
-the caller decides which sensors it fuses by the measurements it gives.
+the factor kinds stay exactly the six sensor kinds. A window has a factor for
+every measurement its nodes and intervals carry, so the caller decides which
+sensors it fuses by the measurements it gives.
 
 Each factor kind is one batch per solve, its residual written once: all
-reprojections, all photometric patches, all fixed priors, and the pair kinds
-(IMU, DVL velocity, DVL position, pressure) over all their pairs. Every
+reprojections, all photometric patches, and the pair kinds (IMU, DVL
+velocity, DVL position, pressure) over all their pairs. Every
 batch reads the window's states stacked once per linearization point and
 returns per-row residuals and Jacobian rows over the columns it declares;
 one routine forms the weighted normal equations of all batches and adds
@@ -36,8 +39,7 @@ from .dvl import (DvlExtrinsics, DvlPreintegrated, DvlSample,
                   dvl_position_pair_residuals, dvl_velocity_pair_residuals,
                   stack_dvl_position_pairs, stack_dvl_velocity_pairs)
 from .imu import ImuPreintegrated, imu_pair_residuals, stack_imu_pairs
-from .manifold import (Pose, hat, hat_batch, log_so3_batch,
-                       right_jacobian_inv_so3_batch)
+from .manifold import Pose, hat, hat_batch
 from .state import (STATE_DOF, NavState, StateStack, matvec, retract_rows,
                     stack_states, unstack_state)
 from .visual import (BehindCameraError, CameraModel, IntensityField,
@@ -63,6 +65,8 @@ class FactorKind(Enum):
     DVL_VELOCITY = "dvl_velocity"
     DVL_POSITION = "dvl_position"
     PRESSURE = "pressure"
+    # no builder yet: the benchmark reports a count per kind, and the
+    # marginalization prior of the window boundary would be its first
     FIXED_PRIOR = "fixed_prior"
 
 VISUAL_KINDS = (FactorKind.REPROJECTION, FactorKind.PHOTOMETRIC)
@@ -136,39 +140,35 @@ class PhotometricData:
 @dataclass
 class Factor:
     """One residual block: kind, connected variables, measurement payload,
-    information matrix and the robust-loss flag (visual kinds only)."""
+    information matrix and, for a reprojection, the observed landmark."""
 
     kind: FactorKind
     state_ids: tuple[int, ...]
     payload: Any
     info: np.ndarray
     landmark_id: int | None = None
-    robust: bool = False
-    robust_delta: float = 1.345
-    rig: SensorRig | None = None
 
     def __post_init__(self):
         self.info = np.atleast_2d(np.asarray(self.info, dtype=float))
         if np.max(np.abs(self.info - self.info.T)) > 1e-9:
             raise ValueError("information matrix must be symmetric")
-        if self.robust and self.kind not in VISUAL_KINDS:
-            raise ValueError("robust loss is restricted to visual factors")
 
     # ------------------------------------------------------------------ #
     def evaluate(self, states: dict[int, NavState],
-                 landmarks: dict[int, np.ndarray], with_jacobians: bool = True):
-        """Residual plus Jacobian blocks keyed by state id / landmark id,
-        evaluated as a batch of one: each residual is written once, in its
-        kind's batch.
+                 landmarks: dict[int, np.ndarray], rig: SensorRig,
+                 with_jacobians: bool = True):
+        """Raw residual plus Jacobian blocks keyed by state id / landmark
+        id, evaluated with ``rig`` as a batch of one: each residual is
+        written once, in its kind's batch.
 
         With ``with_jacobians=False`` the Jacobian dicts are empty; used for
         cost-only evaluations of candidate steps.
         """
         lids = () if self.landmark_id is None else (self.landmark_id,)
-        window = LocalWindow(list(self.state_ids), states,
+        window = LocalWindow(list(self.state_ids), states, rig, None,
                              {lid: landmarks[lid] for lid in lids})
         layout = _window_layout(window, [self])
-        (batch,) = _batches([self], layout)
+        (batch,) = _batches(window, [self], layout)
         stack, lms = layout.stack(states), layout.landmark_array(landmarks)
         if not with_jacobians:
             return batch.residuals(stack, lms)[0], {}, {}
@@ -191,13 +191,16 @@ POSE_VEL_MASK = np.array([True] * 9 + [False] * 9)
 
 @dataclass
 class LocalWindow:
-    """Ordered keyframe states plus landmarks; fixed entries are never
-    touched by the solver. A free state's mask must be a contiguous prefix
-    of its local dims that holds at least the pose (POSE_MASK,
-    POSE_VEL_MASK or FULL_MASK)."""
+    """Ordered keyframe states plus landmarks, the rig and the Huber knee of
+    the visual factors (None: unweighted). Fixed entries are never touched
+    by the solver and anchor the gauge. A free state's mask must be a
+    contiguous prefix of its local dims that holds at least the pose
+    (POSE_MASK, POSE_VEL_MASK or FULL_MASK)."""
 
     kf_ids: list[int]
     states: dict[int, NavState]
+    rig: SensorRig
+    huber_delta: float | None
     landmarks: dict[int, np.ndarray] = dc_field(default_factory=dict)
     fixed_states: set[int] = dc_field(default_factory=set)
     fixed_landmarks: set[int] = dc_field(default_factory=set)
@@ -225,12 +228,10 @@ class Termination(Enum):
 
 @dataclass
 class SolveReport:
-    """``converged`` is true for every termination but the iteration cap."""
+    """Accepted steps, final cost, cost trace and why the solve stopped."""
 
     iterations: int
-    initial_cost: float
     final_cost: float
-    converged: bool
     cost_trace: list[float]
     termination: Termination
 
@@ -293,38 +294,32 @@ class _Batch:
     """The factors of one kind, evaluated at once over a :class:`StateStack`
     and the landmark array. A row is one factor (one state pair for the pair
     kinds). Per row a batch holds ``cols`` (n, c), the normal-equation
-    columns of the dims its residual depends on, ``infos`` (n, r, r) and the
-    Huber flags ``robust`` and ``deltas``. ``residuals(stack, lms)`` returns
-    (n, r); ``linearize(stack, lms)`` also returns the Jacobian rows
-    (n, r, c) over ``cols``. A point that leaves a camera raises
-    BehindCameraError or OutOfDomainError."""
+    columns of the dims its residual depends on, and ``infos`` (n, r, r);
+    ``delta`` is the Huber knee of all its rows (None: no robust loss).
+    ``residuals(stack, lms)`` returns (n, r); ``linearize(stack, lms)`` also
+    returns the Jacobian rows (n, r, c) over ``cols``. A point that leaves a
+    camera raises BehindCameraError or OutOfDomainError."""
 
-    def _set_rows(self, cols, infos, robust, deltas, dummy: int):
+    def _set_rows(self, cols, infos, delta: float | None, dummy: int):
         self.cols = np.asarray(cols, dtype=np.intp)
-        self.infos, self.deltas = infos, deltas
-        self.robust = robust if robust is not None and robust.any() else None
+        self.infos, self.delta = infos, delta
         # rows whose every column is the dummy add nothing to h and g
         live = np.flatnonzero((self.cols < dummy).any(axis=1))
         self.live = slice(None) if len(live) == len(self.cols) else live
         cols = self.cols[self.live]
         self.h_index = cols[:, :, None] * (dummy + 1) + cols[:, None, :]
 
-    def _set_factor_rows(self, factors: list[Factor], cols, dummy: int):
-        self._set_rows(cols, np.array([f.info for f in factors]),
-                       np.array([f.robust for f in factors]),
-                       np.array([f.robust_delta for f in factors]), dummy)
-
     def weights_cost(self, res: np.ndarray):
-        """Per-row Huber weights on the Mahalanobis norm (None when no row
-        is robust) and the summed robustified cost of the residuals."""
+        """Per-row Huber weights on the Mahalanobis norm (None without a
+        knee) and the summed robustified cost of the residuals."""
         r2 = np.einsum("ni,nij,nj->n", res, self.infos, res)
-        if self.robust is None:
+        if self.delta is None:
             return None, float(r2.sum())
-        s, deltas = np.sqrt(r2), self.deltas
-        outside = self.robust & (s > deltas)
+        s, delta = np.sqrt(r2), self.delta
+        outside = s > delta
         w = np.ones(len(r2))
-        np.divide(deltas, s, out=w, where=outside)
-        return w, float(np.where(outside, 2.0 * deltas * s - deltas**2,
+        np.divide(delta, s, out=w, where=outside)
+        return w, float(np.where(outside, 2.0 * delta * s - delta * delta,
                                  r2).sum())
 
 
@@ -332,15 +327,15 @@ class _ReprojectionBatch(_Batch):
     """All reprojection factors, one row per observation, over the host
     pose's 6 dims and the landmark's 3."""
 
-    def __init__(self, factors: list[Factor], layout: _Layout):
-        self.rig = factors[0].rig
+    def __init__(self, window: LocalWindow, factors: list[Factor], layout: _Layout):
+        self.rig = window.rig
         self.host = np.array([layout.rows[f.state_ids[0]] for f in factors])
         self.lm = np.array([layout.lm_rows[f.landmark_id] for f in factors])
         self.pixels = np.array([f.payload.pixel for f in factors])
-        self._set_factor_rows(
-            factors, [layout.cols[f.state_ids[0]][:6]
-                      + layout.lm_cols[f.landmark_id] for f in factors],
-            layout.ndim)
+        self._set_rows([layout.cols[f.state_ids[0]][:6]
+                        + layout.lm_cols[f.landmark_id] for f in factors],
+                       np.array([f.info for f in factors]),
+                       window.huber_delta, layout.ndim)
 
     def _project(self, stack: StateStack, lms: np.ndarray):
         """Camera rotations (n, 3, 3), camera-frame points (n, 3) and the
@@ -386,8 +381,8 @@ class _PhotometricBatch(_Batch):
     is sampled, and differentiated when linearizing, once for all the
     patches it observes."""
 
-    def __init__(self, factors: list[Factor], layout: _Layout):
-        self.rig = factors[0].rig
+    def __init__(self, window: LocalWindow, factors: list[Factor], layout: _Layout):
+        self.rig = window.rig
         self.host = np.array([layout.rows[f.state_ids[0]] for f in factors])
         self.obs = np.array([layout.rows[f.state_ids[1]] for f in factors])
         payloads = [f.payload for f in factors]
@@ -399,10 +394,10 @@ class _PhotometricBatch(_Batch):
         for k, d in enumerate(payloads):
             fields.setdefault(id(d.field_obs), (d.field_obs, []))[1].append(k)
         self.fields = [(fld, np.array(rows)) for fld, rows in fields.values()]
-        self._set_factor_rows(
-            factors, [layout.cols[f.state_ids[0]][:6]
-                      + layout.cols[f.state_ids[1]][:6] for f in factors],
-            layout.ndim)
+        self._set_rows([layout.cols[f.state_ids[0]][:6]
+                        + layout.cols[f.state_ids[1]][:6] for f in factors],
+                       np.array([f.info for f in factors]),
+                       window.huber_delta, layout.ndim)
 
     def _warp(self, stack: StateStack):
         """Host body rotations and host and observer camera rotations
@@ -485,35 +480,13 @@ class _PhotometricBatch(_Batch):
         return res[:, None], jac
 
 
-class _PriorBatch(_Batch):
-    """All fixed priors, one row per prior, over its state's 18 dims."""
-
-    def __init__(self, factors: list[Factor], layout: _Layout):
-        self.rows = np.array([layout.rows[f.state_ids[0]] for f in factors])
-        self.ref = stack_states(f.payload for f in factors)
-        self._set_factor_rows(
-            factors, [layout.cols[f.state_ids[0]] for f in factors],
-            layout.ndim)
-
-    def residuals(self, stack: StateStack, lms=None) -> np.ndarray:
-        e_phi = log_so3_batch(self.ref.R.transpose(0, 2, 1) @ stack.R[self.rows])
-        return np.concatenate([e_phi, stack.x[self.rows, 3:]
-                               - self.ref.x[:, 3:]], axis=1)
-
-    def linearize(self, stack: StateStack, lms=None):
-        res = self.residuals(stack)
-        jac = np.tile(np.eye(STATE_DOF), (len(res), 1, 1))
-        jac[:, 0:3, 0:3] = right_jacobian_inv_so3_batch(res[:, 0:3])
-        return res, jac
-
-
 class _PairBatch:
     """The factors of one pair kind, payloads and information stacked once;
     the kind's residual function evaluates all their pairs in one call, at
     rows ``i`` and ``j`` of a :class:`StateStack`."""
 
-    def __init__(self, factors: list[Factor], i, j):
-        f0, ds, rig = factors[0], [f.payload for f in factors], factors[0].rig
+    def __init__(self, factors: list[Factor], i, j, rig: SensorRig):
+        f0, ds = factors[0], [f.payload for f in factors]
         self.kind, self.i, self.j = f0.kind, i, j
         self.infos = np.array([f.info for f in factors])
         # the stacked payload, the residual function and its sensor constant
@@ -541,7 +514,7 @@ class _PairGroup(_Batch):
     information. A row's columns are the 36 local dims of its two states
     (i's, then j's), kept where some pair has a column (``dims``)."""
 
-    def __init__(self, kinds: list[list[Factor]], layout: _Layout):
+    def __init__(self, window: LocalWindow, kinds: list[list[Factor]], layout: _Layout):
         pairs = [f.state_ids for f in kinds[0]]
         cols = np.array([layout.cols[a] + layout.cols[b] for a, b in pairs])
         self.dims = np.flatnonzero(cols.min(axis=0) < layout.ndim)
@@ -549,13 +522,13 @@ class _PairGroup(_Batch):
         i, j = ([layout.rows[pair[side]] for pair in pairs] for side in (0, 1))
         i, j = (slice(r[0], r[-1] + 1) if r == list(range(r[0], r[-1] + 1))
                 else np.array(r) for r in (i, j))
-        self.batches = [_PairBatch(fs, i, j) for fs in kinds]
+        self.batches = [_PairBatch(fs, i, j, window.rig) for fs in kinds]
         size = sum(b.infos.shape[1] for b in self.batches)
         infos, lo = np.zeros((len(pairs), size, size)), 0
         for b in self.batches:
             hi = lo + b.infos.shape[1]
             infos[:, lo:hi, lo:hi], lo = b.infos, hi
-        self._set_rows(cols.take(self.dims, 1), infos, None, None, layout.ndim)
+        self._set_rows(cols.take(self.dims, 1), infos, None, layout.ndim)
 
     def residuals(self, stack: StateStack, lms=None) -> np.ndarray:
         return np.concatenate([b.evaluate(stack, with_jacobians=False)[0]
@@ -569,22 +542,22 @@ class _PairGroup(_Batch):
                 jac.take(self.dims, 2))
 
 
-def _batches(factors: list[Factor], layout: _Layout) -> list[_Batch]:
-    """One batch per factor kind; the pair kinds that span the same list of
-    state pairs share one :class:`_PairGroup`."""
+def _batches(window: LocalWindow, factors: list[Factor],
+             layout: _Layout) -> list[_Batch]:
+    """One batch per factor kind, with the window's rig and knee; the pair
+    kinds that span the same list of state pairs share one :class:`_PairGroup`."""
     kinds: dict[FactorKind, list[Factor]] = {}
     for f in factors:
         kinds.setdefault(f.kind, []).append(f)
     make = {FactorKind.REPROJECTION: _ReprojectionBatch,
-            FactorKind.PHOTOMETRIC: _PhotometricBatch,
-            FactorKind.FIXED_PRIOR: _PriorBatch}
-    out = [make[kind](fs, layout) for kind, fs in kinds.items()
+            FactorKind.PHOTOMETRIC: _PhotometricBatch}
+    out = [make[kind](window, fs, layout) for kind, fs in kinds.items()
            if kind not in PAIR_KINDS]
     by_pairs: dict[tuple, list[list[Factor]]] = {}
     for kind, fs in kinds.items():
         if kind in PAIR_KINDS:
             by_pairs.setdefault(tuple(f.state_ids for f in fs), []).append(fs)
-    return out + [_PairGroup(fss, layout) for fss in by_pairs.values()]
+    return out + [_PairGroup(window, fss, layout) for fss in by_pairs.values()]
 
 
 def _cost(batches: list[_Batch], stack: StateStack, lms: np.ndarray) -> float:
@@ -608,7 +581,7 @@ def _normal_equations(batches: list[_Batch], stack: StateStack,
             continue
         res, jac = b.linearize(stack, lms)
         live, a = b.live, b.infos[b.live]
-        if b.robust is not None:
+        if b.delta is not None:
             a = b.weights_cost(res)[0][live, None, None] * a
         jac, res = jac[live], res[live]
         jt_a = jac.transpose(0, 2, 1) @ a
@@ -633,26 +606,22 @@ def solve(window: LocalWindow, factors: list[Factor],
     if not factors:
         raise ValueError("cannot solve an empty factor list")
 
-    anchored = (bool(window.fixed_states) or bool(window.fixed_landmarks)
-                or any(f.kind == FactorKind.FIXED_PRIOR for f in factors))
-    if not anchored:
-        raise GaugeError("no fixed state, fixed landmark or prior factor; "
+    if not (window.fixed_states or window.fixed_landmarks):
+        raise GaugeError("no fixed state or fixed landmark; "
                          "add a gauge fix before solving")
 
     layout = _window_layout(window, factors)
     ndim = layout.ndim
-    batches = _batches(factors, layout)
+    batches = _batches(window, factors, layout)
     lms = layout.landmark_array(window.landmarks)
     stack = layout.stack(window.states)
 
     cost = _cost(batches, stack, lms)
     if not np.isfinite(cost):
         raise DivergedError(f"initial cost is not finite ({cost})")
-    initial_cost = cost
     trace = [cost]
     if ndim == 0:
-        return window, SolveReport(0, initial_cost, cost, True, trace,
-                                   Termination.ZERO_GRADIENT)
+        return window, SolveReport(0, cost, trace, Termination.ZERO_GRADIENT)
 
     # the stack rows of the free states that a factor touches (the others
     # have no gradient and stay put) and their columns
@@ -717,9 +686,7 @@ def solve(window: LocalWindow, factors: list[Factor],
     for sid in free:
         window.states[sid] = unstack_state(stack, layout.rows[sid])
     window.landmarks = dict(zip(layout.lm_rows, lms))
-    converged = termination is not Termination.ITERATION_CAP
-    return window, SolveReport(accepted, initial_cost, cost, converged, trace,
-                               termination)
+    return window, SolveReport(accepted, cost, trace, termination)
 
 
 # --------------------------- window construction --------------------------- #
@@ -805,12 +772,6 @@ def _safe_inverse(cov: np.ndarray) -> np.ndarray:
     return 0.5 * (info + info.T)
 
 
-def make_prior_factor(sid: int, ref: NavState,
-                      sigma: float = 1e-4) -> Factor:
-    info = np.eye(STATE_DOF) / sigma**2
-    return Factor(FactorKind.FIXED_PRIOR, (sid,), ref.copy(), info)
-
-
 def assemble_window(keyframes: list[KeyframeNode],
                     landmarks: dict[int, np.ndarray],
                     intervals: dict[tuple[int, int], IntervalData],
@@ -846,14 +807,13 @@ def assemble_window(keyframes: list[KeyframeNode],
     window = LocalWindow(
         kf_ids=[kf.kf_id for kf in keyframes],
         states={kf.kf_id: kf.state for kf in keyframes},
+        rig=rig, huber_delta=cfg.huber_delta,
         landmarks=window_lms,
         fixed_states=fixed_ids,
         fixed_landmarks={lid for lid in fixed_landmarks if lid in window_lms},
     )
 
     factors: list[Factor] = []
-    if not fixed_ids and not window.fixed_landmarks and keyframes:
-        factors.append(make_prior_factor(keyframes[0].kf_id, keyframes[0].state))
 
     def live_pair(a: KeyframeNode, b: KeyframeNode) -> bool:
         # a gap means a co-visible prior: visual factors only
@@ -876,26 +836,26 @@ def assemble_window(keyframes: list[KeyframeNode],
         info = np.zeros((15, 15))
         info[0:9, 0:9] = data.imu_info
         info[9:15, 9:15] = np.diag(walk)
-        factors.append(Factor(FactorKind.IMU, key, data.imu_preint, info, rig=rig))
+        factors.append(Factor(FactorKind.IMU, key, data.imu_preint, info))
 
         if data.dvl_preint is not None:
             info = np.zeros((6, 6))
             info[0:3, 0:3] = data.dvl_info
             info[3:6, 3:6] = np.eye(3) / (noise.sigma_bv_walk**2 * dt)
             factors.append(Factor(FactorKind.DVL_POSITION, key, data.dvl_preint,
-                                  info, rig=rig))
+                                  info))
         if a.dvl_meas is not None and b.dvl_meas is not None \
                 and a.gyro is not None and b.gyro is not None:
             info = np.eye(3) / (2.0 * noise.sigma_dvl**2)
             factors.append(Factor(
                 FactorKind.DVL_VELOCITY, key,
                 DvlVelocityData(a.dvl_meas, b.dvl_meas, a.gyro, b.gyro),
-                info, rig=rig))
+                info))
         if a.pressure_meas is not None and b.pressure_meas is not None:
             info = np.array([[1.0 / (2.0 * noise.sigma_pressure**2)]])
             factors.append(Factor(FactorKind.PRESSURE, key,
                                   PressureData(a.pressure_meas, b.pressure_meas),
-                                  info, rig=rig))
+                                  info))
 
     pix_info = np.eye(2) / noise.sigma_pixel**2
     for kf in keyframes:
@@ -906,13 +866,10 @@ def assemble_window(keyframes: list[KeyframeNode],
         z = t_cw.transform([window_lms[o.landmark_id] for o in seen])[:, 2]
         # none behind or grazing the camera at the initial guess
         factors += [Factor(FactorKind.REPROJECTION, (kf.kf_id,), obs, pix_info,
-                           landmark_id=obs.landmark_id, robust=True,
-                           robust_delta=cfg.huber_delta, rig=rig)
+                           landmark_id=obs.landmark_id)
                     for obs, behind in zip(seen, z <= 1e-3) if not behind]
 
     if cfg.photometric_enabled:
-        n_pat = len(cfg.pattern.offsets)
-        photo_info = np.array([[1.0 / (n_pat * cfg.sigma_intensity**2)]])
         for a, b in zip(keyframes[:-1], keyframes[1:]):
             if not live_pair(a, b):
                 continue
@@ -930,9 +887,8 @@ def assemble_window(keyframes: list[KeyframeNode],
             points = list(zip([o.pixel for o in hosts], rig.cam.stereo_depth(
                 [o.disparity for o in hosts])))
             factors += make_photometric_factors(
-                (a.kf_id, b.kf_id), a.field, b.field, points, cfg.pattern,
-                photo_info, rig, window.states, cfg.photometric_gate,
-                cfg.huber_delta)
+                window, (a.kf_id, b.kf_id), a.field, b.field, points,
+                cfg.pattern, cfg.sigma_intensity, cfg.photometric_gate)
 
     observed = {f.landmark_id for f in factors if f.landmark_id is not None}
     window.landmarks = {lid: pos for lid, pos in window_lms.items()
@@ -941,28 +897,28 @@ def assemble_window(keyframes: list[KeyframeNode],
     return window, factors
 
 
-def make_photometric_factors(ids: tuple[int, int], field_host: IntensityField,
+def make_photometric_factors(window: LocalWindow, ids: tuple[int, int],
+                             field_host: IntensityField,
                              field_obs: IntensityField, points,
-                             pattern: PatchPattern, info: np.ndarray,
-                             rig: SensorRig, states: dict[int, NavState],
-                             gate: float = float("inf"),
-                             robust_delta: float = 1.345) -> list[Factor]:
-    """Robust photometric factors, one per (pixel, depth) host point of the
-    state pair ``ids``, gated at ``states``. A patch is kept when every
-    point warps in front of and inside the observer image and its
+                             pattern: PatchPattern, sigma_intensity: float,
+                             gate: float) -> list[Factor]:
+    """Photometric factors, one per (pixel, depth) host point of the state
+    pair ``ids`` with per-point intensity noise ``sigma_intensity``, gated
+    at the states of the ``window`` they will join. A patch is kept when
+    every point warps in front of and inside the observer image and its
     Mahalanobis residual is at most ``gate``; patches that fail violate
-    luminance constancy (clutter, parallax) or leave the image at the guess.
-    The host side takes one field sample and one gradient call, the gate one
-    batch evaluation."""
+    luminance constancy (clutter, parallax) or leave the image at the
+    guess. The host side takes one field sample and one gradient call, the
+    gate one batch evaluation."""
     payloads = PhotometricData.batch(field_host, field_obs,
                                      [p for p, _ in points],
                                      [d for _, d in points], pattern)
     if not payloads:
         return []
-    factors = [Factor(FactorKind.PHOTOMETRIC, ids, d, info, robust=True,
-                      robust_delta=robust_delta, rig=rig) for d in payloads]
-    layout = _window_layout(LocalWindow(list(ids), states), factors)
-    batch = _PhotometricBatch(factors, layout)
-    res, _, valid = batch.patch_residuals(layout.stack(states))
+    info = np.array([[1.0 / (len(pattern.offsets) * sigma_intensity**2)]])
+    factors = [Factor(FactorKind.PHOTOMETRIC, ids, d, info) for d in payloads]
+    layout = _window_layout(window, factors)
+    batch = _PhotometricBatch(window, factors, layout)
+    res, _, valid = batch.patch_residuals(layout.stack(window.states))
     keep = valid & ~(np.sqrt(res * batch.infos[:, 0, 0] * res) > gate)
     return [f for f, k in zip(factors, keep) if k]

@@ -31,7 +31,7 @@ from .imu import (ImuBias, ImuNoiseSpec, ImuPreintegrated, ImuSample,
                   correct_imu_bias, integrate_imu, predict_state_imu)
 from .manifold import Pose, rotation_angle
 from .state import NavState
-from .visual import IntensityField, PatchPattern
+from .visual import IntensityField
 
 
 class InsufficientObservationsError(ValueError):
@@ -129,6 +129,9 @@ def track_coarse(init: NavState, observations, map_points: dict,
         [node], map_points, {}, rig, backend_cfg,
         bk.SensorNoise(sigma_pixel=COARSE_SIGMA_PIXEL),
         fixed_landmarks=set(map_points.keys()))
+    if not window.fixed_landmarks:
+        raise InsufficientObservationsError(
+            "no tracked observation in front of the camera")
     window.state_masks[0] = bk.POSE_MASK
     window, _ = bk.solve(window, factors, _tracking_solver(cfg.coarse_max_iterations))
     s = window.states[0]
@@ -142,27 +145,25 @@ class RefineResult:
 
 def refine_photometric(coarse: Pose, ref_pose: Pose,
                        ref_field: IntensityField, cur_field: IntensityField,
-                       points, rig: bk.SensorRig, pattern: PatchPattern,
-                       cfg: TrackerConfig,
-                       sigma_intensity: float = 5.0,
-                       gate: float = float("inf")) -> RefineResult:
+                       points, rig: bk.SensorRig, cfg: TrackerConfig,
+                       backend_cfg: bk.BackendConfig) -> RefineResult:
     """Direct sparse refinement of a coarse pose against the reference
     frame's intensity field. ``points`` is a sequence of (pixel, depth)
-    anchored in the reference frame. Never increases the photometric cost;
-    points whose warp leaves the current image (or fails the Mahalanobis
-    ``gate`` at the coarse pose) are dropped, and if none survive the coarse
-    pose is returned."""
-    ref_state = NavState(ref_pose.R, ref_pose.t, np.zeros(3))
-    cur_state = NavState(coarse.R, coarse.t, np.zeros(3))
-    states = {0: ref_state, 1: cur_state}
-    info = np.array([[1.0 / (len(pattern.offsets) * sigma_intensity**2)]])
-    factors = bk.make_photometric_factors((0, 1), ref_field, cur_field, points,
-                                          pattern, info, rig, states, gate)
+    anchored in the reference frame; the patch pattern, intensity noise,
+    gate and Huber knee are the tracking ones of ``backend_cfg``. Never
+    increases the photometric cost; points whose warp leaves the current
+    image (or fails the Mahalanobis gate at the coarse pose) are dropped,
+    and if none survive the coarse pose is returned."""
+    window = bk.LocalWindow(
+        kf_ids=[0, 1], rig=rig, huber_delta=backend_cfg.huber_delta,
+        states={0: NavState(ref_pose.R, ref_pose.t, np.zeros(3)),
+                1: NavState(coarse.R, coarse.t, np.zeros(3))},
+        fixed_states={0}, state_masks={1: bk.POSE_MASK})
+    factors = bk.make_photometric_factors(
+        window, (0, 1), ref_field, cur_field, points, backend_cfg.pattern,
+        backend_cfg.sigma_intensity_track, backend_cfg.photometric_track_gate)
     if not factors:
         return RefineResult(coarse)
-    window = bk.LocalWindow(kf_ids=[0, 1], states=states,
-                            fixed_states={0},
-                            state_masks={1: bk.POSE_MASK})
     window, _ = bk.solve(window, factors,
                          _tracking_solver(cfg.refine_max_iterations))
     s = window.states[1]
@@ -460,10 +461,8 @@ class Tracker:
                         if pts:
                             pose = refine_photometric(
                                 pose, frames_out[-1].T_WI, prev_frame.field,
-                                frame.field, pts, self.rig,
-                                backend_cfg.pattern, tracker_cfg,
-                                backend_cfg.sigma_intensity_track,
-                                gate=backend_cfg.photometric_track_gate).pose
+                                frame.field, pts, self.rig, tracker_cfg,
+                                backend_cfg).pose
                     init = NavState(pose.R, pose.t, pred.v,
                                     kf.state.bg, kf.state.ba, kf.state.bv)
                     nav, cost = self._mini_solve(kf, t, init, tracked_obs,

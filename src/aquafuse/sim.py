@@ -508,6 +508,16 @@ def _field_of(rec: dict, key: str, path: str, lineno: int, shape=None):
                          f"shape {shape} of numbers: {rec[key]!r}") from exc
 
 
+def _scalar_of(rec: dict, key: str, path: str, lineno: int, kind=float):
+    """The value of ``key`` in a record as a ``kind`` scalar."""
+    try:
+        return kind(rec[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raw = _field_of(rec, key, path, lineno)  # names a missing key
+        raise ParseError(f"{path}:{lineno}: field '{key}' is not a number: "
+                         f"{raw!r}") from exc
+
+
 def _parse_t(rec: dict, path: str, lineno: int) -> float:
     raw = _field_of(rec, "t", path, lineno)
     try:
@@ -530,18 +540,21 @@ def _stream(path: str, name: str):
 
 
 def _frame(cfg: ScenarioConfig, t: float, rec: dict, at) -> FrameData:
-    fid = int(_field_of(rec, "frame_id", *at))
+    fid = _scalar_of(rec, "frame_id", *at, int)
     obs = [LandmarkObservation(
-        fid, int(_field_of(o, "id", *at)), _field_of(o, "uv", *at, (2,)),
-        None if o.get("disparity") is None else float(o["disparity"]))
+        fid, _scalar_of(o, "id", *at, int), _field_of(o, "uv", *at, (2,)),
+        None if o.get("disparity") is None
+        else _scalar_of(o, "disparity", *at))
         for o in _field_of(rec, "obs", *at)]
     fld = _field_of(rec, "field", *at)
-    sig = _field_of(fld, "sigma_px", *at)
-    sig = np.array(sig, dtype=float) if isinstance(sig, list) else float(sig)
+    sig = (_field_of(fld, "sigma_px", *at, (-1,))
+           if isinstance(fld.get("sigma_px"), list)
+           else _scalar_of(fld, "sigma_px", *at))
     return FrameData(fid, t, obs, IntensityField(
-        np.array(_field_of(fld, "amps", *at), dtype=float),
+        _field_of(fld, "amps", *at, (-1,)),
         _field_of(fld, "centers", *at, (-1, 2)),
-        sig, cfg.width_px, cfg.height_px, float(fld.get("offset", 0.0))))
+        sig, cfg.width_px, cfg.height_px,
+        _scalar_of(fld, "offset", *at) if "offset" in fld else 0.0))
 
 
 def read_dataset(path: str) -> SensorDataset:
@@ -563,7 +576,7 @@ def read_dataset(path: str) -> SensorDataset:
            for t, rec, at in _stream(path, "imu.jsonl")]
     dvl = [DvlSample(t, _field_of(rec, "vel", *at, (3,)))
            for t, rec, at in _stream(path, "dvl.jsonl")]
-    pressure = [PressureSample(t, float(_field_of(rec, "depth", *at)))
+    pressure = [PressureSample(t, _scalar_of(rec, "depth", *at))
                 for t, rec, at in _stream(path, "pressure.jsonl")]
     frames = [_frame(cfg, t, rec, at)
               for t, rec, at in _stream(path, "frames.jsonl")]

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import aquafuse.backend as bk
 from aquafuse.depth import PressureSample, S3
 from aquafuse.imu import ImuBias, ImuNoiseSpec, integrate_imu
-from aquafuse.manifold import BranchAmbiguityError, exp_so3, log_so3
+from aquafuse.manifold import BranchAmbiguityError, Pose, exp_so3, log_so3
 from aquafuse.sim import ScenarioConfig, sensor_rig_from_config
 from aquafuse.state import (PHI, STATE_DOF, NavState, retract_rows,
                             stack_states, unstack_state)
@@ -158,13 +158,17 @@ class TestAssembleWindow:
         assert bk.FactorKind.REPROJECTION not in kinds
         assert bk.FactorKind.IMU in kinds
         window, report = bk.solve(window, factors)
-        assert report.converged
+        assert report.termination is not bk.Termination.ITERATION_CAP
 
-    def test_single_keyframe_prior_only(self, rng):
+    def test_window_without_fixed_variable_is_refused(self, rng):
+        # a window anchors its gauge only by what it fixes
         nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=2)
-        window, factors = bk.assemble_window(nodes[:1], {}, {}, rig,
+        window, factors = bk.assemble_window(nodes, landmarks, intervals, rig,
                                              bk.BackendConfig(), NOISE)
-        assert [f.kind for f in factors] == [bk.FactorKind.FIXED_PRIOR]
+        assert not (window.fixed_states or window.fixed_landmarks)
+        assert bk.FactorKind.FIXED_PRIOR not in {f.kind for f in factors}
+        with pytest.raises(bk.GaugeError):
+            bk.solve(window, factors)
 
     def test_missing_coverage_names_interval(self, rng):
         nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=3)
@@ -302,9 +306,8 @@ class TestSolve:
             window, factors = bk.assemble_window(
                 nodes, landmarks, intervals, rig, cfg, NOISE, fixed_ids={0},
                 fixed_landmarks=set(landmarks.keys()))
-            for f in factors:
-                if f.kind is bk.FactorKind.REPROJECTION:
-                    f.robust = robust
+            if not robust:
+                window.huber_delta = None
             window.state_masks[1] = bk.POSE_MASK
             window, _ = bk.solve(window, factors,
                                  bk.SolverConfig(max_iterations=50))
@@ -323,7 +326,6 @@ class TestSolve:
                                              bk.BackendConfig(), NOISE,
                                              fixed_ids={0})
         window.fixed_states = set()
-        factors = [f for f in factors if f.kind != bk.FactorKind.FIXED_PRIOR]
         with pytest.raises(bk.GaugeError):
             bk.solve(window, factors)
 
@@ -365,25 +367,41 @@ class TestSolve:
 
         T = bk.Termination
         report = run(0.05, max_iterations=1)
-        assert (report.termination, report.converged) == (T.ITERATION_CAP,
-                                                           False)
+        assert report.termination is T.ITERATION_CAP
         # any accepted step drops the cost by less than all of it
         report = run(0.05, rel_cost_tol=1.0, step_tol=0.0)
         assert report.termination is T.RELATIVE_COST
-        assert report.iterations == 1 and report.converged
+        assert report.iterations == 1
         report = run(0.05, rel_cost_tol=0.0, step_tol=1e-3)
-        assert report.termination is T.STEP_SIZE and report.converged
+        assert report.termination is T.STEP_SIZE
         # at the truth the cost reaches its rounding floor; no damping
-        # lowers it further, which still counts as converged
+        # lowers it further
         report = run(0.0, rel_cost_tol=0.0, step_tol=0.0, max_iterations=100)
-        assert report.termination is T.NO_DESCENT and report.converged
+        assert report.termination is T.NO_DESCENT
         assert report.iterations < 100
 
-        state = NavState(np.eye(3), np.ones(3), np.zeros(3))
-        window = bk.LocalWindow(kf_ids=[0], states={0: state})
-        _, report = bk.solve(window, [bk.make_prior_factor(0, state)])
-        assert report.termination is T.ZERO_GRADIENT
-        assert (report.iterations, report.converged) == (0, True)
+        # a camera at the origin, and a fixed landmark on its optical axis
+        # observed at the principal point: the residual, and so the
+        # gradient, is exactly zero
+        rig = replace(default_rig(), T_IC=Pose.identity())
+        obs = LandmarkObservation(0, 0, np.array([rig.cam.cx, rig.cam.cy]),
+                                  None)
+        factor = bk.Factor(bk.FactorKind.REPROJECTION, (0,), obs, np.eye(2),
+                           landmark_id=0)
+
+        def window(fixed_states):
+            state = NavState(np.eye(3), np.zeros(3), np.zeros(3))
+            return bk.LocalWindow([0], {0: state}, rig, 1.345,
+                                  {0: np.array([0.0, 0.0, 2.0])},
+                                  fixed_states=fixed_states,
+                                  fixed_landmarks={0},
+                                  state_masks={0: bk.POSE_MASK})
+
+        # the gradient vanishes at the free pose, and without free dims
+        for fixed in (set(), {0}):
+            _, report = bk.solve(window(fixed), [factor])
+            assert report.termination is T.ZERO_GRADIENT
+            assert (report.iterations, report.cost_trace) == (0, [0.0])
 
     @pytest.mark.parametrize("mask", [
         np.array([True] * 3 + [False] * 15),            # rotation only
@@ -403,7 +421,8 @@ class TestSolve:
 
     def test_empty_factor_list_rejected(self, rng):
         window = bk.LocalWindow(kf_ids=[0], states={0: NavState(
-            np.eye(3), np.zeros(3), np.zeros(3))}, fixed_states={0})
+            np.eye(3), np.zeros(3), np.zeros(3))}, rig=default_rig(),
+            huber_delta=1.345, fixed_states={0})
         with pytest.raises(ValueError):
             bk.solve(window, [])
 
@@ -447,7 +466,7 @@ class TestTranslationGauge:
         shift = np.array([4.0, -8.0, 16.0])
         base = {}
         for k, f in enumerate(factors):
-            base[k], _, _ = f.evaluate(window.states, window.landmarks,
+            base[k], _, _ = f.evaluate(window.states, window.landmarks, rig,
                                        with_jacobians=False)
         shifted_states = {}
         for sid, st in window.states.items():
@@ -456,26 +475,27 @@ class TestTranslationGauge:
             shifted_states[sid] = moved
         shifted_lms = {lid: p + shift for lid, p in window.landmarks.items()}
         for k, f in enumerate(factors):
-            res, _, _ = f.evaluate(shifted_states, shifted_lms,
+            res, _, _ = f.evaluate(shifted_states, shifted_lms, rig,
                                    with_jacobians=False)
-            if f.kind is bk.FactorKind.FIXED_PRIOR:
-                assert not np.array_equal(res, base[k])
-            else:
-                assert (res == base[k]).all(), f.kind
+            assert (res == base[k]).all(), f.kind
 
 
-def per_factor_normal_equations(factors, states, landmarks, state_cols,
-                                lm_cols, ndim):
+def robust(window, f):
+    """Whether the window weighs factor ``f`` by its Huber knee."""
+    return f.kind in bk.VISUAL_KINDS and window.huber_delta is not None
+
+
+def per_factor_normal_equations(window, factors, state_cols, lm_cols, ndim):
     """Reference assembly, one factor at a time, of the robustly weighted
     normal equations; variables without columns are skipped, and a state's
     Jacobian keeps the columns of its active dims."""
     h = np.zeros((ndim, ndim))
     g = np.zeros(ndim)
     for f in factors:
-        r, js, jl = f.evaluate(states, landmarks)
+        r, js, jl = f.evaluate(window.states, window.landmarks, window.rig)
         w = 1.0
-        if f.robust:
-            w = robust_weight(float(r @ f.info @ r), f.robust_delta)
+        if robust(window, f):
+            w = robust_weight(float(r @ f.info @ r), window.huber_delta)
         blocks = [(state_cols[sid][0], jac[:, state_cols[sid][1]])
                   for sid, jac in js.items() if sid in state_cols]
         blocks += [(lm_cols[lid], jac) for lid, jac in jl.items()
@@ -488,23 +508,24 @@ def per_factor_normal_equations(factors, states, landmarks, state_cols,
     return h, g
 
 
-def factor_cost(f, states, landmarks):
-    """One factor's robustified cost, through its batch of one."""
-    r, _, _ = f.evaluate(states, landmarks, with_jacobians=False)
+def factor_cost(window, f):
+    """One factor's robustified cost in ``window``, through its batch of
+    one."""
+    r, _, _ = f.evaluate(window.states, window.landmarks, window.rig,
+                         with_jacobians=False)
     r2 = float(r @ f.info @ r)
-    return huber_cost(r2, f.robust_delta) if f.robust else r2
+    return huber_cost(r2, window.huber_delta) if robust(window, f) else r2
 
 
 def assert_matches_per_factor_path(window, factors):
     """The solver's cost and normal equations at the window's states equal
     the sums over the factors' batches of one, on the solver's columns."""
     layout = bk._window_layout(window, factors)
-    batches = bk._batches(factors, layout)
+    batches = bk._batches(window, factors, layout)
     stack = layout.stack(window.states)
     lms = layout.landmark_array(window.landmarks)
     ndim = layout.ndim
-    cost_single = sum(factor_cost(f, window.states, window.landmarks)
-                      for f in factors)
+    cost_single = sum(factor_cost(window, f) for f in factors)
     assert bk._cost(batches, stack, lms) == pytest.approx(cost_single,
                                                           rel=1e-12)
     state_cols = {}
@@ -515,8 +536,8 @@ def assert_matches_per_factor_path(window, factors):
     lm_cols = {lid: slice(c[0], c[0] + 3) for lid, c in layout.lm_cols.items()
                if c[0] < ndim}
     h_b, g_b = bk._normal_equations(batches, stack, lms, ndim)
-    h_s, g_s = per_factor_normal_equations(
-        factors, window.states, window.landmarks, state_cols, lm_cols, ndim)
+    h_s, g_s = per_factor_normal_equations(window, factors, state_cols,
+                                           lm_cols, ndim)
     assert_allclose(h_b, h_s, atol=1e-9)
     assert_allclose(g_b, g_s, atol=1e-10)
     return layout, batches
@@ -616,7 +637,8 @@ class TestStackedPairKinds:
         window, _, pairs = pair_window(rng, biased=biased)
         layout = bk._window_layout(window, pairs)
         order, states = list(layout.rows), window.states
-        for batch in (b for g in bk._batches(pairs, layout) for b in g.batches):
+        for batch in (b for g in bk._batches(window, pairs, layout)
+                      for b in g.batches):
             _, jac = batch.evaluate(layout.stack(states))
             rows = np.arange(len(order))
             rows_i, rows_j = rows[batch.i], rows[batch.j]
@@ -641,8 +663,8 @@ class TestStackedPairKinds:
         s6, s7 = window.states[6], window.states[7]
         s7.R = s6.R @ imu.payload.dR @ exp_so3([np.pi - 1e-7, 0.0, 0.0])
         layout = bk._window_layout(window, pairs)
-        batch = next(b for g in bk._batches(pairs, layout) for b in g.batches
-                     if b.kind is bk.FactorKind.IMU)
+        batch = next(b for g in bk._batches(window, pairs, layout)
+                     for b in g.batches if b.kind is bk.FactorKind.IMU)
         with pytest.raises(BranchAmbiguityError):
             batch.evaluate(layout.stack(window.states), with_jacobians=False)
         with pytest.raises(BranchAmbiguityError):
@@ -755,7 +777,7 @@ class TestBatchedPhotometric:
     def test_invalid_patch_makes_cost_infinite(self, rng):
         window, factors = photometric_window(rng)
         layout = bk._window_layout(window, factors)
-        batch = bk._PhotometricBatch(factors, layout)
+        batch = bk._PhotometricBatch(window, factors, layout)
         moved = dict(window.states)
         moved[1] = moved[1].retract(np.r_[0, 0, 0, 40.0, 0, 0, np.zeros(12)])
         res, _, valid = batch.patch_residuals(layout.stack(moved))
@@ -771,7 +793,7 @@ class TestPhotometricJacobians:
         window, factors = photometric_window(rng)
         states = window.states
         layout = bk._window_layout(window, factors)
-        batch = bk._PhotometricBatch(factors, layout)
+        batch = bk._PhotometricBatch(window, factors, layout)
         _, jac = batch.linearize(layout.stack(states))
         for sid in window.kf_ids:
             def res_at(delta, sid=sid):
@@ -790,7 +812,7 @@ class TestPhotometricJacobians:
                     assert jac_close(jac[on, 0, cols], fd[on, :6], rtol=1e-4)
             for k, f in enumerate(factors):
                 if host[k] or obs[k]:
-                    _, js, _ = f.evaluate(states, {})
+                    _, js, _ = f.evaluate(states, {}, window.rig)
                     assert js[sid].shape == (1, STATE_DOF)
                     assert jac_close(js[sid], fd[k:k + 1], rtol=1e-4)
 
@@ -801,12 +823,12 @@ class TestPhotometricJacobians:
         states = window.states
         layout = bk._window_layout(window, factors)
         stack = layout.stack(states)
-        res = bk._PhotometricBatch(factors, layout).residuals(stack)[:, 0]
-        delta = factors[0].robust_delta
+        res = bk._PhotometricBatch(window, factors, layout).residuals(stack)[:, 0]
+        delta = window.huber_delta
         for k, f in enumerate(factors):
             scale = 0.5 if k % 2 == 0 else 3.0  # |r| at scale * delta
             f.info = np.array([[(scale * delta / res[k]) ** 2]])
-        batch = bk._PhotometricBatch(factors, layout)
+        batch = bk._PhotometricBatch(window, factors, layout)
         w, _ = batch.weights_cost(res[:, None])
         assert np.any(w == 1.0) and np.any(w < 1.0)
 
@@ -820,26 +842,3 @@ class TestPhotometricJacobians:
 
         fd = fd_jacobian(cost_at, ndim, None)[0]
         assert jac_close(g, 0.5 * fd, rtol=1e-5)
-
-
-class TestPriorJacobian:
-    def test_rows_match_finite_differences(self, rng):
-        ref = random_nav_state(rng)
-        state = ref.retract(rng.normal(size=STATE_DOF) * 0.1)
-        factor = bk.make_prior_factor(3, ref)
-        _, js, _ = factor.evaluate({3: state}, {})
-
-        def res_at(delta):
-            return factor.evaluate({3: state.retract(delta)}, {},
-                                   with_jacobians=False)[0]
-
-        assert jac_close(js[3], fd_jacobian(res_at, STATE_DOF, None),
-                         rtol=1e-5)
-
-
-def test_robust_flag_restricted_to_visual(rng):
-    nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=2)
-    pre = intervals[(0, 1)].imu_preint
-    with pytest.raises(ValueError):
-        bk.Factor(bk.FactorKind.IMU, (0, 1), pre,
-                  np.eye(15), robust=True, rig=rig)

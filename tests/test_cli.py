@@ -348,6 +348,30 @@ class TestInputErrors:
         assert _estimate(copy, tmp_path / "run") == 2
         assert f"{copy / stream}:3: field '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stream, keys, value", [
+        ("pressure.jsonl", ("depth",), [5.0]),
+        ("frames.jsonl", ("frame_id",), {"id": 3}),
+        ("frames.jsonl", ("obs", 0, "id"), [1]),
+        ("frames.jsonl", ("obs", 0, "disparity"), "x"),
+        ("frames.jsonl", ("field", "sigma_px"), {"px": 3.0}),
+        ("frames.jsonl", ("field", "offset"), [0.0]),
+        ("frames.jsonl", ("field", "amps"), "x")])
+    def test_malformed_dataset_scalar_names_the_line(self, dataset, tmp_path,
+                                                     capsys, stream, keys,
+                                                     value):
+        copy = tmp_path / "dataset"
+        shutil.copytree(dataset, copy)
+        lines = (copy / stream).read_text().splitlines()
+        rec = json.loads(lines[2])
+        inner = rec
+        for key in keys[:-1]:
+            inner = inner[key]
+        inner[keys[-1]] = value
+        lines[2] = json.dumps(rec)
+        (copy / stream).write_text("\n".join(lines) + "\n")
+        assert _estimate(copy, tmp_path / "run") == 2
+        assert f"{copy / stream}:3: field '{keys[-1]}'" in capsys.readouterr().err
+
     def test_bad_arguments(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["estimate"])

@@ -1,4 +1,5 @@
 from dataclasses import replace
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -67,8 +68,20 @@ class TestTrackCoarse:
             track_coarse(truth, node.observations[:3], landmarks, rig,
                          TrackerConfig(), bk.BackendConfig())
 
+    def test_nothing_tracked_is_rejected_without_a_minimum(self, rng):
+        # with no tracked observation nothing anchors the pose
+        node, landmarks, rig, truth = self._scene(rng)
+        with pytest.raises(InsufficientObservationsError):
+            track_coarse(truth, node.observations, {}, rig,
+                         TrackerConfig(min_coarse_observations=0),
+                         bk.BackendConfig())
+
 
 class TestRefinePhotometric:
+    # the intensity noise these scenes were tuned with, and no gate
+    CFG = bk.BackendConfig(sigma_intensity_track=5.0,
+                           photometric_track_gate=float("inf"))
+
     def _photometric_scene(self, rng):
         """Two camera frames of the same bump scene with exactly consistent
         analytic fields.
@@ -120,8 +133,8 @@ class TestRefinePhotometric:
                           bk.PhotometricData.batch(fields[0], fields[1],
                                                    [pixel], [depth],
                                                    bk.PatchPattern())[0],
-                          np.eye(1), robust=True, rig=rig)
-            r, _, _ = f.evaluate(states, {}, with_jacobians=False)
+                          np.eye(1))
+            r, _, _ = f.evaluate(states, {}, rig, with_jacobians=False)
             assert abs(r[0]) < 1e-9
         return rig, truth, fields[0], fields[1], points
 
@@ -129,8 +142,7 @@ class TestRefinePhotometric:
         rig, truth, f0, f1, points = self._photometric_scene(rng)
         coarse = truth[1].pose()
         res = refine_photometric(coarse, truth[0].pose(), f0, f1, points,
-                                 rig, bk.PatchPattern(),
-                                 TrackerConfig())
+                                 rig, TrackerConfig(), self.CFG)
         assert np.abs(res.pose.t - coarse.t).max() < 1e-6
 
     def test_refinement_improves_perturbed_pose(self, rng):
@@ -138,8 +150,8 @@ class TestRefinePhotometric:
         offset = np.array([0.005, -0.004, 0.003])  # about half a pixel
         coarse = Pose(truth[1].R, truth[1].p + offset)
         res = refine_photometric(coarse, truth[0].pose(), f0, f1, points,
-                                 rig, bk.PatchPattern(),
-                                 TrackerConfig(refine_max_iterations=10))
+                                 rig, TrackerConfig(refine_max_iterations=10),
+                                 self.CFG)
         err_before = np.linalg.norm(coarse.t - truth[1].p)
         err_after = np.linalg.norm(res.pose.t - truth[1].p)
         assert err_after < err_before
@@ -150,8 +162,7 @@ class TestRefinePhotometric:
                               rig.cam.width, rig.cam.height, offset=12.0)
         coarse = truth[1].pose()
         res = refine_photometric(coarse, truth[0].pose(), flat, flat, points,
-                                 rig, bk.PatchPattern(),
-                                 TrackerConfig())
+                                 rig, TrackerConfig(), self.CFG)
         assert (res.pose.t == coarse.t).all() and (res.pose.R == coarse.R).all()
 
 
@@ -364,6 +375,24 @@ def test_mode_decides_the_factor_kinds(short_blackout_circle, monkeypatch,
     monkeypatch.setattr(bk, "assemble_window", counted)
     run_estimator(short_blackout_circle, RunConfig(mode=mode))
     assert seen == kinds
+
+
+def test_every_solve_takes_the_configured_knee(short_blackout_circle,
+                                              monkeypatch):
+    # the coarse, refinement, per-frame and window-BA solves alike
+    knees = {}
+    solve = bk.solve
+
+    def recorded(window, factors, cfg=None):
+        caller = sys._getframe(1).f_code.co_name
+        knees.setdefault(caller, set()).add(window.huber_delta)
+        return solve(window, factors, cfg)
+
+    monkeypatch.setattr(bk, "solve", recorded)
+    cfg = RunConfig(backend=bk.BackendConfig(huber_delta=3.0))
+    run_estimator(short_blackout_circle, cfg)
+    assert knees == {name: {3.0} for name in (
+        "track_coarse", "refine_photometric", "_mini_solve", "_window_ba")}
 
 
 @pytest.mark.parametrize("mode", list(EstimatorMode), ids=lambda m: m.value)

@@ -26,10 +26,10 @@ def reprojection(pose, landmark_w, obs, with_jacobians=True):
     ``pose``: residual and Jacobians w.r.t. the camera rotation (R <- R
     exp(phi)), its position and the landmark."""
     factor = bk.Factor(bk.FactorKind.REPROJECTION, (0,), obs, np.eye(2),
-                       landmark_id=0, rig=RIG)
+                       landmark_id=0)
     res, js, jl = factor.evaluate(
         {0: NavState(pose.R, pose.t, np.zeros(3))},
-        {0: np.asarray(landmark_w, dtype=float)}, with_jacobians)
+        {0: np.asarray(landmark_w, dtype=float)}, RIG, with_jacobians)
     if not with_jacobians:
         return res
     return res, js[0][:, PHI], js[0][:, POS], jl[0]
@@ -249,8 +249,8 @@ def _photometric(field_i, field_j, T_CjCi, p, depth_p, pattern,
     factor = bk.Factor(bk.FactorKind.PHOTOMETRIC, (0, 1),
                        bk.PhotometricData.batch(field_i, field_j, [p],
                                                 [depth_p], pattern)[0],
-                       np.eye(1), robust=True, rig=RIG)
-    res, js, _ = factor.evaluate({0: host, 1: obs}, {}, with_jacobians)
+                       np.eye(1))
+    res, js, _ = factor.evaluate({0: host, 1: obs}, {}, RIG, with_jacobians)
     return (res[0], js[1]) if with_jacobians else res[0]
 
 
