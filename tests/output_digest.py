@@ -77,14 +77,12 @@ def digest(result) -> str:
     return h.hexdigest()
 
 
-def main(names) -> int:
+def main() -> int:
     for name, scen, mode in cases():
-        if names and name not in names:
-            continue
         result = run_estimator(simulate(scen), RunConfig(mode=EstimatorMode(mode)))
         print(name, digest(result), flush=True)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
