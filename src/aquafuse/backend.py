@@ -123,15 +123,13 @@ class PhotometricData:
     def batch(cls, field_host: IntensityField, field_obs: IntensityField,
               pixels, depths, pattern: PatchPattern) -> list[PhotometricData]:
         """One payload per (pixel, depth), with the host-side caches of all
-        patches taken from one field sample and one gradient call."""
+        patches taken from one field call."""
         pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
         if len(pixels) == 0:
             return []
-        m = len(pattern.offsets)
         pix = pixels[:, None, :] + pattern.offsets  # (n, m, 2)
-        flat = pix.reshape(-1, 2)
-        vals = field_host.sample(flat).reshape(-1, m)
-        weights = pattern.weights(field_host, flat).reshape(-1, m)
+        vals, grads = field_host.gradient(pix)
+        weights = pattern.weights(grads)
         return [cls(field_host, field_obs, pixels[k].copy(), float(depth),
                     pattern, pix[k], vals[k], weights[k])
                 for k, depth in enumerate(depths)]
@@ -378,8 +376,8 @@ class _PhotometricBatch(_Batch):
     dims and the observer pose's 6 (the warp touches no other dim).
 
     The n x m patch points are warped at once; each distinct observer field
-    is sampled, and differentiated when linearizing, once for all the
-    patches it observes."""
+    is called once for all the patches it observes: sampled for a cost, and
+    sampled with its gradients when linearizing."""
 
     def __init__(self, window: LocalWindow, factors: list[Factor], layout: _Layout):
         self.rig = window.rig
@@ -424,7 +422,7 @@ class _PhotometricBatch(_Batch):
     def _sample(self, pix: np.ndarray, keep: np.ndarray, gradient: bool):
         """Observer-field values (n, m) at the points ``pix`` of the patches
         ``keep`` (NaN elsewhere) and, with ``gradient``, their gradients
-        (n, m, 2); one call per distinct observer field."""
+        (n, m, 2); one field call per distinct observer field."""
         n, m = pix.shape[:2]
         vals = np.full((n, m), np.nan)
         grads = np.zeros((n, m, 2)) if gradient else None
@@ -432,10 +430,10 @@ class _PhotometricBatch(_Batch):
             rows = rows[keep[rows]]
             if len(rows) == 0:
                 continue
-            flat = pix[rows].reshape(-1, 2)
-            vals[rows] = fld.sample(flat).reshape(-1, m)
             if gradient:
-                grads[rows] = fld.gradient(flat).reshape(-1, m, 2)
+                vals[rows], grads[rows] = fld.gradient(pix[rows])
+            else:
+                vals[rows] = fld.sample(pix[rows])
         return vals, grads
 
     def patch_residuals(self, stack: StateStack):

@@ -94,9 +94,15 @@ class IntensityField:
 
     ``sigma_px`` may be a scalar or one width per bump (the simulator scales
     widths inversely with landmark depth so bumps act like fixed-size blobs
-    in the scene). Such a field is exactly consistent with the constant-depth
-    patch warp only under pure camera translation and for bumps isolated
-    beyond the ``_near`` cutoff; under rotation it holds to first order.
+    in the scene). A point is sampled against only the bumps within 9 of
+    their own sigma of it. A bump farther away adds less than exp(-40.5) ~
+    3e-18 of its amplitude, far below the rounding of values of the
+    amplitudes' order, so samples and gradients agree with the sum over
+    every bump to rounding. A point's value depends on that point alone, not
+    on the other points of its query. Such a field is exactly consistent
+    with the constant-depth patch warp only under pure camera translation
+    and for bumps isolated beyond that reach; under rotation it holds to
+    first order.
     """
 
     amplitudes: np.ndarray
@@ -124,48 +130,41 @@ class IntensityField:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "centers", ctrs)
 
-    def _near(self, pts: np.ndarray):
-        """Bumps within reach of the query cluster. Beyond 9 sigma a bump's
-        contribution is below double precision for values of order the
-        amplitudes, so the cutoff does not perturb samples or gradients."""
-        cut = 9.0 * np.max(self.sigma_px)
-        lo = pts.min(axis=0) - cut
-        hi = pts.max(axis=0) + cut
-        mask = np.all((self.centers >= lo) & (self.centers <= hi), axis=1)
-        return mask if mask.sum() < len(mask) else None
+    def _sum(self, uv, gradient: bool):
+        """Values (...) at the pixels ``uv`` (..., 2) and, with ``gradient``,
+        their gradients (..., 2), each summed over the (pixel, bump) pairs
+        within 9 sigma of the bump, in bump order. The bumps whose reach
+        misses the query's bounding box are dropped first."""
+        uv = np.asarray(uv, dtype=float)
+        pts = uv.reshape(-1, 2)
+        n = len(pts)
+        sig = np.broadcast_to(self.sigma_px, self.amplitudes.shape)
+        gap = np.maximum(pts.min(axis=0, initial=np.inf) - self.centers,
+                         self.centers - pts.max(axis=0, initial=-np.inf))
+        near = np.flatnonzero(np.maximum(gap[:, 0], gap[:, 1]) <= 9.0 * sig)
+        cu, cv = self.centers[near].T
+        du = pts[:, :1] - cu                                     # (n, k)
+        dv = pts[:, 1:] - cv
+        s2 = sig[near] ** 2
+        q = (du * du + dv * dv) / s2
+        p, b = np.nonzero(q <= 81.0)
+        e = self.amplitudes[near][b] * np.exp(-0.5 * q[p, b])
+        vals = (self.offset + np.bincount(p, e, n)).reshape(uv.shape[:-1])
+        if not gradient:
+            return vals, None
+        w = -e / s2[b]
+        return vals, np.column_stack([np.bincount(p, w * du[p, b], n),
+                                      np.bincount(p, w * dv[p, b], n)]
+                                     ).reshape(uv.shape)
 
-    def _bumps(self, pts: np.ndarray):
-        """The offsets (n, m, 2) of the query points from the m bumps within
-        reach, the bumps' Gaussians at them (n, m), and the bumps'
-        amplitudes and squared widths."""
-        mask = self._near(pts)
-        ctr = self.centers if mask is None else self.centers[mask]
-        amp = self.amplitudes if mask is None else self.amplitudes[mask]
-        s2 = np.asarray(self.sigma_px, dtype=float) ** 2
-        if mask is not None and np.ndim(s2) > 0:
-            s2 = s2[mask]
-        d = pts[:, None, :] - ctr[None, :, :]
-        return d, np.exp(-0.5 * np.sum(d * d, axis=2) / s2), amp, s2
+    def sample(self, uv) -> np.ndarray:
+        """Values (...) at pixels (..., 2)."""
+        return self._sum(uv, gradient=False)[0]
 
-    def sample(self, uv) -> float | np.ndarray:
-        pts = np.atleast_2d(np.asarray(uv, dtype=float))
-        if len(self.amplitudes) == 0:
-            vals = np.full(len(pts), self.offset)
-        else:
-            _, e, amp, _ = self._bumps(pts)
-            vals = self.offset + e @ amp
-        return float(vals[0]) if np.asarray(uv).ndim == 1 else vals
-
-    def gradient(self, uv) -> np.ndarray:
-        """Analytic image gradient (dI/du, dI/dv)."""
-        pts = np.atleast_2d(np.asarray(uv, dtype=float))
-        if len(self.amplitudes) == 0:
-            g = np.zeros((len(pts), 2))
-        else:
-            d, e, amp, s2 = self._bumps(pts)
-            w = e * amp[None, :] / s2
-            g = -np.sum(w[:, :, None] * d, axis=1)
-        return g[0] if np.asarray(uv).ndim == 1 else g
+    def gradient(self, uv) -> tuple[np.ndarray, np.ndarray]:
+        """Values (...) and analytic image gradients (dI/du, dI/dv) (..., 2)
+        at pixels (..., 2), from one pass over the bumps."""
+        return self._sum(uv, gradient=True)
 
 
 @dataclass(frozen=True)
@@ -186,9 +185,9 @@ class PatchPattern:
             raise ValueError("pattern must contain the origin offset")
         object.__setattr__(self, "offsets", offs)
 
-    def weights(self, field_ref: IntensityField, pixels) -> np.ndarray:
-        g = np.atleast_2d(field_ref.gradient(pixels))
-        g2 = np.sum(g * g, axis=1)
+    def weights(self, gradients) -> np.ndarray:
+        """Weights (...) of the patch points with image gradients (..., 2)."""
+        g2 = np.sum(np.square(gradients), axis=-1)
         c2 = self.weight_scale**2
         return c2 / (c2 + g2)
 

@@ -1,5 +1,7 @@
 """Print one SHA-256 per case of the estimator's outputs, to check that a
-change keeps the estimator's arithmetic bit for bit.
+change keeps the estimator's arithmetic bit for bit; optionally dump the
+outputs too, to check that a change which only rounds differently keeps
+them within a tolerance.
 
 Run it against two source trees and diff the outputs:
 
@@ -9,9 +11,22 @@ Run it against two source trees and diff the outputs:
 
 A case's hash covers every frame's state (R, p, v and the three biases),
 tracking status, tracked features, cost and keyframe state, and each window
-BA report's iterations, termination and cost trace. Sums over a different
-number of BLAS threads change the last bits, so the BLAS pool is pinned to
-one thread unless the environment sets it. This is a script, not a test.
+BA report's iterations, termination and cost trace.
+
+With ``--dump FILE`` it also writes each case's frame positions and
+statuses, its keyframe count, and each window BA's iterations and
+termination to FILE (``.npz``). ``--compare OLD NEW`` then prints, per case, the largest
+position difference and whether the statuses, keyframe counts, iterations
+and terminations agree, and the largest difference over all cases; it exits
+1 if any of them differ or a position moves by more than ``TOL_M`` (1e-9 m):
+
+    PYTHONPATH=<old tree>/src python tests/output_digest.py --dump old.npz > old.txt
+    PYTHONPATH=<new tree>/src python tests/output_digest.py --dump new.npz > new.txt
+    PYTHONPATH=<new tree>/src python tests/output_digest.py --compare old.npz new.npz
+
+Sums over a different number of BLAS threads change the last bits, so the
+BLAS pool is pinned to one thread unless the environment sets it. This is a
+script, not a test.
 """
 
 import os
@@ -19,6 +34,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
 
@@ -77,10 +93,65 @@ def digest(result) -> str:
     return h.hexdigest()
 
 
-def main() -> int:
+FIELDS = ("p", "status", "keyframes", "ba_iterations", "ba_termination")
+TOL_M = 1e-9  # position differences below this are rounding, not a change
+
+
+def outputs(result) -> dict:
+    """The compared outputs of one case, as arrays."""
+    reports = result.solver_reports
+    return {"p": np.array([f.nav.p for f in result.frames]),
+            "status": np.array([f.status.value for f in result.frames]),
+            "keyframes": np.array(sum(f.keyframe is not None
+                                      for f in result.frames)),
+            "ba_iterations": np.array([r.iterations for r in reports], dtype=int),
+            "ba_termination": np.array([r.termination.value for r in reports])}
+
+
+def compare(old_path: str, new_path: str) -> int:
+    """Print how the dumps at the two paths differ; 1 if beyond ``TOL_M``."""
+    old, new = np.load(old_path), np.load(new_path)
+    names = sorted({key.split("/")[0] for key in old.files}
+                   | {key.split("/")[0] for key in new.files})
+    worst, failed = 0.0, False
+    for name in names:
+        try:
+            a, b = ({key: dump[f"{name}/{key}"] for key in FIELDS}
+                    for dump in (old, new))
+        except KeyError:
+            print(name, "missing from one dump")
+            failed = True
+            continue
+        differ = [key for key in FIELDS[1:]
+                  if not np.array_equal(a[key], b[key])]
+        dp = (np.abs(a["p"] - b["p"]).max() if a["p"].shape == b["p"].shape
+              else float("inf"))
+        worst = max(worst, dp)
+        failed |= bool(differ) or not dp <= TOL_M
+        print(f"{name} max_dp_m={dp:.3e} "
+              f"{'differ: ' + ' '.join(differ) if differ else 'same'}")
+    print(f"largest position difference {worst:.3e} m over {len(names)} cases")
+    return int(failed)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--dump", metavar="FILE",
+                        help="write each case's outputs to FILE (.npz)")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two dumps instead of running")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    dumped = {}
     for name, scen, mode in cases():
         result = run_estimator(simulate(scen), RunConfig(mode=EstimatorMode(mode)))
         print(name, digest(result), flush=True)
+        if args.dump:
+            dumped.update({f"{name}/{key}": value
+                           for key, value in outputs(result).items()})
+    if args.dump:
+        np.savez(args.dump, **dumped)
     return 0
 
 

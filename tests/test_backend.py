@@ -11,7 +11,7 @@ from aquafuse.manifold import BranchAmbiguityError, Pose, exp_so3, log_so3
 from aquafuse.sim import ScenarioConfig, sensor_rig_from_config
 from aquafuse.state import (PHI, STATE_DOF, NavState, retract_rows,
                             stack_states, unstack_state)
-from aquafuse.visual import IntensityField, LandmarkObservation
+from aquafuse.visual import IntensityField, LandmarkObservation, PatchPattern
 
 from helpers import (discrete_imu_world, dvl_samples_from_world,
                      fd_jacobian, huber_cost, jac_close, project,
@@ -671,11 +671,24 @@ class TestStackedPairKinds:
             bk.solve(window, pairs)
 
 
+def count_field_calls(monkeypatch) -> list[str]:
+    """The names of the ``IntensityField`` sampling methods, one per call
+    made while ``monkeypatch`` is active."""
+    calls = []
+    for name in ("sample", "gradient"):
+        def counted(self, *args, _fn=getattr(IntensityField, name), _key=name):
+            calls.append(_key)
+            return _fn(self, *args)
+        monkeypatch.setattr(IntensityField, name, counted)
+    return calls
+
+
 class TestPairKindWorkCount:
     """Each pair kind's residual function, and the reprojection and
     photometric residual code, run once per normal-equation assembly and
     once per cost evaluation, whatever the number of hosts or pairs; each
-    distinct observer field is sampled at most once per evaluation."""
+    distinct observer field gets one call per evaluation: ``sample`` for a
+    cost, ``gradient`` (values and gradients) when linearizing."""
 
     KINDS = ("imu_pair_residuals", "dvl_velocity_pair_residuals",
              "dvl_position_pair_residuals", "pressure_pair_residuals")
@@ -704,12 +717,7 @@ class TestPairKindWorkCount:
                 calls[_key] = calls.get(_key, 0) + 1
                 return _fn(self, *args)
             monkeypatch.setattr(cls, name, counted_method)
-        for name in ("sample", "gradient"):
-            def counted_field(self, *args, _fn=getattr(IntensityField, name),
-                              _key=name):
-                calls[_key] = calls.get(_key, 0) + 1
-                return _fn(self, *args)
-            monkeypatch.setattr(IntensityField, name, counted_field)
+        field_calls = count_field_calls(monkeypatch)
         candidates = {"n": 0}
         linear_solve = np.linalg.solve
 
@@ -737,8 +745,24 @@ class TestPairKindWorkCount:
             assert calls[name, True] == assemblies, name
         for cls, _ in self.VISUAL:
             assert calls[cls] == costs + assemblies, cls.__name__
-        assert calls["gradient"] == len(fields) * assemblies
-        assert calls["sample"] <= len(fields) * (costs + assemblies)
+        assert field_calls.count("gradient") == len(fields) * assemblies
+        assert field_calls.count("sample") == len(fields) * costs
+
+    def test_one_field_call_per_payload_batch(self, rng, monkeypatch):
+        field = bumpy_field(rng)
+        field_calls = count_field_calls(monkeypatch)
+        pattern = PatchPattern()
+        pixels = rng.uniform([100, 100], [540, 260], (5, 2))
+        payloads = bk.PhotometricData.batch(field, field, pixels,
+                                            [2.0] * 5, pattern)
+        assert field_calls == ["gradient"]
+        pts = pixels[:, None, :] + pattern.offsets
+        monkeypatch.undo()
+        vals, grads = field.gradient(pts.reshape(-1, 2))
+        assert np.array_equal(np.stack([d.host_vals for d in payloads]),
+                              vals.reshape(5, -1))
+        assert np.array_equal(np.stack([d.weights for d in payloads]),
+                              pattern.weights(grads).reshape(5, -1))
 
 
 def photometric_window(rng, fixed_ids=(), info_scale=None):

@@ -189,19 +189,63 @@ def _bumpy_field(rng, n=12, width=640, height=360):
                           rng.uniform(5, 9, n), width, height)
 
 
+def _reference(field, pts):
+    """Values and gradients at ``pts`` summed over every bump, no cutoff."""
+    d = pts[:, None, :] - field.centers[None, :, :]
+    s2 = np.broadcast_to(field.sigma_px, field.amplitudes.shape) ** 2
+    e = field.amplitudes * np.exp(-0.5 * np.sum(d * d, axis=2) / s2)
+    return (field.offset + e.sum(axis=1),
+            -np.sum((e / s2)[:, :, None] * d, axis=1))
+
+
 class TestIntensityField:
     def test_empty_field_is_offset(self):
-        field = IntensityField(np.zeros(0), np.zeros((0, 2)), 5.0, 640, 360,
-                               offset=7.5)
-        assert field.sample([100.0, 100.0]) == 7.5
-        assert_allclose(field.gradient([100.0, 100.0]), [0, 0])
+        for sigma in (5.0, np.zeros(0) + 5.0):
+            field = IntensityField(np.zeros(0), np.zeros((0, 2)), sigma, 640,
+                                   360, offset=7.5)
+            assert field.sample([100.0, 100.0]) == 7.5
+            val, grad = field.gradient([100.0, 100.0])
+            assert val == 7.5
+            assert_allclose(grad, [0, 0])
+            vals, grads = field.gradient(np.zeros((3, 2)))
+            assert_allclose(vals, [7.5] * 3)
+            assert_allclose(grads, np.zeros((3, 2)))
+            assert field.sample(np.zeros((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("per_bump", [True, False])
+    def test_matches_the_sum_over_every_bump(self, rng, per_bump):
+        # a field the size the simulator makes, with bumps far beyond the
+        # reach of most points, queried inside and outside the image
+        n = 250
+        sigma = rng.uniform(3, 9, n) if per_bump else 6.0
+        field = IntensityField(rng.uniform(80, 200, n),
+                               rng.uniform([-30, -30], [670, 390], (n, 2)),
+                               sigma, 640, 360, offset=4.0)
+        pts = np.vstack([rng.uniform([0, 0], [640, 360], (300, 2)),
+                         rng.uniform([-100, -100], [0, 0], (20, 2)),
+                         rng.uniform([640, 360], [760, 460], (20, 2)),
+                         [[-1e4, 5e3]]])
+        ref_vals, ref_grads = _reference(field, pts)
+        tol = 1e-12 * np.max(field.amplitudes)
+        vals, grads = field.gradient(pts)
+        assert np.abs(field.sample(pts) - ref_vals).max() < tol
+        assert np.abs(vals - ref_vals).max() < tol
+        assert np.abs(grads - ref_grads).max() < tol
+        assert vals[-1] == 4.0 and np.all(grads[-1] == 0.0)
+        # a point's value does not depend on the other points of its query
+        for k in range(0, len(pts), 7):
+            val, grad = field.gradient(pts[k])
+            assert field.sample(pts[k]) == vals[k] == val
+            assert np.array_equal(grad, grads[k])
+        vals, grads = field.gradient(np.zeros((0, 2)))
+        assert vals.shape == (0,) and grads.shape == (0, 2)
 
     def test_gradient_consistent_with_sampling(self, rng):
         field = _bumpy_field(rng)
         h = 1e-5
         for _ in range(20):
             uv = rng.uniform([50, 50], [590, 310])
-            g = field.gradient(uv)
+            _, g = field.gradient(uv)
             fd = np.array([
                 (field.sample(uv + [h, 0]) - field.sample(uv - [h, 0])) / (2 * h),
                 (field.sample(uv + [0, h]) - field.sample(uv - [0, h])) / (2 * h),
@@ -225,13 +269,14 @@ class TestPatchPattern:
     def test_weight_rule(self, rng):
         pattern = PatchPattern()
         flat = IntensityField(np.zeros(0), np.zeros((0, 2)), 5.0, 640, 360)
-        w = pattern.weights(flat, np.array([[100.0, 100.0]]))
-        assert_allclose(w, [1.0])
+        _, g = flat.gradient(np.array([[100.0, 100.0]]))
+        assert_allclose(pattern.weights(g), [1.0])
         # non-increasing in gradient magnitude
         field = _bumpy_field(rng)
         pts = rng.uniform([50, 50], [590, 310], (50, 2))
-        g2 = np.sum(field.gradient(pts) ** 2, axis=1)
-        w = pattern.weights(field, pts)
+        _, g = field.gradient(pts)
+        g2 = np.sum(g ** 2, axis=1)
+        w = pattern.weights(g)
         order = np.argsort(g2)
         assert np.all(np.diff(w[order]) <= 1e-12)
         assert np.all(w <= 1.0)
