@@ -16,12 +16,12 @@ every measurement its nodes and intervals carry, so the caller decides which
 sensors it fuses by the measurements it gives.
 
 Each factor kind is one batch per solve, its residual written once: all
-reprojections, all photometric patches, and the pair kinds (IMU, DVL
-velocity, DVL position, pressure) over all their pairs. Every
-batch reads the window's states stacked once per linearization point and
-returns per-row residuals and Jacobian rows over the columns it declares;
-one routine forms the weighted normal equations of all batches and adds
-them into h and g with one scatter. ``Factor.evaluate`` is a batch of one.
+reprojections, all photometric patches, and each pair kind (IMU, DVL
+velocity, DVL position, pressure) over all its pairs. A batch reads the
+window's states stacked once per point and returns per-row residuals and
+Jacobian rows over its columns. The solver evaluates each point it visits
+once, with Jacobians; an accepted candidate's evaluation gives the next
+normal equations. ``Factor.evaluate`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -138,7 +138,8 @@ class PhotometricData:
 @dataclass
 class Factor:
     """One residual block: kind, connected variables, measurement payload,
-    information matrix and, for a reprojection, the observed landmark."""
+    information matrix (symmetric, checked where a batch stacks it) and,
+    for a reprojection, the observed landmark."""
 
     kind: FactorKind
     state_ids: tuple[int, ...]
@@ -146,22 +147,14 @@ class Factor:
     info: np.ndarray
     landmark_id: int | None = None
 
-    def __post_init__(self):
-        self.info = np.atleast_2d(np.asarray(self.info, dtype=float))
-        if np.max(np.abs(self.info - self.info.T)) > 1e-9:
-            raise ValueError("information matrix must be symmetric")
-
     # ------------------------------------------------------------------ #
     def evaluate(self, states: dict[int, NavState],
                  landmarks: dict[int, np.ndarray], rig: SensorRig,
                  with_jacobians: bool = True):
         """Raw residual plus Jacobian blocks keyed by state id / landmark
-        id, evaluated with ``rig`` as a batch of one: each residual is
-        written once, in its kind's batch.
-
-        With ``with_jacobians=False`` the Jacobian dicts are empty; used for
-        cost-only evaluations of candidate steps.
-        """
+        id (empty dicts without ``with_jacobians``), evaluated with ``rig``
+        as a batch of one: each residual is written once, in its kind's
+        batch."""
         lids = () if self.landmark_id is None else (self.landmark_id,)
         window = LocalWindow(list(self.state_ids), states, rig, None,
                              {lid: landmarks[lid] for lid in lids})
@@ -299,6 +292,8 @@ class _Batch:
     camera raises BehindCameraError or OutOfDomainError."""
 
     def _set_rows(self, cols, infos, delta: float | None, dummy: int):
+        if np.max(np.abs(infos - infos.transpose(0, 2, 1))) > 1e-9:
+            raise ValueError("information matrix must be symmetric")
         self.cols = np.asarray(cols, dtype=np.intp)
         self.infos, self.delta = infos, delta
         # rows whose every column is the dummy add nothing to h and g
@@ -376,8 +371,8 @@ class _PhotometricBatch(_Batch):
     dims and the observer pose's 6 (the warp touches no other dim).
 
     The n x m patch points are warped at once; each distinct observer field
-    is called once for all the patches it observes: sampled for a cost, and
-    sampled with its gradients when linearizing."""
+    is called once for all the patches it observes: sampled for residuals
+    alone, and sampled with its gradients when linearizing."""
 
     def __init__(self, window: LocalWindow, factors: list[Factor], layout: _Layout):
         self.rig = window.rig
@@ -558,29 +553,33 @@ def _batches(window: LocalWindow, factors: list[Factor],
     return out + [_PairGroup(window, fss, layout) for fss in by_pairs.values()]
 
 
-def _cost(batches: list[_Batch], stack: StateStack, lms: np.ndarray) -> float:
-    """The robustified cost of all batches; infinite when a point leaves a
-    camera."""
+def _evaluate(batches: list[_Batch], stack: StateStack, lms: np.ndarray):
+    """Each batch's residuals, Jacobian rows (None without a live row), Huber
+    weights and cost at one point, and their total; (None, inf) when a point
+    leaves a camera."""
+    out = []
     try:
-        return sum(b.weights_cost(b.residuals(stack, lms))[1] for b in batches)
+        for b in batches:
+            res, jac = (b.linearize(stack, lms) if len(b.h_index)
+                        else (b.residuals(stack, lms), None))
+            out.append((res, jac, *b.weights_cost(res)))
     except (BehindCameraError, OutOfDomainError):
-        return float("inf")
+        return None, float("inf")
+    return out, sum(cost for *_, cost in out)
 
 
-def _normal_equations(batches: list[_Batch], stack: StateStack,
-                      lms: np.ndarray, ndim: int):
+def _normal_equations(batches: list[_Batch], evaluation, ndim: int):
     """The robustly weighted normal equations J^T W J and J^T W r of all
-    batches. Each row's blocks over its columns are added into h and g by one
-    ``np.add.at`` each; h and g carry a trailing dummy row and column for
-    the dims without a column, which are dropped."""
+    batches from their ``_evaluate``. Each row's blocks over its columns are
+    added into h and g by one ``np.add.at`` each; h and g carry a trailing
+    dummy row and column for the dims without a column, which are dropped."""
     h_at, h_add, g_at, g_add = [], [], [], []
-    for b in batches:
-        if len(b.h_index) == 0:
+    for b, (res, jac, w, _) in zip(batches, evaluation):
+        if jac is None:
             continue
-        res, jac = b.linearize(stack, lms)
         live, a = b.live, b.infos[b.live]
-        if b.delta is not None:
-            a = b.weights_cost(res)[0][live, None, None] * a
+        if w is not None:
+            a = w[live, None, None] * a
         jac, res = jac[live], res[live]
         jt_a = jac.transpose(0, 2, 1) @ a
         h_at.append(b.h_index.reshape(-1))
@@ -597,9 +596,11 @@ def _normal_equations(batches: list[_Batch], stack: StateStack,
 
 def solve(window: LocalWindow, factors: list[Factor],
           cfg: SolverConfig | None = None):
-    """Damped Gauss-Newton over the window. Accepted steps strictly decrease
-    the robustified cost; a violation raises, so a finished solve certifies
-    a monotone cost trace. Returns the updated window and a report."""
+    """Damped Gauss-Newton over the window, each point visited evaluated
+    once with Jacobians: an accepted candidate's evaluation gives the next
+    normal equations. Accepted steps strictly decrease the robustified
+    cost; a violation raises, so a finished solve certifies a monotone cost
+    trace. Returns the updated window and a report."""
     cfg = cfg or SolverConfig()
     if not factors:
         raise ValueError("cannot solve an empty factor list")
@@ -614,7 +615,7 @@ def solve(window: LocalWindow, factors: list[Factor],
     lms = layout.landmark_array(window.landmarks)
     stack = layout.stack(window.states)
 
-    cost = _cost(batches, stack, lms)
+    evaluation, cost = _evaluate(batches, stack, lms)
     if not np.isfinite(cost):
         raise DivergedError(f"initial cost is not finite ({cost})")
     trace = [cost]
@@ -639,44 +640,43 @@ def solve(window: LocalWindow, factors: list[Factor],
     accepted = 0
     termination = Termination.ITERATION_CAP
     for _ in range(cfg.max_iterations):
-        h, g = _normal_equations(batches, stack, lms, ndim)
+        h, g = _normal_equations(batches, evaluation, ndim)
         if np.linalg.norm(g) < 1e-15:
             termination = Termination.ZERO_GRADIENT
             break
-        step = None
-        new_cost = None
+        h_diag = np.diag(h)
         while lam <= cfg.lambda_max:
-            damped = h + lam * np.diag(np.diag(h)) + 1e-15 * np.eye(ndim)
+            # h + lam diag(h) + 1e-15 I, formed on the diagonal alone
+            damped = h.copy()
+            np.fill_diagonal(damped, h_diag + lam * h_diag + 1e-15)
             try:
                 candidate = np.linalg.solve(damped, -g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             cand_stack, cand_lms = retract(stack, lms, candidate)
-            cand_cost = _cost(batches, cand_stack, cand_lms)
+            cand_eval, cand_cost = _evaluate(batches, cand_stack, cand_lms)
             if math.isnan(cand_cost):
                 raise DivergedError("candidate cost is NaN")
             if cand_cost < cost:
-                step = candidate
-                new_cost = cand_cost
-                stack, lms = cand_stack, cand_lms
+                stack, lms, evaluation = cand_stack, cand_lms, cand_eval
                 lam = max(lam / 3.0, 1e-12)
                 break
             lam *= 10.0
-        if step is None:
+        else:
             # no descent direction at any damping: stationary for our purposes
             termination = Termination.NO_DESCENT
             break
-        if not new_cost < cost:
+        if not cand_cost < cost:
             raise AssertionError("accepted step failed to decrease the cost")
         accepted += 1
-        rel_drop = (cost - new_cost) / max(cost, 1e-300)
-        cost = new_cost
+        rel_drop = (cost - cand_cost) / max(cost, 1e-300)
+        cost = cand_cost
         trace.append(cost)
         if rel_drop < cfg.rel_cost_tol:
             termination = Termination.RELATIVE_COST
             break
-        if np.linalg.norm(step) < cfg.step_tol:
+        if np.linalg.norm(candidate) < cfg.step_tol:
             termination = Termination.STEP_SIZE
             break
 

@@ -526,8 +526,8 @@ def assert_matches_per_factor_path(window, factors):
     lms = layout.landmark_array(window.landmarks)
     ndim = layout.ndim
     cost_single = sum(factor_cost(window, f) for f in factors)
-    assert bk._cost(batches, stack, lms) == pytest.approx(cost_single,
-                                                          rel=1e-12)
+    evaluation, cost = bk._evaluate(batches, stack, lms)
+    assert cost == pytest.approx(cost_single, rel=1e-12)
     state_cols = {}
     for sid, cols in layout.cols.items():
         n = sum(c < ndim for c in cols)
@@ -535,7 +535,7 @@ def assert_matches_per_factor_path(window, factors):
             state_cols[sid] = (slice(cols[0], cols[0] + n), np.arange(n))
     lm_cols = {lid: slice(c[0], c[0] + 3) for lid, c in layout.lm_cols.items()
                if c[0] < ndim}
-    h_b, g_b = bk._normal_equations(batches, stack, lms, ndim)
+    h_b, g_b = bk._normal_equations(batches, evaluation, ndim)
     h_s, g_s = per_factor_normal_equations(window, factors, state_cols,
                                            lm_cols, ndim)
     assert_allclose(h_b, h_s, atol=1e-9)
@@ -671,6 +671,25 @@ class TestStackedPairKinds:
             bk.solve(window, pairs)
 
 
+class TestInformationSymmetry:
+    """A factor whose information is not symmetric is refused by every
+    batch that stacks it: in a solve and in the factor's batch of one."""
+
+    @pytest.mark.parametrize("kind", [bk.FactorKind.REPROJECTION,
+                                      bk.FactorKind.IMU,
+                                      bk.FactorKind.DVL_VELOCITY])
+    def test_asymmetric_information_raises(self, rng, kind):
+        window, factors, _ = pair_window(rng, n_kf=4)
+        f = next(f for f in factors if f.kind is kind)
+        f.info = f.info.copy()
+        f.info[0, 1] += 1e-6
+        with pytest.raises(ValueError, match="symmetric"):
+            bk.solve(window, factors)
+        for jac in (True, False):
+            with pytest.raises(ValueError, match="symmetric"):
+                f.evaluate(window.states, window.landmarks, window.rig, jac)
+
+
 def count_field_calls(monkeypatch) -> list[str]:
     """The names of the ``IntensityField`` sampling methods, one per call
     made while ``monkeypatch`` is active."""
@@ -685,10 +704,11 @@ def count_field_calls(monkeypatch) -> list[str]:
 
 class TestPairKindWorkCount:
     """Each pair kind's residual function, and the reprojection and
-    photometric residual code, run once per normal-equation assembly and
-    once per cost evaluation, whatever the number of hosts or pairs; each
-    distinct observer field gets one call per evaluation: ``sample`` for a
-    cost, ``gradient`` (values and gradients) when linearizing."""
+    photometric residual code, run once, with Jacobians, per point the
+    solver visits (the initial state and each candidate step), whatever the
+    number of hosts or pairs; each distinct observer field gets one
+    ``gradient`` call (values and gradients) per point and no ``sample``
+    call."""
 
     KINDS = ("imu_pair_residuals", "dvl_velocity_pair_residuals",
              "dvl_position_pair_residuals", "pressure_pair_residuals")
@@ -736,17 +756,15 @@ class TestPairKindWorkCount:
         monkeypatch.setattr(bk.Factor, "evaluate", counted_evaluate)
         _, report = bk.solve(window, factors, bk.SolverConfig(max_iterations=6))
         assert report.iterations >= 2 and single == []
-        stopped = report.termination in (bk.Termination.ZERO_GRADIENT,
-                                         bk.Termination.NO_DESCENT)
-        # the initial cost and one per candidate step
-        costs, assemblies = 1 + candidates["n"], report.iterations + stopped
+        # the initial state and each candidate step
+        points = 1 + candidates["n"]
         for name in self.KINDS:
-            assert calls[name, False] == costs, name
-            assert calls[name, True] == assemblies, name
+            assert calls[name, False] == 0, name
+            assert calls[name, True] == points, name
         for cls, _ in self.VISUAL:
-            assert calls[cls] == costs + assemblies, cls.__name__
-        assert field_calls.count("gradient") == len(fields) * assemblies
-        assert field_calls.count("sample") == len(fields) * costs
+            assert calls[cls] == points, cls.__name__
+        assert field_calls.count("gradient") == len(fields) * points
+        assert field_calls.count("sample") == 0
 
     def test_one_field_call_per_payload_batch(self, rng, monkeypatch):
         field = bumpy_field(rng)
@@ -806,7 +824,8 @@ class TestBatchedPhotometric:
         moved[1] = moved[1].retract(np.r_[0, 0, 0, 40.0, 0, 0, np.zeros(12)])
         res, _, valid = batch.patch_residuals(layout.stack(moved))
         assert not valid.all() and np.isnan(res[~valid]).all()
-        assert bk._cost([batch], layout.stack(moved), None) == float("inf")
+        assert bk._evaluate([batch], layout.stack(moved), None) == (
+            None, float("inf"))
 
 
 class TestPhotometricJacobians:
@@ -857,12 +876,62 @@ class TestPhotometricJacobians:
         assert np.any(w == 1.0) and np.any(w < 1.0)
 
         ndim = layout.ndim
-        _, g = bk._normal_equations([batch], stack, None, ndim)
+        _, g = bk._normal_equations(
+            [batch], bk._evaluate([batch], stack, None)[0], ndim)
 
         def cost_at(delta):
             moved = {sid: states[sid].retract(delta[cols[0]:cols[-1] + 1])
                      for sid, cols in layout.cols.items()}
-            return bk._cost([batch], layout.stack(moved), None)
+            return bk._evaluate([batch], layout.stack(moved), None)[1]
 
         fd = fd_jacobian(cost_at, ndim, None)[0]
         assert jac_close(g, 0.5 * fd, rtol=1e-5)
+
+
+class TestCarriedLinearization:
+    """The evaluation a solve carries from an accepted candidate into the
+    next iteration is that of the state it accepted: past rejected
+    candidates, each iteration's normal equations, and the final cost,
+    equal their fresh evaluation at the states the solve had reached."""
+
+    def test_matches_fresh_evaluation(self, rng, monkeypatch):
+        window, factors = photometric_window(rng, fixed_ids={0})
+        cfg = bk.SolverConfig(max_iterations=4, lambda_init=1e-8)
+        normal_equations, evaluate = bk._normal_equations, bk._evaluate
+        log, used = [], []
+
+        def counted_normal_equations(*args):
+            log.append("N")
+            used.append(normal_equations(*args))
+            return used[-1]
+
+        def counted_evaluate(*args):
+            log.append("E")
+            return evaluate(*args)
+
+        monkeypatch.setattr(bk, "_normal_equations", counted_normal_equations)
+        monkeypatch.setattr(bk, "_evaluate", counted_evaluate)
+        out, report = bk.solve(replace(window), factors, cfg)
+        monkeypatch.undo()
+        # a rejected candidate (lambda grew) before an accepted step that
+        # the next iteration linearizes at
+        assert report.iterations == len(used) == 4
+        per_iteration = "".join(log).split("N")[1:]
+        assert any(len(e) > 1 for e in per_iteration[:-1])
+
+        def fresh(w):
+            layout = bk._window_layout(w, factors)
+            batches = bk._batches(w, factors, layout)
+            return batches, bk._evaluate(batches, layout.stack(w.states),
+                                         layout.landmark_array(w.landmarks))
+
+        batches, (_, cost) = fresh(out)
+        assert cost == report.final_cost == report.cost_trace[-1]
+        for k, (h, g) in enumerate(used):
+            # the states after k accepted steps
+            at_k, _ = bk.solve(replace(window), factors,
+                               replace(cfg, max_iterations=k))
+            batches, (evaluation, cost) = fresh(at_k)
+            assert cost == report.cost_trace[k]
+            h_k, g_k = bk._normal_equations(batches, evaluation, h.shape[0])
+            assert np.array_equal(h, h_k) and np.array_equal(g, g_k), k
