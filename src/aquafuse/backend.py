@@ -19,9 +19,11 @@ Each factor kind is one batch per solve, its residual written once: all
 reprojections, all photometric patches, and each pair kind (IMU, DVL
 velocity, DVL position, pressure) over all its pairs. A batch reads the
 window's states stacked once per point and returns per-row residuals and
-Jacobian rows over its columns. The solver evaluates each point it visits
-once, with Jacobians; an accepted candidate's evaluation gives the next
-normal equations. ``Factor.evaluate`` is a batch of one.
+Jacobian rows over its columns (rows on fixed variables alone get none).
+The solver evaluates each point it visits once, with Jacobians; an accepted
+candidate's evaluation gives the next normal equations. Each damped step
+eliminates the free landmarks by Schur complement and solves the state
+system alone. ``Factor.evaluate`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -288,8 +290,9 @@ class _Batch:
     columns of the dims its residual depends on, and ``infos`` (n, r, r);
     ``delta`` is the Huber knee of all its rows (None: no robust loss).
     ``residuals(stack, lms)`` returns (n, r); ``linearize(stack, lms)`` also
-    returns the Jacobian rows (n, r, c) over ``cols``. A point that leaves a
-    camera raises BehindCameraError or OutOfDomainError."""
+    returns the Jacobian rows (n_live, r, c) over ``cols`` of the ``live``
+    rows alone. A point that leaves a camera raises BehindCameraError or
+    OutOfDomainError."""
 
     def _set_rows(self, cols, infos, delta: float | None, dummy: int):
         if np.max(np.abs(infos - infos.transpose(0, 2, 1))) > 1e-9:
@@ -346,6 +349,7 @@ class _ReprojectionBatch(_Batch):
 
     def linearize(self, stack: StateStack, lms: np.ndarray):
         r_wc, x_c, res = self._project(stack, lms)
+        r_wc, x_c = r_wc[self.live], x_c[self.live]
         cam, z = self.rig.cam, x_c[:, 2]
         dpi = np.zeros((len(z), 2, 3))
         dpi[:, 0, 0] = cam.fx / z
@@ -470,7 +474,7 @@ class _PhotometricBatch(_Batch):
         jac[:, 0, 6:9] = (np.cross(rows, pts_cj).sum(axis=1) @ r_ic.T
                           + rows_sum @ (r_ic.T @ hat(p_ic)))
         jac[:, 0, 9:12] = -matvec(r_wcj, rows_sum)
-        return res[:, None], jac
+        return res[:, None], jac[self.live]
 
 
 class _PairBatch:
@@ -532,7 +536,7 @@ class _PairGroup(_Batch):
         jac = np.concatenate([j.reshape(j.shape[0], j.shape[1], 2 * STATE_DOF)
                               for _, j in out], axis=1)
         return (np.concatenate([r for r, _ in out], axis=1),
-                jac.take(self.dims, 2))
+                jac[self.live].take(self.dims, 2))
 
 
 def _batches(window: LocalWindow, factors: list[Factor],
@@ -580,7 +584,7 @@ def _normal_equations(batches: list[_Batch], evaluation, ndim: int):
         live, a = b.live, b.infos[b.live]
         if w is not None:
             a = w[live, None, None] * a
-        jac, res = jac[live], res[live]
+        res = res[live]
         jt_a = jac.transpose(0, 2, 1) @ a
         h_at.append(b.h_index.reshape(-1))
         h_add.append((jt_a @ jac).reshape(-1))
@@ -594,13 +598,42 @@ def _normal_equations(batches: list[_Batch], evaluation, ndim: int):
     return h.reshape(ndim + 1, ndim + 1)[:ndim, :ndim], g[:ndim]
 
 
+def _solve_damped(h: np.ndarray, damp: np.ndarray, g: np.ndarray,
+                  n_s: int) -> np.ndarray:
+    """The LM step x of (h with the diagonal ``damp``) x = -g, when the
+    columns after the first ``n_s`` are free landmarks, 3 each.
+
+    Only a reprojection row touches a landmark, and it touches one, so the
+    landmark columns couple in 3 x 3 diagonal blocks. The step inverts
+    those blocks in one batched call, solves the state system they leave
+    (the Schur complement) and back-substitutes the landmark steps. Without
+    a landmark it is one ``np.linalg.solve`` of the damped h, bit for bit.
+    Raises LinAlgError when a damped system is singular."""
+    schur, rhs = h[:n_s, :n_s].copy(), -g[:n_s]
+    np.fill_diagonal(schur, damp[:n_s])
+    if n_s == len(g):
+        return np.linalg.solve(schur, rhs)
+    lm = np.arange(n_s, len(g)).reshape(-1, 3)
+    h_ll = h[lm[:, :, None], lm[:, None, :]]                     # (L, 3, 3)
+    # entries 0, 4 and 8 of each flattened block are its diagonal
+    h_ll.reshape(-1, 9)[:, ::4] = damp[n_s:].reshape(-1, 3)
+    h_lg = np.concatenate([h[n_s:, :n_s], g[n_s:, None]],
+                          axis=1).reshape(-1, 3, n_s + 1)      # [H_ls | g_l]
+    v = (np.linalg.inv(h_ll) @ h_lg).reshape(-1, n_s + 1)
+    red = h[:n_s, n_s:] @ v  # H_sl H_ll^-1 [H_ls | g_l]
+    x = np.linalg.solve(schur - red[:, :n_s], rhs + red[:, n_s])
+    return np.concatenate([x, -(v[:, n_s] + v[:, :n_s] @ x)])
+
+
 def solve(window: LocalWindow, factors: list[Factor],
           cfg: SolverConfig | None = None):
     """Damped Gauss-Newton over the window, each point visited evaluated
     once with Jacobians: an accepted candidate's evaluation gives the next
-    normal equations. Accepted steps strictly decrease the robustified
-    cost; a violation raises, so a finished solve certifies a monotone cost
-    trace. Returns the updated window and a report."""
+    normal equations. Each damping trial solves them with the free
+    landmarks eliminated (``_solve_damped``); without a free landmark that
+    is a dense solve of the damped system. Accepted steps strictly decrease
+    the robustified cost; a violation raises, so a finished solve certifies
+    a monotone cost trace. Returns the updated window and a report."""
     cfg = cfg or SolverConfig()
     if not factors:
         raise ValueError("cannot solve an empty factor list")
@@ -630,6 +663,8 @@ def solve(window: LocalWindow, factors: list[Factor],
                          dtype=np.intp).reshape(-1, STATE_DOF)
     lm_index = np.array(list(layout.lm_cols.values()),
                         dtype=np.intp).reshape(-1, 3)
+    # the free landmarks' columns follow every state column, 3 each
+    n_s = ndim - 3 * int(np.count_nonzero(lm_index[:, 0] < ndim))
 
     def retract(stack, lms, delta):
         delta = np.append(delta, 0.0)  # the dummy column moves nothing
@@ -646,11 +681,10 @@ def solve(window: LocalWindow, factors: list[Factor],
             break
         h_diag = np.diag(h)
         while lam <= cfg.lambda_max:
-            # h + lam diag(h) + 1e-15 I, formed on the diagonal alone
-            damped = h.copy()
-            np.fill_diagonal(damped, h_diag + lam * h_diag + 1e-15)
             try:
-                candidate = np.linalg.solve(damped, -g)
+                # h + lam diag(h) + 1e-15 I, formed on the diagonal alone
+                candidate = _solve_damped(h, h_diag + lam * h_diag + 1e-15,
+                                          g, n_s)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue

@@ -14,11 +14,14 @@ tracking status, tracked features, cost and keyframe state, and each window
 BA report's iterations, termination and cost trace.
 
 With ``--dump FILE`` it also writes each case's frame positions and
-statuses, its keyframe count, and each window BA's iterations and
-termination to FILE (``.npz``). ``--compare OLD NEW`` then prints, per case, the largest
-position difference and whether the statuses, keyframe counts, iterations
-and terminations agree, and the largest difference over all cases; it exits
-1 if any of them differ or a position moves by more than ``TOL_M`` (1e-9 m):
+statuses, its keyframe count, and each window BA's iterations, termination
+and final cost to FILE (``.npz``). ``--compare OLD NEW`` then prints, per
+case, the largest position difference, the largest relative difference of
+a window BA's final cost, and whether the statuses, keyframe counts,
+iterations and terminations agree, and the largest differences over all
+cases; it exits 1 if any of them differ, a position moves by more than
+``TOL_M`` (1e-9 m) or a final cost by more than ``TOL_COST`` (1e-9
+relative, absolute below a cost of 1):
 
     PYTHONPATH=<old tree>/src python tests/output_digest.py --dump old.npz > old.txt
     PYTHONPATH=<new tree>/src python tests/output_digest.py --dump new.npz > new.txt
@@ -93,8 +96,13 @@ def digest(result) -> str:
     return h.hexdigest()
 
 
-FIELDS = ("p", "status", "keyframes", "ba_iterations", "ba_termination")
+FIELDS = ("p", "ba_cost", "status", "keyframes", "ba_iterations",
+          "ba_termination")
 TOL_M = 1e-9  # position differences below this are rounding, not a change
+TOL_COST = 1e-9  # and so are relative final-cost differences below this
+# a cost is a sum of squared whitened residuals: below one unit a final cost
+# is compared absolutely, since windows that fit exactly end near 1e-23
+COST_FLOOR = 1.0
 
 
 def outputs(result) -> dict:
@@ -104,16 +112,25 @@ def outputs(result) -> dict:
             "status": np.array([f.status.value for f in result.frames]),
             "keyframes": np.array(sum(f.keyframe is not None
                                       for f in result.frames)),
+            "ba_cost": np.array([r.final_cost for r in reports], dtype=float),
             "ba_iterations": np.array([r.iterations for r in reports], dtype=int),
             "ba_termination": np.array([r.termination.value for r in reports])}
 
 
+def _largest(a: np.ndarray, b: np.ndarray, scale=1.0) -> float:
+    """The largest |a - b| / scale, inf when the shapes differ."""
+    if a.shape != b.shape:
+        return float("inf")
+    return float(np.max(np.abs(a - b) / scale, initial=0.0))
+
+
 def compare(old_path: str, new_path: str) -> int:
-    """Print how the dumps at the two paths differ; 1 if beyond ``TOL_M``."""
+    """Print how the dumps at the two paths differ; 1 if beyond ``TOL_M``
+    or ``TOL_COST``."""
     old, new = np.load(old_path), np.load(new_path)
     names = sorted({key.split("/")[0] for key in old.files}
                    | {key.split("/")[0] for key in new.files})
-    worst, failed = 0.0, False
+    worst, worst_cost, failed = 0.0, 0.0, False
     for name in names:
         try:
             a, b = ({key: dump[f"{name}/{key}"] for key in FIELDS}
@@ -122,15 +139,18 @@ def compare(old_path: str, new_path: str) -> int:
             print(name, "missing from one dump")
             failed = True
             continue
-        differ = [key for key in FIELDS[1:]
+        differ = [key for key in FIELDS[2:]
                   if not np.array_equal(a[key], b[key])]
-        dp = (np.abs(a["p"] - b["p"]).max() if a["p"].shape == b["p"].shape
-              else float("inf"))
-        worst = max(worst, dp)
-        failed |= bool(differ) or not dp <= TOL_M
-        print(f"{name} max_dp_m={dp:.3e} "
+        dp = _largest(a["p"], b["p"])
+        dc = _largest(a["ba_cost"], b["ba_cost"],
+                      np.maximum(np.abs(a["ba_cost"]), COST_FLOOR))
+        worst, worst_cost = max(worst, dp), max(worst_cost, dc)
+        failed |= bool(differ) or not (dp <= TOL_M and dc <= TOL_COST)
+        print(f"{name} max_dp_m={dp:.3e} max_dcost_rel={dc:.3e} "
               f"{'differ: ' + ' '.join(differ) if differ else 'same'}")
     print(f"largest position difference {worst:.3e} m over {len(names)} cases")
+    print(f"largest relative window-BA final-cost difference {worst_cost:.3e}"
+          f" over {len(names)} cases")
     return int(failed)
 
 

@@ -935,3 +935,95 @@ class TestCarriedLinearization:
             assert cost == report.cost_trace[k]
             h_k, g_k = bk._normal_equations(batches, evaluation, h.shape[0])
             assert np.array_equal(h, h_k) and np.array_equal(g, g_k), k
+
+
+def landmark_window(rng, landmarks=True, photometric=False):
+    """Five keyframes of ``make_scene``: 0 fixed, 1 solved for pose and
+    velocity, 2 for pose only, 3 and 4 in full, all but 0 perturbed. With
+    ``landmarks``, two landmarks are fixed, one is seen by keyframe 3 alone
+    and keyframe 2 observes another twice; without, the window has none.
+    With ``photometric`` each keyframe has its own field. Returns the window,
+    its ``h`` and ``g`` at its states, its number of state columns and the
+    ids of the single-keyframe and twice-observed landmarks."""
+    nodes, lms, intervals, rig, _ = make_scene(rng, n_kf=5, n_lm=10,
+                                               kf_steps=20, pixel_noise=0.5)
+    twice = nodes[2].observations[0]
+    single = next(o.landmark_id for o in nodes[3].observations
+                  if o.landmark_id != twice.landmark_id)
+    for node in nodes:
+        if node is not nodes[3]:
+            node.observations = [o for o in node.observations
+                                 if o.landmark_id != single]
+        if photometric:
+            node.field = bumpy_field(rng)
+    nodes[2].observations.append(LandmarkObservation(
+        twice.frame_id, twice.landmark_id, twice.pixel + [0.7, -0.4],
+        twice.disparity))
+    fixed = set(sorted(set(lms) - {single, twice.landmark_id})[:2])
+    for node in nodes[1:]:
+        st = node.state
+        st.R = st.R @ exp_so3(rng.normal(size=3) * 0.01)
+        st.p, st.v = (st.p + rng.normal(size=3) * 0.02,
+                      st.v + rng.normal(size=3) * 0.02)
+    cfg = bk.BackendConfig(photometric_enabled=photometric,
+                           photometric_gate=float("inf"))
+    window, factors = bk.assemble_window(nodes, lms if landmarks else {},
+                                         intervals, rig, cfg, NOISE,
+                                         fixed_ids={0}, fixed_landmarks=fixed)
+    window.state_masks[1] = bk.POSE_VEL_MASK
+    window.state_masks[2] = bk.POSE_MASK
+    layout = bk._window_layout(window, factors)
+    batches = bk._batches(window, factors, layout)
+    evaluation, _ = bk._evaluate(batches, layout.stack(window.states),
+                                 layout.landmark_array(window.landmarks))
+    h, g = bk._normal_equations(batches, evaluation, layout.ndim)
+    n_s = layout.ndim - 3 * len(set(window.landmarks) - window.fixed_landmarks)
+    return window, h, g, n_s, single, twice.landmark_id
+
+
+def damping(h, lam):
+    """The diagonal of h damped as ``solve`` damps it."""
+    d = np.diag(h)
+    return d + lam * d + 1e-15
+
+
+def dense_step(h, g, lam):
+    """The LM step as a dense solve of the whole damped system."""
+    damped = h.copy()
+    np.fill_diagonal(damped, damping(h, lam))
+    return np.linalg.solve(damped, -g)
+
+
+class TestLandmarkElimination:
+    """The LM step with the free landmarks eliminated by Schur complement
+    against a dense solve of the same damped system."""
+
+    def test_landmark_blocks_do_not_couple(self, rng):
+        # the structure the elimination relies on: no landmark-landmark
+        # entry of h outside the 3 x 3 diagonal blocks
+        window, h, _, n_s, _, _ = landmark_window(rng, photometric=True)
+        n_lm = (len(h) - n_s) // 3
+        assert n_lm >= 5 and window.fixed_landmarks
+        blocks = h[n_s:, n_s:].reshape(n_lm, 3, n_lm, 3).transpose(0, 2, 1, 3)
+        off = ~np.eye(n_lm, dtype=bool)
+        assert np.all(blocks[off] == 0.0)
+        assert np.all(blocks[~off].any(axis=(1, 2)))
+
+    @pytest.mark.parametrize("lam", [1e-4, 1e-2, 1.0])
+    def test_step_matches_dense_solve(self, rng, lam):
+        window, h, g, n_s, single, twice = landmark_window(rng)
+        free = sorted(set(window.landmarks) - window.fixed_landmarks)
+        assert single in free and twice in free
+        k = n_s + 3 * free.index(single)
+        # one keyframe's reprojection: a rank-2 block before damping
+        assert np.linalg.matrix_rank(h[k:k + 3, k:k + 3]) == 2
+        step = bk._solve_damped(h, damping(h, lam), g, n_s)
+        ref = dense_step(h, g, lam)
+        assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("lam", [1e-4, 1.0])
+    def test_states_only_step_is_the_dense_solve(self, rng, lam):
+        _, h, g, n_s, _, _ = landmark_window(rng, landmarks=False)
+        assert n_s == len(g) == 6 + 9 + 2 * STATE_DOF
+        assert np.array_equal(bk._solve_damped(h, damping(h, lam), g, n_s),
+                              dense_step(h, g, lam))
