@@ -15,15 +15,16 @@ the factor kinds stay exactly the six sensor kinds. A window has a factor for
 every measurement its nodes and intervals carry, so the caller decides which
 sensors it fuses by the measurements it gives.
 
-Each factor kind is one batch per solve, its residual written once: all
-reprojections, all photometric patches, and each pair kind (IMU, DVL
-velocity, DVL position, pressure) over all its pairs. A batch reads the
-window's states stacked once per point and returns per-row residuals and
-Jacobian rows over its columns (rows on fixed variables alone get none).
-The solver evaluates each point it visits once, with Jacobians; an accepted
-candidate's evaluation gives the next normal equations. Each damped step
-eliminates the free landmarks by Schur complement and solves the state
-system alone. ``Factor.evaluate`` is a batch of one.
+Each factor kind is one batch per solve, its residual and Jacobian
+written once: all reprojections, all photometric patches, and each pair kind
+(IMU, DVL velocity, DVL position, pressure) over all its pairs. A batch has
+one evaluation: it reads the window's states stacked once per point and
+returns per-row residuals and Jacobian rows over its columns (rows on fixed
+variables alone add their constant to the cost and get none). The solver
+linearizes each point it visits once; an accepted candidate's evaluation
+gives the next normal equations. Each damped step eliminates the free
+landmarks by Schur complement and solves the state system alone.
+``Factor.evaluate`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -111,11 +112,8 @@ class PressureData:
 
 @dataclass(frozen=True)
 class PhotometricData:
-    field_host: IntensityField
     field_obs: IntensityField
-    pixel: np.ndarray
     depth: float
-    pattern: PatchPattern
     # host-side quantities are fixed per factor, cached by ``batch``
     host_pix: np.ndarray
     host_vals: np.ndarray
@@ -132,8 +130,7 @@ class PhotometricData:
         pix = pixels[:, None, :] + pattern.offsets  # (n, m, 2)
         vals, grads = field_host.gradient(pix)
         weights = pattern.weights(grads)
-        return [cls(field_host, field_obs, pixels[k].copy(), float(depth),
-                    pattern, pix[k], vals[k], weights[k])
+        return [cls(field_obs, float(depth), pix[k], vals[k], weights[k])
                 for k, depth in enumerate(depths)]
 
 
@@ -151,21 +148,17 @@ class Factor:
 
     # ------------------------------------------------------------------ #
     def evaluate(self, states: dict[int, NavState],
-                 landmarks: dict[int, np.ndarray], rig: SensorRig,
-                 with_jacobians: bool = True):
+                 landmarks: dict[int, np.ndarray], rig: SensorRig):
         """Raw residual plus Jacobian blocks keyed by state id / landmark
-        id (empty dicts without ``with_jacobians``), evaluated with ``rig``
-        as a batch of one: each residual is written once, in its kind's
-        batch."""
+        id, evaluated with ``rig`` as a batch of one: each residual is
+        written once, in its kind's batch."""
         lids = () if self.landmark_id is None else (self.landmark_id,)
         window = LocalWindow(list(self.state_ids), states, rig, None,
                              {lid: landmarks[lid] for lid in lids})
         layout = _window_layout(window, [self])
         (batch,) = _batches(window, [self], layout)
-        stack, lms = layout.stack(states), layout.landmark_array(landmarks)
-        if not with_jacobians:
-            return batch.residuals(stack, lms)[0], {}, {}
-        res, jac = batch.linearize(stack, lms)
+        res, jac = batch.linearize(layout.stack(states),
+                                   layout.landmark_array(landmarks))
         dense = np.zeros((res.shape[1], layout.ndim + 1))
         dense[:, batch.cols[0]] = jac[0]
         return (res[0],
@@ -289,10 +282,10 @@ class _Batch:
     kinds). Per row a batch holds ``cols`` (n, c), the normal-equation
     columns of the dims its residual depends on, and ``infos`` (n, r, r);
     ``delta`` is the Huber knee of all its rows (None: no robust loss).
-    ``residuals(stack, lms)`` returns (n, r); ``linearize(stack, lms)`` also
-    returns the Jacobian rows (n_live, r, c) over ``cols`` of the ``live``
-    rows alone. A point that leaves a camera raises BehindCameraError or
-    OutOfDomainError."""
+    ``linearize(stack, lms)`` is a batch's one evaluation: the residuals
+    (n, r) of every row and the Jacobian rows (n_live, r, c) over ``cols``
+    of the ``live`` rows alone (an empty array when no row is live). A
+    point that leaves a camera raises BehindCameraError or OutOfDomainError."""
 
     def _set_rows(self, cols, infos, delta: float | None, dummy: int):
         if np.max(np.abs(infos - infos.transpose(0, 2, 1))) > 1e-9:
@@ -333,22 +326,14 @@ class _ReprojectionBatch(_Batch):
                        np.array([f.info for f in factors]),
                        window.huber_delta, layout.ndim)
 
-    def _project(self, stack: StateStack, lms: np.ndarray):
-        """Camera rotations (n, 3, 3), camera-frame points (n, 3) and the
-        residuals (n, 2)."""
+    def linearize(self, stack: StateStack, lms: np.ndarray):
         r_wb = stack.R[self.host]
         r_wc = r_wb @ self.rig.T_IC.R
         d = (lms[self.lm] - stack.x[self.host, 3:6]) - r_wb @ self.rig.T_IC.t
         x_c = matvec(r_wc.transpose(0, 2, 1), d)  # d @ r_wc per row
         if np.any(x_c[:, 2] <= 1e-6):
             raise BehindCameraError(f"landmark depth {x_c[:, 2].min()} is not positive")
-        return r_wc, x_c, self.pixels - self.rig.cam.project(x_c)
-
-    def residuals(self, stack: StateStack, lms: np.ndarray) -> np.ndarray:
-        return self._project(stack, lms)[2]
-
-    def linearize(self, stack: StateStack, lms: np.ndarray):
-        r_wc, x_c, res = self._project(stack, lms)
+        res = self.pixels - self.rig.cam.project(x_c)
         r_wc, x_c = r_wc[self.live], x_c[self.live]
         cam, z = self.rig.cam, x_c[:, 2]
         dpi = np.zeros((len(z), 2, 3))
@@ -363,20 +348,14 @@ class _ReprojectionBatch(_Batch):
         return res, np.concatenate([j_phi, j_pos, -j_pos], axis=2)
 
 
-def _check_patches(front: np.ndarray, valid: np.ndarray) -> None:
-    if not valid.all():
-        if not front.all():
-            raise BehindCameraError("patch point behind the current camera")
-        raise OutOfDomainError("warped patch left the image domain")
-
-
 class _PhotometricBatch(_Batch):
     """All photometric factors, one row per patch, over the host pose's 6
     dims and the observer pose's 6 (the warp touches no other dim).
 
     The n x m patch points are warped at once; each distinct observer field
-    is called once for all the patches it observes: sampled for residuals
-    alone, and sampled with its gradients when linearizing."""
+    is called once for all the patches it observes: sampled with its
+    gradients when linearizing, and sampled alone for the gate's
+    ``patch_residuals``."""
 
     def __init__(self, window: LocalWindow, factors: list[Factor], layout: _Layout):
         self.rig = window.rig
@@ -442,14 +421,12 @@ class _PhotometricBatch(_Batch):
         vals, _ = self._sample(pix, valid, gradient=False)
         return np.sum(self.weights * (vals - self.host_vals), axis=1), front, valid
 
-    def residuals(self, stack: StateStack, lms=None) -> np.ndarray:
-        res, front, valid = self.patch_residuals(stack)
-        _check_patches(front, valid)
-        return res[:, None]
-
     def linearize(self, stack: StateStack, lms=None):
         r_h, r_wci, r_wcj, pts_cj, pix, front, valid = self._warp(stack)
-        _check_patches(front, valid)
+        if not valid.all():
+            if not front.all():
+                raise BehindCameraError("patch point behind the current camera")
+            raise OutOfDomainError("warped patch left the image domain")
         vals, grads = self._sample(pix, valid, gradient=True)
         w = self.weights
         res = np.sum(w * (vals - self.host_vals), axis=1)
@@ -477,32 +454,20 @@ class _PhotometricBatch(_Batch):
         return res[:, None], jac[self.live]
 
 
-class _PairBatch:
-    """The factors of one pair kind, payloads and information stacked once;
-    the kind's residual function evaluates all their pairs in one call, at
-    rows ``i`` and ``j`` of a :class:`StateStack`."""
-
-    def __init__(self, factors: list[Factor], i, j, rig: SensorRig):
-        f0, ds = factors[0], [f.payload for f in factors]
-        self.kind, self.i, self.j = f0.kind, i, j
-        self.infos = np.array([f.info for f in factors])
-        # the stacked payload, the residual function and its sensor constant
-        if self.kind is FactorKind.IMU:
-            self.data, self.fn, self.const = (
-                stack_imu_pairs(ds), imu_pair_residuals, rig.gravity)
-        elif self.kind is FactorKind.DVL_POSITION:
-            self.data, self.fn, self.const = (
-                stack_dvl_position_pairs(ds), dvl_position_pair_residuals, rig.dvl)
-        elif self.kind is FactorKind.DVL_VELOCITY:
-            self.data, self.fn, self.const = (stack_dvl_velocity_pairs(
-                ds, rig.dvl), dvl_velocity_pair_residuals, rig.dvl)
-        else:
-            self.data = np.array([[d.meas_n.depth - d.meas_i.depth] for d in ds])
-            self.fn, self.const = pressure_pair_residuals, rig.depth
-
-    def evaluate(self, stack: StateStack, with_jacobians: bool = True):
-        return self.fn(stack, self.i, self.j, self.data, self.const,
-                       with_jacobians)
+def _pair_kind(kind: FactorKind, payloads: list, rig: SensorRig):
+    """A pair kind's residual function, its payloads stacked once and the
+    sensor constant the function takes."""
+    if kind is FactorKind.IMU:
+        return imu_pair_residuals, stack_imu_pairs(payloads), rig.gravity
+    if kind is FactorKind.DVL_POSITION:
+        return (dvl_position_pair_residuals, stack_dvl_position_pairs(payloads),
+                rig.dvl)
+    if kind is FactorKind.DVL_VELOCITY:
+        return (dvl_velocity_pair_residuals,
+                stack_dvl_velocity_pairs(payloads, rig.dvl), rig.dvl)
+    return (pressure_pair_residuals,
+            np.array([[d.meas_n.depth - d.meas_i.depth] for d in payloads]),
+            rig.depth)
 
 
 class _PairGroup(_Batch):
@@ -517,22 +482,22 @@ class _PairGroup(_Batch):
         self.dims = np.flatnonzero(cols.min(axis=0) < layout.ndim)
         # contiguous rows (consecutive keyframes) are read as views
         i, j = ([layout.rows[pair[side]] for pair in pairs] for side in (0, 1))
-        i, j = (slice(r[0], r[-1] + 1) if r == list(range(r[0], r[-1] + 1))
-                else np.array(r) for r in (i, j))
-        self.batches = [_PairBatch(fs, i, j, window.rig) for fs in kinds]
-        size = sum(b.infos.shape[1] for b in self.batches)
+        self.i, self.j = (slice(r[0], r[-1] + 1) if r == list(range(r[0], r[-1] + 1))
+                          else np.array(r) for r in (i, j))
+        # per kind: its residual function, stacked payload and constant
+        self.kinds = [_pair_kind(fs[0].kind, [f.payload for f in fs], window.rig)
+                      for fs in kinds]
+        blocks = [np.array([f.info for f in fs]) for fs in kinds]
+        size = sum(b.shape[1] for b in blocks)
         infos, lo = np.zeros((len(pairs), size, size)), 0
-        for b in self.batches:
-            hi = lo + b.infos.shape[1]
-            infos[:, lo:hi, lo:hi], lo = b.infos, hi
+        for b in blocks:
+            hi = lo + b.shape[1]
+            infos[:, lo:hi, lo:hi], lo = b, hi
         self._set_rows(cols.take(self.dims, 1), infos, None, layout.ndim)
 
-    def residuals(self, stack: StateStack, lms=None) -> np.ndarray:
-        return np.concatenate([b.evaluate(stack, with_jacobians=False)[0]
-                               for b in self.batches], axis=1)
-
     def linearize(self, stack: StateStack, lms=None):
-        out = [b.evaluate(stack) for b in self.batches]
+        out = [fn(stack, self.i, self.j, data, const)
+               for fn, data, const in self.kinds]
         jac = np.concatenate([j.reshape(j.shape[0], j.shape[1], 2 * STATE_DOF)
                               for _, j in out], axis=1)
         return (np.concatenate([r for r, _ in out], axis=1),
@@ -558,14 +523,13 @@ def _batches(window: LocalWindow, factors: list[Factor],
 
 
 def _evaluate(batches: list[_Batch], stack: StateStack, lms: np.ndarray):
-    """Each batch's residuals, Jacobian rows (None without a live row), Huber
-    weights and cost at one point, and their total; (None, inf) when a point
-    leaves a camera."""
+    """Each batch's residuals, Jacobian rows of its live rows, Huber weights
+    and cost at one point, and their total; (None, inf) when a point leaves
+    a camera."""
     out = []
     try:
         for b in batches:
-            res, jac = (b.linearize(stack, lms) if len(b.h_index)
-                        else (b.residuals(stack, lms), None))
+            res, jac = b.linearize(stack, lms)
             out.append((res, jac, *b.weights_cost(res)))
     except (BehindCameraError, OutOfDomainError):
         return None, float("inf")
@@ -579,8 +543,6 @@ def _normal_equations(batches: list[_Batch], evaluation, ndim: int):
     dummy row and column for the dims without a column, which are dropped."""
     h_at, h_add, g_at, g_add = [], [], [], []
     for b, (res, jac, w, _) in zip(batches, evaluation):
-        if jac is None:
-            continue
         live, a = b.live, b.infos[b.live]
         if w is not None:
             a = w[live, None, None] * a
@@ -592,9 +554,8 @@ def _normal_equations(batches: list[_Batch], evaluation, ndim: int):
         g_add.append(matvec(jt_a, res).reshape(-1))
     h = np.zeros((ndim + 1) ** 2)
     g = np.zeros(ndim + 1)
-    if h_at:
-        np.add.at(h, np.concatenate(h_at), np.concatenate(h_add))
-        np.add.at(g, np.concatenate(g_at), np.concatenate(g_add))
+    np.add.at(h, np.concatenate(h_at), np.concatenate(h_add))
+    np.add.at(g, np.concatenate(g_at), np.concatenate(g_add))
     return h.reshape(ndim + 1, ndim + 1)[:ndim, :ndim], g[:ndim]
 
 

@@ -92,13 +92,12 @@ def preprocess(trajectories: list[Trajectory]) -> list[Trajectory]:
     return out
 
 
-def associate(est: Trajectory, truth: Trajectory,
-              max_dt: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-timestamp association; pairs farther apart than ``max_dt``
-    (default: half the estimate's median sample period) are discarded."""
-    if max_dt is None:
-        diffs = np.diff(est.t)
-        max_dt = 0.5 * float(np.median(diffs)) if len(diffs) else 0.5
+def associate(est: Trajectory,
+              truth: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-timestamp association; pairs farther apart than half the
+    estimate's median sample period are discarded."""
+    diffs = np.diff(est.t)
+    max_dt = 0.5 * float(np.median(diffs)) if len(diffs) else 0.5
     return nearest_pairs(truth.t, est.t, max_dt)
 
 
@@ -131,28 +130,22 @@ def umeyama_rotation(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     return u @ s @ vt
 
 
-def align_to_truth(est: Trajectory, truth: Trajectory,
-                   max_dt: float | None = None,
-                   anchor_start: bool = True) -> tuple[Trajectory, Pose]:
+def align_to_truth(est: Trajectory, truth: Trajectory) -> tuple[Trajectory, Pose]:
     """Rigid (rotation + translation, no scale) registration of an estimate
     to the ground truth.
 
     The rotation is the closed-form least-squares solution over the
-    associated position pairs. With ``anchor_start`` the translation pins the
-    first associated pair together (the protocol default); otherwise it is
-    the least-squares centroid translation, which never increases the RMSE.
+    associated position pairs; the translation pins the first associated
+    pair together.
     """
-    ie, it = associate(est, truth, max_dt)
+    ie, it = associate(est, truth)
     if len(ie) < 3:
         raise InsufficientCorrespondencesError(
             f"only {len(ie)} associated pairs (need 3)")
     src = est.p[ie]
     dst = truth.p[it]
     r = umeyama_rotation(src, dst)
-    if anchor_start:
-        t = dst[0] - r @ src[0]
-    else:
-        t = dst.mean(axis=0) - r @ src.mean(axis=0)
+    t = dst[0] - r @ src[0]
     aligned = Trajectory(est.t.copy(),
                          np.einsum("ij,njk->nik", r, est.R),
                          est.p @ r.T + t)
@@ -160,11 +153,10 @@ def align_to_truth(est: Trajectory, truth: Trajectory,
 
 
 def error_metrics(est: Trajectory, truth: Trajectory,
-                  max_dt: float | None = None,
                   sequence: str = "") -> ErrorReport:
     """Per-timestamp translation and geodesic rotation errors with their
     RMSE and (population) standard deviation."""
-    ie, it = associate(est, truth, max_dt)
+    ie, it = associate(est, truth)
     if len(ie) == 0:
         raise NoOverlapError("no associated pose pairs")
     terr = np.linalg.norm(est.p[ie] - truth.p[it], axis=1)

@@ -525,8 +525,10 @@ def run_estimator(dataset, cfg: RunConfig) -> EstimationResult:
 
 def run_dead_reckoning(dataset, cfg: RunConfig) -> EstimationResult:
     """Pure dead reckoning: gyro-chained attitude plus summed DVL velocities,
-    both at the initial bias estimates. No optimization. One IMU and one DVL
-    preintegration span the frames, read at each frame's time."""
+    both at the initial bias estimates, the body position taken back from
+    the DVL's over the lever arm as ``predict_state_degraded`` does. No
+    optimization. One IMU and one DVL preintegration span the frames, read
+    at each frame's time."""
     from .sim import sensor_rig_from_config
 
     rig = sensor_rig_from_config(dataset.config)
@@ -541,7 +543,8 @@ def run_dead_reckoning(dataset, cfg: RunConfig) -> EstimationResult:
     # the frame times by index: the frames are iterated once, below
     times = np.array([frames[k].t for k in range(len(frames))])
     rots = gt0.R @ imu.rotations_at(times)
-    positions = gt0.p + dvl.translations_at(times) @ gt0.R.T
+    positions = (gt0.p + dvl.translations_at(times) @ gt0.R.T
+                 - (rots - gt0.R) @ rig.dvl.p_ID)
     frames_out = []
     for r, p, frame in zip(rots, positions, frames):
         nav = NavState(r, p, np.zeros(3), gt0.bg, gt0.ba, gt0.bv)

@@ -364,14 +364,13 @@ def correct_imu_bias_batch(d: ImuPairData, b: np.ndarray):
     return d.dR @ exp_so3_batch(phi), d.dvp + matvec(d.J_vp, db), phi
 
 
-def imu_pair_residuals(st: StateStack, i, j, d: ImuPairData, gravity,
-                       with_jacobians: bool = True):
+def imu_pair_residuals(st: StateStack, i, j, d: ImuPairData, gravity):
     """Inertial residuals of n state pairs (rows ``i`` and ``j`` of ``st``),
     each preintegration corrected to state i's biases: (n, 15) rows of
     rotation, velocity and translation error, then the gyro and accel bias
-    random walks. With Jacobians also their (n, 15, 2, 18) blocks w.r.t.
-    the local perturbations of states i and j (rotation right-multiplied,
-    everything else additive); else None."""
+    random walks, and their (n, 15, 2, 18) Jacobian blocks w.r.t. the local
+    perturbations of states i and j (rotation right-multiplied, everything
+    else additive)."""
     r_i, r_j, x_i, x_j = st.R[i], st.R[j], st.x[i], st.x[j]
     dx, dt, r_it = x_j - x_i, d.dt, r_i.transpose(0, 2, 1)
     d_r, dvp, phi_b = correct_imu_bias_batch(d, x_i[:, 9:15])
@@ -383,8 +382,6 @@ def imu_pair_residuals(st: StateStack, i, j, d: ImuPairData, gravity,
                             dx[:, POS] - x_i[:, VEL] * dt - 0.5 * g_dt * dt], axis=2)
     a_vp = a_vp.transpose(0, 2, 1).reshape(-1, 6)
     res = np.concatenate([e_r, a_vp - dvp, dx[:, 9:15]], axis=1)
-    if not with_jacobians:
-        return res, None
     jac = np.zeros((len(res), 15, 2, STATE_DOF))
     jac[:, 3:9, 0, 9:15] = -d.J_vp
     jac[:, 9:15, :, 9:15] = _WALK_BLOCKS

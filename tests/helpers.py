@@ -269,10 +269,11 @@ def preintegrate_dvl_reference(samples, checkpoints, ext: DvlExtrinsics,
 
 def dead_reckoning_positions_reference(dvl, imu_preint, ext: DvlExtrinsics,
                                        r0, p0, bv, times) -> np.ndarray:
-    """World positions (n, 3) at ``times`` from p0, summing each DVL hold
-    over the span of ``imu_preint`` as a world-frame displacement: the
-    hold's velocity rotated by r0 and the preintegrated rotation at the
-    hold's start."""
+    """World body positions (n, 3) at ``times`` from p0, summing each DVL
+    hold over the span of ``imu_preint`` as a world-frame displacement of
+    the DVL (the hold's velocity rotated by r0 and the preintegrated
+    rotation at the hold's start), less the lever arm's swing
+    (R(t) - r0) p_ID."""
     idx, starts, dts = hold_intervals(np.array([s.t for s in dvl]),
                                       imu_preint.t_start, imu_preint.t_end)
     vel = np.array([dvl[k].vel for k in idx]).reshape(-1, 3) - bv
@@ -280,10 +281,11 @@ def dead_reckoning_positions_reference(dvl, imu_preint, ext: DvlExtrinsics,
     hold_pos = np.cumsum(np.concatenate([p0[None], hold_vel * dts[:, None]]),
                          axis=0)
     out = []
-    for t in times:
+    for t, r_t in zip(times, r0 @ imu_preint.rotations_at(times)):
         k = int(np.searchsorted(starts, t, side="right")) - 1
-        out.append(hold_pos[0] if k < 0 else
-                   hold_pos[k] + hold_vel[k] * min(t - starts[k], dts[k]))
+        dvl_pos = hold_pos[0] if k < 0 else \
+            hold_pos[k] + hold_vel[k] * min(t - starts[k], dts[k])
+        out.append(dvl_pos - (r_t - r0) @ ext.p_ID)
     return np.array(out)
 
 

@@ -466,8 +466,7 @@ class TestTranslationGauge:
         shift = np.array([4.0, -8.0, 16.0])
         base = {}
         for k, f in enumerate(factors):
-            base[k], _, _ = f.evaluate(window.states, window.landmarks, rig,
-                                       with_jacobians=False)
+            base[k], _, _ = f.evaluate(window.states, window.landmarks, rig)
         shifted_states = {}
         for sid, st in window.states.items():
             moved = st.copy()
@@ -475,8 +474,7 @@ class TestTranslationGauge:
             shifted_states[sid] = moved
         shifted_lms = {lid: p + shift for lid, p in window.landmarks.items()}
         for k, f in enumerate(factors):
-            res, _, _ = f.evaluate(shifted_states, shifted_lms, rig,
-                                   with_jacobians=False)
+            res, _, _ = f.evaluate(shifted_states, shifted_lms, rig)
             assert (res == base[k]).all(), f.kind
 
 
@@ -511,8 +509,7 @@ def per_factor_normal_equations(window, factors, state_cols, lm_cols, ndim):
 def factor_cost(window, f):
     """One factor's robustified cost in ``window``, through its batch of
     one."""
-    r, _, _ = f.evaluate(window.states, window.landmarks, window.rig,
-                         with_jacobians=False)
+    r, _, _ = f.evaluate(window.states, window.landmarks, window.rig)
     r2 = float(r @ f.info @ r)
     return huber_cost(r2, window.huber_delta) if robust(window, f) else r2
 
@@ -587,6 +584,39 @@ class TestBatchedReprojection:
         assert any(dead)
         assert list(batch.live) == [k for k, d in enumerate(dead) if not d]
 
+    def test_batch_without_a_live_row(self, rng):
+        # the fixed keyframe's reprojections of fixed landmarks, beside the
+        # live pair factors: a batch with no live row adds its constant
+        # cost and nothing to the normal equations
+        nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=2, n_lm=8,
+                                                         pixel_noise=1.0)
+        window, factors = bk.assemble_window(
+            nodes, landmarks, intervals, rig,
+            bk.BackendConfig(photometric_enabled=False), NOISE, fixed_ids={0},
+            fixed_landmarks=set(landmarks))
+        pairs = [f for f in factors if f.kind in bk.PAIR_KINDS]
+        dead = [f for f in factors if f.kind is bk.FactorKind.REPROJECTION
+                and f.state_ids == (0,)]
+        assert pairs and dead
+
+        def system(fs):
+            layout = bk._window_layout(window, fs)
+            batches = bk._batches(window, fs, layout)
+            evaluation, cost = bk._evaluate(
+                batches, layout.stack(window.states),
+                layout.landmark_array(window.landmarks))
+            return (batches, cost,
+                    *bk._normal_equations(batches, evaluation, layout.ndim))
+
+        batches, cost, h, g = system(pairs + dead)
+        _, cost_pairs, h_pairs, g_pairs = system(pairs)
+        (reproj,) = [b for b in batches if isinstance(b, bk._ReprojectionBatch)]
+        assert len(reproj.live) == 0
+        assert np.array_equal(h, h_pairs) and np.array_equal(g, g_pairs)
+        constant = sum(factor_cost(window, f) for f in dead)
+        assert constant > 0
+        assert cost == pytest.approx(cost_pairs + constant, rel=1e-12)
+
 
 def pair_window(rng, n_kf=12, biased=True, photometric=False):
     """A window of keyframes 0, 2, 3, ..., n_kf - 1: 0 is a fixed co-visible
@@ -637,25 +667,27 @@ class TestStackedPairKinds:
         window, _, pairs = pair_window(rng, biased=biased)
         layout = bk._window_layout(window, pairs)
         order, states = list(layout.rows), window.states
-        for batch in (b for g in bk._batches(window, pairs, layout)
-                      for b in g.batches):
-            _, jac = batch.evaluate(layout.stack(states))
+        for group in bk._batches(window, pairs, layout):
             rows = np.arange(len(order))
-            rows_i, rows_j = rows[batch.i], rows[batch.j]
-            for k, sid in enumerate(order):
-                def res_at(delta, sid=sid):
-                    moved = dict(states)
-                    moved[sid] = states[sid].retract(delta)
-                    st = layout.stack(moved)
-                    return batch.evaluate(st, with_jacobians=False)[0].ravel()
+            rows_i, rows_j = rows[group.i], rows[group.j]
+            for fn, data, const in group.kinds:
+                def evaluate(st, fn=fn, data=data, const=const):
+                    return fn(st, group.i, group.j, data, const)
 
-                fd = fd_jacobian(res_at, STATE_DOF, None).reshape(
-                    jac.shape[0], jac.shape[1], STATE_DOF)
-                for side, on in ((0, rows_i == k), (1, rows_j == k)):
-                    if on.any():
-                        assert jac_close(jac[on, :, side], fd[on], rtol=1e-5), \
-                            (batch.kind, sid, side)
-                assert np.all(fd[~((rows_i == k) | (rows_j == k))] == 0.0)
+                _, jac = evaluate(layout.stack(states))
+                for k, sid in enumerate(order):
+                    def res_at(delta, sid=sid, evaluate=evaluate):
+                        moved = dict(states)
+                        moved[sid] = states[sid].retract(delta)
+                        return evaluate(layout.stack(moved))[0].ravel()
+
+                    fd = fd_jacobian(res_at, STATE_DOF, None).reshape(
+                        jac.shape[0], jac.shape[1], STATE_DOF)
+                    for side, on in ((0, rows_i == k), (1, rows_j == k)):
+                        if on.any():
+                            assert jac_close(jac[on, :, side], fd[on],
+                                             rtol=1e-5), (fn.__name__, sid, side)
+                    assert np.all(fd[~((rows_i == k) | (rows_j == k))] == 0.0)
 
     def test_near_pi_relative_rotation_raises(self, rng):
         window, _, pairs = pair_window(rng, biased=False)
@@ -663,10 +695,9 @@ class TestStackedPairKinds:
         s6, s7 = window.states[6], window.states[7]
         s7.R = s6.R @ imu.payload.dR @ exp_so3([np.pi - 1e-7, 0.0, 0.0])
         layout = bk._window_layout(window, pairs)
-        batch = next(b for g in bk._batches(window, pairs, layout)
-                     for b in g.batches if b.kind is bk.FactorKind.IMU)
+        batches = bk._batches(window, pairs, layout)
         with pytest.raises(BranchAmbiguityError):
-            batch.evaluate(layout.stack(window.states), with_jacobians=False)
+            bk._evaluate(batches, layout.stack(window.states), None)
         with pytest.raises(BranchAmbiguityError):
             bk.solve(window, pairs)
 
@@ -685,9 +716,8 @@ class TestInformationSymmetry:
         f.info[0, 1] += 1e-6
         with pytest.raises(ValueError, match="symmetric"):
             bk.solve(window, factors)
-        for jac in (True, False):
-            with pytest.raises(ValueError, match="symmetric"):
-                f.evaluate(window.states, window.landmarks, window.rig, jac)
+        with pytest.raises(ValueError, match="symmetric"):
+            f.evaluate(window.states, window.landmarks, window.rig)
 
 
 def count_field_calls(monkeypatch) -> list[str]:
@@ -704,15 +734,14 @@ def count_field_calls(monkeypatch) -> list[str]:
 
 class TestPairKindWorkCount:
     """Each pair kind's residual function, and the reprojection and
-    photometric residual code, run once, with Jacobians, per point the
-    solver visits (the initial state and each candidate step), whatever the
-    number of hosts or pairs; each distinct observer field gets one
-    ``gradient`` call (values and gradients) per point and no ``sample``
-    call."""
+    photometric residual code, run once per point the solver visits (the
+    initial state and each candidate step), whatever the number of hosts or
+    pairs; each distinct observer field gets one ``gradient`` call (values
+    and gradients) per point and no ``sample`` call."""
 
     KINDS = ("imu_pair_residuals", "dvl_velocity_pair_residuals",
              "dvl_position_pair_residuals", "pressure_pair_residuals")
-    VISUAL = ((bk._ReprojectionBatch, "_project"),
+    VISUAL = ((bk._ReprojectionBatch, "linearize"),
               (bk._PhotometricBatch, "_warp"))
 
     @pytest.mark.parametrize("n_kf", [4, 12])
@@ -726,10 +755,10 @@ class TestPairKindWorkCount:
         fields = {id(f.payload.field_obs) for f in factors
                   if f.kind is bk.FactorKind.PHOTOMETRIC}
         assert len(fields) == n_kf - 3
-        calls = {(name, jac): 0 for name in self.KINDS for jac in (False, True)}
+        calls = dict.fromkeys(self.KINDS, 0)
         for name in self.KINDS:
             def counted(*args, _fn=getattr(bk, name), _name=name):
-                calls[_name, args[-1]] += 1
+                calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(bk, name, counted)
         for cls, name in self.VISUAL:
@@ -759,8 +788,7 @@ class TestPairKindWorkCount:
         # the initial state and each candidate step
         points = 1 + candidates["n"]
         for name in self.KINDS:
-            assert calls[name, False] == 0, name
-            assert calls[name, True] == points, name
+            assert calls[name] == points, name
         for cls, _ in self.VISUAL:
             assert calls[cls] == points, cls.__name__
         assert field_calls.count("gradient") == len(fields) * points
@@ -842,7 +870,7 @@ class TestPhotometricJacobians:
             def res_at(delta, sid=sid):
                 moved = dict(states)
                 moved[sid] = states[sid].retract(delta)
-                return batch.residuals(layout.stack(moved))[:, 0]
+                return batch.linearize(layout.stack(moved))[0][:, 0]
 
             fd = fd_jacobian(res_at, STATE_DOF, None)
             # the warp sees rotation and position only
@@ -866,7 +894,7 @@ class TestPhotometricJacobians:
         states = window.states
         layout = bk._window_layout(window, factors)
         stack = layout.stack(states)
-        res = bk._PhotometricBatch(window, factors, layout).residuals(stack)[:, 0]
+        res = bk._PhotometricBatch(window, factors, layout).linearize(stack)[0][:, 0]
         delta = window.huber_delta
         for k, f in enumerate(factors):
             scale = 0.5 if k % 2 == 0 else 3.0  # |r| at scale * delta

@@ -1,19 +1,20 @@
 """What the benchmark in ``perfbench/`` needs of the program: it wraps the
 entry points of ``perfbench/tracing.py``, counts the DVL samples of each
 preintegration as the length of its first argument, reports one factor
-count per ``backend.factors.*`` metric of ``BENCHMARK.json``, and clocks
-each frame as the estimator iterates the dataset's frames, once. A change
-in the program that breaks any of these fails here, not only in a
-benchmark run."""
+count per ``backend.factors.*`` metric of ``BENCHMARK.json``, reads what a
+traced pass returns, and clocks each frame as the estimator iterates the
+dataset's frames, once. A change in the program that breaks any of these
+fails here, not only in a benchmark run."""
 
 import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
 from aquafuse import frontend
-from aquafuse.backend import FactorKind
+from aquafuse.backend import PAIR_KINDS, FactorKind
 from aquafuse.frontend import EstimatorMode, RunConfig, run_estimator
 from aquafuse.sim import ScenarioConfig, simulate
 
@@ -42,6 +43,33 @@ def test_factor_count_metrics_name_factor_kinds():
              if m["name"].startswith(prefix)]
     assert kinds
     assert set(kinds) <= {k.value for k in FactorKind}
+
+
+def test_traced_pass_counts_every_layer(monkeypatch):
+    # what the hooks read beyond the entry points' names: the factors'
+    # ``kind`` in the list ``assemble_window`` returns, the refined
+    # ``pose``, and ``status_rows``
+    bench = {}
+    for stem in ("tracing", "timing", "run"):
+        spec = importlib.util.spec_from_file_location(
+            stem, ROOT / "perfbench" / f"{stem}.py")
+        bench[stem] = importlib.util.module_from_spec(spec)
+        # ``timing`` imports ``tracing``, and its dataclass looks its own
+        # module up, by name
+        monkeypatch.setitem(sys.modules, stem, bench[stem])
+        spec.loader.exec_module(bench[stem])
+    tracing, timing, run = bench.values()
+    ds = simulate(ScenarioConfig(kind="circle", duration_s=1.5, seed=3,
+                                 degradation_windows_s=((0.5, 0.8),)))
+    tracer = tracing.Tracer()
+    timed = timing.timed_pass(run_estimator, ds,
+                              RunConfig(mode=EstimatorMode.FULL), tracer)
+    layers = run.pass_layers(tracer, timed.result, FactorKind)
+    for key in ("backend.factors.reprojection",
+                *("backend.factors." + k.value for k in PAIR_KINDS),
+                "frontend.refine_moved", "frontend.frames_visual",
+                "frontend.frames_degraded"):
+        assert layers[key] > 0, key
 
 
 class CountingList(list):

@@ -11,13 +11,13 @@ from helpers import random_nav_state
 NO_LEVER = DepthExtrinsics(np.zeros(3))
 
 
-def residual(state_i, state_n, meas_i, meas_n, ext, with_jacobians=False):
+def residual(state_i, state_n, meas_i, meas_n, ext, blocks=False):
     """The stacked relative-depth residual of one pair, as a float; with
-    Jacobians also its 1x3 blocks by name."""
+    ``blocks`` also its 1x3 Jacobian blocks by name."""
     res, jac = pressure_pair_residuals(
         stack_states([state_i, state_n]), [0], [1],
-        np.array([[meas_n.depth - meas_i.depth]]), ext, with_jacobians)
-    if not with_jacobians:
+        np.array([[meas_n.depth - meas_i.depth]]), ext)
+    if not blocks:
         return float(res[0, 0])
     ji, jn = jac[0, :, 0], jac[0, :, 1]
     return res[0], {"phi_i": ji[:, PHI], "p_i": ji[:, POS],
@@ -89,7 +89,7 @@ class TestResidual:
         for _ in range(20):
             si, sn = random_nav_state(rng), random_nav_state(rng)
             mi, mn = PressureSample(0, 2.0), PressureSample(1, 3.1)
-            _, jac = residual(si, sn, mi, mn, ext, with_jacobians=True)
+            _, jac = residual(si, sn, mi, mn, ext, blocks=True)
             h = 1e-6
             for key, state, which, slot in (("phi_i", si, "i", 0),
                                             ("p_i", si, "i", 3),

@@ -25,28 +25,28 @@ NOISY = ImuNoiseSpec(sigma_g=2e-4, sigma_a=2e-3)
 
 
 def velocity_residual(state_i, state_m, gyro_i, gyro_m, meas_i, meas_m, ext,
-                      with_jacobians=False):
-    """The stacked relative-velocity residual of one pair; with Jacobians
-    also its 3x3 blocks by name."""
+                      blocks=False):
+    """The stacked relative-velocity residual of one pair; with ``blocks``
+    also its 3x3 Jacobian blocks by name."""
     readings = SimpleNamespace(meas_i=meas_i, meas_m=meas_m, gyro_i=gyro_i,
                                gyro_m=gyro_m)
     res, jac = dvl_velocity_pair_residuals(
         stack_states([state_i, state_m]), [0], [1],
-        stack_dvl_velocity_pairs([readings], ext), ext, with_jacobians)
-    if not with_jacobians:
+        stack_dvl_velocity_pairs([readings], ext), ext)
+    if not blocks:
         return res[0]
     ji, jm = jac[0, :, 0], jac[0, :, 1]
     return res[0], {"phi_i": ji[:, PHI], "v_i": ji[:, VEL],
                     "phi_m": jm[:, PHI], "v_m": jm[:, VEL]}
 
 
-def position_residual(state_i, state_m, pre, ext, with_jacobians=False):
+def position_residual(state_i, state_m, pre, ext, blocks=False):
     """Rows 0:3 (relative translation) of the stacked DVL position residual
-    of one pair; with Jacobians also its 3x3 blocks by name."""
+    of one pair; with ``blocks`` also its 3x3 Jacobian blocks by name."""
     res, jac = dvl_position_pair_residuals(
         stack_states([state_i, state_m]), [0], [1],
-        stack_dvl_position_pairs([pre]), ext, with_jacobians)
-    if not with_jacobians:
+        stack_dvl_position_pairs([pre]), ext)
+    if not blocks:
         return res[0, :3]
     ji, jm = jac[0, :3, 0], jac[0, :3, 1]
     return res[0, :3], {"phi_i": ji[:, PHI], "p_i": ji[:, POS],
@@ -454,7 +454,7 @@ class TestVelocityResidual:
             meas_i = DvlSample(0.0, rng.normal(size=3))
             meas_m = DvlSample(1.0, rng.normal(size=3))
             _, jac = velocity_residual(si, sm, gi, gm, meas_i, meas_m, ext,
-                                       with_jacobians=True)
+                                       blocks=True)
             h = 1e-6
             for key, state, which, slot in (("phi_i", si, "i", 0),
                                             ("v_i", si, "i", 6),
@@ -532,7 +532,7 @@ class TestPositionResidual:
         for _ in range(15):
             si, sm, pre = self._consistent_pair(rng, ext)
             sm.p += rng.normal(size=3) * 0.05
-            _, jac = position_residual(si, sm, pre, ext, with_jacobians=True)
+            _, jac = position_residual(si, sm, pre, ext, blocks=True)
             h = 1e-6
             for key, state, which, slot in (("phi_i", si, "i", 0),
                                             ("p_i", si, "i", 3),

@@ -78,7 +78,7 @@ class TestAlignToTruth:
         # the estimate is the truth seen from a moved frame
         est = Trajectory(truth.t.copy(), np.einsum("ij,njk->nik", r0.T, truth.R),
                          (truth.p - t0) @ r0)
-        aligned, pose = align_to_truth(est, truth, anchor_start=False)
+        aligned, pose = align_to_truth(est, truth)
         assert_allclose(pose.R, r0, atol=1e-12)
         assert_allclose(pose.t, t0, atol=1e-12)
         assert_allclose(aligned.p, truth.p, atol=1e-12)
@@ -90,9 +90,7 @@ class TestAlignToTruth:
         with pytest.raises(InsufficientCorrespondencesError):
             align_to_truth(est, truth)
 
-    @pytest.mark.parametrize("anchor_start", [True, False])
-    def test_invariant_to_a_rigid_transform_of_the_estimate(self, rng,
-                                                            anchor_start):
+    def test_invariant_to_a_rigid_transform_of_the_estimate(self, rng):
         truth = random_trajectory(rng)
         est = Trajectory(truth.t.copy(),
                          np.einsum("nij,njk->nik", truth.R,
@@ -102,9 +100,8 @@ class TestAlignToTruth:
         r0, t0 = random_rotation(rng), rng.normal(size=3) * 10.0
         moved = Trajectory(est.t.copy(), np.einsum("ij,njk->nik", r0, est.R),
                            est.p @ r0.T + t0)
-        aligned, _ = align_to_truth(est, truth, anchor_start=anchor_start)
-        aligned_moved, _ = align_to_truth(moved, truth,
-                                          anchor_start=anchor_start)
+        aligned, _ = align_to_truth(est, truth)
+        aligned_moved, _ = align_to_truth(moved, truth)
         assert_allclose(aligned_moved.p, aligned.p, atol=1e-9)
         assert_allclose(aligned_moved.R, aligned.R, atol=1e-12)
         a = error_metrics(aligned, truth)

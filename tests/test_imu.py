@@ -18,12 +18,13 @@ QUIET = ImuNoiseSpec()
 NOISY = ImuNoiseSpec(sigma_g=2e-4, sigma_a=2e-3)
 
 
-def residual(state_i, state_j, pre, gravity, with_jacobians=False):
+def residual(state_i, state_j, pre, gravity, blocks=False):
     """Rows 0:9 (rotation, velocity, translation) of the stacked inertial
-    residual of one pair; with Jacobians also its 9x3 blocks by name."""
+    residual of one pair; with ``blocks`` also its 9x3 Jacobian blocks by
+    name."""
     res, jac = imu_pair_residuals(stack_states([state_i, state_j]), [0], [1],
-                                  stack_imu_pairs([pre]), gravity, with_jacobians)
-    if not with_jacobians:
+                                  stack_imu_pairs([pre]), gravity)
+    if not blocks:
         return res[0, :9]
     ji, jj = jac[0, :9, 0], jac[0, :9, 1]
     return res[0, :9], {"phi_i": ji[:, PHI], "p_i": ji[:, POS], "v_i": ji[:, VEL],
@@ -464,7 +465,7 @@ class TestResidual:
             sj = predict_state_imu(si, pre, g)
             sj.p += rng.normal(size=3) * 0.05
             sj.R = sj.R @ exp_so3(rng.normal(size=3) * 0.02)
-            _, jac = residual(si, sj, pre, g, with_jacobians=True)
+            _, jac = residual(si, sj, pre, g, blocks=True)
             h = 1e-6
             for key, state, slot in (("phi_i", si, 0), ("p_i", si, 3),
                                      ("v_i", si, 6), ("bg_i", si, 9),

@@ -21,16 +21,16 @@ RIG = bk.SensorRig(CAM, Pose.identity(), DvlExtrinsics(np.eye(3), np.zeros(3)),
                    DepthExtrinsics(np.zeros(3)), np.array([0.0, 0.0, 9.81]))
 
 
-def reprojection(pose, landmark_w, obs, with_jacobians=True):
+def reprojection(pose, landmark_w, obs, blocks=True):
     """The solver's reprojection factor (a batch of one) with the camera at
-    ``pose``: residual and Jacobians w.r.t. the camera rotation (R <- R
-    exp(phi)), its position and the landmark."""
+    ``pose``: the residual, and with ``blocks`` its Jacobians w.r.t. the
+    camera rotation (R <- R exp(phi)), its position and the landmark."""
     factor = bk.Factor(bk.FactorKind.REPROJECTION, (0,), obs, np.eye(2),
                        landmark_id=0)
     res, js, jl = factor.evaluate(
         {0: NavState(pose.R, pose.t, np.zeros(3))},
-        {0: np.asarray(landmark_w, dtype=float)}, RIG, with_jacobians)
-    if not with_jacobians:
+        {0: np.asarray(landmark_w, dtype=float)}, RIG)
+    if not blocks:
         return res
     return res, js[0][:, PHI], js[0][:, POS], jl[0]
 
@@ -146,7 +146,7 @@ class TestReprojection:
         pose = Pose(exp_so3(rng.normal(size=3) * 0.3), rng.normal(size=3))
         lm = pose.transform([0.2, -0.1, 3.0])
         obs = LandmarkObservation(0, 0, project(CAM, [0.2, -0.1, 3.0]))
-        assert_allclose(reprojection(pose, lm, obs, with_jacobians=False),
+        assert_allclose(reprojection(pose, lm, obs, blocks=False),
                         np.zeros(2), atol=1e-12)
 
     def test_linear_in_observation(self, rng):
@@ -154,7 +154,7 @@ class TestReprojection:
         lm = np.array([0.0, 0.0, 2.0])
         base_pix = project(CAM, lm)
         obs = LandmarkObservation(0, 0, base_pix + [2.0, -1.0])
-        assert_allclose(reprojection(pose, lm, obs, with_jacobians=False),
+        assert_allclose(reprojection(pose, lm, obs, blocks=False),
                         [2.0, -1.0], atol=1e-12)
 
     def test_jacobians_match_finite_differences(self, rng):
@@ -169,7 +169,7 @@ class TestReprojection:
 
             def res_at(dphi=np.zeros(3), dt=np.zeros(3), dlm=np.zeros(3)):
                 p2 = Pose(pose.R @ exp_so3(dphi), pose.t + dt)
-                return reprojection(p2, lm + dlm, obs, with_jacobians=False)
+                return reprojection(p2, lm + dlm, obs, blocks=False)
 
             for d in range(3):
                 dv = np.zeros(3)
@@ -283,11 +283,11 @@ class TestPatchPattern:
 
 
 def _photometric(field_i, field_j, T_CjCi, p, depth_p, pattern,
-                 d_obs=np.zeros(STATE_DOF), with_jacobians=False):
+                 d_obs=np.zeros(STATE_DOF), blocks=False):
     """The solver's photometric factor (a batch of one) for the patch around
     ``p`` of camera i seen from camera j at relative pose ``T_CjCi``; the
     observer state is retracted by ``d_obs``. Returns the residual, plus the
-    18-dof observer Jacobian with ``with_jacobians``."""
+    18-dof observer Jacobian with ``blocks``."""
     host = NavState(np.eye(3), np.zeros(3), np.zeros(3))
     t_wcj = T_CjCi.inverse()
     obs = NavState(t_wcj.R, t_wcj.t, np.zeros(3)).retract(d_obs)
@@ -295,8 +295,8 @@ def _photometric(field_i, field_j, T_CjCi, p, depth_p, pattern,
                        bk.PhotometricData.batch(field_i, field_j, [p],
                                                 [depth_p], pattern)[0],
                        np.eye(1))
-    res, js, _ = factor.evaluate({0: host, 1: obs}, {}, RIG, with_jacobians)
-    return (res[0], js[1]) if with_jacobians else res[0]
+    res, js, _ = factor.evaluate({0: host, 1: obs}, {}, RIG)
+    return (res[0], js[1]) if blocks else res[0]
 
 
 class TestPhotometric:
@@ -337,7 +337,7 @@ class TestPhotometric:
             depth = rng.uniform(1.5, 4.0)
             try:
                 _, j_obs = _photometric(f_i, f_j, rel, pix, depth, pattern,
-                                        with_jacobians=True)
+                                        blocks=True)
             except OutOfDomainError:
                 continue
             j_phi, j_t = j_obs[:, PHI], j_obs[:, POS]
