@@ -19,11 +19,12 @@ Each factor kind is one batch per solve, its residual and Jacobian
 written once: all reprojections, all photometric patches, and each pair kind
 (IMU, DVL velocity, DVL position, pressure) over all its pairs. A batch has
 one evaluation: it reads the window's states stacked once per point and
-returns per-row residuals and Jacobian rows over its columns (rows on fixed
-variables alone add their constant to the cost and get none). The solver
-linearizes each point it visits once; an accepted candidate's evaluation
-gives the next normal equations. Each damped step eliminates the free
-landmarks by Schur complement and solves the state system alone.
+returns per-row residuals and Jacobian rows over its columns. A window
+holds no factor on fixed variables alone, so its cost is that of the factors
+that can move. The solver linearizes each point it visits once; an accepted
+candidate's evaluation gives the next normal equations. Each damped step
+eliminates the free landmarks by Schur complement and solves the state
+system alone.
 ``Factor.evaluate`` is a batch of one.
 """
 
@@ -75,6 +76,9 @@ class FactorKind(Enum):
 VISUAL_KINDS = (FactorKind.REPROJECTION, FactorKind.PHOTOMETRIC)
 PAIR_KINDS = (FactorKind.IMU, FactorKind.DVL_VELOCITY, FactorKind.DVL_POSITION,
               FactorKind.PRESSURE)
+# the least disparity (px) at which an observation hosts a depth: a map
+# landmark of the tracker or a photometric patch
+MIN_HOST_DISPARITY_PX = 0.05
 
 
 @dataclass(frozen=True)
@@ -283,19 +287,15 @@ class _Batch:
     columns of the dims its residual depends on, and ``infos`` (n, r, r);
     ``delta`` is the Huber knee of all its rows (None: no robust loss).
     ``linearize(stack, lms)`` is a batch's one evaluation: the residuals
-    (n, r) of every row and the Jacobian rows (n_live, r, c) over ``cols``
-    of the ``live`` rows alone (an empty array when no row is live). A
+    (n, r) and the Jacobian rows (n, r, c) over ``cols``. A row on fixed
+    variables alone scatters into the dummy column, which is dropped. A
     point that leaves a camera raises BehindCameraError or OutOfDomainError."""
 
     def _set_rows(self, cols, infos, delta: float | None, dummy: int):
         if np.max(np.abs(infos - infos.transpose(0, 2, 1))) > 1e-9:
             raise ValueError("information matrix must be symmetric")
-        self.cols = np.asarray(cols, dtype=np.intp)
+        self.cols = cols = np.asarray(cols, dtype=np.intp)
         self.infos, self.delta = infos, delta
-        # rows whose every column is the dummy add nothing to h and g
-        live = np.flatnonzero((self.cols < dummy).any(axis=1))
-        self.live = slice(None) if len(live) == len(self.cols) else live
-        cols = self.cols[self.live]
         self.h_index = cols[:, :, None] * (dummy + 1) + cols[:, None, :]
 
     def weights_cost(self, res: np.ndarray):
@@ -334,7 +334,6 @@ class _ReprojectionBatch(_Batch):
         if np.any(x_c[:, 2] <= 1e-6):
             raise BehindCameraError(f"landmark depth {x_c[:, 2].min()} is not positive")
         res = self.pixels - self.rig.cam.project(x_c)
-        r_wc, x_c = r_wc[self.live], x_c[self.live]
         cam, z = self.rig.cam, x_c[:, 2]
         dpi = np.zeros((len(z), 2, 3))
         dpi[:, 0, 0] = cam.fx / z
@@ -451,7 +450,7 @@ class _PhotometricBatch(_Batch):
         jac[:, 0, 6:9] = (np.cross(rows, pts_cj).sum(axis=1) @ r_ic.T
                           + rows_sum @ (r_ic.T @ hat(p_ic)))
         jac[:, 0, 9:12] = -matvec(r_wcj, rows_sum)
-        return res[:, None], jac[self.live]
+        return res[:, None], jac
 
 
 def _pair_kind(kind: FactorKind, payloads: list, rig: SensorRig):
@@ -501,7 +500,7 @@ class _PairGroup(_Batch):
         jac = np.concatenate([j.reshape(j.shape[0], j.shape[1], 2 * STATE_DOF)
                               for _, j in out], axis=1)
         return (np.concatenate([r for r, _ in out], axis=1),
-                jac[self.live].take(self.dims, 2))
+                jac.take(self.dims, 2))
 
 
 def _batches(window: LocalWindow, factors: list[Factor],
@@ -523,9 +522,9 @@ def _batches(window: LocalWindow, factors: list[Factor],
 
 
 def _evaluate(batches: list[_Batch], stack: StateStack, lms: np.ndarray):
-    """Each batch's residuals, Jacobian rows of its live rows, Huber weights
-    and cost at one point, and their total; (None, inf) when a point leaves
-    a camera."""
+    """Each batch's residuals, Jacobian rows, Huber weights and cost at one
+    point, and their total, the cost of the factors given; (None, inf) when
+    a point leaves a camera."""
     out = []
     try:
         for b in batches:
@@ -543,14 +542,11 @@ def _normal_equations(batches: list[_Batch], evaluation, ndim: int):
     dummy row and column for the dims without a column, which are dropped."""
     h_at, h_add, g_at, g_add = [], [], [], []
     for b, (res, jac, w, _) in zip(batches, evaluation):
-        live, a = b.live, b.infos[b.live]
-        if w is not None:
-            a = w[live, None, None] * a
-        res = res[live]
+        a = b.infos if w is None else w[:, None, None] * b.infos
         jt_a = jac.transpose(0, 2, 1) @ a
         h_at.append(b.h_index.reshape(-1))
         h_add.append((jt_a @ jac).reshape(-1))
-        g_at.append(b.cols[live].reshape(-1))
+        g_at.append(b.cols.reshape(-1))
         g_add.append(matvec(jt_a, res).reshape(-1))
     h = np.zeros((ndim + 1) ** 2)
     g = np.zeros(ndim + 1)
@@ -782,20 +778,17 @@ def assemble_window(keyframes: list[KeyframeNode],
     ``photometric_max_points`` host points with known stereo depth.
 
     The window holds only what can move the solution: a consecutive pair of
-    fixed keyframes gets none of these pair factors (their cost is constant
-    and they add nothing to the normal equations), and a landmark enters
-    the window only when a factor built here observes it.
+    fixed keyframes gets none of these pair factors, and a fixed keyframe no
+    reprojection of a fixed landmark (their cost is constant and they add
+    nothing to the normal equations); a landmark enters the window only
+    when a factor built here observes it.
     """
     fixed_ids = set(fixed_ids or set())
     fixed_landmarks = set(fixed_landmarks or set())
 
-    window_lms: dict[int, np.ndarray] = {}
-    for kf in keyframes:
-        if kf.kf_id in fixed_ids:
-            continue
-        for obs in kf.observations:
-            if obs.landmark_id in landmarks:
-                window_lms[obs.landmark_id] = landmarks[obs.landmark_id]
+    window_lms = {o.landmark_id: landmarks[o.landmark_id] for kf in keyframes
+                  if kf.kf_id not in fixed_ids for o in kf.observations
+                  if o.landmark_id in landmarks}
 
     window = LocalWindow(
         kf_ids=[kf.kf_id for kf in keyframes],
@@ -817,7 +810,7 @@ def assemble_window(keyframes: list[KeyframeNode],
         if not live_pair(a, b):
             continue
         key = (a.kf_id, b.kf_id)
-        if key not in intervals or intervals[key].imu_preint is None:
+        if key not in intervals:
             raise PreintCoverageError(
                 f"no inertial preintegration covering [{a.t}, {b.t}]")
         data = intervals[key]
@@ -852,7 +845,9 @@ def assemble_window(keyframes: list[KeyframeNode],
 
     pix_info = np.eye(2) / noise.sigma_pixel**2
     for kf in keyframes:
-        seen = [o for o in kf.observations if o.landmark_id in window_lms]
+        fixed = fixed_landmarks if kf.kf_id in fixed_ids else set()
+        seen = [o for o in kf.observations
+                if o.landmark_id in window_lms and o.landmark_id not in fixed]
         if not seen:
             continue
         t_cw = rig.camera_pose(kf.state).inverse()
@@ -864,17 +859,14 @@ def assemble_window(keyframes: list[KeyframeNode],
 
     if cfg.photometric_enabled:
         for a, b in zip(keyframes[:-1], keyframes[1:]):
-            if not live_pair(a, b):
-                continue
-            if a.field is None or b.field is None:
-                continue
-            if len(a.field.amplitudes) == 0 or len(b.field.amplitudes) == 0:
+            if not live_pair(a, b) or a.field is None or b.field is None \
+                    or not (len(a.field.amplitudes) and len(b.field.amplitudes)):
                 continue
             # luminance constancy needs the patch visible in both frames
             ids_b = {o.landmark_id for o in b.observations}
             hosts = sorted(
                 (o for o in a.observations
-                 if o.disparity is not None and o.disparity > 0
+                 if (o.disparity or 0.0) > MIN_HOST_DISPARITY_PX
                  and o.landmark_id in ids_b),
                 key=lambda o: o.landmark_id)[:cfg.photometric_max_points]
             points = list(zip([o.pixel for o in hosts], rig.cam.stereo_depth(

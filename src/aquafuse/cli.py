@@ -13,7 +13,8 @@ fuses, and their noise, follow from ``mode``, ``floors`` and the scenario.
 
 ``estimate`` writes the estimator's per-frame records (``FrameState``) as
 ``trajectory.jsonl`` (poses), ``status.csv`` (statuses, tracked features and
-per-frame costs) and ``bias.csv`` (each keyframe's final biases).
+per-frame costs) and ``bias.csv`` (each keyframe's final biases). A frame's
+cost leaves out its reference keyframe's constant reprojection terms.
 """
 
 from __future__ import annotations

@@ -73,7 +73,8 @@ class EstimatorMode(Enum):
 @dataclass
 class FrameState:
     """A frame's state, tracking branch, tracked features and solve cost (NaN
-    if none ran); for a keyframe also its state after its last window BA."""
+    if none ran; without the reference keyframe's constant reprojections);
+    for a keyframe also its state after its last window BA."""
 
     frame_id: int
     t: float
@@ -363,7 +364,8 @@ class Tracker:
         """Map each landmark the frame observes first, at its stereo depth."""
         new = {}
         for o in frame.observations:
-            if o.landmark_id not in self.map and (o.disparity or 0.0) > 0.05:
+            if (o.landmark_id not in self.map
+                    and (o.disparity or 0.0) > bk.MIN_HOST_DISPARITY_PX):
                 new.setdefault(o.landmark_id, o)
         if new:
             cam, obs = self.rig.cam, new.values()
@@ -453,7 +455,7 @@ class Tracker:
                             and len(frame.field.amplitudes) > 0):
                         cur_ids = {o.landmark_id for o in frame.observations}
                         hosts = [o for o in prev_frame.observations
-                                 if o.disparity is not None and o.disparity > 0.05
+                                 if (o.disparity or 0.0) > bk.MIN_HOST_DISPARITY_PX
                                  and o.landmark_id in cur_ids]
                         hosts = hosts[:backend_cfg.photometric_max_points]
                         depths = self.rig.cam.stereo_depth([o.disparity for o in hosts])

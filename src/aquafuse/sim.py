@@ -150,6 +150,9 @@ class ScenarioConfig:
                      "rate_pressure_hz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("duration_s", "landmark_count", "max_obs_per_frame"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
         for w in self.degradation_windows_s:
             if np.shape(w) != (2,) or not 0.0 <= w[0] < w[1] <= self.duration_s:
                 raise ValueError(f"degradation_windows_s: {w!r} is no window "

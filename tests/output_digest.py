@@ -14,14 +14,19 @@ tracking status, tracked features, cost and keyframe state, and each window
 BA report's iterations, termination and cost trace.
 
 With ``--dump FILE`` it also writes each case's frame positions and
-statuses, its keyframe count, and each window BA's iterations, termination
-and final cost to FILE (``.npz``). ``--compare OLD NEW`` then prints, per
-case, the largest position difference, the largest relative difference of
-a window BA's final cost, and whether the statuses, keyframe counts,
-iterations and terminations agree, and the largest differences over all
-cases; it exits 1 if any of them differ, a position moves by more than
-``TOL_M`` (1e-9 m) or a final cost by more than ``TOL_COST`` (1e-9
-relative, absolute below a cost of 1):
+statuses, its keyframe count, each window BA's iterations, termination
+and final cost, and the iterations and termination of every
+``backend.solve`` call (coarse tracking, photometric refinement, the
+per-frame solve and window BA) to FILE (``.npz``). ``--compare OLD NEW``
+then prints, per case, the largest position difference, the largest
+relative difference of a window BA's final cost, whether the statuses,
+keyframe counts and window-BA iterations and terminations agree, and the
+case's solve iterations in each dump; then the largest differences over
+all cases, and the solve iterations and each termination's count summed
+over all cases. It exits 1 if any of the window-BA fields differ, a
+position moves by more than ``TOL_M`` (1e-9 m) or a final cost by more than
+``TOL_COST`` (1e-9 relative, absolute below a cost of 1); the solve totals
+are reported, not checked, since a change to the stopping rule moves them:
 
     PYTHONPATH=<old tree>/src python tests/output_digest.py --dump old.npz > old.txt
     PYTHONPATH=<new tree>/src python tests/output_digest.py --dump new.npz > new.txt
@@ -38,11 +43,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
+import collections  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+import aquafuse.backend as bk  # noqa: E402
 from aquafuse.frontend import EstimatorMode, RunConfig, run_estimator  # noqa: E402
 from aquafuse.sim import ScenarioConfig, simulate  # noqa: E402
 
@@ -98,6 +105,7 @@ def digest(result) -> str:
 
 FIELDS = ("p", "ba_cost", "status", "keyframes", "ba_iterations",
           "ba_termination")
+SOLVE_FIELDS = ("solve_iterations", "solve_termination")
 TOL_M = 1e-9  # position differences below this are rounding, not a change
 TOL_COST = 1e-9  # and so are relative final-cost differences below this
 # a cost is a sum of squared whitened residuals: below one unit a final cost
@@ -105,10 +113,15 @@ TOL_COST = 1e-9  # and so are relative final-cost differences below this
 COST_FLOOR = 1.0
 
 
-def outputs(result) -> dict:
-    """The compared outputs of one case, as arrays."""
+def outputs(result, solves) -> dict:
+    """The compared outputs of one case, as arrays; ``solves`` holds the
+    report of each of its ``backend.solve`` calls."""
     reports = result.solver_reports
-    return {"p": np.array([f.nav.p for f in result.frames]),
+    return {"solve_iterations": np.array([r.iterations for r in solves],
+                                         dtype=int),
+            "solve_termination": np.array([r.termination.value
+                                           for r in solves]),
+            "p": np.array([f.nav.p for f in result.frames]),
             "status": np.array([f.status.value for f in result.frames]),
             "keyframes": np.array(sum(f.keyframe is not None
                                       for f in result.frames)),
@@ -131,10 +144,12 @@ def compare(old_path: str, new_path: str) -> int:
     names = sorted({key.split("/")[0] for key in old.files}
                    | {key.split("/")[0] for key in new.files})
     worst, worst_cost, failed = 0.0, 0.0, False
+    # per dump, the solve iterations and the count of each termination
+    totals = (collections.Counter(), collections.Counter())
     for name in names:
         try:
-            a, b = ({key: dump[f"{name}/{key}"] for key in FIELDS}
-                    for dump in (old, new))
+            a, b = ({key: dump[f"{name}/{key}"]
+                     for key in FIELDS + SOLVE_FIELDS} for dump in (old, new))
         except KeyError:
             print(name, "missing from one dump")
             failed = True
@@ -146,11 +161,19 @@ def compare(old_path: str, new_path: str) -> int:
                       np.maximum(np.abs(a["ba_cost"]), COST_FLOOR))
         worst, worst_cost = max(worst, dp), max(worst_cost, dc)
         failed |= bool(differ) or not (dp <= TOL_M and dc <= TOL_COST)
+        counts = [int(d["solve_iterations"].sum()) for d in (a, b)]
+        for total, d, n in zip(totals, (a, b), counts):
+            total["iterations"] += n
+            total.update(d["solve_termination"].tolist())
         print(f"{name} max_dp_m={dp:.3e} max_dcost_rel={dc:.3e} "
-              f"{'differ: ' + ' '.join(differ) if differ else 'same'}")
+              f"{'differ: ' + ' '.join(differ) if differ else 'same'} "
+              f"solve_iterations={counts[0]}->{counts[1]}")
     print(f"largest position difference {worst:.3e} m over {len(names)} cases")
     print(f"largest relative window-BA final-cost difference {worst_cost:.3e}"
           f" over {len(names)} cases")
+    print("solve totals over all cases: " + ", ".join(
+        f"{key} {totals[0][key]} -> {totals[1][key]}"
+        for key in sorted(totals[0] | totals[1])))
     return int(failed)
 
 
@@ -163,13 +186,26 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
-    dumped = {}
-    for name, scen, mode in cases():
-        result = run_estimator(simulate(scen), RunConfig(mode=EstimatorMode(mode)))
-        print(name, digest(result), flush=True)
-        if args.dump:
-            dumped.update({f"{name}/{key}": value
-                           for key, value in outputs(result).items()})
+    dumped, solves, solve = {}, [], bk.solve
+
+    def recorded(*args, **kwargs):
+        # the frontend looks ``bk.solve`` up at each call
+        window, report = solve(*args, **kwargs)
+        solves.append(report)
+        return window, report
+
+    bk.solve = recorded
+    try:
+        for name, scen, mode in cases():
+            solves.clear()
+            result = run_estimator(simulate(scen),
+                                   RunConfig(mode=EstimatorMode(mode)))
+            print(name, digest(result), flush=True)
+            if args.dump:
+                dumped.update({f"{name}/{key}": value for key, value
+                               in outputs(result, solves).items()})
+    finally:
+        bk.solve = solve
     if args.dump:
         np.savez(args.dump, **dumped)
     return 0

@@ -564,7 +564,7 @@ class TestBatchedReprojection:
         reproj = [f for f in factors if f.kind is bk.FactorKind.REPROJECTION]
         assert {f.state_ids[0] for f in reproj} == {0, 1, 2}
         assert window.fixed_landmarks == fixed
-        return window, reproj, nodes[1].observations[0].landmark_id
+        return window, reproj, nodes
 
     def test_matches_per_factor_path(self, rng):
         window, reproj, _ = self._window(rng)
@@ -572,31 +572,38 @@ class TestBatchedReprojection:
 
     def test_fixed_and_repeated_landmarks(self, rng):
         # a keyframe that observes one landmark twice must add both
-        # contributions; fixed landmarks have no columns and are skipped,
-        # and so are the rows of the fixed host on them
-        window, reproj, twice = self._window(rng, fix_and_repeat=True)
+        # contributions; fixed landmarks have no columns, and the fixed
+        # host's rows on them are constant, so they are not built
+        window, reproj, nodes = self._window(rng, fix_and_repeat=True)
+        twice = nodes[1].observations[0].landmark_id
         ids = [f.landmark_id for f in reproj if f.state_ids == (1,)]
         assert ids.count(twice) == 2
         assert window.fixed_landmarks <= set(ids)
-        layout, (batch,) = assert_matches_per_factor_path(window, reproj)
-        dead = [f.state_ids == (0,) and f.landmark_id in window.fixed_landmarks
-                for f in reproj]
-        assert any(dead)
-        assert list(batch.live) == [k for k, d in enumerate(dead) if not d]
+        assert_matches_per_factor_path(window, reproj)
+        seen = {o.landmark_id for o in nodes[0].observations}
+        assert window.fixed_landmarks <= seen
+        assert not any(f.state_ids == (0,)
+                       and f.landmark_id in window.fixed_landmarks
+                       for f in reproj)
 
-    def test_batch_without_a_live_row(self, rng):
-        # the fixed keyframe's reprojections of fixed landmarks, beside the
-        # live pair factors: a batch with no live row adds its constant
-        # cost and nothing to the normal equations
+    def test_rows_on_fixed_variables_add_only_their_constant(self, rng):
+        # the fixed keyframe's reprojections of fixed landmarks, which
+        # assemble_window does not build, made by hand beside the pair
+        # factors: their rows scatter into the dummy column alone, so they
+        # add their constant cost and nothing to the normal equations
         nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=2, n_lm=8,
                                                          pixel_noise=1.0)
         window, factors = bk.assemble_window(
             nodes, landmarks, intervals, rig,
             bk.BackendConfig(photometric_enabled=False), NOISE, fixed_ids={0},
             fixed_landmarks=set(landmarks))
+        assert not any(f.state_ids == (0,) for f in factors)
         pairs = [f for f in factors if f.kind in bk.PAIR_KINDS]
-        dead = [f for f in factors if f.kind is bk.FactorKind.REPROJECTION
-                and f.state_ids == (0,)]
+        info = np.eye(2) / NOISE.sigma_pixel**2
+        dead = [bk.Factor(bk.FactorKind.REPROJECTION, (0,), obs, info,
+                          landmark_id=obs.landmark_id)
+                for obs in nodes[0].observations
+                if obs.landmark_id in window.landmarks]
         assert pairs and dead
 
         def system(fs):
@@ -605,13 +612,13 @@ class TestBatchedReprojection:
             evaluation, cost = bk._evaluate(
                 batches, layout.stack(window.states),
                 layout.landmark_array(window.landmarks))
-            return (batches, cost,
+            return (layout, batches, cost,
                     *bk._normal_equations(batches, evaluation, layout.ndim))
 
-        batches, cost, h, g = system(pairs + dead)
-        _, cost_pairs, h_pairs, g_pairs = system(pairs)
+        layout, batches, cost, h, g = system(pairs + dead)
+        *_, cost_pairs, h_pairs, g_pairs = system(pairs)
         (reproj,) = [b for b in batches if isinstance(b, bk._ReprojectionBatch)]
-        assert len(reproj.live) == 0
+        assert np.all(reproj.cols == layout.ndim)
         assert np.array_equal(h, h_pairs) and np.array_equal(g, g_pairs)
         constant = sum(factor_cost(window, f) for f in dead)
         assert constant > 0

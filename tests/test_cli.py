@@ -252,6 +252,9 @@ class TestInputErrors:
         ({"degradation_windows_s": [0.5]}, "degradation_windows_s"),
         ({"degradation_windows_s": [[1.0, "x"]]}, "degradation_windows_s"),
         ({"degradation_windows_s": 1.0}, "degradation_windows_s"),
+        ({"duration_s": -1.0}, "duration_s"),
+        ({"landmark_count": -1}, "landmark_count"),
+        ({"max_obs_per_frame": -5}, "max_obs_per_frame"),
     ])
     def test_malformed_scenario_config(self, tmp_path, capsys, config, key):
         path = tmp_path / "scenario.json"

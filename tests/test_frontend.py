@@ -406,6 +406,32 @@ def test_every_solve_takes_the_configured_knee(short_blackout_circle,
         "track_coarse", "refine_photometric", "_mini_solve", "_window_ba")}
 
 
+def test_every_solve_holds_only_factors_that_can_move(short_blackout_circle,
+                                                     monkeypatch):
+    # a factor on fixed variables alone is constant; the per-frame solve
+    # fixes its reference keyframe and every landmark, so it holds none of
+    # that keyframe's reprojections
+    stuck, hosts = [], {"fixed": 0, "free": 0}
+    solve = bk.solve
+
+    def checked(window, factors, cfg=None):
+        caller = sys._getframe(1).f_code.co_name
+        for f in factors:
+            free = (set(f.state_ids) - window.fixed_states
+                    or {f.landmark_id} - {None} - window.fixed_landmarks)
+            if not free:
+                stuck.append((caller, f.kind, f.state_ids, f.landmark_id))
+            if caller == "_mini_solve" and f.kind is bk.FactorKind.REPROJECTION:
+                hosts["fixed" if f.state_ids[0] in window.fixed_states
+                      else "free"] += 1
+        return solve(window, factors, cfg)
+
+    monkeypatch.setattr(bk, "solve", checked)
+    run_estimator(short_blackout_circle, RunConfig(mode=EstimatorMode.FULL))
+    assert stuck == []
+    assert hosts["fixed"] == 0 and hosts["free"] > 0
+
+
 @pytest.mark.parametrize("mode", list(EstimatorMode), ids=lambda m: m.value)
 def test_status_rows_are_read_from_the_records(short_blackout_circle, mode):
     result = run_estimator(short_blackout_circle, RunConfig(mode=mode))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from aquafuse import sim
+from aquafuse.backend import MIN_HOST_DISPARITY_PX
 
 SHORT = dict(kind="lawnmower", duration_s=2.0, seed=4,
              degradation_windows_s=((0.5, 1.0),))
@@ -249,6 +250,17 @@ def test_disparities_are_clamped_at_006():
     disp = [o.disparity for f in ds.frames for o in f.observations]
     assert min(disp) == 0.06
     assert all(d >= 0.06 for d in disp)
+    # so every simulated observation clears the estimator's host threshold
+    assert min(disp) > MIN_HOST_DISPARITY_PX
+
+
+@pytest.mark.parametrize("key, value", [
+    ("duration_s", -1.0), ("landmark_count", -1), ("max_obs_per_frame", -5)])
+def test_negative_sizes_are_rejected(key, value):
+    # each failed late, or (a negative observation cap slices from the end)
+    # silently kept almost every visible landmark
+    with pytest.raises(ValueError, match=key):
+        sim.ScenarioConfig(**{key: value})
 
 
 def test_blackout_frames_are_empty(viewed):
