@@ -19,12 +19,12 @@ Each factor kind is one batch per solve, its residual and Jacobian
 written once: all reprojections, all photometric patches, and each pair kind
 (IMU, DVL velocity, DVL position, pressure) over all its pairs. A batch has
 one evaluation: it reads the window's states stacked once per point and
-returns per-row residuals and Jacobian rows over its columns. A window
-holds no factor on fixed variables alone, so its cost is that of the factors
-that can move. The solver linearizes each point it visits once; an accepted
+returns per-row residuals and Jacobian rows over its columns. The solver
+drops every factor on fixed variables alone, so its cost is that of the
+factors that can move. It linearizes each point it visits once; an accepted
 candidate's evaluation gives the next normal equations. Each damped step
 eliminates the free landmarks by Schur complement and solves the state
-system alone.
+system alone, and is judged against the tolerances before it is evaluated.
 ``Factor.evaluate`` is a batch of one.
 """
 
@@ -209,8 +209,10 @@ class SolverConfig:
 class Termination(Enum):
     """Why a solve stopped."""
 
-    RELATIVE_COST = "relative_cost"    # cost drop below rel_cost_tol
-    STEP_SIZE = "step_size"            # step norm below step_tol
+    # the tolerances judge the next step before it is taken, so a solve
+    # they stop ends at a point its last normal equations were built at
+    RELATIVE_COST = "relative_cost"    # its model decrease below rel_cost_tol x cost
+    STEP_SIZE = "step_size"            # its norm below step_tol
     ITERATION_CAP = "iteration_cap"    # max_iterations steps taken
     ZERO_GRADIENT = "zero_gradient"    # gradient vanished (or no free dims)
     NO_DESCENT = "no_descent"          # no damping up to lambda_max lowers the cost
@@ -532,14 +534,15 @@ def _evaluate(batches: list[_Batch], stack: StateStack, lms: np.ndarray):
             out.append((res, jac, *b.weights_cost(res)))
     except (BehindCameraError, OutOfDomainError):
         return None, float("inf")
-    return out, sum(cost for *_, cost in out)
+    return out, sum((cost for *_, cost in out), 0.0)
 
 
 def _normal_equations(batches: list[_Batch], evaluation, ndim: int):
     """The robustly weighted normal equations J^T W J and J^T W r of all
     batches from their ``_evaluate``. Each row's blocks over its columns are
-    added into h and g by one ``np.add.at`` each; h and g carry a trailing
-    dummy row and column for the dims without a column, which are dropped."""
+    summed into h and g by one ``np.bincount`` each, in row order from zero;
+    h and g carry a trailing dummy row and column for the dims without a
+    column, which are dropped."""
     h_at, h_add, g_at, g_add = [], [], [], []
     for b, (res, jac, w, _) in zip(batches, evaluation):
         a = b.infos if w is None else w[:, None, None] * b.infos
@@ -548,10 +551,9 @@ def _normal_equations(batches: list[_Batch], evaluation, ndim: int):
         h_add.append((jt_a @ jac).reshape(-1))
         g_at.append(b.cols.reshape(-1))
         g_add.append(matvec(jt_a, res).reshape(-1))
-    h = np.zeros((ndim + 1) ** 2)
-    g = np.zeros(ndim + 1)
-    np.add.at(h, np.concatenate(h_at), np.concatenate(h_add))
-    np.add.at(g, np.concatenate(g_at), np.concatenate(g_add))
+    h = np.bincount(np.concatenate(h_at), np.concatenate(h_add),
+                    (ndim + 1) ** 2)
+    g = np.bincount(np.concatenate(g_at), np.concatenate(g_add), ndim + 1)
     return h.reshape(ndim + 1, ndim + 1)[:ndim, :ndim], g[:ndim]
 
 
@@ -582,15 +584,30 @@ def _solve_damped(h: np.ndarray, damp: np.ndarray, g: np.ndarray,
     return np.concatenate([x, -(v[:, n_s] + v[:, :n_s] @ x)])
 
 
+def _model_decrease(h: np.ndarray, g: np.ndarray, step: np.ndarray) -> float:
+    """The cost decrease the quadratic model of the normal equations h, g
+    promises for ``step``. The cost is the sum of r^T W r, without a half,
+    so its gradient is 2 g and its Gauss-Newton Hessian 2 h."""
+    return -float(2.0 * (g @ step) + step @ (h @ step))
+
+
 def solve(window: LocalWindow, factors: list[Factor],
           cfg: SolverConfig | None = None):
     """Damped Gauss-Newton over the window, each point visited evaluated
     once with Jacobians: an accepted candidate's evaluation gives the next
     normal equations. Each damping trial solves them with the free
     landmarks eliminated (``_solve_damped``); without a free landmark that
-    is a dense solve of the damped system. Accepted steps strictly decrease
-    the robustified cost; a violation raises, so a finished solve certifies
-    a monotone cost trace. Returns the updated window and a report."""
+    is a dense solve of the damped system.
+
+    The factors on fixed variables alone are dropped first: the cost, its
+    trace and the tolerances count only the terms the solve can change.
+    The tolerances judge each trial step before it is retracted or
+    evaluated: a solve stops with RELATIVE_COST when the step's model
+    decrease is below ``rel_cost_tol`` times the current cost, and with
+    STEP_SIZE when its norm is below ``step_tol``, without taking it.
+    Accepted steps strictly decrease the robustified cost; a violation
+    raises, so a finished solve certifies a monotone cost trace. Returns
+    the updated window and a report."""
     cfg = cfg or SolverConfig()
     if not factors:
         raise ValueError("cannot solve an empty factor list")
@@ -599,6 +616,10 @@ def solve(window: LocalWindow, factors: list[Factor],
         raise GaugeError("no fixed state or fixed landmark; "
                          "add a gauge fix before solving")
 
+    free_states = set(window.kf_ids) - window.fixed_states
+    free_lms = set(window.landmarks) - window.fixed_landmarks
+    factors = [f for f in factors if free_states.intersection(f.state_ids)
+               or f.landmark_id in free_lms]
     layout = _window_layout(window, factors)
     ndim = layout.ndim
     batches = _batches(window, factors, layout)
@@ -609,7 +630,7 @@ def solve(window: LocalWindow, factors: list[Factor],
     if not np.isfinite(cost):
         raise DivergedError(f"initial cost is not finite ({cost})")
     trace = [cost]
-    if ndim == 0:
+    if not factors:  # nothing the solve can move
         return window, SolveReport(0, cost, trace, Termination.ZERO_GRADIENT)
 
     # the stack rows of the free states that a factor touches (the others
@@ -630,7 +651,7 @@ def solve(window: LocalWindow, factors: list[Factor],
 
     lam = cfg.lambda_init
     accepted = 0
-    termination = Termination.ITERATION_CAP
+    termination = None
     for _ in range(cfg.max_iterations):
         h, g = _normal_equations(batches, evaluation, ndim)
         if np.linalg.norm(g) < 1e-15:
@@ -640,12 +661,17 @@ def solve(window: LocalWindow, factors: list[Factor],
         while lam <= cfg.lambda_max:
             try:
                 # h + lam diag(h) + 1e-15 I, formed on the diagonal alone
-                candidate = _solve_damped(h, h_diag + lam * h_diag + 1e-15,
-                                          g, n_s)
+                step = _solve_damped(h, h_diag + lam * h_diag + 1e-15, g, n_s)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            cand_stack, cand_lms = retract(stack, lms, candidate)
+            if _model_decrease(h, g, step) < cfg.rel_cost_tol * cost:
+                termination = Termination.RELATIVE_COST
+                break
+            if np.linalg.norm(step) < cfg.step_tol:
+                termination = Termination.STEP_SIZE
+                break
+            cand_stack, cand_lms = retract(stack, lms, step)
             cand_eval, cand_cost = _evaluate(batches, cand_stack, cand_lms)
             if math.isnan(cand_cost):
                 raise DivergedError("candidate cost is NaN")
@@ -657,25 +683,20 @@ def solve(window: LocalWindow, factors: list[Factor],
         else:
             # no descent direction at any damping: stationary for our purposes
             termination = Termination.NO_DESCENT
+        if termination is not None:
             break
         if not cand_cost < cost:
             raise AssertionError("accepted step failed to decrease the cost")
         accepted += 1
-        rel_drop = (cost - cand_cost) / max(cost, 1e-300)
         cost = cand_cost
         trace.append(cost)
-        if rel_drop < cfg.rel_cost_tol:
-            termination = Termination.RELATIVE_COST
-            break
-        if np.linalg.norm(candidate) < cfg.step_tol:
-            termination = Termination.STEP_SIZE
-            break
 
     window.states = dict(window.states)
     for sid in free:
         window.states[sid] = unstack_state(stack, layout.rows[sid])
     window.landmarks = dict(zip(layout.lm_rows, lms))
-    return window, SolveReport(accepted, cost, trace, termination)
+    return window, SolveReport(accepted, cost, trace,
+                               termination or Termination.ITERATION_CAP)
 
 
 # --------------------------- window construction --------------------------- #
@@ -780,8 +801,8 @@ def assemble_window(keyframes: list[KeyframeNode],
     The window holds only what can move the solution: a consecutive pair of
     fixed keyframes gets none of these pair factors, and a fixed keyframe no
     reprojection of a fixed landmark (their cost is constant and they add
-    nothing to the normal equations); a landmark enters the window only
-    when a factor built here observes it.
+    nothing to the normal equations; ``solve`` would drop them); a landmark
+    enters the window only when a factor built here observes it.
     """
     fixed_ids = set(fixed_ids or set())
     fixed_landmarks = set(fixed_landmarks or set())

@@ -39,7 +39,9 @@ class InsufficientObservationsError(ValueError):
 
 
 def _tracking_solver(max_iterations: int) -> bk.SolverConfig:
-    # per-frame solves need millimeter precision, not machine precision
+    # per-frame solves need millimeter precision, not machine precision; a
+    # tolerance stops a solve before the step it judges, so the solve never
+    # evaluates a step that promises less
     return bk.SolverConfig(max_iterations=max_iterations,
                            rel_cost_tol=1e-6, step_tol=1e-8)
 

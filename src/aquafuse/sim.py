@@ -150,7 +150,13 @@ class ScenarioConfig:
                      "rate_pressure_hz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("duration_s", "landmark_count", "max_obs_per_frame"):
+        # a camera needs an image, a stereo baseline and bumps of some width
+        for name in ("width_px", "height_px", "baseline_m", "field_sigma_px"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("duration_s", "landmark_count", "max_obs_per_frame",
+                     *(f.name for f in dataclasses.fields(self)
+                       if f.name.startswith("sigma_"))):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative")
         for w in self.degradation_windows_s:

@@ -368,10 +368,11 @@ class TestSolve:
         T = bk.Termination
         report = run(0.05, max_iterations=1)
         assert report.termination is T.ITERATION_CAP
-        # any accepted step drops the cost by less than all of it
+        # no step's model decrease reaches all of the cost, so the solve
+        # stops before its first step
         report = run(0.05, rel_cost_tol=1.0, step_tol=0.0)
         assert report.termination is T.RELATIVE_COST
-        assert report.iterations == 1
+        assert report.iterations == 0
         report = run(0.05, rel_cost_tol=0.0, step_tol=1e-3)
         assert report.termination is T.STEP_SIZE
         # at the truth the cost reaches its rounding floor; no damping
@@ -402,6 +403,80 @@ class TestSolve:
             _, report = bk.solve(window(fixed), [factor])
             assert report.termination is T.ZERO_GRADIENT
             assert (report.iterations, report.cost_trace) == (0, [0.0])
+
+    def test_dead_factors_leave_the_solve_unchanged(self):
+        # factors on fixed variables alone, added by hand: an inertial pair
+        # of two fixed keyframes and a fixed keyframe's reprojection of a
+        # fixed landmark, both with a cost far from zero
+        local = np.random.default_rng(5)
+        nodes, landmarks, intervals, rig, _ = make_scene(local, n_kf=4)
+        for node in nodes[2:]:
+            node.state.p = node.state.p + local.normal(size=3) * 0.05
+        window, factors = bk.assemble_window(
+            nodes, landmarks, intervals, rig, bk.BackendConfig(), NOISE,
+            fixed_ids={0, 1}, fixed_landmarks={0, 1, 2})
+        imu = next(f for f in factors if f.kind is bk.FactorKind.IMU)
+        obs = next(o for o in nodes[0].observations
+                   if o.landmark_id in window.fixed_landmarks)
+        dead = [bk.Factor(bk.FactorKind.IMU, (0, 1),
+                          intervals[(0, 1)].imu_preint, imu.info),
+                bk.Factor(bk.FactorKind.REPROJECTION, (0,),
+                          replace(obs, pixel=obs.pixel + [3.0, -2.0]),
+                          np.eye(2) / NOISE.sigma_pixel**2,
+                          landmark_id=obs.landmark_id)]
+        assert all(f.kind not in bk.PAIR_KINDS or f.state_ids != (0, 1)
+                   for f in factors)
+        assert not any(f.kind is bk.FactorKind.REPROJECTION
+                       and f.state_ids == (0,)
+                       and f.landmark_id in window.fixed_landmarks
+                       for f in factors)
+
+        w_ref, r_ref = bk.solve(replace(window), factors)
+        w_dead, r_dead = bk.solve(replace(window), dead[:1] + factors + dead[1:])
+        assert r_ref.iterations >= 2
+        assert (r_dead.iterations, r_dead.termination, r_dead.cost_trace) == (
+            r_ref.iterations, r_ref.termination, r_ref.cost_trace)
+        for sid, ref in w_ref.states.items():
+            got = w_dead.states[sid]
+            for name in ("R", "p", "v", "bg", "ba", "bv"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name))
+        for lid, pos in w_ref.landmarks.items():
+            assert np.array_equal(w_dead.landmarks[lid], pos)
+
+        # a list of dead factors alone leaves nothing to solve
+        out, report = bk.solve(replace(window), dead)
+        assert report.termination is bk.Termination.ZERO_GRADIENT
+        assert (report.iterations, report.cost_trace) == (0, [0.0])
+        assert out.states == window.states
+
+    def test_model_decrease_predicts_a_small_step(self):
+        # the decrease that stops a solve is the cost's own: a small step's
+        # realized decrease is its model decrease, to first order in the
+        # step, so a model off by a factor of 2 is seen
+        local = np.random.default_rng(9)
+        nodes, landmarks, intervals, rig, _ = make_scene(local, n_kf=3)
+        for node in nodes[1:]:
+            node.state.p = node.state.p + local.normal(size=3) * 1e-3
+            node.state.R = node.state.R @ exp_so3(local.normal(size=3) * 1e-4)
+        window, factors = bk.assemble_window(
+            nodes, landmarks, intervals, rig, bk.BackendConfig(), NOISE,
+            fixed_ids={0}, fixed_landmarks=set(landmarks))
+        layout = bk._window_layout(window, factors)
+        batches = bk._batches(window, factors, layout)
+        lms = layout.landmark_array(window.landmarks)
+        evaluation, cost = bk._evaluate(batches, layout.stack(window.states),
+                                        lms)
+        h, g = bk._normal_equations(batches, evaluation, layout.ndim)
+        step = bk._solve_damped(h, damping(h, 1e-4), g, layout.ndim)
+        predicted = bk._model_decrease(h, g, step)
+        moved = dict(window.states)
+        for sid in (1, 2):
+            k = layout.cols[sid][0]
+            moved[sid] = window.states[sid].retract(step[k:k + STATE_DOF])
+        _, new_cost = bk._evaluate(batches, layout.stack(moved), lms)
+        realized = cost - new_cost
+        assert realized > 0.5 * cost
+        assert abs(realized - predicted) <= 0.1 * predicted
 
     @pytest.mark.parametrize("mask", [
         np.array([True] * 3 + [False] * 15),            # rotation only
@@ -742,9 +817,9 @@ def count_field_calls(monkeypatch) -> list[str]:
 class TestPairKindWorkCount:
     """Each pair kind's residual function, and the reprojection and
     photometric residual code, run once per point the solver visits (the
-    initial state and each candidate step), whatever the number of hosts or
-    pairs; each distinct observer field gets one ``gradient`` call (values
-    and gradients) per point and no ``sample`` call."""
+    initial state and each candidate step it evaluates), whatever the number
+    of hosts or pairs; each distinct observer field gets one ``gradient``
+    call (values and gradients) per point and no ``sample`` call."""
 
     KINDS = ("imu_pair_residuals", "dvl_velocity_pair_residuals",
              "dvl_position_pair_residuals", "pressure_pair_residuals")
@@ -792,8 +867,11 @@ class TestPairKindWorkCount:
         monkeypatch.setattr(bk.Factor, "evaluate", counted_evaluate)
         _, report = bk.solve(window, factors, bk.SolverConfig(max_iterations=6))
         assert report.iterations >= 2 and single == []
-        # the initial state and each candidate step
-        points = 1 + candidates["n"]
+        # the initial state and each evaluated candidate: a candidate per
+        # linear solve, but for a final one that a tolerance stopped
+        stopped = report.termination in (bk.Termination.RELATIVE_COST,
+                                         bk.Termination.STEP_SIZE)
+        points = 1 + candidates["n"] - stopped
         for name in self.KINDS:
             assert calls[name] == points, name
         for cls, _ in self.VISUAL:

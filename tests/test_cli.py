@@ -255,6 +255,20 @@ class TestInputErrors:
         ({"duration_s": -1.0}, "duration_s"),
         ({"landmark_count": -1}, "landmark_count"),
         ({"max_obs_per_frame": -5}, "max_obs_per_frame"),
+        ({"width_px": 0}, "width_px"),
+        ({"height_px": 0}, "height_px"),
+        ({"sigma_pixel_px": -1.0}, "sigma_pixel_px"),
+        ({"sigma_disparity_px": -0.1}, "sigma_disparity_px"),
+        ({"sigma_g_rad_s_sqrt_hz": -1e-4}, "sigma_g_rad_s_sqrt_hz"),
+        ({"sigma_a_m_s2_sqrt_hz": -1e-3}, "sigma_a_m_s2_sqrt_hz"),
+        ({"sigma_bg_walk_rad_s_sqrt_s": -1e-5}, "sigma_bg_walk_rad_s_sqrt_s"),
+        ({"sigma_ba_walk_m_s2_sqrt_s": -1e-4}, "sigma_ba_walk_m_s2_sqrt_s"),
+        ({"sigma_dvl_m_s": -0.005}, "sigma_dvl_m_s"),
+        ({"sigma_bv_walk_m_s_sqrt_s": -1e-4}, "sigma_bv_walk_m_s_sqrt_s"),
+        ({"sigma_pressure_m": -0.01}, "sigma_pressure_m"),
+        ({"field_sigma_px": 0.0}, "field_sigma_px"),
+        ({"field_sigma_px": -6.0}, "field_sigma_px"),
+        ({"baseline_m": 0.0}, "baseline_m"),
     ])
     def test_malformed_scenario_config(self, tmp_path, capsys, config, key):
         path = tmp_path / "scenario.json"
