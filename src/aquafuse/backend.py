@@ -7,7 +7,10 @@ applied on the right (R <- R exp(phi)); translations, velocities and biases
 are additive. A factor holds only its measurement: the sensor rig, the
 Huber knee of the visual kinds (the only robust ones) and the gauge belong
 to the window it is solved in, which its fixed states or fixed landmarks
-anchor.
+anchor. A pair factor carries plain readings: an IMU or DVL position
+factor its preintegration, a DVL velocity factor the DVL velocities and
+raw gyro readings ``(v_i, v_j, w_i, w_j)`` at its keyframes, and a
+pressure factor the depth change ``d_j - d_i``, a float.
 
 Per-keyframe biases are coupled by random-walk terms folded into the inertial
 factor (gyro/accel biases) and the DVL translation factor (velocity bias), so
@@ -99,20 +102,6 @@ class SensorRig:
 
 
 # ----------------------------- factor payloads ----------------------------- #
-
-@dataclass(frozen=True)
-class DvlVelocityData:
-    meas_i: DvlSample
-    meas_m: DvlSample
-    gyro_i: np.ndarray
-    gyro_m: np.ndarray
-
-
-@dataclass(frozen=True)
-class PressureData:
-    meas_i: PressureSample
-    meas_n: PressureSample
-
 
 @dataclass(frozen=True)
 class PhotometricData:
@@ -466,9 +455,7 @@ def _pair_kind(kind: FactorKind, payloads: list, rig: SensorRig):
     if kind is FactorKind.DVL_VELOCITY:
         return (dvl_velocity_pair_residuals,
                 stack_dvl_velocity_pairs(payloads, rig.dvl), rig.dvl)
-    return (pressure_pair_residuals,
-            np.array([[d.meas_n.depth - d.meas_i.depth] for d in payloads]),
-            rig.depth)
+    return pressure_pair_residuals, np.array(payloads)[:, None], rig.depth
 
 
 class _PairGroup(_Batch):
@@ -856,13 +843,12 @@ def assemble_window(keyframes: list[KeyframeNode],
             info = np.eye(3) / (2.0 * noise.sigma_dvl**2)
             factors.append(Factor(
                 FactorKind.DVL_VELOCITY, key,
-                DvlVelocityData(a.dvl_meas, b.dvl_meas, a.gyro, b.gyro),
-                info))
+                (a.dvl_meas.vel, b.dvl_meas.vel, a.gyro, b.gyro), info))
         if a.pressure_meas is not None and b.pressure_meas is not None:
             info = np.array([[1.0 / (2.0 * noise.sigma_pressure**2)]])
-            factors.append(Factor(FactorKind.PRESSURE, key,
-                                  PressureData(a.pressure_meas, b.pressure_meas),
-                                  info))
+            factors.append(Factor(
+                FactorKind.PRESSURE, key,
+                b.pressure_meas.depth - a.pressure_meas.depth, info))
 
     pix_info = np.eye(2) / noise.sigma_pixel**2
     for kf in keyframes:
@@ -883,15 +869,9 @@ def assemble_window(keyframes: list[KeyframeNode],
             if not live_pair(a, b) or a.field is None or b.field is None \
                     or not (len(a.field.amplitudes) and len(b.field.amplitudes)):
                 continue
-            # luminance constancy needs the patch visible in both frames
-            ids_b = {o.landmark_id for o in b.observations}
-            hosts = sorted(
-                (o for o in a.observations
-                 if (o.disparity or 0.0) > MIN_HOST_DISPARITY_PX
-                 and o.landmark_id in ids_b),
-                key=lambda o: o.landmark_id)[:cfg.photometric_max_points]
-            points = list(zip([o.pixel for o in hosts], rig.cam.stereo_depth(
-                [o.disparity for o in hosts])))
+            points = photometric_hosts(
+                sorted(a.observations, key=lambda o: o.landmark_id),
+                b.observations, rig.cam, cfg.photometric_max_points)
             factors += make_photometric_factors(
                 window, (a.kf_id, b.kf_id), a.field, b.field, points,
                 cfg.pattern, cfg.sigma_intensity, cfg.photometric_gate)
@@ -901,6 +881,18 @@ def assemble_window(keyframes: list[KeyframeNode],
                         if lid in observed}
     window.fixed_landmarks &= observed
     return window, factors
+
+
+def photometric_hosts(observations, seen, cam: CameraModel, max_points: int):
+    """The (pixel, stereo depth) host points of photometric patches: the
+    first ``max_points`` ``observations`` with a depth whose landmark the
+    other frame's observations ``seen`` hold too, as luminance constancy
+    needs."""
+    ids = {o.landmark_id for o in seen}
+    hosts = [o for o in observations if (o.disparity or 0.0) > MIN_HOST_DISPARITY_PX
+             and o.landmark_id in ids][:max_points]
+    return list(zip([o.pixel for o in hosts],
+                    cam.stereo_depth([o.disparity for o in hosts])))
 
 
 def make_photometric_factors(window: LocalWindow, ids: tuple[int, int],

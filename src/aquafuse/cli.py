@@ -219,9 +219,12 @@ def _write_reports(out_dir: str, reports: list[ErrorReport],
 
 def _worker_count() -> int:
     env = os.environ.get("AQUAFUSE_THREADS")
-    if env:
+    if not env:
+        return max(os.cpu_count() or 1, 1)
+    try:
         return max(int(env), 1)
-    return max(os.cpu_count() or 1, 1)
+    except ValueError:
+        raise ValueError(f"AQUAFUSE_THREADS={env!r} is not an integer") from None
 
 
 def _sweep_cell(cell):
@@ -245,7 +248,7 @@ def cmd_sweep(args) -> int:
     if not (isinstance(scenarios, list) and scenarios):
         raise ValueError(f"{args.config}: expected an object with a nonempty "
                          "'scenarios' list")
-    # the whole spec is read before any dataset is written
+    # the whole spec and the environment are read before anything is written
     run_cfg = _named(args.config, run_config_from_dict,
                      spec.get("run_config", {}))
     modes = spec.get("modes", ["full"])
@@ -261,6 +264,7 @@ def cmd_sweep(args) -> int:
         scenario_cfgs.append((entry["name"], _named(
             f"{args.config}: scenario {entry['name']}",
             sim.ScenarioConfig.from_dict, entry.get("config", {}))))
+    workers = _worker_count()
     os.makedirs(args.out, exist_ok=True)
 
     cells = []
@@ -272,7 +276,7 @@ def cmd_sweep(args) -> int:
             run_dir = os.path.join(args.out, name, mode)
             cells.append((dataset_dir, run_dir, run_cfg, mode, name))
 
-    workers = min(_worker_count(), len(cells))
+    workers = min(workers, len(cells))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))

@@ -7,7 +7,8 @@ velocity samples under a zero-order hold, over the span of an IMU
 preintegration whose rotation checkpoints at the hold starts give each hold's
 rotation, gyro-bias Jacobian and rotation-noise covariance. As in the IMU
 integrator, every per-hold term is computed over all holds at once and the
-sums are running sums.
+sums are running sums; the buffer checks, the holds and the resume are
+written once for both, in ``imu.hold_steps`` and ``imu.join_steps``.
 
 Written once as array code: the bias correction in :func:`correct_dvl_bias_batch`
 (the position pairs; :func:`correct_dvl_bias` is a batch of one) and the lever
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imu import ImuPreintegrated, _running_sums, held_steps, hold_intervals
+from .imu import (ImuPreintegrated, _running_sums, held_steps, hold_steps,
+                  join_steps)
 from .manifold import hat, hat_batch
 from .state import BG, BV, PHI, POS, STATE_DOF, VEL, StateStack, matvec
 
@@ -92,40 +94,23 @@ def preintegrate_dvl(samples, imu_preint: ImuPreintegrated,
     standard deviation).
 
     ``resume`` extends an earlier preintegration about the same biases,
-    from the same start, to the end of ``imu_preint``. Its last hold is
-    integrated again from the sums recorded before it, so ``samples`` must
-    start at the sample that hold holds. The result equals one call over
-    the whole span bit for bit.
+    from the same start, to the end of ``imu_preint``, as
+    :func:`~aquafuse.imu.hold_steps` lays out.
     """
-    samples = list(samples)
-    if not samples:
-        raise ValueError("empty DVL sample buffer")
-    times = np.array([s.t for s in samples], dtype=float)
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("DVL timestamps must be strictly increasing")
-    lin_bg, lin_bv = (np.asarray(b, dtype=float) for b in (lin_bg, lin_bv))
-    t_start, t_end = imu_preint.t_start, imu_preint.t_end
-    if resume is None:
-        zero = np.zeros((3, 3))
-        first = DvlStepState(float("nan"), np.zeros(3), zero, zero, zero)
-        first_t, kept = t_start, 0
-    else:
-        if not (np.array_equal(lin_bg, resume.lin_bg)
-                and np.array_equal(lin_bv, resume.lin_bv)
-                and t_start == resume.t_start
-                and times[0] == resume.last_step.sample_t):
-            raise ValueError(
-                "a preintegration resumes only about its own biases and start, "
-                f"from the sample of its last hold (t={resume.last_step.sample_t})")
-        first, first_t = resume.last_step, float(resume.step_t[-1])
-        kept = len(resume.step_t) - 1
-
-    idx, starts, dts = hold_intervals(times, first_t, t_end)
+    lin_bg, lin_bv = (np.array(b, dtype=float) for b in (lin_bg, lin_bv))
+    own = resume is not None and imu_preint.t_start == resume.t_start \
+        and np.array_equal(lin_bg, resume.lin_bg) \
+        and np.array_equal(lin_bv, resume.lin_bv)
+    t_start, held, starts, dts, kept = hold_steps(
+        "DVL", samples, imu_preint.t_start, imu_preint.t_end, resume, own)
+    zero = np.zeros((3, 3))
+    first = resume.last_step if resume is not None else DvlStepState(
+        float("nan"), np.zeros(3), zero, zero, zero)
     cps = imu_preint.checkpoints_at(starts)
     d_r, dt1, dt = cps.rotations, dts[:, None], dts[:, None, None]
     # R_ID @ v row by row: a (n, 3) @ (3, 3) product sums in another order
     w = matvec(np.broadcast_to(ext.R_ID, d_r.shape),
-               np.array([samples[k].vel for k in idx]) - lin_bv)
+               np.array([s.vel for s in held]) - lin_bv)
     vel = matvec(d_r, w)
     d_r_ext = d_r @ ext.R_ID
     rw = d_r @ hat_batch(w)
@@ -144,19 +129,13 @@ def preintegrate_dvl(samples, imu_preint: ImuPreintegrated,
                              .reshape(-1, 3, 3))
         cov, last_cov = covs[-1], covs[-3]
 
-    last = DvlStepState(samples[idx[-1]].t, dp[-2], j_bv[-2], j_bg[-2], last_cov)
-
-    def steps(name, new):
-        # the resumed preintegration's holds before its last, then the new
-        return np.concatenate([getattr(resume, name)[:kept], new]) if kept else new
+    last = DvlStepState(held[-1].t, dp[-2], j_bv[-2], j_bg[-2], last_cov)
 
     return DvlPreintegrated(
-        dp=dp[-1], lin_bg=lin_bg.copy(), lin_bv=lin_bv.copy(),
-        J_dp_dbv=j_bv[-1], J_dp_dbg=j_bg[-1], cov=cov,
-        t_start=t_start, t_end=t_end,
-        step_t=steps("step_t", starts), step_dp=steps("step_dp", dp[:-1]),
-        step_vel=steps("step_vel", vel), last_step=last,
-    )
+        dp=dp[-1], lin_bg=lin_bg, lin_bv=lin_bv, J_dp_dbv=j_bv[-1],
+        J_dp_dbg=j_bg[-1], cov=cov, t_start=t_start, t_end=imu_preint.t_end,
+        last_step=last, **join_steps(resume, kept, step_t=starts,
+                                     step_dp=dp[:-1], step_vel=vel))
 
 
 def correct_dvl_bias(preint: DvlPreintegrated, new_bg, new_bv) -> np.ndarray:
@@ -187,13 +166,12 @@ DvlVelocityPairData = namedtuple("DvlVelocityPairData", "d_meas d_lever")
 
 
 def stack_dvl_velocity_pairs(pairs, ext: DvlExtrinsics) -> DvlVelocityPairData:
-    """From objects with the DVL samples ``meas_i``, ``meas_m`` and the
-    raw gyro readings ``gyro_i``, ``gyro_m`` of each pair."""
-    pairs = list(pairs)
-    meas = np.array([(d.meas_i.vel, d.meas_m.vel) for d in pairs])
-    gyro = np.array([(d.gyro_i, d.gyro_m) for d in pairs])
-    lever = lever_velocity(gyro.reshape(-1, 3), ext).reshape(-1, 2, 3)
-    return DvlVelocityPairData(meas[:, 1] - meas[:, 0], lever[:, 1] - lever[:, 0])
+    """From the readings ``(v_i, v_j, w_i, w_j)`` of each pair: the DVL
+    velocities and the raw gyro readings at its two keyframes."""
+    pairs = np.array(list(pairs), dtype=float)  # (n, 4, 3)
+    lever = lever_velocity(pairs[:, 2:].reshape(-1, 3), ext).reshape(-1, 2, 3)
+    return DvlVelocityPairData(pairs[:, 1] - pairs[:, 0],
+                               lever[:, 1] - lever[:, 0])
 
 
 def dvl_velocity_pair_residuals(st: StateStack, i, j, d: DvlVelocityPairData,

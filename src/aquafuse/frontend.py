@@ -215,6 +215,15 @@ class EstimationResult:
                 for f in self.frames]
 
 
+def initial_state(dataset, t: float) -> NavState:
+    """The state every mode starts from at its first frame time ``t``: the
+    ground-truth record nearest it."""
+    gt = dataset.groundtruth
+    g = gt[nearest_pairs(np.array([r.t for r in gt]), [t])[1][0]]
+    return NavState(g.R.copy(), g.p.copy(), g.v.copy(),
+                    g.bg.copy(), g.ba.copy(), g.bv.copy())
+
+
 def _span(times: np.ndarray, t0: float, t1: float) -> tuple[int, int]:
     """Index of the last time at or before t0 (0 if none), the first at or
     after t1."""
@@ -306,32 +315,19 @@ class Tracker:
         s = kf.state
         run = self.interval if self.interval_state is s else None
         self.interval_state = s
+        imu_run, dvl_run = (run.imu_preint, run.dvl_preint) if run else (None, None)
         # a resumed preintegration starts from the sample of its last hold
         # step, which is integrated again
-        if run is None:
-            imu = integrate_imu(self._imu_slice(kf.t, t), ImuBias(s.bg, s.ba),
-                                self.imu_noise, t_start=kf.t, t_end=t)
-        else:
-            imu = integrate_imu(self._imu_slice(run.imu_preint.step_t[-1], t),
-                                run.imu_preint.lin_bias, self.imu_noise,
-                                t_end=t, resume=run.imu_preint)
-        dvl, dvl_run = None, None if run is None else run.dvl_preint
-        if self.cfg.mode.uses_dvl:
-            samples = self._dvl_slice(
-                kf.t if dvl_run is None else dvl_run.step_t[-1], t)
-            if samples:
-                dvl = preintegrate_dvl(samples, imu, self.rig.dvl, s.bg, s.bv,
-                                       sigma_v=self.noise.sigma_dvl,
-                                       resume=dvl_run)
+        t_imu, t_dvl = (kf.t if pre is None else pre.step_t[-1]
+                        for pre in (imu_run, dvl_run))
+        imu = integrate_imu(self._imu_slice(t_imu, t), ImuBias(s.bg, s.ba), self.imu_noise,
+                            t_start=None if imu_run else kf.t, t_end=t, resume=imu_run)
+        samples = self._dvl_slice(t_dvl, t) if self.cfg.mode.uses_dvl else []
+        dvl = preintegrate_dvl(samples, imu, self.rig.dvl, s.bg, s.bv,
+                               sigma_v=self.noise.sigma_dvl,
+                               resume=dvl_run) if samples else None
         self.interval = bk.IntervalData(imu, dvl)
         return self.interval
-
-    def _initial_state(self, t: float) -> NavState:
-        gt = self.ds.groundtruth
-        _, k = nearest_pairs(np.array([g.t for g in gt]), [t])
-        g = gt[k[0]]
-        return NavState(g.R.copy(), g.p.copy(), g.v.copy(),
-                        g.bg.copy(), g.ba.copy(), g.bv.copy())
 
     def _node(self, kf_id: int, t: float, state: NavState, observations,
               intensity: IntensityField | None = None) -> bk.KeyframeNode:
@@ -433,7 +429,7 @@ class Tracker:
             cost = float("nan")
 
             if not self.keyframes:
-                nav = self._initial_state(t)
+                nav = initial_state(self.ds, t)
                 rich = mode.uses_vision and \
                     len(frame.observations) >= tracker_cfg.min_tracked_features
                 self.status = (TrackingStatus.VISUAL_OK if rich
@@ -455,13 +451,9 @@ class Tracker:
                             and frame.field is not None
                             and len(prev_frame.field.amplitudes) > 0
                             and len(frame.field.amplitudes) > 0):
-                        cur_ids = {o.landmark_id for o in frame.observations}
-                        hosts = [o for o in prev_frame.observations
-                                 if (o.disparity or 0.0) > bk.MIN_HOST_DISPARITY_PX
-                                 and o.landmark_id in cur_ids]
-                        hosts = hosts[:backend_cfg.photometric_max_points]
-                        depths = self.rig.cam.stereo_depth([o.disparity for o in hosts])
-                        pts = list(zip([o.pixel for o in hosts], depths))
+                        pts = bk.photometric_hosts(
+                            prev_frame.observations, frame.observations,
+                            self.rig.cam, backend_cfg.photometric_max_points)
                         if pts:
                             pose = refine_photometric(
                                 pose, frames_out[-1].T_WI, prev_frame.field,
@@ -528,30 +520,30 @@ def run_estimator(dataset, cfg: RunConfig) -> EstimationResult:
 
 
 def run_dead_reckoning(dataset, cfg: RunConfig) -> EstimationResult:
-    """Pure dead reckoning: gyro-chained attitude plus summed DVL velocities,
-    both at the initial bias estimates, the body position taken back from
-    the DVL's over the lever arm as ``predict_state_degraded`` does. No
-    optimization. One IMU and one DVL preintegration span the frames, read
-    at each frame's time."""
+    """Pure dead reckoning from ``initial_state`` at the first frame:
+    gyro-chained attitude plus summed DVL velocities, both at the initial
+    bias estimates, the body position taken back from the DVL's over the
+    lever arm as ``predict_state_degraded`` does. No optimization. One IMU
+    and one DVL preintegration span the frames, read at each frame's time."""
     from .sim import sensor_rig_from_config
 
     rig = sensor_rig_from_config(dataset.config)
-    gt0 = dataset.groundtruth[0]
     frames = dataset.frames
     t0 = frames[0].t
     t_last = max(frames[-1].t, t0 + 1e-9)
-    imu = integrate_imu(dataset.imu, ImuBias(gt0.bg.copy(), gt0.ba.copy()),
-                        ImuNoiseSpec(), t_start=t0, t_end=t_last)
-    dvl = preintegrate_dvl(dataset.dvl, imu, rig.dvl, gt0.bg, gt0.bv)
+    s0 = initial_state(dataset, t0)
+    imu = integrate_imu(dataset.imu, ImuBias(s0.bg, s0.ba), ImuNoiseSpec(),
+                        t_start=t0, t_end=t_last)
+    dvl = preintegrate_dvl(dataset.dvl, imu, rig.dvl, s0.bg, s0.bv)
 
     # the frame times by index: the frames are iterated once, below
     times = np.array([frames[k].t for k in range(len(frames))])
-    rots = gt0.R @ imu.rotations_at(times)
-    positions = (gt0.p + dvl.translations_at(times) @ gt0.R.T
-                 - (rots - gt0.R) @ rig.dvl.p_ID)
+    rots = s0.R @ imu.rotations_at(times)
+    positions = (s0.p + dvl.translations_at(times) @ s0.R.T
+                 - (rots - s0.R) @ rig.dvl.p_ID)
     frames_out = []
     for r, p, frame in zip(rots, positions, frames):
-        nav = NavState(r, p, np.zeros(3), gt0.bg, gt0.ba, gt0.bv)
+        nav = NavState(r, p, np.zeros(3), s0.bg, s0.ba, s0.bv)
         frames_out.append(FrameState(frame.frame_id, frame.t, nav,
                                      TrackingStatus.DEAD_RECKON, 0))
     return EstimationResult(frames_out, [])

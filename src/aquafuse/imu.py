@@ -14,6 +14,10 @@ sums, and only the rotation product, the rotation's gyro-bias Jacobian and
 the covariance are sequential loops. Checkpoints at any set of times are one
 batched evaluation.
 
+The buffer checks, the holds and the resume of both preintegrations are
+written once, :func:`hold_steps` and :func:`join_steps`, which
+``integrate_imu`` and ``dvl.preintegrate_dvl`` both call.
+
 The first-order bias correction is written once, :func:`correct_imu_bias_batch`:
 the pair residuals apply it, and the state predictions read it through
 :func:`correct_imu_bias`, a batch of one.
@@ -22,7 +26,7 @@ the pair residuals apply it, and the state predictions read it through
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,13 +103,13 @@ class ImuPreintegrated:
     t_start: float
     t_end: float
     # per-step bookkeeping at each integration step start (before the step)
-    step_t: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    step_omega: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
-    step_dR: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 3)))
-    step_J: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 3)))
-    step_phi_cov: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 3)))
+    step_t: np.ndarray
+    step_omega: np.ndarray
+    step_dR: np.ndarray
+    step_J: np.ndarray
+    step_phi_cov: np.ndarray
     # the sums before the last step, from which ``integrate_imu`` resumes
-    last_step: ImuStepState | None = None
+    last_step: ImuStepState
 
     def _held(self, times):
         """``held_steps`` of ``times``, the held rotation vector and its
@@ -170,6 +174,48 @@ def _running_sums(first: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate([first[None], steps]), axis=0)
 
 
+def hold_steps(sensor: str, samples, t_start: float | None, t_end: float,
+               resume, own: bool):
+    """The holds of one preintegration call, for the IMU and the DVL alike:
+    the start (``t_start``, or the first sample's time if None), the sample,
+    start and length of each hold of the buffer ``samples`` up to ``t_end``,
+    and how many steps of ``resume`` are kept.
+
+    ``resume`` extends an earlier preintegration, whose last step is
+    integrated again from the sums before it (``last_step``): the holds
+    start there, the start stays the earlier one's, and the buffer must
+    begin at the sample that step holds. ``own`` says that the call's
+    linearization and start are the earlier one's. The result equals one
+    call over the whole span bit for bit."""
+    samples = list(samples)
+    if not samples:
+        raise ValueError(f"empty {sensor} sample buffer")
+    times = np.array([s.t for s in samples], dtype=float)
+    if np.any(np.diff(times) <= 0):
+        raise ValueError(f"{sensor} timestamps must be strictly increasing")
+    if resume is None:
+        t_start = float(times[0]) if t_start is None else t_start
+        first_t, kept = t_start, 0
+    else:
+        if not own or times[0] != resume.last_step.sample_t:
+            raise ValueError(
+                f"a {sensor} preintegration resumes only about its own "
+                f"linearization and start, from the sample of its last hold "
+                f"step (t={resume.last_step.sample_t}), not t={times[0]}")
+        t_start, first_t = resume.t_start, float(resume.step_t[-1])
+        kept = len(resume.step_t) - 1
+    idx, starts, dts = hold_intervals(times, first_t, t_end)
+    if len(idx) == 0:
+        raise ValueError(f"no {sensor} samples overlap the requested interval")
+    return t_start, [samples[k] for k in idx], starts, dts, kept
+
+
+def join_steps(resume, kept: int, **steps) -> dict:
+    """The per-step arrays ``steps`` after the first ``kept`` of ``resume``."""
+    return {name: np.concatenate([getattr(resume, name)[:kept], new])
+            if kept else new for name, new in steps.items()}
+
+
 def integrate_imu(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
                   t_start: float | None = None, *, t_end: float,
                   resume: ImuPreintegrated | None = None) -> ImuPreintegrated:
@@ -190,41 +236,21 @@ def integrate_imu(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
     and the 9x9 covariance.
 
     ``resume`` extends an earlier preintegration about the same bias and
-    noise to ``t_end``. Its last hold step may have ended between two
-    samples, so that step is integrated again from the sums recorded before
-    it: ``samples`` must start at the sample that step holds, and
-    ``t_start`` stays the earlier one's. The result, checkpoints included,
-    equals one call over the whole span bit for bit.
+    noise to ``t_end``, as :func:`hold_steps` lays out; ``t_start`` is None.
     """
-    samples = list(samples)
-    if not samples:
-        raise ValueError("empty IMU sample buffer")
-    times = np.array([s.t for s in samples], dtype=float)
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("IMU timestamps must be strictly increasing")
-    if resume is None:
-        if t_start is None:
-            t_start = float(times[0])
-        zero = np.zeros((3, 3))
-        first = ImuStepState(float("nan"), np.eye(3), np.zeros(3), np.zeros(3),
-                             zero, zero, zero, zero, zero, np.zeros((9, 9)))
-        first_t, kept = t_start, 0
-    else:
-        _check_resume(resume, times[0], lin_bias, noise, t_start)
-        t_start = resume.t_start
-        first = resume.last_step
-        first_t = float(resume.step_t[-1])
-        kept = len(resume.step_t) - 1
-
-    idx, starts, dts = hold_intervals(times, first_t, t_end)
-    if len(idx) == 0:
-        raise ValueError("no IMU samples overlap the requested interval")
+    own = resume is not None and t_start is None and noise == resume.noise \
+        and np.array_equal(lin_bias.bg, resume.lin_bias.bg) \
+        and np.array_equal(lin_bias.ba, resume.lin_bias.ba)
+    t_start, held, starts, dts, kept = hold_steps(
+        "IMU", samples, t_start, t_end, resume, own)
+    z = np.zeros((3, 3))
+    first = resume.last_step if resume is not None else ImuStepState(
+        float("nan"), np.eye(3), np.zeros(3), np.zeros(3), z, z, z, z, z, np.zeros((9, 9)))
 
     # per-step terms that do not depend on the previous step
-    held = [samples[k] for k in idx]
     omega = np.array([s.gyro for s in held]) - lin_bias.bg
     acc = np.array([s.accel for s in held]) - lin_bias.ba
-    n, dt1, dt = len(idx), dts[:, None], dts[:, None, None]
+    n, dt1, dt = len(held), dts[:, None], dts[:, None, None]
     phi = omega * dt1
     e = exp_so3_batch(phi)
     jr_dt = right_jacobian_so3_batch(phi) * dt
@@ -278,12 +304,8 @@ def integrate_imu(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
             last_cov = cov
             cov = a_k @ cov @ a_k.T + n_k
 
-    last = ImuStepState(samples[idx[-1]].t, rots[-2], dv[-2], dp[-2], jacs[-2],
+    last = ImuStepState(held[-1].t, rots[-2], dv[-2], dp[-2], jacs[-2],
                         j_v_bg[-2], j_v_ba[-2], j_p_bg[-2], j_p_ba[-2], last_cov)
-
-    def steps(name, new):
-        # the resumed preintegration's steps before its last, then the new
-        return np.concatenate([getattr(resume, name)[:kept], new]) if kept else new
 
     return ImuPreintegrated(
         dR=rots[-1], dv=dv[-1], dp=dp[-1], dt_total=float(t_end - t_start),
@@ -291,27 +313,9 @@ def integrate_imu(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
         J_dR_dbg=jacs[-1], J_dv_dbg=j_v_bg[-1], J_dv_dba=j_v_ba[-1],
         J_dp_dbg=j_p_bg[-1], J_dp_dba=j_p_ba[-1],
         noise=noise, t_start=float(t_start), t_end=float(t_end),
-        step_t=steps("step_t", starts), step_omega=steps("step_omega", omega),
-        step_dR=steps("step_dR", d_r), step_J=steps("step_J", j_r),
-        step_phi_cov=steps("step_phi_cov", phi_covs),
-        last_step=last,
-    )
-
-
-def _check_resume(resume: ImuPreintegrated, first_sample_t: float,
-                  lin_bias: ImuBias, noise: ImuNoiseSpec,
-                  t_start: float | None) -> None:
-    if t_start is not None:
-        raise ValueError("a resumed preintegration keeps its own start time")
-    if not (np.array_equal(lin_bias.bg, resume.lin_bias.bg)
-            and np.array_equal(lin_bias.ba, resume.lin_bias.ba)
-            and noise == resume.noise):
-        raise ValueError("a preintegration resumes only about its own bias "
-                         "linearization and noise")
-    if first_sample_t != resume.last_step.sample_t:
-        raise ValueError(
-            f"a resumed buffer must start at the sample of the last hold "
-            f"step (t={resume.last_step.sample_t}), not at t={first_sample_t}")
+        last_step=last, **join_steps(
+            resume, kept, step_t=starts, step_omega=omega, step_dR=d_r,
+            step_J=j_r, step_phi_cov=phi_covs))
 
 
 def correct_imu_bias(preint: ImuPreintegrated, new_bias: ImuBias):

@@ -146,14 +146,15 @@ class ScenarioConfig:
     gravity_m_s2: tuple = (0.0, 0.0, 9.81)
 
     def __post_init__(self):
-        for name in ("rate_cam_hz", "rate_imu_hz", "rate_dvl_hz",
-                     "rate_pressure_hz"):
+        # sensor rates, and a camera needs focal lengths, an image, a stereo
+        # baseline, bumps of some width and a range of depths to observe
+        for name in ("rate_cam_hz", "rate_imu_hz", "rate_dvl_hz", "rate_pressure_hz",
+                     "fx_px", "fy_px", "width_px", "height_px", "baseline_m",
+                     "field_sigma_px"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        # a camera needs an image, a stereo baseline and bumps of some width
-        for name in ("width_px", "height_px", "baseline_m", "field_sigma_px"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if not self.min_obs_depth_m < self.max_obs_depth_m:
+            raise ValueError("min_obs_depth_m must be below max_obs_depth_m")
         for name in ("duration_s", "landmark_count", "max_obs_per_frame",
                      *(f.name for f in dataclasses.fields(self)
                        if f.name.startswith("sigma_"))):

@@ -269,6 +269,9 @@ class TestInputErrors:
         ({"field_sigma_px": 0.0}, "field_sigma_px"),
         ({"field_sigma_px": -6.0}, "field_sigma_px"),
         ({"baseline_m": 0.0}, "baseline_m"),
+        ({"fx_px": 0}, "fx_px"),
+        ({"fy_px": -300.0}, "fy_px"),
+        ({"min_obs_depth_m": 5, "max_obs_depth_m": 2}, "min_obs_depth_m"),
     ])
     def test_malformed_scenario_config(self, tmp_path, capsys, config, key):
         path = tmp_path / "scenario.json"
@@ -327,6 +330,18 @@ class TestInputErrors:
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and named in err
+        assert not out.exists()
+
+    def test_sweep_checks_the_worker_count_before_writing(self, tmp_path,
+                                                          capsys, monkeypatch):
+        monkeypatch.setenv("AQUAFUSE_THREADS", "two")
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(
+            {"scenarios": [{"name": "a", "config": {"duration_s": 2.0}}]}))
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(path),
+                         "--out", str(out)]) == 2
+        assert "AQUAFUSE_THREADS" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("t", ["soon", None, [0.5]])

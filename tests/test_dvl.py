@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -28,8 +26,7 @@ def velocity_residual(state_i, state_m, gyro_i, gyro_m, meas_i, meas_m, ext,
                       blocks=False):
     """The stacked relative-velocity residual of one pair; with ``blocks``
     also its 3x3 Jacobian blocks by name."""
-    readings = SimpleNamespace(meas_i=meas_i, meas_m=meas_m, gyro_i=gyro_i,
-                               gyro_m=gyro_m)
+    readings = (meas_i.vel, meas_m.vel, gyro_i, gyro_m)
     res, jac = dvl_velocity_pair_residuals(
         stack_states([state_i, state_m]), [0], [1],
         stack_dvl_velocity_pairs([readings], ext), ext)
@@ -386,6 +383,45 @@ class TestResumeDvl:
                        resume=first)
         with pytest.raises(ValueError):
             self._part(dvl, imu, ext, bg, bv, 0.0, t_end, resume=first)
+
+
+def _resume_args(rng, sensor, change):
+    """A first IMU or DVL preintegration to 0.37 s and a call that resumes
+    it to 0.8 s, with ``change`` made to the call: another bias
+    linearization, a start 0.01 s later, a buffer that begins one sample
+    late, or none."""
+    ext = DvlExtrinsics(random_rotation(rng), rng.normal(size=3) * 0.2)
+    imu, _, _, dvl, _ = _world_with_dvl(rng, n_imu=100, dvl_every=7, ext=ext)
+    bg, bv = rng.normal(size=3) * 0.01, rng.normal(size=3) * 0.02
+    other = rng.normal(size=3) * 0.01 if change == "bias" else bg
+    moved = change == "start"
+    first = integrate_imu(imu, ImuBias(bg, np.zeros(3)), NOISY, t_start=0.0,
+                          t_end=0.37)
+    if sensor == "dvl":
+        first = preintegrate_dvl([s for s in dvl if s.t < 0.37], first, ext,
+                                 bg, bv)
+    buffer = [s for s in (imu if sensor == "imu" else dvl)
+              if first.last_step.sample_t <= s.t < 0.8]
+    buffer = buffer[1:] if change == "sample" else buffer
+    if sensor == "imu":
+        return integrate_imu, (buffer, ImuBias(other, np.zeros(3)), NOISY,
+                               0.01 if moved else None), \
+            dict(t_end=0.8, resume=first)
+    span = integrate_imu(imu, ImuBias(bg, np.zeros(3)), NOISY,
+                         t_start=0.01 if moved else 0.0, t_end=0.8)
+    return preintegrate_dvl, (buffer, span, ext, other, bv), dict(resume=first)
+
+
+@pytest.mark.parametrize("sensor", ["imu", "dvl"])
+@pytest.mark.parametrize("change", ["bias", "start", "sample"])
+def test_a_resume_keeps_its_linearization_start_and_sample(rng, sensor,
+                                                           change):
+    # both preintegrations resume through ``imu.hold_steps``
+    fn, args, kwargs = _resume_args(rng, sensor, None)
+    fn(*args, **kwargs)
+    fn, args, kwargs = _resume_args(rng, sensor, change)
+    with pytest.raises(ValueError, match="resumes only"):
+        fn(*args, **kwargs)
 
 
 def estimate(state, gyro, ext):

@@ -346,6 +346,20 @@ class TestPipeline:
                 for f in result.frames]
         assert max(errs) < 0.05
 
+    def test_dead_reckoning_starts_where_the_tracker_starts(self):
+        # frames from 0.4 s on: dead reckoning once started 0.266 m off, at
+        # the truth's first record, while the tracker took the record at
+        # its first frame
+        ds = simulate(ScenarioConfig(kind="figure-eight", duration_s=4.0,
+                                     seed=1))
+        ds.frames = ds.frames[6:]
+        gt = {round(g.t, 6): g for g in ds.groundtruth}[round(ds.frames[0].t, 6)]
+        for mode in (EstimatorMode.DVL_DEADRECKON,
+                     EstimatorMode.ACOUSTIC_INERTIAL_DEPTH):
+            first = run_estimator(ds, RunConfig(mode=mode)).frames[0].nav
+            assert np.array_equal(first.p, gt.p), mode
+            assert np.array_equal(first.R, gt.R), mode
+
     def test_acoustic_inertial_depth_mode(self):
         cfg = zero_noise_config(duration_s=6.0)
         ds = simulate(cfg)

@@ -255,10 +255,14 @@ def test_disparities_are_clamped_at_006():
 
 
 @pytest.mark.parametrize("key, value", [
-    ("duration_s", -1.0), ("landmark_count", -1), ("max_obs_per_frame", -5)])
+    ("duration_s", -1.0), ("landmark_count", -1), ("max_obs_per_frame", -5),
+    ("fx_px", 0.0), ("fy_px", -300.0), ("min_obs_depth_m", 9.0),
+    ("max_obs_depth_m", 0.5)])
 def test_negative_sizes_are_rejected(key, value):
     # each failed late, or (a negative observation cap slices from the end)
-    # silently kept almost every visible landmark
+    # silently kept almost every visible landmark; a zero focal length failed
+    # in the camera model without naming its key, and an empty depth range
+    # simulated a dataset without a single observation
     with pytest.raises(ValueError, match=key):
         sim.ScenarioConfig(**{key: value})
 
