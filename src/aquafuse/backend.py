@@ -26,9 +26,14 @@ returns per-row residuals and Jacobian rows over its columns. The solver
 drops every factor on fixed variables alone, so its cost is that of the
 factors that can move. It linearizes each point it visits once; an accepted
 candidate's evaluation gives the next normal equations. Each damped step
-eliminates the free landmarks by Schur complement and solves the state
-system alone, and is judged against the tolerances before it is evaluated.
+eliminates the free landmarks by Schur complement, its correction formed on
+the observing keyframes' pose columns alone, solves the state system alone,
+and is judged against the tolerances before it is evaluated.
 ``Factor.evaluate`` is a batch of one.
+
+A keyframe pair's measurement-only data (information matrices, photometric
+host payloads) is built once, in its ``IntervalData``, for every window that
+spans the pair; each window gates all its photometric patches in one batch.
 """
 
 from __future__ import annotations
@@ -114,17 +119,17 @@ class PhotometricData:
 
     @classmethod
     def batch(cls, field_host: IntensityField, field_obs: IntensityField,
-              pixels, depths, pattern: PatchPattern) -> list[PhotometricData]:
-        """One payload per (pixel, depth), with the host-side caches of all
-        patches taken from one field call."""
-        pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
-        if len(pixels) == 0:
+              points, pattern: PatchPattern) -> list[PhotometricData]:
+        """One payload per (pixel, depth) of ``points``, with the host-side
+        caches of all patches taken from one field call."""
+        if len(points) == 0:
             return []
-        pix = pixels[:, None, :] + pattern.offsets  # (n, m, 2)
+        pix = np.array([p for p, _ in points], dtype=float)[:, None, :] \
+            + pattern.offsets  # (n, m, 2)
         vals, grads = field_host.gradient(pix)
         weights = pattern.weights(grads)
         return [cls(field_obs, float(depth), pix[k], vals[k], weights[k])
-                for k, depth in enumerate(depths)]
+                for k, (_, depth) in enumerate(points)]
 
 
 @dataclass
@@ -549,26 +554,32 @@ def _solve_damped(h: np.ndarray, damp: np.ndarray, g: np.ndarray,
     """The LM step x of (h with the diagonal ``damp``) x = -g, when the
     columns after the first ``n_s`` are free landmarks, 3 each.
 
-    Only a reprojection row touches a landmark, and it touches one, so the
-    landmark columns couple in 3 x 3 diagonal blocks. The step inverts
-    those blocks in one batched call, solves the state system they leave
-    (the Schur complement) and back-substitutes the landmark steps. Without
+    Only a reprojection row touches a landmark: one landmark and its host's
+    pose. So the landmark columns couple in 3 x 3 diagonal blocks, and H_sl
+    is nonzero only in the pose columns of the observing keyframes. The
+    step inverts the landmark blocks in one batched call, forms the Schur
+    correction H_sl H_ll^-1 [H_ls | g_l] on those columns alone, solves the
+    state system it leaves and back-substitutes the landmark steps. Without
     a landmark it is one ``np.linalg.solve`` of the damped h, bit for bit.
     Raises LinAlgError when a damped system is singular."""
     schur, rhs = h[:n_s, :n_s].copy(), -g[:n_s]
     np.fill_diagonal(schur, damp[:n_s])
     if n_s == len(g):
         return np.linalg.solve(schur, rhs)
+    obs = np.flatnonzero(h[:n_s, n_s:].any(axis=1))
+    k = len(obs)  # the last column of v and red is the right-hand side
     lm = np.arange(n_s, len(g)).reshape(-1, 3)
     h_ll = h[lm[:, :, None], lm[:, None, :]]                     # (L, 3, 3)
     # entries 0, 4 and 8 of each flattened block are its diagonal
     h_ll.reshape(-1, 9)[:, ::4] = damp[n_s:].reshape(-1, 3)
-    h_lg = np.concatenate([h[n_s:, :n_s], g[n_s:, None]],
-                          axis=1).reshape(-1, 3, n_s + 1)      # [H_ls | g_l]
-    v = (np.linalg.inv(h_ll) @ h_lg).reshape(-1, n_s + 1)
-    red = h[:n_s, n_s:] @ v  # H_sl H_ll^-1 [H_ls | g_l]
-    x = np.linalg.solve(schur - red[:, :n_s], rhs + red[:, n_s])
-    return np.concatenate([x, -(v[:, n_s] + v[:, :n_s] @ x)])
+    h_lg = np.concatenate([h[n_s:, obs], g[n_s:, None]],
+                          axis=1).reshape(-1, 3, k + 1)        # [H_ls | g_l]
+    v = (np.linalg.inv(h_ll) @ h_lg).reshape(-1, k + 1)
+    red = h[obs, n_s:] @ v  # H_sl H_ll^-1 [H_ls | g_l] on the observer rows
+    schur[np.ix_(obs, obs)] -= red[:, :k]
+    rhs[obs] += red[:, k]
+    x = np.linalg.solve(schur, rhs)
+    return np.concatenate([x, -(v[:, k] + v[:, :k] @ x[obs])])
 
 
 def _model_decrease(h: np.ndarray, g: np.ndarray, step: np.ndarray) -> float:
@@ -705,11 +716,12 @@ class KeyframeNode:
 @dataclass
 class IntervalData:
     """Preintegrated measurements covering one consecutive keyframe pair,
-    and their information matrices, inverted once and shared by every
-    window that spans the pair."""
+    and what every window that spans it shares, each made once: their
+    information matrices and the pair's photometric ``host_payloads``."""
 
     imu_preint: ImuPreintegrated
     dvl_preint: DvlPreintegrated | None = None
+    _hosts: tuple | None = dc_field(default=None, init=False, repr=False)
 
     @cached_property
     def imu_info(self) -> np.ndarray:
@@ -718,6 +730,24 @@ class IntervalData:
     @cached_property
     def dvl_info(self) -> np.ndarray:
         return _safe_inverse(self.dvl_preint.cov)
+
+    def host_payloads(self, a: KeyframeNode, b: KeyframeNode, cam: CameraModel,
+                      pattern: PatchPattern, max_points: int) -> list[PhotometricData]:
+        """The photometric payloads of this interval's pair ``a``, ``b``: the
+        points of ``photometric_hosts`` with their host-side patch data, from
+        one ``PhotometricData.batch``. They depend on measurements alone, so
+        the first call builds them and a later one rebuilds them only for
+        another ``pattern`` object, point cap or field."""
+        built = self._hosts
+        if (built is None or built[0] is not pattern or built[1] != max_points
+                or built[2] is not a.field or built[3] is not b.field):
+            points = photometric_hosts(
+                sorted(a.observations, key=lambda o: o.landmark_id),
+                b.observations, cam, max_points)
+            built = self._hosts = (pattern, max_points, a.field, b.field,
+                                   PhotometricData.batch(a.field, b.field,
+                                                         points, pattern))
+        return built[4]
 
 
 @dataclass
@@ -783,7 +813,9 @@ def assemble_window(keyframes: list[KeyframeNode],
     whose interval and keyframes carry those measurements, a reprojection
     factor per (keyframe, landmark) observation, and photometric factors
     between consecutive textured keyframes for up to
-    ``photometric_max_points`` host points with known stereo depth.
+    ``photometric_max_points`` host points with known stereo depth, their
+    host side built once per pair (``IntervalData.host_payloads``) and all
+    the window's patches gated in one batch (``make_photometric_factors``).
 
     The window holds only what can move the solution: a consecutive pair of
     fixed keyframes gets none of these pair factors, and a fixed keyframe no
@@ -865,16 +897,13 @@ def assemble_window(keyframes: list[KeyframeNode],
                     for obs, behind in zip(seen, z <= 1e-3) if not behind]
 
     if cfg.photometric_enabled:
-        for a, b in zip(keyframes[:-1], keyframes[1:]):
-            if not live_pair(a, b) or a.field is None or b.field is None \
-                    or not (len(a.field.amplitudes) and len(b.field.amplitudes)):
-                continue
-            points = photometric_hosts(
-                sorted(a.observations, key=lambda o: o.landmark_id),
-                b.observations, rig.cam, cfg.photometric_max_points)
-            factors += make_photometric_factors(
-                window, (a.kf_id, b.kf_id), a.field, b.field, points,
-                cfg.pattern, cfg.sigma_intensity, cfg.photometric_gate)
+        pairs = [((a.kf_id, b.kf_id), intervals[(a.kf_id, b.kf_id)].host_payloads(
+                     a, b, rig.cam, cfg.pattern, cfg.photometric_max_points))
+                 for a, b in zip(keyframes[:-1], keyframes[1:])
+                 if live_pair(a, b) and a.field is not None and b.field is not None
+                 and len(a.field.amplitudes) and len(b.field.amplitudes)]
+        factors += make_photometric_factors(window, pairs, cfg.sigma_intensity,
+                                            cfg.photometric_gate)
 
     observed = {f.landmark_id for f in factors if f.landmark_id is not None}
     window.landmarks = {lid: pos for lid, pos in window_lms.items()
@@ -895,26 +924,22 @@ def photometric_hosts(observations, seen, cam: CameraModel, max_points: int):
                     cam.stereo_depth([o.disparity for o in hosts])))
 
 
-def make_photometric_factors(window: LocalWindow, ids: tuple[int, int],
-                             field_host: IntensityField,
-                             field_obs: IntensityField, points,
-                             pattern: PatchPattern, sigma_intensity: float,
-                             gate: float) -> list[Factor]:
-    """Photometric factors, one per (pixel, depth) host point of the state
-    pair ``ids`` with per-point intensity noise ``sigma_intensity``, gated
+def make_photometric_factors(window: LocalWindow, pairs,
+                             sigma_intensity: float, gate: float) -> list[Factor]:
+    """Photometric factors, one per payload of each ``(ids, payloads)`` of
+    ``pairs`` (the state pair and its host payloads, built beforehand), in
+    pair order, with per-point intensity noise ``sigma_intensity``, gated
     at the states of the ``window`` they will join. A patch is kept when
     every point warps in front of and inside the observer image and its
     Mahalanobis residual is at most ``gate``; patches that fail violate
     luminance constancy (clutter, parallax) or leave the image at the
-    guess. The host side takes one field sample and one gradient call, the
-    gate one batch evaluation."""
-    payloads = PhotometricData.batch(field_host, field_obs,
-                                     [p for p, _ in points],
-                                     [d for _, d in points], pattern)
-    if not payloads:
+    guess. The gate is one batch over every pair's patches: one field
+    sample per distinct observer field, and no host-side call."""
+    factors = [Factor(FactorKind.PHOTOMETRIC, ids, d, np.array(
+                   [[1.0 / (len(d.host_vals) * sigma_intensity**2)]]))
+               for ids, payloads in pairs for d in payloads]
+    if not factors:
         return []
-    info = np.array([[1.0 / (len(pattern.offsets) * sigma_intensity**2)]])
-    factors = [Factor(FactorKind.PHOTOMETRIC, ids, d, info) for d in payloads]
     layout = _window_layout(window, factors)
     batch = _PhotometricBatch(window, factors, layout)
     res, _, valid = batch.patch_residuals(layout.stack(window.states))

@@ -65,6 +65,9 @@ class DvlPreintegrated:
     cov: np.ndarray
     t_start: float
     t_end: float
+    # the velocity noise and extrinsics it was made with, which a resume keeps
+    sigma_v: float
+    ext: DvlExtrinsics
     # per hold: its start, the translation sum before it and the velocity
     # it adds, rotated into the frame at the span's start
     step_t: np.ndarray
@@ -93,14 +96,17 @@ def preintegrate_dvl(samples, imu_preint: ImuPreintegrated,
     rotation-noise term and the white velocity noise ``sigma_v`` (per-sample
     standard deviation).
 
-    ``resume`` extends an earlier preintegration about the same biases,
-    from the same start, to the end of ``imu_preint``, as
-    :func:`~aquafuse.imu.hold_steps` lays out.
+    ``resume`` extends an earlier preintegration about the same biases, at
+    the same ``sigma_v`` and extrinsics, from the same start, to the end of
+    ``imu_preint``, as :func:`~aquafuse.imu.hold_steps` lays out.
     """
     lin_bg, lin_bv = (np.array(b, dtype=float) for b in (lin_bg, lin_bv))
     own = resume is not None and imu_preint.t_start == resume.t_start \
         and np.array_equal(lin_bg, resume.lin_bg) \
-        and np.array_equal(lin_bv, resume.lin_bv)
+        and np.array_equal(lin_bv, resume.lin_bv) \
+        and sigma_v == resume.sigma_v \
+        and np.array_equal(ext.R_ID, resume.ext.R_ID) \
+        and np.array_equal(ext.p_ID, resume.ext.p_ID)
     t_start, held, starts, dts, kept = hold_steps(
         "DVL", samples, imu_preint.t_start, imu_preint.t_end, resume, own)
     zero = np.zeros((3, 3))
@@ -134,8 +140,8 @@ def preintegrate_dvl(samples, imu_preint: ImuPreintegrated,
     return DvlPreintegrated(
         dp=dp[-1], lin_bg=lin_bg, lin_bv=lin_bv, J_dp_dbv=j_bv[-1],
         J_dp_dbg=j_bg[-1], cov=cov, t_start=t_start, t_end=imu_preint.t_end,
-        last_step=last, **join_steps(resume, kept, step_t=starts,
-                                     step_dp=dp[:-1], step_vel=vel))
+        sigma_v=sigma_v, ext=ext, last_step=last,
+        **join_steps(resume, kept, step_t=starts, step_dp=dp[:-1], step_vel=vel))
 
 
 def correct_dvl_bias(preint: DvlPreintegrated, new_bg, new_bv) -> np.ndarray:

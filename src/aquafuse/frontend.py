@@ -162,9 +162,11 @@ def refine_photometric(coarse: Pose, ref_pose: Pose,
         states={0: NavState(ref_pose.R, ref_pose.t, np.zeros(3)),
                 1: NavState(coarse.R, coarse.t, np.zeros(3))},
         fixed_states={0}, state_masks={1: bk.POSE_MASK})
+    payloads = bk.PhotometricData.batch(ref_field, cur_field, points,
+                                        backend_cfg.pattern)
     factors = bk.make_photometric_factors(
-        window, (0, 1), ref_field, cur_field, points, backend_cfg.pattern,
-        backend_cfg.sigma_intensity_track, backend_cfg.photometric_track_gate)
+        window, [((0, 1), payloads)], backend_cfg.sigma_intensity_track,
+        backend_cfg.photometric_track_gate)
     if not factors:
         return RefineResult(coarse)
     window, _ = bk.solve(window, factors,

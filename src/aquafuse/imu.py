@@ -185,8 +185,8 @@ def hold_steps(sensor: str, samples, t_start: float | None, t_end: float,
     integrated again from the sums before it (``last_step``): the holds
     start there, the start stays the earlier one's, and the buffer must
     begin at the sample that step holds. ``own`` says that the call's
-    linearization and start are the earlier one's. The result equals one
-    call over the whole span bit for bit."""
+    linearization, noise, extrinsics (the DVL's) and start are the earlier
+    one's. The result equals one call over the whole span bit for bit."""
     samples = list(samples)
     if not samples:
         raise ValueError(f"empty {sensor} sample buffer")
@@ -199,9 +199,10 @@ def hold_steps(sensor: str, samples, t_start: float | None, t_end: float,
     else:
         if not own or times[0] != resume.last_step.sample_t:
             raise ValueError(
-                f"a {sensor} preintegration resumes only about its own "
-                f"linearization and start, from the sample of its last hold "
-                f"step (t={resume.last_step.sample_t}), not t={times[0]}")
+                f"a {sensor} preintegration resumes only with its own "
+                f"linearization, noise, extrinsics and start, from the sample "
+                f"of its last hold step (t={resume.last_step.sample_t}), "
+                f"not t={times[0]}")
         t_start, first_t = resume.t_start, float(resume.step_t[-1])
         kept = len(resume.step_t) - 1
     idx, starts, dts = hold_intervals(times, first_t, t_end)

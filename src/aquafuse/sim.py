@@ -69,6 +69,10 @@ _R_ID_DEFAULT = (1.0, 0.0, 0.0,
                  0.0, 0.0, 1.0)
 
 
+# the trajectory kinds that ``trajectory_truth`` writes in closed form
+TRAJECTORY_KINDS = ("line", "circle", "figure-eight", "lawnmower")
+
+
 @dataclass
 class ScenarioConfig:
     kind: str = "circle"
@@ -146,6 +150,9 @@ class ScenarioConfig:
     gravity_m_s2: tuple = (0.0, 0.0, 9.81)
 
     def __post_init__(self):
+        if self.kind not in TRAJECTORY_KINDS:
+            raise ValueError(f"kind must be one of {TRAJECTORY_KINDS}, "
+                             f"not {self.kind!r}")
         # sensor rates, and a camera needs focal lengths, an image, a stereo
         # baseline, bumps of some width and a range of depths to observe
         for name in ("rate_cam_hz", "rate_imu_hz", "rate_dvl_hz", "rate_pressure_hz",
@@ -245,7 +252,7 @@ def trajectory_truth(cfg: ScenarioConfig, t) -> Truth:
                      axis=1)
         a = np.stack([-amp * ox * ox * np.sin(ox * t), zero, zero], axis=1)
     else:
-        raise ValueError(f"unknown trajectory kind '{cfg.kind}'")
+        raise ValueError(f"kind must be one of {TRAJECTORY_KINDS}, not {cfg.kind!r}")
     if yaw is None:
         # math.atan2, not np.arctan2: the two differ in the last bit on some
         # inputs, and the datasets are pinned to the former

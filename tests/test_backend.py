@@ -884,8 +884,8 @@ class TestPairKindWorkCount:
         field_calls = count_field_calls(monkeypatch)
         pattern = PatchPattern()
         pixels = rng.uniform([100, 100], [540, 260], (5, 2))
-        payloads = bk.PhotometricData.batch(field, field, pixels,
-                                            [2.0] * 5, pattern)
+        payloads = bk.PhotometricData.batch(
+            field, field, [(p, 2.0) for p in pixels], pattern)
         assert field_calls == ["gradient"]
         pts = pixels[:, None, :] + pattern.offsets
         monkeypatch.undo()
@@ -939,6 +939,100 @@ class TestBatchedPhotometric:
         assert not valid.all() and np.isnan(res[~valid]).all()
         assert bk._evaluate([batch], layout.stack(moved), None) == (
             None, float("inf"))
+
+
+class TestPhotometricHostsOnce:
+    """A keyframe pair's photometric host side is built once, by the first
+    window that holds the pair, and each window gates all its pairs' patches
+    in one batch."""
+
+    @staticmethod
+    def _scene(rng):
+        nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=4, n_lm=8,
+                                                         kf_steps=8)
+        for node in nodes:
+            node.field = bumpy_field(rng)
+        return nodes, landmarks, intervals, rig
+
+    @staticmethod
+    def _photometric(nodes, landmarks, intervals, rig, cfg):
+        _, factors = bk.assemble_window(nodes, landmarks, intervals, rig, cfg,
+                                        NOISE, fixed_ids={0})
+        return [f for f in factors if f.kind is bk.FactorKind.PHOTOMETRIC]
+
+    @staticmethod
+    def _gated_per_pair(nodes, rig, cfg):
+        """The photometric factors of each pair built and gated on its own,
+        at the window of ``assemble_window``."""
+        window = bk.LocalWindow([n.kf_id for n in nodes],
+                                {n.kf_id: n.state for n in nodes}, rig,
+                                cfg.huber_delta, fixed_states={0})
+        out = []
+        for a, b in zip(nodes[:-1], nodes[1:]):
+            points = bk.photometric_hosts(
+                sorted(a.observations, key=lambda o: o.landmark_id),
+                b.observations, rig.cam, cfg.photometric_max_points)
+            payloads = bk.PhotometricData.batch(a.field, b.field, points,
+                                                cfg.pattern)
+            out += bk.make_photometric_factors(
+                window, [((a.kf_id, b.kf_id), payloads)], cfg.sigma_intensity,
+                cfg.photometric_gate)
+        return out
+
+    def test_second_window_gates_without_host_calls(self, rng, monkeypatch):
+        nodes, landmarks, intervals, rig = self._scene(rng)
+        cfg = bk.BackendConfig(photometric_gate=float("inf"))
+        first = self._photometric(nodes, landmarks, intervals, rig, cfg)
+        calls = count_field_calls(monkeypatch)
+        second = self._photometric(nodes, landmarks, intervals, rig, cfg)
+        monkeypatch.undo()
+        observers = {id(f.payload.field_obs) for f in second}
+        assert len(observers) == 3
+        assert calls == ["sample"] * len(observers)
+        assert all(f.payload is g.payload for f, g in zip(first, second))
+
+    def test_matches_gating_each_pair_alone(self, rng):
+        nodes, landmarks, intervals, rig = self._scene(rng)
+        for node in nodes[1:]:
+            node.state.p = node.state.p + rng.normal(size=3) * 0.02
+        # a gate at the median residual rejects some patches of the window
+        ungated = self._photometric(nodes, landmarks, intervals, rig,
+                                    bk.BackendConfig(photometric_gate=float("inf")))
+        window = bk.LocalWindow([n.kf_id for n in nodes],
+                                {n.kf_id: n.state for n in nodes}, rig, None)
+        layout = bk._window_layout(window, ungated)
+        batch = bk._PhotometricBatch(window, ungated, layout)
+        res, _, _ = batch.patch_residuals(layout.stack(window.states))
+        gate = float(np.median(np.abs(res) * np.sqrt(batch.infos[:, 0, 0])))
+        cfg = bk.BackendConfig(photometric_gate=gate)
+        got = self._photometric(nodes, landmarks, intervals, rig, cfg)
+        want = self._gated_per_pair(nodes, rig, cfg)
+        assert 0 < len(got) < len(ungated)
+        assert [f.state_ids for f in got] == [f.state_ids for f in want]
+        assert len({f.state_ids for f in got}) == 3
+        for f, ref in zip(got, want):
+            assert f.payload.field_obs is ref.payload.field_obs
+            assert f.payload.depth == ref.payload.depth
+            for name in ("host_pix", "host_vals", "weights"):
+                assert np.array_equal(getattr(f.payload, name),
+                                      getattr(ref.payload, name)), name
+            assert np.array_equal(f.info, ref.info)
+
+    def test_other_pattern_or_cap_rebuilds_the_host_side(self, rng,
+                                                         monkeypatch):
+        nodes, landmarks, intervals, rig = self._scene(rng)
+        cfg = bk.BackendConfig(photometric_gate=float("inf"))
+        self._photometric(nodes, landmarks, intervals, rig, cfg)
+        calls = count_field_calls(monkeypatch)
+        # an equal pattern, but another object
+        other = replace(cfg, pattern=PatchPattern())
+        self._photometric(nodes, landmarks, intervals, rig, other)
+        assert calls.count("gradient") == 3
+        capped = replace(other, photometric_max_points=2)
+        got = self._photometric(nodes, landmarks, intervals, rig, capped)
+        assert calls.count("gradient") == 6
+        assert max(sum(f.state_ids == p for f in got)
+                   for p in ((0, 1), (1, 2), (2, 3))) == 2
 
 
 class TestPhotometricJacobians:
@@ -1056,8 +1150,9 @@ def landmark_window(rng, landmarks=True, photometric=False):
     ``landmarks``, two landmarks are fixed, one is seen by keyframe 3 alone
     and keyframe 2 observes another twice; without, the window has none.
     With ``photometric`` each keyframe has its own field. Returns the window,
-    its ``h`` and ``g`` at its states, its number of state columns and the
-    ids of the single-keyframe and twice-observed landmarks."""
+    its ``h`` and ``g`` at its states, its number of state columns, the
+    ids of the single-keyframe and twice-observed landmarks, and its
+    factors."""
     nodes, lms, intervals, rig, _ = make_scene(rng, n_kf=5, n_lm=10,
                                                kf_steps=20, pixel_noise=0.5)
     twice = nodes[2].observations[0]
@@ -1091,7 +1186,7 @@ def landmark_window(rng, landmarks=True, photometric=False):
                                  layout.landmark_array(window.landmarks))
     h, g = bk._normal_equations(batches, evaluation, layout.ndim)
     n_s = layout.ndim - 3 * len(set(window.landmarks) - window.fixed_landmarks)
-    return window, h, g, n_s, single, twice.landmark_id
+    return window, h, g, n_s, single, twice.landmark_id, factors
 
 
 def damping(h, lam):
@@ -1114,7 +1209,7 @@ class TestLandmarkElimination:
     def test_landmark_blocks_do_not_couple(self, rng):
         # the structure the elimination relies on: no landmark-landmark
         # entry of h outside the 3 x 3 diagonal blocks
-        window, h, _, n_s, _, _ = landmark_window(rng, photometric=True)
+        window, h, _, n_s, _, _, _ = landmark_window(rng, photometric=True)
         n_lm = (len(h) - n_s) // 3
         assert n_lm >= 5 and window.fixed_landmarks
         blocks = h[n_s:, n_s:].reshape(n_lm, 3, n_lm, 3).transpose(0, 2, 1, 3)
@@ -1122,9 +1217,25 @@ class TestLandmarkElimination:
         assert np.all(blocks[off] == 0.0)
         assert np.all(blocks[~off].any(axis=(1, 2)))
 
+    def test_landmarks_couple_only_to_their_observers(self, rng):
+        # the structure the restricted Schur correction relies on: H_sl is
+        # nonzero exactly in the pose columns of the keyframes that observe
+        # a free landmark, a strict subset of the state columns
+        window, h, _, n_s, _, _, factors = landmark_window(rng,
+                                                           photometric=True)
+        layout = bk._window_layout(window, factors)
+        free = set(window.landmarks) - window.fixed_landmarks
+        observers = {f.state_ids[0] for f in factors
+                     if f.landmark_id in free} - window.fixed_states
+        assert len(observers) >= 3
+        pose_cols = {c for sid in observers for c in layout.cols[sid][:6]}
+        nonzero = np.flatnonzero(h[:n_s, n_s:].any(axis=1))
+        assert set(nonzero.tolist()) == pose_cols
+        assert len(pose_cols) < n_s
+
     @pytest.mark.parametrize("lam", [1e-4, 1e-2, 1.0])
     def test_step_matches_dense_solve(self, rng, lam):
-        window, h, g, n_s, single, twice = landmark_window(rng)
+        window, h, g, n_s, single, twice, _ = landmark_window(rng)
         free = sorted(set(window.landmarks) - window.fixed_landmarks)
         assert single in free and twice in free
         k = n_s + 3 * free.index(single)
@@ -1136,7 +1247,7 @@ class TestLandmarkElimination:
 
     @pytest.mark.parametrize("lam", [1e-4, 1.0])
     def test_states_only_step_is_the_dense_solve(self, rng, lam):
-        _, h, g, n_s, _, _ = landmark_window(rng, landmarks=False)
+        _, h, g, n_s, _, _, _ = landmark_window(rng, landmarks=False)
         assert n_s == len(g) == 6 + 9 + 2 * STATE_DOF
         assert np.array_equal(bk._solve_damped(h, damping(h, lam), g, n_s),
                               dense_step(h, g, lam))

@@ -272,6 +272,7 @@ class TestInputErrors:
         ({"fx_px": 0}, "fx_px"),
         ({"fy_px": -300.0}, "fy_px"),
         ({"min_obs_depth_m": 5, "max_obs_depth_m": 2}, "min_obs_depth_m"),
+        ({"kind": "figure8"}, "kind"),
     ])
     def test_malformed_scenario_config(self, tmp_path, capsys, config, key):
         path = tmp_path / "scenario.json"
@@ -318,7 +319,10 @@ class TestInputErrors:
         ({"run_config": {"tracker": {"tau_p": "x"}}}, "tracker.tau_p"),
         ({"scenarios": [{"name": "a", "config": {"duration_s": 2.0}},
                         {"name": "b", "config": {"seed": 1.5}}]}, "scenario b"),
-    ], ids=["unknown-mode", "modes-not-a-list", "run-config", "second-scenario"])
+        ({"scenarios": [{"name": "a", "config": {"duration_s": 2.0}},
+                        {"name": "b", "config": {"kind": "figure8"}}]}, "kind"),
+    ], ids=["unknown-mode", "modes-not-a-list", "run-config", "second-scenario",
+            "unknown-kind"])
     def test_sweep_spec_is_checked_before_any_dataset(self, tmp_path, capsys,
                                                       change, named):
         path = tmp_path / "sweep.json"

@@ -424,6 +424,36 @@ def test_a_resume_keeps_its_linearization_start_and_sample(rng, sensor,
         fn(*args, **kwargs)
 
 
+@pytest.mark.parametrize("change", ["sigma_v", "R_ID", "p_ID"])
+def test_a_dvl_resume_keeps_its_noise_and_extrinsics(rng, change):
+    # a resume at another velocity noise would sum two noise models in one
+    # covariance, and at another mounting two frames in one translation
+    ext = DvlExtrinsics(random_rotation(rng), rng.normal(size=3) * 0.2)
+    imu, _, _, dvl, _ = _world_with_dvl(rng, n_imu=100, dvl_every=7, ext=ext)
+    bg, bv = rng.normal(size=3) * 0.01, rng.normal(size=3) * 0.02
+
+    def span(t_end):
+        return integrate_imu(imu, ImuBias(bg, np.zeros(3)), NOISY, t_start=0.0,
+                             t_end=t_end)
+
+    first = preintegrate_dvl([s for s in dvl if s.t < 0.37], span(0.37), ext,
+                             bg, bv, sigma_v=0.01)
+    buffer = [s for s in dvl if first.last_step.sample_t <= s.t < 0.8]
+    # equal extrinsics in other arrays resume
+    same = DvlExtrinsics(ext.R_ID.copy(), ext.p_ID.copy())
+    preintegrate_dvl(buffer, span(0.8), same, bg, bv, sigma_v=0.01,
+                     resume=first)
+    other, sigma_v = {
+        "sigma_v": (same, 0.5),
+        "R_ID": (DvlExtrinsics(ext.R_ID @ exp_so3(np.array([0.0, 0.0, 1e-3])),
+                               ext.p_ID), 0.01),
+        "p_ID": (DvlExtrinsics(ext.R_ID, ext.p_ID + [0.0, 0.0, 1e-3]), 0.01),
+    }[change]
+    with pytest.raises(ValueError, match="resumes only"):
+        preintegrate_dvl(buffer, span(0.8), other, bg, bv, sigma_v=sigma_v,
+                         resume=first)
+
+
 def estimate(state, gyro, ext):
     """``dvl_velocity_estimate`` at one state."""
     return dvl_velocity_estimate(state.R[None], state.v[None], gyro[None], ext)[0]

@@ -131,7 +131,7 @@ class TestRefinePhotometric:
         for pixel, depth in points:
             f = bk.Factor(bk.FactorKind.PHOTOMETRIC, (0, 1),
                           bk.PhotometricData.batch(fields[0], fields[1],
-                                                   [pixel], [depth],
+                                                   [(pixel, depth)],
                                                    bk.PatchPattern())[0],
                           np.eye(1))
             r, _, _ = f.evaluate(states, {}, rig)

@@ -292,8 +292,8 @@ def _photometric(field_i, field_j, T_CjCi, p, depth_p, pattern,
     t_wcj = T_CjCi.inverse()
     obs = NavState(t_wcj.R, t_wcj.t, np.zeros(3)).retract(d_obs)
     factor = bk.Factor(bk.FactorKind.PHOTOMETRIC, (0, 1),
-                       bk.PhotometricData.batch(field_i, field_j, [p],
-                                                [depth_p], pattern)[0],
+                       bk.PhotometricData.batch(field_i, field_j,
+                                                [(p, depth_p)], pattern)[0],
                        np.eye(1))
     res, js, _ = factor.evaluate({0: host, 1: obs}, {}, RIG)
     return (res[0], js[1]) if blocks else res[0]
