@@ -31,9 +31,9 @@ the observing keyframes' pose columns alone, solves the state system alone,
 and is judged against the tolerances before it is evaluated.
 ``Factor.evaluate`` is a batch of one.
 
-A keyframe pair's measurement-only data (information matrices, photometric
-host payloads) is built once, in its ``IntervalData``, for every window that
-spans the pair; each window gates all its photometric patches in one batch.
+A keyframe pair's photometric patches are measurements too: the tracker
+builds them once with ``photometric_payloads``, when it makes the pair, and
+the pair's ``IntervalData`` carries them to each window, which gates them.
 """
 
 from __future__ import annotations
@@ -110,26 +110,13 @@ class SensorRig:
 
 @dataclass(frozen=True)
 class PhotometricData:
+    """A patch of ``photometric_payloads``: the observer's field, and the
+    host camera's pattern points (m, 3), values and weights (m,)."""
+
     field_obs: IntensityField
-    depth: float
-    # host-side quantities are fixed per factor, cached by ``batch``
-    host_pix: np.ndarray
+    pts_ci: np.ndarray
     host_vals: np.ndarray
     weights: np.ndarray
-
-    @classmethod
-    def batch(cls, field_host: IntensityField, field_obs: IntensityField,
-              points, pattern: PatchPattern) -> list[PhotometricData]:
-        """One payload per (pixel, depth) of ``points``, with the host-side
-        caches of all patches taken from one field call."""
-        if len(points) == 0:
-            return []
-        pix = np.array([p for p, _ in points], dtype=float)[:, None, :] \
-            + pattern.offsets  # (n, m, 2)
-        vals, grads = field_host.gradient(pix)
-        weights = pattern.weights(grads)
-        return [cls(field_obs, float(depth), pix[k], vals[k], weights[k])
-                for k, (_, depth) in enumerate(points)]
 
 
 @dataclass
@@ -359,8 +346,7 @@ class _PhotometricBatch(_Batch):
         payloads = [f.payload for f in factors]
         self.host_vals = np.stack([d.host_vals for d in payloads])  # (n, m)
         self.weights = np.stack([d.weights for d in payloads])      # (n, m)
-        self.pts_ci = self.rig.cam.backproject(                     # (n, m, 3)
-            np.stack([d.host_pix for d in payloads]), [[d.depth] for d in payloads])
+        self.pts_ci = np.stack([d.pts_ci for d in payloads])        # (n, m, 3)
         fields: dict[int, tuple] = {}
         for k, d in enumerate(payloads):
             fields.setdefault(id(d.field_obs), (d.field_obs, []))[1].append(k)
@@ -701,13 +687,13 @@ def solve(window: LocalWindow, factors: list[Factor],
 
 @dataclass
 class KeyframeNode:
-    """Everything the window builder needs to know about one keyframe."""
+    """One keyframe's state and measurements; its photometric patches are
+    its pairs' (``IntervalData``)."""
 
     kf_id: int
     t: float
     state: NavState
     observations: list[LandmarkObservation] = dc_field(default_factory=list)
-    field: IntensityField | None = None
     gyro: np.ndarray | None = None
     dvl_meas: DvlSample | None = None
     pressure_meas: PressureSample | None = None
@@ -715,13 +701,13 @@ class KeyframeNode:
 
 @dataclass
 class IntervalData:
-    """Preintegrated measurements covering one consecutive keyframe pair,
-    and what every window that spans it shares, each made once: their
-    information matrices and the pair's photometric ``host_payloads``."""
+    """The measurements of one consecutive keyframe pair, its
+    preintegrations and photometric patches (made with the pair), and their
+    information matrices, inverted once for every window that spans it."""
 
     imu_preint: ImuPreintegrated
     dvl_preint: DvlPreintegrated | None = None
-    _hosts: tuple | None = dc_field(default=None, init=False, repr=False)
+    photometric: list[PhotometricData] = dc_field(default_factory=list)
 
     @cached_property
     def imu_info(self) -> np.ndarray:
@@ -730,24 +716,6 @@ class IntervalData:
     @cached_property
     def dvl_info(self) -> np.ndarray:
         return _safe_inverse(self.dvl_preint.cov)
-
-    def host_payloads(self, a: KeyframeNode, b: KeyframeNode, cam: CameraModel,
-                      pattern: PatchPattern, max_points: int) -> list[PhotometricData]:
-        """The photometric payloads of this interval's pair ``a``, ``b``: the
-        points of ``photometric_hosts`` with their host-side patch data, from
-        one ``PhotometricData.batch``. They depend on measurements alone, so
-        the first call builds them and a later one rebuilds them only for
-        another ``pattern`` object, point cap or field."""
-        built = self._hosts
-        if (built is None or built[0] is not pattern or built[1] != max_points
-                or built[2] is not a.field or built[3] is not b.field):
-            points = photometric_hosts(
-                sorted(a.observations, key=lambda o: o.landmark_id),
-                b.observations, cam, max_points)
-            built = self._hosts = (pattern, max_points, a.field, b.field,
-                                   PhotometricData.batch(a.field, b.field,
-                                                         points, pattern))
-        return built[4]
 
 
 @dataclass
@@ -811,11 +779,10 @@ def assemble_window(keyframes: list[KeyframeNode],
     One inertial factor per consecutive pair (coverage required), DVL
     translation, DVL relative-velocity and relative-depth factors per pair
     whose interval and keyframes carry those measurements, a reprojection
-    factor per (keyframe, landmark) observation, and photometric factors
-    between consecutive textured keyframes for up to
-    ``photometric_max_points`` host points with known stereo depth, their
-    host side built once per pair (``IntervalData.host_payloads``) and all
-    the window's patches gated in one batch (``make_photometric_factors``).
+    factor per (keyframe, landmark) observation, and a photometric factor
+    per patch its pairs carry (``IntervalData.photometric``, made with the
+    pair), all the window's patches gated in one batch
+    (``make_photometric_factors``).
 
     The window holds only what can move the solution: a consecutive pair of
     fixed keyframes gets none of these pair factors, and a fixed keyframe no
@@ -840,20 +807,18 @@ def assemble_window(keyframes: list[KeyframeNode],
     )
 
     factors: list[Factor] = []
-
-    def live_pair(a: KeyframeNode, b: KeyframeNode) -> bool:
-        # a gap means a co-visible prior: visual factors only
-        return b.kf_id == a.kf_id + 1 and not (a.kf_id in fixed_ids
-                                               and b.kf_id in fixed_ids)
-
+    patches = []  # (state pair, its photometric payloads)
     for a, b in zip(keyframes[:-1], keyframes[1:]):
-        if not live_pair(a, b):
+        # a gap means a co-visible prior: visual factors only
+        if b.kf_id != a.kf_id + 1 or (a.kf_id in fixed_ids
+                                      and b.kf_id in fixed_ids):
             continue
         key = (a.kf_id, b.kf_id)
         if key not in intervals:
             raise PreintCoverageError(
                 f"no inertial preintegration covering [{a.t}, {b.t}]")
         data = intervals[key]
+        patches.append((key, data.photometric))
         dt = max(b.t - a.t, 1e-9)
         walk = np.concatenate([
             np.full(3, 1.0 / (noise.sigma_bg_walk**2 * dt)),
@@ -896,14 +861,8 @@ def assemble_window(keyframes: list[KeyframeNode],
                            landmark_id=obs.landmark_id)
                     for obs, behind in zip(seen, z <= 1e-3) if not behind]
 
-    if cfg.photometric_enabled:
-        pairs = [((a.kf_id, b.kf_id), intervals[(a.kf_id, b.kf_id)].host_payloads(
-                     a, b, rig.cam, cfg.pattern, cfg.photometric_max_points))
-                 for a, b in zip(keyframes[:-1], keyframes[1:])
-                 if live_pair(a, b) and a.field is not None and b.field is not None
-                 and len(a.field.amplitudes) and len(b.field.amplitudes)]
-        factors += make_photometric_factors(window, pairs, cfg.sigma_intensity,
-                                            cfg.photometric_gate)
+    factors += make_photometric_factors(window, patches, cfg.sigma_intensity,
+                                        cfg.photometric_gate)
 
     observed = {f.landmark_id for f in factors if f.landmark_id is not None}
     window.landmarks = {lid: pos for lid, pos in window_lms.items()
@@ -912,22 +871,36 @@ def assemble_window(keyframes: list[KeyframeNode],
     return window, factors
 
 
-def photometric_hosts(observations, seen, cam: CameraModel, max_points: int):
-    """The (pixel, stereo depth) host points of photometric patches: the
-    first ``max_points`` ``observations`` with a depth whose landmark the
-    other frame's observations ``seen`` hold too, as luminance constancy
-    needs."""
-    ids = {o.landmark_id for o in seen}
-    hosts = [o for o in observations if (o.disparity or 0.0) > MIN_HOST_DISPARITY_PX
-             and o.landmark_id in ids][:max_points]
-    return list(zip([o.pixel for o in hosts],
-                    cam.stereo_depth([o.disparity for o in hosts])))
+def photometric_payloads(host_field, host_obs, obs_field, obs_obs,
+                         cam: CameraModel, cfg: BackendConfig) -> list[PhotometricData]:
+    """A frame pair's photometric patches, none if ``cfg`` turns them off or
+    a field is missing or has no bumps: one per host point, the first
+    ``photometric_max_points`` of ``host_obs`` with a stereo depth whose
+    landmark ``obs_obs`` holds too, as luminance constancy needs; their host
+    side from one ``gradient`` call on ``host_field``."""
+    if not (cfg.photometric_enabled and host_field is not None
+            and obs_field is not None and len(host_field.amplitudes)
+            and len(obs_field.amplitudes)):
+        return []
+    ids = {o.landmark_id for o in obs_obs}
+    hosts = [o for o in host_obs if (o.disparity or 0.0) > MIN_HOST_DISPARITY_PX
+             and o.landmark_id in ids][:cfg.photometric_max_points]
+    if not hosts:
+        return []
+    pix = np.array([o.pixel for o in hosts])[:, None, :] \
+        + cfg.pattern.offsets  # (n, m, 2)
+    vals, grads = host_field.gradient(pix)
+    weights = cfg.pattern.weights(grads)
+    depth = cam.stereo_depth([o.disparity for o in hosts])
+    pts = cam.backproject(pix, depth[:, None])
+    return [PhotometricData(obs_field, pts[k], vals[k], weights[k])
+            for k in range(len(hosts))]
 
 
 def make_photometric_factors(window: LocalWindow, pairs,
                              sigma_intensity: float, gate: float) -> list[Factor]:
     """Photometric factors, one per payload of each ``(ids, payloads)`` of
-    ``pairs`` (the state pair and its host payloads, built beforehand), in
+    ``pairs`` (the state pair and its ``photometric_payloads``), in
     pair order, with per-point intensity noise ``sigma_intensity``, gated
     at the states of the ``window`` they will join. A patch is kept when
     every point warps in front of and inside the observer image and its

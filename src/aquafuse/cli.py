@@ -256,19 +256,32 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"{args.config}: 'modes' is not a list")
     for k, mode in enumerate(modes):
         _named(f"{args.config}: modes[{k}]", EstimatorMode, mode)
-    scenario_cfgs = []
+    scenario_cfgs = {}
     for entry in scenarios:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
             raise ValueError(f"{args.config}: scenario {entry!r} is not an "
                              "object with a 'name' string")
-        scenario_cfgs.append((entry["name"], _named(
-            f"{args.config}: scenario {entry['name']}",
-            sim.ScenarioConfig.from_dict, entry.get("config", {}))))
+        name = entry["name"]
+        if name in ("", ".", "..") or os.path.dirname(name):
+            raise ValueError(f"{args.config}: scenario name {name!r} is not "
+                             "one plain path component")
+        if name in scenario_cfgs:
+            raise ValueError(f"{args.config}: scenario name {name!r} is "
+                             "given twice")
+        scenario_cfgs[name] = _named(f"{args.config}: scenario {name}",
+                                     sim.ScenarioConfig.from_dict,
+                                     entry.get("config", {}))
     workers = _worker_count()
+    # a dataset left by an earlier sweep is reused only for its own config
+    for name, s_cfg in scenario_cfgs.items():
+        dataset_dir = os.path.join(args.out, name, "dataset")
+        if os.path.exists(dataset_dir) and sim.read_config(dataset_dir) != s_cfg:
+            raise RefusalError(f"{dataset_dir} holds another config than "
+                               f"scenario {name} (remove it to simulate anew)")
     os.makedirs(args.out, exist_ok=True)
 
     cells = []
-    for name, s_cfg in scenario_cfgs:
+    for name, s_cfg in scenario_cfgs.items():
         dataset_dir = os.path.join(args.out, name, "dataset")
         if not os.path.exists(dataset_dir):
             sim.write_dataset(sim.simulate(s_cfg), dataset_dir)

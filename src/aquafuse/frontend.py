@@ -31,7 +31,6 @@ from .imu import (ImuBias, ImuNoiseSpec, ImuPreintegrated, ImuSample,
                   correct_imu_bias, integrate_imu, predict_state_imu)
 from .manifold import Pose, rotation_angle
 from .state import NavState
-from .visual import IntensityField
 
 
 class InsufficientObservationsError(ValueError):
@@ -146,15 +145,14 @@ class RefineResult:
     pose: Pose
 
 
-def refine_photometric(coarse: Pose, ref_pose: Pose,
-                       ref_field: IntensityField, cur_field: IntensityField,
-                       points, rig: bk.SensorRig, cfg: TrackerConfig,
+def refine_photometric(coarse: Pose, ref_pose: Pose, payloads,
+                       rig: bk.SensorRig, cfg: TrackerConfig,
                        backend_cfg: bk.BackendConfig) -> RefineResult:
     """Direct sparse refinement of a coarse pose against the reference
-    frame's intensity field. ``points`` is a sequence of (pixel, depth)
-    anchored in the reference frame; the patch pattern, intensity noise,
+    frame, over the patches ``payloads`` it hosts toward the current frame
+    (``bk.photometric_payloads``, made by the caller); the intensity noise,
     gate and Huber knee are the tracking ones of ``backend_cfg``. Never
-    increases the photometric cost; points whose warp leaves the current
+    increases the photometric cost; patches whose warp leaves the current
     image (or fails the Mahalanobis gate at the coarse pose) are dropped,
     and if none survive the coarse pose is returned."""
     window = bk.LocalWindow(
@@ -162,8 +160,6 @@ def refine_photometric(coarse: Pose, ref_pose: Pose,
         states={0: NavState(ref_pose.R, ref_pose.t, np.zeros(3)),
                 1: NavState(coarse.R, coarse.t, np.zeros(3))},
         fixed_states={0}, state_masks={1: bk.POSE_MASK})
-    payloads = bk.PhotometricData.batch(ref_field, cur_field, points,
-                                        backend_cfg.pattern)
     factors = bk.make_photometric_factors(
         window, [((0, 1), payloads)], backend_cfg.sigma_intensity_track,
         backend_cfg.photometric_track_gate)
@@ -293,6 +289,7 @@ class Tracker:
 
         self.map: dict[int, np.ndarray] = {}
         self.keyframes: list[bk.KeyframeNode] = []
+        self.kf_frame = None  # the last keyframe's frame
         self.intervals: dict[tuple[int, int], bk.IntervalData] = {}
         self.reports: list[bk.SolveReport] = []
         self.interval: bk.IntervalData | None = None  # the running one
@@ -331,14 +328,14 @@ class Tracker:
         self.interval = bk.IntervalData(imu, dvl)
         return self.interval
 
-    def _node(self, kf_id: int, t: float, state: NavState, observations,
-              intensity: IntensityField | None = None) -> bk.KeyframeNode:
+    def _node(self, kf_id: int, t: float, state: NavState,
+              observations) -> bk.KeyframeNode:
         """A window node at frame time ``t`` with the measurements of the
         mode's sensors, and the nearest gyro reading."""
         mode, vision = self.cfg.mode, self.cfg.mode.uses_vision
         return bk.KeyframeNode(
             kf_id, t, state, list(observations) if vision else [],
-            intensity if vision else None, self.gyro_at.get(t),
+            self.gyro_at.get(t),
             self.dvl_at.get(t) if mode.uses_dvl else None,
             self.pressure_at.get(t) if mode.uses_pressure else None)
 
@@ -374,13 +371,21 @@ class Tracker:
             self.map.update(zip(new, pose.compose(self.rig.T_IC).transform(x_c)))
 
     def _make_keyframe(self, frame, nav: NavState, interval):
+        """A keyframe at ``frame``. The pair it closes keeps ``interval``,
+        with the pair's patches hosted at the last keyframe's lowest
+        landmark ids (none without vision: its nodes observe nothing)."""
         kf_id = len(self.keyframes)
+        node = self._node(kf_id, frame.t, nav.copy(), frame.observations)
         if self.keyframes:
-            self.intervals[(self.keyframes[-1].kf_id, kf_id)] = interval
+            last = self.keyframes[-1]
+            interval.photometric = bk.photometric_payloads(
+                self.kf_frame.field,
+                sorted(last.observations, key=lambda o: o.landmark_id),
+                frame.field, node.observations, self.rig.cam, self.cfg.backend)
+            self.intervals[(last.kf_id, kf_id)] = interval
         if self.cfg.mode.uses_vision:
             self._init_landmarks(frame, nav.pose())
-        node = self._node(kf_id, frame.t, nav.copy(), frame.observations,
-                          frame.field)
+        self.kf_frame = frame
         self.keyframes.append(node)
 
     def _window_ba(self):
@@ -449,18 +454,14 @@ class Tracker:
                                         tracker_cfg, backend_cfg)
                     # direct refinement against the previous frame: the short
                     # baseline keeps the luminance-constancy assumption tight
-                    if (backend_cfg.photometric_enabled
-                            and frame.field is not None
-                            and len(prev_frame.field.amplitudes) > 0
-                            and len(frame.field.amplitudes) > 0):
-                        pts = bk.photometric_hosts(
-                            prev_frame.observations, frame.observations,
-                            self.rig.cam, backend_cfg.photometric_max_points)
-                        if pts:
-                            pose = refine_photometric(
-                                pose, frames_out[-1].T_WI, prev_frame.field,
-                                frame.field, pts, self.rig, tracker_cfg,
-                                backend_cfg).pose
+                    payloads = bk.photometric_payloads(
+                        prev_frame.field, prev_frame.observations,
+                        frame.field, frame.observations, self.rig.cam,
+                        backend_cfg)
+                    if payloads:
+                        pose = refine_photometric(
+                            pose, frames_out[-1].T_WI, payloads, self.rig,
+                            tracker_cfg, backend_cfg).pose
                     init = NavState(pose.R, pose.t, pred.v,
                                     kf.state.bg, kf.state.ba, kf.state.bv)
                     nav, cost = self._mini_solve(kf, t, init, tracked_obs,

@@ -171,6 +171,11 @@ class ScenarioConfig:
             if np.shape(w) != (2,) or not 0.0 <= w[0] < w[1] <= self.duration_s:
                 raise ValueError(f"degradation_windows_s: {w!r} is no window "
                                  f"[t_start, t_end] in [0, {self.duration_s}]")
+        for name in ("R_IC", "R_ID"):
+            r = np.reshape(getattr(self, name), (3, 3))
+            if not (abs(r.T @ r - np.eye(3)).max() <= 1e-9 and np.linalg.det(r) > 0):
+                raise ValueError(f"{name} is no rotation (orthonormal within "
+                                 "1e-9, determinant +1)")
 
     def to_dict(self) -> dict:
         out = {}
@@ -538,9 +543,12 @@ def _scalar_of(rec: dict, key: str, path: str, lineno: int, kind=float):
 def _parse_t(rec: dict, path: str, lineno: int) -> float:
     raw = _field_of(rec, "t", path, lineno)
     try:
-        return float(raw)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}:{lineno}: bad timestamp {raw!r}") from exc
+        t = float(raw)
+    except (TypeError, ValueError):
+        t = math.nan
+    if not math.isfinite(t):
+        raise ParseError(f"{path}:{lineno}: bad timestamp {raw!r}")
+    return t
 
 
 def _stream(path: str, name: str):
@@ -574,7 +582,7 @@ def _frame(cfg: ScenarioConfig, t: float, rec: dict, at) -> FrameData:
         _scalar_of(fld, "offset", *at) if "offset" in fld else 0.0))
 
 
-def read_dataset(path: str) -> SensorDataset:
+def read_config(path: str) -> ScenarioConfig:
     meta_path = os.path.join(path, "meta.json")
     try:
         with open(meta_path) as fh:
@@ -584,10 +592,13 @@ def read_dataset(path: str) -> SensorDataset:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{meta_path}: invalid JSON ({exc})") from exc
     try:
-        cfg = ScenarioConfig.from_dict(meta)
+        return ScenarioConfig.from_dict(meta)
     except ValueError as exc:
         raise ParseError(f"{meta_path}: {exc}") from exc
 
+
+def read_dataset(path: str) -> SensorDataset:
+    cfg = read_config(path)
     imu = [ImuSample(t, _field_of(rec, "gyro", *at, (3,)),
                      _field_of(rec, "accel", *at, (3,)))
            for t, rec, at in _stream(path, "imu.jsonl")]

@@ -1,7 +1,8 @@
 """Shared test utilities: finite-difference Jacobians, discrete-time world
 generators (oracles for the zero-order-hold integrators), per-step
 reference forms of the array-coded integrators and of dead reckoning, the
-scalar Huber kernel, DVL dead reckoning, and random states."""
+scalar Huber kernel, DVL dead reckoning, random states, and the
+photometric patches of keyframe pairs as the tracker makes them."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from aquafuse.backend import photometric_payloads
 from aquafuse.dvl import DvlExtrinsics, DvlSample
 from aquafuse.imu import ImuBias, ImuNoiseSpec, ImuSample, hold_intervals
 from aquafuse.manifold import SMALL_ANGLE, exp_so3, hat
@@ -41,6 +43,19 @@ def init_landmarks_reference(landmarks: dict, rig, frame, pose) -> None:
         x_c = np.array([(u - cam.cx) / cam.fx * depth,
                         (v - cam.cy) / cam.fy * depth, depth])
         landmarks[obs.landmark_id] = t_wc.transform(x_c)
+
+
+def fill_photometric(nodes, fields, intervals, cam, cfg) -> None:
+    """Give each pair of consecutive ``nodes`` that ``intervals`` holds the
+    photometric patches the tracker makes with a pair: hosted by the first
+    node's observations at their lowest landmark ids, in its field of
+    ``fields`` (one per node), toward the second's observations and field."""
+    for (a, f_a), (b, f_b) in zip(zip(nodes, fields),
+                                  zip(nodes[1:], fields[1:])):
+        if (a.kf_id, b.kf_id) in intervals:
+            intervals[(a.kf_id, b.kf_id)].photometric = photometric_payloads(
+                f_a, sorted(a.observations, key=lambda o: o.landmark_id),
+                f_b, b.observations, cam, cfg)
 
 
 def fd_jacobian(fn, dim, retract, h=1e-6):

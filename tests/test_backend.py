@@ -14,8 +14,8 @@ from aquafuse.state import (PHI, STATE_DOF, NavState, retract_rows,
 from aquafuse.visual import IntensityField, LandmarkObservation, PatchPattern
 
 from helpers import (discrete_imu_world, dvl_samples_from_world,
-                     fd_jacobian, huber_cost, jac_close, project,
-                     random_nav_state, robust_weight)
+                     fd_jacobian, fill_photometric, huber_cost, jac_close,
+                     project, random_nav_state, robust_weight)
 
 NOISY = ImuNoiseSpec(sigma_g=2e-4, sigma_a=2e-3)
 # the sensor noise the window factors of these scenes assume
@@ -195,9 +195,9 @@ class TestAssembleWindow:
     def test_no_factor_between_fixed_keyframes(self, rng):
         nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=4,
                                                          kf_steps=8)
-        for node in nodes:
-            node.field = bumpy_field(rng)
+        fields = [bumpy_field(rng) for _ in nodes]
         cfg = bk.BackendConfig(photometric_gate=float("inf"))
+        fill_photometric(nodes, fields, intervals, rig.cam, cfg)
         _, factors = bk.assemble_window(nodes, landmarks, intervals, rig, cfg,
                                         NOISE, fixed_ids={0, 1})
         K = bk.FactorKind
@@ -233,8 +233,8 @@ class TestAssembleWindow:
         assert 99 not in observed
         assert set(window.landmarks) == observed
         assert window.fixed_landmarks == set()
-        # without observations or fields no factor observes a landmark
-        blind = [replace(n, observations=[], field=None) for n in nodes]
+        # without observations no factor observes a landmark
+        blind = [replace(n, observations=[]) for n in nodes]
         window, _ = bk.assemble_window(blind, landmarks, intervals, rig,
                                        bk.BackendConfig(), NOISE, fixed_ids={0})
         assert window.landmarks == {}
@@ -706,23 +706,21 @@ def pair_window(rng, n_kf=12, biased=True, photometric=False):
     5 and 8 are solved for pose and velocity and for pose only. States from
     3 on are perturbed, with their biases off the linearization when
     ``biased``; with ``photometric`` every keyframe has its own field and
-    each live pair its photometric factors. Returns the window, all factors
+    each live pair its photometric patches. Returns the window, all factors
     and the pair factors (their information scaled to a largest entry of
     1)."""
     nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=n_kf, n_lm=6,
                                                      kf_steps=10)
     nodes = [nodes[0]] + nodes[2:]
-    if photometric:
-        for node in nodes:
-            node.field = bumpy_field(rng)
+    fields = [bumpy_field(rng) for _ in nodes] if photometric else []
     for node in nodes[2:]:
         st = node.state
         st.R = st.R @ exp_so3(rng.normal(size=3) * 0.02)
         st.p, st.v = st.p + rng.normal(size=3) * 0.05, st.v + rng.normal(size=3) * 0.05
         if biased:
             st.bg, st.ba, st.bv = (rng.normal(size=3) * s for s in (1e-3, 1e-2, 1e-2))
-    cfg = bk.BackendConfig(photometric_enabled=photometric,
-                           photometric_gate=float("inf"))
+    cfg = bk.BackendConfig(photometric_gate=float("inf"))
+    fill_photometric(nodes, fields, intervals, rig.cam, cfg)
     window, factors = bk.assemble_window(nodes, landmarks, intervals, rig, cfg,
                                          NOISE, fixed_ids={0, 2})
     window.state_masks[5] = bk.POSE_VEL_MASK
@@ -880,12 +878,15 @@ class TestPairKindWorkCount:
         assert field_calls.count("sample") == 0
 
     def test_one_field_call_per_payload_batch(self, rng, monkeypatch):
-        field = bumpy_field(rng)
-        field_calls = count_field_calls(monkeypatch)
+        field, cam = bumpy_field(rng), default_rig().cam
         pattern = PatchPattern()
         pixels = rng.uniform([100, 100], [540, 260], (5, 2))
-        payloads = bk.PhotometricData.batch(
-            field, field, [(p, 2.0) for p in pixels], pattern)
+        depths = rng.uniform(2.0, 5.0, 5)
+        obs = [LandmarkObservation(0, k, pix, cam.fx * cam.baseline / z)
+               for k, (pix, z) in enumerate(zip(pixels, depths))]
+        field_calls = count_field_calls(monkeypatch)
+        payloads = bk.photometric_payloads(field, obs, field, obs, cam,
+                                           bk.BackendConfig(pattern=pattern))
         assert field_calls == ["gradient"]
         pts = pixels[:, None, :] + pattern.offsets
         monkeypatch.undo()
@@ -894,6 +895,10 @@ class TestPairKindWorkCount:
                               vals.reshape(5, -1))
         assert np.array_equal(np.stack([d.weights for d in payloads]),
                               pattern.weights(grads).reshape(5, -1))
+        # the host points, back-projected once, at the stereo depths
+        depths = cam.stereo_depth([o.disparity for o in obs])
+        assert np.array_equal(np.stack([d.pts_ci for d in payloads]),
+                              cam.backproject(pts, depths[:, None]))
 
 
 def photometric_window(rng, fixed_ids=(), info_scale=None):
@@ -901,9 +906,9 @@ def photometric_window(rng, fixed_ids=(), info_scale=None):
     field, and the photometric factors of its three consecutive pairs (with
     information ``info_scale`` when given)."""
     nodes, _, intervals, rig, _ = make_scene(rng, n_kf=4, n_lm=8, kf_steps=8)
-    for node in nodes:
-        node.field = bumpy_field(rng)
+    fields = [bumpy_field(rng) for _ in nodes]
     cfg = bk.BackendConfig(photometric_gate=float("inf"))
+    fill_photometric(nodes, fields, intervals, rig.cam, cfg)
     window, factors = bk.assemble_window(nodes, {}, intervals, rig, cfg, NOISE,
                                          fixed_ids=set(fixed_ids))
     factors = [f for f in factors if f.kind is bk.FactorKind.PHOTOMETRIC]
@@ -942,17 +947,17 @@ class TestBatchedPhotometric:
 
 
 class TestPhotometricHostsOnce:
-    """A keyframe pair's photometric host side is built once, by the first
-    window that holds the pair, and each window gates all its pairs' patches
-    in one batch."""
+    """A keyframe pair's photometric host side is built once, with the pair,
+    and each window gates all its pairs' patches in one batch, with no host
+    side call."""
 
     @staticmethod
-    def _scene(rng):
+    def _scene(rng, cfg=bk.BackendConfig()):
         nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=4, n_lm=8,
                                                          kf_steps=8)
-        for node in nodes:
-            node.field = bumpy_field(rng)
-        return nodes, landmarks, intervals, rig
+        fields = [bumpy_field(rng) for _ in nodes]
+        fill_photometric(nodes, fields, intervals, rig.cam, cfg)
+        return nodes, landmarks, intervals, rig, fields
 
     @staticmethod
     def _photometric(nodes, landmarks, intervals, rig, cfg):
@@ -961,38 +966,40 @@ class TestPhotometricHostsOnce:
         return [f for f in factors if f.kind is bk.FactorKind.PHOTOMETRIC]
 
     @staticmethod
-    def _gated_per_pair(nodes, rig, cfg):
+    def _gated_per_pair(nodes, fields, rig, cfg):
         """The photometric factors of each pair built and gated on its own,
         at the window of ``assemble_window``."""
         window = bk.LocalWindow([n.kf_id for n in nodes],
                                 {n.kf_id: n.state for n in nodes}, rig,
                                 cfg.huber_delta, fixed_states={0})
         out = []
-        for a, b in zip(nodes[:-1], nodes[1:]):
-            points = bk.photometric_hosts(
-                sorted(a.observations, key=lambda o: o.landmark_id),
-                b.observations, rig.cam, cfg.photometric_max_points)
-            payloads = bk.PhotometricData.batch(a.field, b.field, points,
-                                                cfg.pattern)
+        for k, (a, b) in enumerate(zip(nodes[:-1], nodes[1:])):
+            payloads = bk.photometric_payloads(
+                fields[k], sorted(a.observations, key=lambda o: o.landmark_id),
+                fields[k + 1], b.observations, rig.cam, cfg)
             out += bk.make_photometric_factors(
                 window, [((a.kf_id, b.kf_id), payloads)], cfg.sigma_intensity,
                 cfg.photometric_gate)
         return out
 
     def test_second_window_gates_without_host_calls(self, rng, monkeypatch):
-        nodes, landmarks, intervals, rig = self._scene(rng)
+        nodes, landmarks, intervals, rig, _ = self._scene(rng)
         cfg = bk.BackendConfig(photometric_gate=float("inf"))
-        first = self._photometric(nodes, landmarks, intervals, rig, cfg)
         calls = count_field_calls(monkeypatch)
+        first = self._photometric(nodes, landmarks, intervals, rig, cfg)
         second = self._photometric(nodes, landmarks, intervals, rig, cfg)
         monkeypatch.undo()
         observers = {id(f.payload.field_obs) for f in second}
         assert len(observers) == 3
-        assert calls == ["sample"] * len(observers)
+        # each window: one sample per distinct observer field, no gradient
+        assert calls == ["sample"] * (2 * len(observers))
         assert all(f.payload is g.payload for f, g in zip(first, second))
+        assert [f.payload for f in first] == [
+            d for key in ((0, 1), (1, 2), (2, 3))
+            for d in intervals[key].photometric]
 
     def test_matches_gating_each_pair_alone(self, rng):
-        nodes, landmarks, intervals, rig = self._scene(rng)
+        nodes, landmarks, intervals, rig, fields = self._scene(rng)
         for node in nodes[1:]:
             node.state.p = node.state.p + rng.normal(size=3) * 0.02
         # a gate at the median residual rejects some patches of the window
@@ -1006,33 +1013,30 @@ class TestPhotometricHostsOnce:
         gate = float(np.median(np.abs(res) * np.sqrt(batch.infos[:, 0, 0])))
         cfg = bk.BackendConfig(photometric_gate=gate)
         got = self._photometric(nodes, landmarks, intervals, rig, cfg)
-        want = self._gated_per_pair(nodes, rig, cfg)
+        want = self._gated_per_pair(nodes, fields, rig, cfg)
         assert 0 < len(got) < len(ungated)
         assert [f.state_ids for f in got] == [f.state_ids for f in want]
         assert len({f.state_ids for f in got}) == 3
         for f, ref in zip(got, want):
             assert f.payload.field_obs is ref.payload.field_obs
-            assert f.payload.depth == ref.payload.depth
-            for name in ("host_pix", "host_vals", "weights"):
+            for name in ("pts_ci", "host_vals", "weights"):
                 assert np.array_equal(getattr(f.payload, name),
                                       getattr(ref.payload, name)), name
             assert np.array_equal(f.info, ref.info)
 
-    def test_other_pattern_or_cap_rebuilds_the_host_side(self, rng,
-                                                         monkeypatch):
-        nodes, landmarks, intervals, rig = self._scene(rng)
+    def test_point_cap_bounds_each_pair(self, rng):
+        nodes, landmarks, intervals, rig, fields = self._scene(rng)
         cfg = bk.BackendConfig(photometric_gate=float("inf"))
-        self._photometric(nodes, landmarks, intervals, rig, cfg)
-        calls = count_field_calls(monkeypatch)
-        # an equal pattern, but another object
-        other = replace(cfg, pattern=PatchPattern())
-        self._photometric(nodes, landmarks, intervals, rig, other)
-        assert calls.count("gradient") == 3
-        capped = replace(other, photometric_max_points=2)
-        got = self._photometric(nodes, landmarks, intervals, rig, capped)
-        assert calls.count("gradient") == 6
-        assert max(sum(f.state_ids == p for f in got)
-                   for p in ((0, 1), (1, 2), (2, 3))) == 2
+
+        def most_per_pair():
+            got = self._photometric(nodes, landmarks, intervals, rig, cfg)
+            return max(sum(f.state_ids == p for f in got)
+                       for p in ((0, 1), (1, 2), (2, 3)))
+
+        assert most_per_pair() > 2
+        fill_photometric(nodes, fields, intervals, rig.cam,
+                         replace(cfg, photometric_max_points=2))
+        assert most_per_pair() == 2
 
 
 class TestPhotometricJacobians:
@@ -1149,7 +1153,8 @@ def landmark_window(rng, landmarks=True, photometric=False):
     velocity, 2 for pose only, 3 and 4 in full, all but 0 perturbed. With
     ``landmarks``, two landmarks are fixed, one is seen by keyframe 3 alone
     and keyframe 2 observes another twice; without, the window has none.
-    With ``photometric`` each keyframe has its own field. Returns the window,
+    With ``photometric`` each keyframe has its own field, and each pair its
+    patches. Returns the window,
     its ``h`` and ``g`` at its states, its number of state columns, the
     ids of the single-keyframe and twice-observed landmarks, and its
     factors."""
@@ -1158,12 +1163,13 @@ def landmark_window(rng, landmarks=True, photometric=False):
     twice = nodes[2].observations[0]
     single = next(o.landmark_id for o in nodes[3].observations
                   if o.landmark_id != twice.landmark_id)
+    fields = []
     for node in nodes:
         if node is not nodes[3]:
             node.observations = [o for o in node.observations
                                  if o.landmark_id != single]
         if photometric:
-            node.field = bumpy_field(rng)
+            fields.append(bumpy_field(rng))
     nodes[2].observations.append(LandmarkObservation(
         twice.frame_id, twice.landmark_id, twice.pixel + [0.7, -0.4],
         twice.disparity))
@@ -1173,8 +1179,8 @@ def landmark_window(rng, landmarks=True, photometric=False):
         st.R = st.R @ exp_so3(rng.normal(size=3) * 0.01)
         st.p, st.v = (st.p + rng.normal(size=3) * 0.02,
                       st.v + rng.normal(size=3) * 0.02)
-    cfg = bk.BackendConfig(photometric_enabled=photometric,
-                           photometric_gate=float("inf"))
+    cfg = bk.BackendConfig(photometric_gate=float("inf"))
+    fill_photometric(nodes, fields, intervals, rig.cam, cfg)
     window, factors = bk.assemble_window(nodes, lms if landmarks else {},
                                          intervals, rig, cfg, NOISE,
                                          fixed_ids={0}, fixed_landmarks=fixed)

@@ -273,6 +273,9 @@ class TestInputErrors:
         ({"fy_px": -300.0}, "fy_px"),
         ({"min_obs_depth_m": 5, "max_obs_depth_m": 2}, "min_obs_depth_m"),
         ({"kind": "figure8"}, "kind"),
+        ({"R_ID": [2, 0, 0, 0, 1, 0, 0, 0, 1]}, "R_ID"),
+        ({"R_ID": [1, 0, 0, 0, 1, 0, 0, 0, -1]}, "R_ID"),
+        ({"R_IC": [1, 1e-6, 0, 0, 1, 0, 0, 0, 1]}, "R_IC"),
     ])
     def test_malformed_scenario_config(self, tmp_path, capsys, config, key):
         path = tmp_path / "scenario.json"
@@ -321,8 +324,16 @@ class TestInputErrors:
                         {"name": "b", "config": {"seed": 1.5}}]}, "scenario b"),
         ({"scenarios": [{"name": "a", "config": {"duration_s": 2.0}},
                         {"name": "b", "config": {"kind": "figure8"}}]}, "kind"),
+        ({"scenarios": [{"name": "a", "config": {"duration_s": 2.0}},
+                        {"name": "a", "config": {"duration_s": 3.0}}]},
+         "'a' is given twice"),
+        ({"scenarios": [{"name": "../escaped", "config": {}}]}, "'../escaped'"),
+        ({"scenarios": [{"name": "a/b", "config": {}}]}, "'a/b'"),
+        ({"scenarios": [{"name": "..", "config": {}}]}, "'..'"),
+        ({"scenarios": [{"name": "", "config": {}}]}, "''"),
     ], ids=["unknown-mode", "modes-not-a-list", "run-config", "second-scenario",
-            "unknown-kind"])
+            "unknown-kind", "duplicate-name", "escaping-name", "nested-name",
+            "parent-name", "empty-name"])
     def test_sweep_spec_is_checked_before_any_dataset(self, tmp_path, capsys,
                                                       change, named):
         path = tmp_path / "sweep.json"
@@ -348,7 +359,33 @@ class TestInputErrors:
         assert "AQUAFUSE_THREADS" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("t", ["soon", None, [0.5]])
+    def test_sweep_reuses_a_dataset_of_its_own_config_only(self, tmp_path,
+                                                           capsys, monkeypatch):
+        monkeypatch.setenv("AQUAFUSE_THREADS", "1")
+        path, out = tmp_path / "sweep.json", tmp_path / "sweep"
+
+        def sweep(config):
+            path.write_text(json.dumps({
+                "scenarios": [{"name": "a", "config": config}],
+                "modes": ["dvl-deadreckon-only"]}))
+            return cli.main(["sweep", "--config", str(path), "--out", str(out)])
+
+        circle = {"duration_s": 2.0, "kind": "circle", "seed": 1}
+        assert sweep(circle) == 0
+        report = (out / "sweep_report.csv").read_text()
+        # an unchanged spec reuses the dataset as it is
+        written = []
+        monkeypatch.setattr(sim, "write_dataset",
+                            lambda *args: written.append(args))
+        assert sweep(circle) == 0
+        assert written == [] and (out / "sweep_report.csv").read_text() == report
+        # a changed one is refused, naming the scenario, before any output
+        (out / "sweep_report.csv").unlink()
+        assert sweep({**circle, "duration_s": 3.0, "kind": "line"}) == 3
+        assert "scenario a" in capsys.readouterr().err
+        assert written == [] and not (out / "sweep_report.csv").exists()
+
+    @pytest.mark.parametrize("t", ["soon", None, [0.5], "nan"])
     def test_malformed_trajectory_names_the_line(self, dataset, tmp_path,
                                                  capsys, t):
         good = {"t": "0.0", "R": np.eye(3).ravel().tolist(), "p": [0, 0, 0]}
@@ -407,6 +444,22 @@ class TestInputErrors:
         (copy / stream).write_text("\n".join(lines) + "\n")
         assert _estimate(copy, tmp_path / "run") == 2
         assert f"{copy / stream}:3: field '{keys[-1]}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stream, t", [
+        ("imu.jsonl", "nan"), ("frames.jsonl", "nan"),
+        ("pressure.jsonl", "inf")])
+    def test_non_finite_dataset_timestamp_names_the_line(self, dataset,
+                                                         tmp_path, capsys,
+                                                         stream, t):
+        copy = tmp_path / "dataset"
+        shutil.copytree(dataset, copy)
+        lines = (copy / stream).read_text().splitlines()
+        lines[5] = json.dumps({**json.loads(lines[5]), "t": t})
+        (copy / stream).write_text("\n".join(lines) + "\n")
+        run = tmp_path / "run"
+        assert _estimate(copy, run) == 2
+        assert f"{copy / stream}:6: bad timestamp" in capsys.readouterr().err
+        assert not run.exists()
 
     def test_bad_arguments(self):
         with pytest.raises(SystemExit) as exc:

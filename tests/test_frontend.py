@@ -18,11 +18,11 @@ from aquafuse.imu import ImuBias, ImuNoiseSpec, integrate_imu
 from aquafuse.manifold import Pose, exp_so3, log_so3, rotation_angle
 from aquafuse.sim import ScenarioConfig, simulate
 from aquafuse.state import NavState
-from aquafuse.visual import IntensityField
+from aquafuse.visual import IntensityField, LandmarkObservation
 
 from helpers import (discrete_imu_world, dvl_samples_from_world,
                      init_landmarks_reference, project)
-from test_backend import default_rig, make_scene
+from test_backend import count_field_calls, default_rig, make_scene
 from test_imu import _PREINT_FIELDS
 
 
@@ -109,7 +109,7 @@ class TestRefinePhotometric:
                                 (v - rig.cam.cy) / rig.cam.fy * depth, depth])
                 landmarks.append(t_wc0.transform(x_c))
         fields = []
-        points = []
+        obs = []
         for k, state in enumerate((truth[0], truth[1])):
             t_cw = state.pose().compose(rig.T_IC).inverse()
             centers = []
@@ -121,35 +121,36 @@ class TestRefinePhotometric:
                 centers.append(uv)
                 amps.append(120.0 + 10.0 * lid)
                 sigmas.append(6.0 * 3.0 / x_c[2])
-                if k == 0:
-                    points.append((uv, x_c[2]))
+                obs.append(LandmarkObservation(
+                    k, lid, uv, rig.cam.fx * rig.cam.baseline / x_c[2]))
             fields.append(IntensityField(np.array(amps), np.array(centers),
                                          np.array(sigmas), rig.cam.width,
                                          rig.cam.height))
-        # the premise: every patch is photometrically exact at the truth
+        # a patch at every landmark, each photometrically exact at the truth
+        host, seen = obs[:len(landmarks)], obs[len(landmarks):]
+        payloads = bk.photometric_payloads(
+            fields[0], host, fields[1], seen, rig.cam,
+            replace(self.CFG, photometric_max_points=len(landmarks)))
+        assert len(payloads) == len(landmarks)
         states = {0: truth[0], 1: truth[1]}
-        for pixel, depth in points:
-            f = bk.Factor(bk.FactorKind.PHOTOMETRIC, (0, 1),
-                          bk.PhotometricData.batch(fields[0], fields[1],
-                                                   [(pixel, depth)],
-                                                   bk.PatchPattern())[0],
-                          np.eye(1))
+        for d in payloads:
+            f = bk.Factor(bk.FactorKind.PHOTOMETRIC, (0, 1), d, np.eye(1))
             r, _, _ = f.evaluate(states, {}, rig)
             assert abs(r[0]) < 1e-9
-        return rig, truth, fields[0], fields[1], points
+        return rig, truth, host, seen, payloads
 
     def test_identity_refinement_is_noop(self, rng):
-        rig, truth, f0, f1, points = self._photometric_scene(rng)
+        rig, truth, _, _, payloads = self._photometric_scene(rng)
         coarse = truth[1].pose()
-        res = refine_photometric(coarse, truth[0].pose(), f0, f1, points,
+        res = refine_photometric(coarse, truth[0].pose(), payloads,
                                  rig, TrackerConfig(), self.CFG)
         assert np.abs(res.pose.t - coarse.t).max() < 1e-6
 
     def test_refinement_improves_perturbed_pose(self, rng):
-        rig, truth, f0, f1, points = self._photometric_scene(rng)
+        rig, truth, _, _, payloads = self._photometric_scene(rng)
         offset = np.array([0.005, -0.004, 0.003])  # about half a pixel
         coarse = Pose(truth[1].R, truth[1].p + offset)
-        res = refine_photometric(coarse, truth[0].pose(), f0, f1, points,
+        res = refine_photometric(coarse, truth[0].pose(), payloads,
                                  rig, TrackerConfig(refine_max_iterations=10),
                                  self.CFG)
         err_before = np.linalg.norm(coarse.t - truth[1].p)
@@ -157,11 +158,17 @@ class TestRefinePhotometric:
         assert err_after < err_before
 
     def test_textureless_field_is_noop(self, rng):
-        rig, truth, f0, f1, points = self._photometric_scene(rng)
+        # a textureless field on either side hosts no patch, and a
+        # refinement without patches returns the coarse pose as it is
+        rig, truth, host, seen, payloads = self._photometric_scene(rng)
         flat = IntensityField(np.zeros(0), np.zeros((0, 2)), 5.0,
                               rig.cam.width, rig.cam.height, offset=12.0)
+        textured = payloads[0].field_obs
+        for f_host, f_obs in ((flat, textured), (textured, flat), (flat, flat)):
+            assert bk.photometric_payloads(f_host, host, f_obs, seen, rig.cam,
+                                           self.CFG) == []
         coarse = truth[1].pose()
-        res = refine_photometric(coarse, truth[0].pose(), flat, flat, points,
+        res = refine_photometric(coarse, truth[0].pose(), [],
                                  rig, TrackerConfig(), self.CFG)
         assert (res.pose.t == coarse.t).all() and (res.pose.R == coarse.R).all()
 
@@ -378,6 +385,21 @@ def short_blackout_circle():
                                    degradation_windows_s=((2.5, 3.5),)))
 
 
+def _collect_factors(monkeypatch) -> list:
+    """The factors of every ``assemble_window`` call made while
+    ``monkeypatch`` is active."""
+    out = []
+    assemble = bk.assemble_window
+
+    def collected(*args, **kwargs):
+        window, factors = assemble(*args, **kwargs)
+        out.extend(factors)
+        return window, factors
+
+    monkeypatch.setattr(bk, "assemble_window", collected)
+    return out
+
+
 @pytest.mark.parametrize("mode, kinds", [
     (EstimatorMode.FULL, {"reprojection", "photometric", "imu",
                           "dvl_position", "dvl_velocity", "pressure"}),
@@ -389,17 +411,9 @@ def test_mode_decides_the_factor_kinds(short_blackout_circle, monkeypatch,
                                        mode, kinds):
     # counted where the benchmark's tracer counts them; the windows build a
     # factor for every measurement the tracker gives them
-    seen = set()
-    assemble = bk.assemble_window
-
-    def counted(*args, **kwargs):
-        window, factors = assemble(*args, **kwargs)
-        seen.update(f.kind.value for f in factors)
-        return window, factors
-
-    monkeypatch.setattr(bk, "assemble_window", counted)
+    factors = _collect_factors(monkeypatch)
     run_estimator(short_blackout_circle, RunConfig(mode=mode))
-    assert seen == kinds
+    assert {f.kind.value for f in factors} == kinds
 
 
 def test_every_solve_takes_the_configured_knee(short_blackout_circle,
@@ -444,6 +458,61 @@ def test_every_solve_holds_only_factors_that_can_move(short_blackout_circle,
     run_estimator(short_blackout_circle, RunConfig(mode=EstimatorMode.FULL))
     assert stuck == []
     assert hosts["fixed"] == 0 and hosts["free"] > 0
+
+
+@pytest.fixture(scope="module")
+def four_second_circle():
+    return simulate(ScenarioConfig(duration_s=4.0, seed=3))
+
+
+def test_window_patches_are_built_once_per_keyframe_pair(four_second_circle,
+                                                         monkeypatch):
+    # the tracker builds a pair's patches when it makes the pair, and every
+    # window that spans the pair gates those; its other builds are the
+    # refinement's, frame to frame
+    callers = []
+    build = bk.photometric_payloads
+
+    def counted(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return build(*args)
+
+    monkeypatch.setattr(bk, "photometric_payloads", counted)
+    factors = _collect_factors(monkeypatch)
+    tracker = Tracker(four_second_circle, RunConfig())
+    tracker.run()
+    assert set(callers) == {"_make_keyframe", "run"}
+    assert callers.count("_make_keyframe") == len(tracker.intervals) \
+        == len(tracker.keyframes) - 1 > 1
+    carried = {id(d) for data in tracker.intervals.values()
+               for d in data.photometric}
+    patches = [f.payload for f in factors
+               if f.kind is bk.FactorKind.PHOTOMETRIC]
+    assert patches and {id(d) for d in patches} <= carried
+    # a pair's patches are hosted at its first keyframe's lowest landmark ids
+    monkeypatch.undo()
+    frames = {f.t: f for f in four_second_circle.frames}
+    for (i, j), data in tracker.intervals.items():
+        a, b = (frames[tracker.keyframes[k].t] for k in (i, j))
+        want = bk.photometric_payloads(
+            a.field, sorted(a.observations, key=lambda o: o.landmark_id),
+            b.field, b.observations, tracker.rig.cam, tracker.cfg.backend)
+        assert len(data.photometric) == len(want)
+        for got, ref in zip(data.photometric, want):
+            assert np.array_equal(got.pts_ci, ref.pts_ci)
+
+
+def test_without_photometric_a_pass_reads_no_image(four_second_circle,
+                                                  monkeypatch):
+    calls = count_field_calls(monkeypatch)
+    factors = _collect_factors(monkeypatch)
+    cfg = RunConfig(backend=bk.BackendConfig(photometric_enabled=False))
+    result = run_estimator(four_second_circle, cfg)
+    assert TrackingStatus.VISUAL_OK in {f.status for f in result.frames}
+    kinds = {f.kind for f in factors}
+    assert bk.FactorKind.REPROJECTION in kinds
+    assert bk.FactorKind.PHOTOMETRIC not in kinds
+    assert calls == []
 
 
 @pytest.mark.parametrize("mode", list(EstimatorMode), ids=lambda m: m.value)

@@ -285,16 +285,17 @@ class TestPatchPattern:
 def _photometric(field_i, field_j, T_CjCi, p, depth_p, pattern,
                  d_obs=np.zeros(STATE_DOF), blocks=False):
     """The solver's photometric factor (a batch of one) for the patch around
-    ``p`` of camera i seen from camera j at relative pose ``T_CjCi``; the
+    ``p`` of camera i at depth ``depth_p`` (``photometric_payloads`` of one
+    observation) seen from camera j at relative pose ``T_CjCi``; the
     observer state is retracted by ``d_obs``. Returns the residual, plus the
     18-dof observer Jacobian with ``blocks``."""
     host = NavState(np.eye(3), np.zeros(3), np.zeros(3))
     t_wcj = T_CjCi.inverse()
     obs = NavState(t_wcj.R, t_wcj.t, np.zeros(3)).retract(d_obs)
-    factor = bk.Factor(bk.FactorKind.PHOTOMETRIC, (0, 1),
-                       bk.PhotometricData.batch(field_i, field_j,
-                                                [(p, depth_p)], pattern)[0],
-                       np.eye(1))
+    seen = [LandmarkObservation(0, 0, p, CAM.fx * CAM.baseline / depth_p)]
+    (payload,) = bk.photometric_payloads(field_i, seen, field_j, seen, CAM,
+                                         bk.BackendConfig(pattern=pattern))
+    factor = bk.Factor(bk.FactorKind.PHOTOMETRIC, (0, 1), payload, np.eye(1))
     res, js, _ = factor.evaluate({0: host, 1: obs}, {}, RIG)
     return (res[0], js[1]) if blocks else res[0]
 
@@ -307,12 +308,13 @@ class TestPhotometric:
         assert res == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_offset_fields(self):
-        # textureless fields have unit weights everywhere
+        # fields constant over the image have unit weights everywhere; their
+        # one bump lies far outside it, beyond its reach, since a field
+        # without bumps hosts no patch
         pattern = PatchPattern()
-        f_i = IntensityField(np.zeros(0), np.zeros((0, 2)), 5.0, 640, 360,
-                             offset=10.0)
-        f_j = IntensityField(np.zeros(0), np.zeros((0, 2)), 5.0, 640, 360,
-                             offset=13.0)
+        far = (np.ones(1), np.array([[-1e4, -1e4]]), 5.0, 640, 360)
+        f_i = IntensityField(*far, offset=10.0)
+        f_j = IntensityField(*far, offset=13.0)
         res = _photometric(f_i, f_j, Pose.identity(), [320.0, 180.0], 2.0,
                            pattern)
         assert res == pytest.approx(len(pattern.offsets) * 3.0)
