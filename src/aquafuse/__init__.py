@@ -17,9 +17,9 @@ from .frontend import (EstimatorMode, FrameState, RunConfig, TrackerConfig,
                        TrackingStatus, keyframe_decision,
                        predict_state_degraded, refine_photometric,
                        run_estimator, track_coarse)
-from .imu import (ImuBias, ImuNoiseSpec, ImuPreintegrated, ImuSample,
-                  correct_imu_bias, imu_pair_residuals, integrate_imu,
-                  predict_state_imu, stack_imu_pairs)
+from .imu import (ImuPreintegrated, ImuSample, correct_imu_bias,
+                  imu_pair_residuals, integrate_imu, predict_state_imu,
+                  stack_imu_pairs)
 from .manifold import (Pose, exp_so3, hat, log_so3, right_jacobian_so3, vee)
 from .sim import (ScenarioConfig, SensorDataset, read_dataset, simulate,
                   trajectory_truth, write_dataset)

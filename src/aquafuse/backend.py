@@ -748,7 +748,8 @@ class SensorNoise:
     they keep the information matrices finite on noiseless synthetic
     datasets and absorb the zero-order-hold discretization error of the
     preintegrated factors (first order in the sample period), which would
-    otherwise bias the solution away from the visual optimum."""
+    otherwise bias the solution away from the visual optimum. The
+    preintegrations take ``sigma_g``, ``sigma_a`` and ``sigma_dvl`` as floats."""
 
     sigma_pixel: float = 0.2
     sigma_dvl: float = 0.02

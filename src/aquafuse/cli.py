@@ -96,11 +96,13 @@ def load_trajectory(path: str) -> Trajectory:
     are: a malformed line is named by file and line number."""
     ts, rs, ps = [], [], []
     for lineno, rec in sim._read_jsonl(path):
-        ts.append(sim._parse_t(rec, path, lineno))
+        ts.append(sim._scalar_of(rec, "t", path, lineno))
         rs.append(sim._field_of(rec, "R", path, lineno, (3, 3)))
         ps.append(sim._field_of(rec, "p", path, lineno, (3,)))
     if not ts:
         raise sim.ParseError(f"{path}: empty trajectory")
+    for key, arrays in (("R", rs), ("p", ps)):
+        sim._check_finite(path, key, arrays)
     return Trajectory(np.array(ts), np.stack(rs), np.stack(ps))
 
 

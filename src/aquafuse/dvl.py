@@ -7,8 +7,9 @@ velocity samples under a zero-order hold, over the span of an IMU
 preintegration whose rotation checkpoints at the hold starts give each hold's
 rotation, gyro-bias Jacobian and rotation-noise covariance. As in the IMU
 integrator, every per-hold term is computed over all holds at once and the
-sums are running sums; the buffer checks, the holds and the resume are
-written once for both, in ``imu.hold_steps`` and ``imu.join_steps``.
+sums are running sums, the biases and noise are plain arrays and a float, and
+the buffer and noise checks, the holds and the resume are written once for
+both, in ``imu.hold_steps`` and ``imu.join_steps``.
 
 Written once as array code: the bias correction in :func:`correct_dvl_bias_batch`
 (the position pairs; :func:`correct_dvl_bias` is a batch of one) and the lever
@@ -108,7 +109,8 @@ def preintegrate_dvl(samples, imu_preint: ImuPreintegrated,
         and np.array_equal(ext.R_ID, resume.ext.R_ID) \
         and np.array_equal(ext.p_ID, resume.ext.p_ID)
     t_start, held, starts, dts, kept = hold_steps(
-        "DVL", samples, imu_preint.t_start, imu_preint.t_end, resume, own)
+        "DVL", samples, imu_preint.t_start, imu_preint.t_end, resume, own,
+        (sigma_v,))
     zero = np.zeros((3, 3))
     first = resume.last_step if resume is not None else DvlStepState(
         float("nan"), np.zeros(3), zero, zero, zero)

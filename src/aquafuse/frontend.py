@@ -27,8 +27,8 @@ from . import backend as bk
 from .dvl import (DvlExtrinsics, DvlPreintegrated, DvlSample,
                   correct_dvl_bias, lever_velocity, preintegrate_dvl)
 from .evaluation import nearest_pairs
-from .imu import (ImuBias, ImuNoiseSpec, ImuPreintegrated, ImuSample,
-                  correct_imu_bias, integrate_imu, predict_state_imu)
+from .imu import (ImuPreintegrated, ImuSample, correct_imu_bias,
+                  integrate_imu, predict_state_imu)
 from .manifold import Pose, rotation_angle
 from .state import NavState
 
@@ -176,7 +176,7 @@ def predict_state_degraded(state_i: NavState, imu_preint: ImuPreintegrated,
                            ext: DvlExtrinsics) -> Pose:
     """Rotation from the gyro preintegration, translation from the DVL
     translation preintegration (both corrected to the state's biases)."""
-    d_r, _, _ = correct_imu_bias(imu_preint, ImuBias(state_i.bg, state_i.ba))
+    d_r, _, _ = correct_imu_bias(imu_preint, state_i.bg, state_i.ba)
     r_j = state_i.R @ d_r
     dp_d = correct_dvl_bias(dvl_preint, state_i.bg, state_i.bv)
     p_j = state_i.R @ dp_d + state_i.p - (r_j - state_i.R) @ ext.p_ID
@@ -262,7 +262,7 @@ class Tracker:
         self.rig = sensor_rig_from_config(scen)
 
         floors = cfg.floors
-        self.noise = noise = bk.SensorNoise(
+        self.noise = bk.SensorNoise(
             sigma_pixel=max(scen.sigma_pixel_px, floors.sigma_pixel),
             sigma_dvl=max(scen.sigma_dvl_m_s, floors.sigma_dvl),
             sigma_pressure=max(scen.sigma_pressure_m, floors.sigma_pressure),
@@ -271,7 +271,6 @@ class Tracker:
             sigma_bg_walk=max(scen.sigma_bg_walk_rad_s_sqrt_s, floors.sigma_bg_walk),
             sigma_ba_walk=max(scen.sigma_ba_walk_m_s2_sqrt_s, floors.sigma_ba_walk),
             sigma_bv_walk=max(scen.sigma_bv_walk_m_s_sqrt_s, floors.sigma_bv_walk))
-        self.imu_noise = ImuNoiseSpec(noise.sigma_g, noise.sigma_a)
 
         self.imu_times = np.array([s.t for s in dataset.imu])
         self.dvl_times = np.array([s.t for s in dataset.dvl])
@@ -319,7 +318,8 @@ class Tracker:
         # step, which is integrated again
         t_imu, t_dvl = (kf.t if pre is None else pre.step_t[-1]
                         for pre in (imu_run, dvl_run))
-        imu = integrate_imu(self._imu_slice(t_imu, t), ImuBias(s.bg, s.ba), self.imu_noise,
+        imu = integrate_imu(self._imu_slice(t_imu, t), s.bg, s.ba,
+                            self.noise.sigma_g, self.noise.sigma_a,
                             t_start=None if imu_run else kf.t, t_end=t, resume=imu_run)
         samples = self._dvl_slice(t_dvl, t) if self.cfg.mode.uses_dvl else []
         dvl = preintegrate_dvl(samples, imu, self.rig.dvl, s.bg, s.bv,
@@ -535,8 +535,7 @@ def run_dead_reckoning(dataset, cfg: RunConfig) -> EstimationResult:
     t0 = frames[0].t
     t_last = max(frames[-1].t, t0 + 1e-9)
     s0 = initial_state(dataset, t0)
-    imu = integrate_imu(dataset.imu, ImuBias(s0.bg, s0.ba), ImuNoiseSpec(),
-                        t_start=t0, t_end=t_last)
+    imu = integrate_imu(dataset.imu, s0.bg, s0.ba, t_start=t0, t_end=t_last)
     dvl = preintegrate_dvl(dataset.dvl, imu, rig.dvl, s0.bg, s0.bv)
 
     # the frame times by index: the frames are iterated once, below

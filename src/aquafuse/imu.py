@@ -14,9 +14,10 @@ sums, and only the rotation product, the rotation's gyro-bias Jacobian and
 the covariance are sequential loops. Checkpoints at any set of times are one
 batched evaluation.
 
-The buffer checks, the holds and the resume of both preintegrations are
-written once, :func:`hold_steps` and :func:`join_steps`, which
-``integrate_imu`` and ``dvl.preintegrate_dvl`` both call.
+Both preintegrations take and record plain biases and noise (here ``lin_bg``,
+``lin_ba``, ``sigma_g`` and ``sigma_a``), which a resume must repeat. Their
+buffer and noise checks, holds and resume are written once, :func:`hold_steps`
+and :func:`join_steps`.
 
 The first-order bias correction is written once, :func:`correct_imu_bias_batch`:
 the pair residuals apply it, and the state predictions read it through
@@ -46,33 +47,6 @@ class ImuSample:
         object.__setattr__(self, "accel", np.asarray(self.accel, dtype=float))
 
 
-@dataclass(frozen=True)
-class ImuBias:
-    bg: np.ndarray
-    ba: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "bg", np.asarray(self.bg, dtype=float))
-        object.__setattr__(self, "ba", np.asarray(self.ba, dtype=float))
-
-    @staticmethod
-    def zero() -> "ImuBias":
-        return ImuBias(np.zeros(3), np.zeros(3))
-
-
-@dataclass(frozen=True)
-class ImuNoiseSpec:
-    """White-noise densities (per sqrt(Hz)); the bias random walks enter the
-    window as factors of their own (``backend.SensorNoise``)."""
-
-    sigma_g: float = 0.0
-    sigma_a: float = 0.0
-
-    def __post_init__(self):
-        if min(self.sigma_g, self.sigma_a) < 0:
-            raise ValueError("noise densities must be nonnegative")
-
-
 # preintegrated-rotation state at n times: the relative rotation since the
 # buffer start, its gyro-bias Jacobian and the covariance of the
 # rotation-vector noise, each (n, 3, 3)
@@ -92,14 +66,17 @@ class ImuPreintegrated:
     dv: np.ndarray
     dp: np.ndarray
     dt_total: float
-    lin_bias: ImuBias
+    lin_bg: np.ndarray
+    lin_ba: np.ndarray
     cov: np.ndarray              # 9x9 ordered (phi, v, p)
     J_dR_dbg: np.ndarray
     J_dv_dbg: np.ndarray
     J_dv_dba: np.ndarray
     J_dp_dbg: np.ndarray
     J_dp_dba: np.ndarray
-    noise: ImuNoiseSpec
+    # the white-noise densities it was made with, which a resume keeps
+    sigma_g: float
+    sigma_a: float
     t_start: float
     t_end: float
     # per-step bookkeeping at each integration step start (before the step)
@@ -133,7 +110,7 @@ class ImuPreintegrated:
             np.asarray(times, dtype=float), self.step_dR[k] @ e,
             et @ self.step_J[k] - jr * dt,
             et @ self.step_phi_cov[k] @ e
-            + (self.noise.sigma_g**2) * dt * (jr @ jr.transpose(0, 2, 1)))
+            + self.sigma_g**2 * dt * (jr @ jr.transpose(0, 2, 1)))
 
 
 def held_steps(pre, times) -> tuple[np.ndarray, np.ndarray]:
@@ -175,11 +152,11 @@ def _running_sums(first: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 
 def hold_steps(sensor: str, samples, t_start: float | None, t_end: float,
-               resume, own: bool):
+               resume, own: bool, noise):
     """The holds of one preintegration call, for the IMU and the DVL alike:
     the start (``t_start``, or the first sample's time if None), the sample,
     start and length of each hold of the buffer ``samples`` up to ``t_end``,
-    and how many steps of ``resume`` are kept.
+    and how many steps of ``resume`` are kept. No ``noise`` may be negative.
 
     ``resume`` extends an earlier preintegration, whose last step is
     integrated again from the sums before it (``last_step``): the holds
@@ -187,6 +164,8 @@ def hold_steps(sensor: str, samples, t_start: float | None, t_end: float,
     begin at the sample that step holds. ``own`` says that the call's
     linearization, noise, extrinsics (the DVL's) and start are the earlier
     one's. The result equals one call over the whole span bit for bit."""
+    if min(noise) < 0:
+        raise ValueError(f"{sensor} noise must be nonnegative, not {noise}")
     samples = list(samples)
     if not samples:
         raise ValueError(f"empty {sensor} sample buffer")
@@ -217,15 +196,16 @@ def join_steps(resume, kept: int, **steps) -> dict:
             if kept else new for name, new in steps.items()}
 
 
-def integrate_imu(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
+def integrate_imu(samples, lin_bg, lin_ba, sigma_g=0.0, sigma_a=0.0,
                   t_start: float | None = None, *, t_end: float,
                   resume: ImuPreintegrated | None = None) -> ImuPreintegrated:
-    """Preintegrate a buffer of IMU samples about a fixed bias linearization
-    from ``t_start`` (the first sample's time if None) to ``t_end``.
+    """Preintegrate a buffer of IMU samples about fixed biases ``lin_bg`` and
+    ``lin_ba`` from ``t_start`` (the first sample's time if None) to ``t_end``.
 
     Produces the relative rotation/velocity/translation sums, the bias
     Jacobians for first-order bias updates, and the (phi, v, p) covariance
-    propagated with per-step noise sigma^2 / dt.
+    propagated with per-step noise sigma^2 / dt from the white-noise
+    densities (per sqrt(Hz)) ``sigma_g`` and ``sigma_a``.
 
     Every per-step term is computed as arrays over all steps at once: the
     bias-corrected rates and specific forces, the exponential and right
@@ -236,21 +216,23 @@ def integrate_imu(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
     arrays: the rotation product, the gyro-bias Jacobian of the rotation,
     and the 9x9 covariance.
 
-    ``resume`` extends an earlier preintegration about the same bias and
-    noise to ``t_end``, as :func:`hold_steps` lays out; ``t_start`` is None.
+    ``resume`` extends an earlier preintegration about the same biases and
+    densities to ``t_end``, as :func:`hold_steps` lays out; ``t_start`` is None.
     """
-    own = resume is not None and t_start is None and noise == resume.noise \
-        and np.array_equal(lin_bias.bg, resume.lin_bias.bg) \
-        and np.array_equal(lin_bias.ba, resume.lin_bias.ba)
+    lin_bg, lin_ba = (np.array(b, dtype=float) for b in (lin_bg, lin_ba))
+    own = resume is not None and t_start is None \
+        and np.array_equal(lin_bg, resume.lin_bg) \
+        and np.array_equal(lin_ba, resume.lin_ba) \
+        and (sigma_g, sigma_a) == (resume.sigma_g, resume.sigma_a)
     t_start, held, starts, dts, kept = hold_steps(
-        "IMU", samples, t_start, t_end, resume, own)
+        "IMU", samples, t_start, t_end, resume, own, (sigma_g, sigma_a))
     z = np.zeros((3, 3))
     first = resume.last_step if resume is not None else ImuStepState(
         float("nan"), np.eye(3), np.zeros(3), np.zeros(3), z, z, z, z, z, np.zeros((9, 9)))
 
     # per-step terms that do not depend on the previous step
-    omega = np.array([s.gyro for s in held]) - lin_bias.bg
-    acc = np.array([s.accel for s in held]) - lin_bias.ba
+    omega = np.array([s.gyro for s in held]) - lin_bg
+    acc = np.array([s.accel for s in held]) - lin_ba
     n, dt1, dt = len(held), dts[:, None], dts[:, None, None]
     phi = omega * dt1
     e = exp_so3_batch(phi)
@@ -283,7 +265,7 @@ def integrate_imu(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
     # with no noise entering and none carried in, the covariance stays zero
     cov = last_cov = first.cov
     phi_covs = np.zeros((n, 3, 3))
-    if noise.sigma_g or noise.sigma_a or cov.any():
+    if sigma_g or sigma_a or cov.any():
         # covariance transition A and noise B Q B^T in (phi, v, p), with
         # per-step noise sigma^2 / dt
         a_mat = np.broadcast_to(np.eye(9), (n, 9, 9)).copy()
@@ -295,7 +277,7 @@ def integrate_imu(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
         b_mat[:, 0:3, 0:3] = jr_dt
         b_mat[:, 3:6, 3:6] = d_r * dt
         b_mat[:, 6:9, 3:6] = 0.5 * d_r * dt * dt
-        q = np.repeat(np.array([noise.sigma_g**2, noise.sigma_a**2]), 3) / dt1
+        q = np.repeat(np.array([sigma_g**2, sigma_a**2]), 3) / dt1
         n_mat = (b_mat * q[:, None, :]) @ b_mat.transpose(0, 2, 1)
         del b_mat
 
@@ -310,20 +292,21 @@ def integrate_imu(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
 
     return ImuPreintegrated(
         dR=rots[-1], dv=dv[-1], dp=dp[-1], dt_total=float(t_end - t_start),
-        lin_bias=lin_bias, cov=cov,
+        lin_bg=lin_bg, lin_ba=lin_ba, cov=cov,
         J_dR_dbg=jacs[-1], J_dv_dbg=j_v_bg[-1], J_dv_dba=j_v_ba[-1],
         J_dp_dbg=j_p_bg[-1], J_dp_dba=j_p_ba[-1],
-        noise=noise, t_start=float(t_start), t_end=float(t_end),
+        sigma_g=sigma_g, sigma_a=sigma_a, t_start=float(t_start),
+        t_end=float(t_end),
         last_step=last, **join_steps(
             resume, kept, step_t=starts, step_omega=omega, step_dR=d_r,
             step_J=j_r, step_phi_cov=phi_covs))
 
 
-def correct_imu_bias(preint: ImuPreintegrated, new_bias: ImuBias):
-    """First-order update of (dR, dv, dp) for a bias change, without
+def correct_imu_bias(preint: ImuPreintegrated, new_bg, new_ba):
+    """First-order update of (dR, dv, dp) for new biases, without
     re-integration; intended for small changes (|delta| < 0.1 per component).
     """
-    b = np.concatenate([new_bias.bg, new_bias.ba])[None]
+    b = np.concatenate([new_bg, new_ba])[None]
     d_r, dvp, _ = correct_imu_bias_batch(stack_imu_pairs([preint]), b)
     return d_r[0], dvp[0, :3], dvp[0, 3:]
 
@@ -333,7 +316,7 @@ def predict_state_imu(state_i: NavState, preint: ImuPreintegrated,
     """Propagate a state across a preintegrated interval under known gravity."""
     g = np.asarray(gravity, dtype=float)
     dt = preint.dt_total
-    d_r, dv, dp = correct_imu_bias(preint, ImuBias(state_i.bg, state_i.ba))
+    d_r, dv, dp = correct_imu_bias(preint, state_i.bg, state_i.ba)
     r_j = state_i.R @ d_r
     v_j = state_i.v + g * dt + state_i.R @ dv
     p_j = state_i.p + state_i.v * dt + 0.5 * g * dt * dt + state_i.R @ dp
@@ -353,7 +336,7 @@ def stack_imu_pairs(preints) -> ImuPairData:
     rot = np.array([(p.dR, p.J_dR_dbg) for p in pre])
     j_vp = np.array([(p.J_dv_dbg, p.J_dv_dba, p.J_dp_dbg, p.J_dp_dba) for p in pre])
     j_vp = j_vp.reshape(n, 2, 2, 3, 3).transpose(0, 1, 3, 2, 4).reshape(n, 6, 6)
-    vecs = np.array([(p.dv, p.dp, p.lin_bias.bg, p.lin_bias.ba) for p in pre])
+    vecs = np.array([(p.dv, p.dp, p.lin_bg, p.lin_ba) for p in pre])
     return ImuPairData(rot[:, 0], rot[:, 1], vecs[:, :2].reshape(n, 6), j_vp,
                        vecs[:, 2:].reshape(n, 6), np.array([[p.dt_total] for p in pre]))
 

@@ -35,6 +35,7 @@ The path is evaluated as array code; its yaw keeps ``math.atan2`` (see
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -503,6 +504,14 @@ def write_dataset(ds: SensorDataset, path: str) -> None:
                              "ba": _vec(g.ba), "bv": _vec(g.bv)}) + "\n")
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
+# rejects the literals NaN, Infinity and -Infinity, which ``json`` accepts
+_DECODER = json.JSONDecoder(parse_constant=_no_constant)
+
+
 def _read_jsonl(path: str):
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -510,8 +519,8 @@ def _read_jsonl(path: str):
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
+                yield lineno, _DECODER.decode(line)
+            except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
 
 
@@ -531,24 +540,30 @@ def _field_of(rec: dict, key: str, path: str, lineno: int, shape=None):
 
 
 def _scalar_of(rec: dict, key: str, path: str, lineno: int, kind=float):
-    """The value of ``key`` in a record as a ``kind`` scalar."""
+    """The value of ``key`` in a record as a finite ``kind`` scalar."""
     try:
-        return kind(rec[key])
-    except (KeyError, TypeError, ValueError) as exc:
+        value = kind(rec[key])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
         raw = _field_of(rec, key, path, lineno)  # names a missing key
-        raise ParseError(f"{path}:{lineno}: field '{key}' is not a number: "
-                         f"{raw!r}") from exc
+        what = "bad timestamp" if key == "t" else f"field '{key}' is not a finite number:"
+        raise ParseError(f"{path}:{lineno}: {what} {raw!r}")
+    return value
 
 
-def _parse_t(rec: dict, path: str, lineno: int) -> float:
-    raw = _field_of(rec, "t", path, lineno)
-    try:
-        t = float(raw)
-    except (TypeError, ValueError):
-        t = math.nan
-    if not math.isfinite(t):
-        raise ParseError(f"{path}:{lineno}: bad timestamp {raw!r}")
-    return t
+def _check_finite(path: str, key: str, arrays: list, counts=None) -> None:
+    """Check that ``arrays``, the values of the field ``key`` in the stream
+    ``path`` in file order (``counts[k]`` of them in record k, or one
+    each), hold finite numbers only: one array check for the field over the
+    whole stream; only a failure looks for the record and its line."""
+    if arrays and not np.isfinite(np.concatenate(arrays)).all():
+        i = next(i for i, a in enumerate(arrays) if not np.isfinite(a).all())
+        k = i if counts is None else np.searchsorted(np.cumsum(counts), i,
+                                                     side="right")
+        lineno, _ = next(itertools.islice(_read_jsonl(path), k, None))
+        raise ParseError(f"{path}:{lineno}: field '{key}' holds a number that "
+                         "is not finite")
 
 
 def _stream(path: str, name: str):
@@ -557,7 +572,7 @@ def _stream(path: str, name: str):
     fp = os.path.join(path, name)
     prev = -math.inf
     for lineno, rec in _read_jsonl(fp):
-        t = _parse_t(rec, fp, lineno)
+        t = _scalar_of(rec, "t", fp, lineno)
         if t <= prev:
             raise ParseError(f"{fp}:{lineno}: out-of-order timestamp {t}")
         prev = t
@@ -598,6 +613,8 @@ def read_config(path: str) -> ScenarioConfig:
 
 
 def read_dataset(path: str) -> SensorDataset:
+    """The dataset in the directory ``path``. A malformed record, or one
+    holding a number that is not finite, is named by file and line."""
     cfg = read_config(path)
     imu = [ImuSample(t, _field_of(rec, "gyro", *at, (3,)),
                      _field_of(rec, "accel", *at, (3,)))
@@ -608,9 +625,23 @@ def read_dataset(path: str) -> SensorDataset:
                 for t, rec, at in _stream(path, "pressure.jsonl")]
     frames = [_frame(cfg, t, rec, at)
               for t, rec, at in _stream(path, "frames.jsonl")]
-    groundtruth = []
-    for t, rec, at in _stream(path, "groundtruth.jsonl"):
-        groundtruth.append(GroundTruthRecord(t, *(
-            _field_of(rec, key, *at, (3, 3) if key == "R" else (3,))
-            for key in ("R", "p", "v", "bg", "ba", "bv"))))
+    truth_keys = ("R", "p", "v", "bg", "ba", "bv")
+    groundtruth = [GroundTruthRecord(t, *(
+        _field_of(rec, key, *at, (3, 3) if key == "R" else (3,))
+        for key in truth_keys)) for t, rec, at in _stream(path, "groundtruth.jsonl")]
+    # the scalars are checked as read, the arrays here, a field at a time
+    for name, key, arrays, counts in (
+            ("imu.jsonl", "gyro", [s.gyro for s in imu], None),
+            ("imu.jsonl", "accel", [s.accel for s in imu], None),
+            ("dvl.jsonl", "vel", [s.vel for s in dvl], None),
+            ("frames.jsonl", "amps", [f.field.amplitudes for f in frames], None),
+            ("frames.jsonl", "centers", [f.field.centers for f in frames], None),
+            ("frames.jsonl", "sigma_px",
+             [np.ravel(f.field.sigma_px) for f in frames], None),
+            ("frames.jsonl", "uv",
+             [o.pixel for f in frames for o in f.observations],
+             [len(f.observations) for f in frames]),
+            *(("groundtruth.jsonl", key, [getattr(g, key) for g in groundtruth],
+               None) for key in truth_keys)):
+        _check_finite(os.path.join(path, name), key, arrays, counts)
     return SensorDataset(cfg, imu, dvl, pressure, frames, groundtruth)

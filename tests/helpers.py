@@ -14,7 +14,7 @@ import numpy as np
 
 from aquafuse.backend import photometric_payloads
 from aquafuse.dvl import DvlExtrinsics, DvlSample
-from aquafuse.imu import ImuBias, ImuNoiseSpec, ImuSample, hold_intervals
+from aquafuse.imu import ImuSample, hold_intervals
 from aquafuse.manifold import SMALL_ANGLE, exp_so3, hat
 from aquafuse.state import NavState, matvec
 from aquafuse.visual import BehindCameraError
@@ -108,31 +108,31 @@ def random_nav_state(rng: np.random.Generator) -> NavState:
 
 
 def discrete_imu_world(rng: np.random.Generator, n: int = 100, dt: float = 0.01,
-                       gravity=(0.0, 0.0, 9.81), bias: ImuBias | None = None,
+                       gravity=(0.0, 0.0, 9.81), bias=(np.zeros(3), np.zeros(3)),
                        omega_scale: float = 0.4, accel_scale: float = 0.5):
     """Random piecewise-constant IMU signals plus the exact discrete-time
     state sequence they generate (independent re-statement of the zero-order
     hold kinematics; used as the oracle for integrate/predict round trips).
 
-    Returns (samples, states, gravity) with states[k] at time k*dt.
+    Returns (samples, states, gravity) with states[k] at time k*dt; the
+    readings carry the biases ``bias``, (bg, ba).
     """
     g = np.asarray(gravity, dtype=float)
-    bias = bias if bias is not None else ImuBias.zero()
+    bg, ba = bias
     r = random_rotation(rng, max_angle=0.5)
     p = rng.normal(size=3)
     v = rng.normal(size=3) * 0.5
-    states = [NavState(r.copy(), p.copy(), v.copy(), bias.bg.copy(), bias.ba.copy())]
+    states = [NavState(r.copy(), p.copy(), v.copy(), bg.copy(), ba.copy())]
     samples = []
     for k in range(n):
         omega = rng.normal(size=3) * omega_scale
         a_w = rng.normal(size=3) * accel_scale  # hovering body: a_w stays small
         f_body = r.T @ (a_w - g)
-        samples.append(ImuSample(k * dt, omega + bias.bg, f_body + bias.ba))
+        samples.append(ImuSample(k * dt, omega + bg, f_body + ba))
         p = p + v * dt + 0.5 * a_w * dt * dt
         v = v + a_w * dt
         r = r @ exp_so3(omega * dt)
-        states.append(NavState(r.copy(), p.copy(), v.copy(),
-                               bias.bg.copy(), bias.ba.copy()))
+        states.append(NavState(r.copy(), p.copy(), v.copy(), bg.copy(), ba.copy()))
     return samples, states, g
 
 
@@ -183,8 +183,9 @@ def hold_intervals_reference(times, t_start: float, t_end: float):
     return np.array(idx, dtype=int), np.array(starts), np.array(dts)
 
 
-def integrate_imu_reference(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
-                            t_start: float, t_end: float) -> SimpleNamespace:
+def integrate_imu_reference(samples, lin_bg, lin_ba, sigma_g: float,
+                            sigma_a: float, t_start: float,
+                            t_end: float) -> SimpleNamespace:
     """IMU preintegration one hold step at a time (Forster et al., T-RO 2017,
     zero-order hold): the sums, the bias Jacobians, the (phi, v, p)
     covariance and the per-step records, under the names of
@@ -197,8 +198,8 @@ def integrate_imu_reference(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
     steps = {name: [] for name in ("step_t", "step_omega", "step_dR",
                                    "step_J", "step_phi_cov")}
     for k, ts, dt in zip(idx, starts, dts):
-        omega = samples[k].gyro - lin_bias.bg
-        acc = samples[k].accel - lin_bias.ba
+        omega = samples[k].gyro - lin_bg
+        acc = samples[k].accel - lin_ba
         for name, value in zip(steps, (ts, omega, d_r, j_r_bg, cov[0:3, 0:3])):
             steps[name].append(np.copy(value))
         e = exp_so3(omega * dt)
@@ -223,7 +224,7 @@ def integrate_imu_reference(samples, lin_bias: ImuBias, noise: ImuNoiseSpec,
         b_mat[0:3, 0:3] = jr * dt
         b_mat[3:6, 3:6] = d_r * dt
         b_mat[6:9, 3:6] = 0.5 * d_r * dt * dt
-        q = np.diag([noise.sigma_g**2 / dt] * 3 + [noise.sigma_a**2 / dt] * 3)
+        q = np.diag([sigma_g**2 / dt] * 3 + [sigma_a**2 / dt] * 3)
         cov = a_mat @ cov @ a_mat.T + b_mat @ q @ b_mat.T
 
         dp = dp + dv * dt + 0.5 * racc * dt * dt
@@ -248,7 +249,7 @@ def checkpoint_reference(pre, s: float):
     e = exp_so3(pre.step_omega[k] * delta)
     jr = right_jacobian_reference(pre.step_omega[k] * delta)
     return (d_r @ e, e.T @ jac - jr * delta,
-            e.T @ cov @ e + pre.noise.sigma_g**2 * delta * (jr @ jr.T))
+            e.T @ cov @ e + pre.sigma_g**2 * delta * (jr @ jr.T))
 
 
 def preintegrate_dvl_reference(samples, checkpoints, ext: DvlExtrinsics,

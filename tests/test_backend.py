@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import aquafuse.backend as bk
 from aquafuse.depth import PressureSample, S3
-from aquafuse.imu import ImuBias, ImuNoiseSpec, integrate_imu
+from aquafuse.imu import integrate_imu
 from aquafuse.manifold import BranchAmbiguityError, Pose, exp_so3, log_so3
 from aquafuse.sim import ScenarioConfig, sensor_rig_from_config
 from aquafuse.state import (PHI, STATE_DOF, NavState, retract_rows,
@@ -17,7 +17,7 @@ from helpers import (discrete_imu_world, dvl_samples_from_world,
                      fd_jacobian, fill_photometric, huber_cost, jac_close,
                      project, random_nav_state, robust_weight)
 
-NOISY = ImuNoiseSpec(sigma_g=2e-4, sigma_a=2e-3)
+NOISY = (2e-4, 2e-3)  # (sigma_g, sigma_a)
 # the sensor noise the window factors of these scenes assume
 NOISE = bk.SensorNoise(sigma_pixel=0.5, sigma_dvl=0.01, sigma_pressure=0.01,
                        sigma_bg_walk=1e-5, sigma_ba_walk=1e-4,
@@ -84,7 +84,8 @@ def make_scene(rng, n_kf=3, n_lm=8, kf_steps=40, pixel_noise=0.0,
     for k in range(n_kf - 1):
         seg = samples[k * kf_steps:(k + 1) * kf_steps]
         t0, t1 = kf_times[k], kf_times[k + 1]
-        pre = integrate_imu(seg, ImuBias.zero(), NOISY, t_start=t0, t_end=t1)
+        pre = integrate_imu(seg, np.zeros(3), np.zeros(3), *NOISY, t_start=t0,
+                            t_end=t1)
         dvl_idx = list(range(k * kf_steps, (k + 1) * kf_steps, dvl_every))
         dvl_times = [i * dt for i in dvl_idx]
         dvl_states = [states[i] for i in dvl_idx] + [states[(k + 1) * kf_steps]]

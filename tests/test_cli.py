@@ -167,8 +167,6 @@ def test_no_run_config_setting_is_overwritten(dataset, monkeypatch):
     noise = tracker.noise
     for name, value in scenario_noise.items():
         assert getattr(noise, name) == max(value, given[f"floors.{name}"])
-    assert dataclasses.astuple(tracker.imu_noise) == (noise.sigma_g,
-                                                      noise.sigma_a)
 
     # window and per-frame solves take the run's settings and that noise
     seen = []
@@ -185,6 +183,11 @@ def test_no_run_config_setting_is_overwritten(dataset, monkeypatch):
     assert all(c is cfg.backend for _, c, _ in seen)
     # the coarse tracker's single-node windows keep their own pixel noise
     assert all(n is tracker.noise for k, _, n in seen if k > 1)
+    # and so do the preintegrations
+    run = tracker.interval
+    assert (run.imu_preint.sigma_g, run.imu_preint.sigma_a,
+            run.dvl_preint.sigma_v) == (noise.sigma_g, noise.sigma_a,
+                                        noise.sigma_dvl)
 
 
 class TestInputErrors:
@@ -397,7 +400,8 @@ class TestInputErrors:
         assert f"{path}:2: bad timestamp" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
-        ("R", [1, 0, 0, 1]), ("R", "eye"), ("p", [0, 0]), ("p", None)])
+        ("R", [1, 0, 0, 1]), ("R", "eye"), ("p", [0, 0]), ("p", None),
+        ("p", [0, "nan", 0]), ("R", ["inf"] + [0] * 8)])
     def test_malformed_trajectory_vector_names_the_line(self, dataset, tmp_path,
                                                         capsys, key, value):
         good = {"t": "0.0", "R": np.eye(3).ravel().tolist(), "p": [0, 0, 0]}
@@ -409,7 +413,9 @@ class TestInputErrors:
         assert f"{path}:2: field '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stream, key, value", [
-        ("imu.jsonl", "gyro", [0.1, 0.2]), ("dvl.jsonl", "vel", [[0.1]])])
+        ("imu.jsonl", "gyro", [0.1, 0.2]), ("dvl.jsonl", "vel", [[0.1]]),
+        ("imu.jsonl", "accel", [0, "-inf", 0]), ("dvl.jsonl", "vel", ["nan", 0, 0]),
+        ("groundtruth.jsonl", "bv", [0, 0, "1e999"])])
     def test_malformed_dataset_vector_names_the_line(self, dataset, tmp_path,
                                                      capsys, stream, key,
                                                      value):
@@ -428,7 +434,13 @@ class TestInputErrors:
         ("frames.jsonl", ("obs", 0, "disparity"), "x"),
         ("frames.jsonl", ("field", "sigma_px"), {"px": 3.0}),
         ("frames.jsonl", ("field", "offset"), [0.0]),
-        ("frames.jsonl", ("field", "amps"), "x")])
+        ("frames.jsonl", ("field", "amps"), "x"),
+        ("pressure.jsonl", ("depth",), "nan"),
+        ("frames.jsonl", ("frame_id",), "1e999"),
+        ("frames.jsonl", ("obs", 0, "disparity"), "inf"),
+        ("frames.jsonl", ("obs", 0, "uv"), [0, "nan"]),
+        ("frames.jsonl", ("field", "sigma_px"), "nan"),
+        ("frames.jsonl", ("field", "offset"), "-inf")])
     def test_malformed_dataset_scalar_names_the_line(self, dataset, tmp_path,
                                                      capsys, stream, keys,
                                                      value):
@@ -459,6 +471,26 @@ class TestInputErrors:
         run = tmp_path / "run"
         assert _estimate(copy, run) == 2
         assert f"{copy / stream}:6: bad timestamp" in capsys.readouterr().err
+        assert not run.exists()
+
+    @pytest.mark.parametrize("stream, key, text, mode", [
+        ("pressure.jsonl", "depth", "NaN", "full"),
+        ("imu.jsonl", "gyro", "[NaN, 0, 0]", "full"),
+        ("dvl.jsonl", "vel", "[Infinity, 0, 0]", "dvl-deadreckon-only"),
+        ("dvl.jsonl", "vel", "[0, 1e999, 0]", "dvl-deadreckon-only"),
+        ("frames.jsonl", "frame_id", "-Infinity", "full")])
+    def test_non_finite_literal_names_the_line(self, dataset, tmp_path, capsys,
+                                               stream, key, text, mode):
+        # JSON literals the decoder would take, and one that overflows
+        copy = tmp_path / "dataset"
+        shutil.copytree(dataset, copy)
+        lines = (copy / stream).read_text().splitlines()
+        lines[5] = json.dumps({**json.loads(lines[5]), key: "@"}).replace(
+            '"@"', text)
+        (copy / stream).write_text("\n".join(lines) + "\n")
+        run = tmp_path / "run"
+        assert _estimate(copy, run, "--mode", mode) == 2
+        assert f"{copy / stream}:6: " in capsys.readouterr().err
         assert not run.exists()
 
     def test_bad_arguments(self):

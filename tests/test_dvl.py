@@ -7,7 +7,7 @@ from aquafuse.dvl import (DvlExtrinsics, DvlSample, correct_dvl_bias,
                           dvl_velocity_pair_residuals, preintegrate_dvl,
                           stack_dvl_position_pairs, stack_dvl_velocity_pairs)
 from aquafuse.frontend import EstimatorMode, RunConfig, run_estimator
-from aquafuse.imu import ImuBias, ImuNoiseSpec, ImuSample, integrate_imu
+from aquafuse.imu import ImuSample, integrate_imu
 from aquafuse.manifold import exp_so3
 from aquafuse.sim import ScenarioConfig, sensor_rig_from_config, simulate
 from aquafuse.state import BG, BV, PHI, POS, VEL, NavState, stack_states
@@ -18,8 +18,7 @@ from helpers import (DvlBias, dead_reckon_dvl,
                      random_nav_state, random_rotation)
 
 IDENTITY_EXT = DvlExtrinsics(np.eye(3), np.zeros(3))
-QUIET = ImuNoiseSpec()
-NOISY = ImuNoiseSpec(sigma_g=2e-4, sigma_a=2e-3)
+NOISY = (2e-4, 2e-3)  # (sigma_g, sigma_a)
 
 
 def velocity_residual(state_i, state_m, gyro_i, gyro_m, meas_i, meas_m, ext,
@@ -60,7 +59,7 @@ def _still_imu(t_end):
     rotation checkpoint is exactly I."""
     samples = [ImuSample(0.01 * k, np.zeros(3), np.zeros(3))
                for k in range(int(round(t_end / 0.01)))]
-    return integrate_imu(samples, ImuBias.zero(), QUIET, t_end=t_end)
+    return integrate_imu(samples, np.zeros(3), np.zeros(3), t_end=t_end)
 
 
 def _world_with_dvl(rng, n_imu=100, dvl_every=10, ext=IDENTITY_EXT,
@@ -69,7 +68,7 @@ def _world_with_dvl(rng, n_imu=100, dvl_every=10, ext=IDENTITY_EXT,
     consistent with the world displacements."""
     samples, states, g = discrete_imu_world(rng, n=n_imu)
     t_end = n_imu * 0.01
-    pre = integrate_imu(samples, ImuBias.zero(), QUIET, t_end=t_end)
+    pre = integrate_imu(samples, np.zeros(3), np.zeros(3), t_end=t_end)
     dvl_idx = list(range(0, n_imu, dvl_every))
     dvl_times = [k * 0.01 for k in dvl_idx]
     dvl_states = [states[k] for k in dvl_idx] + [states[-1]]
@@ -147,6 +146,13 @@ class TestPreintegrate:
         with pytest.raises(ValueError):
             preintegrate_dvl([], pre, IDENTITY_EXT, np.zeros(3), np.zeros(3))
 
+    def test_negative_noise_rejected(self, rng):
+        # squared, -1 would act as 1
+        _, _, pre, dvl, _ = _world_with_dvl(rng)
+        with pytest.raises(ValueError, match="DVL noise must be nonnegative"):
+            preintegrate_dvl(dvl, pre, IDENTITY_EXT, np.zeros(3), np.zeros(3),
+                             sigma_v=-1.0)
+
 
 class TestAgainstReference:
     """The array form against the per-hold loop of
@@ -183,8 +189,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("sigma_v", [0.0, 0.02])
     def test_irregular_sample_times(self, rng, sigma_v):
         samples, ext, bg, bv = self._setup(rng)
-        pre = integrate_imu(samples, ImuBias(bg, np.zeros(3)), NOISY,
-                            t_end=1.2)
+        pre = integrate_imu(samples, bg, np.zeros(3), *NOISY, t_end=1.2)
         times = np.cumsum(rng.uniform(0.01, 0.2, size=12))
         times = times[times < 1.2] - times[0]
         dvl = [DvlSample(t, rng.normal(size=3)) for t in times]
@@ -192,7 +197,7 @@ class TestAgainstReference:
 
     def test_first_sample_before_the_span(self, rng):
         samples, ext, bg, bv = self._setup(rng)
-        pre = integrate_imu(samples[23:], ImuBias(bg, np.zeros(3)), NOISY,
+        pre = integrate_imu(samples[23:], bg, np.zeros(3), *NOISY,
                             t_start=0.234, t_end=0.91)
         dvl = [DvlSample(0.1 * k, rng.normal(size=3)) for k in range(12)]
         got = self._compare(dvl, pre, ext, bg, bv, 0.02)
@@ -202,8 +207,7 @@ class TestAgainstReference:
     def test_zero_length_last_hold(self, rng):
         # a sample at the span's end holds for no time and adds nothing
         samples, ext, bg, bv = self._setup(rng)
-        pre = integrate_imu(samples, ImuBias(bg, np.zeros(3)), NOISY,
-                            t_end=0.9)
+        pre = integrate_imu(samples, bg, np.zeros(3), *NOISY, t_end=0.9)
         dvl = [DvlSample(0.1 * k, rng.normal(size=3)) for k in range(10)]
         got = self._compare(dvl, pre, ext, bg, bv, 0.02)
         shorter = preintegrate_dvl(dvl[:-1], pre, ext, bg, bv, sigma_v=0.02)
@@ -213,8 +217,7 @@ class TestAgainstReference:
 
     def test_zero_noise_leaves_the_covariance_zero(self, rng):
         samples, ext, bg, bv = self._setup(rng)
-        pre = integrate_imu(samples, ImuBias(bg, np.zeros(3)), QUIET,
-                            t_end=1.2)
+        pre = integrate_imu(samples, bg, np.zeros(3), t_end=1.2)
         dvl = [DvlSample(0.1 * k, rng.normal(size=3)) for k in range(12)]
         assert not self._compare(dvl, pre, ext, bg, bv, 0.0).cov.any()
 
@@ -253,7 +256,7 @@ class TestTranslationsAt:
         result = run_estimator(ds, RunConfig(mode=EstimatorMode.DVL_DEADRECKON))
         gt0 = ds.groundtruth[0]
         times = [f.t for f in ds.frames]
-        imu = integrate_imu(ds.imu, ImuBias(gt0.bg, gt0.ba), QUIET,
+        imu = integrate_imu(ds.imu, gt0.bg, gt0.ba,
                             t_start=times[0], t_end=times[-1])
         want = dead_reckoning_positions_reference(
             ds.dvl, imu, sensor_rig_from_config(ds.config).dvl, gt0.R, gt0.p,
@@ -286,13 +289,12 @@ class TestCorrectBias:
         samples, _, _, dvl, t_end = _world_with_dvl(rng)
 
         def gap(dbg):
-            pre_imu = integrate_imu(samples, ImuBias.zero(), QUIET,
+            pre_imu = integrate_imu(samples, np.zeros(3), np.zeros(3),
                                     t_end=t_end)
             pre = preintegrate_dvl(dvl, pre_imu, IDENTITY_EXT, np.zeros(3),
                                    np.zeros(3))
             first_order = correct_dvl_bias(pre, dbg, np.zeros(3))
-            re_imu = integrate_imu(samples, ImuBias(dbg, np.zeros(3)), QUIET,
-                                   t_end=t_end)
+            re_imu = integrate_imu(samples, dbg, np.zeros(3), t_end=t_end)
             re_pre = preintegrate_dvl(dvl, re_imu, IDENTITY_EXT, dbg,
                                       np.zeros(3))
             return np.linalg.norm(first_order - re_pre.dp)
@@ -347,7 +349,7 @@ class TestResumeDvl:
         IMU preintegration of [0, t1]."""
         samples = [s for k, s in enumerate(dvl)
                    if s.t < t1 and (k + 1 == len(dvl) or dvl[k + 1].t > t0)]
-        imu = integrate_imu(imu_samples, ImuBias(bg, np.zeros(3)), NOISY,
+        imu = integrate_imu(imu_samples, bg, np.zeros(3), *NOISY,
                             t_start=0.0, t_end=t1)
         return preintegrate_dvl(samples, imu, ext, bg, bv, sigma_v=0.01,
                                 resume=resume)
@@ -395,7 +397,7 @@ def _resume_args(rng, sensor, change):
     bg, bv = rng.normal(size=3) * 0.01, rng.normal(size=3) * 0.02
     other = rng.normal(size=3) * 0.01 if change == "bias" else bg
     moved = change == "start"
-    first = integrate_imu(imu, ImuBias(bg, np.zeros(3)), NOISY, t_start=0.0,
+    first = integrate_imu(imu, bg, np.zeros(3), *NOISY, t_start=0.0,
                           t_end=0.37)
     if sensor == "dvl":
         first = preintegrate_dvl([s for s in dvl if s.t < 0.37], first, ext,
@@ -404,10 +406,10 @@ def _resume_args(rng, sensor, change):
               if first.last_step.sample_t <= s.t < 0.8]
     buffer = buffer[1:] if change == "sample" else buffer
     if sensor == "imu":
-        return integrate_imu, (buffer, ImuBias(other, np.zeros(3)), NOISY,
+        return integrate_imu, (buffer, other, np.zeros(3), *NOISY,
                                0.01 if moved else None), \
             dict(t_end=0.8, resume=first)
-    span = integrate_imu(imu, ImuBias(bg, np.zeros(3)), NOISY,
+    span = integrate_imu(imu, bg, np.zeros(3), *NOISY,
                          t_start=0.01 if moved else 0.0, t_end=0.8)
     return preintegrate_dvl, (buffer, span, ext, other, bv), dict(resume=first)
 
@@ -433,7 +435,7 @@ def test_a_dvl_resume_keeps_its_noise_and_extrinsics(rng, change):
     bg, bv = rng.normal(size=3) * 0.01, rng.normal(size=3) * 0.02
 
     def span(t_end):
-        return integrate_imu(imu, ImuBias(bg, np.zeros(3)), NOISY, t_start=0.0,
+        return integrate_imu(imu, bg, np.zeros(3), *NOISY, t_start=0.0,
                              t_end=t_end)
 
     first = preintegrate_dvl([s for s in dvl if s.t < 0.37], span(0.37), ext,

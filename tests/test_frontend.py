@@ -14,7 +14,7 @@ from aquafuse.frontend import (EstimatorMode, FrameState,
                                Tracker, TrackerConfig, TrackingStatus,
                                keyframe_decision, predict_state_degraded,
                                refine_photometric, run_estimator, track_coarse)
-from aquafuse.imu import ImuBias, ImuNoiseSpec, integrate_imu
+from aquafuse.imu import integrate_imu
 from aquafuse.manifold import Pose, exp_so3, log_so3, rotation_angle
 from aquafuse.sim import ScenarioConfig, simulate
 from aquafuse.state import NavState
@@ -180,7 +180,7 @@ class TestPredictDegraded:
                                                 accel_scale=0.0)
         state = states[0]
         state.v = np.zeros(3)
-        pre = integrate_imu(samples, ImuBias.zero(), ImuNoiseSpec(), t_end=0.1)
+        pre = integrate_imu(samples, np.zeros(3), np.zeros(3), t_end=0.1)
         dvl = dvl_samples_from_world([states[0]] * 3, [0.0, 0.05], 0.05,
                                      rig.dvl)
         dvl_pre = preintegrate_dvl(dvl, pre, rig.dvl, np.zeros(3),
@@ -192,7 +192,7 @@ class TestPredictDegraded:
         from aquafuse.dvl import DvlExtrinsics
         ext = DvlExtrinsics(np.eye(3), np.zeros(3))
         samples, states, _ = discrete_imu_world(rng, n=100)
-        pre = integrate_imu(samples, ImuBias.zero(), ImuNoiseSpec(), t_end=1.0)
+        pre = integrate_imu(samples, np.zeros(3), np.zeros(3), t_end=1.0)
         times = [k * 0.1 for k in range(10)]
         dvl_states = [states[k * 10] for k in range(10)] + [states[-1]]
         dvl = dvl_samples_from_world(dvl_states, times, 0.1, ext)
@@ -205,7 +205,7 @@ class TestPredictDegraded:
         # one-second horizon over an exactly consistent discrete world
         rig = default_rig()
         samples, states, _ = discrete_imu_world(rng, n=100)
-        pre = integrate_imu(samples, ImuBias.zero(), ImuNoiseSpec(), t_end=1.0)
+        pre = integrate_imu(samples, np.zeros(3), np.zeros(3), t_end=1.0)
         times = [k * 0.1 for k in range(10)]
         dvl_states = [states[k * 10] for k in range(10)] + [states[-1]]
         dvl = dvl_samples_from_world(dvl_states, times, 0.1, rig.dvl)

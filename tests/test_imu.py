@@ -4,9 +4,9 @@ from numpy.testing import assert_allclose
 
 import aquafuse.imu as imu
 import aquafuse.manifold as manifold
-from aquafuse.imu import (ImuBias, ImuNoiseSpec, ImuSample, correct_imu_bias,
-                          hold_intervals, imu_pair_residuals, integrate_imu,
-                          predict_state_imu, stack_imu_pairs)
+from aquafuse.imu import (ImuSample, correct_imu_bias, hold_intervals,
+                          imu_pair_residuals, integrate_imu, predict_state_imu,
+                          stack_imu_pairs)
 from aquafuse.manifold import SMALL_ANGLE, exp_so3, log_so3
 from aquafuse.state import BA, BG, PHI, POS, STATE_DOF, VEL, NavState, stack_states
 
@@ -14,8 +14,8 @@ from helpers import (checkpoint_reference, discrete_imu_world,
                      hold_intervals_reference, integrate_imu_reference,
                      random_nav_state)
 
-QUIET = ImuNoiseSpec()
-NOISY = ImuNoiseSpec(sigma_g=2e-4, sigma_a=2e-3)
+ZERO = (np.zeros(3), np.zeros(3))  # (bg, ba)
+NOISY = (2e-4, 2e-3)  # (sigma_g, sigma_a)
 
 
 def residual(state_i, state_j, pre, gravity, blocks=False):
@@ -39,7 +39,7 @@ def _uniform_samples(n, dt, gyro, accel):
 class TestIntegrateImu:
     def test_zero_samples_over_one_second(self):
         samples = _uniform_samples(100, 0.01, np.zeros(3), np.zeros(3))
-        pre = integrate_imu(samples, ImuBias.zero(), QUIET, t_end=1.0)
+        pre = integrate_imu(samples, *ZERO, t_end=1.0)
         assert_allclose(pre.dR, np.eye(3))
         assert_allclose(pre.dv, np.zeros(3))
         assert_allclose(pre.dp, np.zeros(3))
@@ -48,44 +48,48 @@ class TestIntegrateImu:
     def test_constant_acceleration_closed_form(self):
         # the discrete left sum telescopes to a*T and a*T^2/2 exactly
         samples = _uniform_samples(100, 0.01, np.zeros(3), np.array([1.0, 0, 0]))
-        pre = integrate_imu(samples, ImuBias.zero(), QUIET, t_end=1.0)
+        pre = integrate_imu(samples, *ZERO, t_end=1.0)
         assert_allclose(pre.dv, [1.0, 0, 0], atol=1e-14)
         assert_allclose(pre.dp, [0.5, 0, 0], atol=1e-14)
 
     def test_constant_rate_closed_form(self):
         samples = _uniform_samples(100, 0.01, np.array([0, 0, np.pi / 2]),
                                    np.zeros(3))
-        pre = integrate_imu(samples, ImuBias.zero(), QUIET, t_end=1.0)
+        pre = integrate_imu(samples, *ZERO, t_end=1.0)
         assert_allclose(pre.dR, exp_so3([0, 0, np.pi / 2]), atol=1e-9)
+
+    @pytest.mark.parametrize("noise", [(-1e-4, 0.0), (0.0, -1e-3)])
+    def test_negative_noise_rejected(self, noise):
+        samples = _uniform_samples(10, 0.01, np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match="IMU noise must be nonnegative"):
+            integrate_imu(samples, *ZERO, *noise, t_end=0.1)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="empty IMU sample buffer"):
-            integrate_imu([], ImuBias.zero(), QUIET, t_end=1.0)
+            integrate_imu([], *ZERO, t_end=1.0)
 
     def test_non_monotone_timestamps_rejected(self):
         samples = [ImuSample(0.0, np.zeros(3), np.zeros(3)),
                    ImuSample(0.0, np.zeros(3), np.zeros(3))]
         with pytest.raises(ValueError, match="strictly increasing"):
-            integrate_imu(samples, ImuBias.zero(), QUIET, t_end=1.0)
+            integrate_imu(samples, *ZERO, t_end=1.0)
 
     def test_dt_total_matches_span(self, rng):
         samples, _, _ = discrete_imu_world(rng, n=37)
-        pre = integrate_imu(samples, ImuBias.zero(), QUIET,
-                            t_start=0.0, t_end=0.37)
+        pre = integrate_imu(samples, *ZERO, t_start=0.0, t_end=0.37)
         assert pre.dt_total == pytest.approx(0.37)
 
     def test_covariance_trace_grows_with_samples(self, rng):
         samples, _, _ = discrete_imu_world(rng, n=80)
         traces = []
         for n in (20, 40, 80):
-            pre = integrate_imu(samples[:n], ImuBias.zero(), NOISY,
-                                t_end=n * 0.01)
+            pre = integrate_imu(samples[:n], *ZERO, *NOISY, t_end=n * 0.01)
             traces.append(np.trace(pre.cov))
         assert traces[0] < traces[1] < traces[2]
 
     def test_covariance_symmetric_psd(self, rng):
         samples, _, _ = discrete_imu_world(rng, n=60)
-        pre = integrate_imu(samples, ImuBias.zero(), NOISY, t_end=0.6)
+        pre = integrate_imu(samples, *ZERO, *NOISY, t_end=0.6)
         assert_allclose(pre.cov, pre.cov.T, atol=1e-18)
         assert np.linalg.eigvalsh(pre.cov).min() >= -1e-18
 
@@ -114,18 +118,17 @@ class TestResumeImu:
     """Extending a preintegration equals integrating the whole span at once,
     bit for bit."""
 
-    BIAS = ImuBias(np.array([0.003, -0.002, 0.001]),
-                   np.array([0.02, 0.01, -0.03]))
+    BIAS = (np.array([0.003, -0.002, 0.001]), np.array([0.02, 0.01, -0.03]))
 
     def _check(self, rng, t_start, ends):
         samples, _, _ = discrete_imu_world(rng, n=150)
-        pre = integrate_imu(_hold_slice(samples, t_start, ends[0]), self.BIAS,
-                            NOISY, t_start=t_start, t_end=ends[0])
+        pre = integrate_imu(_hold_slice(samples, t_start, ends[0]), *self.BIAS,
+                            *NOISY, t_start=t_start, t_end=ends[0])
         for t_end in ends[1:]:
             pre = integrate_imu(_hold_slice(samples, pre.step_t[-1], t_end),
-                                self.BIAS, NOISY, t_end=t_end, resume=pre)
+                                *self.BIAS, *NOISY, t_end=t_end, resume=pre)
             batch = integrate_imu(_hold_slice(samples, t_start, t_end),
-                                  self.BIAS, NOISY, t_start=t_start,
+                                  *self.BIAS, *NOISY, t_start=t_start,
                                   t_end=t_end)
             probes = np.linspace(t_start, t_end, 23)
             _assert_same_bits(pre, batch, probes)
@@ -149,23 +152,36 @@ class TestResumeImu:
 
     def test_rejects_a_buffer_from_the_wrong_sample(self, rng):
         samples, _, _ = discrete_imu_world(rng, n=50)
-        pre = integrate_imu(samples[:21], self.BIAS, NOISY, t_start=0.0,
+        pre = integrate_imu(samples[:21], *self.BIAS, *NOISY, t_start=0.0,
                             t_end=0.2)
         # the last step holds sample 19: a buffer from sample 20 is too late
         with pytest.raises(ValueError):
-            integrate_imu(samples[20:40], self.BIAS, NOISY, t_end=0.4,
+            integrate_imu(samples[20:40], *self.BIAS, *NOISY, t_end=0.4,
                           resume=pre)
 
     def test_rejects_another_bias_or_start(self, rng):
         samples, _, _ = discrete_imu_world(rng, n=50)
-        pre = integrate_imu(samples[:21], self.BIAS, NOISY, t_start=0.0,
+        pre = integrate_imu(samples[:21], *self.BIAS, *NOISY, t_start=0.0,
                             t_end=0.2)
         with pytest.raises(ValueError):
-            integrate_imu(samples[19:40], ImuBias.zero(), NOISY, t_end=0.4,
-                          resume=pre)
+            integrate_imu(samples[19:40], *ZERO, *NOISY, t_end=0.4, resume=pre)
         with pytest.raises(ValueError):
-            integrate_imu(samples[19:40], self.BIAS, NOISY, t_start=0.0,
+            integrate_imu(samples[19:40], *self.BIAS, *NOISY, t_start=0.0,
                           t_end=0.4, resume=pre)
+
+    @pytest.mark.parametrize("change", ["lin_bg", "lin_ba", "sigma_g",
+                                        "sigma_a"])
+    def test_rejects_another_bias_or_noise(self, rng, change):
+        # a resume at another density would sum two noise models in one
+        # covariance, and at another bias two linearizations in one sum
+        samples, _, _ = discrete_imu_world(rng, n=50)
+        args = dict(zip(("lin_bg", "lin_ba", "sigma_g", "sigma_a"),
+                        (*self.BIAS, *NOISY)))
+        pre = integrate_imu(samples[:21], **args, t_start=0.0, t_end=0.2)
+        integrate_imu(samples[19:40], **args, t_end=0.4, resume=pre)
+        args[change] = args[change] + 1e-3
+        with pytest.raises(ValueError, match="resumes only"):
+            integrate_imu(samples[19:40], **args, t_end=0.4, resume=pre)
 
 
 def _assert_rel(got, want, name, rtol=1e-12):
@@ -185,8 +201,7 @@ class TestAgainstPerStepReference:
     """The array-coded integrator equals the per-step loop it replaced, to
     1e-12 relative, on every output."""
 
-    BIAS = ImuBias(np.array([0.003, -0.002, 0.001]),
-                   np.array([0.02, 0.01, -0.03]))
+    BIAS = (np.array([0.003, -0.002, 0.001]), np.array([0.02, 0.01, -0.03]))
 
     @staticmethod
     def _samples(rng, times, omega_scale=0.4):
@@ -194,9 +209,9 @@ class TestAgainstPerStepReference:
                           rng.normal(size=3) + [0.0, 0.0, -9.81]) for t in times]
 
     def _check(self, samples, t_start, t_end, noise=NOISY):
-        got = integrate_imu(samples, self.BIAS, noise, t_start=t_start,
+        got = integrate_imu(samples, *self.BIAS, *noise, t_start=t_start,
                             t_end=t_end)
-        want = integrate_imu_reference(samples, self.BIAS, noise, t_start, t_end)
+        want = integrate_imu_reference(samples, *self.BIAS, *noise, t_start, t_end)
         for name in _PREINT_FIELDS:
             _assert_rel(getattr(got, name), getattr(want, name), name)
         return got
@@ -216,7 +231,7 @@ class TestAgainstPerStepReference:
         # steps on the closed form
         samples = self._samples(rng, np.arange(60) * 0.01)
         for k in range(0, 60, 2):
-            samples[k] = ImuSample(samples[k].t, self.BIAS.bg
+            samples[k] = ImuSample(samples[k].t, self.BIAS[0]
                                    + rng.normal(size=3) * 1e-8, samples[k].accel)
         pre = self._check(samples, 0.0, 0.6)
         angles = np.linalg.norm(pre.step_omega, axis=1) * 0.01
@@ -234,10 +249,10 @@ class TestAgainstPerStepReference:
         times = np.cumsum(rng.uniform(0.002, 0.03, size=120))
         samples = self._samples(rng, times)
         span = (float(times[0]), float(times[-1]) + 0.01)
-        pre = self._check(samples, *span, noise=QUIET)
+        pre = self._check(samples, *span, noise=(0.0, 0.0))
         for cov in (pre.cov, pre.step_phi_cov, pre.last_step.cov):
             assert not cov.any()
-        noisy = integrate_imu(samples, self.BIAS, NOISY, t_start=span[0],
+        noisy = integrate_imu(samples, *self.BIAS, *NOISY, t_start=span[0],
                               t_end=span[1])
         for name in _PREINT_FIELDS:
             if "cov" not in name:
@@ -246,7 +261,7 @@ class TestAgainstPerStepReference:
 
     def test_checkpoints_on_between_and_just_after_steps(self, rng):
         times = np.cumsum(rng.uniform(0.005, 0.02, size=50))
-        pre = integrate_imu(self._samples(rng, times), self.BIAS, NOISY,
+        pre = integrate_imu(self._samples(rng, times), *self.BIAS, *NOISY,
                             t_start=float(times[0]), t_end=float(times[-1]))
         steps = pre.step_t
         probes = np.concatenate([
@@ -268,7 +283,7 @@ class TestAgainstPerStepReference:
 
     def test_checkpoints_outside_the_span_rejected(self, rng):
         samples = self._samples(rng, np.arange(20) * 0.01)
-        pre = integrate_imu(samples, self.BIAS, NOISY, t_start=0.0, t_end=0.2)
+        pre = integrate_imu(samples, *self.BIAS, *NOISY, t_start=0.0, t_end=0.2)
         for bad in (-0.01, 0.21):
             with pytest.raises(ValueError):
                 pre.checkpoints_at([0.1, bad])
@@ -309,7 +324,7 @@ class TestWorkCount:
                 monkeypatch.setattr(imu, name, wrapped)
         samples = [ImuSample(k * 0.01, rng.normal(size=3), rng.normal(size=3))
                    for k in range(6000)]
-        pre = integrate_imu(samples, ImuBias.zero(), NOISY, t_end=60.0)
+        pre = integrate_imu(samples, *ZERO, *NOISY, t_end=60.0)
         # on and between steps
         pre.checkpoints_at(np.linspace(0.0, 59.9, 600) + 0.003 * (np.arange(600) % 2))
         assert len(pre.step_t) == 6000
@@ -321,8 +336,8 @@ class TestWorkCount:
 class TestCorrectBias:
     def test_zero_delta_is_identity(self, rng):
         samples, _, _ = discrete_imu_world(rng, n=50)
-        pre = integrate_imu(samples, ImuBias.zero(), QUIET, t_end=0.5)
-        d_r, dv, dp = correct_imu_bias(pre, ImuBias.zero())
+        pre = integrate_imu(samples, *ZERO, t_end=0.5)
+        d_r, dv, dp = correct_imu_bias(pre, *ZERO)
         assert_allclose(d_r, pre.dR)
         assert_allclose(dv, pre.dv)
         assert_allclose(dp, pre.dp)
@@ -331,10 +346,10 @@ class TestCorrectBias:
         # straight line: with dR constant the accel-bias dependence is linear,
         # so the first-order update equals full re-integration
         samples = _uniform_samples(100, 0.01, np.zeros(3), np.array([1.0, 0, 0]))
-        pre = integrate_imu(samples, ImuBias.zero(), QUIET, t_end=1.0)
-        new_bias = ImuBias(np.zeros(3), np.array([0.01, 0, 0]))
-        _, dv, dp = correct_imu_bias(pre, new_bias)
-        re_pre = integrate_imu(samples, new_bias, QUIET, t_end=1.0)
+        pre = integrate_imu(samples, *ZERO, t_end=1.0)
+        new_bias = (np.zeros(3), np.array([0.01, 0, 0]))
+        _, dv, dp = correct_imu_bias(pre, *new_bias)
+        re_pre = integrate_imu(samples, *new_bias, t_end=1.0)
         assert_allclose(dv, re_pre.dv, atol=1e-14)
         assert_allclose(dp, re_pre.dp, atol=1e-14)
 
@@ -342,10 +357,9 @@ class TestCorrectBias:
         samples, _, _ = discrete_imu_world(rng, n=100)
 
         def gap(delta_bg):
-            pre = integrate_imu(samples, ImuBias.zero(), QUIET, t_end=1.0)
-            bias = ImuBias(delta_bg, np.zeros(3))
-            d_r, dv, dp = correct_imu_bias(pre, bias)
-            exact = integrate_imu(samples, bias, QUIET, t_end=1.0)
+            pre = integrate_imu(samples, *ZERO, t_end=1.0)
+            d_r, dv, dp = correct_imu_bias(pre, delta_bg, np.zeros(3))
+            exact = integrate_imu(samples, delta_bg, np.zeros(3), t_end=1.0)
             return np.linalg.norm(dp - exact.dp) \
                 + np.linalg.norm(dv - exact.dv) \
                 + np.linalg.norm(log_so3(exact.dR.T @ d_r))
@@ -356,13 +370,12 @@ class TestCorrectBias:
 
     def test_equals_the_pair_residuals_correction(self, rng):
         samples, _, _ = discrete_imu_world(rng, n=80)
-        lin = ImuBias(rng.normal(size=3) * 1e-3, rng.normal(size=3) * 1e-2)
-        pre = integrate_imu(samples, lin, NOISY, t_end=0.8)
-        bias = ImuBias(lin.bg + [0.004, -0.002, 0.003],
-                       lin.ba + [0.02, 0.01, -0.03])
-        d_r, dv, dp = correct_imu_bias(pre, bias)
+        lin_bg, lin_ba = rng.normal(size=3) * 1e-3, rng.normal(size=3) * 1e-2
+        pre = integrate_imu(samples, lin_bg, lin_ba, *NOISY, t_end=0.8)
+        bg, ba = lin_bg + [0.004, -0.002, 0.003], lin_ba + [0.02, 0.01, -0.03]
+        d_r, dv, dp = correct_imu_bias(pre, bg, ba)
         # the first-order update, term by term
-        dbg, dba = bias.bg - lin.bg, bias.ba - lin.ba
+        dbg, dba = bg - lin_bg, ba - lin_ba
         assert_allclose(d_r, pre.dR @ exp_so3(pre.J_dR_dbg @ dbg), atol=1e-15)
         assert_allclose(dv, pre.dv + pre.J_dv_dbg @ dbg + pre.J_dv_dba @ dba,
                         atol=1e-15)
@@ -371,14 +384,14 @@ class TestCorrectBias:
         # the state it predicts from an identity state at the new biases
         # zeroes the pair residual, which corrects to the same biases
         g = np.array([0.0, 0.0, 9.81])
-        s_i = NavState(np.eye(3), np.zeros(3), np.zeros(3), bias.bg, bias.ba)
+        s_i = NavState(np.eye(3), np.zeros(3), np.zeros(3), bg, ba)
         s_j = NavState(d_r, 0.5 * g * pre.dt_total**2 + dp, g * pre.dt_total + dv,
-                       bias.bg, bias.ba)
+                       bg, ba)
         assert_allclose(residual(s_i, s_j, pre, g), np.zeros(9), atol=1e-14)
         # and a batch of one is that batch's row
         two = stack_imu_pairs([pre, pre])
         rows = imu.correct_imu_bias_batch(
-            two, np.tile(np.concatenate([bias.bg, bias.ba]), (2, 1)))
+            two, np.tile(np.concatenate([bg, ba]), (2, 1)))
         assert np.array_equal(rows[0][1], d_r)
         assert np.array_equal(rows[1][1], np.concatenate([dv, dp]))
 
@@ -386,7 +399,7 @@ class TestCorrectBias:
 class TestPredict:
     def test_zero_preint_zero_gravity(self, rng):
         samples = _uniform_samples(10, 0.01, np.zeros(3), np.zeros(3))
-        pre = integrate_imu(samples, ImuBias.zero(), QUIET, t_end=0.1)
+        pre = integrate_imu(samples, *ZERO, t_end=0.1)
         state = random_nav_state(rng)
         state.v = np.zeros(3)
         state.bg = np.zeros(3)
@@ -398,7 +411,7 @@ class TestPredict:
 
     def test_free_fall(self):
         samples = _uniform_samples(100, 0.01, np.zeros(3), np.zeros(3))
-        pre = integrate_imu(samples, ImuBias.zero(), QUIET, t_end=1.0)
+        pre = integrate_imu(samples, *ZERO, t_end=1.0)
         state = NavState(np.eye(3), np.zeros(3), np.zeros(3))
         out = predict_state_imu(state, pre, [0, 0, 9.81])
         assert_allclose(out.p, [0, 0, 4.905], atol=1e-12)
@@ -406,7 +419,7 @@ class TestPredict:
 
     def test_predict_residual_duality(self, rng):
         samples, _, g = discrete_imu_world(rng, n=70)
-        pre = integrate_imu(samples, ImuBias.zero(), QUIET, t_end=0.7)
+        pre = integrate_imu(samples, *ZERO, t_end=0.7)
         state_i = random_nav_state(rng)
         state_j = predict_state_imu(state_i, pre, g)
         res = residual(state_i, state_j, pre, g)
@@ -414,12 +427,11 @@ class TestPredict:
 
     def test_reproduces_discrete_world(self, rng):
         # ten seconds of piecewise-constant truth
-        bias = ImuBias(np.array([0.002, -0.001, 0.003]),
-                       np.array([0.02, 0.01, -0.015]))
+        bias = (np.array([0.002, -0.001, 0.003]), np.array([0.02, 0.01, -0.015]))
         samples, states, g = discrete_imu_world(rng, n=1000, bias=bias)
-        pre = integrate_imu(samples, bias, QUIET, t_end=10.0)
+        pre = integrate_imu(samples, *bias, t_end=10.0)
         start = states[0]
-        start.bg, start.ba = bias.bg.copy(), bias.ba.copy()
+        start.bg, start.ba = bias[0].copy(), bias[1].copy()
         out = predict_state_imu(start, pre, g)
         truth = states[-1]
         assert np.linalg.norm(out.p - truth.p) < 1e-6
@@ -430,14 +442,14 @@ class TestPredict:
 class TestResidual:
     def test_consistent_states_zero(self, rng):
         samples, _, g = discrete_imu_world(rng, n=40)
-        pre = integrate_imu(samples, ImuBias.zero(), QUIET, t_end=0.4)
+        pre = integrate_imu(samples, *ZERO, t_end=0.4)
         si = random_nav_state(rng)
         sj = predict_state_imu(si, pre, g)
         assert np.abs(residual(si, sj, pre, g)).max() < 1e-10
 
     def test_position_perturbation_direct(self, rng):
         samples, _, g = discrete_imu_world(rng, n=40)
-        pre = integrate_imu(samples, ImuBias.zero(), QUIET, t_end=0.4)
+        pre = integrate_imu(samples, *ZERO, t_end=0.4)
         si = random_nav_state(rng)
         si.R = np.eye(3)
         sj = predict_state_imu(si, pre, g)
@@ -449,7 +461,7 @@ class TestResidual:
 
     def test_rotation_perturbation_small_angle(self, rng):
         samples, _, g = discrete_imu_world(rng, n=40)
-        pre = integrate_imu(samples, ImuBias.zero(), QUIET, t_end=0.4)
+        pre = integrate_imu(samples, *ZERO, t_end=0.4)
         si = random_nav_state(rng)
         sj = predict_state_imu(si, pre, g)
         sj.R = sj.R @ exp_so3([0, 0, 1e-4])
@@ -460,7 +472,7 @@ class TestResidual:
         g = np.array([0.0, 0.0, 9.81])
         for _ in range(20):
             samples, _, _ = discrete_imu_world(rng, n=30)
-            pre = integrate_imu(samples, ImuBias.zero(), NOISY, t_end=0.3)
+            pre = integrate_imu(samples, *ZERO, *NOISY, t_end=0.3)
             si = random_nav_state(rng)
             sj = predict_state_imu(si, pre, g)
             sj.p += rng.normal(size=3) * 0.05
