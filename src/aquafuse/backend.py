@@ -20,15 +20,16 @@ sensors it fuses by the measurements it gives.
 
 Each factor kind is one batch per solve, its residual and Jacobian
 written once: all reprojections, all photometric patches, and each pair kind
-(IMU, DVL velocity, DVL position, pressure) over all its pairs. A batch has
-one evaluation: it reads the window's states stacked once per point and
-returns per-row residuals and Jacobian rows over its columns. The solver
-drops every factor on fixed variables alone, so its cost is that of the
-factors that can move. It linearizes each point it visits once; an accepted
-candidate's evaluation gives the next normal equations. Each damped step
-eliminates the free landmarks by Schur complement, its correction formed on
-the observing keyframes' pose columns alone, solves the state system alone,
-and is judged against the tolerances before it is evaluated.
+(IMU, DVL velocity, DVL position, pressure) over all its pairs. A batch
+reads the window's states stacked once per point in two passes: residuals
+per row, then Jacobian rows over its columns from the first pass's
+intermediates. The solver drops every factor on fixed variables alone, so
+its cost is that of the factors that can move. It runs the residual pass
+at each point it visits, the Jacobian pass only where it builds normal
+equations. Each damped step eliminates the free landmarks by Schur
+complement, its correction formed on the observing keyframes' pose columns
+alone, solves the state system alone, and is judged against the
+tolerances before it is evaluated.
 ``Factor.evaluate`` is a batch of one.
 
 A keyframe pair's photometric patches are measurements too: the tracker
@@ -142,10 +143,10 @@ class Factor:
                              {lid: landmarks[lid] for lid in lids})
         layout = _window_layout(window, [self])
         (batch,) = _batches(window, [self], layout)
-        res, jac = batch.linearize(layout.stack(states),
+        res, ctx = batch.residuals(layout.stack(states),
                                    layout.landmark_array(landmarks))
         dense = np.zeros((res.shape[1], layout.ndim + 1))
-        dense[:, batch.cols[0]] = jac[0]
+        dense[:, batch.cols[0]] = batch.jacobians(ctx)[0]
         return (res[0],
                 {sid: dense[:, c[0]:c[0] + STATE_DOF]
                  for sid, c in layout.cols.items()},
@@ -269,10 +270,12 @@ class _Batch:
     kinds). Per row a batch holds ``cols`` (n, c), the normal-equation
     columns of the dims its residual depends on, and ``infos`` (n, r, r);
     ``delta`` is the Huber knee of all its rows (None: no robust loss).
-    ``linearize(stack, lms)`` is a batch's one evaluation: the residuals
-    (n, r) and the Jacobian rows (n, r, c) over ``cols``. A row on fixed
-    variables alone scatters into the dummy column, which is dropped. A
-    point that leaves a camera raises BehindCameraError or OutOfDomainError."""
+    A batch evaluates in two passes. ``residuals(stack, lms)`` gives the
+    residuals (n, r) and the intermediates ``ctx`` of the point; a point
+    that leaves a camera raises BehindCameraError or OutOfDomainError.
+    ``jacobians(ctx)`` gives the Jacobian rows (n, r, c) over ``cols`` from
+    them. A row on fixed variables alone scatters into the dummy column,
+    which is dropped."""
 
     def _set_rows(self, cols, infos, delta: float | None, dummy: int):
         if np.max(np.abs(infos - infos.transpose(0, 2, 1))) > 1e-9:
@@ -309,14 +312,17 @@ class _ReprojectionBatch(_Batch):
                        np.array([f.info for f in factors]),
                        window.huber_delta, layout.ndim)
 
-    def linearize(self, stack: StateStack, lms: np.ndarray):
+    def residuals(self, stack: StateStack, lms: np.ndarray):
         r_wb = stack.R[self.host]
         r_wc = r_wb @ self.rig.T_IC.R
         d = (lms[self.lm] - stack.x[self.host, 3:6]) - r_wb @ self.rig.T_IC.t
         x_c = matvec(r_wc.transpose(0, 2, 1), d)  # d @ r_wc per row
         if np.any(x_c[:, 2] <= 1e-6):
             raise BehindCameraError(f"landmark depth {x_c[:, 2].min()} is not positive")
-        res = self.pixels - self.rig.cam.project(x_c)
+        return self.pixels - self.rig.cam.project(x_c), (r_wc, x_c)
+
+    def jacobians(self, ctx):
+        r_wc, x_c = ctx
         cam, z = self.rig.cam, x_c[:, 2]
         dpi = np.zeros((len(z), 2, 3))
         dpi[:, 0, 0] = cam.fx / z
@@ -327,7 +333,7 @@ class _ReprojectionBatch(_Batch):
         c_p = r_ic.T @ hat(self.rig.T_IC.t)
         j_phi = -(dpi @ hat_batch(x_c) @ r_ic.T + dpi @ c_p)
         j_pos = dpi @ r_wc.transpose(0, 2, 1)
-        return res, np.concatenate([j_phi, j_pos, -j_pos], axis=2)
+        return np.concatenate([j_phi, j_pos, -j_pos], axis=2)
 
 
 class _PhotometricBatch(_Batch):
@@ -336,8 +342,9 @@ class _PhotometricBatch(_Batch):
 
     The n x m patch points are warped at once; each distinct observer field
     is called once for all the patches it observes: sampled with its
-    gradients when linearizing, and sampled alone for the gate's
-    ``patch_residuals``."""
+    gradients by the residual pass, and sampled alone for the gate's
+    ``patch_residuals``. The Jacobian pass leaves the host block zero when
+    every host is fixed, as in a frame's photometric refinement."""
 
     def __init__(self, window: LocalWindow, factors: list[Factor], layout: _Layout):
         self.rig = window.rig
@@ -355,6 +362,7 @@ class _PhotometricBatch(_Batch):
                         + layout.cols[f.state_ids[1]][:6] for f in factors],
                        np.array([f.info for f in factors]),
                        window.huber_delta, layout.ndim)
+        self.hosts_fixed = bool(np.all(self.cols[:, :6] == layout.ndim))
 
     def _warp(self, stack: StateStack):
         """Host body rotations and host and observer camera rotations
@@ -402,18 +410,20 @@ class _PhotometricBatch(_Batch):
         vals, _ = self._sample(pix, valid, gradient=False)
         return np.sum(self.weights * (vals - self.host_vals), axis=1), front, valid
 
-    def linearize(self, stack: StateStack, lms=None):
+    def residuals(self, stack: StateStack, lms=None):
         r_h, r_wci, r_wcj, pts_cj, pix, front, valid = self._warp(stack)
         if not valid.all():
             if not front.all():
                 raise BehindCameraError("patch point behind the current camera")
             raise OutOfDomainError("warped patch left the image domain")
         vals, grads = self._sample(pix, valid, gradient=True)
-        w = self.weights
-        res = np.sum(w * (vals - self.host_vals), axis=1)
+        res = np.sum(self.weights * (vals - self.host_vals), axis=1)
+        return res[:, None], (r_h, r_wci, r_wcj, pts_cj, grads)
 
+    def jacobians(self, ctx):
+        r_h, r_wci, r_wcj, pts_cj, grads = ctx
         # weighted image gradient times the projection derivative
-        cam = self.rig.cam
+        w, cam = self.weights, self.rig.cam
         z = pts_cj[..., 2]
         gu = w * grads[..., 0] * cam.fx / z
         gv = w * grads[..., 1] * cam.fy / z
@@ -421,18 +431,29 @@ class _PhotometricBatch(_Batch):
                          / z], axis=-1)                            # (n, m, 3)
         r_ic, p_ic = self.rig.T_IC.R, self.rig.T_IC.t
         rows_sum = rows.sum(axis=1)
-        srows = rows @ r_wcj.transpose(0, 2, 1)
-        srows_sum = srows.sum(axis=1)
-        jac = np.empty((len(res), 1, 12))
+        jac = np.zeros((len(rows), 1, 12))
         # row @ hat(x) == cross(row, x), batched over patches and pattern
-        jac[:, 0, 0:3] = (-np.cross(srows @ r_wci, self.pts_ci).sum(axis=1)
-                          @ r_ic.T
-                          - np.einsum("ni,nij->nj", srows_sum, r_h @ hat(p_ic)))
-        jac[:, 0, 3:6] = srows_sum
-        jac[:, 0, 6:9] = (np.cross(rows, pts_cj).sum(axis=1) @ r_ic.T
+        if not self.hosts_fixed:
+            srows = rows @ r_wcj.transpose(0, 2, 1)
+            srows_sum = srows.sum(axis=1)
+            jac[:, 0, 0:3] = (-_cross_sum(srows @ r_wci, self.pts_ci) @ r_ic.T
+                              - np.einsum("ni,nij->nj", srows_sum,
+                                          r_h @ hat(p_ic)))
+            jac[:, 0, 3:6] = srows_sum
+        jac[:, 0, 6:9] = (_cross_sum(rows, pts_cj) @ r_ic.T
                           + rows_sum @ (r_ic.T @ hat(p_ic)))
         jac[:, 0, 9:12] = -matvec(r_wcj, rows_sum)
-        return res[:, None], jac
+        return jac
+
+
+def _cross_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The cross products of the rows of ``a`` and ``b`` (n, m, 3) summed
+    over m, as ``np.cross(a, b).sum(axis=1)``, bit for bit and faster."""
+    c = np.empty(a.shape)
+    c[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    c[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    c[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return c.sum(axis=1)
 
 
 def _pair_kind(kind: FactorKind, payloads: list, rig: SensorRig):
@@ -474,13 +495,17 @@ class _PairGroup(_Batch):
             infos[:, lo:hi, lo:hi], lo = b, hi
         self._set_rows(cols.take(self.dims, 1), infos, None, layout.ndim)
 
-    def linearize(self, stack: StateStack, lms=None):
+    def residuals(self, stack: StateStack, lms=None):
+        # the residual functions return their kind's Jacobian rows as well
         out = [fn(stack, self.i, self.j, data, const)
                for fn, data, const in self.kinds]
-        jac = np.concatenate([j.reshape(j.shape[0], j.shape[1], 2 * STATE_DOF)
-                              for _, j in out], axis=1)
         return (np.concatenate([r for r, _ in out], axis=1),
-                jac.take(self.dims, 2))
+                [j for _, j in out])
+
+    def jacobians(self, ctx):
+        jac = np.concatenate([j.reshape(j.shape[0], j.shape[1], 2 * STATE_DOF)
+                              for j in ctx], axis=1)
+        return jac.take(self.dims, 2)
 
 
 def _batches(window: LocalWindow, factors: list[Factor],
@@ -502,14 +527,15 @@ def _batches(window: LocalWindow, factors: list[Factor],
 
 
 def _evaluate(batches: list[_Batch], stack: StateStack, lms: np.ndarray):
-    """Each batch's residuals, Jacobian rows, Huber weights and cost at one
-    point, and their total, the cost of the factors given; (None, inf) when
-    a point leaves a camera."""
+    """The residual pass of each batch at one point: its residuals, the
+    intermediates of its Jacobian pass, its Huber weights and cost; and
+    their total, the cost of the factors given. (None, inf) when a point
+    leaves a camera."""
     out = []
     try:
         for b in batches:
-            res, jac = b.linearize(stack, lms)
-            out.append((res, jac, *b.weights_cost(res)))
+            res, ctx = b.residuals(stack, lms)
+            out.append((res, ctx, *b.weights_cost(res)))
     except (BehindCameraError, OutOfDomainError):
         return None, float("inf")
     return out, sum((cost for *_, cost in out), 0.0)
@@ -517,12 +543,13 @@ def _evaluate(batches: list[_Batch], stack: StateStack, lms: np.ndarray):
 
 def _normal_equations(batches: list[_Batch], evaluation, ndim: int):
     """The robustly weighted normal equations J^T W J and J^T W r of all
-    batches from their ``_evaluate``. Each row's blocks over its columns are
-    summed into h and g by one ``np.bincount`` each, in row order from zero;
-    h and g carry a trailing dummy row and column for the dims without a
-    column, which are dropped."""
+    batches from their ``_evaluate``, whose Jacobian passes run here alone.
+    Each row's blocks over its columns are summed into h and g by one
+    ``np.bincount`` each, in row order from zero; h and g carry a trailing
+    dummy row and column for the dims without a column, which are dropped."""
     h_at, h_add, g_at, g_add = [], [], [], []
-    for b, (res, jac, w, _) in zip(batches, evaluation):
+    for b, (res, ctx, w, _) in zip(batches, evaluation):
+        jac = b.jacobians(ctx)
         a = b.infos if w is None else w[:, None, None] * b.infos
         jt_a = jac.transpose(0, 2, 1) @ a
         h_at.append(b.h_index.reshape(-1))
@@ -577,9 +604,11 @@ def _model_decrease(h: np.ndarray, g: np.ndarray, step: np.ndarray) -> float:
 
 def solve(window: LocalWindow, factors: list[Factor],
           cfg: SolverConfig | None = None):
-    """Damped Gauss-Newton over the window, each point visited evaluated
-    once with Jacobians: an accepted candidate's evaluation gives the next
-    normal equations. Each damping trial solves them with the free
+    """Damped Gauss-Newton over the window. The batches' residual pass
+    alone sets the cost of each point visited; their Jacobian pass, from its
+    intermediates, runs only where normal equations are built, so a
+    rejected candidate and a capped solve's last point cost no Jacobian
+    rows. Each damping trial solves the normal equations with the free
     landmarks eliminated (``_solve_damped``); without a free landmark that
     is a dense solve of the damped system.
 

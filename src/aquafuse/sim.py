@@ -159,15 +159,16 @@ class ScenarioConfig:
         for name in ("rate_cam_hz", "rate_imu_hz", "rate_dvl_hz", "rate_pressure_hz",
                      "fx_px", "fy_px", "width_px", "height_px", "baseline_m",
                      "field_sigma_px"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not self.min_obs_depth_m < self.max_obs_depth_m:
-            raise ValueError("min_obs_depth_m must be below max_obs_depth_m")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not -math.inf < self.min_obs_depth_m < self.max_obs_depth_m < math.inf:
+            raise ValueError("min_obs_depth_m must be below max_obs_depth_m, "
+                             "both finite")
         for name in ("duration_s", "landmark_count", "max_obs_per_frame",
                      *(f.name for f in dataclasses.fields(self)
                        if f.name.startswith("sigma_"))):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must not be negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and not negative")
         for w in self.degradation_windows_s:
             if np.shape(w) != (2,) or not 0.0 <= w[0] < w[1] <= self.duration_s:
                 raise ValueError(f"degradation_windows_s: {w!r} is no window "
@@ -590,26 +591,40 @@ def _frame(cfg: ScenarioConfig, t: float, rec: dict, at) -> FrameData:
     sig = (_field_of(fld, "sigma_px", *at, (-1,))
            if isinstance(fld.get("sigma_px"), list)
            else _scalar_of(fld, "sigma_px", *at))
-    return FrameData(fid, t, obs, IntensityField(
-        _field_of(fld, "amps", *at, (-1,)),
-        _field_of(fld, "centers", *at, (-1, 2)),
-        sig, cfg.width_px, cfg.height_px,
-        _scalar_of(fld, "offset", *at) if "offset" in fld else 0.0))
+    args = (_field_of(fld, "amps", *at, (-1,)),
+            _field_of(fld, "centers", *at, (-1, 2)), sig, cfg.width_px,
+            cfg.height_px, _scalar_of(fld, "offset", *at) if "offset" in fld
+            else 0.0)
+    try:
+        intensity = IntensityField(*args)
+    except ValueError as exc:
+        raise ParseError(f"{at[0]}:{at[1]}: field 'field' is no intensity "
+                         f"field ({exc})") from exc
+    return FrameData(fid, t, obs, intensity)
 
 
 def read_config(path: str) -> ScenarioConfig:
     meta_path = os.path.join(path, "meta.json")
     try:
         with open(meta_path) as fh:
-            meta = json.load(fh)
+            text = fh.read()
     except FileNotFoundError:
         raise ParseError(f"{meta_path}: missing")
+    try:
+        meta, refused = _DECODER.decode(text), None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{meta_path}: invalid JSON ({exc})") from exc
+    except ValueError as exc:
+        # a NaN or infinite literal: decoded as one, the config's checks
+        # name its key where they check it
+        meta, refused = json.loads(text), exc
     try:
-        return ScenarioConfig.from_dict(meta)
+        cfg = ScenarioConfig.from_dict(meta)
     except ValueError as exc:
         raise ParseError(f"{meta_path}: {exc}") from exc
+    if refused is not None:
+        raise ParseError(f"{meta_path}: invalid JSON ({refused})") from refused
+    return cfg
 
 
 def read_dataset(path: str) -> SensorDataset:

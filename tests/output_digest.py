@@ -15,17 +15,22 @@ BA report's iterations, termination and cost trace.
 
 With ``--dump FILE`` it also writes each case's frame positions and
 statuses, its keyframe count, each window BA's iterations, termination
-and final cost, and the iterations and termination of every
-``backend.solve`` call (coarse tracking, photometric refinement, the
-per-frame solve and window BA) to FILE (``.npz``). ``--compare OLD NEW``
-then prints, per case, the largest position difference, the largest
-relative difference of a window BA's final cost, whether the statuses,
-keyframe counts and window-BA iterations and terminations agree, and the
-case's solve iterations in each dump; then the largest differences over
-all cases, and the solve iterations and each termination's count summed
-over all cases. It exits 1 if any of the window-BA fields differ, a
-position moves by more than ``TOL_M`` (1e-9 m) or a final cost by more than
-``TOL_COST`` (1e-9 relative, absolute below a cost of 1); the solve totals
+and final cost, the iterations and termination of every ``backend.solve``
+call (coarse tracking, photometric refinement, the per-frame solve and
+window BA), and the case's residual and Jacobian passes to FILE
+(``.npz``). A residual pass is one ``backend._evaluate`` call, the
+residuals of every batch at one point; a Jacobian pass is one
+``backend._normal_equations`` call, which builds the batches' Jacobian
+rows (in a tree whose batches have no Jacobian pass of their own, every
+evaluation is one). ``--compare OLD NEW`` then prints, per case, the
+largest position difference, the largest relative difference of a window
+BA's final cost, whether the statuses, keyframe counts and window-BA
+iterations and terminations agree, and the case's solve iterations and
+passes in each dump; then the largest differences over all cases, and the
+solve iterations, the passes and each termination's count summed over all
+cases. It exits 1 if any of the window-BA fields differ, a position moves
+by more than ``TOL_M`` (1e-9 m) or a final cost by more than ``TOL_COST``
+(1e-9 relative, absolute below a cost of 1); the solve and pass totals
 are reported, not checked, since a change to the stopping rule moves them:
 
     PYTHONPATH=<old tree>/src python tests/output_digest.py --dump old.npz > old.txt
@@ -106,6 +111,8 @@ def digest(result) -> str:
 FIELDS = ("p", "ba_cost", "status", "keyframes", "ba_iterations",
           "ba_termination")
 SOLVE_FIELDS = ("solve_iterations", "solve_termination")
+# dumps of an earlier version of this script lack them
+PASS_FIELDS = ("residual_passes", "jacobian_passes")
 TOL_M = 1e-9  # position differences below this are rounding, not a change
 TOL_COST = 1e-9  # and so are relative final-cost differences below this
 # a cost is a sum of squared whitened residuals: below one unit a final cost
@@ -113,11 +120,13 @@ TOL_COST = 1e-9  # and so are relative final-cost differences below this
 COST_FLOOR = 1.0
 
 
-def outputs(result, solves) -> dict:
+def outputs(result, solves, passes) -> dict:
     """The compared outputs of one case, as arrays; ``solves`` holds the
-    report of each of its ``backend.solve`` calls."""
+    report of each of its ``backend.solve`` calls, ``passes`` the count of
+    each of ``PASS_FIELDS``."""
     reports = result.solver_reports
-    return {"solve_iterations": np.array([r.iterations for r in solves],
+    return {**{key: np.array(passes[key]) for key in PASS_FIELDS},
+            "solve_iterations": np.array([r.iterations for r in solves],
                                          dtype=int),
             "solve_termination": np.array([r.termination.value
                                            for r in solves]),
@@ -162,12 +171,17 @@ def compare(old_path: str, new_path: str) -> int:
         worst, worst_cost = max(worst, dp), max(worst_cost, dc)
         failed |= bool(differ) or not (dp <= TOL_M and dc <= TOL_COST)
         counts = [int(d["solve_iterations"].sum()) for d in (a, b)]
-        for total, d, n in zip(totals, (a, b), counts):
+        passes = [{key: int(dump[f"{name}/{key}"]) for key in PASS_FIELDS
+                   if f"{name}/{key}" in dump.files} for dump in (old, new)]
+        for total, d, n, p in zip(totals, (a, b), counts, passes):
             total["iterations"] += n
             total.update(d["solve_termination"].tolist())
+            total.update(p)
         print(f"{name} max_dp_m={dp:.3e} max_dcost_rel={dc:.3e} "
               f"{'differ: ' + ' '.join(differ) if differ else 'same'} "
-              f"solve_iterations={counts[0]}->{counts[1]}")
+              f"solve_iterations={counts[0]}->{counts[1]}" + "".join(
+                  f" {key}={passes[0].get(key, '-')}->{passes[1].get(key, '-')}"
+                  for key in PASS_FIELDS))
     print(f"largest position difference {worst:.3e} m over {len(names)} cases")
     print(f"largest relative window-BA final-cost difference {worst_cost:.3e}"
           f" over {len(names)} cases")
@@ -186,26 +200,41 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
-    dumped, solves, solve = {}, [], bk.solve
+    dumped, solves, passes = {}, [], collections.Counter()
+    solve, evaluate, normal_equations = (bk.solve, bk._evaluate,
+                                         bk._normal_equations)
+    two_pass = hasattr(bk._ReprojectionBatch, "jacobians")
 
+    # the frontend looks ``bk.solve`` up at each call, and ``solve`` the
+    # other two
     def recorded(*args, **kwargs):
-        # the frontend looks ``bk.solve`` up at each call
         window, report = solve(*args, **kwargs)
         solves.append(report)
         return window, report
 
-    bk.solve = recorded
+    def evaluated(*args):
+        passes["residual_passes"] += 1
+        passes["jacobian_passes"] += not two_pass
+        return evaluate(*args)
+
+    def built(*args):
+        passes["jacobian_passes"] += two_pass
+        return normal_equations(*args)
+
+    bk.solve, bk._evaluate, bk._normal_equations = recorded, evaluated, built
     try:
         for name, scen, mode in cases():
             solves.clear()
+            passes.clear()
             result = run_estimator(simulate(scen),
                                    RunConfig(mode=EstimatorMode(mode)))
             print(name, digest(result), flush=True)
             if args.dump:
                 dumped.update({f"{name}/{key}": value for key, value
-                               in outputs(result, solves).items()})
+                               in outputs(result, solves, passes).items()})
     finally:
-        bk.solve = solve
+        bk.solve, bk._evaluate, bk._normal_equations = (solve, evaluate,
+                                                        normal_equations)
     if args.dump:
         np.savez(args.dump, **dumped)
     return 0

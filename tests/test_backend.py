@@ -616,6 +616,18 @@ def assert_matches_per_factor_path(window, factors):
     return layout, batches
 
 
+def count_jacobian_passes(monkeypatch) -> list[str]:
+    """The names of the batch classes whose Jacobian pass runs, one per
+    call made while ``monkeypatch`` is active."""
+    calls = []
+    for cls in (bk._ReprojectionBatch, bk._PhotometricBatch, bk._PairGroup):
+        def counted(self, ctx, _fn=cls.jacobians, _key=cls.__name__):
+            calls.append(_key)
+            return _fn(self, ctx)
+        monkeypatch.setattr(cls, "jacobians", counted)
+    return calls
+
+
 class TestBatchedReprojection:
     """One batch for the reprojections of every host of a window."""
 
@@ -661,6 +673,22 @@ class TestBatchedReprojection:
         assert not any(f.state_ids == (0,)
                        and f.landmark_id in window.fixed_landmarks
                        for f in reproj)
+
+    def test_behind_camera_makes_cost_infinite(self, rng, monkeypatch):
+        # from the residual pass alone: no Jacobian rows are built
+        window, reproj, _ = self._window(rng)
+        layout = bk._window_layout(window, reproj)
+        batches = bk._batches(window, reproj, layout)
+        moved = dict(window.states)
+        # a half turn about the body x axis faces the camera away
+        moved[1] = moved[1].retract(np.r_[np.pi - 0.1, 0, 0, np.zeros(15)])
+        lms = layout.landmark_array(window.landmarks)
+        with pytest.raises(bk.BehindCameraError):
+            batches[0].residuals(layout.stack(moved), lms)
+        calls = count_jacobian_passes(monkeypatch)
+        assert bk._evaluate(batches, layout.stack(moved), lms) == (
+            None, float("inf"))
+        assert calls == []
 
     def test_rows_on_fixed_variables_add_only_their_constant(self, rng):
         # the fixed keyframe's reprojections of fixed landmarks, which
@@ -822,7 +850,7 @@ class TestPairKindWorkCount:
 
     KINDS = ("imu_pair_residuals", "dvl_velocity_pair_residuals",
              "dvl_position_pair_residuals", "pressure_pair_residuals")
-    VISUAL = ((bk._ReprojectionBatch, "linearize"),
+    VISUAL = ((bk._ReprojectionBatch, "residuals"),
               (bk._PhotometricBatch, "_warp"))
 
     @pytest.mark.parametrize("n_kf", [4, 12])
@@ -935,7 +963,8 @@ class TestBatchedPhotometric:
         layout, _ = assert_matches_per_factor_path(window, factors)
         assert layout.cols[0] == [layout.ndim] * STATE_DOF
 
-    def test_invalid_patch_makes_cost_infinite(self, rng):
+    def test_invalid_patch_makes_cost_infinite(self, rng, monkeypatch):
+        # from the residual pass alone: no Jacobian rows are built
         window, factors = photometric_window(rng)
         layout = bk._window_layout(window, factors)
         batch = bk._PhotometricBatch(window, factors, layout)
@@ -943,8 +972,10 @@ class TestBatchedPhotometric:
         moved[1] = moved[1].retract(np.r_[0, 0, 0, 40.0, 0, 0, np.zeros(12)])
         res, _, valid = batch.patch_residuals(layout.stack(moved))
         assert not valid.all() and np.isnan(res[~valid]).all()
+        calls = count_jacobian_passes(monkeypatch)
         assert bk._evaluate([batch], layout.stack(moved), None) == (
             None, float("inf"))
+        assert calls == []
 
 
 class TestPhotometricHostsOnce:
@@ -1044,17 +1075,22 @@ class TestPhotometricJacobians:
     """The solver's photometric residual in its 18-dof layout against
     central differences along each state's retraction."""
 
+    @staticmethod
+    def _jacobian_rows(batch, stack):
+        return batch.jacobians(batch.residuals(stack)[1])
+
     def test_rows_match_finite_differences(self, rng):
         window, factors = photometric_window(rng)
         states = window.states
         layout = bk._window_layout(window, factors)
         batch = bk._PhotometricBatch(window, factors, layout)
-        _, jac = batch.linearize(layout.stack(states))
+        assert not batch.hosts_fixed
+        jac = self._jacobian_rows(batch, layout.stack(states))
         for sid in window.kf_ids:
             def res_at(delta, sid=sid):
                 moved = dict(states)
                 moved[sid] = states[sid].retract(delta)
-                return batch.linearize(layout.stack(moved))[0][:, 0]
+                return batch.residuals(layout.stack(moved))[0][:, 0]
 
             fd = fd_jacobian(res_at, STATE_DOF, None)
             # the warp sees rotation and position only
@@ -1071,6 +1107,36 @@ class TestPhotometricJacobians:
                     assert js[sid].shape == (1, STATE_DOF)
                     assert jac_close(js[sid], fd[k:k + 1], rtol=1e-4)
 
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_cross_sum_is_that_of_np_cross(self, rng, n):
+        # the Jacobian pass's summed cross products, bit for bit
+        a, b = rng.normal(size=(2, n, 8, 3)) * [[[[1.0]]], [[[1e3]]]]
+        assert np.array_equal(bk._cross_sum(a, b), np.cross(a, b).sum(axis=1))
+
+    def test_all_hosts_fixed(self, rng):
+        # the patches of the fixed keyframe 0 toward keyframe 1, as in a
+        # frame's refinement: the batch builds the observer block alone
+        window, factors = photometric_window(rng, fixed_ids={0},
+                                             info_scale=1e-3)
+        factors = [f for f in factors if f.state_ids == (0, 1)]
+        states = window.states
+        layout = bk._window_layout(window, factors)
+        batch = bk._PhotometricBatch(window, factors, layout)
+        assert batch.hosts_fixed
+        jac = self._jacobian_rows(batch, layout.stack(states))
+        assert np.all(jac[:, 0, :6] == 0.0)
+
+        def res_at(delta):
+            moved = dict(states)
+            moved[1] = states[1].retract(delta)
+            return batch.residuals(layout.stack(moved))[0][:, 0]
+
+        fd = fd_jacobian(res_at, STATE_DOF, None)
+        assert np.all(fd[:, 6:] == 0.0)
+        assert jac_close(jac[:, 0, 6:12], fd[:, :6], rtol=1e-4)
+        # h and g against the per-factor path, which builds the host blocks
+        assert_matches_per_factor_path(window, factors)
+
     def test_gradient_matches_robust_cost(self, rng):
         # g = J^T W r is half the gradient of the Huber cost, with patches on
         # both sides of the knee
@@ -1078,7 +1144,7 @@ class TestPhotometricJacobians:
         states = window.states
         layout = bk._window_layout(window, factors)
         stack = layout.stack(states)
-        res = bk._PhotometricBatch(window, factors, layout).linearize(stack)[0][:, 0]
+        res = bk._PhotometricBatch(window, factors, layout).residuals(stack)[0][:, 0]
         delta = window.huber_delta
         for k, f in enumerate(factors):
             scale = 0.5 if k % 2 == 0 else 3.0  # |r| at scale * delta
@@ -1104,7 +1170,10 @@ class TestCarriedLinearization:
     """The evaluation a solve carries from an accepted candidate into the
     next iteration is that of the state it accepted: past rejected
     candidates, each iteration's normal equations, and the final cost,
-    equal their fresh evaluation at the states the solve had reached."""
+    equal their fresh evaluation at the states the solve had reached. The
+    Jacobian rows are built from that evaluation's intermediates, once per
+    normal equations: never for a rejected candidate or the point a capped
+    solve ends at."""
 
     def test_matches_fresh_evaluation(self, rng, monkeypatch):
         window, factors = photometric_window(rng, fixed_ids={0})
@@ -1123,13 +1192,28 @@ class TestCarriedLinearization:
 
         monkeypatch.setattr(bk, "_normal_equations", counted_normal_equations)
         monkeypatch.setattr(bk, "_evaluate", counted_evaluate)
+        jacobian_passes = count_jacobian_passes(monkeypatch)
+        jacobians = bk._PhotometricBatch.jacobians
+
+        def logged_jacobians(self, ctx):
+            log.append("J")
+            return jacobians(self, ctx)
+
+        monkeypatch.setattr(bk._PhotometricBatch, "jacobians", logged_jacobians)
         out, report = bk.solve(replace(window), factors, cfg)
         monkeypatch.undo()
         # a rejected candidate (lambda grew) before an accepted step that
-        # the next iteration linearizes at
+        # the next iteration linearizes at, and a solve that ends on its cap
+        # at a point it evaluated and never linearized
         assert report.iterations == len(used) == 4
-        per_iteration = "".join(log).split("N")[1:]
+        assert report.termination is bk.Termination.ITERATION_CAP
+        trace = "".join(log)
+        per_iteration = trace.replace("J", "").split("N")[1:]
         assert any(len(e) > 1 for e in per_iteration[:-1])
+        # one batch, whose rows are built inside each normal equations alone
+        assert jacobian_passes == ["_PhotometricBatch"] * len(used)
+        assert trace.count("NJ") == trace.count("J") == len(used)
+        assert trace.endswith("E")
 
         def fresh(w):
             layout = bk._window_layout(w, factors)

@@ -279,6 +279,9 @@ class TestInputErrors:
         ({"R_ID": [2, 0, 0, 0, 1, 0, 0, 0, 1]}, "R_ID"),
         ({"R_ID": [1, 0, 0, 0, 1, 0, 0, 0, -1]}, "R_ID"),
         ({"R_IC": [1, 1e-6, 0, 0, 1, 0, 0, 0, 1]}, "R_IC"),
+        ({"sigma_dvl_m_s": float("nan")}, "sigma_dvl_m_s"),
+        ({"rate_imu_hz": float("inf")}, "rate_imu_hz"),
+        ({"max_obs_depth_m": float("inf")}, "max_obs_depth_m"),
     ])
     def test_malformed_scenario_config(self, tmp_path, capsys, config, key):
         path = tmp_path / "scenario.json"
@@ -293,6 +296,9 @@ class TestInputErrors:
         ({"degradation_windows_s": [0.5]}, "degradation_windows_s"),
         ({"rate_cam_hz": "fast"}, "rate_cam_hz"),
         ({"width_px": 640.0}, "width_px"),
+        ({"sigma_dvl_m_s": float("nan")}, "sigma_dvl_m_s"),
+        ({"duration_s": float("inf")}, "duration_s"),
+        ({"cx_px": float("nan")}, "NaN is not a finite number"),
     ])
     def test_malformed_meta_json(self, dataset, tmp_path, capsys, meta, key):
         bad = tmp_path / "dataset"
@@ -456,6 +462,23 @@ class TestInputErrors:
         (copy / stream).write_text("\n".join(lines) + "\n")
         assert _estimate(copy, tmp_path / "run") == 2
         assert f"{copy / stream}:3: field '{keys[-1]}'" in capsys.readouterr().err
+
+    def test_malformed_intensity_field_names_the_line(self, dataset, tmp_path,
+                                                      capsys):
+        copy = tmp_path / "dataset"
+        shutil.copytree(dataset, copy)
+        stream = copy / "frames.jsonl"
+        lines = stream.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["field"]["amps"] = rec["field"]["amps"][:-1]
+        assert len(rec["field"]["centers"]) == len(rec["field"]["amps"]) + 1
+        lines[2] = json.dumps(rec)
+        stream.write_text("\n".join(lines) + "\n")
+        run = tmp_path / "run"
+        assert _estimate(copy, run) == 2
+        err = capsys.readouterr().err
+        assert f"{stream}:3: field 'field'" in err and "amplitude" in err
+        assert not run.exists()
 
     @pytest.mark.parametrize("stream, t", [
         ("imu.jsonl", "nan"), ("frames.jsonl", "nan"),
