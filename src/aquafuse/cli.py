@@ -12,9 +12,10 @@ A run config sets ``RunConfig`` fields by dotted key; which sensors a run
 fuses, and their noise, follow from ``mode``, ``floors`` and the scenario.
 
 ``estimate`` writes the estimator's per-frame records (``FrameState``) as
-``trajectory.jsonl`` (poses), ``status.csv`` (statuses, tracked features and
-per-frame costs) and ``bias.csv`` (each keyframe's final biases). A frame's
-cost leaves out its reference keyframe's constant reprojection terms.
+``trajectory.jsonl`` (poses, a flat stream of ``sim.write_stream``),
+``status.csv`` (statuses, tracked features and per-frame costs) and
+``bias.csv`` (each keyframe's final biases). A frame's cost leaves out its
+reference keyframe's constant reprojection terms.
 """
 
 from __future__ import annotations
@@ -80,30 +81,21 @@ def _load_config(path: str, from_dict):
 
 # ------------------------------ trajectory io ------------------------------ #
 
+# the fields of a trajectory.jsonl record (see sim.write_stream); a pose is
+# read from the last three, so a trajectory from elsewhere needs no frame ids
+POSE_FIELDS = {"t": "t", "R": (3, 3), "p": (3,)}
+TRAJECTORY_FIELDS = {"frame_id": int, **POSE_FIELDS}
+
+
 def write_trajectory(path: str, frames: list[FrameState]) -> None:
-    with open(path, "w") as fh:
-        for fs in frames:
-            fh.write(json.dumps({
-                "frame_id": fs.frame_id,
-                "t": repr(float(fs.t)),
-                "R": fs.nav.R.reshape(-1).tolist(),
-                "p": fs.nav.p.tolist(),
-            }, separators=(",", ":")) + "\n")
+    sim.write_stream(path, TRAJECTORY_FIELDS, (
+        (fs.frame_id, fs.t, fs.nav.R, fs.nav.p) for fs in frames))
 
 
 def load_trajectory(path: str) -> Trajectory:
     """The poses of a ``trajectory.jsonl``, read as the dataset streams
     are: a malformed line is named by file and line number."""
-    ts, rs, ps = [], [], []
-    for lineno, rec in sim._read_jsonl(path):
-        ts.append(sim._scalar_of(rec, "t", path, lineno))
-        rs.append(sim._field_of(rec, "R", path, lineno, (3, 3)))
-        ps.append(sim._field_of(rec, "p", path, lineno, (3,)))
-    if not ts:
-        raise sim.ParseError(f"{path}: empty trajectory")
-    for key, arrays in (("R", rs), ("p", ps)):
-        sim._check_finite(path, key, arrays)
-    return Trajectory(np.array(ts), np.stack(rs), np.stack(ps))
+    return Trajectory(*sim.read_stream(path, POSE_FIELDS))
 
 
 def truth_trajectory(ds: sim.SensorDataset) -> Trajectory:
@@ -119,7 +111,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config, sim.ScenarioConfig.from_dict) \
         if args.config else sim.ScenarioConfig()
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     if os.path.exists(args.out):
         if not args.force:
             raise RefusalError(f"output directory {args.out} exists "

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 
 import numpy as np
 
@@ -12,10 +13,10 @@ import numpy as np
 def config_from_dict(cls, data, label: str, where: str = ""):
     """``cls`` from the JSON object ``data`` at the dotted key ``where``
     ("" for the root), ``label`` naming the config. Every key must name a
-    field and every value have the type of the field's default: a number for
-    a float, an object for a nested config, number rows for an array,
-    numbers shaped like a tuple (any shape for an empty one), a name for an
-    enum. A malformed entry raises ValueError naming its key."""
+    field and every value have the type of the field's default: a finite
+    number for a float, an object for a nested config, finite number rows
+    for an array, finite numbers shaped like a tuple (any shape for an empty
+    one), a name for an enum. A malformed entry raises ValueError naming it."""
     if not isinstance(data, dict):
         raise ValueError(f"{label} {where or 'root'}: expected an object, "
                          f"got {type(data).__name__}")
@@ -48,7 +49,11 @@ def _config_value(value, default, label: str, key: str):
     elif isinstance(default, int):
         ok, expected = number and isinstance(value, int), "an integer"
     elif isinstance(default, float):
-        ok, expected = number, "a number"
+        expected = "a finite number"
+        try:
+            ok = number and math.isfinite(value)
+        except OverflowError:  # an integer beyond every float
+            ok = False
         value = float(value) if ok else value
     elif isinstance(default, str):
         ok, expected = isinstance(value, str), "a string"
@@ -60,11 +65,11 @@ def _config_value(value, default, label: str, key: str):
             arr = np.asarray(None)
         if array:
             ok = arr.ndim == len(shape) and arr.shape[1:] == shape[1:]
-            expected = f"rows of {shape[1]} numbers"
+            expected = f"rows of {shape[1]} finite numbers"
         else:
             ok = arr.shape == shape or (not default and arr.ndim > 0)
-            expected = f"numbers shaped {list(shape)}"
-        ok = ok and arr.dtype.kind in "iuf"
+            expected = f"finite numbers shaped {list(shape)}"
+        ok = ok and arr.dtype.kind in "iuf" and bool(np.isfinite(arr).all())
         if ok:
             value = arr.astype(float) if array \
                 else _tuples(arr.astype(float).tolist())

@@ -30,6 +30,7 @@ from .evaluation import nearest_pairs
 from .imu import (ImuPreintegrated, ImuSample, correct_imu_bias,
                   integrate_imu, predict_state_imu)
 from .manifold import Pose, rotation_angle
+from .sim import sensor_rig_from_config
 from .state import NavState
 
 
@@ -254,8 +255,6 @@ class Tracker:
     """
 
     def __init__(self, dataset, cfg: RunConfig):
-        from .sim import sensor_rig_from_config  # local import to avoid a cycle
-
         self.ds = dataset
         self.cfg = cfg
         scen = dataset.config
@@ -528,8 +527,6 @@ def run_dead_reckoning(dataset, cfg: RunConfig) -> EstimationResult:
     bias estimates, the body position taken back from the DVL's over the
     lever arm as ``predict_state_degraded`` does. No optimization. One IMU
     and one DVL preintegration span the frames, read at each frame's time."""
-    from .sim import sensor_rig_from_config
-
     rig = sensor_rig_from_config(dataset.config)
     frames = dataset.frames
     t0 = frames[0].t

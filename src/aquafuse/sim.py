@@ -2,8 +2,12 @@
 
 Generates analytic ground-truth trajectories (C2 in position, yaw following
 the planar velocity), samples IMU/DVL/pressure/visual streams at configured
-rates with seeded noise and bias injection, and serializes datasets as one
-directory of JSONL streams plus a JSON config echo.
+rates with seeded noise and bias injection, and serializes datasets.
+
+Serialization: a dataset is a directory of meta.json, its config, and a
+JSONL file per stream. ``STREAMS`` gives each flat stream's record type and
+fields, which ``write_stream`` and ``read_stream`` serve, as they do any
+flat stream; frames.jsonl nests each frame's observations and field.
 
 World convention: z points down along gravity (depth is +z), the body x axis
 points forward and carries the camera's optical axis. The accelerometer
@@ -35,9 +39,11 @@ The path is evaluated as array code; its yaw keeps ``math.atan2`` (see
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
+import operator
 import os
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -164,7 +170,7 @@ class ScenarioConfig:
         if not -math.inf < self.min_obs_depth_m < self.max_obs_depth_m < math.inf:
             raise ValueError("min_obs_depth_m must be below max_obs_depth_m, "
                              "both finite")
-        for name in ("duration_s", "landmark_count", "max_obs_per_frame",
+        for name in ("duration_s", "seed", "landmark_count", "max_obs_per_frame",
                      *(f.name for f in dataclasses.fields(self)
                        if f.name.startswith("sigma_"))):
             if not 0 <= getattr(self, name) < math.inf:
@@ -180,14 +186,7 @@ class ScenarioConfig:
                                  "1e-9, determinant +1)")
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = [list(v) if isinstance(v, (tuple, list)) else v
-                         for v in value]
-            out[f.name] = value
-        return out
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
@@ -455,35 +454,46 @@ def _view(cfg: ScenarioConfig, cam: CameraModel, rng, fid: int,
 
 # ------------------------------ serialization ------------------------------ #
 
+STREAMS = {
+    "imu": (ImuSample, {"t": "t", "gyro": (3,), "accel": (3,)}),
+    "dvl": (DvlSample, {"t": "t", "vel": (3,)}),
+    "pressure": (PressureSample, {"t": "t", "depth": ()}),
+    "groundtruth": (GroundTruthRecord, {"t": "t", "R": (3, 3), "p": (3,),
+                                        "v": (3,), "bg": (3,), "ba": (3,),
+                                        "bv": (3,)}),
+}
+
+
 def _vec(x) -> list:
     return np.asarray(x, dtype=float).reshape(-1).tolist()
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def write_stream(path: str, fields: dict, rows) -> None:
+    """Write ``rows``, each the values of ``fields`` in order, as the JSONL
+    stream at ``path``. ``fields`` maps each key, in write order, to its
+    kind: "t" the timestamp (a decimal string, so parsing is exact), int,
+    () a float, or an array shape."""
+    writers = [(key, {"t": lambda t: repr(float(t)), int: int, (): float}.get(
+        kind, _vec)) for key, kind in fields.items()]
+    with open(path, "w") as fh:
+        for row in rows:
+            fh.write(_dumps({key: write(v) for (key, write), v
+                             in zip(writers, row)}) + "\n")
 
 
 def write_dataset(ds: SensorDataset, path: str) -> None:
-    """Write one directory per scenario: meta.json plus five JSONL streams.
-
-    Timestamps are serialized as decimal strings (shortest round-trip repr)
-    so parsing is exact and platform independent.
-    """
+    """Write one directory per scenario: meta.json, the ``STREAMS`` and
+    frames.jsonl."""
     os.makedirs(path, exist_ok=True)
     with open(os.path.join(path, "meta.json"), "w") as fh:
         json.dump(ds.config.to_dict(), fh, indent=2)
         fh.write("\n")
-    with open(os.path.join(path, "imu.jsonl"), "w") as fh:
-        for s in ds.imu:
-            fh.write(_dumps({"t": repr(float(s.t)), "gyro": _vec(s.gyro),
-                             "accel": _vec(s.accel)}) + "\n")
-    with open(os.path.join(path, "dvl.jsonl"), "w") as fh:
-        for s in ds.dvl:
-            fh.write(_dumps({"t": repr(float(s.t)), "vel": _vec(s.vel)}) + "\n")
-    with open(os.path.join(path, "pressure.jsonl"), "w") as fh:
-        for s in ds.pressure:
-            fh.write(_dumps({"t": repr(float(s.t)),
-                             "depth": float(s.depth)}) + "\n")
+    for name, (_, fields) in STREAMS.items():
+        write_stream(os.path.join(path, name + ".jsonl"), fields,
+                     map(operator.attrgetter(*fields), getattr(ds, name)))
     with open(os.path.join(path, "frames.jsonl"), "w") as fh:
         for fr in ds.frames:
             obs = [{"id": int(o.landmark_id), "uv": _vec(o.pixel),
@@ -498,19 +508,6 @@ def write_dataset(ds: SensorDataset, path: str) -> None:
             fh.write(_dumps({"frame_id": int(fr.frame_id),
                              "t": repr(float(fr.t)),
                              "obs": obs, "field": fld}) + "\n")
-    with open(os.path.join(path, "groundtruth.jsonl"), "w") as fh:
-        for g in ds.groundtruth:
-            fh.write(_dumps({"t": repr(float(g.t)), "R": _vec(g.R),
-                             "p": _vec(g.p), "v": _vec(g.v), "bg": _vec(g.bg),
-                             "ba": _vec(g.ba), "bv": _vec(g.bv)}) + "\n")
-
-
-def _no_constant(name: str):
-    raise ValueError(f"{name} is not a finite number")
-
-
-# rejects the literals NaN, Infinity and -Infinity, which ``json`` accepts
-_DECODER = json.JSONDecoder(parse_constant=_no_constant)
 
 
 def _read_jsonl(path: str):
@@ -520,37 +517,47 @@ def _read_jsonl(path: str):
             if not line:
                 continue
             try:
-                yield lineno, _DECODER.decode(line)
+                rec = json.loads(line)
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(rec, dict):
+                raise ParseError(f"{path}:{lineno}: not a JSON object")
+            yield lineno, rec
 
 
-def _field_of(rec: dict, key: str, path: str, lineno: int, shape=None):
-    """The value of ``key`` in a record; with a ``shape`` tuple, as such an array."""
-    if key not in rec:
-        raise ParseError(f"{path}:{lineno}: missing field '{key}'")
-    if shape is None:
-        return rec[key]
-    try:
-        arr = np.array(rec[key], dtype=float)
+@functools.cache
+def _reader(kind):
+    """The function reading a JSON value as a field of ``kind``; an
+    array's numbers are checked by ``_check_finite``."""
+    def number(value):
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"{value} is not finite")
+        return value
+
+    def array(value):
+        arr = np.array(value, dtype=float)
         # no view where the shape holds: each holds its base in memory
-        return arr if arr.shape == shape else arr.reshape(shape)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}:{lineno}: field '{key}' is not an array of "
-                         f"shape {shape} of numbers: {rec[key]!r}") from exc
+        return arr if arr.shape == kind else arr.reshape(kind)
+    return number if kind in ("t", ()) else int if kind is int else array
 
 
-def _scalar_of(rec: dict, key: str, path: str, lineno: int, kind=float):
-    """The value of ``key`` in a record as a finite ``kind`` scalar."""
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _value(rec: dict, key: str, kind, at):
+    """The field ``key`` of the record ``rec`` at ``at``, its (file, line
+    number), read as ``kind``; a malformed one is named."""
     try:
-        value = kind(rec[key])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        value = math.nan
-    if not math.isfinite(value):
-        raw = _field_of(rec, key, path, lineno)  # names a missing key
-        what = "bad timestamp" if key == "t" else f"field '{key}' is not a finite number:"
-        raise ParseError(f"{path}:{lineno}: {what} {raw!r}")
-    return value
+        return _reader(kind)(rec[key])
+    except _MALFORMED:
+        where = f"{at[0]}:{at[1]}:"
+        if key not in rec:
+            raise ParseError(f"{where} missing field '{key}'") from None
+        what = {int: "an integer", (): "a finite number"}.get(
+            kind, f"an array of shape {kind} of numbers")
+        what = "bad timestamp" if kind == "t" else f"field '{key}' is not {what}:"
+        raise ParseError(f"{where} {what} {rec[key]!r}") from None
 
 
 def _check_finite(path: str, key: str, arrays: list, counts=None) -> None:
@@ -567,34 +574,59 @@ def _check_finite(path: str, key: str, arrays: list, counts=None) -> None:
                          "is not finite")
 
 
-def _stream(path: str, name: str):
-    """(time, record, (file, line number)) of each line of a stream, whose
-    times must increase."""
-    fp = os.path.join(path, name)
+def _stream(path: str):
+    """(time, record, (file, line number)) of each line of the stream at
+    ``path``, which must hold a record, and whose times must increase."""
     prev = -math.inf
-    for lineno, rec in _read_jsonl(fp):
-        t = _scalar_of(rec, "t", fp, lineno)
+    for lineno, rec in _read_jsonl(path):
+        at = (path, lineno)
+        t = _value(rec, "t", "t", at)
         if t <= prev:
-            raise ParseError(f"{fp}:{lineno}: out-of-order timestamp {t}")
+            raise ParseError(f"{path}:{lineno}: out-of-order timestamp {t}")
         prev = t
-        yield t, rec, (fp, lineno)
+        yield t, rec, at
+    if prev == -math.inf:
+        raise ParseError(f"{path}: no record")
+
+
+def read_stream(path: str, fields: dict) -> list:
+    """The columns of the JSONL stream at ``path``: per field of ``fields``
+    (see ``write_stream``; "t" among them), its values in file order. A
+    record's other keys are not read."""
+    columns = {key: [] for key in fields}
+    readers = [(key, _reader(kind), columns[key].append)
+               for key, kind in fields.items() if kind != "t"]
+    for t, rec, at in _stream(path):
+        columns["t"].append(t)
+        for key, read, append in readers:
+            try:
+                append(read(rec[key]))
+            except _MALFORMED:
+                _value(rec, key, fields[key], at)  # raises, naming the field
+    for key, kind in fields.items():
+        if kind not in ("t", int, ()):
+            _check_finite(path, key, columns[key])
+    return list(columns.values())
 
 
 def _frame(cfg: ScenarioConfig, t: float, rec: dict, at) -> FrameData:
-    fid = _scalar_of(rec, "frame_id", *at, int)
+    fid = _value(rec, "frame_id", int, at)
+    obs, fld = rec.get("obs"), rec.get("field")
+    if not (isinstance(obs, list) and all(isinstance(o, dict) for o in obs)):
+        raise ParseError(f"{at[0]}:{at[1]}: field 'obs' is not a list of "
+                         f"objects: {obs!r}")
+    if not isinstance(fld, dict):
+        raise ParseError(f"{at[0]}:{at[1]}: field 'field' is not an object: "
+                         f"{fld!r}")
     obs = [LandmarkObservation(
-        fid, _scalar_of(o, "id", *at, int), _field_of(o, "uv", *at, (2,)),
-        None if o.get("disparity") is None
-        else _scalar_of(o, "disparity", *at))
-        for o in _field_of(rec, "obs", *at)]
-    fld = _field_of(rec, "field", *at)
-    sig = (_field_of(fld, "sigma_px", *at, (-1,))
-           if isinstance(fld.get("sigma_px"), list)
-           else _scalar_of(fld, "sigma_px", *at))
-    args = (_field_of(fld, "amps", *at, (-1,)),
-            _field_of(fld, "centers", *at, (-1, 2)), sig, cfg.width_px,
-            cfg.height_px, _scalar_of(fld, "offset", *at) if "offset" in fld
-            else 0.0)
+        fid, _value(o, "id", int, at), _value(o, "uv", (2,), at),
+        None if o.get("disparity") is None else _value(o, "disparity", (), at))
+        for o in obs]
+    sig = _value(fld, "sigma_px", (-1,) if isinstance(fld.get("sigma_px"), list)
+                 else (), at)
+    args = (_value(fld, "amps", (-1,), at), _value(fld, "centers", (-1, 2), at),
+            sig, cfg.width_px, cfg.height_px,
+            _value(fld, "offset", (), at) if "offset" in fld else 0.0)
     try:
         intensity = IntensityField(*args)
     except ValueError as exc:
@@ -607,56 +639,27 @@ def read_config(path: str) -> ScenarioConfig:
     meta_path = os.path.join(path, "meta.json")
     try:
         with open(meta_path) as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        raise ParseError(f"{meta_path}: missing")
-    try:
-        meta, refused = _DECODER.decode(text), None
+            return ScenarioConfig.from_dict(json.load(fh))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{meta_path}: invalid JSON ({exc})") from exc
     except ValueError as exc:
-        # a NaN or infinite literal: decoded as one, the config's checks
-        # name its key where they check it
-        meta, refused = json.loads(text), exc
-    try:
-        cfg = ScenarioConfig.from_dict(meta)
-    except ValueError as exc:
         raise ParseError(f"{meta_path}: {exc}") from exc
-    if refused is not None:
-        raise ParseError(f"{meta_path}: invalid JSON ({refused})") from refused
-    return cfg
 
 
 def read_dataset(path: str) -> SensorDataset:
     """The dataset in the directory ``path``. A malformed record, or one
     holding a number that is not finite, is named by file and line."""
     cfg = read_config(path)
-    imu = [ImuSample(t, _field_of(rec, "gyro", *at, (3,)),
-                     _field_of(rec, "accel", *at, (3,)))
-           for t, rec, at in _stream(path, "imu.jsonl")]
-    dvl = [DvlSample(t, _field_of(rec, "vel", *at, (3,)))
-           for t, rec, at in _stream(path, "dvl.jsonl")]
-    pressure = [PressureSample(t, _scalar_of(rec, "depth", *at))
-                for t, rec, at in _stream(path, "pressure.jsonl")]
-    frames = [_frame(cfg, t, rec, at)
-              for t, rec, at in _stream(path, "frames.jsonl")]
-    truth_keys = ("R", "p", "v", "bg", "ba", "bv")
-    groundtruth = [GroundTruthRecord(t, *(
-        _field_of(rec, key, *at, (3, 3) if key == "R" else (3,))
-        for key in truth_keys)) for t, rec, at in _stream(path, "groundtruth.jsonl")]
-    # the scalars are checked as read, the arrays here, a field at a time
-    for name, key, arrays, counts in (
-            ("imu.jsonl", "gyro", [s.gyro for s in imu], None),
-            ("imu.jsonl", "accel", [s.accel for s in imu], None),
-            ("dvl.jsonl", "vel", [s.vel for s in dvl], None),
-            ("frames.jsonl", "amps", [f.field.amplitudes for f in frames], None),
-            ("frames.jsonl", "centers", [f.field.centers for f in frames], None),
-            ("frames.jsonl", "sigma_px",
-             [np.ravel(f.field.sigma_px) for f in frames], None),
-            ("frames.jsonl", "uv",
-             [o.pixel for f in frames for o in f.observations],
-             [len(f.observations) for f in frames]),
-            *(("groundtruth.jsonl", key, [getattr(g, key) for g in groundtruth],
-               None) for key in truth_keys)):
-        _check_finite(os.path.join(path, name), key, arrays, counts)
-    return SensorDataset(cfg, imu, dvl, pressure, frames, groundtruth)
+    streams = {name: list(map(record, *read_stream(
+        os.path.join(path, name + ".jsonl"), fields)))
+        for name, (record, fields) in STREAMS.items()}
+    fp = os.path.join(path, "frames.jsonl")
+    frames = [_frame(cfg, t, rec, at) for t, rec, at in _stream(fp)]
+    for key, arrays, counts in (
+            ("amps", [f.field.amplitudes for f in frames], None),
+            ("centers", [f.field.centers for f in frames], None),
+            ("sigma_px", [np.ravel(f.field.sigma_px) for f in frames], None),
+            ("uv", [o.pixel for f in frames for o in f.observations],
+             [len(f.observations) for f in frames])):
+        _check_finite(fp, key, arrays, counts)
+    return SensorDataset(cfg, frames=frames, **streams)

@@ -8,9 +8,11 @@ import pytest
 
 from aquafuse import backend as bk, cli, sim
 from aquafuse.backend import DivergedError, GaugeError, PreintCoverageError
-from aquafuse.frontend import (EstimatorMode, InsufficientObservationsError,
-                               RunConfig, Tracker, run_estimator)
+from aquafuse.frontend import (EstimatorMode, FrameState,
+                               InsufficientObservationsError, RunConfig,
+                               Tracker, TrackingStatus, run_estimator)
 from aquafuse.manifold import BranchAmbiguityError
+from aquafuse.state import NavState
 from aquafuse.visual import (BehindCameraError, DegenerateTriangulationError,
                              OutOfDomainError)
 
@@ -109,6 +111,26 @@ class TestSuccess:
             {"backend": {"pattern": {"weight_scale": 10.0}}}))
         assert _estimate(dataset, tmp_path / "run", "--mode", "full",
                          "--config", str(config)) == 0
+
+    def test_trajectory_file_holds_these_bytes(self, tmp_path):
+        rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        frames = [
+            FrameState(3, 0.1, NavState(rot, [1.5, -2.25, 1 / 3], np.zeros(3)),
+                       TrackingStatus.VISUAL_OK, 12),
+            FrameState(4, 0.1 + 0.2, NavState(np.eye(3), [0.0, 1e-17, 5.0],
+                                              np.ones(3)),
+                       TrackingStatus.DEAD_RECKON, 0)]
+        path = tmp_path / "trajectory.jsonl"
+        cli.write_trajectory(str(path), frames)
+        assert path.read_text() == (
+            '{"frame_id":3,"t":"0.1","R":[0.0,-1.0,0.0,1.0,0.0,0.0,0.0,0.0,'
+            '1.0],"p":[1.5,-2.25,0.3333333333333333]}\n'
+            '{"frame_id":4,"t":"0.30000000000000004","R":[1.0,0.0,0.0,0.0,'
+            '1.0,0.0,0.0,0.0,1.0],"p":[0.0,1e-17,5.0]}\n')
+        back = cli.load_trajectory(str(path))
+        assert back.t.tolist() == [0.1, 0.30000000000000004]
+        assert np.array_equal(back.R, [f.nav.R for f in frames])
+        assert np.array_equal(back.p, [f.nav.p for f in frames])
 
 
 def _leaves(config, prefix=""):
@@ -236,6 +258,8 @@ class TestInputErrors:
         ({"backend": {"sigma_bv_walk": 1e-2}}, "backend.sigma_bv_walk"),
         ({"backend": {"photometric_enabled": "yes"}},
          "backend.photometric_enabled"),
+        ({"backend": {"pattern": {"offsets": [[0, 0], [1, float("inf")]]}}},
+         "backend.pattern.offsets"),
     ])
     def test_malformed_nested_config(self, dataset, tmp_path, capsys,
                                      config, key):
@@ -282,6 +306,9 @@ class TestInputErrors:
         ({"sigma_dvl_m_s": float("nan")}, "sigma_dvl_m_s"),
         ({"rate_imu_hz": float("inf")}, "rate_imu_hz"),
         ({"max_obs_depth_m": float("inf")}, "max_obs_depth_m"),
+        ({"seed": -1}, "seed"),
+        ({"p_IC_m": [0.15, float("nan"), 0.05]}, "p_IC_m"),
+        ({"cx_px": 10 ** 400}, "cx_px"),
     ])
     def test_malformed_scenario_config(self, tmp_path, capsys, config, key):
         path = tmp_path / "scenario.json"
@@ -298,7 +325,7 @@ class TestInputErrors:
         ({"width_px": 640.0}, "width_px"),
         ({"sigma_dvl_m_s": float("nan")}, "sigma_dvl_m_s"),
         ({"duration_s": float("inf")}, "duration_s"),
-        ({"cx_px": float("nan")}, "NaN is not a finite number"),
+        ({"cx_px": float("nan")}, "cx_px"),
     ])
     def test_malformed_meta_json(self, dataset, tmp_path, capsys, meta, key):
         bad = tmp_path / "dataset"
@@ -310,6 +337,42 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert str(bad / "meta.json") in err and key in err
 
+    @pytest.mark.parametrize("mode", ["full", "dvl-deadreckon-only"])
+    def test_infinite_meta_number_names_the_key(self, dataset, tmp_path,
+                                                capsys, mode):
+        # it exited 4 in full and 0 in dead reckoning
+        bad = tmp_path / "dataset"
+        shutil.copytree(dataset, bad)
+        meta = (bad / "meta.json").read_text()
+        assert '"cx_px": 320.0,' in meta
+        (bad / "meta.json").write_text(
+            meta.replace('"cx_px": 320.0,', '"cx_px": 1e999,'))
+        assert _estimate(bad, tmp_path / "run", "--mode", mode) == 2
+        err = capsys.readouterr().err
+        assert str(bad / "meta.json") in err and "cx_px" in err
+
+    @pytest.mark.parametrize("text, key", [
+        # the NaN switched the translation trigger off, and the run exited 0
+        ('{"tracker": {"tau_p": NaN}}', "tracker.tau_p"),
+        # it exited 4
+        ('{"floors": {"sigma_dvl": 1e999}}', "floors.sigma_dvl"),
+    ], ids=["nan", "overflow"])
+    def test_non_finite_run_config_names_the_key(self, dataset, tmp_path,
+                                                 capsys, text, key):
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        run = tmp_path / "run"
+        assert _estimate(dataset, run, "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and key in err
+        assert not run.exists()
+
+    def test_negative_seed_argument_names_the_key(self, tmp_path, capsys):
+        out = tmp_path / "dataset"
+        assert cli.main(["simulate", "--out", str(out), "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec, named", [
         ([1, 2], "sweep.json"),
         ({"scenarios": "circle"}, "sweep.json"),
@@ -317,6 +380,8 @@ class TestInputErrors:
         ({"scenarios": [{"config": {}}]}, "sweep.json"),
         ({"scenarios": [{"name": "a", "config": {"rate_cam_hz": "fast"}}]},
          "rate_cam_hz"),
+        ({"scenarios": [{"name": "a", "config": {"cx_px": float("nan")}}]},
+         "cx_px"),
     ])
     def test_malformed_sweep_spec(self, tmp_path, capsys, spec, named):
         path = tmp_path / "sweep.json"
@@ -405,6 +470,16 @@ class TestInputErrors:
                          "--out", str(tmp_path / "report")]) == 2
         assert f"{path}:2: bad timestamp" in capsys.readouterr().err
 
+    def test_trajectory_going_back_in_time_names_the_line(self, dataset,
+                                                         tmp_path, capsys):
+        good = {"t": "0.5", "R": np.eye(3).ravel().tolist(), "p": [0, 0, 0]}
+        path = tmp_path / "trajectory.jsonl"
+        path.write_text(json.dumps(good) + "\n"
+                        + json.dumps({**good, "t": "0.1"}) + "\n")
+        assert cli.main(["evaluate", "--truth", str(dataset), str(path),
+                         "--out", str(tmp_path / "report")]) == 2
+        assert f"{path}:2: out-of-order timestamp" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [
         ("R", [1, 0, 0, 1]), ("R", "eye"), ("p", [0, 0]), ("p", None),
         ("p", [0, "nan", 0]), ("R", ["inf"] + [0] * 8)])
@@ -446,7 +521,11 @@ class TestInputErrors:
         ("frames.jsonl", ("obs", 0, "disparity"), "inf"),
         ("frames.jsonl", ("obs", 0, "uv"), [0, "nan"]),
         ("frames.jsonl", ("field", "sigma_px"), "nan"),
-        ("frames.jsonl", ("field", "offset"), "-inf")])
+        ("frames.jsonl", ("field", "offset"), "-inf"),
+        # each raised a TypeError or AttributeError, with exit 1
+        ("frames.jsonl", ("obs",), [5]),
+        ("frames.jsonl", ("obs",), 3),
+        ("frames.jsonl", ("field",), 5)])
     def test_malformed_dataset_scalar_names_the_line(self, dataset, tmp_path,
                                                      capsys, stream, keys,
                                                      value):
@@ -515,6 +594,23 @@ class TestInputErrors:
         assert _estimate(copy, run, "--mode", mode) == 2
         assert f"{copy / stream}:6: " in capsys.readouterr().err
         assert not run.exists()
+
+    @pytest.mark.parametrize("name", [
+        "meta.json", "imu.jsonl", "dvl.jsonl", "pressure.jsonl",
+        "frames.jsonl", "groundtruth.jsonl", "trajectory.jsonl"])
+    def test_empty_file_is_named(self, dataset, tmp_path, capsys, name):
+        # an empty stream raised an IndexError, or ran on to empty outputs
+        copy = tmp_path / "dataset"
+        shutil.copytree(dataset, copy)
+        empty = tmp_path / name if name == "trajectory.jsonl" else copy / name
+        empty.write_text("")
+        if name == "trajectory.jsonl":
+            code = cli.main(["evaluate", "--truth", str(copy), str(empty),
+                             "--out", str(tmp_path / "report")])
+        else:
+            code = _estimate(copy, tmp_path / "run")
+        assert code == 2
+        assert f"{empty}: " in capsys.readouterr().err
 
     def test_bad_arguments(self):
         with pytest.raises(SystemExit) as exc:

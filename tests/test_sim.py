@@ -86,6 +86,8 @@ def _broken_copy(path, broken, stream, lineno, edit):
     ("dvl.jsonl", 5, lambda line: line.replace('"vel"', '"velocity"')),
     ("pressure.jsonl", 2, lambda line: line.replace('"t":"0.1"', '"t":"x"')),
     ("frames.jsonl", 4, lambda line: line.replace('"t":"0.2"', '"t":"0.0"')),
+    ("groundtruth.jsonl", 2, lambda line: "[1, 2]"),
+    ("imu.jsonl", 7, lambda line: "5"),
 ])
 def test_parse_error_names_file_and_line(written, tmp_path, stream, lineno,
                                          edit):
