@@ -23,13 +23,15 @@ written once: all reprojections, all photometric patches, and each pair kind
 (IMU, DVL velocity, DVL position, pressure) over all its pairs. A batch
 reads the window's states stacked once per point in two passes: residuals
 per row, then Jacobian rows over its columns from the first pass's
-intermediates. The solver drops every factor on fixed variables alone, so
-its cost is that of the factors that can move. It runs the residual pass
-at each point it visits, the Jacobian pass only where it builds normal
-equations. Each damped step eliminates the free landmarks by Schur
-complement, its correction formed on the observing keyframes' pose columns
-alone, solves the state system alone, and is judged against the
-tolerances before it is evaluated.
+intermediates. Its columns come from the solve's ``_Layout`` tables, by
+the stack and landmark rows it reads (a free state solves its first
+``free_dims`` local dims). The solver drops every factor on fixed
+variables alone, so its cost is that of the factors that can move. It
+runs the residual pass at each point it visits, the Jacobian pass only
+where it builds normal equations. Each damped step eliminates the free
+landmarks by Schur complement, its correction formed on the observing
+keyframes' pose columns alone, solves the state system alone, and is
+judged against the tolerances before it is evaluated.
 ``Factor.evaluate`` is a batch of one.
 
 A keyframe pair's photometric patches are measurements too: the tracker
@@ -139,8 +141,8 @@ class Factor:
         id, evaluated with ``rig`` as a batch of one: each residual is
         written once, in its kind's batch."""
         lids = () if self.landmark_id is None else (self.landmark_id,)
-        window = LocalWindow(list(self.state_ids), states, rig, None,
-                             {lid: landmarks[lid] for lid in lids})
+        window = LocalWindow({sid: states[sid] for sid in self.state_ids}, rig,
+                             None, {lid: landmarks[lid] for lid in lids})
         layout = _window_layout(window, [self])
         (batch,) = _batches(window, [self], layout)
         res, ctx = batch.residuals(layout.stack(states),
@@ -148,35 +150,29 @@ class Factor:
         dense = np.zeros((res.shape[1], layout.ndim + 1))
         dense[:, batch.cols[0]] = batch.jacobians(ctx)[0]
         return (res[0],
-                {sid: dense[:, c[0]:c[0] + STATE_DOF]
-                 for sid, c in layout.cols.items()},
-                {lid: dense[:, c[0]:c[0] + 3]
-                 for lid, c in layout.lm_cols.items()})
+                {sid: dense[:, layout.state_cols[k]]
+                 for sid, k in layout.rows.items()},
+                {lid: dense[:, layout.lm_cols[k]]
+                 for lid, k in layout.lm_rows.items()})
 
 
 # ------------------------------ local window ------------------------------- #
 
-FULL_MASK = np.ones(STATE_DOF, dtype=bool)
-POSE_MASK = np.array([True] * 6 + [False] * 12)
-POSE_VEL_MASK = np.array([True] * 9 + [False] * 9)
-
-
 @dataclass
 class LocalWindow:
-    """Ordered keyframe states plus landmarks, the rig and the Huber knee of
-    the visual factors (None: unweighted). Fixed entries are never touched
-    by the solver and anchor the gauge. A free state's mask must be a
-    contiguous prefix of its local dims that holds at least the pose
-    (POSE_MASK, POSE_VEL_MASK or FULL_MASK)."""
+    """Keyframe states in window order plus landmarks, the rig and the Huber
+    knee of the visual factors (None: unweighted). Fixed entries are never
+    touched by the solver and anchor the gauge. A free state solves the
+    first ``free_dims`` of its 18 local dims (18 by default; 6 the pose, 9
+    the pose and velocity), at least its pose."""
 
-    kf_ids: list[int]
     states: dict[int, NavState]
     rig: SensorRig
     huber_delta: float | None
     landmarks: dict[int, np.ndarray] = dc_field(default_factory=dict)
     fixed_states: set[int] = dc_field(default_factory=set)
     fixed_landmarks: set[int] = dc_field(default_factory=set)
-    state_masks: dict[int, np.ndarray] = dc_field(default_factory=dict)
+    free_dims: dict[int, int] = dc_field(default_factory=dict)
 
 
 @dataclass
@@ -212,15 +208,17 @@ class SolveReport:
 
 @dataclass
 class _Layout:
-    """Where the variables of a solve sit: each state's row in the state
-    stack and each landmark's in the landmark array, and the normal-equation
-    columns of each state's 18 local dims and each landmark's 3. A dim
-    without a column (fixed or masked) takes the dummy column ``ndim``."""
+    """Where the variables of a solve sit: each state's stack row and each
+    landmark's row, and by those rows the normal-equation columns of each
+    state's 18 local dims (K, 18) and each landmark's 3 (L, 3): the free
+    states' ``n_s`` first, then 3 per free landmark. A dim without a column
+    (fixed, or past a state's free dims) takes the dummy column ``ndim``."""
 
     rows: dict[int, int]
-    cols: dict[int, list[int]]
     lm_rows: dict[int, int]
-    lm_cols: dict[int, list[int]]
+    state_cols: np.ndarray
+    lm_cols: np.ndarray
+    n_s: int
     ndim: int
 
     def stack(self, states: dict[int, NavState]) -> StateStack:
@@ -232,36 +230,31 @@ class _Layout:
 
 
 def _window_layout(window: LocalWindow, factors: list[Factor]) -> _Layout:
-    """The solve's layout: columns for the active dims of each free state,
-    then for each free landmark; the states in the order the factors first
-    touch them, so consecutive keyframe pairs read contiguous stack rows."""
-    spans, lm_spans, offset = {}, {}, 0
-    for sid in window.kf_ids:
-        if sid in window.fixed_states:
-            continue
-        mask = np.asarray(window.state_masks.get(sid, FULL_MASK), dtype=bool)
-        n = int(mask.sum())
-        if mask.shape != (STATE_DOF,) or n < 6 or not mask[:n].all():
-            raise ValueError(f"the mask of state {sid} is not a contiguous "
-                             f"prefix of at least 6 of its {STATE_DOF} dims")
-        spans[sid] = range(offset, offset + n)
-        offset += n
-    lm_ids = sorted(window.landmarks)
-    for lid in lm_ids:
-        if lid not in window.fixed_landmarks:
-            lm_spans[lid] = range(offset, offset + 3)
-            offset += 3
-
-    def padded(span, size):
-        return list(span) + [offset] * (size - len(span))
-
-    order = dict.fromkeys(sid for f in factors for sid in f.state_ids)
-    return _Layout({sid: k for k, sid in enumerate(order)},
-                   {sid: padded(spans.get(sid, ()), STATE_DOF)
-                    for sid in order | spans},
-                   {lid: k for k, lid in enumerate(lm_ids)},
-                   {lid: padded(lm_spans.get(lid, ()), 3) for lid in lm_ids},
-                   offset)
+    """The solve's layout: columns for the free dims of each free state in
+    window order, then for each free landmark in id order; the states'
+    rows in the order the factors first touch them, so consecutive
+    keyframe pairs read contiguous stack rows."""
+    spans, n_s = {}, 0
+    for sid in window.states:
+        if sid not in window.fixed_states:
+            n = window.free_dims.get(sid, STATE_DOF)
+            if not (isinstance(n, int) and 6 <= n <= STATE_DOF):
+                raise ValueError(f"state {sid} frees {n!r} dims, not 6 "
+                                 f"to {STATE_DOF}")
+            spans[sid], n_s = range(n_s, n_s + n), n_s + n
+    lm_rows = {lid: k for k, lid in enumerate(sorted(window.landmarks))}
+    free_lm = np.array([lid not in window.fixed_landmarks for lid in lm_rows],
+                       dtype=bool)
+    ndim = n_s + 3 * int(np.count_nonzero(free_lm))
+    lm_cols = np.full((len(lm_rows), 3), ndim, dtype=np.intp)
+    lm_cols[free_lm] = np.arange(n_s, ndim).reshape(-1, 3)
+    rows = {sid: k for k, sid in enumerate(
+        dict.fromkeys(sid for f in factors for sid in f.state_ids))}
+    state_cols = np.full((len(rows), STATE_DOF), ndim, dtype=np.intp)
+    for sid, k in rows.items():
+        if sid in spans:
+            state_cols[k, :len(spans[sid])] = spans[sid]
+    return _Layout(rows, lm_rows, state_cols, lm_cols, n_s, ndim)
 
 
 class _Batch:
@@ -280,7 +273,7 @@ class _Batch:
     def _set_rows(self, cols, infos, delta: float | None, dummy: int):
         if np.max(np.abs(infos - infos.transpose(0, 2, 1))) > 1e-9:
             raise ValueError("information matrix must be symmetric")
-        self.cols = cols = np.asarray(cols, dtype=np.intp)
+        self.cols = cols
         self.infos, self.delta = infos, delta
         self.h_index = cols[:, :, None] * (dummy + 1) + cols[:, None, :]
 
@@ -307,8 +300,8 @@ class _ReprojectionBatch(_Batch):
         self.host = np.array([layout.rows[f.state_ids[0]] for f in factors])
         self.lm = np.array([layout.lm_rows[f.landmark_id] for f in factors])
         self.pixels = np.array([f.payload.pixel for f in factors])
-        self._set_rows([layout.cols[f.state_ids[0]][:6]
-                        + layout.lm_cols[f.landmark_id] for f in factors],
+        self._set_rows(np.concatenate([layout.state_cols[self.host, :6],
+                                       layout.lm_cols[self.lm]], axis=1),
                        np.array([f.info for f in factors]),
                        window.huber_delta, layout.ndim)
 
@@ -358,8 +351,8 @@ class _PhotometricBatch(_Batch):
         for k, d in enumerate(payloads):
             fields.setdefault(id(d.field_obs), (d.field_obs, []))[1].append(k)
         self.fields = [(fld, np.array(rows)) for fld, rows in fields.values()]
-        self._set_rows([layout.cols[f.state_ids[0]][:6]
-                        + layout.cols[f.state_ids[1]][:6] for f in factors],
+        self._set_rows(np.concatenate([layout.state_cols[self.host, :6],
+                                       layout.state_cols[self.obs, :6]], axis=1),
                        np.array([f.info for f in factors]),
                        window.huber_delta, layout.ndim)
         self.hosts_fixed = bool(np.all(self.cols[:, :6] == layout.ndim))
@@ -478,10 +471,10 @@ class _PairGroup(_Batch):
 
     def __init__(self, window: LocalWindow, kinds: list[list[Factor]], layout: _Layout):
         pairs = [f.state_ids for f in kinds[0]]
-        cols = np.array([layout.cols[a] + layout.cols[b] for a, b in pairs])
+        i, j = ([layout.rows[pair[side]] for pair in pairs] for side in (0, 1))
+        cols = np.concatenate([layout.state_cols[i], layout.state_cols[j]], 1)
         self.dims = np.flatnonzero(cols.min(axis=0) < layout.ndim)
         # contiguous rows (consecutive keyframes) are read as views
-        i, j = ([layout.rows[pair[side]] for pair in pairs] for side in (0, 1))
         self.i, self.j = (slice(r[0], r[-1] + 1) if r == list(range(r[0], r[-1] + 1))
                           else np.array(r) for r in (i, j))
         # per kind: its residual function, stacked payload and constant
@@ -629,7 +622,7 @@ def solve(window: LocalWindow, factors: list[Factor],
         raise GaugeError("no fixed state or fixed landmark; "
                          "add a gauge fix before solving")
 
-    free_states = set(window.kf_ids) - window.fixed_states
+    free_states = set(window.states) - window.fixed_states
     free_lms = set(window.landmarks) - window.fixed_landmarks
     factors = [f for f in factors if free_states.intersection(f.state_ids)
                or f.landmark_id in free_lms]
@@ -647,20 +640,14 @@ def solve(window: LocalWindow, factors: list[Factor],
         return window, SolveReport(0, cost, trace, Termination.ZERO_GRADIENT)
 
     # the stack rows of the free states that a factor touches (the others
-    # have no gradient and stay put) and their columns
-    free = [sid for sid in layout.rows if layout.cols[sid][0] < ndim]
-    free_rows = np.array([layout.rows[sid] for sid in free], dtype=np.intp)
-    free_cols = np.array([layout.cols[sid] for sid in free],
-                         dtype=np.intp).reshape(-1, STATE_DOF)
-    lm_index = np.array(list(layout.lm_cols.values()),
-                        dtype=np.intp).reshape(-1, 3)
-    # the free landmarks' columns follow every state column, 3 each
-    n_s = ndim - 3 * int(np.count_nonzero(lm_index[:, 0] < ndim))
+    # have no gradient and stay put)
+    free_rows = np.flatnonzero(layout.state_cols[:, 0] < ndim)
+    free_cols = layout.state_cols[free_rows]
 
     def retract(stack, lms, delta):
         delta = np.append(delta, 0.0)  # the dummy column moves nothing
         return (retract_rows(stack, free_rows, delta[free_cols]),
-                lms + delta[lm_index])
+                lms + delta[layout.lm_cols])
 
     lam = cfg.lambda_init
     accepted = 0
@@ -674,7 +661,8 @@ def solve(window: LocalWindow, factors: list[Factor],
         while lam <= cfg.lambda_max:
             try:
                 # h + lam diag(h) + 1e-15 I, formed on the diagonal alone
-                step = _solve_damped(h, h_diag + lam * h_diag + 1e-15, g, n_s)
+                step = _solve_damped(h, h_diag + lam * h_diag + 1e-15, g,
+                                     layout.n_s)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -704,9 +692,9 @@ def solve(window: LocalWindow, factors: list[Factor],
         cost = cand_cost
         trace.append(cost)
 
-    window.states = dict(window.states)
-    for sid in free:
-        window.states[sid] = unstack_state(stack, layout.rows[sid])
+    ids = list(layout.rows)
+    window.states = {**window.states,
+                     **{ids[k]: unstack_state(stack, k) for k in free_rows}}
     window.landmarks = dict(zip(layout.lm_rows, lms))
     return window, SolveReport(accepted, cost, trace,
                                termination or Termination.ITERATION_CAP)
@@ -828,7 +816,6 @@ def assemble_window(keyframes: list[KeyframeNode],
                   if o.landmark_id in landmarks}
 
     window = LocalWindow(
-        kf_ids=[kf.kf_id for kf in keyframes],
         states={kf.kf_id: kf.state for kf in keyframes},
         rig=rig, huber_delta=cfg.huber_delta,
         landmarks=window_lms,

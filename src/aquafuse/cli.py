@@ -246,10 +246,12 @@ def cmd_sweep(args) -> int:
     run_cfg = _named(args.config, run_config_from_dict,
                      spec.get("run_config", {}))
     modes = spec.get("modes", ["full"])
-    if not isinstance(modes, list):
-        raise ValueError(f"{args.config}: 'modes' is not a list")
+    if not (isinstance(modes, list) and modes):
+        raise ValueError(f"{args.config}: 'modes' is not a nonempty list")
     for k, mode in enumerate(modes):
         _named(f"{args.config}: modes[{k}]", EstimatorMode, mode)
+        if mode in modes[:k]:
+            raise ValueError(f"{args.config}: mode {mode!r} is given twice")
     scenario_cfgs = {}
     for entry in scenarios:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):

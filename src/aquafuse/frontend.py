@@ -135,7 +135,7 @@ def track_coarse(init: NavState, observations, map_points: dict,
     if not window.fixed_landmarks:
         raise InsufficientObservationsError(
             "no tracked observation in front of the camera")
-    window.state_masks[0] = bk.POSE_MASK
+    window.free_dims[0] = 6  # the pose
     window, _ = bk.solve(window, factors, _tracking_solver(cfg.coarse_max_iterations))
     s = window.states[0]
     return Pose(s.R, s.p)
@@ -157,10 +157,10 @@ def refine_photometric(coarse: Pose, ref_pose: Pose, payloads,
     image (or fails the Mahalanobis gate at the coarse pose) are dropped,
     and if none survive the coarse pose is returned."""
     window = bk.LocalWindow(
-        kf_ids=[0, 1], rig=rig, huber_delta=backend_cfg.huber_delta,
+        rig=rig, huber_delta=backend_cfg.huber_delta,
         states={0: NavState(ref_pose.R, ref_pose.t, np.zeros(3)),
                 1: NavState(coarse.R, coarse.t, np.zeros(3))},
-        fixed_states={0}, state_masks={1: bk.POSE_MASK})
+        fixed_states={0}, free_dims={1: 6})
     factors = bk.make_photometric_factors(
         window, [((0, 1), payloads)], backend_cfg.sigma_intensity_track,
         backend_cfg.photometric_track_gate)
@@ -290,8 +290,8 @@ class Tracker:
         self.kf_frame = None  # the last keyframe's frame
         self.intervals: dict[tuple[int, int], bk.IntervalData] = {}
         self.reports: list[bk.SolveReport] = []
-        self.interval: bk.IntervalData | None = None  # the running one
-        self.interval_state: NavState | None = None
+        # the running interval, restarted when a keyframe is made
+        self.interval: bk.IntervalData | None = None
         self.status = TrackingStatus.VISUAL_OK
         self.reentry_count = 0
 
@@ -306,12 +306,10 @@ class Tracker:
         return self.ds.dvl[i0:i1]
 
     def _extend_interval(self, kf: bk.KeyframeNode, t: float) -> bk.IntervalData:
-        """The running interval extended to ``t``, restarted from ``kf`` once
-        the keyframe's state is replaced (a new keyframe, or a window BA that
-        moved it). Its DVL part is None while no DVL sample precedes ``t``."""
-        s = kf.state
-        run = self.interval if self.interval_state is s else None
-        self.interval_state = s
+        """The running interval extended to ``t``, or started from ``kf``
+        once ``_make_keyframe`` cleared it. Its DVL part is None while no
+        DVL sample precedes ``t``."""
+        s, run = kf.state, self.interval
         imu_run, dvl_run = (run.imu_preint, run.dvl_preint) if run else (None, None)
         # a resumed preintegration starts from the sample of its last hold
         # step, which is integrated again
@@ -350,7 +348,7 @@ class Tracker:
             {(kf.kf_id, temp_id): interval},
             self.rig, self.cfg.backend, self.noise, fixed_ids={kf.kf_id},
             fixed_landmarks=set(self.map.keys()))
-        window.state_masks[temp_id] = bk.POSE_VEL_MASK
+        window.free_dims[temp_id] = 9  # the pose and velocity
         window, report = bk.solve(
             window, factors,
             _tracking_solver(self.cfg.tracker.coarse_max_iterations))
@@ -386,6 +384,7 @@ class Tracker:
             self._init_landmarks(frame, nav.pose())
         self.kf_frame = frame
         self.keyframes.append(node)
+        self.interval = None
 
     def _window_ba(self):
         if len(self.keyframes) < 2:

@@ -184,6 +184,13 @@ class ScenarioConfig:
             if not (abs(r.T @ r - np.eye(3)).max() <= 1e-9 and np.linalg.det(r) > 0):
                 raise ValueError(f"{name} is no rotation (orthonormal within "
                                  "1e-9, determinant +1)")
+        # the keys above are checked by name; a config built in Python
+        # skips the loader's finiteness check, so every key is checked here
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (float, tuple)) \
+                    and not np.isfinite(np.array(value, dtype=float)).all():
+                raise ValueError(f"{f.name} holds a number that is not finite")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -529,6 +536,11 @@ def _read_jsonl(path: str):
 def _reader(kind):
     """The function reading a JSON value as a field of ``kind``; an
     array's numbers are checked by ``_check_finite``."""
+    def integer(value):
+        if type(value) is not int:  # not a float, a string or a bool
+            raise TypeError(f"{value!r} is no JSON integer")
+        return value
+
     def number(value):
         value = float(value)
         if not math.isfinite(value):
@@ -539,7 +551,7 @@ def _reader(kind):
         arr = np.array(value, dtype=float)
         # no view where the shape holds: each holds its base in memory
         return arr if arr.shape == kind else arr.reshape(kind)
-    return number if kind in ("t", ()) else int if kind is int else array
+    return number if kind in ("t", ()) else integer if kind is int else array
 
 
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)

@@ -309,7 +309,7 @@ class TestSolve:
                 fixed_landmarks=set(landmarks.keys()))
             if not robust:
                 window.huber_delta = None
-            window.state_masks[1] = bk.POSE_MASK
+            window.free_dims[1] = 6
             window, _ = bk.solve(window, factors,
                                  bk.SolverConfig(max_iterations=50))
             return np.linalg.norm(window.states[1].p - truth[1].p)
@@ -393,11 +393,10 @@ class TestSolve:
 
         def window(fixed_states):
             state = NavState(np.eye(3), np.zeros(3), np.zeros(3))
-            return bk.LocalWindow([0], {0: state}, rig, 1.345,
+            return bk.LocalWindow({0: state}, rig, 1.345,
                                   {0: np.array([0.0, 0.0, 2.0])},
                                   fixed_states=fixed_states,
-                                  fixed_landmarks={0},
-                                  state_masks={0: bk.POSE_MASK})
+                                  fixed_landmarks={0}, free_dims={0: 6})
 
         # the gradient vanishes at the free pose, and without free dims
         for fixed in (set(), {0}):
@@ -472,35 +471,62 @@ class TestSolve:
         predicted = bk._model_decrease(h, g, step)
         moved = dict(window.states)
         for sid in (1, 2):
-            k = layout.cols[sid][0]
+            k = layout.state_cols[layout.rows[sid], 0]
             moved[sid] = window.states[sid].retract(step[k:k + STATE_DOF])
         _, new_cost = bk._evaluate(batches, layout.stack(moved), lms)
         realized = cost - new_cost
         assert realized > 0.5 * cost
         assert abs(realized - predicted) <= 0.1 * predicted
 
-    @pytest.mark.parametrize("mask", [
-        np.array([True] * 3 + [False] * 15),            # rotation only
-        np.array([False] * 3 + [True] * 15),            # no rotation
-        np.array([True] * 6 + [False] * 3 + [True] * 9),  # a gap
-        np.array([False] * 18),
-        np.ones(9, dtype=bool),                         # wrong length
-    ])
-    def test_non_prefix_mask_rejected(self, rng, mask):
+    # fewer than the pose, none, more than a state has, and a count that
+    # is no integer
+    @pytest.mark.parametrize("n", [3, 0, 19, 36, 6.0])
+    def test_free_dims_out_of_range_rejected(self, rng, n):
         nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=2)
         window, factors = bk.assemble_window(nodes, landmarks, intervals, rig,
                                              bk.BackendConfig(), NOISE,
                                              fixed_ids={0})
-        window.state_masks[1] = mask
-        with pytest.raises(ValueError, match="contiguous prefix"):
+        window.free_dims[1] = n
+        with pytest.raises(ValueError, match=f"state 1 frees {n!r} dims"):
             bk.solve(window, factors)
 
     def test_empty_factor_list_rejected(self, rng):
-        window = bk.LocalWindow(kf_ids=[0], states={0: NavState(
+        window = bk.LocalWindow(states={0: NavState(
             np.eye(3), np.zeros(3), np.zeros(3))}, rig=default_rig(),
             huber_delta=1.345, fixed_states={0})
         with pytest.raises(ValueError):
             bk.solve(window, [])
+
+
+class TestLayout:
+    """Where a solve's variables sit, pinned on one window."""
+
+    def test_column_tables(self):
+        # window order 10 (fixed), 11 (pose), 12 (pose and velocity), 13
+        # (all 18 dims); landmark 5 fixed, 3 and 7 free; the factors touch
+        # the states in the order 13, 11, 12, 10
+        state = NavState(np.eye(3), np.zeros(3), np.zeros(3))
+        window = bk.LocalWindow(
+            {sid: state for sid in (10, 11, 12, 13)}, default_rig(), None,
+            {lid: np.zeros(3) for lid in (7, 5, 3)}, fixed_states={10},
+            fixed_landmarks={5}, free_dims={11: 6, 12: 9})
+        kind = bk.FactorKind
+        factors = [bk.Factor(kind.REPROJECTION, (13,), None, np.eye(2), 7),
+                   bk.Factor(kind.IMU, (11, 12), None, np.eye(15)),
+                   bk.Factor(kind.PHOTOMETRIC, (12, 10), None, np.eye(1)),
+                   bk.Factor(kind.REPROJECTION, (10,), None, np.eye(2), 5)]
+        layout = bk._window_layout(window, factors)
+        assert layout.rows == {13: 0, 11: 1, 12: 2, 10: 3}
+        assert layout.lm_rows == {3: 0, 5: 1, 7: 2}
+        assert (layout.n_s, layout.ndim) == (33, 39)
+        dummy = [39] * STATE_DOF
+        want = [list(range(15, 33)),
+                list(range(0, 6)) + dummy[6:],
+                list(range(6, 15)) + dummy[9:],
+                dummy]
+        assert layout.state_cols.tolist() == want
+        assert layout.lm_cols.tolist() == [[33, 34, 35], [39, 39, 39],
+                                           [36, 37, 38]]
 
 
 class TestRetractRows:
@@ -602,12 +628,13 @@ def assert_matches_per_factor_path(window, factors):
     evaluation, cost = bk._evaluate(batches, stack, lms)
     assert cost == pytest.approx(cost_single, rel=1e-12)
     state_cols = {}
-    for sid, cols in layout.cols.items():
-        n = sum(c < ndim for c in cols)
+    for sid, k in layout.rows.items():
+        cols = layout.state_cols[k]
+        n = int(np.count_nonzero(cols < ndim))
         if n:
             state_cols[sid] = (slice(cols[0], cols[0] + n), np.arange(n))
-    lm_cols = {lid: slice(c[0], c[0] + 3) for lid, c in layout.lm_cols.items()
-               if c[0] < ndim}
+    lm_cols = {lid: slice(c[0], c[0] + 3)
+               for lid, c in zip(layout.lm_rows, layout.lm_cols) if c[0] < ndim}
     h_b, g_b = bk._normal_equations(batches, evaluation, ndim)
     h_s, g_s = per_factor_normal_equations(window, factors, state_cols,
                                            lm_cols, ndim)
@@ -752,8 +779,8 @@ def pair_window(rng, n_kf=12, biased=True, photometric=False):
     fill_photometric(nodes, fields, intervals, rig.cam, cfg)
     window, factors = bk.assemble_window(nodes, landmarks, intervals, rig, cfg,
                                          NOISE, fixed_ids={0, 2})
-    window.state_masks[5] = bk.POSE_VEL_MASK
-    window.state_masks[8] = bk.POSE_MASK
+    window.free_dims[5] = 9
+    window.free_dims[8] = 6
     pairs = [f for f in factors if f.kind in bk.PAIR_KINDS]
     for f in pairs:
         f.info = f.info / np.abs(f.info).max()
@@ -961,7 +988,7 @@ class TestBatchedPhotometric:
         window, factors = photometric_window(rng, fixed_ids={0},
                                              info_scale=1e-3)
         layout, _ = assert_matches_per_factor_path(window, factors)
-        assert layout.cols[0] == [layout.ndim] * STATE_DOF
+        assert np.all(layout.state_cols[layout.rows[0]] == layout.ndim)
 
     def test_invalid_patch_makes_cost_infinite(self, rng, monkeypatch):
         # from the residual pass alone: no Jacobian rows are built
@@ -1001,8 +1028,7 @@ class TestPhotometricHostsOnce:
     def _gated_per_pair(nodes, fields, rig, cfg):
         """The photometric factors of each pair built and gated on its own,
         at the window of ``assemble_window``."""
-        window = bk.LocalWindow([n.kf_id for n in nodes],
-                                {n.kf_id: n.state for n in nodes}, rig,
+        window = bk.LocalWindow({n.kf_id: n.state for n in nodes}, rig,
                                 cfg.huber_delta, fixed_states={0})
         out = []
         for k, (a, b) in enumerate(zip(nodes[:-1], nodes[1:])):
@@ -1037,8 +1063,7 @@ class TestPhotometricHostsOnce:
         # a gate at the median residual rejects some patches of the window
         ungated = self._photometric(nodes, landmarks, intervals, rig,
                                     bk.BackendConfig(photometric_gate=float("inf")))
-        window = bk.LocalWindow([n.kf_id for n in nodes],
-                                {n.kf_id: n.state for n in nodes}, rig, None)
+        window = bk.LocalWindow({n.kf_id: n.state for n in nodes}, rig, None)
         layout = bk._window_layout(window, ungated)
         batch = bk._PhotometricBatch(window, ungated, layout)
         res, _, _ = batch.patch_residuals(layout.stack(window.states))
@@ -1086,7 +1111,7 @@ class TestPhotometricJacobians:
         batch = bk._PhotometricBatch(window, factors, layout)
         assert not batch.hosts_fixed
         jac = self._jacobian_rows(batch, layout.stack(states))
-        for sid in window.kf_ids:
+        for sid in window.states:
             def res_at(delta, sid=sid):
                 moved = dict(states)
                 moved[sid] = states[sid].retract(delta)
@@ -1158,8 +1183,9 @@ class TestPhotometricJacobians:
             [batch], bk._evaluate([batch], stack, None)[0], ndim)
 
         def cost_at(delta):
-            moved = {sid: states[sid].retract(delta[cols[0]:cols[-1] + 1])
-                     for sid, cols in layout.cols.items()}
+            delta = np.append(delta, 0.0)
+            moved = {sid: states[sid].retract(delta[layout.state_cols[k]])
+                     for sid, k in layout.rows.items()}
             return bk._evaluate([batch], layout.stack(moved), None)[1]
 
         fd = fd_jacobian(cost_at, ndim, None)[0]
@@ -1269,15 +1295,14 @@ def landmark_window(rng, landmarks=True, photometric=False):
     window, factors = bk.assemble_window(nodes, lms if landmarks else {},
                                          intervals, rig, cfg, NOISE,
                                          fixed_ids={0}, fixed_landmarks=fixed)
-    window.state_masks[1] = bk.POSE_VEL_MASK
-    window.state_masks[2] = bk.POSE_MASK
+    window.free_dims[1] = 9
+    window.free_dims[2] = 6
     layout = bk._window_layout(window, factors)
     batches = bk._batches(window, factors, layout)
     evaluation, _ = bk._evaluate(batches, layout.stack(window.states),
                                  layout.landmark_array(window.landmarks))
     h, g = bk._normal_equations(batches, evaluation, layout.ndim)
-    n_s = layout.ndim - 3 * len(set(window.landmarks) - window.fixed_landmarks)
-    return window, h, g, n_s, single, twice.landmark_id, factors
+    return window, h, g, layout.n_s, single, twice.landmark_id, factors
 
 
 def damping(h, lam):
@@ -1319,7 +1344,8 @@ class TestLandmarkElimination:
         observers = {f.state_ids[0] for f in factors
                      if f.landmark_id in free} - window.fixed_states
         assert len(observers) >= 3
-        pose_cols = {c for sid in observers for c in layout.cols[sid][:6]}
+        pose_cols = {c for sid in observers
+                     for c in layout.state_cols[layout.rows[sid], :6].tolist()}
         nonzero = np.flatnonzero(h[:n_s, n_s:].any(axis=1))
         assert set(nonzero.tolist()) == pose_cols
         assert len(pose_cols) < n_s

@@ -382,13 +382,22 @@ class TestInputErrors:
          "rate_cam_hz"),
         ({"scenarios": [{"name": "a", "config": {"cx_px": float("nan")}}]},
          "cx_px"),
+        # each simulated the dataset: the first ran two cells into one run
+        # directory, the second none, and both exited 0
+        ({"scenarios": [{"name": "a", "config": {"duration_s": 1.5}}],
+          "modes": ["dvl-deadreckon-only", "dvl-deadreckon-only"]},
+         "sweep.json: mode 'dvl-deadreckon-only' is given twice"),
+        ({"scenarios": [{"name": "a", "config": {"duration_s": 1.5}}],
+          "modes": []}, "sweep.json: 'modes' is not a nonempty list"),
     ])
     def test_malformed_sweep_spec(self, tmp_path, capsys, spec, named):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(spec))
+        out = tmp_path / "sweep"
         assert cli.main(["sweep", "--config", str(path),
-                         "--out", str(tmp_path / "sweep")]) == 2
+                         "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("change, named", [
         ({"modes": ["full", "sonar"]}, "modes[1]"),
@@ -525,7 +534,14 @@ class TestInputErrors:
         # each raised a TypeError or AttributeError, with exit 1
         ("frames.jsonl", ("obs",), [5]),
         ("frames.jsonl", ("obs",), 3),
-        ("frames.jsonl", ("field",), 5)])
+        ("frames.jsonl", ("field",), 5),
+        # each read as an integer: frame 3, 3 and 1, landmark 3, 3 and 1
+        ("frames.jsonl", ("frame_id",), 3.9),
+        ("frames.jsonl", ("frame_id",), "3"),
+        ("frames.jsonl", ("frame_id",), True),
+        ("frames.jsonl", ("obs", 0, "id"), 3.9),
+        ("frames.jsonl", ("obs", 0, "id"), "3"),
+        ("frames.jsonl", ("obs", 0, "id"), True)])
     def test_malformed_dataset_scalar_names_the_line(self, dataset, tmp_path,
                                                      capsys, stream, keys,
                                                      value):

@@ -2,6 +2,7 @@ import dataclasses
 import filecmp
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -267,6 +268,17 @@ def test_negative_sizes_are_rejected(key, value):
     # simulated a dataset without a single observation
     with pytest.raises(ValueError, match=key):
         sim.ScenarioConfig(**{key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("cx_px", math.inf), ("p_IC_m", (math.nan, 0.0, 0.0)),
+    ("gravity_m_s2", (math.nan, 0.0, 0.0)), ("bg0_rad_s", (0.0, -math.inf, 0.0))])
+def test_non_finite_values_are_rejected(key, value):
+    # a config built in Python skips the checks of its JSON loader: an
+    # infinite cx_px simulated a dataset without an observation, and a NaN
+    # extrinsic or gravity constructed
+    with pytest.raises(ValueError, match=f"{key} holds a number that is not finite"):
+        sim.ScenarioConfig(duration_s=2.0, seed=1, **{key: value})
 
 
 def test_blackout_frames_are_empty(viewed):
