@@ -25,9 +25,13 @@ reads the window's states stacked once per point in two passes: residuals
 per row, then Jacobian rows over its columns from the first pass's
 intermediates. Its columns come from the solve's ``_Layout`` tables, by
 the stack and landmark rows it reads (a free state solves its first
-``free_dims`` local dims). The solver drops every factor on fixed
-variables alone, so its cost is that of the factors that can move. It
-runs the residual pass at each point it visits, the Jacobian pass only
+``free_dims`` local dims). One rule holds for every batch: a side of its
+rows (host pose, landmark, observer pose, state i) that no row has free
+gets no columns and no Jacobian block, so a frame's solves, which hold
+the map and the reference keyframe fixed, build the frame state's blocks
+alone. The solver drops every factor on fixed variables alone, so its
+cost is that of the factors that can move. It runs the residual pass at
+each point it visits, the Jacobian pass only
 where it builds normal equations. Each damped step eliminates the free
 landmarks by Schur complement, its correction formed on the observing
 keyframes' pose columns alone, solves the state system alone, and is
@@ -260,20 +264,29 @@ def _window_layout(window: LocalWindow, factors: list[Factor]) -> _Layout:
 class _Batch:
     """The factors of one kind, evaluated at once over a :class:`StateStack`
     and the landmark array. A row is one factor (one state pair for the pair
-    kinds). Per row a batch holds ``cols`` (n, c), the normal-equation
-    columns of the dims its residual depends on, and ``infos`` (n, r, r);
-    ``delta`` is the Huber knee of all its rows (None: no robust loss).
-    A batch evaluates in two passes. ``residuals(stack, lms)`` gives the
-    residuals (n, r) and the intermediates ``ctx`` of the point; a point
-    that leaves a camera raises BehindCameraError or OutOfDomainError.
-    ``jacobians(ctx)`` gives the Jacobian rows (n, r, c) over ``cols`` from
-    them. A row on fixed variables alone scatters into the dummy column,
-    which is dropped."""
+    kinds), over the dims of its two sides: a host pose and a landmark, a
+    host and an observer pose, or states i and j. Per row a batch holds
+    ``cols`` (n, c), the normal-equation columns of those dims that some
+    row has free (``dims`` of the sides' columns), and ``infos`` (n, r, r);
+    ``delta`` is the Huber knee of all its rows (None: no robust loss). The
+    one rule: a side (its columns in ``sides`` of ``_set_rows``) that no
+    row has free is not ``built``: it has no columns and no Jacobian block.
+    A visual side is free whole (a pose or a landmark); a pair kind builds
+    state j's block always, since no solve of the tracker holds every
+    state j fixed. A batch evaluates in two passes. ``residuals(stack,
+    lms)`` gives the residuals (n, r) and the intermediates ``ctx`` of the
+    point; a point that leaves a camera raises BehindCameraError or
+    OutOfDomainError. ``jacobians(ctx)`` gives the Jacobian rows (n, r, c)
+    over ``cols`` from them. A fixed variable of a row scatters into the
+    dummy column, which is dropped."""
 
-    def _set_rows(self, cols, infos, delta: float | None, dummy: int):
+    def _set_rows(self, sides, infos, delta: float | None, dummy: int):
         if np.max(np.abs(infos - infos.transpose(0, 2, 1))) > 1e-9:
             raise ValueError("information matrix must be symmetric")
-        self.cols = cols
+        cols = np.concatenate(sides, axis=1)
+        self.dims = np.flatnonzero(cols.min(axis=0) < dummy)
+        self.built = [bool(np.any(c < dummy)) for c in sides]
+        self.cols = cols = cols.take(self.dims, 1)
         self.infos, self.delta = infos, delta
         self.h_index = cols[:, :, None] * (dummy + 1) + cols[:, None, :]
 
@@ -293,15 +306,16 @@ class _Batch:
 
 class _ReprojectionBatch(_Batch):
     """All reprojection factors, one row per observation, over the host
-    pose's 6 dims and the landmark's 3."""
+    pose's 6 dims and the landmark's 3: over the host's alone when every
+    landmark is fixed, as in a frame's coarse and joint solves."""
 
     def __init__(self, window: LocalWindow, factors: list[Factor], layout: _Layout):
         self.rig = window.rig
         self.host = np.array([layout.rows[f.state_ids[0]] for f in factors])
         self.lm = np.array([layout.lm_rows[f.landmark_id] for f in factors])
         self.pixels = np.array([f.payload.pixel for f in factors])
-        self._set_rows(np.concatenate([layout.state_cols[self.host, :6],
-                                       layout.lm_cols[self.lm]], axis=1),
+        self._set_rows([layout.state_cols[self.host, :6],
+                        layout.lm_cols[self.lm]],
                        np.array([f.info for f in factors]),
                        window.huber_delta, layout.ndim)
 
@@ -322,11 +336,15 @@ class _ReprojectionBatch(_Batch):
         dpi[:, 0, 2] = -cam.fx * x_c[:, 0] / (z * z)
         dpi[:, 1, 1] = cam.fy / z
         dpi[:, 1, 2] = -cam.fy * x_c[:, 1] / (z * z)
-        r_ic = self.rig.T_IC.R
-        c_p = r_ic.T @ hat(self.rig.T_IC.t)
-        j_phi = -(dpi @ hat_batch(x_c) @ r_ic.T + dpi @ c_p)
         j_pos = dpi @ r_wc.transpose(0, 2, 1)
-        return np.concatenate([j_phi, j_pos, -j_pos], axis=2)
+        blocks = []
+        if self.built[0]:
+            r_ic = self.rig.T_IC.R
+            c_p = r_ic.T @ hat(self.rig.T_IC.t)
+            blocks += [-(dpi @ hat_batch(x_c) @ r_ic.T + dpi @ c_p), j_pos]
+        if self.built[1]:
+            blocks.append(-j_pos)
+        return np.concatenate(blocks, axis=2)
 
 
 class _PhotometricBatch(_Batch):
@@ -336,8 +354,8 @@ class _PhotometricBatch(_Batch):
     The n x m patch points are warped at once; each distinct observer field
     is called once for all the patches it observes: sampled with its
     gradients by the residual pass, and sampled alone for the gate's
-    ``patch_residuals``. The Jacobian pass leaves the host block zero when
-    every host is fixed, as in a frame's photometric refinement."""
+    ``patch_residuals``. When every host is fixed, as in a frame's
+    photometric refinement, a row is over the observer's 6 dims alone."""
 
     def __init__(self, window: LocalWindow, factors: list[Factor], layout: _Layout):
         self.rig = window.rig
@@ -351,11 +369,10 @@ class _PhotometricBatch(_Batch):
         for k, d in enumerate(payloads):
             fields.setdefault(id(d.field_obs), (d.field_obs, []))[1].append(k)
         self.fields = [(fld, np.array(rows)) for fld, rows in fields.values()]
-        self._set_rows(np.concatenate([layout.state_cols[self.host, :6],
-                                       layout.state_cols[self.obs, :6]], axis=1),
+        self._set_rows([layout.state_cols[self.host, :6],
+                        layout.state_cols[self.obs, :6]],
                        np.array([f.info for f in factors]),
                        window.huber_delta, layout.ndim)
-        self.hosts_fixed = bool(np.all(self.cols[:, :6] == layout.ndim))
 
     def _warp(self, stack: StateStack):
         """Host body rotations and host and observer camera rotations
@@ -423,20 +440,20 @@ class _PhotometricBatch(_Batch):
         rows = np.stack([gu, gv, -(gu * pts_cj[..., 0] + gv * pts_cj[..., 1])
                          / z], axis=-1)                            # (n, m, 3)
         r_ic, p_ic = self.rig.T_IC.R, self.rig.T_IC.t
-        rows_sum = rows.sum(axis=1)
-        jac = np.zeros((len(rows), 1, 12))
+        blocks = []
         # row @ hat(x) == cross(row, x), batched over patches and pattern
-        if not self.hosts_fixed:
+        if self.built[0]:
             srows = rows @ r_wcj.transpose(0, 2, 1)
             srows_sum = srows.sum(axis=1)
-            jac[:, 0, 0:3] = (-_cross_sum(srows @ r_wci, self.pts_ci) @ r_ic.T
-                              - np.einsum("ni,nij->nj", srows_sum,
-                                          r_h @ hat(p_ic)))
-            jac[:, 0, 3:6] = srows_sum
-        jac[:, 0, 6:9] = (_cross_sum(rows, pts_cj) @ r_ic.T
-                          + rows_sum @ (r_ic.T @ hat(p_ic)))
-        jac[:, 0, 9:12] = -matvec(r_wcj, rows_sum)
-        return jac
+            blocks += [-_cross_sum(srows @ r_wci, self.pts_ci) @ r_ic.T
+                       - np.einsum("ni,nij->nj", srows_sum, r_h @ hat(p_ic)),
+                       srows_sum]
+        if self.built[1]:
+            rows_sum = rows.sum(axis=1)
+            blocks += [_cross_sum(rows, pts_cj) @ r_ic.T
+                       + rows_sum @ (r_ic.T @ hat(p_ic)),
+                       -matvec(r_wcj, rows_sum)]
+        return np.concatenate(blocks, axis=1)[:, None, :]
 
 
 def _cross_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -467,13 +484,13 @@ class _PairGroup(_Batch):
     """The pair kinds that span one list of state pairs, one row per pair:
     the kinds' residuals one after another, with a block-diagonal
     information. A row's columns are the 36 local dims of its two states
-    (i's, then j's), kept where some pair has a column (``dims``)."""
+    (i's, then j's), kept where some pair has a column (``dims``); the
+    kinds build no block for state i when every state i is fixed, as in a
+    frame's joint solve."""
 
     def __init__(self, window: LocalWindow, kinds: list[list[Factor]], layout: _Layout):
         pairs = [f.state_ids for f in kinds[0]]
         i, j = ([layout.rows[pair[side]] for pair in pairs] for side in (0, 1))
-        cols = np.concatenate([layout.state_cols[i], layout.state_cols[j]], 1)
-        self.dims = np.flatnonzero(cols.min(axis=0) < layout.ndim)
         # contiguous rows (consecutive keyframes) are read as views
         self.i, self.j = (slice(r[0], r[-1] + 1) if r == list(range(r[0], r[-1] + 1))
                           else np.array(r) for r in (i, j))
@@ -486,11 +503,12 @@ class _PairGroup(_Batch):
         for b in blocks:
             hi = lo + b.shape[1]
             infos[:, lo:hi, lo:hi], lo = b, hi
-        self._set_rows(cols.take(self.dims, 1), infos, None, layout.ndim)
+        self._set_rows([layout.state_cols[i], layout.state_cols[j]], infos,
+                       None, layout.ndim)
 
     def residuals(self, stack: StateStack, lms=None):
         # the residual functions return their kind's Jacobian rows as well
-        out = [fn(stack, self.i, self.j, data, const)
+        out = [fn(stack, self.i, self.j, data, const, self.built[0])
                for fn, data, const in self.kinds]
         return (np.concatenate([r for r, _ in out], axis=1),
                 [j for _, j in out])
@@ -542,6 +560,8 @@ def _normal_equations(batches: list[_Batch], evaluation, ndim: int):
     dummy row and column for the dims without a column, which are dropped."""
     h_at, h_add, g_at, g_add = [], [], [], []
     for b, (res, ctx, w, _) in zip(batches, evaluation):
+        if not any(b.built):  # rows on fixed variables alone
+            continue
         jac = b.jacobians(ctx)
         a = b.infos if w is None else w[:, None, None] * b.infos
         jt_a = jac.transpose(0, 2, 1) @ a

@@ -42,16 +42,19 @@ def pressure_position_estimate(r: np.ndarray, p: np.ndarray,
 
 
 def pressure_pair_residuals(st: StateStack, i, j, d_depth: np.ndarray,
-                            ext: DepthExtrinsics):
+                            ext: DepthExtrinsics, first=True):
     """Relative-depth residuals (n, 1) of n state pairs against the changes
     ``d_depth`` (n, 1) of the depth reading from state i to state j, and
-    their (n, 1, 2, 18) Jacobian blocks w.r.t. states i and j."""
+    their (n, 1, 2, 18) Jacobian blocks w.r.t. states i and j. Without
+    ``first`` state i's block is not built and stays zero."""
     r_i, r_j = st.R[i], st.R[j]
     # translation difference on its own first, so a common shift cancels
     dz = ((r_j @ ext.p_IP - r_i @ ext.p_IP) + (st.x[j, POS] - st.x[i, POS]))[:, 2:]
     res = dz - d_depth
     jac = np.zeros((len(res), 1, 2, STATE_DOF))
-    jac[:, 0, :, POS] = -S3, S3
-    jac[:, 0, 0, PHI] = (r_i @ hat(ext.p_IP))[:, 2]
+    jac[:, 0, 1, POS] = S3
     jac[:, 0, 1, PHI] = -(r_j @ hat(ext.p_IP))[:, 2]
+    if first:
+        jac[:, 0, 0, POS] = -S3
+        jac[:, 0, 0, PHI] = (r_i @ hat(ext.p_IP))[:, 2]
     return res, jac

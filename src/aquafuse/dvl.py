@@ -183,18 +183,20 @@ def stack_dvl_velocity_pairs(pairs, ext: DvlExtrinsics) -> DvlVelocityPairData:
 
 
 def dvl_velocity_pair_residuals(st: StateStack, i, j, d: DvlVelocityPairData,
-                                ext: DvlExtrinsics):
+                                ext: DvlExtrinsics, first=True):
     """Relative-velocity residuals (n, 3) of n state pairs: the change of
     ``dvl_velocity_estimate`` against the change of the reading, so a bias
     common to both readings of a pair cancels; and their (n, 3, 2, 18)
-    Jacobian blocks w.r.t. states i and j."""
+    Jacobian blocks w.r.t. states i and j. Without ``first`` state i's
+    block is not built and stays zero."""
     r_it, r_jt = st.R[i].transpose(0, 2, 1), st.R[j].transpose(0, 2, 1)
     body_i, body_j = matvec(r_it, st.x[i, VEL]), matvec(r_jt, st.x[j, VEL])
     res = ((body_j - body_i) + d.d_lever) @ ext.R_ID - d.d_meas
     rdt = ext.R_ID.T
     jac = np.zeros((len(res), 3, 2, STATE_DOF))
-    jac[:, :, 0, PHI] = -rdt @ hat_batch(body_i)
-    jac[:, :, 0, VEL] = -rdt @ r_it
+    if first:
+        jac[:, :, 0, PHI] = -rdt @ hat_batch(body_i)
+        jac[:, :, 0, VEL] = -rdt @ r_it
     jac[:, :, 1, PHI] = rdt @ hat_batch(body_j)
     jac[:, :, 1, VEL] = rdt @ r_jt
     return res, jac
@@ -225,11 +227,12 @@ def correct_dvl_bias_batch(d: DvlPositionPairData, bg, bv) -> np.ndarray:
 
 
 def dvl_position_pair_residuals(st: StateStack, i, j, d: DvlPositionPairData,
-                                ext: DvlExtrinsics):
+                                ext: DvlExtrinsics, first=True):
     """Relative-translation residuals of n state pairs against the
     bias-corrected DVL preintegrations, in the frame of state i, then the
     DVL-bias random walk: (n, 6); and their (n, 6, 2, 18) Jacobian blocks
-    w.r.t. states i and j."""
+    w.r.t. states i and j. Without ``first`` state i's block is not built
+    and stays zero."""
     r_i, r_j, x_i = st.R[i], st.R[j], st.x[i]
     dx, r_it = st.x[j] - x_i, r_i.transpose(0, 2, 1)
     # the translation difference is taken on its own before the lever arm
@@ -238,10 +241,12 @@ def dvl_position_pair_residuals(st: StateStack, i, j, d: DvlPositionPairData,
     dp = correct_dvl_bias_batch(d, x_i[:, BG], x_i[:, BV])
     res = np.concatenate([rel - dp, dx[:, BV]], axis=1)
     jac, hat_lever = np.zeros((len(res), 6, 2, STATE_DOF)), hat(ext.p_ID)
-    jac[:, 0:3, 0, BG], jac[:, 0:3, 0, BV] = -d.J_dp_dbg, -d.J_dp_dbv
-    jac[:, 3:6, :, BV] = _WALK_BLOCKS
-    jac[:, 0:3, 0, PHI] = hat_batch(rel) + hat_lever
-    jac[:, 0:3, 0, POS] = -r_it
+    jac[:, 3:6, 1, BV] = _WALK_BLOCKS[:, 1]
     jac[:, 0:3, 1, PHI] = -r_it @ r_j @ hat_lever
     jac[:, 0:3, 1, POS] = r_it
+    if first:
+        jac[:, 0:3, 0, BG], jac[:, 0:3, 0, BV] = -d.J_dp_dbg, -d.J_dp_dbv
+        jac[:, 3:6, 0, BV] = _WALK_BLOCKS[:, 0]
+        jac[:, 0:3, 0, PHI] = hat_batch(rel) + hat_lever
+        jac[:, 0:3, 0, POS] = -r_it
     return res, jac

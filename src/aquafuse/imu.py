@@ -352,13 +352,15 @@ def correct_imu_bias_batch(d: ImuPairData, b: np.ndarray):
     return d.dR @ exp_so3_batch(phi), d.dvp + matvec(d.J_vp, db), phi
 
 
-def imu_pair_residuals(st: StateStack, i, j, d: ImuPairData, gravity):
+def imu_pair_residuals(st: StateStack, i, j, d: ImuPairData, gravity,
+                       first=True):
     """Inertial residuals of n state pairs (rows ``i`` and ``j`` of ``st``),
     each preintegration corrected to state i's biases: (n, 15) rows of
     rotation, velocity and translation error, then the gyro and accel bias
     random walks, and their (n, 15, 2, 18) Jacobian blocks w.r.t. the local
     perturbations of states i and j (rotation right-multiplied, everything
-    else additive)."""
+    else additive). Without ``first`` state i's block is not built and
+    stays zero, for a solve that holds every state i fixed."""
     r_i, r_j, x_i, x_j = st.R[i], st.R[j], st.x[i], st.x[j]
     dx, dt, r_it = x_j - x_i, d.dt, r_i.transpose(0, 2, 1)
     d_r, dvp, phi_b = correct_imu_bias_batch(d, x_i[:, 9:15])
@@ -371,18 +373,21 @@ def imu_pair_residuals(st: StateStack, i, j, d: ImuPairData, gravity):
     a_vp = a_vp.transpose(0, 2, 1).reshape(-1, 6)
     res = np.concatenate([e_r, a_vp - dvp, dx[:, 9:15]], axis=1)
     jac = np.zeros((len(res), 15, 2, STATE_DOF))
-    jac[:, 3:9, 0, 9:15] = -d.J_vp
-    jac[:, 9:15, :, 9:15] = _WALK_BLOCKS
     ji, jj = jac[:, :, 0], jac[:, :, 1]
     jr_inv = right_jacobian_inv_so3_batch(e_r)
-    ji[:, 0:3, PHI] = -jr_inv @ r_j.transpose(0, 2, 1) @ r_i
     jj[:, 0:3, PHI] = jr_inv
+    jj[:, 3:6, VEL] = jj[:, 6:9, POS] = r_it
+    jj[:, 9:15, 9:15] = _WALK_BLOCKS[:, 1]
+    if not first:
+        return res, jac
+    ji[:, 3:9, 9:15] = -d.J_vp
+    ji[:, 9:15, 9:15] = _WALK_BLOCKS[:, 0]
+    ji[:, 0:3, PHI] = -jr_inv @ r_j.transpose(0, 2, 1) @ r_i
     j_bg = -jr_inv @ m.transpose(0, 2, 1)  # exp(-e_r) is m^T
     if phi_b is not None:
         j_bg = j_bg @ right_jacobian_so3_batch(phi_b)
     ji[:, 0:3, BG] = j_bg @ d.J_dR_dbg
     ji[:, 3:9, PHI] = hat_batch(a_vp.reshape(-1, 3)).reshape(-1, 6, 3)
     ji[:, 3:6, VEL] = ji[:, 6:9, POS] = -r_it
-    jj[:, 3:6, VEL] = jj[:, 6:9, POS] = r_it
     ji[:, 6:9, VEL] = -r_it * dt[:, :, None]
     return res, jac

@@ -503,13 +503,13 @@ def write_dataset(ds: SensorDataset, path: str) -> None:
                      map(operator.attrgetter(*fields), getattr(ds, name)))
     with open(os.path.join(path, "frames.jsonl"), "w") as fh:
         for fr in ds.frames:
-            obs = [{"id": int(o.landmark_id), "uv": _vec(o.pixel),
+            obs = [{"id": int(o.landmark_id), "uv": o.pixel.tolist(),
                     "disparity": None if o.disparity is None
                     else float(o.disparity)}
                    for o in fr.observations]
             sig = fr.field.sigma_px
             fld = {"amps": _vec(fr.field.amplitudes),
-                   "centers": [_vec(c) for c in fr.field.centers],
+                   "centers": fr.field.centers.tolist(),
                    "sigma_px": _vec(sig) if np.ndim(sig) > 0 else float(sig),
                    "offset": float(fr.field.offset)}
             fh.write(_dumps({"frame_id": int(fr.frame_id),
@@ -535,13 +535,17 @@ def _read_jsonl(path: str):
 @functools.cache
 def _reader(kind):
     """The function reading a JSON value as a field of ``kind``; an
-    array's numbers are checked by ``_check_finite``."""
+    array's numbers are checked by ``_check_finite``. A timestamp is a
+    decimal string; any other number must be a JSON number."""
     def integer(value):
         if type(value) is not int:  # not a float, a string or a bool
             raise TypeError(f"{value!r} is no JSON integer")
         return value
 
     def number(value):
+        # a bool is an int, and float() would take it or a numeric string
+        if kind != "t" and type(value) not in (float, int):
+            raise TypeError(f"{value!r} is no JSON number")
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"{value} is not finite")
@@ -549,6 +553,11 @@ def _reader(kind):
 
     def array(value):
         arr = np.array(value, dtype=float)
+        # each entry checked as a number is; one nested deeper than two
+        # lists is refused
+        for x in value if arr.ndim < 2 else itertools.chain.from_iterable(value):
+            if type(x) not in (float, int):
+                raise TypeError(f"{x!r} is no JSON number")
         # no view where the shape holds: each holds its base in memory
         return arr if arr.shape == kind else arr.reshape(kind)
     return number if kind in ("t", ()) else integer if kind is int else array

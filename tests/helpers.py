@@ -89,6 +89,18 @@ def jac_close(analytic, numeric, rtol=1e-5):
     return float(np.abs(np.asarray(analytic) - numeric).max()) <= rtol * scale
 
 
+def assert_first_block_skipped(pair_residuals, *args) -> None:
+    """A pair kind's residual function called with ``args``, and again with
+    the first state's block off: the same residuals and state j blocks bit
+    for bit, and zero state i blocks where the full call's are not."""
+    res, jac = pair_residuals(*args)
+    res_off, jac_off = pair_residuals(*args, False)
+    assert np.array_equal(res_off, res)
+    assert np.array_equal(jac_off[:, :, 1], jac[:, :, 1])
+    assert np.all(jac_off[:, :, 0] == 0.0)
+    assert np.all(np.abs(jac[:, :, 0]).max(axis=(1, 2)) > 0.0)
+
+
 def random_rotation(rng: np.random.Generator,
                     max_angle: float = np.pi - 0.1) -> np.ndarray:
     axis = rng.normal(size=3)

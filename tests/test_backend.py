@@ -701,6 +701,28 @@ class TestBatchedReprojection:
                        and f.landmark_id in window.fixed_landmarks
                        for f in reproj)
 
+    def test_all_landmarks_fixed(self, rng):
+        # the map fixed, as in a frame's coarse and joint solves: each row
+        # is over its host pose's 6 dims, and its Jacobian is the first 6
+        # columns of the same row with the landmarks free, bit for bit
+        window, reproj, _ = self._window(rng)
+
+        def batch_and_jacobian():
+            layout = bk._window_layout(window, reproj)
+            (batch,) = bk._batches(window, reproj, layout)
+            _, ctx = batch.residuals(layout.stack(window.states),
+                                     layout.landmark_array(window.landmarks))
+            return layout, batch, batch.jacobians(ctx)
+
+        _, free, jac_free = batch_and_jacobian()
+        window.fixed_landmarks = set(window.landmarks)
+        layout, batch, jac = batch_and_jacobian()
+        assert free.built == [True, True] and batch.built == [True, False]
+        assert np.array_equal(batch.cols, layout.state_cols[batch.host, :6])
+        assert jac_free.shape == (len(reproj), 2, 9)
+        assert np.array_equal(jac, jac_free[:, :, :6])
+        assert_matches_per_factor_path(window, reproj)
+
     def test_behind_camera_makes_cost_infinite(self, rng, monkeypatch):
         # from the residual pass alone: no Jacobian rows are built
         window, reproj, _ = self._window(rng)
@@ -1109,7 +1131,7 @@ class TestPhotometricJacobians:
         states = window.states
         layout = bk._window_layout(window, factors)
         batch = bk._PhotometricBatch(window, factors, layout)
-        assert not batch.hosts_fixed
+        assert batch.built == [True, True]
         jac = self._jacobian_rows(batch, layout.stack(states))
         for sid in window.states:
             def res_at(delta, sid=sid):
@@ -1147,9 +1169,11 @@ class TestPhotometricJacobians:
         states = window.states
         layout = bk._window_layout(window, factors)
         batch = bk._PhotometricBatch(window, factors, layout)
-        assert batch.hosts_fixed
+        assert batch.built == [False, True]
+        assert np.array_equal(batch.cols, layout.state_cols[
+            [layout.rows[1]] * len(factors), :6])
         jac = self._jacobian_rows(batch, layout.stack(states))
-        assert np.all(jac[:, 0, :6] == 0.0)
+        assert jac.shape == (len(factors), 1, 6)
 
         def res_at(delta):
             moved = dict(states)
@@ -1158,7 +1182,7 @@ class TestPhotometricJacobians:
 
         fd = fd_jacobian(res_at, STATE_DOF, None)
         assert np.all(fd[:, 6:] == 0.0)
-        assert jac_close(jac[:, 0, 6:12], fd[:, :6], rtol=1e-4)
+        assert jac_close(jac[:, 0], fd[:, :6], rtol=1e-4)
         # h and g against the per-factor path, which builds the host blocks
         assert_matches_per_factor_path(window, factors)
 

@@ -505,7 +505,10 @@ class TestInputErrors:
     @pytest.mark.parametrize("stream, key, value", [
         ("imu.jsonl", "gyro", [0.1, 0.2]), ("dvl.jsonl", "vel", [[0.1]]),
         ("imu.jsonl", "accel", [0, "-inf", 0]), ("dvl.jsonl", "vel", ["nan", 0, 0]),
-        ("groundtruth.jsonl", "bv", [0, 0, "1e999"])])
+        ("groundtruth.jsonl", "bv", [0, 0, "1e999"]),
+        # a numeric string and a bool, each read as a float, with exit 0
+        ("imu.jsonl", "gyro", ["0.0", True, 0.0]),
+        ("imu.jsonl", "accel", [0.0, 0.0, True])])
     def test_malformed_dataset_vector_names_the_line(self, dataset, tmp_path,
                                                      capsys, stream, key,
                                                      value):
@@ -541,7 +544,12 @@ class TestInputErrors:
         ("frames.jsonl", ("frame_id",), True),
         ("frames.jsonl", ("obs", 0, "id"), 3.9),
         ("frames.jsonl", ("obs", 0, "id"), "3"),
-        ("frames.jsonl", ("obs", 0, "id"), True)])
+        ("frames.jsonl", ("obs", 0, "id"), True),
+        # each read as a float: depth 5 and 1, disparity 0, a pixel row 180
+        ("pressure.jsonl", ("depth",), "5.0"),
+        ("pressure.jsonl", ("depth",), True),
+        ("frames.jsonl", ("obs", 0, "disparity"), False),
+        ("frames.jsonl", ("obs", 0, "uv"), [320.0, "180.0"])])
     def test_malformed_dataset_scalar_names_the_line(self, dataset, tmp_path,
                                                      capsys, stream, keys,
                                                      value):

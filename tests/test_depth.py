@@ -6,7 +6,7 @@ from aquafuse.depth import (DepthExtrinsics, PressureSample,
 from aquafuse.manifold import exp_so3
 from aquafuse.state import PHI, POS, NavState, stack_states
 
-from helpers import random_nav_state
+from helpers import assert_first_block_skipped, random_nav_state
 
 NO_LEVER = DepthExtrinsics(np.zeros(3))
 
@@ -109,3 +109,10 @@ class TestResidual:
                     fd[d] = (rp - rm) / (2 * h)
                 scale = max(np.abs(fd).max(), 1.0)
                 assert np.abs(jac[key][0] - fd).max() < 1e-5 * scale, key
+
+    def test_first_state_block_off(self, rng):
+        states = [random_nav_state(rng) for _ in range(6)]
+        assert_first_block_skipped(
+            pressure_pair_residuals, stack_states(states), [0, 2, 4],
+            [1, 3, 5], rng.normal(size=(3, 1)),
+            DepthExtrinsics([0.1, -0.2, 0.3]))

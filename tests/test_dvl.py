@@ -12,7 +12,7 @@ from aquafuse.manifold import exp_so3
 from aquafuse.sim import ScenarioConfig, sensor_rig_from_config, simulate
 from aquafuse.state import BG, BV, PHI, POS, VEL, NavState, stack_states
 
-from helpers import (DvlBias, dead_reckon_dvl,
+from helpers import (DvlBias, assert_first_block_skipped, dead_reckon_dvl,
                      dead_reckoning_positions_reference, discrete_imu_world,
                      dvl_samples_from_world, preintegrate_dvl_reference,
                      random_nav_state, random_rotation)
@@ -547,6 +547,14 @@ class TestVelocityResidual:
                 scale = max(np.abs(fd).max(), 1.0)
                 assert np.abs(jac[key] - fd).max() < 1e-5 * scale, key
 
+    def test_first_state_block_off(self, rng):
+        ext = DvlExtrinsics(random_rotation(rng), rng.normal(size=3) * 0.2)
+        readings = rng.normal(size=(3, 4, 3))
+        states = [random_nav_state(rng) for _ in range(6)]
+        assert_first_block_skipped(
+            dvl_velocity_pair_residuals, stack_states(states), [0, 2, 4],
+            [1, 3, 5], stack_dvl_velocity_pairs(readings, ext), ext)
+
 
 class TestPositionResidual:
     def _consistent_pair(self, rng, ext):
@@ -622,4 +630,14 @@ class TestPositionResidual:
                     fd[:, d] = (rp - rm) / (2 * h)
                 scale = max(np.abs(fd).max(), 1.0)
                 assert np.abs(jac[key] - fd).max() < 1e-5 * scale, key
+
+    def test_first_state_block_off(self, rng):
+        # random biases at state i move the preintegrations off their
+        # linearization, so the bias correction runs
+        ext = DvlExtrinsics(random_rotation(rng), rng.normal(size=3) * 0.2)
+        pre = [self._consistent_pair(rng, ext)[2] for _ in range(3)]
+        states = [random_nav_state(rng) for _ in range(6)]
+        assert_first_block_skipped(
+            dvl_position_pair_residuals, stack_states(states), [0, 2, 4],
+            [1, 3, 5], stack_dvl_position_pairs(pre), ext)
 

@@ -461,6 +461,46 @@ def test_every_solve_holds_only_factors_that_can_move(short_blackout_circle,
 
 
 @pytest.fixture(scope="module")
+def short_lawnmower():
+    return simulate(ScenarioConfig(kind="lawnmower", duration_s=6.0, seed=3))
+
+
+@pytest.mark.parametrize("scenario, mode, callers", [
+    ("short_blackout_circle", EstimatorMode.FULL,
+     {"track_coarse", "refine_photometric", "_mini_solve", "_window_ba"}),
+    ("short_lawnmower", EstimatorMode.ACOUSTIC_INERTIAL_DEPTH,
+     {"_mini_solve", "_window_ba"})], ids=["circle-full", "lawnmower-aid"])
+def test_frame_solves_build_no_fixed_side(request, monkeypatch, scenario,
+                                          mode, callers):
+    # a frame's solves hold the map and the reference keyframe fixed, so
+    # their batches build the frame's side alone; window BA frees both
+    # sides, but in its first window, whose one pair starts at the fixed
+    # keyframe. A per-frame solve that frees a fixed side fails here
+    seen = []
+    batches = bk._batches
+
+    def recorded(window, factors, layout):
+        out = batches(window, factors, layout)
+        caller = sys._getframe(2).f_code.co_name  # the caller of solve
+        seen.extend((caller, type(b), b.built, len(window.states)) for b in out)
+        return out
+
+    monkeypatch.setattr(bk, "_batches", recorded)
+    run_estimator(request.getfixturevalue(scenario), RunConfig(mode=mode))
+    assert {caller for caller, *_ in seen} == callers
+    frame_side = {bk._ReprojectionBatch: [True, False],
+                  bk._PhotometricBatch: [False, True],
+                  bk._PairGroup: [False, True]}
+    for caller, kind, built, n_states in seen:
+        if caller != "_window_ba":
+            assert built == frame_side[kind], (caller, kind)
+        elif n_states > 2 or kind is bk._ReprojectionBatch:
+            assert built == [True, True], (caller, kind, n_states)
+        else:
+            assert built == [False, True], (caller, kind, n_states)
+
+
+@pytest.fixture(scope="module")
 def four_second_circle():
     return simulate(ScenarioConfig(duration_s=4.0, seed=3))
 

@@ -10,7 +10,8 @@ from aquafuse.imu import (ImuSample, correct_imu_bias, hold_intervals,
 from aquafuse.manifold import SMALL_ANGLE, exp_so3, log_so3
 from aquafuse.state import BA, BG, PHI, POS, STATE_DOF, VEL, NavState, stack_states
 
-from helpers import (checkpoint_reference, discrete_imu_world,
+from helpers import (assert_first_block_skipped, checkpoint_reference,
+                     discrete_imu_world,
                      hold_intervals_reference, integrate_imu_reference,
                      random_nav_state)
 
@@ -498,3 +499,13 @@ class TestResidual:
                     fd[:, d] = (rp - rm) / (2 * h)
                 scale = max(np.abs(fd).max(), 1.0)
                 assert np.abs(jac[key] - fd).max() < 1e-5 * scale, key
+
+    def test_first_state_block_off(self, rng):
+        # three pairs whose state i biases move the preintegrations off
+        # their linearization, so the gyro-bias chain runs
+        g = np.array([0.0, 0.0, 9.81])
+        pre = [integrate_imu(discrete_imu_world(rng, n=30)[0], *ZERO, *NOISY,
+                             t_end=0.3) for _ in range(3)]
+        states = [random_nav_state(rng) for _ in range(6)]
+        assert_first_block_skipped(imu_pair_residuals, stack_states(states),
+                                   [0, 2, 4], [1, 3, 5], stack_imu_pairs(pre), g)
