@@ -20,7 +20,7 @@ from .frontend import (EstimatorMode, FrameState, RunConfig, TrackerConfig,
 from .imu import (ImuPreintegrated, ImuSample, correct_imu_bias,
                   imu_pair_residuals, integrate_imu, predict_state_imu,
                   stack_imu_pairs)
-from .manifold import (Pose, exp_so3, hat, log_so3, right_jacobian_so3, vee)
+from .manifold import Pose, exp_so3, hat, log_so3, right_jacobian_so3
 from .sim import (ScenarioConfig, SensorDataset, read_dataset, simulate,
                   trajectory_truth, write_dataset)
 from .state import NavState, StateStack, stack_states

@@ -88,7 +88,6 @@ class FactorKind(Enum):
     # marginalization prior of the window boundary would be its first
     FIXED_PRIOR = "fixed_prior"
 
-VISUAL_KINDS = (FactorKind.REPROJECTION, FactorKind.PHOTOMETRIC)
 PAIR_KINDS = (FactorKind.IMU, FactorKind.DVL_VELOCITY, FactorKind.DVL_POSITION,
               FactorKind.PRESSURE)
 # the least disparity (px) at which an observation hosts a depth: a map

@@ -25,7 +25,6 @@ import concurrent.futures
 import dataclasses
 import datetime
 import json
-import math
 import os
 import sys
 
@@ -77,6 +76,18 @@ def _named(where: str, from_dict, data):
 def _load_config(path: str, from_dict):
     """``from_dict`` of the JSON file at ``path``, naming it in errors."""
     return _named(path, from_dict, _load_json(path))
+
+
+def _check_names(names: list[str], what: str, hint: str = "") -> None:
+    """Refuse a name of ``names`` that is not one plain path component or is
+    given twice, since each names a file or directory; the message names
+    the name as ``what`` and ends with ``hint``."""
+    for k, name in enumerate(names):
+        if name in ("", ".", "..") or os.path.dirname(name):
+            raise ValueError(f"{what} {name!r} is not one plain path "
+                             f"component{hint}")
+        if name in names[:k]:
+            raise ValueError(f"{what} {name!r} is given twice{hint}")
 
 
 # ------------------------------ trajectory io ------------------------------ #
@@ -133,9 +144,8 @@ def _estimate_to_dir(ds: sim.SensorDataset, out_dir: str,
     with open(os.path.join(out_dir, "status.csv"), "w") as fh:
         fh.write("frame,t,status,features,cost\n")
         for fs in frames:
-            cost_s = "nan" if math.isnan(fs.cost) else f"{fs.cost:.9e}"
             fh.write(f"{fs.frame_id},{fs.t!r},{fs.status.value},"
-                     f"{fs.tracked_features},{cost_s}\n")
+                     f"{fs.tracked_features},{fs.cost:.9e}\n")
     with open(os.path.join(out_dir, "bias.csv"), "w") as fh:
         fh.write("t,bvx,bvy,bvz,bgx,bgy,bgz,bax,bay,baz\n")
         for fs in frames:
@@ -167,17 +177,20 @@ def _evaluate_pair(truth: Trajectory, est: Trajectory, name: str) -> ErrorReport
 
 
 def cmd_evaluate(args) -> int:
+    if args.names:
+        names, hint = args.names.split(","), ""
+        if len(names) != len(args.estimates):
+            raise ValueError("--names count must match the number of estimates")
+    else:
+        names = [os.path.basename(p.rstrip("/")) for p in args.estimates]
+        hint = " (name each estimate with --names)"
+    _check_names(names, "estimate name", hint)
     truth = truth_trajectory(sim.read_dataset(args.truth)) \
         if os.path.isdir(args.truth) else load_trajectory(args.truth)
-    names = args.names.split(",") if args.names else None
-    if names and len(names) != len(args.estimates):
-        raise ValueError("--names count must match the number of estimates")
     reports = []
-    for i, est_path in enumerate(args.estimates):
-        path = est_path
+    for name, path in zip(names, args.estimates):
         if os.path.isdir(path):
             path = os.path.join(path, "trajectory.jsonl")
-        name = names[i] if names else os.path.basename(est_path.rstrip("/"))
         reports.append(_evaluate_pair(truth, load_trajectory(path), name))
     os.makedirs(args.out, exist_ok=True)
     _write_reports(args.out, reports, not args.no_header_timestamp)
@@ -252,21 +265,16 @@ def cmd_sweep(args) -> int:
         _named(f"{args.config}: modes[{k}]", EstimatorMode, mode)
         if mode in modes[:k]:
             raise ValueError(f"{args.config}: mode {mode!r} is given twice")
-    scenario_cfgs = {}
     for entry in scenarios:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
             raise ValueError(f"{args.config}: scenario {entry!r} is not an "
                              "object with a 'name' string")
-        name = entry["name"]
-        if name in ("", ".", "..") or os.path.dirname(name):
-            raise ValueError(f"{args.config}: scenario name {name!r} is not "
-                             "one plain path component")
-        if name in scenario_cfgs:
-            raise ValueError(f"{args.config}: scenario name {name!r} is "
-                             "given twice")
-        scenario_cfgs[name] = _named(f"{args.config}: scenario {name}",
-                                     sim.ScenarioConfig.from_dict,
-                                     entry.get("config", {}))
+    names = [entry["name"] for entry in scenarios]
+    _check_names(names, f"{args.config}: scenario name")
+    scenario_cfgs = {name: _named(f"{args.config}: scenario {name}",
+                                  sim.ScenarioConfig.from_dict,
+                                  entry.get("config", {}))
+                     for name, entry in zip(names, scenarios)}
     workers = _worker_count()
     # a dataset left by an earlier sweep is reused only for its own config
     for name, s_cfg in scenario_cfgs.items():

@@ -5,11 +5,12 @@ stacked over keyframe pairs.
 The preintegrated translation is the body-frame sum of rotated, bias-corrected
 velocity samples under a zero-order hold, over the span of an IMU
 preintegration whose rotation checkpoints at the hold starts give each hold's
-rotation, gyro-bias Jacobian and rotation-noise covariance. As in the IMU
-integrator, every per-hold term is computed over all holds at once and the
-sums are running sums, the biases and noise are plain arrays and a float, and
-the buffer and noise checks, the holds and the resume are written once for
-both, in ``imu.hold_steps`` and ``imu.join_steps``.
+rotation, gyro-bias Jacobian and rotation-noise covariance, so its gyro-bias
+linearization is the span's. As in the IMU integrator, every per-hold term is
+computed over all holds at once and the sums are running sums, the DVL bias
+and noise are a plain array and a float, and the buffer and noise checks, the
+holds and the resume are written once for both, in ``imu.hold_steps`` and
+``imu.join_steps``.
 
 Written once as array code: the bias correction in :func:`correct_dvl_bias_batch`
 (the position pairs; :func:`correct_dvl_bias` is a batch of one) and the lever
@@ -87,13 +88,13 @@ class DvlPreintegrated:
 
 
 def preintegrate_dvl(samples, imu_preint: ImuPreintegrated,
-                     ext: DvlExtrinsics, lin_bg, lin_bv,
-                     sigma_v: float = 0.0,
+                     ext: DvlExtrinsics, lin_bv, sigma_v: float = 0.0,
                      resume: DvlPreintegrated | None = None) -> DvlPreintegrated:
-    """Translation preintegration of a DVL buffer at fixed bias linearization
-    over the span of ``imu_preint`` (about the gyro bias ``lin_bg``): the
-    holds are ``hold_intervals`` of the span, the first extended back to its
-    start, as in ``integrate_imu``. The covariance adds, hold by hold, the
+    """Translation preintegration of a DVL buffer about the DVL bias
+    ``lin_bv`` over the span of ``imu_preint``, whose rotations it sums with,
+    so it records the span's gyro bias ``lin_bg``: the holds are
+    ``hold_intervals`` of the span, the first extended back to its start, as
+    in ``integrate_imu``. The covariance adds, hold by hold, the
     rotation-noise term and the white velocity noise ``sigma_v`` (per-sample
     standard deviation).
 
@@ -101,7 +102,7 @@ def preintegrate_dvl(samples, imu_preint: ImuPreintegrated,
     the same ``sigma_v`` and extrinsics, from the same start, to the end of
     ``imu_preint``, as :func:`~aquafuse.imu.hold_steps` lays out.
     """
-    lin_bg, lin_bv = (np.array(b, dtype=float) for b in (lin_bg, lin_bv))
+    lin_bg, lin_bv = imu_preint.lin_bg, np.array(lin_bv, dtype=float)
     own = resume is not None and imu_preint.t_start == resume.t_start \
         and np.array_equal(lin_bg, resume.lin_bg) \
         and np.array_equal(lin_bv, resume.lin_bv) \

@@ -42,9 +42,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    def copy(self) -> "Trajectory":
-        return Trajectory(self.t.copy(), self.R.copy(), self.p.copy())
-
 
 @dataclass
 class ErrorReport:

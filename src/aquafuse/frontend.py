@@ -24,8 +24,8 @@ from enum import Enum
 import numpy as np
 
 from . import backend as bk
-from .dvl import (DvlExtrinsics, DvlPreintegrated, DvlSample,
-                  correct_dvl_bias, lever_velocity, preintegrate_dvl)
+from .dvl import (DvlPreintegrated, DvlSample, correct_dvl_bias,
+                  lever_velocity, preintegrate_dvl)
 from .evaluation import nearest_pairs
 from .imu import (ImuPreintegrated, ImuSample, correct_imu_bias,
                   integrate_imu, predict_state_imu)
@@ -173,14 +173,14 @@ def refine_photometric(coarse: Pose, ref_pose: Pose, payloads,
 
 
 def predict_state_degraded(state_i: NavState, imu_preint: ImuPreintegrated,
-                           dvl_preint: DvlPreintegrated,
-                           ext: DvlExtrinsics) -> Pose:
+                           dvl_preint: DvlPreintegrated) -> Pose:
     """Rotation from the gyro preintegration, translation from the DVL
-    translation preintegration (both corrected to the state's biases)."""
+    translation preintegration (both corrected to the state's biases), over
+    the lever arm of the DVL mounting it was made with."""
     d_r, _, _ = correct_imu_bias(imu_preint, state_i.bg, state_i.ba)
     r_j = state_i.R @ d_r
     dp_d = correct_dvl_bias(dvl_preint, state_i.bg, state_i.bv)
-    p_j = state_i.R @ dp_d + state_i.p - (r_j - state_i.R) @ ext.p_ID
+    p_j = state_i.R @ dp_d + state_i.p - (r_j - state_i.R) @ dvl_preint.ext.p_ID
     return Pose(r_j, p_j)
 
 
@@ -188,8 +188,6 @@ def keyframe_decision(cur: FrameState, last_kf: FrameState,
                       cfg: TrackerConfig) -> bool:
     """Deterministic keyframe policy: motion or time thresholds exceeded, or
     the tracking status just changed."""
-    if cur.frame_id == last_kf.frame_id:
-        return False
     if cur.status != last_kf.status:
         return True
     if np.linalg.norm(cur.nav.p - last_kf.nav.p) > cfg.tau_p:
@@ -319,7 +317,7 @@ class Tracker:
                             self.noise.sigma_g, self.noise.sigma_a,
                             t_start=None if imu_run else kf.t, t_end=t, resume=imu_run)
         samples = self._dvl_slice(t_dvl, t) if self.cfg.mode.uses_dvl else []
-        dvl = preintegrate_dvl(samples, imu, self.rig.dvl, s.bg, s.bv,
+        dvl = preintegrate_dvl(samples, imu, self.rig.dvl, s.bv,
                                sigma_v=self.noise.sigma_dvl,
                                resume=dvl_run) if samples else None
         self.interval = bk.IntervalData(imu, dvl)
@@ -465,8 +463,7 @@ class Tracker:
                     nav, cost = self._mini_solve(kf, t, init, tracked_obs,
                                                  interval)
                 elif dvl_pre is not None:
-                    pose = predict_state_degraded(kf.state, imu_pre, dvl_pre,
-                                                  self.rig.dvl)
+                    pose = predict_state_degraded(kf.state, imu_pre, dvl_pre)
                     v = self._degraded_velocity(pose, t, kf.state)
                     init = NavState(pose.R, pose.t, v,
                                     kf.state.bg, kf.state.ba, kf.state.bv)
@@ -532,7 +529,7 @@ def run_dead_reckoning(dataset, cfg: RunConfig) -> EstimationResult:
     t_last = max(frames[-1].t, t0 + 1e-9)
     s0 = initial_state(dataset, t0)
     imu = integrate_imu(dataset.imu, s0.bg, s0.ba, t_start=t0, t_end=t_last)
-    dvl = preintegrate_dvl(dataset.dvl, imu, rig.dvl, s0.bg, s0.bv)
+    dvl = preintegrate_dvl(dataset.dvl, imu, rig.dvl, s0.bv)
 
     # the frame times by index: the frames are iterated once, below
     times = np.array([frames[k].t for k in range(len(frames))])

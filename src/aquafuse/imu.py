@@ -15,9 +15,9 @@ the covariance are sequential loops. Checkpoints at any set of times are one
 batched evaluation.
 
 Both preintegrations take and record plain biases and noise (here ``lin_bg``,
-``lin_ba``, ``sigma_g`` and ``sigma_a``), which a resume must repeat. Their
-buffer and noise checks, holds and resume are written once, :func:`hold_steps`
-and :func:`join_steps`.
+``lin_ba``, ``sigma_g`` and ``sigma_a``; the DVL's records its IMU span's
+``lin_bg``), which a resume must repeat. Their buffer and noise checks, holds
+and resume are written once, :func:`hold_steps` and :func:`join_steps`.
 
 The first-order bias correction is written once, :func:`correct_imu_bias_batch`:
 the pair residuals apply it, and the state predictions read it through
@@ -47,11 +47,11 @@ class ImuSample:
         object.__setattr__(self, "accel", np.asarray(self.accel, dtype=float))
 
 
-# preintegrated-rotation state at n times: the relative rotation since the
-# buffer start, its gyro-bias Jacobian and the covariance of the
-# rotation-vector noise, each (n, 3, 3)
+# preintegrated-rotation state at the n times asked for, in their order: the
+# relative rotation since the buffer start, its gyro-bias Jacobian and the
+# covariance of the rotation-vector noise, each (n, 3, 3)
 RotationCheckpoints = namedtuple("RotationCheckpoints",
-                                 "times rotations bias_jacobians phi_covs")
+                                 "rotations bias_jacobians phi_covs")
 
 
 # the running sums of a preintegration at the start of one step, and the
@@ -107,8 +107,7 @@ class ImuPreintegrated:
         k, dt, phi, e = self._held(times)
         jr, et = right_jacobian_so3_batch(phi), e.transpose(0, 2, 1)
         return RotationCheckpoints(
-            np.asarray(times, dtype=float), self.step_dR[k] @ e,
-            et @ self.step_J[k] - jr * dt,
+            self.step_dR[k] @ e, et @ self.step_J[k] - jr * dt,
             et @ self.step_phi_cov[k] @ e
             + self.sigma_g**2 * dt * (jr @ jr.transpose(0, 2, 1)))
 

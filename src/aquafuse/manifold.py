@@ -25,10 +25,6 @@ def hat(v) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def vee(m) -> np.ndarray:
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
 def exp_so3(phi) -> np.ndarray:
     """Rodrigues map from a finite rotation vector (radians) to a rotation
     matrix; a batch of one of :func:`exp_so3_batch`."""
@@ -95,10 +91,10 @@ def right_jacobian_inv_so3_batch(phi: np.ndarray) -> np.ndarray:
 
 
 def _vee_angle(r: np.ndarray):
-    """vee(r - r^T), which is 2 sin(theta) axis, and the angle theta of
-    each rotation of an (n, 3, 3) stack. Unlike arccos of the trace alone,
-    atan2 of 2 sin and 2 cos keeps full relative precision at small angles
-    (Sola et al. 2018, "A micro Lie theory")."""
+    """The m with hat(m) = r - r^T, which is 2 sin(theta) axis, and the
+    angle theta of each rotation of an (n, 3, 3) stack. Unlike arccos of
+    the trace alone, atan2 of 2 sin and 2 cos keeps full relative precision
+    at small angles (Sola et al. 2018, "A micro Lie theory")."""
     flat = r.reshape(-1, 9)
     m = flat.take([7, 2, 3], 1) - flat.take([5, 6, 1], 1)
     return m, np.arctan2(np.sqrt((m * m).sum(1)), flat.take([0, 4, 8], 1).sum(1) - 1.0)
@@ -134,10 +130,6 @@ class Pose:
     def __post_init__(self):
         object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
-
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.eye(3), np.zeros(3))
 
     def compose(self, other: "Pose") -> "Pose":
         return Pose(self.R @ other.R, self.R @ other.t + self.t)

@@ -394,12 +394,11 @@ def simulate(cfg: ScenarioConfig) -> SensorDataset:
     for fid, t in enumerate(frame_times.tolist()):
         if any(a <= t <= b for a, b in cfg.degradation_windows_s):
             obs, fld = [], IntensityField(np.zeros(0), np.zeros((0, 2)),
-                                          cfg.field_sigma_px, cfg.width_px,
-                                          cfg.height_px)
+                                          cfg.field_sigma_px)
         else:
             # a stacked product, which sums unlike Pose.transform's R @ x
             t_cw = Pose(tr.R[fid], tr.p[fid]).compose(rig.T_IC).inverse()
-            obs, fld = _view(cfg, rig.cam, rng, fid, amps,
+            obs, fld = _view(cfg, rig.cam, rng, amps,
                              landmarks @ t_cw.R.T + t_cw.t)
         frames.append(FrameData(fid, t, obs, fld))
 
@@ -420,8 +419,8 @@ def _landmark_amplitudes(cfg: ScenarioConfig) -> np.ndarray:
     return cfg.field_amp_min + u * (cfg.field_amp_max - cfg.field_amp_min)
 
 
-def _view(cfg: ScenarioConfig, cam: CameraModel, rng, fid: int,
-          amps: np.ndarray, pts_c: np.ndarray):
+def _view(cfg: ScenarioConfig, cam: CameraModel, rng, amps: np.ndarray,
+          pts_c: np.ndarray):
     """One frame's observations and intensity field of the landmarks at
     camera-frame points ``pts_c``."""
     # the field keeps every landmark near the view (border margin, wide
@@ -442,8 +441,7 @@ def _view(cfg: ScenarioConfig, cam: CameraModel, rng, fid: int,
     # not bleed into each other's patches
     sigmas = np.clip(cfg.field_sigma_px * cfg.field_ref_depth_m / z[near],
                      0.5 * cfg.field_sigma_px, 1.5 * cfg.field_sigma_px)
-    fld = IntensityField(amps[ids[near]], uv[near], sigmas, cfg.width_px,
-                         cfg.height_px)
+    fld = IntensityField(amps[ids[near]], uv[near], sigmas)
 
     visible = np.flatnonzero((cfg.min_obs_depth_m <= z)
                              & (z <= cfg.max_obs_depth_m) & cam.in_image(uv))
@@ -454,7 +452,7 @@ def _view(cfg: ScenarioConfig, cam: CameraModel, rng, fid: int,
     disp = cam.fx * cam.baseline / z[visible] \
         + cfg.sigma_disparity_px * noise[:, 2]
     inside = cam.in_image(pix)
-    obs = [LandmarkObservation(fid, i, px, max(d, 0.06)) for i, px, d in zip(
+    obs = [LandmarkObservation(i, px, max(d, 0.06)) for i, px, d in zip(
         ids[visible[inside]].tolist(), pix[inside], disp[inside].tolist())]
     return obs, fld
 
@@ -543,9 +541,10 @@ def _reader(kind):
         return value
 
     def number(value):
-        # a bool is an int, and float() would take it or a numeric string
-        if kind != "t" and type(value) not in (float, int):
-            raise TypeError(f"{value!r} is no JSON number")
+        # float() would take a bool (an int) or a numeric string for a
+        # number, and a JSON number for a timestamp, a decimal string
+        if type(value) not in ((str,) if kind == "t" else (float, int)):
+            raise TypeError(f"{value!r} is of the wrong JSON type")
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"{value} is not finite")
@@ -630,7 +629,7 @@ def read_stream(path: str, fields: dict) -> list:
     return list(columns.values())
 
 
-def _frame(cfg: ScenarioConfig, t: float, rec: dict, at) -> FrameData:
+def _frame(t: float, rec: dict, at) -> FrameData:
     fid = _value(rec, "frame_id", int, at)
     obs, fld = rec.get("obs"), rec.get("field")
     if not (isinstance(obs, list) and all(isinstance(o, dict) for o in obs)):
@@ -640,14 +639,13 @@ def _frame(cfg: ScenarioConfig, t: float, rec: dict, at) -> FrameData:
         raise ParseError(f"{at[0]}:{at[1]}: field 'field' is not an object: "
                          f"{fld!r}")
     obs = [LandmarkObservation(
-        fid, _value(o, "id", int, at), _value(o, "uv", (2,), at),
+        _value(o, "id", int, at), _value(o, "uv", (2,), at),
         None if o.get("disparity") is None else _value(o, "disparity", (), at))
         for o in obs]
     sig = _value(fld, "sigma_px", (-1,) if isinstance(fld.get("sigma_px"), list)
                  else (), at)
     args = (_value(fld, "amps", (-1,), at), _value(fld, "centers", (-1, 2), at),
-            sig, cfg.width_px, cfg.height_px,
-            _value(fld, "offset", (), at) if "offset" in fld else 0.0)
+            sig, _value(fld, "offset", (), at) if "offset" in fld else 0.0)
     try:
         intensity = IntensityField(*args)
     except ValueError as exc:
@@ -675,7 +673,7 @@ def read_dataset(path: str) -> SensorDataset:
         os.path.join(path, name + ".jsonl"), fields)))
         for name, (record, fields) in STREAMS.items()}
     fp = os.path.join(path, "frames.jsonl")
-    frames = [_frame(cfg, t, rec, at) for t, rec, at in _stream(fp)]
+    frames = [_frame(t, rec, at) for t, rec, at in _stream(fp)]
     for key, arrays, counts in (
             ("amps", [f.field.amplitudes for f in frames], None),
             ("centers", [f.field.centers for f in frames], None),

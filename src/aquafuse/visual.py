@@ -79,7 +79,6 @@ class CameraModel:
 
 @dataclass(frozen=True)
 class LandmarkObservation:
-    frame_id: int
     landmark_id: int
     pixel: np.ndarray
     disparity: float | None = None
@@ -102,14 +101,13 @@ class IntensityField:
     on the other points of its query. Such a field is exactly consistent
     with the constant-depth patch warp only under pure camera translation
     and for bumps isolated beyond that reach; under rotation it holds to
-    first order.
+    first order. A field has no size: ``CameraModel.in_image`` bounds the
+    image.
     """
 
     amplitudes: np.ndarray
     centers: np.ndarray
     sigma_px: float | np.ndarray
-    width: int
-    height: int
     offset: float = 0.0
 
     def __post_init__(self):

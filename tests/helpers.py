@@ -272,7 +272,7 @@ def preintegrate_dvl_reference(samples, checkpoints, ext: DvlExtrinsics,
     [first sample time, t_end]: the sums, the bias Jacobians and the
     covariance, under the names of ``DvlPreintegrated``."""
     samples = list(samples)
-    if len(checkpoints.times) != len(samples):
+    if len(checkpoints.rotations) != len(samples):
         raise ValueError("rotation checkpoints misaligned with DVL samples")
     times = np.array([s.t for s in samples], dtype=float)
     lin_bv = np.asarray(lin_bv, dtype=float)

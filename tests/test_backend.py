@@ -31,7 +31,7 @@ def default_rig() -> bk.SensorRig:
 def bumpy_field(rng) -> IntensityField:
     return IntensityField(rng.uniform(80, 200, 40),
                           rng.uniform([0, 0], [640, 360], (40, 2)),
-                          rng.uniform(8, 14, 40), 640, 360)
+                          rng.uniform(8, 14, 40))
 
 
 def make_scene(rng, n_kf=3, n_lm=8, kf_steps=40, pixel_noise=0.0,
@@ -72,7 +72,7 @@ def make_scene(rng, n_kf=3, n_lm=8, kf_steps=40, pixel_noise=0.0,
             if not (0 <= uv[0] < rig.cam.width and 0 <= uv[1] < rig.cam.height):
                 continue
             pix = uv + pixel_noise * rng.normal(size=2)
-            obs.append(LandmarkObservation(k, lid, pix,
+            obs.append(LandmarkObservation(lid, pix,
                                            rig.cam.fx * rig.cam.baseline / x_c[2]))
         p_wp = st.R @ rig.depth.p_IP + st.p
         gyro_idx = min(k * kf_steps, len(samples) - 1)
@@ -92,7 +92,7 @@ def make_scene(rng, n_kf=3, n_lm=8, kf_steps=40, pixel_noise=0.0,
         dvl = dvl_samples_from_world(dvl_states, dvl_times, dvl_every * dt,
                                      rig.dvl)
         from aquafuse.dvl import preintegrate_dvl
-        dvl_pre = preintegrate_dvl(dvl, pre, rig.dvl, np.zeros(3), np.zeros(3),
+        dvl_pre = preintegrate_dvl(dvl, pre, rig.dvl, np.zeros(3),
                                    sigma_v=0.01)
         intervals[(k, k + 1)] = bk.IntervalData(pre, dvl_pre)
     # velocity-factor measurements: exactly what a noiseless DVL reads at
@@ -220,7 +220,7 @@ class TestAssembleWindow:
         t_wc = rig.camera_pose(nodes[1].state)
         landmarks[lid] = t_wc.transform(np.array([0.0, 0.0, -2.0]))
         nodes[1].observations.append(LandmarkObservation(
-            1, lid, np.array([320.0, 180.0]), 9.0))
+            lid, np.array([320.0, 180.0]), 9.0))
 
     def test_landmark_without_factor_gets_no_columns(self, rng):
         nodes, landmarks, intervals, rig, _ = make_scene(rng, n_kf=2, n_lm=5)
@@ -299,8 +299,7 @@ class TestSolve:
             if corrupt:
                 bad = node.observations[0]
                 node.observations[0] = LandmarkObservation(
-                    bad.frame_id, bad.landmark_id, bad.pixel + [50.0, 0.0],
-                    bad.disparity)
+                    bad.landmark_id, bad.pixel + [50.0, 0.0], bad.disparity)
             node.state.p = node.state.p + [0.02, -0.01, 0.015]
             intervals = without_dvl_and_pressure(nodes, intervals)
             cfg = bk.BackendConfig(photometric_enabled=False)
@@ -385,9 +384,8 @@ class TestSolve:
         # a camera at the origin, and a fixed landmark on its optical axis
         # observed at the principal point: the residual, and so the
         # gradient, is exactly zero
-        rig = replace(default_rig(), T_IC=Pose.identity())
-        obs = LandmarkObservation(0, 0, np.array([rig.cam.cx, rig.cam.cy]),
-                                  None)
+        rig = replace(default_rig(), T_IC=Pose(np.eye(3), np.zeros(3)))
+        obs = LandmarkObservation(0, np.array([rig.cam.cx, rig.cam.cy]), None)
         factor = bk.Factor(bk.FactorKind.REPROJECTION, (0,), obs, np.eye(2),
                            landmark_id=0)
 
@@ -582,7 +580,8 @@ class TestTranslationGauge:
 
 def robust(window, f):
     """Whether the window weighs factor ``f`` by its Huber knee."""
-    return f.kind in bk.VISUAL_KINDS and window.huber_delta is not None
+    return (f.kind in (bk.FactorKind.REPROJECTION, bk.FactorKind.PHOTOMETRIC)
+            and window.huber_delta is not None)
 
 
 def per_factor_normal_equations(window, factors, state_cols, lm_cols, ndim):
@@ -669,8 +668,7 @@ class TestBatchedReprojection:
         if fix_and_repeat:
             first = nodes[1].observations[0]
             nodes[1].observations.append(LandmarkObservation(
-                first.frame_id, first.landmark_id, first.pixel + [0.7, -0.4],
-                first.disparity))
+                first.landmark_id, first.pixel + [0.7, -0.4], first.disparity))
             fixed = {o.landmark_id for o in nodes[1].observations[1:3]}
         cfg = bk.BackendConfig(photometric_enabled=False)
         window, factors = bk.assemble_window(nodes, landmarks, intervals, rig,
@@ -960,7 +958,7 @@ class TestPairKindWorkCount:
         pattern = PatchPattern()
         pixels = rng.uniform([100, 100], [540, 260], (5, 2))
         depths = rng.uniform(2.0, 5.0, 5)
-        obs = [LandmarkObservation(0, k, pix, cam.fx * cam.baseline / z)
+        obs = [LandmarkObservation(k, pix, cam.fx * cam.baseline / z)
                for k, (pix, z) in enumerate(zip(pixels, depths))]
         field_calls = count_field_calls(monkeypatch)
         payloads = bk.photometric_payloads(field, obs, field, obs, cam,
@@ -1306,8 +1304,7 @@ def landmark_window(rng, landmarks=True, photometric=False):
         if photometric:
             fields.append(bumpy_field(rng))
     nodes[2].observations.append(LandmarkObservation(
-        twice.frame_id, twice.landmark_id, twice.pixel + [0.7, -0.4],
-        twice.disparity))
+        twice.landmark_id, twice.pixel + [0.7, -0.4], twice.disparity))
     fixed = set(sorted(set(lms) - {single, twice.landmark_id})[:2])
     for node in nodes[1:]:
         st = node.state

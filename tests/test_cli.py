@@ -468,7 +468,8 @@ class TestInputErrors:
         assert "scenario a" in capsys.readouterr().err
         assert written == [] and not (out / "sweep_report.csv").exists()
 
-    @pytest.mark.parametrize("t", ["soon", None, [0.5], "nan"])
+    # a JSON number was read as a time, with exit 0
+    @pytest.mark.parametrize("t", ["soon", None, [0.5], "nan", 0.5])
     def test_malformed_trajectory_names_the_line(self, dataset, tmp_path,
                                                  capsys, t):
         good = {"t": "0.0", "R": np.eye(3).ravel().tolist(), "p": [0, 0, 0]}
@@ -478,6 +479,29 @@ class TestInputErrors:
         assert cli.main(["evaluate", "--truth", str(dataset), str(path),
                          "--out", str(tmp_path / "report")]) == 2
         assert f"{path}:2: bad timestamp" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("names, named", [
+        (None, "estimate name 'full' is given twice (name each estimate "
+               "with --names)"),
+        ("a,a", "estimate name 'a' is given twice"),
+        ("../escaped,b", "estimate name '../escaped' is not one plain path "
+                         "component")],
+        ids=["default-twice", "given-twice", "escaping"])
+    def test_evaluate_names_are_checked_before_writing(self, dataset, tmp_path,
+                                                       capsys, names, named):
+        # each name names a series file: the first wrote one series for two
+        # reports, the last wrote the reports, then failed on its series
+        runs = [tmp_path / run / "full" for run in ("r1", "r2")]
+        assert _estimate(dataset, runs[0], "--mode", "dvl-deadreckon-only") == 0
+        shutil.copytree(runs[0], runs[1])
+        out = tmp_path / "report"
+        out.mkdir()
+        argv = ["evaluate", "--truth", str(dataset), *map(str, runs),
+                "--out", str(out)]
+        assert cli.main(argv + (["--names", names] if names else [])) == 2
+        assert named in capsys.readouterr().err
+        assert os.listdir(out) == []
 
     def test_trajectory_going_back_in_time_names_the_line(self, dataset,
                                                          tmp_path, capsys):
@@ -585,18 +609,26 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("stream, t", [
         ("imu.jsonl", "nan"), ("frames.jsonl", "nan"),
-        ("pressure.jsonl", "inf")])
+        ("pressure.jsonl", "inf"),
+        # a bool and a number, each written on the line of its own time,
+        # were read as times with exit 0
+        ("imu.jsonl", True), ("frames.jsonl", 1 / 3)])
     def test_non_finite_dataset_timestamp_names_the_line(self, dataset,
                                                          tmp_path, capsys,
                                                          stream, t):
         copy = tmp_path / "dataset"
         shutil.copytree(dataset, copy)
         lines = (copy / stream).read_text().splitlines()
-        lines[5] = json.dumps({**json.loads(lines[5]), "t": t})
+        lineno = 6 if isinstance(t, str) else next(
+            k for k, line in enumerate(lines, 1)
+            if float(json.loads(line)["t"]) == t)
+        lines[lineno - 1] = json.dumps({**json.loads(lines[lineno - 1]),
+                                        "t": t})
         (copy / stream).write_text("\n".join(lines) + "\n")
         run = tmp_path / "run"
         assert _estimate(copy, run) == 2
-        assert f"{copy / stream}:6: bad timestamp" in capsys.readouterr().err
+        assert f"{copy / stream}:{lineno}: bad timestamp" in \
+            capsys.readouterr().err
         assert not run.exists()
 
     @pytest.mark.parametrize("stream, key, text, mode", [

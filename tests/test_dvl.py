@@ -114,16 +114,14 @@ class TestDeadReckon:
 class TestPreintegrate:
     def test_identity_checkpoints_straight_line(self):
         dvl = _uniform_dvl(10, 0.1, np.array([1.0, 0, 0]))
-        out = preintegrate_dvl(dvl, _still_imu(1.0), IDENTITY_EXT, np.zeros(3),
-                               np.zeros(3))
+        out = preintegrate_dvl(dvl, _still_imu(1.0), IDENTITY_EXT, np.zeros(3))
         assert_allclose(out.dp, [1.0, 0, 0], atol=1e-14)
         assert (out.t_start, out.t_end) == (0.0, 1.0)
 
     def test_linearization_bias_cancels(self):
         vel = np.array([1.0, 0, 0])
         dvl = _uniform_dvl(10, 0.1, vel)
-        out = preintegrate_dvl(dvl, _still_imu(1.0), IDENTITY_EXT, np.zeros(3),
-                               vel)
+        out = preintegrate_dvl(dvl, _still_imu(1.0), IDENTITY_EXT, vel)
         assert_allclose(out.dp, np.zeros(3), atol=1e-15)
 
     def test_matches_dead_reckoning_oracle(self, rng):
@@ -132,7 +130,7 @@ class TestPreintegrate:
         ext = DvlExtrinsics(random_rotation(rng), rng.normal(size=3) * 0.3)
         for _ in range(20):
             samples, states, pre, dvl, t_end = _world_with_dvl(rng, ext=ext)
-            out = preintegrate_dvl(dvl, pre, ext, np.zeros(3), np.zeros(3))
+            out = preintegrate_dvl(dvl, pre, ext, np.zeros(3))
             r_wi = states[0].R
             rotations = [r_wi @ r @ ext.R_ID
                          for r in pre.rotations_at([s.t for s in dvl])]
@@ -144,14 +142,13 @@ class TestPreintegrate:
     def test_empty_samples_rejected(self, rng):
         samples, _, pre, dvl, _ = _world_with_dvl(rng)
         with pytest.raises(ValueError):
-            preintegrate_dvl([], pre, IDENTITY_EXT, np.zeros(3), np.zeros(3))
+            preintegrate_dvl([], pre, IDENTITY_EXT, np.zeros(3))
 
     def test_negative_noise_rejected(self, rng):
         # squared, -1 would act as 1
         _, _, pre, dvl, _ = _world_with_dvl(rng)
         with pytest.raises(ValueError, match="DVL noise must be nonnegative"):
-            preintegrate_dvl(dvl, pre, IDENTITY_EXT, np.zeros(3), np.zeros(3),
-                             sigma_v=-1.0)
+            preintegrate_dvl(dvl, pre, IDENTITY_EXT, np.zeros(3), sigma_v=-1.0)
 
 
 class TestAgainstReference:
@@ -163,7 +160,7 @@ class TestAgainstReference:
 
     @staticmethod
     def _compare(dvl, pre, ext, bg, bv, sigma_v):
-        got = preintegrate_dvl(dvl, pre, ext, bg, bv, sigma_v=sigma_v)
+        got = preintegrate_dvl(dvl, pre, ext, bv, sigma_v=sigma_v)
         # the buffer of the loop: the samples holding in the span, the
         # first moved to its start
         held = [s for k, s in enumerate(dvl)
@@ -210,7 +207,7 @@ class TestAgainstReference:
         pre = integrate_imu(samples, bg, np.zeros(3), *NOISY, t_end=0.9)
         dvl = [DvlSample(0.1 * k, rng.normal(size=3)) for k in range(10)]
         got = self._compare(dvl, pre, ext, bg, bv, 0.02)
-        shorter = preintegrate_dvl(dvl[:-1], pre, ext, bg, bv, sigma_v=0.02)
+        shorter = preintegrate_dvl(dvl[:-1], pre, ext, bv, sigma_v=0.02)
         assert len(got.step_t) == 9
         for name in self.FIELDS:
             assert np.array_equal(getattr(got, name), getattr(shorter, name))
@@ -225,8 +222,7 @@ class TestAgainstReference:
 class TestTranslationsAt:
     def test_hold_ends_are_the_sums(self, rng):
         _, _, pre, dvl, t_end = _world_with_dvl(rng, dvl_every=7)
-        out = preintegrate_dvl(dvl, pre, IDENTITY_EXT, np.zeros(3),
-                               np.zeros(3))
+        out = preintegrate_dvl(dvl, pre, IDENTITY_EXT, np.zeros(3))
         assert np.array_equal(out.translations_at([0.0]), np.zeros((1, 3)))
         assert_allclose(out.translations_at([t_end])[0], out.dp, atol=1e-15)
         assert_allclose(out.translations_at(out.step_t), out.step_dp,
@@ -234,16 +230,14 @@ class TestTranslationsAt:
 
     def test_within_a_hold_the_velocity_is_held(self, rng):
         _, _, pre, dvl, _ = _world_with_dvl(rng, dvl_every=10)
-        out = preintegrate_dvl(dvl, pre, IDENTITY_EXT, np.zeros(3),
-                               np.zeros(3))
+        out = preintegrate_dvl(dvl, pre, IDENTITY_EXT, np.zeros(3))
         mid = out.translations_at([0.34])[0]
         assert_allclose(mid, out.step_dp[3] + 0.04 * out.step_vel[3],
                         atol=1e-15)
 
     def test_outside_the_span_rejected(self, rng):
         _, _, pre, dvl, t_end = _world_with_dvl(rng)
-        out = preintegrate_dvl(dvl, pre, IDENTITY_EXT, np.zeros(3),
-                               np.zeros(3))
+        out = preintegrate_dvl(dvl, pre, IDENTITY_EXT, np.zeros(3))
         with pytest.raises(ValueError):
             out.translations_at([t_end + 1e-6])
 
@@ -268,8 +262,7 @@ class TestTranslationsAt:
 class TestCorrectBias:
     def test_zero_delta_unchanged(self, rng):
         _, _, pre, dvl, _ = _world_with_dvl(rng)
-        out = preintegrate_dvl(dvl, pre, IDENTITY_EXT, np.zeros(3),
-                               np.zeros(3))
+        out = preintegrate_dvl(dvl, pre, IDENTITY_EXT, np.zeros(3))
         assert_allclose(correct_dvl_bias(out, np.zeros(3), np.zeros(3)),
                         out.dp)
 
@@ -277,11 +270,10 @@ class TestCorrectBias:
         # straight line: identity checkpoints make the bv dependence linear
         dvl = _uniform_dvl(10, 0.1, np.array([0.4, 0.1, 0.0]))
         still = _still_imu(1.0)
-        pre = preintegrate_dvl(dvl, still, IDENTITY_EXT, np.zeros(3),
-                               np.zeros(3))
+        pre = preintegrate_dvl(dvl, still, IDENTITY_EXT, np.zeros(3))
         dbv = np.array([0.05, 0, 0])
         corrected = correct_dvl_bias(pre, np.zeros(3), dbv)
-        re_pre = preintegrate_dvl(dvl, still, IDENTITY_EXT, np.zeros(3), dbv)
+        re_pre = preintegrate_dvl(dvl, still, IDENTITY_EXT, dbv)
         assert_allclose(corrected, re_pre.dp, atol=1e-15)
         assert_allclose(corrected - pre.dp, [-0.05, 0, 0], atol=1e-15)
 
@@ -291,12 +283,10 @@ class TestCorrectBias:
         def gap(dbg):
             pre_imu = integrate_imu(samples, np.zeros(3), np.zeros(3),
                                     t_end=t_end)
-            pre = preintegrate_dvl(dvl, pre_imu, IDENTITY_EXT, np.zeros(3),
-                                   np.zeros(3))
+            pre = preintegrate_dvl(dvl, pre_imu, IDENTITY_EXT, np.zeros(3))
             first_order = correct_dvl_bias(pre, dbg, np.zeros(3))
             re_imu = integrate_imu(samples, dbg, np.zeros(3), t_end=t_end)
-            re_pre = preintegrate_dvl(dvl, re_imu, IDENTITY_EXT, dbg,
-                                      np.zeros(3))
+            re_pre = preintegrate_dvl(dvl, re_imu, IDENTITY_EXT, np.zeros(3))
             return np.linalg.norm(first_order - re_pre.dp)
 
         dbg = np.array([0.0, 0.0, 0.02])
@@ -306,7 +296,7 @@ class TestCorrectBias:
     def test_velocity_jacobian_closed_form(self, rng):
         ext = DvlExtrinsics(random_rotation(rng), rng.normal(size=3) * 0.2)
         _, _, imu, dvl, t_end = _world_with_dvl(rng, ext=ext)
-        pre = preintegrate_dvl(dvl, imu, ext, np.zeros(3), np.zeros(3))
+        pre = preintegrate_dvl(dvl, imu, ext, np.zeros(3))
         times = [s.t for s in dvl]
         dts = np.diff(times + [t_end])
         closed = -sum(r @ ext.R_ID * dt
@@ -318,7 +308,7 @@ class TestCorrectBias:
         # and the closed form bit for bit
         ext = DvlExtrinsics(random_rotation(rng), rng.normal(size=3) * 0.2)
         _, _, imu, dvl, _ = _world_with_dvl(rng, ext=ext)
-        pre = preintegrate_dvl(dvl, imu, ext, np.zeros(3), np.zeros(3))
+        pre = preintegrate_dvl(dvl, imu, ext, np.zeros(3))
         bg, bv = rng.normal(size=3) * 0.01, rng.normal(size=3) * 0.02
         got = correct_dvl_bias(pre, bg, bv)
         assert np.array_equal(
@@ -351,7 +341,7 @@ class TestResumeDvl:
                    if s.t < t1 and (k + 1 == len(dvl) or dvl[k + 1].t > t0)]
         imu = integrate_imu(imu_samples, bg, np.zeros(3), *NOISY,
                             t_start=0.0, t_end=t1)
-        return preintegrate_dvl(samples, imu, ext, bg, bv, sigma_v=0.01,
+        return preintegrate_dvl(samples, imu, ext, bv, sigma_v=0.01,
                                 resume=resume)
 
     def _assert_bitwise(self, got, want):
@@ -377,6 +367,20 @@ class TestResumeDvl:
                              resume=run)
             self._assert_bitwise(run, self._part(dvl, imu, ext, bg, bv, 0.0, t1))
 
+    def test_records_the_gyro_bias_of_its_span(self, rng):
+        # its sums are rotated by the span's rotations, so a fresh call and
+        # a resume record the span's gyro-bias linearization bit for bit
+        ext, imu, dvl, t_end, bg, bv = self._setup(rng)
+        spans = [integrate_imu(imu, bg, np.zeros(3), *NOISY, t_start=0.0,
+                               t_end=t1) for t1 in (0.5, t_end)]
+        first = preintegrate_dvl([s for s in dvl if s.t < 0.5], spans[0], ext,
+                                 bv, sigma_v=0.01)
+        buffer = [s for s in dvl if first.last_step.sample_t <= s.t]
+        resumed = preintegrate_dvl(buffer, spans[1], ext, bv, sigma_v=0.01,
+                                   resume=first)
+        for pre, span in zip((first, resumed), spans):
+            assert np.array_equal(pre.lin_bg, span.lin_bg)
+
     def test_rejects_other_biases_or_start(self, rng):
         ext, imu, dvl, t_end, bg, bv = self._setup(rng)
         first = self._part(dvl, imu, ext, bg, bv, 0.0, 0.5)
@@ -390,8 +394,8 @@ class TestResumeDvl:
 def _resume_args(rng, sensor, change):
     """A first IMU or DVL preintegration to 0.37 s and a call that resumes
     it to 0.8 s, with ``change`` made to the call: another bias
-    linearization, a start 0.01 s later, a buffer that begins one sample
-    late, or none."""
+    linearization (the DVL's, over a span integrated at another gyro bias),
+    a start 0.01 s later, a buffer that begins one sample late, or none."""
     ext = DvlExtrinsics(random_rotation(rng), rng.normal(size=3) * 0.2)
     imu, _, _, dvl, _ = _world_with_dvl(rng, n_imu=100, dvl_every=7, ext=ext)
     bg, bv = rng.normal(size=3) * 0.01, rng.normal(size=3) * 0.02
@@ -401,7 +405,7 @@ def _resume_args(rng, sensor, change):
                           t_end=0.37)
     if sensor == "dvl":
         first = preintegrate_dvl([s for s in dvl if s.t < 0.37], first, ext,
-                                 bg, bv)
+                                 bv)
     buffer = [s for s in (imu if sensor == "imu" else dvl)
               if first.last_step.sample_t <= s.t < 0.8]
     buffer = buffer[1:] if change == "sample" else buffer
@@ -409,9 +413,9 @@ def _resume_args(rng, sensor, change):
         return integrate_imu, (buffer, other, np.zeros(3), *NOISY,
                                0.01 if moved else None), \
             dict(t_end=0.8, resume=first)
-    span = integrate_imu(imu, bg, np.zeros(3), *NOISY,
+    span = integrate_imu(imu, other, np.zeros(3), *NOISY,
                          t_start=0.01 if moved else 0.0, t_end=0.8)
-    return preintegrate_dvl, (buffer, span, ext, other, bv), dict(resume=first)
+    return preintegrate_dvl, (buffer, span, ext, bv), dict(resume=first)
 
 
 @pytest.mark.parametrize("sensor", ["imu", "dvl"])
@@ -439,12 +443,11 @@ def test_a_dvl_resume_keeps_its_noise_and_extrinsics(rng, change):
                              t_end=t_end)
 
     first = preintegrate_dvl([s for s in dvl if s.t < 0.37], span(0.37), ext,
-                             bg, bv, sigma_v=0.01)
+                             bv, sigma_v=0.01)
     buffer = [s for s in dvl if first.last_step.sample_t <= s.t < 0.8]
     # equal extrinsics in other arrays resume
     same = DvlExtrinsics(ext.R_ID.copy(), ext.p_ID.copy())
-    preintegrate_dvl(buffer, span(0.8), same, bg, bv, sigma_v=0.01,
-                     resume=first)
+    preintegrate_dvl(buffer, span(0.8), same, bv, sigma_v=0.01, resume=first)
     other, sigma_v = {
         "sigma_v": (same, 0.5),
         "R_ID": (DvlExtrinsics(ext.R_ID @ exp_so3(np.array([0.0, 0.0, 1e-3])),
@@ -452,7 +455,7 @@ def test_a_dvl_resume_keeps_its_noise_and_extrinsics(rng, change):
         "p_ID": (DvlExtrinsics(ext.R_ID, ext.p_ID + [0.0, 0.0, 1e-3]), 0.01),
     }[change]
     with pytest.raises(ValueError, match="resumes only"):
-        preintegrate_dvl(buffer, span(0.8), other, bg, bv, sigma_v=sigma_v,
+        preintegrate_dvl(buffer, span(0.8), other, bv, sigma_v=sigma_v,
                          resume=first)
 
 
@@ -559,7 +562,7 @@ class TestVelocityResidual:
 class TestPositionResidual:
     def _consistent_pair(self, rng, ext):
         samples, states, pre, dvl, t_end = _world_with_dvl(rng, ext=ext)
-        out = preintegrate_dvl(dvl, pre, ext, np.zeros(3), np.zeros(3))
+        out = preintegrate_dvl(dvl, pre, ext, np.zeros(3))
         return states[0], states[-1], out
 
     def test_noiseless_consistency(self, rng):
@@ -587,7 +590,7 @@ class TestPositionResidual:
         sm = si.copy()
         sm.R = si.R @ exp_so3([0.0, 0.0, 0.4])
         zero_pre = preintegrate_dvl([DvlSample(0.0, np.zeros(3))],
-                                    _still_imu(1.0), ext, np.zeros(3),
+                                    _still_imu(1.0), ext,
                                     np.zeros(3))
         res = position_residual(si, sm, zero_pre, ext)
         expected = si.R.T @ (sm.R @ ext.p_ID - si.R @ ext.p_ID)

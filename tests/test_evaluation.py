@@ -64,7 +64,8 @@ class TestErrorMetrics:
 
     def test_self_comparison_is_exactly_zero(self, rng):
         traj = random_trajectory(rng)
-        report = error_metrics(traj, traj.copy())
+        report = error_metrics(
+            traj, Trajectory(traj.t.copy(), traj.R.copy(), traj.p.copy()))
         assert report.n_matched == len(traj)
         assert report.translation_rmse_m == 0.0
         assert report.rotation_rmse_deg == 0.0

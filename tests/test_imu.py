@@ -272,7 +272,6 @@ class TestAgainstPerStepReference:
             steps[:-1] + 3e-9,                      # just past it
             [pre.t_end]])
         got = pre.checkpoints_at(probes)
-        assert np.array_equal(got.times, probes)
         for i, s in enumerate(probes):
             want = checkpoint_reference(pre, float(s))
             for name, value in zip(("rotations", "bias_jacobians", "phi_covs"),

@@ -6,7 +6,7 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 
 from aquafuse.manifold import (BranchAmbiguityError, Pose, exp_so3, hat,
                                log_so3, right_jacobian_inv_so3_batch,
-                               right_jacobian_so3, rotation_angle, vee)
+                               right_jacobian_so3, rotation_angle)
 
 from helpers import check_rotation, random_rotation
 
@@ -23,10 +23,6 @@ class TestHat:
         for _ in range(10):
             v = rng.normal(size=3)
             assert_allclose(hat(v) @ v, np.zeros(3), atol=1e-15)
-
-    def test_vee_inverse(self, rng):
-        v = rng.normal(size=3)
-        assert_allclose(vee(hat(v)), v)
 
 
 class TestExpSo3:

@@ -16,8 +16,9 @@ from helpers import project
 
 CAM = CameraModel(fx=100.0, fy=100.0, cx=320.0, cy=180.0,
                   width=640, height=360, baseline=0.1)
+IDENTITY = Pose(np.eye(3), np.zeros(3))
 # camera at the body origin, so the states below are the camera poses
-RIG = bk.SensorRig(CAM, Pose.identity(), DvlExtrinsics(np.eye(3), np.zeros(3)),
+RIG = bk.SensorRig(CAM, IDENTITY, DvlExtrinsics(np.eye(3), np.zeros(3)),
                    DepthExtrinsics(np.zeros(3)), np.array([0.0, 0.0, 9.81]))
 
 
@@ -60,8 +61,8 @@ class TestPinhole:
     def test_projection_jacobian_fd(self, rng):
         x = np.array([0.4, -0.2, 2.0])
         # at the identity pose the landmark Jacobian is minus the projection's
-        obs = LandmarkObservation(0, 0, project(CAM, x))
-        jac = -reprojection(Pose.identity(), x, obs)[3]
+        obs = LandmarkObservation(0, project(CAM, x))
+        jac = -reprojection(IDENTITY, x, obs)[3]
         h = 1e-7
         for d in range(3):
             dv = np.zeros(3)
@@ -145,7 +146,7 @@ class TestReprojection:
     def test_zero_at_true_pose(self, rng):
         pose = Pose(exp_so3(rng.normal(size=3) * 0.3), rng.normal(size=3))
         lm = pose.transform([0.2, -0.1, 3.0])
-        obs = LandmarkObservation(0, 0, project(CAM, [0.2, -0.1, 3.0]))
+        obs = LandmarkObservation(0, project(CAM, [0.2, -0.1, 3.0]))
         assert_allclose(reprojection(pose, lm, obs, blocks=False),
                         np.zeros(2), atol=1e-12)
 
@@ -153,7 +154,7 @@ class TestReprojection:
         pose = Pose(np.eye(3), np.zeros(3))
         lm = np.array([0.0, 0.0, 2.0])
         base_pix = project(CAM, lm)
-        obs = LandmarkObservation(0, 0, base_pix + [2.0, -1.0])
+        obs = LandmarkObservation(0, base_pix + [2.0, -1.0])
         assert_allclose(reprojection(pose, lm, obs, blocks=False),
                         [2.0, -1.0], atol=1e-12)
 
@@ -163,7 +164,7 @@ class TestReprojection:
             x_c = np.array([rng.uniform(-0.8, 0.8), rng.uniform(-0.4, 0.4),
                             rng.uniform(1.0, 6.0)])
             lm = pose.transform(x_c)
-            obs = LandmarkObservation(0, 0, project(CAM, x_c) + rng.normal(size=2))
+            obs = LandmarkObservation(0, project(CAM, x_c) + rng.normal(size=2))
             _, j_phi, j_t, j_lm = reprojection(pose, lm, obs)
             h = 1e-6
 
@@ -183,10 +184,10 @@ class TestReprojection:
                 assert np.abs(j_lm[:, d] - fd_lm).max() < 1e-5 * scale
 
 
-def _bumpy_field(rng, n=12, width=640, height=360):
+def _bumpy_field(rng, n=12):
     return IntensityField(rng.uniform(80, 200, n),
                           rng.uniform([100, 60], [540, 300], (n, 2)),
-                          rng.uniform(5, 9, n), width, height)
+                          rng.uniform(5, 9, n))
 
 
 def _reference(field, pts):
@@ -201,8 +202,8 @@ def _reference(field, pts):
 class TestIntensityField:
     def test_empty_field_is_offset(self):
         for sigma in (5.0, np.zeros(0) + 5.0):
-            field = IntensityField(np.zeros(0), np.zeros((0, 2)), sigma, 640,
-                                   360, offset=7.5)
+            field = IntensityField(np.zeros(0), np.zeros((0, 2)), sigma,
+                                   offset=7.5)
             assert field.sample([100.0, 100.0]) == 7.5
             val, grad = field.gradient([100.0, 100.0])
             assert val == 7.5
@@ -220,7 +221,7 @@ class TestIntensityField:
         sigma = rng.uniform(3, 9, n) if per_bump else 6.0
         field = IntensityField(rng.uniform(80, 200, n),
                                rng.uniform([-30, -30], [670, 390], (n, 2)),
-                               sigma, 640, 360, offset=4.0)
+                               sigma, offset=4.0)
         pts = np.vstack([rng.uniform([0, 0], [640, 360], (300, 2)),
                          rng.uniform([-100, -100], [0, 0], (20, 2)),
                          rng.uniform([640, 360], [760, 460], (20, 2)),
@@ -268,7 +269,7 @@ class TestPatchPattern:
 
     def test_weight_rule(self, rng):
         pattern = PatchPattern()
-        flat = IntensityField(np.zeros(0), np.zeros((0, 2)), 5.0, 640, 360)
+        flat = IntensityField(np.zeros(0), np.zeros((0, 2)), 5.0)
         _, g = flat.gradient(np.array([[100.0, 100.0]]))
         assert_allclose(pattern.weights(g), [1.0])
         # non-increasing in gradient magnitude
@@ -292,7 +293,7 @@ def _photometric(field_i, field_j, T_CjCi, p, depth_p, pattern,
     host = NavState(np.eye(3), np.zeros(3), np.zeros(3))
     t_wcj = T_CjCi.inverse()
     obs = NavState(t_wcj.R, t_wcj.t, np.zeros(3)).retract(d_obs)
-    seen = [LandmarkObservation(0, 0, p, CAM.fx * CAM.baseline / depth_p)]
+    seen = [LandmarkObservation(0, p, CAM.fx * CAM.baseline / depth_p)]
     (payload,) = bk.photometric_payloads(field_i, seen, field_j, seen, CAM,
                                          bk.BackendConfig(pattern=pattern))
     factor = bk.Factor(bk.FactorKind.PHOTOMETRIC, (0, 1), payload, np.eye(1))
@@ -303,7 +304,7 @@ def _photometric(field_i, field_j, T_CjCi, p, depth_p, pattern,
 class TestPhotometric:
     def test_identity_warp_same_field_is_zero(self, rng):
         field = _bumpy_field(rng)
-        res = _photometric(field, field, Pose.identity(), [320.0, 180.0], 2.0,
+        res = _photometric(field, field, IDENTITY, [320.0, 180.0], 2.0,
                            PatchPattern())
         assert res == pytest.approx(0.0, abs=1e-12)
 
@@ -312,10 +313,10 @@ class TestPhotometric:
         # one bump lies far outside it, beyond its reach, since a field
         # without bumps hosts no patch
         pattern = PatchPattern()
-        far = (np.ones(1), np.array([[-1e4, -1e4]]), 5.0, 640, 360)
+        far = (np.ones(1), np.array([[-1e4, -1e4]]), 5.0)
         f_i = IntensityField(*far, offset=10.0)
         f_j = IntensityField(*far, offset=13.0)
-        res = _photometric(f_i, f_j, Pose.identity(), [320.0, 180.0], 2.0,
+        res = _photometric(f_i, f_j, IDENTITY, [320.0, 180.0], 2.0,
                            pattern)
         assert res == pytest.approx(len(pattern.offsets) * 3.0)
 
