@@ -93,6 +93,7 @@ PAIR_KINDS = (FactorKind.IMU, FactorKind.DVL_VELOCITY, FactorKind.DVL_POSITION,
 # the least disparity (px) at which an observation hosts a depth: a map
 # landmark of the tracker or a photometric patch
 MIN_HOST_DISPARITY_PX = 0.05
+PATCH_PATTERN = PatchPattern()
 
 
 @dataclass(frozen=True)
@@ -758,23 +759,16 @@ class IntervalData:
 class BackendConfig:
     window_size: int = 10
     huber_delta: float = 1.345
-    # measured luminance-constancy violation of the synthetic fields grows
-    # with baseline: a few units frame-to-frame, tens between keyframes
+    # the per-point intensity noise of every photometric factor: the fields'
+    # luminance-constancy violation is tens of units between keyframes
     sigma_intensity: float = 30.0
-    sigma_intensity_track: float = 10.0
     photometric_enabled: bool = True
     photometric_max_points: int = 8
-    # patches whose Mahalanobis residual exceeds these at the initial guess
-    # are rejected: they violate luminance constancy (clutter, parallax)
+    # patches whose Mahalanobis residual, |r| / (sqrt(m) sigma_intensity) for
+    # m points, exceeds these at the initial guess are rejected: they violate
+    # luminance constancy (clutter, parallax); 1/3 passes 10 units a point
     photometric_gate: float = 0.05
-    photometric_track_gate: float = 1.0
-    pattern: PatchPattern = dc_field(default_factory=PatchPattern)
-    # window solves sit inside a per-keyframe loop; a tighter iteration cap
-    # and looser relative tolerance than the solver's standalone defaults
-    # keep the pipeline fast without changing the termination rules
-    solver: SolverConfig = dc_field(
-        default_factory=lambda: SolverConfig(max_iterations=12,
-                                             rel_cost_tol=1e-6))
+    photometric_track_gate: float = 1.0 / 3.0
 
 
 @dataclass
@@ -910,10 +904,10 @@ def assemble_window(keyframes: list[KeyframeNode],
 def photometric_payloads(host_field, host_obs, obs_field, obs_obs,
                          cam: CameraModel, cfg: BackendConfig) -> list[PhotometricData]:
     """A frame pair's photometric patches, none if ``cfg`` turns them off or
-    a field is missing or has no bumps: one per host point, the first
-    ``photometric_max_points`` of ``host_obs`` with a stereo depth whose
-    landmark ``obs_obs`` holds too, as luminance constancy needs; their host
-    side from one ``gradient`` call on ``host_field``."""
+    a field is missing or has no bumps: a ``PATCH_PATTERN`` around each of
+    the first ``photometric_max_points`` of ``host_obs`` with a stereo depth
+    whose landmark ``obs_obs`` holds too, as luminance constancy needs; their
+    host side from one ``gradient`` call on ``host_field``."""
     if not (cfg.photometric_enabled and host_field is not None
             and obs_field is not None and len(host_field.amplitudes)
             and len(obs_field.amplitudes)):
@@ -924,9 +918,9 @@ def photometric_payloads(host_field, host_obs, obs_field, obs_obs,
     if not hosts:
         return []
     pix = np.array([o.pixel for o in hosts])[:, None, :] \
-        + cfg.pattern.offsets  # (n, m, 2)
+        + PATCH_PATTERN.offsets  # (n, m, 2)
     vals, grads = host_field.gradient(pix)
-    weights = cfg.pattern.weights(grads)
+    weights = PATCH_PATTERN.weights(grads)
     depth = cam.stereo_depth([o.disparity for o in hosts])
     pts = cam.backproject(pix, depth[:, None])
     return [PhotometricData(obs_field, pts[k], vals[k], weights[k])

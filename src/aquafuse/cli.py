@@ -52,6 +52,8 @@ ESTIMATOR_FAILURES = (GaugeError, PreintCoverageError,
                       InsufficientObservationsError, BehindCameraError,
                       OutOfDomainError, DegenerateTriangulationError,
                       BranchAmbiguityError)
+# the files a sweep writes beside its scenarios' directories
+SWEEP_REPORTS = ("sweep_report.csv", "sweep_report.json")
 
 
 # ------------------------------ config loading ----------------------------- #
@@ -271,6 +273,9 @@ def cmd_sweep(args) -> int:
                              "object with a 'name' string")
     names = [entry["name"] for entry in scenarios]
     _check_names(names, f"{args.config}: scenario name")
+    if taken := set(names) & set(SWEEP_REPORTS):
+        raise ValueError(f"{args.config}: scenario name {taken.pop()!r} is "
+                         "the name of a sweep report")
     scenario_cfgs = {name: _named(f"{args.config}: scenario {name}",
                                   sim.ScenarioConfig.from_dict,
                                   entry.get("config", {}))
@@ -301,16 +306,17 @@ def cmd_sweep(args) -> int:
         rows = [_sweep_cell(c) for c in cells]
     rows.sort(key=lambda r: (r["scenario"], r["mode"]))
 
-    with open(os.path.join(args.out, "sweep_report.csv"), "w") as fh:
+    csv_name, json_name = SWEEP_REPORTS
+    with open(os.path.join(args.out, csv_name), "w") as fh:
         fh.write("scenario,mode,length_m,t_rmse_m,t_std_m,r_rmse_deg,r_std_deg\n")
         for r in rows:
             fh.write(f"{r['scenario']},{r['mode']},{r['length_m']:.3f},"
                      f"{r['translation_rmse_m']:.6f},{r['translation_std_m']:.6f},"
                      f"{r['rotation_rmse_deg']:.6f},{r['rotation_std_deg']:.6f}\n")
-    with open(os.path.join(args.out, "sweep_report.json"), "w") as fh:
+    with open(os.path.join(args.out, json_name), "w") as fh:
         json.dump({"rows": rows}, fh, indent=2)
         fh.write("\n")
-    print(f"sweep complete: {len(rows)} cells -> {args.out}/sweep_report.csv")
+    print(f"sweep complete: {len(rows)} cells -> {args.out}/{csv_name}")
     return 0
 
 

@@ -14,9 +14,9 @@ def config_from_dict(cls, data, label: str, where: str = ""):
     """``cls`` from the JSON object ``data`` at the dotted key ``where``
     ("" for the root), ``label`` naming the config. Every key must name a
     field and every value have the type of the field's default: a finite
-    number for a float, an object for a nested config, finite number rows
-    for an array, finite numbers shaped like a tuple (any shape for an empty
-    one), a name for an enum. A malformed entry raises ValueError naming it."""
+    number for a float, an object for a nested config, finite numbers
+    shaped like a tuple (any shape for an empty one), a name for an enum.
+    A malformed entry raises ValueError naming it."""
     if not isinstance(data, dict):
         raise ValueError(f"{label} {where or 'root'}: expected an object, "
                          f"got {type(data).__name__}")
@@ -57,22 +57,16 @@ def _config_value(value, default, label: str, key: str):
         value = float(value) if ok else value
     elif isinstance(default, str):
         ok, expected = isinstance(value, str), "a string"
-    elif isinstance(default, (np.ndarray, tuple)):
-        shape, array = np.shape(default), isinstance(default, np.ndarray)
+    elif isinstance(default, tuple):
+        shape = np.shape(default)
         try:
             arr = np.asarray(value)
         except ValueError:
             arr = np.asarray(None)
-        if array:
-            ok = arr.ndim == len(shape) and arr.shape[1:] == shape[1:]
-            expected = f"rows of {shape[1]} finite numbers"
-        else:
-            ok = arr.shape == shape or (not default and arr.ndim > 0)
-            expected = f"finite numbers shaped {list(shape)}"
-        ok = ok and arr.dtype.kind in "iuf" and bool(np.isfinite(arr).all())
-        if ok:
-            value = arr.astype(float) if array \
-                else _tuples(arr.astype(float).tolist())
+        ok = (arr.shape == shape or (not default and arr.ndim > 0)) \
+            and arr.dtype.kind in "iuf" and bool(np.isfinite(arr).all())
+        expected = f"finite numbers shaped {list(shape)}"
+        value = _tuples(arr.astype(float).tolist()) if ok else value
     else:
         raise ValueError(f"{label} {key} cannot be set from a file")
     if not ok:

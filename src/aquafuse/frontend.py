@@ -46,6 +46,11 @@ def _tracking_solver(max_iterations: int) -> bk.SolverConfig:
                            rel_cost_tol=1e-6, step_tol=1e-8)
 
 
+# window solves sit in a per-keyframe loop: a tighter iteration cap and
+# looser relative tolerance than the solver's defaults keep them fast
+_WINDOW_SOLVER = bk.SolverConfig(max_iterations=12, rel_cost_tol=1e-6)
+
+
 class TrackingStatus(Enum):
     VISUAL_OK = "VisualOk"
     DEGRADED = "Degraded"
@@ -99,7 +104,7 @@ class TrackerConfig:
     tau_p: float = 0.3        # keyframe translation threshold, meters
     tau_r: float = 0.2        # keyframe rotation threshold, radians
     tau_t: float = 1.0        # keyframe time threshold, seconds
-    coarse_max_iterations: int = 10
+    coarse_max_iterations: int = 10  # the coarse and per-frame joint solves
     refine_max_iterations: int = 4
 
 
@@ -111,26 +116,20 @@ class RunConfig:
     floors: bk.SensorNoise = field(default_factory=bk.SensorNoise)
 
 
-# pixel noise of the coarse tracker's reprojections, apart from the floored
-# scenario noise (0.4 px by default) because a change moves every trajectory
-COARSE_SIGMA_PIXEL = 0.5
-
-
 # ------------------------------- frame ops --------------------------------- #
 
 def track_coarse(init: NavState, observations, map_points: dict,
                  rig: bk.SensorRig, cfg: TrackerConfig,
-                 backend_cfg: bk.BackendConfig) -> Pose:
-    """Pose minimizing the robustified reprojection cost over the associated
-    observations, from the pose of ``init``, an inertial prediction."""
+                 backend_cfg: bk.BackendConfig, noise: bk.SensorNoise) -> Pose:
+    """Pose minimizing the robustified reprojection cost over the tracked
+    observations, weighted by ``noise``, from the pose ``init`` predicts."""
     tracked = [o for o in observations if o.landmark_id in map_points]
     if len(tracked) < cfg.min_coarse_observations:
         raise InsufficientObservationsError(
             f"{len(tracked)} observations (< {cfg.min_coarse_observations})")
     node = bk.KeyframeNode(kf_id=0, t=0.0, state=init, observations=tracked)
     window, factors = bk.assemble_window(
-        [node], map_points, {}, rig, backend_cfg,
-        bk.SensorNoise(sigma_pixel=COARSE_SIGMA_PIXEL),
+        [node], map_points, {}, rig, backend_cfg, noise,
         fixed_landmarks=set(map_points.keys()))
     if not window.fixed_landmarks:
         raise InsufficientObservationsError(
@@ -151,18 +150,18 @@ def refine_photometric(coarse: Pose, ref_pose: Pose, payloads,
                        backend_cfg: bk.BackendConfig) -> RefineResult:
     """Direct sparse refinement of a coarse pose against the reference
     frame, over the patches ``payloads`` it hosts toward the current frame
-    (``bk.photometric_payloads``, made by the caller); the intensity noise,
-    gate and Huber knee are the tracking ones of ``backend_cfg``. Never
-    increases the photometric cost; patches whose warp leaves the current
-    image (or fails the Mahalanobis gate at the coarse pose) are dropped,
-    and if none survive the coarse pose is returned."""
+    (``bk.photometric_payloads``, made by the caller), at the noise and
+    knee of the window's patches, gated at ``photometric_track_gate``.
+    Never increases the photometric cost; patches whose warp leaves the
+    current image (or fails the Mahalanobis gate at the coarse pose) are
+    dropped, and if none survive the coarse pose is returned."""
     window = bk.LocalWindow(
         rig=rig, huber_delta=backend_cfg.huber_delta,
         states={0: NavState(ref_pose.R, ref_pose.t, np.zeros(3)),
                 1: NavState(coarse.R, coarse.t, np.zeros(3))},
         fixed_states={0}, free_dims={1: 6})
     factors = bk.make_photometric_factors(
-        window, [((0, 1), payloads)], backend_cfg.sigma_intensity_track,
+        window, [((0, 1), payloads)], backend_cfg.sigma_intensity,
         backend_cfg.photometric_track_gate)
     if not factors:
         return RefineResult(coarse)
@@ -249,7 +248,8 @@ class Tracker:
     Only the tracker reads which sensors a mode fuses: its window nodes
     and intervals carry only their measurements, so modes without vision
     build no landmark map and their windows hold keyframe states alone. All
-    factors assume one noise record, the scenario's floored by ``floors``.
+    factors, the coarse tracker's too, assume one noise record, the
+    scenario's floored by ``floors``, and all patches one intensity noise.
     """
 
     def __init__(self, dataset, cfg: RunConfig):
@@ -408,7 +408,7 @@ class Tracker:
         window, factors = bk.assemble_window(
             nodes, self.map, self.intervals, self.rig, self.cfg.backend,
             self.noise, fixed_ids=fixed_ids)
-        window, report = bk.solve(window, factors, self.cfg.backend.solver)
+        window, report = bk.solve(window, factors, _WINDOW_SOLVER)
         self.reports.append(report)
         for node in nodes:
             if node.kf_id not in fixed_ids:
@@ -447,7 +447,7 @@ class Tracker:
                 if visual_ok:
                     pred = predict_state_imu(kf.state, imu_pre, self.rig.gravity)
                     pose = track_coarse(pred, tracked_obs, self.map, self.rig,
-                                        tracker_cfg, backend_cfg)
+                                        tracker_cfg, backend_cfg, self.noise)
                     # direct refinement against the previous frame: the short
                     # baseline keeps the luminance-constancy assumption tight
                     payloads = bk.photometric_payloads(

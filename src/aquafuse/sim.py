@@ -45,6 +45,7 @@ import json
 import math
 import operator
 import os
+import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -534,7 +535,7 @@ def _read_jsonl(path: str):
 def _reader(kind):
     """The function reading a JSON value as a field of ``kind``; an
     array's numbers are checked by ``_check_finite``. A timestamp is a
-    decimal string; any other number must be a JSON number."""
+    string as repr(float) writes it; any other number a JSON number."""
     def integer(value):
         if type(value) is not int:  # not a float, a string or a bool
             raise TypeError(f"{value!r} is no JSON integer")
@@ -542,9 +543,11 @@ def _reader(kind):
 
     def number(value):
         # float() would take a bool (an int) or a numeric string for a
-        # number, and a JSON number for a timestamp, a decimal string
-        if type(value) not in ((str,) if kind == "t" else (float, int)):
-            raise TypeError(f"{value!r} is of the wrong JSON type")
+        # number, and for a timestamp a JSON number or a string in a form
+        # repr(float) never writes: "2_0", " 2.0", "+2.0", other digits
+        if not (_DECIMAL.fullmatch(value) if kind == "t" and type(value) is str
+                else kind != "t" and type(value) in (float, int)):
+            raise TypeError(f"{value!r} is of the wrong JSON type or form")
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"{value} is not finite")
@@ -563,6 +566,8 @@ def _reader(kind):
 
 
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+# a timestamp as repr(float) writes it
+_DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?")
 
 
 def _value(rec: dict, key: str, kind, at):

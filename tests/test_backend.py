@@ -11,7 +11,7 @@ from aquafuse.manifold import BranchAmbiguityError, Pose, exp_so3, log_so3
 from aquafuse.sim import ScenarioConfig, sensor_rig_from_config
 from aquafuse.state import (PHI, STATE_DOF, NavState, retract_rows,
                             stack_states, unstack_state)
-from aquafuse.visual import IntensityField, LandmarkObservation, PatchPattern
+from aquafuse.visual import IntensityField, LandmarkObservation
 
 from helpers import (discrete_imu_world, dvl_samples_from_world,
                      fd_jacobian, fill_photometric, huber_cost, jac_close,
@@ -955,14 +955,14 @@ class TestPairKindWorkCount:
 
     def test_one_field_call_per_payload_batch(self, rng, monkeypatch):
         field, cam = bumpy_field(rng), default_rig().cam
-        pattern = PatchPattern()
+        pattern = bk.PATCH_PATTERN
         pixels = rng.uniform([100, 100], [540, 260], (5, 2))
         depths = rng.uniform(2.0, 5.0, 5)
         obs = [LandmarkObservation(k, pix, cam.fx * cam.baseline / z)
                for k, (pix, z) in enumerate(zip(pixels, depths))]
         field_calls = count_field_calls(monkeypatch)
         payloads = bk.photometric_payloads(field, obs, field, obs, cam,
-                                           bk.BackendConfig(pattern=pattern))
+                                           bk.BackendConfig())
         assert field_calls == ["gradient"]
         pts = pixels[:, None, :] + pattern.offsets
         monkeypatch.undo()

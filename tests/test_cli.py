@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -105,13 +106,6 @@ class TestSuccess:
         assert len(json.loads(reports[0][0])["rows"]) == 4
         assert reports[0] == reports[1]
 
-    def test_nested_config_sets_the_patch_pattern(self, dataset, tmp_path):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps(
-            {"backend": {"pattern": {"weight_scale": 10.0}}}))
-        assert _estimate(dataset, tmp_path / "run", "--mode", "full",
-                         "--config", str(config)) == 0
-
     def test_trajectory_file_holds_these_bytes(self, tmp_path):
         rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         frames = [
@@ -145,9 +139,24 @@ def _leaves(config, prefix=""):
 
 def _changed(value):
     """A valid setting of the type of ``value`` that differs from it."""
-    if isinstance(value, np.ndarray):
-        return value[::-1].tolist()  # the patch offsets, origin kept
     return (not value) if isinstance(value, bool) else value + 1
+
+
+def test_run_config_settings_by_name():
+    # adding or removing a run setting is a deliberate edit of this list
+    assert [key for key, _ in _leaves(RunConfig())] == [
+        "mode",
+        "tracker.min_tracked_features", "tracker.min_coarse_observations",
+        "tracker.reentry_frames", "tracker.tau_p", "tracker.tau_r",
+        "tracker.tau_t", "tracker.coarse_max_iterations",
+        "tracker.refine_max_iterations",
+        "backend.window_size", "backend.huber_delta",
+        "backend.sigma_intensity", "backend.photometric_enabled",
+        "backend.photometric_max_points", "backend.photometric_gate",
+        "backend.photometric_track_gate",
+        "floors.sigma_pixel", "floors.sigma_dvl", "floors.sigma_pressure",
+        "floors.sigma_g", "floors.sigma_a", "floors.sigma_bg_walk",
+        "floors.sigma_ba_walk", "floors.sigma_bv_walk"]
 
 
 def _nested(flat: dict) -> dict:
@@ -203,8 +212,8 @@ def test_no_run_config_setting_is_overwritten(dataset, monkeypatch):
     tracker.run()
     assert {k == 1 for k, _, _ in seen} == {True, False}
     assert all(c is cfg.backend for _, c, _ in seen)
-    # the coarse tracker's single-node windows keep their own pixel noise
-    assert all(n is tracker.noise for k, _, n in seen if k > 1)
+    # the coarse tracker's single-node windows too
+    assert all(n is tracker.noise for _, _, n in seen)
     # and so do the preintegrations
     run = tracker.interval
     assert (run.imu_preint.sigma_g, run.imu_preint.sigma_a,
@@ -236,13 +245,13 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("config, key", [
         ({"tracker": {"tau_p": "x"}}, "tracker.tau_p"),
-        ({"backend": {"pattern": {"size": 3}}}, "backend.pattern.size"),
-        ({"backend": {"pattern": {"weight_scale": "big"}}},
-         "backend.pattern.weight_scale"),
-        ({"backend": {"pattern": {"offsets": [[0, 0], [1]]}}},
-         "backend.pattern.offsets"),
-        ({"backend": {"solver": {"max_iterations": 2.5}}},
-         "backend.solver.max_iterations"),
+        # the patch pattern and the window solver's stopping rule are no
+        # run config keys: they are refused as unknown, well formed or not
+        ({"backend": {"pattern": {"size": 3}}}, "backend.pattern"),
+        ({"backend": {"pattern": {"weight_scale": 10.0}}}, "backend.pattern"),
+        ({"backend": {"pattern": {"offsets": [[0, 0], [1, 0]]}}},
+         "backend.pattern"),
+        ({"backend": {"solver": {"max_iterations": 20}}}, "backend.solver"),
         ({"backend": {"use_dvl": "yes"}}, "backend.use_dvl"),
         ({"floors": [0.1]}, "floors"),
         ({"mode": "sonar"}, "mode"),
@@ -259,7 +268,9 @@ class TestInputErrors:
         ({"backend": {"photometric_enabled": "yes"}},
          "backend.photometric_enabled"),
         ({"backend": {"pattern": {"offsets": [[0, 0], [1, float("inf")]]}}},
-         "backend.pattern.offsets"),
+         "backend.pattern"),
+        ({"backend": {"sigma_intensity_track": 10.0}},
+         "backend.sigma_intensity_track"),
     ])
     def test_malformed_nested_config(self, dataset, tmp_path, capsys,
                                      config, key):
@@ -267,7 +278,9 @@ class TestInputErrors:
         path.write_text(json.dumps(config))
         assert _estimate(dataset, tmp_path / "run", "--config",
                          str(path)) == 2
-        assert key in capsys.readouterr().err
+        # the key is named whole: not a key nested in it
+        assert re.search(rf"(?<![\w.]){re.escape(key)}(?![\w.])",
+                         capsys.readouterr().err), key
 
     @pytest.mark.parametrize("config, key", [
         ([], "root"),
@@ -414,9 +427,15 @@ class TestInputErrors:
         ({"scenarios": [{"name": "a/b", "config": {}}]}, "'a/b'"),
         ({"scenarios": [{"name": "..", "config": {}}]}, "'..'"),
         ({"scenarios": [{"name": "", "config": {}}]}, "''"),
+        # the report took the scenario's directory path, after every cell ran
+        ({"scenarios": [{"name": "sweep_report.csv",
+                         "config": {"duration_s": 2.0}}]}, "'sweep_report.csv'"),
+        ({"scenarios": [{"name": "sweep_report.json",
+                         "config": {"duration_s": 2.0}}]},
+         "'sweep_report.json'"),
     ], ids=["unknown-mode", "modes-not-a-list", "run-config", "second-scenario",
             "unknown-kind", "duplicate-name", "escaping-name", "nested-name",
-            "parent-name", "empty-name"])
+            "parent-name", "empty-name", "csv-report-name", "json-report-name"])
     def test_sweep_spec_is_checked_before_any_dataset(self, tmp_path, capsys,
                                                       change, named):
         path = tmp_path / "sweep.json"
@@ -467,6 +486,30 @@ class TestInputErrors:
         assert sweep({**circle, "duration_s": 3.0, "kind": "line"}) == 3
         assert "scenario a" in capsys.readouterr().err
         assert written == [] and not (out / "sweep_report.csv").exists()
+
+    # forms float() takes but no writer writes were read as times, with
+    # exit 0: "2_0" as 20.0
+    @pytest.mark.parametrize("t", ["2_0", " 2.0", "+2.0", "\u0661.\u0660"])
+    @pytest.mark.parametrize("stream", ["pressure.jsonl", "trajectory.jsonl"])
+    def test_timestamp_in_an_unwritten_form_names_the_line(
+            self, dataset, tmp_path, capsys, stream, t):
+        copy, out = tmp_path / "dataset", tmp_path / "out"
+        shutil.copytree(dataset, copy)
+        if stream == "trajectory.jsonl":
+            assert _estimate(copy, tmp_path / "run", "--mode",
+                             "dvl-deadreckon-only") == 0
+            path = tmp_path / "run" / stream
+            command = ["evaluate", "--truth", str(copy), str(path),
+                       "--out", str(out)]
+        else:
+            path = copy / stream
+            command = ["estimate", str(copy), "--out", str(out)]
+        lines = path.read_text().splitlines()
+        lines[-1] = json.dumps({**json.loads(lines[-1]), "t": t})
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(command) == 2
+        assert f"{path}:{len(lines)}: bad timestamp" in capsys.readouterr().err
+        assert not out.exists()
 
     # a JSON number was read as a time, with exit 0
     @pytest.mark.parametrize("t", ["soon", None, [0.5], "nan", 0.5])

@@ -37,6 +37,10 @@ def zero_noise_config(**kw):
     return ScenarioConfig(**base)
 
 
+# the coarse solves' noise record (the scenes are noiseless)
+NOISE = bk.SensorNoise()
+
+
 class TestTrackCoarse:
     def _scene(self, rng, pixel_noise=0.0):
         """Keyframe 1's observations, the landmarks, the rig and the state of
@@ -48,7 +52,7 @@ class TestTrackCoarse:
     def test_perfect_init_returns_truth(self, rng):
         node, landmarks, rig, truth = self._scene(rng)
         pose = track_coarse(truth, node.observations, landmarks, rig,
-                            TrackerConfig(), bk.BackendConfig())
+                            TrackerConfig(), bk.BackendConfig(), NOISE)
         assert np.linalg.norm(pose.t - truth.p) < 1e-10
         assert rotation_angle(truth.R.T @ pose.R) < 1e-10
 
@@ -58,7 +62,7 @@ class TestTrackCoarse:
         init.p = truth.p + np.array([0.05, -0.03, 0.02])
         init.R = truth.R @ exp_so3([0.0, 0.02, -0.01])
         pose = track_coarse(init, node.observations, landmarks, rig,
-                            TrackerConfig(), bk.BackendConfig())
+                            TrackerConfig(), bk.BackendConfig(), NOISE)
         assert np.linalg.norm(pose.t - truth.p) < 1e-6
         assert rotation_angle(truth.R.T @ pose.R) < 1e-6
 
@@ -66,7 +70,7 @@ class TestTrackCoarse:
         node, landmarks, rig, truth = self._scene(rng)
         with pytest.raises(InsufficientObservationsError):
             track_coarse(truth, node.observations[:3], landmarks, rig,
-                         TrackerConfig(), bk.BackendConfig())
+                         TrackerConfig(), bk.BackendConfig(), NOISE)
 
     def test_nothing_tracked_is_rejected_without_a_minimum(self, rng):
         # with no tracked observation nothing anchors the pose
@@ -74,12 +78,12 @@ class TestTrackCoarse:
         with pytest.raises(InsufficientObservationsError):
             track_coarse(truth, node.observations, {}, rig,
                          TrackerConfig(min_coarse_observations=0),
-                         bk.BackendConfig())
+                         bk.BackendConfig(), NOISE)
 
 
 class TestRefinePhotometric:
     # the intensity noise these scenes were tuned with, and no gate
-    CFG = bk.BackendConfig(sigma_intensity_track=5.0,
+    CFG = bk.BackendConfig(sigma_intensity=5.0,
                            photometric_track_gate=float("inf"))
 
     def _photometric_scene(self, rng):
@@ -409,6 +413,18 @@ def test_mode_decides_the_factor_kinds(short_blackout_circle, monkeypatch,
     factors = _collect_factors(monkeypatch)
     run_estimator(short_blackout_circle, RunConfig(mode=mode))
     assert {f.kind.value for f in factors} == kinds
+
+
+def test_every_reprojection_assumes_the_floored_pixel_noise(monkeypatch):
+    # the coarse tracker's too: it held 0.5 px of its own
+    ds = simulate(ScenarioConfig(kind="circle", duration_s=2.0, seed=1))
+    cfg = RunConfig(mode=EstimatorMode.FULL)
+    sigma = max(ds.config.sigma_pixel_px, cfg.floors.sigma_pixel)
+    factors = _collect_factors(monkeypatch)
+    run_estimator(ds, cfg)
+    infos = [f.info for f in factors if f.kind == bk.FactorKind.REPROJECTION]
+    assert infos
+    assert all(np.array_equal(i, np.eye(2) / sigma**2) for i in infos)
 
 
 def test_every_solve_takes_the_configured_knee(short_blackout_circle,

@@ -19,11 +19,13 @@ from output_digest import digest
 CIRCLE = dict(kind="circle", duration_s=3.0, seed=3,
               degradation_windows_s=((1.0, 1.5),))
 PINNED = {
+    # the vision pins hold the coarse tracker at the run's floored pixel
+    # noise and photometric refinement at the window's intensity noise
     "circle-full": (CIRCLE, "full",
-                    "945adfefa2388531ac47932cc1379aa8b07f76abad2b71bcaa49e01127c50636"),
+                    "67b604fe8c9a2a51c825204277703787ac0710cd592a87a959e75719aa236588"),
     "circle-visual-inertial": (
         CIRCLE, "visual-inertial-only",
-        "9a2307ab745b486bcfb756e3436242e93b012cdfcef4fac431849b4c4baccd66"),
+        "74a5aac4d989cecca65fbdb67bd826ff2de4d62e8f788f00b196067c58199922"),
     "lawnmower-acoustic": (
         dict(kind="lawnmower", duration_s=4.0, seed=3,
              degradation_windows_s=((1.0, 2.0),)),

@@ -283,7 +283,7 @@ class TestPatchPattern:
         assert np.all(w <= 1.0)
 
 
-def _photometric(field_i, field_j, T_CjCi, p, depth_p, pattern,
+def _photometric(field_i, field_j, T_CjCi, p, depth_p,
                  d_obs=np.zeros(STATE_DOF), blocks=False):
     """The solver's photometric factor (a batch of one) for the patch around
     ``p`` of camera i at depth ``depth_p`` (``photometric_payloads`` of one
@@ -295,7 +295,7 @@ def _photometric(field_i, field_j, T_CjCi, p, depth_p, pattern,
     obs = NavState(t_wcj.R, t_wcj.t, np.zeros(3)).retract(d_obs)
     seen = [LandmarkObservation(0, p, CAM.fx * CAM.baseline / depth_p)]
     (payload,) = bk.photometric_payloads(field_i, seen, field_j, seen, CAM,
-                                         bk.BackendConfig(pattern=pattern))
+                                         bk.BackendConfig())
     factor = bk.Factor(bk.FactorKind.PHOTOMETRIC, (0, 1), payload, np.eye(1))
     res, js, _ = factor.evaluate({0: host, 1: obs}, {}, RIG)
     return (res[0], js[1]) if blocks else res[0]
@@ -304,33 +304,28 @@ def _photometric(field_i, field_j, T_CjCi, p, depth_p, pattern,
 class TestPhotometric:
     def test_identity_warp_same_field_is_zero(self, rng):
         field = _bumpy_field(rng)
-        res = _photometric(field, field, IDENTITY, [320.0, 180.0], 2.0,
-                           PatchPattern())
+        res = _photometric(field, field, IDENTITY, [320.0, 180.0], 2.0)
         assert res == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_offset_fields(self):
         # fields constant over the image have unit weights everywhere; their
         # one bump lies far outside it, beyond its reach, since a field
         # without bumps hosts no patch
-        pattern = PatchPattern()
         far = (np.ones(1), np.array([[-1e4, -1e4]]), 5.0)
         f_i = IntensityField(*far, offset=10.0)
         f_j = IntensityField(*far, offset=13.0)
-        res = _photometric(f_i, f_j, IDENTITY, [320.0, 180.0], 2.0,
-                           pattern)
-        assert res == pytest.approx(len(pattern.offsets) * 3.0)
+        res = _photometric(f_i, f_j, IDENTITY, [320.0, 180.0], 2.0)
+        assert res == pytest.approx(len(bk.PATCH_PATTERN.offsets) * 3.0)
 
     def test_out_of_domain_raises(self, rng):
         field = _bumpy_field(rng)
         warp = Pose(np.eye(3), np.array([50.0, 0.0, 0.0]))
         with pytest.raises(OutOfDomainError):
-            _photometric(field, field, warp, [320.0, 180.0], 2.0,
-                         PatchPattern())
+            _photometric(field, field, warp, [320.0, 180.0], 2.0)
 
     def test_gradient_matches_finite_differences(self, rng):
         # observer-state Jacobian (R <- R exp(phi), p additive) of the
         # solver's residual against central differences along the retraction
-        pattern = PatchPattern()
         for _ in range(15):
             f_i = _bumpy_field(rng)
             f_j = _bumpy_field(rng)
@@ -339,7 +334,7 @@ class TestPhotometric:
             pix = rng.uniform([200, 120], [440, 240])
             depth = rng.uniform(1.5, 4.0)
             try:
-                _, j_obs = _photometric(f_i, f_j, rel, pix, depth, pattern,
+                _, j_obs = _photometric(f_i, f_j, rel, pix, depth,
                                         blocks=True)
             except OutOfDomainError:
                 continue
@@ -348,15 +343,15 @@ class TestPhotometric:
             for d in range(3):
                 dv = np.zeros(STATE_DOF)
                 dv[PHI.start + d] = h
-                rp = _photometric(f_i, f_j, rel, pix, depth, pattern, dv)
-                rm = _photometric(f_i, f_j, rel, pix, depth, pattern, -dv)
+                rp = _photometric(f_i, f_j, rel, pix, depth, dv)
+                rm = _photometric(f_i, f_j, rel, pix, depth, -dv)
                 fd = (rp - rm) / (2 * h)
                 scale = max(abs(fd), 1.0)
                 assert abs(j_phi[0, d] - fd) < 1e-4 * scale
                 dv = np.zeros(STATE_DOF)
                 dv[POS.start + d] = h
-                rp = _photometric(f_i, f_j, rel, pix, depth, pattern, dv)
-                rm = _photometric(f_i, f_j, rel, pix, depth, pattern, -dv)
+                rp = _photometric(f_i, f_j, rel, pix, depth, dv)
+                rm = _photometric(f_i, f_j, rel, pix, depth, -dv)
                 fd = (rp - rm) / (2 * h)
                 scale = max(abs(fd), 1.0)
                 assert abs(j_t[0, d] - fd) < 1e-4 * scale
