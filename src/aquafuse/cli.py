@@ -5,8 +5,8 @@ Exit codes: 0 success, 2 input error (unreadable or malformed files and
 configs, bad arguments), 3 refusal (existing output without --force), 4
 numerical divergence, 5 estimator failure (the estimator itself gave up: no
 gauge anchor, a keyframe pair without preintegration coverage, too few
-observations, or degenerate geometry). The worker pool for sweeps is capped
-by the AQUAFUSE_THREADS environment variable.
+observations, or degenerate geometry). Sweep cells run in fresh processes
+with one BLAS thread, AQUAFUSE_THREADS (a positive integer) at a time.
 
 A run config sets ``RunConfig`` fields by dotted key; which sensors a run
 fuses, and their noise, follow from ``mode``, ``floors`` and the scenario.
@@ -25,8 +25,10 @@ import concurrent.futures
 import dataclasses
 import datetime
 import json
+import multiprocessing
 import os
 import sys
+from unittest import mock
 
 import numpy as np
 
@@ -54,6 +56,7 @@ ESTIMATOR_FAILURES = (GaugeError, PreintCoverageError,
                       BranchAmbiguityError)
 # the files a sweep writes beside its scenarios' directories
 SWEEP_REPORTS = ("sweep_report.csv", "sweep_report.json")
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # ------------------------------ config loading ----------------------------- #
@@ -227,28 +230,20 @@ def _write_reports(out_dir: str, reports: list[ErrorReport],
 
 
 def _worker_count() -> int:
-    env = os.environ.get("AQUAFUSE_THREADS")
-    if not env:
-        return max(os.cpu_count() or 1, 1)
-    try:
-        return max(int(env), 1)
-    except ValueError:
-        raise ValueError(f"AQUAFUSE_THREADS={env!r} is not an integer") from None
+    env = os.environ.get("AQUAFUSE_THREADS") or str(os.cpu_count() or 1)
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"AQUAFUSE_THREADS={env!r} is not a positive integer")
+    return int(env)
 
 
 def _sweep_cell(cell):
     dataset_dir, run_dir, run_cfg, mode, name = cell
     cfg = dataclasses.replace(run_cfg, mode=EstimatorMode(mode))
     ds = sim.read_dataset(dataset_dir)
-    frames = _estimate_to_dir(ds, run_dir, cfg)
-    # the poses of trajectory.jsonl, as JSON floats round-trip exactly
-    est = Trajectory([f.t for f in frames], [f.nav.R for f in frames],
-                     [f.nav.p for f in frames])
+    _estimate_to_dir(ds, run_dir, cfg)
+    est = load_trajectory(os.path.join(run_dir, "trajectory.jsonl"))
     report = _evaluate_pair(truth_trajectory(ds), est, f"{name}:{mode}")
-    row = report.to_dict()
-    row["scenario"] = name
-    row["mode"] = mode
-    return row
+    return {**report.to_dict(), "scenario": name, "mode": mode}
 
 
 def cmd_sweep(args) -> int:
@@ -298,12 +293,12 @@ def cmd_sweep(args) -> int:
             run_dir = os.path.join(args.out, name, mode)
             cells.append((dataset_dir, run_dir, run_cfg, mode, name))
 
-    workers = min(workers, len(cells))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
-    else:
-        rows = [_sweep_cell(c) for c in cells]
+    # a worker loads numpy with one BLAS thread, so a cell rounds as in tests
+    spawn = multiprocessing.get_context("spawn")
+    with mock.patch.dict(os.environ, dict.fromkeys(BLAS_THREADS, "1")), \
+            concurrent.futures.ProcessPoolExecutor(
+                min(workers, len(cells)), spawn) as pool:
+        rows = list(pool.map(_sweep_cell, cells))
     rows.sort(key=lambda r: (r["scenario"], r["mode"]))
 
     csv_name, json_name = SWEEP_REPORTS

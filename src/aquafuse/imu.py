@@ -10,9 +10,9 @@ are recorded so the DVL preintegration can reuse them.
 The integrator is array code (Forster et al., "On-Manifold Preintegration",
 T-RO 2017, in discrete form): every term of a step that does not depend on
 the step before it is computed over all steps at once, the sums are running
-sums, and only the rotation product, the rotation's gyro-bias Jacobian and
-the covariance are sequential loops. Checkpoints at any set of times are one
-batched evaluation.
+sums (the rotation's gyro-bias Jacobian too, in the span's start frame), and
+only the rotation product and the covariance are sequential loops.
+Checkpoints at any set of times are one batched evaluation.
 
 Both preintegrations take and record plain biases and noise (here ``lin_bg``,
 ``lin_ba``, ``sigma_g`` and ``sigma_a``; the DVL's records its IMU span's
@@ -54,9 +54,9 @@ RotationCheckpoints = namedtuple("RotationCheckpoints",
                                  "rotations bias_jacobians phi_covs")
 
 
-# the running sums of a preintegration at the start of one step, and the
-# time of the sample that step holds
-ImuStepState = namedtuple("ImuStepState", "sample_t dR dv dp J_dR_dbg J_dv_dbg "
+# the running sums of a preintegration at the start of one step (S is dR
+# J_dR_dbg, see integrate_imu), and the time of the sample that step holds
+ImuStepState = namedtuple("ImuStepState", "sample_t dR dv dp S J_dv_dbg "
                           "J_dv_dba J_dp_dbg J_dp_dba cov")
 
 
@@ -210,13 +210,15 @@ def integrate_imu(samples, lin_bg, lin_ba, sigma_g=0.0, sigma_a=0.0,
     bias-corrected rates and specific forces, the exponential and right
     Jacobian of each step's rotation, the rotated force terms, and the
     covariance's transition and noise blocks. The velocity and translation
-    sums and their bias Jacobians are running sums of per-step increments.
-    Only three chains stay sequential, each one loop over precomputed
-    arrays: the rotation product, the gyro-bias Jacobian of the rotation,
-    and the 9x9 covariance.
+    sums and their bias Jacobians are running sums of per-step increments,
+    and so is S = dR J, the rotation's gyro-bias Jacobian J in the span's
+    start frame: S_{k+1} = S_k - dR_{k+1} Jr_k dt_k is J's recursion
+    J_{k+1} = exp(phi_k)^T J_k - Jr_k dt_k in closed form. Only the rotation
+    product and the 9x9 covariance stay sequential, one loop each.
 
     ``resume`` extends an earlier preintegration about the same biases and
-    densities to ``t_end``, as :func:`hold_steps` lays out; ``t_start`` is None.
+    densities to ``t_end``, as :func:`hold_steps` lays out, from its last
+    step's S, so the sum adds what one call adds; ``t_start`` is None.
     """
     lin_bg, lin_ba = (np.array(b, dtype=float) for b in (lin_bg, lin_ba))
     own = resume is not None and t_start is None \
@@ -237,15 +239,14 @@ def integrate_imu(samples, lin_bg, lin_ba, sigma_g=0.0, sigma_a=0.0,
     e = exp_so3_batch(phi)
     jr_dt = right_jacobian_so3_batch(phi) * dt
 
-    # sequential: the rotation and its gyro-bias Jacobian at each step start
-    d_r, j_r_bg = first.dR, first.J_dR_dbg
-    rots, jacs = [d_r], [j_r_bg]
-    for e_k, jr_k in zip(e, jr_dt):
-        j_r_bg = e_k.T @ j_r_bg - jr_k
-        d_r = d_r @ e_k
-        rots.append(d_r)
-        jacs.append(j_r_bg)
-    rots, jacs = np.array(rots), np.array(jacs)
+    # sequential: the rotation at each step start; then its gyro-bias
+    # Jacobian, dR^T S with S a running sum
+    rots = [first.dR]
+    for e_k in e:
+        rots.append(rots[-1] @ e_k)
+    rots = np.array(rots)
+    s = _running_sums(first.S, -rots[1:] @ jr_dt)
+    jacs = rots.transpose(0, 2, 1) @ s
     d_r, j_r = rots[:-1], jacs[:-1]  # before each step
 
     racc = matvec(d_r, acc)
@@ -286,7 +287,7 @@ def integrate_imu(samples, lin_bg, lin_ba, sigma_g=0.0, sigma_a=0.0,
             last_cov = cov
             cov = a_k @ cov @ a_k.T + n_k
 
-    last = ImuStepState(held[-1].t, rots[-2], dv[-2], dp[-2], jacs[-2],
+    last = ImuStepState(held[-1].t, rots[-2], dv[-2], dp[-2], s[-2],
                         j_v_bg[-2], j_v_ba[-2], j_p_bg[-2], j_p_ba[-2], last_cov)
 
     return ImuPreintegrated(

@@ -1,8 +1,11 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -105,6 +108,32 @@ class TestSuccess:
                             (out / "sweep_report.csv").read_text()))
         assert len(json.loads(reports[0][0])["rows"]) == 4
         assert reports[0] == reports[1]
+
+    def test_sweep_workers_run_one_blas_thread(self, tmp_path):
+        # a sweep started with no BLAS thread count set and two workers
+        # writes each cell's trajectory as this process, at one thread, does
+        if any(os.environ.get(var, "1") != "1" for var in cli.BLAS_THREADS):
+            pytest.skip("compares with a run at one BLAS thread; the "
+                        "environment sets another count")
+        modes = ["acoustic-inertial-depth-only", "dvl-deadreckon-only"]
+        spec, out = tmp_path / "sweep.json", tmp_path / "sweep"
+        spec.write_text(json.dumps({"modes": modes, "scenarios": [{
+            "name": "mower", "config": {"kind": "lawnmower", "duration_s": 4.0,
+                                        "degradation_windows_s": [[1.0, 2.0]],
+                                        "seed": 3}}]}))
+        env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREADS}
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env.update(AQUAFUSE_THREADS="2", PYTHONPATH=os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "aquafuse.cli", "sweep",
+                        "--config", str(spec), "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        ds = sim.read_dataset(out / "mower" / "dataset")
+        for mode in modes:
+            here = tmp_path / "here" / mode
+            cli._estimate_to_dir(ds, str(here), RunConfig(mode=EstimatorMode(mode)))
+            assert (out / "mower" / mode / "trajectory.jsonl").read_bytes() \
+                == (here / "trajectory.jsonl").read_bytes(), mode
 
     def test_trajectory_file_holds_these_bytes(self, tmp_path):
         rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -460,6 +489,23 @@ class TestInputErrors:
                          "--out", str(out)]) == 2
         assert "AQUAFUSE_THREADS" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_sweep_refuses_a_worker_count_below_one(self, tmp_path, capsys,
+                                                    monkeypatch, count):
+        monkeypatch.setenv("AQUAFUSE_THREADS", count)
+        pools = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: pools.append(args))
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(
+            {"scenarios": [{"name": "a", "config": {"duration_s": 2.0}}]}))
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(path),
+                         "--out", str(out)]) == 2
+        assert f"AQUAFUSE_THREADS={count!r} is not a positive integer" \
+            in capsys.readouterr().err
+        assert not out.exists() and pools == []
 
     def test_sweep_reuses_a_dataset_of_its_own_config_only(self, tmp_path,
                                                            capsys, monkeypatch):

@@ -281,6 +281,27 @@ class TestAgainstPerStepReference:
         one = pre.checkpoints_at([float(probes[60])])
         assert np.array_equal(one.rotations[0], got.rotations[60])
 
+    def test_a_minute_at_100_hz(self, rng):
+        # the rotation's gyro-bias Jacobian is read from a running sum in the
+        # span's start frame: over 6,000 noisy steps it still equals the
+        # per-step recursion, at checkpoints too, and a resume inside the
+        # span equals one call bit for bit
+        samples = self._samples(rng, np.arange(6000) * 0.01)
+        pre = self._check(samples, 0.0, 60.0)
+        want = integrate_imu_reference(samples, *self.BIAS, *NOISY, 0.0, 60.0)
+        want.sigma_g = NOISY[0]
+        probes = np.linspace(0.0, 60.0, 97) + 0.0031 * (np.arange(97) % 2)
+        probes[-1] = 60.0
+        got = pre.checkpoints_at(probes).bias_jacobians
+        for i, s in enumerate(probes):
+            _assert_rel(got[i], checkpoint_reference(want, float(s))[1],
+                        "bias_jacobians")
+        first = integrate_imu(_hold_slice(samples, 0.0, 37.123), *self.BIAS,
+                              *NOISY, t_start=0.0, t_end=37.123)
+        resumed = integrate_imu(_hold_slice(samples, first.step_t[-1], 60.0),
+                                *self.BIAS, *NOISY, t_end=60.0, resume=first)
+        _assert_same_bits(resumed, pre, probes)
+
     def test_checkpoints_outside_the_span_rejected(self, rng):
         samples = self._samples(rng, np.arange(20) * 0.01)
         pre = integrate_imu(samples, *self.BIAS, *NOISY, t_start=0.0, t_end=0.2)

@@ -20,17 +20,19 @@ CIRCLE = dict(kind="circle", duration_s=3.0, seed=3,
               degradation_windows_s=((1.0, 1.5),))
 PINNED = {
     # the vision pins hold the coarse tracker at the run's floored pixel
-    # noise and photometric refinement at the window's intensity noise
+    # noise and photometric refinement at the window's intensity noise; the
+    # three fused pins hold the preintegrated rotation's gyro-bias Jacobian
+    # read from its running sum in the span's start frame
     "circle-full": (CIRCLE, "full",
-                    "67b604fe8c9a2a51c825204277703787ac0710cd592a87a959e75719aa236588"),
+                    "c9d322ea332f7b03e954fe399fe3124aad1ca9ab9e8d28101962d8372f060d2f"),
     "circle-visual-inertial": (
         CIRCLE, "visual-inertial-only",
-        "74a5aac4d989cecca65fbdb67bd826ff2de4d62e8f788f00b196067c58199922"),
+        "997c7cba8b92f2bbdb779c48168c91294fd4bea22abc0b4f546f4e17db21f1b0"),
     "lawnmower-acoustic": (
         dict(kind="lawnmower", duration_s=4.0, seed=3,
              degradation_windows_s=((1.0, 2.0),)),
         "acoustic-inertial-depth-only",
-        "d884bcb28e99a034067239a95fd55b6db1a9a892a1357543d040677a4eb74144"),
+        "cc48421cccbcf96a96d06c8c3447729ffa9abbb8281ae30f318a07d160fc9668"),
     "figure8-deadreckon": (
         dict(kind="figure-eight", duration_s=6.0, seed=3),
         "dvl-deadreckon-only",
