@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imu import (ImuPreintegrated, _running_sums, held_steps, hold_steps,
-                  join_steps)
+from .imu import ImuRotation, _running_sums, held_steps, hold_steps, join_steps
 from .manifold import hat, hat_batch
 from .state import BG, BV, PHI, POS, STATE_DOF, VEL, StateStack, matvec
 
@@ -81,13 +80,13 @@ class DvlPreintegrated:
     def translations_at(self, times) -> np.ndarray:
         """The translation sum (n, 3) at each of ``times``: the sum before
         the hold that starts at or before it, carried on with that hold's
-        velocity, as :meth:`ImuPreintegrated.rotations_at` carries the
+        velocity, as :meth:`ImuRotation.rotations_at` carries the
         rotation."""
         k, delta = held_steps(self, times)
         return self.step_dp[k] + self.step_vel[k] * delta[:, None]
 
 
-def preintegrate_dvl(samples, imu_preint: ImuPreintegrated,
+def preintegrate_dvl(samples, imu_preint: ImuRotation,
                      ext: DvlExtrinsics, lin_bv, sigma_v: float = 0.0,
                      resume: DvlPreintegrated | None = None) -> DvlPreintegrated:
     """Translation preintegration of a DVL buffer about the DVL bias

@@ -28,7 +28,7 @@ from .dvl import (DvlPreintegrated, DvlSample, correct_dvl_bias,
                   lever_velocity, preintegrate_dvl)
 from .evaluation import nearest_pairs
 from .imu import (ImuPreintegrated, ImuSample, correct_imu_bias,
-                  integrate_imu, predict_state_imu)
+                  integrate_imu, integrate_rotation, predict_state_imu)
 from .manifold import Pose, rotation_angle
 from .sim import sensor_rig_from_config
 from .state import NavState
@@ -519,16 +519,16 @@ def run_estimator(dataset, cfg: RunConfig) -> EstimationResult:
 
 def run_dead_reckoning(dataset, cfg: RunConfig) -> EstimationResult:
     """Pure dead reckoning from ``initial_state`` at the first frame:
-    gyro-chained attitude plus summed DVL velocities, both at the initial
-    bias estimates, the body position taken back from the DVL's over the
-    lever arm as ``predict_state_degraded`` does. No optimization. One IMU
+    gyro-chained attitude plus summed DVL velocities at the initial biases,
+    the body position taken back from the DVL's over the lever arm as
+    ``predict_state_degraded`` does. No optimization: one IMU rotation stage
     and one DVL preintegration span the frames, read at each frame's time."""
     rig = sensor_rig_from_config(dataset.config)
     frames = dataset.frames
     t0 = frames[0].t
     t_last = max(frames[-1].t, t0 + 1e-9)
     s0 = initial_state(dataset, t0)
-    imu = integrate_imu(dataset.imu, s0.bg, s0.ba, t_start=t0, t_end=t_last)
+    imu = integrate_rotation(dataset.imu, s0.bg, t0, t_last)[0]
     dvl = preintegrate_dvl(dataset.dvl, imu, rig.dvl, s0.bv)
 
     # the frame times by index: the frames are iterated once, below

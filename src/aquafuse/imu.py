@@ -11,8 +11,9 @@ The integrator is array code (Forster et al., "On-Manifold Preintegration",
 T-RO 2017, in discrete form): every term of a step that does not depend on
 the step before it is computed over all steps at once, the sums are running
 sums (the rotation's gyro-bias Jacobian too, in the span's start frame), and
-only the rotation product and the covariance are sequential loops.
-Checkpoints at any set of times are one batched evaluation.
+only the rotation product and the covariance are sequential loops. The
+rotation stage, :func:`integrate_rotation`, has no velocity, translation or
+covariance terms. Checkpoints at any set of times are one batched evaluation.
 
 Both preintegrations take and record plain biases and noise (here ``lin_bg``,
 ``lin_ba``, ``sigma_g`` and ``sigma_a``; the DVL's records its IMU span's
@@ -54,29 +55,20 @@ RotationCheckpoints = namedtuple("RotationCheckpoints",
                                  "rotations bias_jacobians phi_covs")
 
 
-# the running sums of a preintegration at the start of one step (S is dR
-# J_dR_dbg, see integrate_imu), and the time of the sample that step holds
+# the running sums of a preintegration at the start of one step (S is
+# dR J_dR_dbg, see integrate_rotation), and the time of the sample it holds
 ImuStepState = namedtuple("ImuStepState", "sample_t dR dv dp S J_dv_dbg "
                           "J_dv_dba J_dp_dbg J_dp_dba cov")
 
 
 @dataclass
-class ImuPreintegrated:
+class ImuRotation:
+    """The rotation stage of a preintegration, :func:`integrate_rotation`."""
     dR: np.ndarray
-    dv: np.ndarray
-    dp: np.ndarray
-    dt_total: float
-    lin_bg: np.ndarray
-    lin_ba: np.ndarray
-    cov: np.ndarray              # 9x9 ordered (phi, v, p)
     J_dR_dbg: np.ndarray
-    J_dv_dbg: np.ndarray
-    J_dv_dba: np.ndarray
-    J_dp_dbg: np.ndarray
-    J_dp_dba: np.ndarray
-    # the white-noise densities it was made with, which a resume keeps
+    lin_bg: np.ndarray
+    # the gyro white-noise density it was made with, which a resume keeps
     sigma_g: float
-    sigma_a: float
     t_start: float
     t_end: float
     # per-step bookkeeping at each integration step start (before the step)
@@ -85,8 +77,6 @@ class ImuPreintegrated:
     step_dR: np.ndarray
     step_J: np.ndarray
     step_phi_cov: np.ndarray
-    # the sums before the last step, from which ``integrate_imu`` resumes
-    last_step: ImuStepState
 
     def _held(self, times):
         """``held_steps`` of ``times``, the held rotation vector and its
@@ -110,6 +100,22 @@ class ImuPreintegrated:
             self.step_dR[k] @ e, et @ self.step_J[k] - jr * dt,
             et @ self.step_phi_cov[k] @ e
             + self.sigma_g**2 * dt * (jr @ jr.transpose(0, 2, 1)))
+
+
+@dataclass
+class ImuPreintegrated(ImuRotation):
+    dv: np.ndarray
+    dp: np.ndarray
+    dt_total: float
+    lin_ba: np.ndarray
+    cov: np.ndarray              # 9x9 ordered (phi, v, p)
+    J_dv_dbg: np.ndarray
+    J_dv_dba: np.ndarray
+    J_dp_dbg: np.ndarray
+    J_dp_dba: np.ndarray
+    sigma_a: float
+    # the sums before the last step, from which ``integrate_imu`` resumes
+    last_step: ImuStepState
 
 
 def held_steps(pre, times) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +161,7 @@ def hold_steps(sensor: str, samples, t_start: float | None, t_end: float,
     """The holds of one preintegration call, for the IMU and the DVL alike:
     the start (``t_start``, or the first sample's time if None), the sample,
     start and length of each hold of the buffer ``samples`` up to ``t_end``,
-    and how many steps of ``resume`` are kept. No ``noise`` may be negative.
+    and how many steps of ``resume`` are kept. Noise must be finite, >= 0.
 
     ``resume`` extends an earlier preintegration, whose last step is
     integrated again from the sums before it (``last_step``): the holds
@@ -163,8 +169,8 @@ def hold_steps(sensor: str, samples, t_start: float | None, t_end: float,
     begin at the sample that step holds. ``own`` says that the call's
     linearization, noise, extrinsics (the DVL's) and start are the earlier
     one's. The result equals one call over the whole span bit for bit."""
-    if min(noise) < 0:
-        raise ValueError(f"{sensor} noise must be nonnegative, not {noise}")
+    if not all(0.0 <= sigma < np.inf for sigma in noise):
+        raise ValueError(f"{sensor} noise must be nonnegative and finite: {noise}")
     samples = list(samples)
     if not samples:
         raise ValueError(f"empty {sensor} sample buffer")
@@ -195,6 +201,39 @@ def join_steps(resume, kept: int, **steps) -> dict:
             if kept else new for name, new in steps.items()}
 
 
+def integrate_rotation(samples, lin_bg, t_start: float | None, t_end: float,
+                       resume=None, own=False, noise=()):
+    """The rotation stage of a preintegration over :func:`hold_steps`'s holds
+    (``resume``, ``own``, ``noise`` as in :func:`integrate_imu`): the rotation
+    product and S = dR J, the gyro-bias Jacobian J in the span's start frame,
+    a running sum in closed form of J_{k+1} = exp(phi_k)^T J_k - Jr_k dt_k.
+    Returns the record, with no noise (``sigma_g`` 0, ``step_phi_cov`` zero),
+    and for the new steps the held samples, hold lengths, exponentials, right
+    Jacobians times the lengths, and dR, J and S at each start and the end."""
+    t_start, held, starts, dts, kept = hold_steps(
+        "IMU", samples, t_start, t_end, resume, own, noise)
+    lin_bg = np.array(lin_bg, dtype=float)
+    omega = np.array([s.gyro for s in held]) - lin_bg
+    phi = omega * dts[:, None]
+    e = exp_so3_batch(phi)
+    jr_dt = right_jacobian_so3_batch(phi) * dts[:, None, None]
+
+    # sequential: the rotation at each step start, np.dot writing what @ makes
+    rots = np.empty((len(held) + 1, 3, 3))
+    rots[0] = I3 if resume is None else resume.last_step.dR
+    for prev, e_k, nxt in zip(rots, e, rots[1:]):
+        np.dot(prev, e_k, out=nxt)
+    s = _running_sums(np.zeros((3, 3)) if resume is None else resume.last_step.S,
+                      -rots[1:] @ jr_dt)
+    jacs = rots.transpose(0, 2, 1) @ s
+    rot = ImuRotation(
+        dR=rots[-1], J_dR_dbg=jacs[-1], lin_bg=lin_bg, sigma_g=0.0,
+        t_start=float(t_start), t_end=float(t_end), **join_steps(
+            resume, kept, step_t=starts, step_omega=omega, step_dR=rots[:-1],
+            step_J=jacs[:-1], step_phi_cov=np.zeros((len(held), 3, 3))))
+    return rot, held, dts, e, jr_dt, rots, jacs, s
+
+
 def integrate_imu(samples, lin_bg, lin_ba, sigma_g=0.0, sigma_a=0.0,
                   t_start: float | None = None, *, t_end: float,
                   resume: ImuPreintegrated | None = None) -> ImuPreintegrated:
@@ -206,15 +245,11 @@ def integrate_imu(samples, lin_bg, lin_ba, sigma_g=0.0, sigma_a=0.0,
     propagated with per-step noise sigma^2 / dt from the white-noise
     densities (per sqrt(Hz)) ``sigma_g`` and ``sigma_a``.
 
-    Every per-step term is computed as arrays over all steps at once: the
-    bias-corrected rates and specific forces, the exponential and right
-    Jacobian of each step's rotation, the rotated force terms, and the
-    covariance's transition and noise blocks. The velocity and translation
-    sums and their bias Jacobians are running sums of per-step increments,
-    and so is S = dR J, the rotation's gyro-bias Jacobian J in the span's
-    start frame: S_{k+1} = S_k - dR_{k+1} Jr_k dt_k is J's recursion
-    J_{k+1} = exp(phi_k)^T J_k - Jr_k dt_k in closed form. Only the rotation
-    product and the 9x9 covariance stay sequential, one loop each.
+    On :func:`integrate_rotation`'s stage this adds, as arrays over all steps
+    at once, the rotated specific forces, the velocity and translation sums
+    and their bias Jacobians (running sums of per-step increments) and the
+    covariance's transition and noise blocks. Only the rotation product and
+    the 9x9 covariance stay sequential, one loop each.
 
     ``resume`` extends an earlier preintegration about the same biases and
     densities to ``t_end``, as :func:`hold_steps` lays out, from its last
@@ -225,28 +260,14 @@ def integrate_imu(samples, lin_bg, lin_ba, sigma_g=0.0, sigma_a=0.0,
         and np.array_equal(lin_bg, resume.lin_bg) \
         and np.array_equal(lin_ba, resume.lin_ba) \
         and (sigma_g, sigma_a) == (resume.sigma_g, resume.sigma_a)
-    t_start, held, starts, dts, kept = hold_steps(
-        "IMU", samples, t_start, t_end, resume, own, (sigma_g, sigma_a))
-    z = np.zeros((3, 3))
+    rot, held, dts, e, jr_dt, rots, jacs, s = integrate_rotation(
+        samples, lin_bg, t_start, t_end, resume, own, (sigma_g, sigma_a))
     first = resume.last_step if resume is not None else ImuStepState(
-        float("nan"), np.eye(3), np.zeros(3), np.zeros(3), z, z, z, z, z, np.zeros((9, 9)))
+        None, None, *np.zeros((2, 3)), None, *np.zeros((4, 3, 3)), np.zeros((9, 9)))
 
     # per-step terms that do not depend on the previous step
-    omega = np.array([s.gyro for s in held]) - lin_bg
     acc = np.array([s.accel for s in held]) - lin_ba
     n, dt1, dt = len(held), dts[:, None], dts[:, None, None]
-    phi = omega * dt1
-    e = exp_so3_batch(phi)
-    jr_dt = right_jacobian_so3_batch(phi) * dt
-
-    # sequential: the rotation at each step start; then its gyro-bias
-    # Jacobian, dR^T S with S a running sum
-    rots = [first.dR]
-    for e_k in e:
-        rots.append(rots[-1] @ e_k)
-    rots = np.array(rots)
-    s = _running_sums(first.S, -rots[1:] @ jr_dt)
-    jacs = rots.transpose(0, 2, 1) @ s
     d_r, j_r = rots[:-1], jacs[:-1]  # before each step
 
     racc = matvec(d_r, acc)
@@ -264,7 +285,7 @@ def integrate_imu(samples, lin_bg, lin_ba, sigma_g=0.0, sigma_a=0.0,
 
     # with no noise entering and none carried in, the covariance stays zero
     cov = last_cov = first.cov
-    phi_covs = np.zeros((n, 3, 3))
+    phi_covs = rot.step_phi_cov[-n:]  # filled in place
     if sigma_g or sigma_a or cov.any():
         # covariance transition A and noise B Q B^T in (phi, v, p), with
         # per-step noise sigma^2 / dt
@@ -291,15 +312,10 @@ def integrate_imu(samples, lin_bg, lin_ba, sigma_g=0.0, sigma_a=0.0,
                         j_v_bg[-2], j_v_ba[-2], j_p_bg[-2], j_p_ba[-2], last_cov)
 
     return ImuPreintegrated(
-        dR=rots[-1], dv=dv[-1], dp=dp[-1], dt_total=float(t_end - t_start),
-        lin_bg=lin_bg, lin_ba=lin_ba, cov=cov,
-        J_dR_dbg=jacs[-1], J_dv_dbg=j_v_bg[-1], J_dv_dba=j_v_ba[-1],
-        J_dp_dbg=j_p_bg[-1], J_dp_dba=j_p_ba[-1],
-        sigma_g=sigma_g, sigma_a=sigma_a, t_start=float(t_start),
-        t_end=float(t_end),
-        last_step=last, **join_steps(
-            resume, kept, step_t=starts, step_omega=omega, step_dR=d_r,
-            step_J=j_r, step_phi_cov=phi_covs))
+        **{**vars(rot), "sigma_g": sigma_g}, dv=dv[-1], dp=dp[-1],
+        dt_total=float(t_end - rot.t_start), lin_ba=lin_ba, cov=cov,
+        J_dv_dbg=j_v_bg[-1], J_dv_dba=j_v_ba[-1], J_dp_dbg=j_p_bg[-1],
+        J_dp_dba=j_p_ba[-1], sigma_a=sigma_a, last_step=last)
 
 
 def correct_imu_bias(preint: ImuPreintegrated, new_bg, new_ba):

@@ -13,9 +13,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from aquafuse.backend import photometric_payloads
-from aquafuse.dvl import DvlExtrinsics, DvlSample
-from aquafuse.imu import ImuSample, hold_intervals
+from aquafuse.dvl import DvlExtrinsics, DvlSample, preintegrate_dvl
+from aquafuse.frontend import initial_state
+from aquafuse.imu import ImuSample, hold_intervals, integrate_imu
 from aquafuse.manifold import SMALL_ANGLE, exp_so3, hat
+from aquafuse.sim import sensor_rig_from_config
 from aquafuse.state import NavState, matvec
 from aquafuse.visual import BehindCameraError
 
@@ -315,6 +317,24 @@ def dead_reckoning_positions_reference(dvl, imu_preint, ext: DvlExtrinsics,
             hold_pos[k] + hold_vel[k] * min(t - starts[k], dts[k])
         out.append(dvl_pos - (r_t - r0) @ ext.p_ID)
     return np.array(out)
+
+
+def dead_reckoning_reference(dataset):
+    """Dead reckoning's rotations (n, 3, 3) and body positions (n, 3) at the
+    frames of ``dataset`` from a full IMU preintegration: the rotations of
+    ``integrate_imu`` and the translations of ``preintegrate_dvl`` over it,
+    from ``initial_state`` at the first frame, the DVL's lever arm taken
+    back out."""
+    rig = sensor_rig_from_config(dataset.config)
+    t0 = dataset.frames[0].t
+    times = np.array([f.t for f in dataset.frames])
+    s0 = initial_state(dataset, t0)
+    imu = integrate_imu(dataset.imu, s0.bg, s0.ba, t_start=t0,
+                        t_end=max(dataset.frames[-1].t, t0 + 1e-9))
+    dvl = preintegrate_dvl(dataset.dvl, imu, rig.dvl, s0.bv)
+    rots = s0.R @ imu.rotations_at(times)
+    return rots, (s0.p + dvl.translations_at(times) @ s0.R.T
+                  - (rots - s0.R) @ rig.dvl.p_ID)
 
 
 # ------------- scalar references for the solver and the DVL model ------------- #

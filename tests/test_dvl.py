@@ -145,10 +145,12 @@ class TestPreintegrate:
             preintegrate_dvl([], pre, IDENTITY_EXT, np.zeros(3))
 
     def test_negative_noise_rejected(self, rng):
-        # squared, -1 would act as 1
+        # squared, -1 would act as 1; NaN and inf give no covariance
         _, _, pre, dvl, _ = _world_with_dvl(rng)
-        with pytest.raises(ValueError, match="DVL noise must be nonnegative"):
-            preintegrate_dvl(dvl, pre, IDENTITY_EXT, np.zeros(3), sigma_v=-1.0)
+        for sigma_v in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="DVL noise must be nonnegative"):
+                preintegrate_dvl(dvl, pre, IDENTITY_EXT, np.zeros(3),
+                                 sigma_v=sigma_v)
 
 
 class TestAgainstReference:

@@ -20,8 +20,8 @@ from aquafuse.sim import ScenarioConfig, simulate
 from aquafuse.state import NavState
 from aquafuse.visual import IntensityField, LandmarkObservation
 
-from helpers import (discrete_imu_world, dvl_samples_from_world,
-                     init_landmarks_reference, project)
+from helpers import (dead_reckoning_reference, discrete_imu_world,
+                     dvl_samples_from_world, init_landmarks_reference, project)
 from test_backend import count_field_calls, default_rig, make_scene
 from test_imu import _PREINT_FIELDS
 
@@ -365,6 +365,18 @@ class TestPipeline:
             first = run_estimator(ds, RunConfig(mode=mode)).frames[0].nav
             assert np.array_equal(first.p, gt.p), mode
             assert np.array_equal(first.R, gt.R), mode
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_dead_reckoning_equals_the_full_preintegration(self, seed):
+        # the rotation stage alone gives the poses that the rotations of a
+        # full IMU preintegration gave, bit for bit, over a minute
+        ds = simulate(ScenarioConfig(kind="figure-eight", duration_s=60.0,
+                                     seed=seed))
+        rots, positions = dead_reckoning_reference(ds)
+        result = run_estimator(ds, RunConfig(mode=EstimatorMode.DVL_DEADRECKON))
+        assert len(result.frames) == len(rots) > 800
+        for f, r, p in zip(result.frames, rots, positions):
+            assert np.array_equal(f.nav.R, r) and np.array_equal(f.nav.p, p)
 
     def test_acoustic_inertial_depth_mode(self):
         cfg = zero_noise_config(duration_s=6.0)
@@ -733,14 +745,17 @@ class TestKeyframePreintegration:
         assert seen["samples"] <= len(ds.imu) + len(ds.frames)
 
     def test_dead_reckoning_integrates_the_buffer_in_one_call(self, monkeypatch):
-        # counts what the benchmark's tracer counts at this entry point, and
-        # the draws its frame list stamps
+        # one rotation stage over the whole buffer and no full IMU
+        # preintegration, and the draws the benchmark's frame list stamps
         seen = []
-        integrate = frontend.integrate_imu
+        integrate = frontend.integrate_rotation
 
         def counted(*args, **kwargs):
             seen.append(len(args[0]))
             return integrate(*args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("dead reckoning reads no velocity sums")
 
         class DrawnFrames(list):
             draws = 0
@@ -749,7 +764,8 @@ class TestKeyframePreintegration:
                 DrawnFrames.draws += 1
                 return super().__iter__()
 
-        monkeypatch.setattr(frontend, "integrate_imu", counted)
+        monkeypatch.setattr(frontend, "integrate_rotation", counted)
+        monkeypatch.setattr(frontend, "integrate_imu", refused)
         ds = self._dataset(4.0)
         ds = replace(ds, frames=DrawnFrames(ds.frames))
         result = run_estimator(ds, RunConfig(mode=EstimatorMode.DVL_DEADRECKON))

@@ -5,8 +5,8 @@ from numpy.testing import assert_allclose
 import aquafuse.imu as imu
 import aquafuse.manifold as manifold
 from aquafuse.imu import (ImuSample, correct_imu_bias, hold_intervals,
-                          imu_pair_residuals, integrate_imu, predict_state_imu,
-                          stack_imu_pairs)
+                          imu_pair_residuals, integrate_imu, integrate_rotation,
+                          predict_state_imu, stack_imu_pairs)
 from aquafuse.manifold import SMALL_ANGLE, exp_so3, log_so3
 from aquafuse.state import BA, BG, PHI, POS, STATE_DOF, VEL, NavState, stack_states
 
@@ -59,7 +59,10 @@ class TestIntegrateImu:
         pre = integrate_imu(samples, *ZERO, t_end=1.0)
         assert_allclose(pre.dR, exp_so3([0, 0, np.pi / 2]), atol=1e-9)
 
-    @pytest.mark.parametrize("noise", [(-1e-4, 0.0), (0.0, -1e-3)])
+    @pytest.mark.parametrize("noise", [(-1e-4, 0.0), (0.0, -1e-3),
+                                       (-1.0, np.nan), (np.nan, -1.0),
+                                       (np.nan, 0.0), (0.0, np.nan),
+                                       (0.0, np.inf)])
     def test_negative_noise_rejected(self, noise):
         samples = _uniform_samples(10, 0.01, np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError, match="IMU noise must be nonnegative"):
@@ -285,7 +288,8 @@ class TestAgainstPerStepReference:
         # the rotation's gyro-bias Jacobian is read from a running sum in the
         # span's start frame: over 6,000 noisy steps it still equals the
         # per-step recursion, at checkpoints too, and a resume inside the
-        # span equals one call bit for bit
+        # span equals one call bit for bit; the rotation stage alone equals
+        # the rotation fields of both
         samples = self._samples(rng, np.arange(6000) * 0.01)
         pre = self._check(samples, 0.0, 60.0)
         want = integrate_imu_reference(samples, *self.BIAS, *NOISY, 0.0, 60.0)
@@ -301,6 +305,13 @@ class TestAgainstPerStepReference:
         resumed = integrate_imu(_hold_slice(samples, first.step_t[-1], 60.0),
                                 *self.BIAS, *NOISY, t_end=60.0, resume=first)
         _assert_same_bits(resumed, pre, probes)
+        rot = integrate_rotation(samples, self.BIAS[0], 0.0, 60.0)[0]
+        assert rot.sigma_g == 0.0 and not rot.step_phi_cov.any()
+        for full in (pre, resumed):
+            for name in ("step_t", "step_omega", "step_dR", "step_J", "dR",
+                         "J_dR_dbg"):
+                assert np.array_equal(getattr(rot, name),
+                                      getattr(full, name)), name
 
     def test_checkpoints_outside_the_span_rejected(self, rng):
         samples = self._samples(rng, np.arange(20) * 0.01)
