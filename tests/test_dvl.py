@@ -145,7 +145,7 @@ class TestPreintegrate:
             preintegrate_dvl([], pre, IDENTITY_EXT, np.zeros(3))
 
     def test_negative_noise_rejected(self, rng):
-        # squared, -1 would act as 1; NaN and inf give no covariance
+        # squared, -1 would act as 1; NaN and inf make the covariance non-finite
         _, _, pre, dvl, _ = _world_with_dvl(rng)
         for sigma_v in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="DVL noise must be nonnegative"):
