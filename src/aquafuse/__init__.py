@@ -24,7 +24,6 @@ from .manifold import Pose, exp_so3, hat, log_so3, right_jacobian_so3
 from .sim import (ScenarioConfig, SensorDataset, read_dataset, simulate,
                   trajectory_truth, write_dataset)
 from .state import NavState, StateStack, stack_states
-from .visual import (CameraModel, IntensityField, LandmarkObservation,
-                     PatchPattern)
+from .visual import CameraModel, IntensityField, LandmarkObservation
 
 __version__ = "0.1.0"

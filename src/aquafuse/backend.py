@@ -46,13 +46,14 @@ the pair's ``IntervalData`` carries them to each window, which gates them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from functools import cached_property
 from enum import Enum
 from typing import Any
 
 import numpy as np
 
+from .config import require_positive
 from .depth import DepthExtrinsics, PressureSample, pressure_pair_residuals
 from .dvl import (DvlExtrinsics, DvlPreintegrated, DvlSample,
                   dvl_position_pair_residuals, dvl_velocity_pair_residuals,
@@ -62,7 +63,8 @@ from .manifold import Pose, hat, hat_batch
 from .state import (STATE_DOF, NavState, StateStack, matvec, retract_rows,
                     stack_states, unstack_state)
 from .visual import (BehindCameraError, CameraModel, IntensityField,
-                     LandmarkObservation, OutOfDomainError, PatchPattern)
+                     LandmarkObservation, OutOfDomainError, PATCH_OFFSETS,
+                     patch_weights)
 
 
 class GaugeError(ValueError):
@@ -93,7 +95,6 @@ PAIR_KINDS = (FactorKind.IMU, FactorKind.DVL_VELOCITY, FactorKind.DVL_POSITION,
 # the least disparity (px) at which an observation hosts a depth: a map
 # landmark of the tracker or a photometric patch
 MIN_HOST_DISPARITY_PX = 0.05
-PATCH_PATTERN = PatchPattern()
 
 
 @dataclass(frozen=True)
@@ -184,8 +185,10 @@ class SolverConfig:
     max_iterations: int = 50
     rel_cost_tol: float = 1e-8
     step_tol: float = 1e-10
-    lambda_init: float = 1e-4
-    lambda_max: float = 1e10
+
+
+# a solve's LM damping starts at LAMBDA_INIT; one past LAMBDA_MAX ends it
+LAMBDA_INIT, LAMBDA_MAX = 1e-4, 1e10
 
 
 class Termination(Enum):
@@ -197,7 +200,7 @@ class Termination(Enum):
     STEP_SIZE = "step_size"            # its norm below step_tol
     ITERATION_CAP = "iteration_cap"    # max_iterations steps taken
     ZERO_GRADIENT = "zero_gradient"    # gradient vanished (or no free dims)
-    NO_DESCENT = "no_descent"          # no damping up to lambda_max lowers the cost
+    NO_DESCENT = "no_descent"          # no damping up to LAMBDA_MAX lowers the cost
 
 
 @dataclass
@@ -673,7 +676,7 @@ def solve(window: LocalWindow, factors: list[Factor],
         return (retract_rows(stack, free_rows, delta[free_cols]),
                 lms + delta[layout.lm_cols])
 
-    lam = cfg.lambda_init
+    lam = LAMBDA_INIT
     accepted = 0
     termination = None
     for _ in range(cfg.max_iterations):
@@ -682,7 +685,7 @@ def solve(window: LocalWindow, factors: list[Factor],
             termination = Termination.ZERO_GRADIENT
             break
         h_diag = np.diag(h)
-        while lam <= cfg.lambda_max:
+        while lam <= LAMBDA_MAX:
             try:
                 # h + lam diag(h) + 1e-15 I, formed on the diagonal alone
                 step = _solve_damped(h, h_diag + lam * h_diag + 1e-15, g,
@@ -774,16 +777,20 @@ class BackendConfig:
     photometric_gate: float = 0.05
     photometric_track_gate: float = 1.0 / 3.0
 
+    def __post_init__(self):
+        require_positive(self, ("sigma_intensity",))
+
 
 @dataclass
 class SensorNoise:
     """Standard deviations of the sensor noise the factors assume, in the
-    scenario's units. As ``RunConfig.floors`` they are lower bounds on it:
-    they keep the information matrices finite on noiseless synthetic
-    datasets and absorb the zero-order-hold discretization error of the
-    preintegrated factors (first order in the sample period), which would
-    otherwise bias the solution away from the visual optimum. The
-    preintegrations take ``sigma_g``, ``sigma_a`` and ``sigma_dvl`` as floats."""
+    scenario's units, each positive and finite. As ``RunConfig.floors``
+    they are lower bounds on it: they keep the information matrices finite
+    on noiseless synthetic datasets and absorb the zero-order-hold
+    discretization error of the preintegrated factors (first order in the
+    sample period), which would otherwise bias the solution away from the
+    visual optimum. The preintegrations take ``sigma_g``, ``sigma_a`` and
+    ``sigma_dvl`` as floats."""
 
     sigma_pixel: float = 0.2
     sigma_dvl: float = 0.02
@@ -793,6 +800,9 @@ class SensorNoise:
     sigma_bg_walk: float = 1e-6
     sigma_ba_walk: float = 1e-5
     sigma_bv_walk: float = 5e-3
+
+    def __post_init__(self):
+        require_positive(self, [f.name for f in fields(self)])
 
 
 def _safe_inverse(cov: np.ndarray) -> np.ndarray:
@@ -908,7 +918,7 @@ def assemble_window(keyframes: list[KeyframeNode],
 def photometric_payloads(host_field, host_obs, obs_field, obs_obs,
                          cam: CameraModel, cfg: BackendConfig) -> list[PhotometricData]:
     """A frame pair's photometric patches, none if ``cfg`` turns them off or
-    a field is missing or has no bumps: a ``PATCH_PATTERN`` around each of
+    a field is missing or has no bumps: the ``PATCH_OFFSETS`` around each of
     the first ``photometric_max_points`` of ``host_obs`` with a stereo depth
     whose landmark ``obs_obs`` holds too, as luminance constancy needs; their
     host side from one ``gradient`` call on ``host_field``."""
@@ -921,10 +931,9 @@ def photometric_payloads(host_field, host_obs, obs_field, obs_obs,
              and o.landmark_id in ids][:cfg.photometric_max_points]
     if not hosts:
         return []
-    pix = np.array([o.pixel for o in hosts])[:, None, :] \
-        + PATCH_PATTERN.offsets  # (n, m, 2)
-    vals, grads = host_field.gradient(pix)
-    weights = PATCH_PATTERN.weights(grads)
+    pix = np.array([o.pixel for o in hosts])[:, None, :] + PATCH_OFFSETS
+    vals, grads = host_field.gradient(pix)  # (n, m) and (n, m, 2)
+    weights = patch_weights(grads)
     depth = cam.stereo_depth([o.disparity for o in hosts])
     pts = cam.backproject(pix, depth[:, None])
     return [PhotometricData(obs_field, pts[k], vals[k], weights[k])

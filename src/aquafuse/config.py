@@ -16,7 +16,9 @@ def config_from_dict(cls, data, label: str, where: str = ""):
     field and every value have the type of the field's default: a finite
     number for a float, an object for a nested config, finite numbers
     shaped like a tuple (any shape for an empty one), a name for an enum.
-    A malformed entry raises ValueError naming it."""
+    A malformed entry raises ValueError naming it. The class's own checks
+    (``require_positive`` and the like) then run; their ValueError, which
+    begins with the field's name, is raised again with the dotted key."""
     if not isinstance(data, dict):
         raise ValueError(f"{label} {where or 'root'}: expected an object, "
                          f"got {type(data).__name__}")
@@ -31,7 +33,18 @@ def config_from_dict(cls, data, label: str, where: str = ""):
         default = f.default if f.default is not dataclasses.MISSING \
             else f.default_factory()
         kwargs[name] = _config_value(value, default, label, prefix + name)
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{label} {prefix}{exc}") from None
+
+
+def require_positive(cfg, names) -> None:
+    """Refuse the config ``cfg`` unless its fields ``names`` are positive
+    and finite, naming the first that is not."""
+    for name in names:
+        if not 0 < getattr(cfg, name) < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
 
 
 def _config_value(value, default, label: str, key: str):

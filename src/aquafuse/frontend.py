@@ -385,8 +385,6 @@ class Tracker:
         self.interval = None
 
     def _window_ba(self):
-        if len(self.keyframes) < 2:
-            return
         size = self.cfg.backend.window_size
         window_nodes = self.keyframes[-size:]
         window_ids = {n.kf_id for n in window_nodes}
@@ -402,9 +400,7 @@ class Tracker:
                 if any(o.landmark_id in window_lm_ids for o in n.observations):
                     fixed_nodes.append(n)
         nodes = sorted(fixed_nodes + window_nodes, key=lambda n: n.kf_id)
-        fixed_ids = {n.kf_id for n in fixed_nodes}
-        if not fixed_ids:
-            fixed_ids = {nodes[0].kf_id}
+        fixed_ids = {n.kf_id for n in fixed_nodes} or {nodes[0].kf_id}
         window, factors = bk.assemble_window(
             nodes, self.map, self.intervals, self.rig, self.cfg.backend,
             self.noise, fixed_ids=fixed_ids)

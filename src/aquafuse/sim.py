@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import SensorRig
-from .config import config_from_dict
+from .config import config_from_dict, require_positive
 from .depth import (DepthExtrinsics, PressureSample, S3,
                     pressure_position_estimate)
 from .dvl import DvlExtrinsics, DvlSample, dvl_velocity_estimate
@@ -161,13 +161,14 @@ class ScenarioConfig:
         if self.kind not in TRAJECTORY_KINDS:
             raise ValueError(f"kind must be one of {TRAJECTORY_KINDS}, "
                              f"not {self.kind!r}")
-        # sensor rates, and a camera needs focal lengths, an image, a stereo
-        # baseline, bumps of some width and a range of depths to observe
-        for name in ("rate_cam_hz", "rate_imu_hz", "rate_dvl_hz", "rate_pressure_hz",
-                     "fx_px", "fy_px", "width_px", "height_px", "baseline_m",
-                     "field_sigma_px"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        # sensor rates and the periods of the paths and the DVL bias, and a
+        # camera needs focal lengths, an image, a stereo baseline, bumps of
+        # some width and a range of depths to observe
+        require_positive(self, (
+            "rate_cam_hz", "rate_imu_hz", "rate_dvl_hz", "rate_pressure_hz",
+            "period_s", "depth_period_s", "sweep_period_s", "bv_sin_period_s",
+            "fx_px", "fy_px", "width_px", "height_px", "baseline_m",
+            "field_sigma_px"))
         if not -math.inf < self.min_obs_depth_m < self.max_obs_depth_m < math.inf:
             raise ValueError("min_obs_depth_m must be below max_obs_depth_m, "
                              "both finite")
@@ -411,6 +412,20 @@ def simulate(cfg: ScenarioConfig) -> SensorDataset:
     records = [GroundTruthRecord(*row) for row in zip(
         all_times.tolist(), truth.R, truth.p, truth.v, bias[ki, 0], bias[ki, 1],
         bv[kd])]
+
+    # the reader refuses a number that is not finite, so none is handed on
+    for name, arrays in (
+            ("imu", [meas]), ("dvl", [vel]), ("pressure", [depth]),
+            ("groundtruth", [truth.R, truth.p, truth.v]),
+            ("frames", [amps, [o.disparity for f in frames
+                               for o in f.observations]])):
+        if not all(np.isfinite(a).all() for a in arrays):
+            stalled = all_times[np.isnan(truth.yaw_rate)].tolist()
+            cause = (f"the path's planar speed is zero at t={stalled[0]!r}, "
+                     "so its yaw rate is 0/0") if stalled \
+                else "a number overflowed"
+            raise ValueError(f"the simulated {name} stream holds a number "
+                             f"that is not finite: {cause}")
     return SensorDataset(cfg, imu, dvl, pressure, frames, records)
 
 

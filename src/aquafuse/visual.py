@@ -1,7 +1,8 @@
 """Pinhole camera model, stereo depth, the analytic intensity field and the
-photometric patch pattern. The reprojection and photometric residuals are
-evaluated by the solver, each kind as one batch over a whole window
-(``backend._ReprojectionBatch`` and ``backend._PhotometricBatch``).
+photometric patch (``PATCH_OFFSETS`` and ``patch_weights``). The
+reprojection and photometric residuals are evaluated by the solver, each
+kind as one batch over a whole window (``backend._ReprojectionBatch`` and
+``backend._PhotometricBatch``).
 
 The camera owns the pinhole geometry, as array code over any leading shape.
 Its callers (``backend``'s batches and ``assemble_window``, ``sim._view``, the
@@ -16,7 +17,7 @@ simulator as landmark ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,27 +166,13 @@ class IntensityField:
         return self._sum(uv, gradient=True)
 
 
-@dataclass(frozen=True)
-class PatchPattern:
-    """Pixel offsets of the residual patch plus the gradient down-weighting
-    scale. Weights are w = c^2 / (c^2 + |grad I|^2): one at zero gradient and
-    non-increasing in gradient magnitude."""
+# the pixel offsets of a photometric patch, its center first
+PATCH_OFFSETS = np.array([[0, 0], [-2, 0], [2, 0], [0, -2], [0, 2], [-1, -1],
+                          [1, -1], [-1, 1]], dtype=float)
 
-    offsets: np.ndarray = field(
-        default_factory=lambda: np.array(
-            [[0, 0], [-2, 0], [2, 0], [0, -2], [0, 2], [-1, -1], [1, -1], [-1, 1]],
-            dtype=float))
-    weight_scale: float = 50.0
 
-    def __post_init__(self):
-        offs = np.asarray(self.offsets, dtype=float).reshape(-1, 2)
-        if not np.any(np.all(offs == 0.0, axis=1)):
-            raise ValueError("pattern must contain the origin offset")
-        object.__setattr__(self, "offsets", offs)
-
-    def weights(self, gradients) -> np.ndarray:
-        """Weights (...) of the patch points with image gradients (..., 2)."""
-        g2 = np.sum(np.square(gradients), axis=-1)
-        c2 = self.weight_scale**2
-        return c2 / (c2 + g2)
-
+def patch_weights(gradients) -> np.ndarray:
+    """Weights (...) of patch points with image gradients (..., 2),
+    c^2 / (c^2 + |grad I|^2) with c = 50: one at zero gradient, and
+    non-increasing in the gradient's magnitude."""
+    return 2500.0 / (2500.0 + np.sum(np.square(gradients), axis=-1))

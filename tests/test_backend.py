@@ -11,7 +11,8 @@ from aquafuse.manifold import BranchAmbiguityError, Pose, exp_so3, log_so3
 from aquafuse.sim import ScenarioConfig, sensor_rig_from_config
 from aquafuse.state import (PHI, STATE_DOF, NavState, retract_rows,
                             stack_states, unstack_state)
-from aquafuse.visual import IntensityField, LandmarkObservation
+from aquafuse.visual import (PATCH_OFFSETS, IntensityField,
+                             LandmarkObservation, patch_weights)
 
 from helpers import (discrete_imu_world, dvl_samples_from_world,
                      fd_jacobian, fill_photometric, huber_cost, jac_close,
@@ -955,7 +956,6 @@ class TestPairKindWorkCount:
 
     def test_one_field_call_per_payload_batch(self, rng, monkeypatch):
         field, cam = bumpy_field(rng), default_rig().cam
-        pattern = bk.PATCH_PATTERN
         pixels = rng.uniform([100, 100], [540, 260], (5, 2))
         depths = rng.uniform(2.0, 5.0, 5)
         obs = [LandmarkObservation(k, pix, cam.fx * cam.baseline / z)
@@ -964,13 +964,13 @@ class TestPairKindWorkCount:
         payloads = bk.photometric_payloads(field, obs, field, obs, cam,
                                            bk.BackendConfig())
         assert field_calls == ["gradient"]
-        pts = pixels[:, None, :] + pattern.offsets
+        pts = pixels[:, None, :] + PATCH_OFFSETS
         monkeypatch.undo()
         vals, grads = field.gradient(pts.reshape(-1, 2))
         assert np.array_equal(np.stack([d.host_vals for d in payloads]),
                               vals.reshape(5, -1))
         assert np.array_equal(np.stack([d.weights for d in payloads]),
-                              pattern.weights(grads).reshape(5, -1))
+                              patch_weights(grads).reshape(5, -1))
         # the host points, back-projected once, at the stereo depths
         depths = cam.stereo_depth([o.disparity for o in obs])
         assert np.array_equal(np.stack([d.pts_ci for d in payloads]),
@@ -1225,7 +1225,9 @@ class TestCarriedLinearization:
 
     def test_matches_fresh_evaluation(self, rng, monkeypatch):
         window, factors = photometric_window(rng, fixed_ids={0})
-        cfg = bk.SolverConfig(max_iterations=4, lambda_init=1e-8)
+        cfg = bk.SolverConfig(max_iterations=4)
+        # a low initial damping, here and in the re-solves below
+        monkeypatch.setattr(bk, "LAMBDA_INIT", 1e-8)
         normal_equations, evaluate = bk._normal_equations, bk._evaluate
         log, used = [], []
 
@@ -1250,6 +1252,7 @@ class TestCarriedLinearization:
         monkeypatch.setattr(bk._PhotometricBatch, "jacobians", logged_jacobians)
         out, report = bk.solve(replace(window), factors, cfg)
         monkeypatch.undo()
+        monkeypatch.setattr(bk, "LAMBDA_INIT", 1e-8)
         # a rejected candidate (lambda grew) before an accepted step that
         # the next iteration linearizes at, and a solve that ends on its cap
         # at a point it evaluated and never linearized

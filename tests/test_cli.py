@@ -300,6 +300,14 @@ class TestInputErrors:
          "backend.pattern"),
         ({"backend": {"sigma_intensity_track": 10.0}},
          "backend.sigma_intensity_track"),
+        # a zero noise divided by zero (exit 1 or 4): the intensity noise on
+        # any dataset, a floor on a noiseless one; a negative intensity
+        # noise ran as its absolute value
+        ({"backend": {"sigma_intensity": 0}}, "backend.sigma_intensity"),
+        ({"backend": {"sigma_intensity": -30.0}}, "backend.sigma_intensity"),
+        *(({"floors": {key: 0}}, f"floors.{key}") for key in (
+            "sigma_pixel", "sigma_dvl", "sigma_pressure", "sigma_g",
+            "sigma_a", "sigma_bg_walk", "sigma_ba_walk", "sigma_bv_walk")),
     ])
     def test_malformed_nested_config(self, dataset, tmp_path, capsys,
                                      config, key):
@@ -351,6 +359,11 @@ class TestInputErrors:
         ({"seed": -1}, "seed"),
         ({"p_IC_m": [0.15, float("nan"), 0.05]}, "p_IC_m"),
         ({"cx_px": 10 ** 400}, "cx_px"),
+        # each divided by zero (exit 1)
+        ({"period_s": 0}, "period_s"),
+        ({"bv_sin_period_s": 0}, "bv_sin_period_s"),
+        ({"kind": "lawnmower", "sweep_period_s": 0}, "sweep_period_s"),
+        ({"amp_z_m": 1.0, "depth_period_s": 0}, "depth_period_s"),
     ])
     def test_malformed_scenario_config(self, tmp_path, capsys, config, key):
         path = tmp_path / "scenario.json"
@@ -359,6 +372,22 @@ class TestInputErrors:
                          "--out", str(tmp_path / "dataset")]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and key in err
+
+    @pytest.mark.parametrize("config", [
+        {"kind": "lawnmower", "sweep_amp_m": 0, "speed_m_s": 0},
+        {"kind": "figure-eight", "amp_x_m": 0, "amp_y_m": 0},
+    ], ids=["lawnmower", "figure-eight"])
+    def test_path_without_planar_speed_is_refused(self, tmp_path, capsys,
+                                                  config):
+        # its yaw rate is 0/0: every IMU and DVL line held NaN, simulate
+        # exited 0 and estimate refused imu.jsonl:1
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"duration_s": 1.0, **config}))
+        out = tmp_path / "dataset"
+        assert cli.main(["simulate", "--config", str(path),
+                         "--out", str(out)]) == 2
+        assert "planar speed is zero" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("meta, key", [
         ([], "root"),

@@ -260,14 +260,31 @@ def test_disparities_are_clamped_at_006():
 @pytest.mark.parametrize("key, value", [
     ("duration_s", -1.0), ("landmark_count", -1), ("max_obs_per_frame", -5),
     ("fx_px", 0.0), ("fy_px", -300.0), ("min_obs_depth_m", 9.0),
-    ("max_obs_depth_m", 0.5)])
+    ("max_obs_depth_m", 0.5), ("period_s", 0.0), ("depth_period_s", 0.0),
+    ("sweep_period_s", 0.0), ("bv_sin_period_s", 0.0)])
 def test_negative_sizes_are_rejected(key, value):
     # each failed late, or (a negative observation cap slices from the end)
     # silently kept almost every visible landmark; a zero focal length failed
-    # in the camera model without naming its key, and an empty depth range
-    # simulated a dataset without a single observation
+    # in the camera model without naming its key, an empty depth range
+    # simulated a dataset without a single observation, and a zero period
+    # divided by zero
     with pytest.raises(ValueError, match=key):
         sim.ScenarioConfig(**{key: value})
+
+
+@pytest.mark.parametrize("config, cause", [
+    # the yaw rate is 0/0 where the planar speed vanishes: every IMU and
+    # DVL record held NaN, which the dataset's reader refused
+    (dict(kind="lawnmower", sweep_amp_m=0.0, speed_m_s=0.0),
+     r"imu stream .* planar speed is zero at t=0\.0"),
+    (dict(kind="figure-eight", amp_x_m=0.0, amp_y_m=0.0),
+     r"imu stream .* planar speed is zero at t=0\.0"),
+    (dict(field_amp_min=-1e308, field_amp_max=1e308),
+     r"frames stream .* a number overflowed"),
+], ids=["lawnmower", "figure-eight", "amplitudes"])
+def test_a_stream_that_is_not_finite_is_refused(config, cause):
+    with pytest.raises(ValueError, match=cause):
+        sim.simulate(sim.ScenarioConfig(duration_s=1.0, **config))
 
 
 @pytest.mark.parametrize("key, value", [

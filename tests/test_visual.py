@@ -10,7 +10,7 @@ from aquafuse.state import PHI, POS, STATE_DOF, NavState
 from aquafuse.visual import (BehindCameraError, CameraModel,
                              DegenerateTriangulationError, IntensityField,
                              LandmarkObservation, OutOfDomainError,
-                             PatchPattern)
+                             PATCH_OFFSETS, patch_weights)
 
 from helpers import project
 
@@ -263,21 +263,18 @@ class TestIntensityField:
 
 class TestPatchPattern:
     def test_contains_origin(self):
-        assert np.any(np.all(PatchPattern().offsets == 0, axis=1))
-        with pytest.raises(ValueError):
-            PatchPattern(offsets=np.array([[1.0, 0.0]]))
+        assert np.any(np.all(PATCH_OFFSETS == 0, axis=1))
 
     def test_weight_rule(self, rng):
-        pattern = PatchPattern()
         flat = IntensityField(np.zeros(0), np.zeros((0, 2)), 5.0)
         _, g = flat.gradient(np.array([[100.0, 100.0]]))
-        assert_allclose(pattern.weights(g), [1.0])
+        assert_allclose(patch_weights(g), [1.0])
         # non-increasing in gradient magnitude
         field = _bumpy_field(rng)
         pts = rng.uniform([50, 50], [590, 310], (50, 2))
         _, g = field.gradient(pts)
         g2 = np.sum(g ** 2, axis=1)
-        w = pattern.weights(g)
+        w = patch_weights(g)
         order = np.argsort(g2)
         assert np.all(np.diff(w[order]) <= 1e-12)
         assert np.all(w <= 1.0)
@@ -315,7 +312,7 @@ class TestPhotometric:
         f_i = IntensityField(*far, offset=10.0)
         f_j = IntensityField(*far, offset=13.0)
         res = _photometric(f_i, f_j, IDENTITY, [320.0, 180.0], 2.0)
-        assert res == pytest.approx(len(bk.PATCH_PATTERN.offsets) * 3.0)
+        assert res == pytest.approx(len(PATCH_OFFSETS) * 3.0)
 
     def test_out_of_domain_raises(self, rng):
         field = _bumpy_field(rng)
